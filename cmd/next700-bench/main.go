@@ -38,9 +38,9 @@ func main() {
 		warmup     = flag.Int("warmup", 200, "warmup transactions per worker")
 		seed       = flag.Uint64("seed", 42, "random seed")
 		logMode    = flag.String("log", "none", "durability: none | value | command")
-		logPath    = flag.String("logpath", "", "WAL file path (required for -log != none)")
-		gcWindow   = flag.Duration("groupcommit", time.Millisecond, "group commit window (epoch advance period when -wal-streams > 1)")
-		walStreams = flag.Int("wal-streams", 1, "parallel WAL stream count: >1 splits the log across <logpath>.<i> files with an epoch-based durable frontier and writes <logpath>.manifest.json for -recover")
+		logPath    = flag.String("logpath", "", "WAL path prefix (required for -log != none): the log is written to <logpath>.<i>, one file per stream, plus <logpath>.manifest.json for -recover")
+		gcWindow   = flag.Duration("groupcommit", time.Millisecond, "group commit window: the log's epoch advance period (0 = flush on every commit; -det with -log pins it to 0)")
+		walStreams = flag.Int("wal-streams", 1, "WAL stream count: the log is one StreamSet sharded across this many files with an epoch-based durable frontier (1 = the classic single log, same code)")
 
 		// YCSB knobs.
 		records = flag.Uint64("records", 262144, "ycsb: table size")
@@ -169,35 +169,28 @@ func main() {
 		if *logPath == "" {
 			fatal("-log %s requires -logpath", *logMode)
 		}
-		if *walStreams > 1 {
-			devs := make([]wal.Device, *walStreams)
-			for i := range devs {
-				f, err := os.OpenFile(fmt.Sprintf("%s.%d", *logPath, i),
-					os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-				if err != nil {
-					fatal("open log stream %d: %v", i, err)
-				}
-				defer f.Close()
-				devs[i] = f
-			}
-			mf, err := os.Create(*logPath + ".manifest.json")
+		if *walStreams < 1 {
+			fatal("-wal-streams must be >= 1")
+		}
+		devs := make([]wal.Device, *walStreams)
+		for i := range devs {
+			f, err := os.OpenFile(fmt.Sprintf("%s.%d", *logPath, i),
+				os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 			if err != nil {
-				fatal("create manifest: %v", err)
-			}
-			if err := wal.WriteManifest(mf, wal.Manifest{Streams: *walStreams, Mode: *logMode}); err != nil {
-				fatal("write manifest: %v", err)
-			}
-			mf.Close()
-			cfg.WALStreams = *walStreams
-			cfg.LogDevices = devs
-		} else {
-			f, err := os.OpenFile(*logPath, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-			if err != nil {
-				fatal("open log: %v", err)
+				fatal("open log stream %d: %v", i, err)
 			}
 			defer f.Close()
-			cfg.LogDevice = f
+			devs[i] = f
 		}
+		mf, err := os.Create(*logPath + ".manifest.json")
+		if err != nil {
+			fatal("create manifest: %v", err)
+		}
+		if err := wal.WriteManifest(mf, wal.Manifest{Streams: *walStreams, Mode: *logMode}); err != nil {
+			fatal("write manifest: %v", err)
+		}
+		mf.Close()
+		cfg.LogDevices = devs
 	}
 
 	var wl workload.Workload
@@ -227,6 +220,18 @@ func main() {
 		parts := *partitions
 		if parts <= 0 {
 			parts = *threads
+		}
+		if cfg.LogMode != wal.ModeNone {
+			// A logged batch seals as exactly one epoch, so the log must not
+			// advance epochs on a timer (core.NewDetExecutor enforces it at
+			// every stream count). The -groupcommit default is for the
+			// interactive path; only an explicit non-zero value is an error.
+			flag.Visit(func(f *flag.Flag) {
+				if f.Name == "groupcommit" && *gcWindow != 0 {
+					fatal("-det with -log %s requires -groupcommit 0 (each batch seals as one epoch)", *logMode)
+				}
+			})
+			cfg.GroupCommitWindow = 0
 		}
 		runDet(cfg, da, detOpts{
 			Partitions: parts, Batch: *detBatch, Batches: 64,
@@ -293,7 +298,7 @@ func main() {
 		if cfg.LogMode == wal.ModeNone {
 			fatal("-recover requires -log value|command")
 		}
-		printRecovery(cfg, wl, *logPath, *walStreams)
+		printRecovery(cfg, wl, *logPath)
 	}
 	if *allocs {
 		fmt.Printf("  allocs/txn=%.2f bytes/txn=%.1f\n", res.AllocsPerTxn, res.BytesPerTxn)
@@ -380,12 +385,11 @@ func runTorture(protocol string, iters int, seed uint64) {
 
 // printRecovery replays the just-written log into a fresh engine (same
 // deterministic workload load) and prints what recovery saw, including the
-// damage accounting for torn tails and CRC-corrupt final records. With
-// streams > 1 it pairs the manifest with the per-stream files and merges by
-// epoch instead.
-func printRecovery(cfg core.Config, template workload.Workload, logPath string, streams int) {
-	// The replay engine's own log is irrelevant: run it single-stream into
-	// a discard device regardless of how the recovered log was sharded.
+// damage accounting for torn tails and CRC-corrupt final records: it pairs
+// the manifest with the per-stream files and merges them by epoch.
+func printRecovery(cfg core.Config, template workload.Workload, logPath string) {
+	// The replay engine's own log is irrelevant: run it one-stream into a
+	// discard device regardless of how the recovered log was sharded.
 	cfg.LogDevice = discardDevice{}
 	cfg.WALStreams = 0
 	cfg.LogDevices = nil
@@ -398,48 +402,33 @@ func printRecovery(cfg core.Config, template workload.Workload, logPath string, 
 		fatal("recover setup: %v", err)
 	}
 	t0 := time.Now()
-	var st core.RecoveryStats
-	if streams > 1 {
-		mf, err := os.Open(logPath + ".manifest.json")
+	mf, err := os.Open(logPath + ".manifest.json")
+	if err != nil {
+		fatal("recover: %v", err)
+	}
+	m, err := wal.ReadManifest(mf)
+	mf.Close()
+	if err != nil {
+		fatal("recover: %v", err)
+	}
+	readers := make([]io.Reader, m.Streams)
+	for i := range readers {
+		lf, err := os.Open(fmt.Sprintf("%s.%d", logPath, i))
 		if err != nil {
-			fatal("recover: %v", err)
-		}
-		m, err := wal.ReadManifest(mf)
-		mf.Close()
-		if err != nil {
-			fatal("recover: %v", err)
-		}
-		readers := make([]io.Reader, m.Streams)
-		for i := range readers {
-			lf, err := os.Open(fmt.Sprintf("%s.%d", logPath, i))
-			if err != nil {
-				fatal("recover stream %d: %v", i, err)
-			}
-			defer lf.Close()
-			readers[i] = lf
-		}
-		st, err = e.RecoverStreams(readers)
-		if err != nil {
-			fatal("recover: %v", err)
-		}
-	} else {
-		lf, err := os.Open(logPath)
-		if err != nil {
-			fatal("recover: %v", err)
+			fatal("recover stream %d: %v", i, err)
 		}
 		defer lf.Close()
-		st, err = e.Recover(lf)
-		if err != nil {
-			fatal("recover: %v", err)
-		}
+		readers[i] = lf
+	}
+	st, err := e.RecoverStreams(readers)
+	if err != nil {
+		fatal("recover: %v", err)
 	}
 	fmt.Printf("  recovery: records=%d entries=%d skipped=%d procs=%d bytes=%d torn_bytes=%d corrupt_tail=%d in %v\n",
 		st.Records, st.Entries, st.Skipped, st.Procs, st.Bytes, st.TornBytes, st.CorruptTailRecords,
 		time.Since(t0).Round(time.Millisecond))
-	if st.Streams > 1 {
-		fmt.Printf("  recovery: streams=%d frontier_epoch=%d truncated=%d\n",
-			st.Streams, st.FrontierEpoch, st.TruncatedRecords)
-	}
+	fmt.Printf("  recovery: streams=%d frontier_epoch=%d truncated=%d\n",
+		st.Streams, st.FrontierEpoch, st.TruncatedRecords)
 }
 
 // discardDevice drops log writes (used by the recovery-side engine, whose

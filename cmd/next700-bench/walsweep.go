@@ -95,12 +95,7 @@ func runWALSweep(o walSweepOpts) {
 			Protocol: "SILO", Threads: o.Threads,
 			LogMode:           wal.ModeValue,
 			GroupCommitWindow: 200 * time.Microsecond,
-		}
-		if streams > 1 {
-			cfg.WALStreams = streams
-			cfg.LogDevices = devs
-		} else {
-			cfg.LogDevice = devs[0]
+			LogDevices:        devs,
 		}
 		res, err := harness.Run(cfg, workload.NewYCSB(wlCfg), harness.RunOptions{
 			Threads: o.Threads, Duration: o.Duration, WarmupTxns: o.Warmup, Seed: o.Seed,

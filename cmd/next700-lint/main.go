@@ -21,8 +21,10 @@
 //	   type-check failure)
 //
 // With -json, machine-readable diagnostics are printed to stdout as a
-// single JSON object {"findings": [...], "suppressed": [...]}; each entry
-// carries file, line, col, analyzer, message, and suppressed. The
+// single JSON object {"findings": [...], "suppressed": [...],
+// "annotations": {...}}; each diagnostic carries file, line, col, analyzer,
+// message, and suppressed, and annotations counts the //next700: directives
+// in the loaded packages per verb — the lint-debt ledger. The
 // staleannotation analyzer judges suppressions against the analyzers that
 // ran over the loaded packages, so its verdicts (and the suppressed list)
 // are only meaningful on whole-module invocations (./...).
@@ -108,12 +110,17 @@ func main() {
 			}
 			return out
 		}
+		perVerb := make(map[string]int)
+		for _, d := range prog.Annotations().All {
+			perVerb[d.Verb]++
+		}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(struct {
-			Findings   []jsonDiag `json:"findings"`
-			Suppressed []jsonDiag `json:"suppressed"`
-		}{toJSON(diags, false), toJSON(prog.Suppressed, true)}); err != nil {
+			Findings    []jsonDiag     `json:"findings"`
+			Suppressed  []jsonDiag     `json:"suppressed"`
+			Annotations map[string]int `json:"annotations"`
+		}{toJSON(diags, false), toJSON(prog.Suppressed, true), perVerb}); err != nil {
 			fmt.Fprintln(os.Stderr, "next700-lint:", err)
 			os.Exit(2)
 		}

@@ -17,7 +17,7 @@ var errTruncateUnsafe = errors.New("core: segment sealed above durable frontier"
 
 // This file is the checkpoint lifecycle: bootstrap (InitCheckpointLog /
 // AttachCheckpointLog) and the Checkpointer that takes online checkpoint
-// generations, rotates the parallel WAL, and truncates sealed segments the
+// generations, rotates the log, and truncates sealed segments the
 // retained generations no longer need.
 //
 // A checkpoint cycle for generation G is a two-phase manifest protocol.
@@ -140,8 +140,8 @@ func manifestMaxGen(m *wal.Manifest) uint64 {
 	return max
 }
 
-// Checkpointer drives checkpoint cycles for an engine logging through a
-// parallel WAL whose segments live in a CheckpointStore. One cycle at a
+// Checkpointer drives checkpoint cycles for an engine whose log segments
+// live in a CheckpointStore. One cycle at a
 // time; CheckpointNow may be called directly or via the Start/Stop
 // background loop.
 type Checkpointer struct {
@@ -183,13 +183,14 @@ type CheckpointerStats struct {
 	Segments int
 }
 
-// NewCheckpointer builds a checkpointer over the engine's parallel WAL.
+// NewCheckpointer builds a checkpointer over the engine's log (any stream
+// count).
 // devices must be the active segment devices the engine was opened with
 // (LogAttachment.Devices); keep is the number of checkpoint generations to
 // retain (minimum 1, default 2).
 func (e *Engine) NewCheckpointer(store CheckpointStore, keep int, devices []wal.Device) (*Checkpointer, error) {
 	if e.logs == nil {
-		return nil, fmt.Errorf("core: checkpointer requires a parallel WAL (WALStreams > 1 or a checkpoint log attachment): %w", ErrInvalidUsage)
+		return nil, fmt.Errorf("core: checkpointer requires a logging engine: %w", ErrInvalidUsage)
 	}
 	if len(devices) != e.logs.NumStreams() {
 		return nil, fmt.Errorf("core: checkpointer got %d devices for %d streams: %w",
@@ -258,8 +259,8 @@ func (c *Checkpointer) CheckpointNow() error {
 // cycle is CheckpointNow's body, with c.mu held.
 func (c *Checkpointer) cycle() error {
 	e := c.e
-	if e.logFailed() {
-		return e.logErr()
+	if e.logs.Failed() {
+		return e.logs.Err()
 	}
 	// Sliced mode defers while any partition is quarantined: the dead
 	// stream cannot rotate, and a slice of the quarantined partition would

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -20,8 +21,15 @@ var _ CheckpointStore = (*fault.MemStore)(nil)
 
 const ckptTestKeys = 64
 
-// ckptEngine opens an engine on a fresh attachment over dir.
+// ckptEngine opens an engine on a fresh two-stream attachment over dir.
 func ckptEngine(t *testing.T, dir, protocol string, mode wal.Mode, fresh bool) (*Engine, *DirStore, *LogAttachment, *Table) {
+	t.Helper()
+	return ckptEngineN(t, dir, protocol, mode, 2, fresh)
+}
+
+// ckptEngineN is ckptEngine with the stream count a fresh store is
+// bootstrapped with (an attach reads it from the manifest).
+func ckptEngineN(t *testing.T, dir, protocol string, mode wal.Mode, streams int, fresh bool) (*Engine, *DirStore, *LogAttachment, *Table) {
 	t.Helper()
 	store, err := NewDirStore(dir)
 	if err != nil {
@@ -29,7 +37,7 @@ func ckptEngine(t *testing.T, dir, protocol string, mode wal.Mode, fresh bool) (
 	}
 	var att *LogAttachment
 	if fresh {
-		att, err = InitCheckpointLog(store, 2, mode)
+		att, err = InitCheckpointLog(store, streams, mode)
 	} else {
 		att, err = AttachCheckpointLog(store)
 	}
@@ -40,7 +48,6 @@ func ckptEngine(t *testing.T, dir, protocol string, mode wal.Mode, fresh bool) (
 		Protocol:   protocol,
 		Threads:    2,
 		LogMode:    mode,
-		WALStreams: att.Streams(),
 		LogDevices: att.Devices,
 	})
 	n := ckptTestKeys
@@ -74,74 +81,82 @@ func verifyValues(t *testing.T, e *Engine, tbl *Table, want func(k uint64) int64
 // TestCheckpointerOnlineCycleRecover drives concurrent writers through two
 // online checkpoint cycles, crashes (closes) the engine, and verifies
 // bounded recovery — newest checkpoint plus log tail — reproduces the
-// exact final state for every value-logged protocol.
+// exact final state for every value-logged protocol, on a one-stream log
+// and on a four-stream one (two of whose streams no worker ever appends to).
 func TestCheckpointerOnlineCycleRecover(t *testing.T) {
 	for _, protocol := range []string{"SILO", "MVCC", "NO_WAIT"} {
-		t.Run(protocol, func(t *testing.T) {
-			dir := t.TempDir()
-			e, store, att, tbl := ckptEngine(t, dir, protocol, wal.ModeValue, true)
-			ck, err := e.NewCheckpointer(store, 2, att.Devices)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			const rounds = 40
-			var wg sync.WaitGroup
-			for w := 0; w < 2; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					tx := e.NewTx(w, uint64(w+1))
-					for r := 1; r <= rounds; r++ {
-						for k := uint64(w); k < ckptTestKeys; k += 2 {
-							if err := tx.Run(func(tx *Tx) error {
-								row, err := tx.Update(tbl, k)
-								if err != nil {
-									return err
-								}
-								setV(tbl, row, int64(r)*1000+int64(k))
-								return nil
-							}); err != nil {
-								t.Error(err)
-								return
-							}
-						}
-						if r == rounds/3 || r == 2*rounds/3 {
-							// Mid-traffic checkpoints: the scan races these
-							// writers and must be healed by the tail.
-							if err := ck.CheckpointNow(); err != nil {
-								t.Error(err)
-								return
-							}
-						}
-					}
-				}(w)
-			}
-			wg.Wait()
-			if t.Failed() {
-				return
-			}
-			if st := ck.Stats(); st.Cycles != 4 || st.Failures != 0 {
-				t.Fatalf("checkpointer stats %+v", st)
-			}
-			if err := e.Close(); err != nil { // crash: no final checkpoint
-				t.Fatal(err)
-			}
-
-			e2, store2, att2, tbl2 := ckptEngine(t, dir, protocol, wal.ModeValue, false)
-			rs, err := e2.RecoverFromStore(store2, att2, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !rs.CheckpointLoaded {
-				t.Fatalf("recovery ignored the checkpoint: %+v", rs)
-			}
-			if rs.CheckpointFallbacks != 0 || rs.ManifestFallback {
-				t.Fatalf("unexpected fallbacks: %+v", rs)
-			}
-			verifyValues(t, e2, tbl2, func(k uint64) int64 { return rounds*1000 + int64(k) })
-		})
+		for _, streams := range []int{1, 4} {
+			protocol, streams := protocol, streams
+			t.Run(fmt.Sprintf("%s/streams=%d", protocol, streams), func(t *testing.T) {
+				onlineCycleRecover(t, protocol, streams)
+			})
+		}
 	}
+}
+
+func onlineCycleRecover(t *testing.T, protocol string, streams int) {
+	dir := t.TempDir()
+	e, store, att, tbl := ckptEngineN(t, dir, protocol, wal.ModeValue, streams, true)
+	ck, err := e.NewCheckpointer(store, 2, att.Devices)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const rounds = 40
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			tx := e.NewTx(w, uint64(w+1))
+			for r := 1; r <= rounds; r++ {
+				for k := uint64(w); k < ckptTestKeys; k += 2 {
+					if err := tx.Run(func(tx *Tx) error {
+						row, err := tx.Update(tbl, k)
+						if err != nil {
+							return err
+						}
+						setV(tbl, row, int64(r)*1000+int64(k))
+						return nil
+					}); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				if r == rounds/3 || r == 2*rounds/3 {
+					// Mid-traffic checkpoints: the scan races these
+					// writers and must be healed by the tail.
+					if err := ck.CheckpointNow(); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	if st := ck.Stats(); st.Cycles != 4 || st.Failures != 0 {
+		t.Fatalf("checkpointer stats %+v", st)
+	}
+	if err := e.Close(); err != nil { // crash: no final checkpoint
+		t.Fatal(err)
+	}
+
+	e2, store2, att2, tbl2 := ckptEngineN(t, dir, protocol, wal.ModeValue, streams, false)
+	rs, err := e2.RecoverFromStore(store2, att2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rs.CheckpointLoaded || rs.Streams != streams {
+		t.Fatalf("recovery ignored the checkpoint or a stream: %+v", rs)
+	}
+	if rs.CheckpointFallbacks != 0 || rs.ManifestFallback {
+		t.Fatalf("unexpected fallbacks: %+v", rs)
+	}
+	verifyValues(t, e2, tbl2, func(k uint64) int64 { return rounds*1000 + int64(k) })
 }
 
 // ckptAddProc registers the command-logged increment procedure.
@@ -298,10 +313,18 @@ func TestCheckpointCorruptFallsBack(t *testing.T) {
 
 // TestCheckpointRetentionBoundsWAL runs repeated cycles with traffic and
 // verifies truncation keeps the store bounded: old generations and their
-// fully covered sealed segments are physically removed.
+// fully covered sealed segments are physically removed — at one stream as
+// at four.
 func TestCheckpointRetentionBoundsWAL(t *testing.T) {
+	for _, streams := range []int{1, 4} {
+		streams := streams
+		t.Run(fmt.Sprintf("streams=%d", streams), func(t *testing.T) { retentionBoundsWAL(t, streams) })
+	}
+}
+
+func retentionBoundsWAL(t *testing.T, streams int) {
 	dir := t.TempDir()
-	e, store, att, tbl := ckptEngine(t, dir, "SILO", wal.ModeValue, true)
+	e, store, att, tbl := ckptEngineN(t, dir, "SILO", wal.ModeValue, streams, true)
 	const keep = 2
 	ck, err := e.NewCheckpointer(store, keep, att.Devices)
 	if err != nil {

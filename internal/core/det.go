@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"next700/internal/det"
-	"next700/internal/txn"
 	"next700/internal/wal"
 )
 
@@ -45,12 +44,10 @@ type DetBatchResult struct {
 	// Committed is the number of transactions that committed (all of them,
 	// on success — deterministic execution is abort-free).
 	Committed int
-	// Epoch is the WAL epoch the batch sealed (parallel WAL only): batch
+	// Epoch is the WAL epoch the batch sealed (0 when not logging): batch
 	// boundaries map 1:1 onto epoch boundaries, so the durable frontier is
 	// always a whole number of batches.
 	Epoch uint64
-	// DurableLSN is the batch's high-water LSN (single-stream WAL only).
-	DurableLSN uint64
 }
 
 // DetExecutor drives queue-oriented deterministic execution against an
@@ -69,11 +66,10 @@ type DetExecutor struct {
 
 	batchNo uint64
 	plan    *det.Plan
-	// epochs/lsns/errs are per-partition outputs of the current batch,
-	// indexed by partition; each slot is owned by one executor goroutine
-	// between wg.Add and wg.Done.
+	// epochs/errs are per-partition outputs of the current batch, indexed
+	// by partition; each slot is owned by one executor goroutine between
+	// wg.Add and wg.Done.
 	epochs []uint64
-	lsns   []uint64
 	errs   []error
 
 	wg    sync.WaitGroup
@@ -84,7 +80,7 @@ type DetExecutor struct {
 
 // NewDetExecutor builds the executor and starts its partition goroutines.
 // The engine must use the QSTORE protocol, have at least as many worker
-// slots as partitions, and — when logging through a parallel WAL — use an
+// slots as partitions, and — when logging, at any stream count — use an
 // immediate group-commit window (0), so that epochs advance only at batch
 // boundaries and the frontier maps 1:1 onto batches. Close stops the
 // goroutines; the engine outlives the executor.
@@ -103,8 +99,8 @@ func NewDetExecutor(e *Engine, exec DetExecFunc) (*DetExecutor, error) {
 			e.cfg.Threads, parts, ErrInvalidUsage)
 	}
 	if e.logs != nil && e.cfg.GroupCommitWindow != 0 {
-		return nil, fmt.Errorf("core: deterministic execution on a parallel WAL requires GroupCommitWindow=0 "+
-			"(epochs must advance only at batch boundaries): %w", ErrInvalidUsage)
+		return nil, fmt.Errorf("core: logged deterministic execution requires GroupCommitWindow=0, have %v "+
+			"(epochs must advance only at batch boundaries): %w", e.cfg.GroupCommitWindow, ErrInvalidUsage)
 	}
 	if e.cfg.LogMode == wal.ModeCommand {
 		return nil, fmt.Errorf("core: deterministic execution requires value logging or none "+
@@ -116,7 +112,6 @@ func NewDetExecutor(e *Engine, exec DetExecFunc) (*DetExecutor, error) {
 		exec:   exec,
 		txs:    make([]*Tx, parts),
 		epochs: make([]uint64, parts),
-		lsns:   make([]uint64, parts),
 		errs:   make([]error, parts),
 		start:  make([]chan struct{}, parts),
 		stop:   make(chan struct{}),
@@ -171,7 +166,7 @@ func (x *DetExecutor) ExecuteBatch(plan *det.Plan) (DetBatchResult, error) {
 	x.batchNo++
 	x.plan = plan
 	for p := 0; p < x.parts; p++ {
-		x.epochs[p], x.lsns[p], x.errs[p] = 0, 0, nil
+		x.epochs[p], x.errs[p] = 0, nil
 	}
 	x.wg.Add(x.parts)
 	for p := 0; p < x.parts; p++ {
@@ -186,22 +181,14 @@ func (x *DetExecutor) ExecuteBatch(plan *det.Plan) (DetBatchResult, error) {
 		if x.epochs[p] > res.Epoch {
 			res.Epoch = x.epochs[p]
 		}
-		if x.lsns[p] > res.DurableLSN {
-			res.DurableLSN = x.lsns[p]
-		}
 	}
 	res.Committed = plan.Txns
 	// Seal the batch: one durability wait closes the epoch (its kick is
 	// what advances the immediate-mode coordinator), so the next batch's
 	// appends land in a fresh epoch and the frontier stays batch-aligned.
-	e := x.e
-	if e.logs != nil && res.Epoch > 0 {
-		if err := e.logs.WaitDurable(0, res.Epoch); err != nil {
+	if res.Epoch > 0 {
+		if err := x.e.logs.WaitDurable(0, res.Epoch); err != nil {
 			return res, fmt.Errorf("%w: sealing epoch %d: %w", ErrDetBatchFailed, res.Epoch, err)
-		}
-	} else if e.logw != nil && res.DurableLSN > 0 {
-		if err := e.logw.WaitDurable(res.DurableLSN); err != nil {
-			return res, fmt.Errorf("%w: waiting lsn %d: %w", ErrDetBatchFailed, res.DurableLSN, err)
 		}
 	}
 	return res, nil
@@ -265,87 +252,17 @@ func (x *DetExecutor) runFragment(p int, q []det.Op, i int) (int, error) {
 	return i, nil
 }
 
-// commitFragment mirrors Tx.commit for the deterministic path: protocol
-// commit, delete-retraction, WAL encode and append — but the durability
-// wait is deferred to the batch seal in ExecuteBatch, and the commit ID is
-// the replay-ordered deterministic ID rather than a timestamp draw.
+// commitFragment is Tx.publish with the replay-ordered deterministic commit
+// ID in place of a timestamp draw (QSTORE is deliberately not a
+// HookedCommitter, so publish leaves the ID alone): the durability wait is
+// deferred to the batch seal in ExecuteBatch.
 //
 //next700:hotpath
 func (x *DetExecutor) commitFragment(t *Tx, p int, id uint64) error {
-	e := x.e
-	inner := t.inner
-	inner.ID = id
-
-	logging := (e.logw != nil || e.logs != nil) && !t.noLog
-	fenced := e.logs != nil
-	if fenced {
-		e.ckptFence.RLock()
+	t.inner.ID = id
+	_, epoch, err := t.publish(0, nil)
+	if epoch > x.epochs[p] {
+		x.epochs[p] = epoch
 	}
-	if logging && e.logFailed() {
-		if fenced {
-			e.ckptFence.RUnlock()
-		}
-		e.proto.Abort(inner)
-		t.retractInserts()
-		return e.logErr()
-	}
-	if err := e.proto.Commit(inner); err != nil {
-		// Unreachable for QSTORE (pass-through commit cannot fail), kept
-		// for structural parity with Tx.commit.
-		if fenced {
-			e.ckptFence.RUnlock()
-		}
-		t.retractInserts()
-		return err
-	}
-	for i := range inner.Accesses {
-		a := &inner.Accesses[i]
-		if a.Kind != txn.KindDelete {
-			continue
-		}
-		th := e.tableByID(a.Table.ID())
-		if th == nil {
-			continue
-		}
-		th.primary.Delete(a.Key)
-		if len(th.secondaries) > 0 {
-			row := a.Table.Row(a.RID)
-			for j := range th.secondaries {
-				s := &th.secondaries[j]
-				//next700:locked(Engine.ckptFence: abort-path index undo invokes the table engine-registered key extractor; bounded, lock-free)
-				s.idx.Delete(s.extract(th.sch, row, a.Key))
-			}
-		}
-	}
-	if logging && inner.HasWrites() {
-		if err := t.encodeLog(0, nil); err != nil {
-			if fenced {
-				e.ckptFence.RUnlock()
-			}
-			return err
-		}
-		if e.logs != nil {
-			epoch, aerr := e.logs.Append(t.logStream, t.logBuf)
-			e.ckptFence.RUnlock()
-			if aerr != nil {
-				return aerr
-			}
-			if epoch > x.epochs[p] {
-				x.epochs[p] = epoch
-			}
-			return nil
-		}
-		lsn, aerr := e.logw.Append(t.logBuf)
-		if aerr != nil {
-			return aerr
-		}
-		if lsn > x.lsns[p] {
-			x.lsns[p] = lsn
-		}
-		return nil
-	}
-	if fenced {
-		e.ckptFence.RUnlock()
-	}
-	return nil
+	return err
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"testing"
 	"time"
@@ -253,50 +254,65 @@ func TestDetExecutorCrossPartitionDelivery(t *testing.T) {
 	}
 }
 
+// TestDetExecutorBatchPerEpochWAL: at every stream count — one stream is the
+// same log — each batch seals exactly one epoch, and replaying the synced
+// streams into a fresh engine reproduces the live digest.
 func TestDetExecutorBatchPerEpochWAL(t *testing.T) {
 	const parts = 2
 	const keys = 32
-	devs := []wal.Device{&fault.MemDevice{}, &fault.MemDevice{}}
-	cfg := Config{LogMode: wal.ModeValue, WALStreams: parts, LogDevices: devs}
-	batches := randomDetBatches(99, 5, 20, keys)
-	h := runDetBatches(t, cfg, parts, keys, batches)
+	for _, streams := range []int{1, parts} {
+		t.Run(fmt.Sprintf("streams=%d", streams), func(t *testing.T) {
+			mems := make([]*fault.MemDevice, streams)
+			devs := make([]wal.Device, streams)
+			sinks := make([]wal.Device, streams)
+			for i := range mems {
+				mems[i] = &fault.MemDevice{}
+				devs[i], sinks[i] = mems[i], &fault.MemDevice{}
+			}
+			cfg := Config{LogMode: wal.ModeValue, LogDevices: devs}
+			batches := randomDetBatches(99, 5, 20, keys)
+			h := runDetBatches(t, cfg, parts, keys, batches)
 
-	// Batch <-> epoch 1:1: five batches sealed five epochs.
-	if got := h.e.DurableEpoch(); got != 5 {
-		t.Fatalf("durable epoch = %d, want 5 (one per batch)", got)
-	}
+			// Batch <-> epoch 1:1: five batches sealed five epochs.
+			if got := h.e.DurableEpoch(); got != 5 {
+				t.Fatalf("durable epoch = %d, want 5 (one per batch)", got)
+			}
 
-	// Replaying the streams into a fresh engine reproduces the digest.
-	ref := h.e.StateDigest()
-	e2, err := Open(Config{Protocol: "QSTORE", Threads: parts, Partitions: parts,
-		LogMode: wal.ModeValue, WALStreams: parts,
-		LogDevices: []wal.Device{&fault.MemDevice{}, &fault.MemDevice{}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e2.Close()
-	sch := storage.MustSchema("det_accounts", storage.I64("v"))
-	tbl, err := e2.CreateTable(sch, IndexHash)
-	if err != nil {
-		t.Fatal(err)
-	}
-	row := sch.NewRow()
-	for k := uint64(0); k < keys; k++ {
-		sch.SetInt64(row, 0, int64(k)*10)
-		if err := e2.Load(tbl, k, row); err != nil {
-			t.Fatal(err)
-		}
-	}
-	readers := []*bytes.Reader{
-		bytes.NewReader(devs[0].(*fault.MemDevice).SyncedBytes()),
-		bytes.NewReader(devs[1].(*fault.MemDevice).SyncedBytes()),
-	}
-	if _, err := e2.RecoverStreams([]io.Reader{readers[0], readers[1]}); err != nil {
-		t.Fatalf("recover: %v", err)
-	}
-	got := e2.StateDigest()
-	if !bytes.Equal(ref[:], got[:]) {
-		t.Fatalf("recovered digest %x != live digest %x", got, ref)
+			ref := h.e.StateDigest()
+			e2, err := Open(Config{Protocol: "QSTORE", Threads: parts, Partitions: parts,
+				LogMode: wal.ModeValue, LogDevices: sinks})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e2.Close()
+			sch := storage.MustSchema("det_accounts", storage.I64("v"))
+			tbl, err := e2.CreateTable(sch, IndexHash)
+			if err != nil {
+				t.Fatal(err)
+			}
+			row := sch.NewRow()
+			for k := uint64(0); k < keys; k++ {
+				sch.SetInt64(row, 0, int64(k)*10)
+				if err := e2.Load(tbl, k, row); err != nil {
+					t.Fatal(err)
+				}
+			}
+			readers := make([]io.Reader, streams)
+			for i, m := range mems {
+				readers[i] = bytes.NewReader(m.SyncedBytes())
+			}
+			rs, err := e2.RecoverStreams(readers)
+			if err != nil {
+				t.Fatalf("recover: %v", err)
+			}
+			if rs.FrontierEpoch != 5 || rs.TruncatedRecords != 0 {
+				t.Fatalf("replay frontier %d truncated %d, want 5 and 0", rs.FrontierEpoch, rs.TruncatedRecords)
+			}
+			got := e2.StateDigest()
+			if !bytes.Equal(ref[:], got[:]) {
+				t.Fatalf("recovered digest %x != live digest %x", got, ref)
+			}
+		})
 	}
 }
 
@@ -310,16 +326,17 @@ func TestDetExecutorConfigValidation(t *testing.T) {
 	if _, err := NewDetExecutor(e, func(*Tx, det.Op, *det.Mailbox) error { return nil }); !errors.Is(err, ErrInvalidUsage) {
 		t.Fatalf("SILO engine accepted: %v", err)
 	}
-	// Parallel WAL with a non-zero window breaks the batch=epoch mapping.
-	devs := []wal.Device{&fault.MemDevice{}, &fault.MemDevice{}}
-	e2, err := Open(Config{Protocol: "QSTORE", Threads: 2, Partitions: 2,
-		LogMode: wal.ModeValue, WALStreams: 2, LogDevices: devs, GroupCommitWindow: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e2.Close()
-	if _, err := NewDetExecutor(e2, func(*Tx, det.Op, *det.Mailbox) error { return nil }); !errors.Is(err, ErrInvalidUsage) {
-		t.Fatalf("windowed parallel WAL accepted: %v", err)
+	// A non-zero window breaks the batch=epoch mapping, at any stream count.
+	for _, devs := range [][]wal.Device{{&fault.MemDevice{}}, {&fault.MemDevice{}, &fault.MemDevice{}}} {
+		e2, err := Open(Config{Protocol: "QSTORE", Threads: 2, Partitions: 2,
+			LogMode: wal.ModeValue, LogDevices: devs, GroupCommitWindow: time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e2.Close()
+		if _, err := NewDetExecutor(e2, func(*Tx, det.Op, *det.Mailbox) error { return nil }); !errors.Is(err, ErrInvalidUsage) {
+			t.Fatalf("windowed %d-stream log accepted: %v", len(devs), err)
+		}
 	}
 	// Command logging cannot express fragments.
 	e3, err := Open(Config{Protocol: "QSTORE", Threads: 1, Partitions: 1,

@@ -47,19 +47,19 @@ type Config struct {
 	Isolation string
 	// LogMode selects durability: none, value, or command logging.
 	LogMode wal.Mode
-	// LogDevice is the durable sink when LogMode != ModeNone and
-	// WALStreams <= 1 (the classic single-stream group-commit writer).
+	// LogDevice is shorthand for a one-stream log: when LogDevices is empty
+	// it is normalised to LogDevices = [LogDevice].
 	LogDevice wal.Device
-	// WALStreams selects the parallel-WAL stream count. Above 1 the engine
-	// logs through a wal.StreamSet: workers append to stream
+	// WALStreams is the log's stream count (0 = len(LogDevices)). The engine
+	// logs through one wal.StreamSet at every count: workers append to stream
 	// threadID % WALStreams and commit waits block on the epoch-based
-	// durable frontier instead of a per-record LSN.
+	// durable frontier; one stream is the classic single group-commit log.
 	WALStreams int
-	// LogDevices are the per-stream durable sinks when WALStreams > 1;
-	// exactly WALStreams devices are required.
+	// LogDevices are the per-stream durable sinks; exactly WALStreams
+	// devices are required.
 	LogDevices []wal.Device
-	// GroupCommitWindow is the group-commit batching window (0 = flush on
-	// every commit). With WALStreams > 1 it is the epoch advance period.
+	// GroupCommitWindow is the group-commit batching window — the epoch
+	// advance period (0 = flush on every commit).
 	GroupCommitWindow time.Duration
 	// PartitionWAL shards the parallel WAL by partition instead of worker
 	// thread: stream p is partition p's log (WALStreams must equal
@@ -103,19 +103,24 @@ func (c *Config) normalize() error {
 		c.EpochInterval = 10 * time.Millisecond
 	}
 	c.Retry = c.Retry.normalized()
-	if c.WALStreams == 1 && c.LogDevice == nil && len(c.LogDevices) == 1 {
-		c.LogDevice = c.LogDevices[0]
-	}
-	if c.WALStreams > 1 {
-		if c.LogMode == wal.ModeNone {
+	if c.LogMode == wal.ModeNone {
+		if c.WALStreams > 1 {
 			return fmt.Errorf("core: WALStreams requires a logging mode: %w", ErrInvalidUsage)
+		}
+	} else {
+		if len(c.LogDevices) == 0 && c.LogDevice != nil {
+			c.LogDevices = []wal.Device{c.LogDevice}
+		}
+		if len(c.LogDevices) == 0 {
+			return fmt.Errorf("core: LogMode %v requires a LogDevice: %w", c.LogMode, ErrInvalidUsage)
+		}
+		if c.WALStreams <= 0 {
+			c.WALStreams = len(c.LogDevices)
 		}
 		if len(c.LogDevices) != c.WALStreams {
 			return fmt.Errorf("core: WALStreams=%d requires exactly that many LogDevices, have %d: %w",
 				c.WALStreams, len(c.LogDevices), ErrInvalidUsage)
 		}
-	} else if c.LogMode != wal.ModeNone && c.LogDevice == nil {
-		return fmt.Errorf("core: LogMode %v requires a LogDevice: %w", c.LogMode, ErrInvalidUsage)
 	}
 	if c.PartitionWAL {
 		if c.WALStreams <= 1 {
@@ -194,7 +199,8 @@ type Engine struct {
 	byID   []*Table
 	procs  map[int32]Proc
 
-	logw     *wal.Writer
+	// logs is the engine's one log (nil when LogMode is none): a StreamSet
+	// of Config.WALStreams streams.
 	logs     *wal.StreamSet
 	stopTick chan struct{}
 	tickDone chan struct{}
@@ -209,14 +215,15 @@ type Engine struct {
 	guardStop chan struct{}
 	guardDone chan struct{}
 
-	// ckptFence serializes online checkpointing against the commit path's
-	// publish-to-append window. Commits on the parallel WAL hold the read
-	// side from protocol commit through log append, so when a checkpointer
-	// takes the write side to rotate the log it knows every commit is
-	// wholly before or wholly after the rotation boundary: the commit's
-	// epoch tag is drawn inside the fence, and the rotation bumps the epoch
-	// while the fence is drained. Uncontended, the read lock is one atomic
-	// on the hot path.
+	// ckptFence serializes every epoch bump against the commit path's
+	// publish-to-append window. Logged commits hold the read side from
+	// protocol commit through log append, and the epoch only ever advances
+	// under the write side: the log's coordinator takes it for each bump
+	// (wal.StreamSet.SetEpochGate), so a commit that observed another's
+	// published write never tags below it; and a checkpointer takes it to
+	// rotate the log, so every commit is wholly before or wholly after the
+	// rotation boundary. Uncontended, the read lock is one atomic on the hot
+	// path.
 	ckptFence sync.RWMutex
 
 	// quiesce is the transaction-attempt gate: every Tx.run attempt holds
@@ -264,15 +271,12 @@ func Open(cfg Config) (*Engine, error) {
 	}
 	e.ckptThread = cfg.Threads
 	if cfg.LogMode != wal.ModeNone {
-		if cfg.WALStreams > 1 {
-			if cfg.PartitionWAL {
-				e.logs = wal.NewStreamSetScoped(cfg.LogDevices, cfg.GroupCommitWindow)
-			} else {
-				e.logs = wal.NewStreamSet(cfg.LogDevices, cfg.GroupCommitWindow)
-			}
+		if cfg.PartitionWAL {
+			e.logs = wal.NewStreamSetScoped(cfg.LogDevices, cfg.GroupCommitWindow)
 		} else {
-			e.logw = wal.NewWriter(cfg.LogDevice, cfg.GroupCommitWindow)
+			e.logs = wal.NewStreamSet(cfg.LogDevices, cfg.GroupCommitWindow)
 		}
+		e.logs.SetEpochGate(&e.ckptFence)
 	}
 	if cfg.PartitionWAL {
 		e.guardStop = make(chan struct{})
@@ -312,9 +316,6 @@ func (e *Engine) Close() error {
 	if e.guardStop != nil {
 		close(e.guardStop)
 		<-e.guardDone //next700:allowwait(shutdown join: guardStop close guarantees the partition guard exits)
-	}
-	if e.logw != nil {
-		return e.logw.Close()
 	}
 	if e.logs != nil {
 		return e.logs.Close()
@@ -496,42 +497,13 @@ func (e *Engine) proc(id int32) Proc {
 	return e.procs[id]
 }
 
-// DurableLSN returns the log writer's durable LSN (0 when logging is off or
-// the engine logs through a parallel StreamSet — see DurableEpoch).
-func (e *Engine) DurableLSN() uint64 {
-	if e.logw == nil {
-		return 0
-	}
-	return e.logw.Durable()
-}
-
-// DurableEpoch returns the parallel log's durable epoch frontier (0 when
-// the engine is not logging through a StreamSet).
+// DurableEpoch returns the log's durable epoch frontier (0 when the engine
+// is not logging).
 func (e *Engine) DurableEpoch() uint64 {
 	if e.logs == nil {
 		return 0
 	}
 	return e.logs.DurableEpoch()
-}
-
-// logFailed reports sticky log-device failure for whichever log backend is
-// active; one atomic load on the commit hot path.
-func (e *Engine) logFailed() bool {
-	if e.logw != nil {
-		return e.logw.Failed()
-	}
-	return e.logs != nil && e.logs.Failed()
-}
-
-// logErr returns the sticky log error for the active backend.
-func (e *Engine) logErr() error {
-	if e.logw != nil {
-		return e.logw.Err()
-	}
-	if e.logs != nil {
-		return e.logs.Err()
-	}
-	return nil
 }
 
 // AdvanceEpoch manually advances the Silo epoch (tests and benchmarks).

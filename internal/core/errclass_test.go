@@ -41,6 +41,19 @@ func TestInvalidUsageClass(t *testing.T) {
 	if err := e.RegisterProc(0, func(tx *Tx, params []byte) error { return nil }); !errors.Is(err, ErrInvalidUsage) {
 		t.Fatalf("proc id 0 = %v, want ErrInvalidUsage", err)
 	}
+
+	// The partition-fault API on an engine without PartitionWAL (here: no
+	// log at all) is misuse, never a nil dereference; a frontier query has no
+	// error to return and answers "no frontier".
+	if err := e.QuarantinePartition(0); !errors.Is(err, ErrInvalidUsage) {
+		t.Fatalf("QuarantinePartition without PartitionWAL = %v, want ErrInvalidUsage", err)
+	}
+	if _, err := e.RecoverPartition(0, nil, nil, nil, nil); !errors.Is(err, ErrInvalidUsage) {
+		t.Fatalf("RecoverPartition without PartitionWAL = %v, want ErrInvalidUsage", err)
+	}
+	if got := e.PartitionFrontier(0); got != 0 {
+		t.Fatalf("PartitionFrontier without PartitionWAL = %d, want 0", got)
+	}
 }
 
 func TestLoadDuplicateClass(t *testing.T) {

@@ -1,11 +1,9 @@
 package core
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"time"
 
 	"next700/internal/storage"
@@ -30,8 +28,8 @@ import (
 //     rest of the engine serves traffic, then readmits the stream on a
 //     fresh device and lifts the quarantine.
 //
-// The cross-partition contract matches the partitioned replay contract in
-// wal.ReplayStreamsPartitioned: an acknowledged commit is certified on every
+// The cross-partition contract matches the per-stream replay contract of
+// wal.FrontierPerStream: an acknowledged commit is certified on every
 // stream it touched and always recovers in full; an unacknowledged commit in
 // a failed partition's loss window may recover on its healthy partitions
 // only. Reads that completed before a quarantine may likewise have observed
@@ -117,21 +115,6 @@ func (t *Tx) collectStreams() uint64 {
 	}
 	t.streamScratch = sc
 	return mask
-}
-
-// waitStreamsDurable parks on the epoch frontier until the record is
-// certified on every touched stream (partition-affinity commits).
-//
-//next700:hotpath
-func (t *Tx) waitStreamsDurable(epoch uint64) error {
-	e := t.eng
-	if err := e.logs.WaitDurableMulti(t.streamScratch, epoch, t.inner.Deadline); err != nil {
-		if errors.Is(err, wal.ErrWaitDeadline) {
-			return errDurabilityDeadline
-		}
-		return e.wrapPartitionErr(err)
-	}
-	return nil
 }
 
 // wrapPartitionErr classifies a per-stream log failure as a partition
@@ -347,13 +330,17 @@ func (e *Engine) applyValueRecordPartition(cr *wal.CommitRecord, part int, versi
 
 // PartitionFrontier returns the quarantined partition's certified durable
 // epoch: every commit it acknowledged is tagged at or below it. It is the
-// epoch RecoverPartition recovers to.
+// epoch RecoverPartition recovers to. An engine without PartitionWAL, an
+// out-of-range p, and a stream that has certified nothing all have no
+// frontier: 0.
 func (e *Engine) PartitionFrontier(p int) uint64 {
-	claim := e.logs.StreamClaim(p)
-	if claim == 0 {
+	if !e.cfg.PartitionWAL || p < 0 || p >= e.cfg.Partitions {
 		return 0
 	}
-	return claim - 1
+	if claim := e.logs.StreamClaim(p); claim > 0 {
+		return claim - 1
+	}
+	return 0
 }
 
 // RecoverPartition rebuilds quarantined partition p while the engine serves
@@ -399,7 +386,7 @@ func (e *Engine) RecoverPartition(p int, load func() error, slice io.Reader, tai
 			return rs, err
 		}
 	}
-	var afterEpoch uint64
+	skip := []uint64{0}
 	if slice != nil {
 		ep, err := e.LoadCheckpointSlice(slice, p)
 		if err != nil {
@@ -407,35 +394,28 @@ func (e *Engine) RecoverPartition(p int, load func() error, slice io.Reader, tai
 		}
 		rs.CheckpointLoaded = true
 		rs.CheckpointEpoch = ep
-		afterEpoch = ep
+		skip[0] = ep
 	}
 
 	frontier := e.PartitionFrontier(p)
-	rs.FrontierEpoch = frontier
-	rs.Streams = 1
 	if tail != nil {
 		versions := make(recordVersion)
 		// The tail is in the per-stream segment format (framed records plus
-		// epoch markers); a single-reader partitioned replay certifies it by
-		// its own markers, and the live claim caps it at the epochs the
-		// stream actually acknowledged before it died.
-		st, err := wal.ReplayStreamsPartitioned([]io.Reader{tail}, func(_ int, cr *wal.CommitRecord) error {
-			if cr.Epoch <= afterEpoch {
-				rs.SkippedOldEpoch++
-				return nil
-			}
+		// epoch markers); the one-reader replay certifies it by its own
+		// markers, and the live claim caps it at the epochs the stream
+		// actually acknowledged before it died.
+		_, err := e.replayTail([]io.Reader{tail}, wal.FrontierPerStream, skip, &rs, func(_ int, cr *wal.CommitRecord) error {
 			if cr.Epoch > frontier {
 				rs.TruncatedRecords++
 				return nil
 			}
 			return e.applyValueRecordPartition(cr, p, versions, &rs)
 		})
-		rs.Bytes, rs.TornBytes, rs.CorruptTailRecords = st.Bytes, st.TornBytes, st.CorruptTailRecords
-		rs.TruncatedRecords += st.TruncatedRecords
 		if err != nil {
 			return rs, err
 		}
 	}
+	rs.Streams, rs.FrontierEpoch = 1, frontier
 
 	// Second drain before readmitting: nothing may sit between an append
 	// to the old incarnation and its durability wait when the stream comes
@@ -456,148 +436,4 @@ func (e *Engine) RecoverPartition(p int, load func() error, slice io.Reader, tai
 		cb(p, false)
 	}
 	return rs, nil
-}
-
-// recoverFromStorePartitioned is RecoverFromStore's partition-affinity
-// path: every checkpoint generation is a set of per-partition slices, each
-// partition falls back through generations independently, and the log tail
-// replays each stream to its own certified frontier (each stream is its
-// partition's authority — wal.ReplayStreamsPartitioned).
-func (e *Engine) recoverFromStorePartitioned(store CheckpointStore, att *LogAttachment, load func() error, rs *RecoveryStats) error {
-	P := e.cfg.Partitions
-	m := att.recover
-
-	// Resolve each partition's newest loadable slice, falling back through
-	// generations per partition: a corrupt slice costs its partition's
-	// bounded-recovery head start, nobody else's.
-	type sliceLoad struct {
-		plan  []ckptTableLoad
-		epoch uint64
-		gen   uint64
-	}
-	resolved := make([]*sliceLoad, P)
-	missing := P
-	cks := append([]wal.ManifestCheckpoint(nil), m.Checkpoints...)
-	sort.Slice(cks, func(i, j int) bool { return cks[i].Gen > cks[j].Gen })
-	for _, ck := range cks {
-		if missing == 0 {
-			break
-		}
-		if ck.Slices != P {
-			// A whole-image or differently-partitioned generation cannot be
-			// loaded piecewise; skip it.
-			rs.CheckpointFallbacks++
-			continue
-		}
-		for p := 0; p < P; p++ {
-			if resolved[p] != nil {
-				continue
-			}
-			rc, err := store.OpenCheckpoint(sliceName(ck.Name, p))
-			if err != nil {
-				rs.CheckpointFallbacks++
-				continue //next700:allowretry(fallback scan: a failed slice open is counted and the next candidate is tried; nothing is re-run)
-			}
-			data, rerr := io.ReadAll(rc)
-			rc.Close()
-			if rerr != nil {
-				rs.CheckpointFallbacks++
-				continue
-			}
-			plan, meta, perr := e.parseCheckpoint(data)
-			if perr != nil || !meta.sliced || meta.partition != p {
-				rs.CheckpointFallbacks++
-				continue
-			}
-			resolved[p] = &sliceLoad{plan: plan, epoch: meta.epoch, gen: ck.Gen}
-			missing--
-		}
-	}
-
-	perPartEpoch := make([]uint64, P)
-	if missing == 0 {
-		// Slices validate against the engine (unknown tables, duplicate
-		// keys) at parse time; partitions are key-disjoint, so the plans
-		// compose.
-		for p := 0; p < P; p++ {
-			e.applyCheckpointPlan(resolved[p].plan)
-			perPartEpoch[p] = resolved[p].epoch
-			if resolved[p].gen > rs.CheckpointGen {
-				rs.CheckpointGen = resolved[p].gen
-			}
-			if p == 0 || resolved[p].epoch < rs.CheckpointEpoch {
-				rs.CheckpointEpoch = resolved[p].epoch
-			}
-		}
-		rs.CheckpointLoaded = true
-	} else if load != nil {
-		// No usable generation for at least one partition (none taken yet,
-		// or a double fault ate every copy of some slice): degrade to
-		// initial load plus full-log replay for everyone. Partial initial
-		// loads cannot be expressed through the load callback, and mixing
-		// them with slice state would be exactly the silent partial load
-		// the format forbids.
-		if err := load(); err != nil {
-			return err
-		}
-	}
-
-	readers := make([]io.Reader, m.Streams)
-	for i := 0; i < m.Streams; i++ {
-		var image []byte
-		for _, sg := range m.Segments {
-			if sg.Stream != i {
-				continue
-			}
-			rc, err := store.OpenSegment(sg.Name)
-			if err != nil {
-				continue //next700:allowretry(degraded replay: a missing segment contributes an empty stream; the scan advances)
-			}
-			data, err := io.ReadAll(rc)
-			rc.Close()
-			if err != nil {
-				return fmt.Errorf("core: recovery segment %s: %w", sg.Name, err)
-			}
-			clean, err := wal.SealSegment(data, sg.ToEpoch)
-			if err != nil {
-				return fmt.Errorf("core: recovery segment %s: %w", sg.Name, err)
-			}
-			image = append(image, clean...)
-		}
-		readers[i] = bytes.NewReader(image)
-	}
-
-	versions := make(recordVersion)
-	st, err := wal.ReplayStreamsPartitioned(readers, func(stream int, cr *wal.CommitRecord) error {
-		if stream < P && cr.Epoch <= perPartEpoch[stream] {
-			rs.SkippedOldEpoch++
-			return nil
-		}
-		return e.applyValueRecordPartition(cr, stream, versions, rs)
-	})
-	rs.Bytes, rs.TornBytes, rs.CorruptTailRecords = st.Bytes, st.TornBytes, st.CorruptTailRecords
-	rs.Streams, rs.FrontierEpoch, rs.TruncatedRecords = st.Streams, st.Frontier, st.TruncatedRecords
-	rs.MaxEpoch = st.MaxEpoch
-	rs.StreamFrontiers = append([]uint64(nil), st.StreamFrontiers...)
-	if err != nil {
-		return err
-	}
-
-	base := rs.MaxEpoch
-	for _, ep := range perPartEpoch {
-		if ep > base {
-			base = ep
-		}
-	}
-	e.logs.RaiseEpoch(base)
-
-	// Seal inherited actives at each stream's own frontier: the per-stream
-	// truncation decision is what keeps a partition's never-acknowledged
-	// suffix dead across every later recovery.
-	return e.sealInheritedSegments(store, att, func(stream int) uint64 {
-		if stream < len(st.StreamFrontiers) {
-			return st.StreamFrontiers[stream]
-		}
-		return 0
-	}, rs)
 }

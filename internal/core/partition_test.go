@@ -169,6 +169,11 @@ func TestPartitionQuarantineLifecycle(t *testing.T) {
 	if frontier == 0 {
 		t.Fatal("PartitionFrontier = 0 for a partition with acked commits")
 	}
+	for _, p := range []int{-1, 4, 1 << 20} {
+		if got := e.PartitionFrontier(p); got != 0 {
+			t.Fatalf("PartitionFrontier(%d) = %d for an out-of-range partition, want 0", p, got)
+		}
+	}
 	rs, err := e.RecoverPartition(dead, nil, nil, bytes.NewReader(mems[dead].Bytes()), &fault.MemDevice{})
 	if err != nil {
 		t.Fatal(err)
@@ -339,7 +344,7 @@ func TestMultiPartitionCommitReplication(t *testing.T) {
 	}
 	for p := 0; p < parts; p++ {
 		var saw uint64
-		if _, err := wal.ReplayStreamsPartitioned([]io.Reader{bytes.NewReader(mems[p].Bytes())}, func(_ int, cr *wal.CommitRecord) error {
+		if _, err := wal.ReplayStreams([]io.Reader{bytes.NewReader(mems[p].Bytes())}, wal.FrontierPerStream, func(_ int, cr *wal.CommitRecord) error {
 			// Every stream carries the full record.
 			if len(cr.Entries) != parts {
 				t.Fatalf("stream %d record has %d entries, want %d", p, len(cr.Entries), parts)

@@ -31,15 +31,13 @@ type RecoveryStats struct {
 	// failed at end-of-stream (torn payload of full length). Corruption
 	// before the tail is not skippable and fails recovery instead.
 	CorruptTailRecords int
-	// Streams is the number of log streams merged (1 for single-stream
-	// recovery).
+	// Streams is the number of log streams replayed.
 	Streams int
-	// FrontierEpoch is the merged durable frontier for multi-stream
-	// recovery: the last epoch fully present across all streams.
+	// FrontierEpoch is the merged durable frontier: the last epoch fully
+	// present across all streams.
 	FrontierEpoch uint64
 	// TruncatedRecords counts intact records beyond the frontier that
-	// multi-stream recovery dropped (partially durable epochs are never
-	// resurrected).
+	// recovery dropped (partially durable epochs are never resurrected).
 	TruncatedRecords int
 	// CheckpointGen and CheckpointEpoch identify the checkpoint generation
 	// store-based recovery restored from (both zero when recovery replayed
@@ -67,34 +65,327 @@ type RecoveryStats struct {
 	// recoverable), making the truncation decision durable: a record this
 	// recovery refused to resurrect stays dead in every later recovery.
 	SealedSegments int
-	// StreamFrontiers holds each stream's own certified frontier when the
-	// recovery ran in partitioned (per-stream-frontier) mode; nil otherwise.
+	// StreamFrontiers holds the epoch each stream was replayed through:
+	// FrontierEpoch for every stream of a thread-affinity log, the stream's
+	// own certified frontier under partition affinity.
 	StreamFrontiers []uint64
 }
 
-// Recover replays a log stream into the engine. The engine must be in its
-// freshly loaded initial state (same deterministic load as when the log was
-// written) and must not be executing transactions.
+// Every recovery is one pipeline in three stages:
+//
+//	base  the state the log tail replays over: the caller's pre-loaded
+//	      initial state, or — from a checkpoint store — the newest loadable
+//	      generation (whole image, or one slice per partition), falling back
+//	      to load() when none is usable;
+//	tail  the per-stream log readers, replayed up to the epoch frontier
+//	      (wal.ReplayStreams), skipping per stream the epochs the base
+//	      already covers;
+//	seal  store-based recovery only: raise the live log's epoch past
+//	      everything replayed and seal the inherited segments at the replay
+//	      frontier, so the truncation decision is durable.
+//
+// Recover, RecoverStreams and RecoverFromStore are that pipeline over
+// different sources; RecoverPartition runs the tail stage alone, live, for
+// one partition.
+
+// Recover replays a one-stream log into the engine: RecoverStreams over a
+// single reader. The engine must be in its freshly loaded initial state
+// (same deterministic load as when the log was written) and must not be
+// executing transactions.
 //
 // Value mode: after-images are applied directly, ordered per record by the
 // commit version stamped at log time, with tables grown to cover logged
 // record ids and indexes maintained.
 //
 // Command mode: each logged (proc, params) pair is re-executed serially in
-// log order through the normal transaction path. This reproduces the
-// H-Store/VoltDB recovery model; it is exact when the log order matches the
-// serialization order (single worker or HSTORE), which is how the recovery
-// experiment runs it.
+// (epoch, commit-sequence) order through the normal transaction path. This
+// reproduces the H-Store/VoltDB recovery model; it is exact when the
+// commit-sequence order matches the serialization order (single worker or
+// HSTORE), which is how the recovery experiment runs it.
 func (e *Engine) Recover(log io.Reader) (RecoveryStats, error) {
+	return e.recoverFrom(recoverySource{logs: []io.Reader{log}})
+}
+
+// RecoverStreams replays the N streams of the engine's log: the streams are
+// merged by epoch and truncated to the last epoch fully present across all
+// of them (see wal.ReplayStreams; pre-epoch marker-free logs replay in
+// full). The engine must be freshly loaded, as for Recover. Re-executed
+// procedures under command logging are re-logged, so the recovered engine's
+// own command log stays complete.
+func (e *Engine) RecoverStreams(logs []io.Reader) (RecoveryStats, error) {
+	return e.recoverFrom(recoverySource{logs: logs})
+}
+
+// RecoverFromStore performs bounded store-based recovery: restore the
+// newest loadable checkpoint generation from att's manifest snapshot, then
+// replay only the log tail past its epoch. A corrupt or missing generation
+// falls back to the next older one — per partition under PartitionWAL, where
+// every generation is a set of slices and each stream replays to its own
+// certified frontier; with no usable checkpoint (or none taken yet) load is
+// called to produce the initial state and the full log replays. The engine
+// must be freshly opened with att.Devices and its schema created;
+// transactions must not be running.
+//
+// Re-executed procedures under command logging are not re-logged: the
+// sealed segments named by the manifest remain the authoritative tail
+// until a later checkpoint prunes them, so a second crash before then
+// replays the same state, never a doubled one.
+func (e *Engine) RecoverFromStore(store CheckpointStore, att *LogAttachment, load func() error) (RecoveryStats, error) {
+	return e.recoverFrom(recoverySource{store: store, att: att, load: load})
+}
+
+// recoverySource is what one recovery pass restores from: explicit stream
+// readers over the engine's pre-loaded state (logs), or a checkpoint store
+// with its attachment and the no-usable-checkpoint fallback (store, att,
+// load).
+type recoverySource struct {
+	logs  []io.Reader
+	store CheckpointStore
+	att   *LogAttachment
+	load  func() error
+}
+
+// recoverFrom is the recovery pipeline: base, tail, seal.
+func (e *Engine) recoverFrom(src recoverySource) (RecoveryStats, error) {
 	var rs RecoveryStats
-	switch e.cfg.LogMode {
-	case wal.ModeValue:
-		return e.recoverValue(log)
-	case wal.ModeCommand:
-		return e.recoverCommand(log)
-	default:
+	if e.cfg.LogMode != wal.ModeValue && e.cfg.LogMode != wal.ModeCommand {
 		return rs, fmt.Errorf("core: recovery requires a logging mode, have %v: %w", e.cfg.LogMode, ErrInvalidUsage)
 	}
+	fromStore := src.store != nil
+	sliced := fromStore && e.cfg.PartitionWAL
+
+	// Base: skip[i] is the epoch through which the restored state already
+	// covers stream i.
+	readers, rule := src.logs, wal.FrontierGlobal
+	skip := make([]uint64, len(readers))
+	if fromStore {
+		m := &src.att.recover
+		rs.ManifestFallback = src.att.fellBack
+		skip = make([]uint64, m.Streams)
+		var err error
+		if sliced {
+			rule = wal.FrontierPerStream
+			err = e.restoreSlices(src.store, m, skip, &rs)
+		} else {
+			err = e.restoreGeneration(src.store, m, skip, &rs)
+		}
+		if err == nil && !rs.CheckpointLoaded && src.load != nil {
+			err = src.load()
+		}
+		if err == nil {
+			readers, err = segmentReaders(src.store, m)
+		}
+		if err != nil {
+			return rs, err
+		}
+	}
+
+	// Tail.
+	versions := make(recordVersion)
+	var tx *Tx
+	st, err := e.replayTail(readers, rule, skip, &rs, func(stream int, cr *wal.CommitRecord) error {
+		switch {
+		case sliced:
+			return e.applyValueRecordPartition(cr, stream, versions, &rs)
+		case e.cfg.LogMode == wal.ModeValue:
+			return e.applyValueRecord(cr, versions, &rs)
+		}
+		rs.Records++
+		if tx == nil {
+			tx = e.NewTx(0, 0x5ec0Fe5)
+			tx.noLog = fromStore
+		}
+		// Params alias the replay buffer; copy before re-execution.
+		params := append([]byte(nil), cr.Params...)
+		if err := tx.RunProc(cr.Proc, params); err != nil {
+			return fmt.Errorf("core: proc %d replay: %w", cr.Proc, err)
+		}
+		rs.Procs++
+		return nil
+	})
+	if err != nil || !fromStore {
+		return rs, err
+	}
+
+	// Seal: post-recovery appends must tag strictly above every epoch
+	// already in the log (or covered by the restored base), or a later
+	// recovery would merge the incarnations out of order.
+	base := rs.MaxEpoch
+	for _, ep := range skip {
+		if ep > base {
+			base = ep
+		}
+	}
+	e.logs.RaiseEpoch(base)
+	return rs, e.sealInheritedSegments(src.store, src.att, st.StreamFrontiers, &rs)
+}
+
+// replayTail is the pipeline's tail stage: the readers replay to the
+// frontier the rule selects, records tagged at or below their stream's skip
+// epoch are dropped as already covered by the restored base (untagged
+// pre-epoch records predate every base and never are), and what the replay
+// consumed is copied out to rs.
+func (e *Engine) replayTail(readers []io.Reader, rule wal.FrontierRule, skip []uint64, rs *RecoveryStats,
+	apply func(stream int, cr *wal.CommitRecord) error) (wal.StreamReplayStats, error) {
+	st, err := wal.ReplayStreams(readers, rule, func(stream int, cr *wal.CommitRecord) error {
+		if cr.Epoch != 0 && cr.Epoch <= skip[stream] {
+			rs.SkippedOldEpoch++
+			return nil
+		}
+		return apply(stream, cr)
+	})
+	rs.Bytes, rs.TornBytes, rs.CorruptTailRecords = st.Bytes, st.TornBytes, st.CorruptTailRecords
+	rs.Streams, rs.FrontierEpoch, rs.MaxEpoch = st.Streams, st.Frontier, st.MaxEpoch
+	rs.TruncatedRecords += st.TruncatedRecords
+	rs.StreamFrontiers = st.StreamFrontiers
+	return st, err
+}
+
+// newestFirst returns the manifest's checkpoint generations, newest first —
+// the order base resolution falls back through.
+func newestFirst(m *wal.Manifest) []wal.ManifestCheckpoint {
+	cks := append([]wal.ManifestCheckpoint(nil), m.Checkpoints...)
+	sort.Slice(cks, func(i, j int) bool { return cks[i].Gen > cks[j].Gen })
+	return cks
+}
+
+// restoreGeneration is the whole-image base resolver: the newest loadable
+// generation wins, a missing or corrupt one falls back to the next older,
+// and the loaded generation's epoch covers every stream.
+func (e *Engine) restoreGeneration(store CheckpointStore, m *wal.Manifest, skip []uint64, rs *RecoveryStats) error {
+	for _, ck := range newestFirst(m) {
+		rc, err := store.OpenCheckpoint(ck.Name)
+		if err != nil {
+			rs.CheckpointFallbacks++
+			continue //next700:allowretry(fallback scan: an unreadable checkpoint falls back to the next-newest generation by design)
+		}
+		err = e.LoadCheckpoint(rc)
+		rc.Close()
+		if errors.Is(err, ErrBadCheckpoint) {
+			rs.CheckpointFallbacks++
+			continue
+		}
+		if err != nil {
+			return err
+		}
+		rs.CheckpointLoaded = true
+		rs.CheckpointGen, rs.CheckpointEpoch = ck.Gen, ck.Epoch
+		for i := range skip {
+			skip[i] = ck.Epoch
+		}
+		return nil
+	}
+	return nil
+}
+
+// restoreSlices is the per-partition base resolver: every generation is a
+// set of per-partition slices and each partition falls back through
+// generations independently — a corrupt slice costs its partition's
+// bounded-recovery head start, nobody else's. skip[p] receives partition p's
+// slice epoch (stream p is partition p's log).
+func (e *Engine) restoreSlices(store CheckpointStore, m *wal.Manifest, skip []uint64, rs *RecoveryStats) error {
+	P := e.cfg.Partitions
+	type sliceLoad struct {
+		plan  []ckptTableLoad
+		epoch uint64
+		gen   uint64
+	}
+	resolved := make([]*sliceLoad, P)
+	missing := P
+	for _, ck := range newestFirst(m) {
+		if missing == 0 {
+			break
+		}
+		if ck.Slices != P {
+			// A whole-image or differently-partitioned generation cannot be
+			// loaded piecewise; skip it.
+			rs.CheckpointFallbacks++
+			continue
+		}
+		for p := 0; p < P; p++ {
+			if resolved[p] != nil {
+				continue
+			}
+			rc, err := store.OpenCheckpoint(sliceName(ck.Name, p))
+			if err != nil {
+				rs.CheckpointFallbacks++
+				continue //next700:allowretry(fallback scan: a failed slice open is counted and the next candidate is tried; nothing is re-run)
+			}
+			data, rerr := io.ReadAll(rc)
+			rc.Close()
+			if rerr != nil {
+				rs.CheckpointFallbacks++
+				continue
+			}
+			plan, meta, perr := e.parseCheckpoint(data)
+			if perr != nil || !meta.sliced || meta.partition != p {
+				rs.CheckpointFallbacks++
+				continue
+			}
+			resolved[p] = &sliceLoad{plan: plan, epoch: meta.epoch, gen: ck.Gen}
+			missing--
+		}
+	}
+	if missing > 0 {
+		// No usable generation for at least one partition (none taken yet,
+		// or a double fault ate every copy of some slice): degrade to
+		// initial load plus full-log replay for everyone. Partial initial
+		// loads cannot be expressed through the load callback, and mixing
+		// them with slice state would be exactly the silent partial load
+		// the format forbids.
+		return nil
+	}
+	// Slices validate against the engine (unknown tables, duplicate keys)
+	// at parse time; partitions are key-disjoint, so the plans compose.
+	for p, sl := range resolved {
+		e.applyCheckpointPlan(sl.plan)
+		skip[p] = sl.epoch
+		if sl.gen > rs.CheckpointGen {
+			rs.CheckpointGen = sl.gen
+		}
+		if p == 0 || sl.epoch < rs.CheckpointEpoch {
+			rs.CheckpointEpoch = sl.epoch
+		}
+	}
+	rs.CheckpointLoaded = true
+	return nil
+}
+
+// segmentReaders assembles each stream's log tail: the manifest's segments
+// in generation order, concatenated. Each segment is sealed individually
+// before the splice: its torn tail is trimmed (a crash artifact that would
+// otherwise sit mid-stream, where the scanner treats it as hard corruption)
+// and, for segments a previous recovery or checkpoint sealed, frames above
+// the sealing epoch are dropped — the durable form of that pass's
+// truncation decision. Segments published but never written (a crash
+// between publication and first append, or this attachment's own siblings
+// in a chained recovery) read as empty.
+func segmentReaders(store CheckpointStore, m *wal.Manifest) ([]io.Reader, error) {
+	readers := make([]io.Reader, m.Streams)
+	for i := range readers {
+		var image []byte
+		for _, sg := range m.Segments {
+			if sg.Stream != i {
+				continue
+			}
+			rc, err := store.OpenSegment(sg.Name)
+			if err != nil {
+				continue //next700:allowretry(degraded replay: a missing segment contributes an empty stream; the scan advances)
+			}
+			data, err := io.ReadAll(rc)
+			rc.Close()
+			if err != nil {
+				return nil, fmt.Errorf("core: recovery segment %s: %w", sg.Name, err)
+			}
+			clean, err := wal.SealSegment(data, sg.ToEpoch)
+			if err != nil {
+				return nil, fmt.Errorf("core: recovery segment %s: %w", sg.Name, err)
+			}
+			image = append(image, clean...)
+		}
+		readers[i] = bytes.NewReader(image)
+	}
+	return readers, nil
 }
 
 // recordVersion tracks the newest version applied per (table, rid). The
@@ -103,7 +394,7 @@ func (e *Engine) Recover(log io.Reader) (RecoveryStats, error) {
 // the whole manifest history (RaiseEpoch keeps a restarted engine's tags
 // above everything already logged), so a record written after a restart
 // always supersedes a pre-restart image even though its txnID restarted
-// small. Single-stream logs leave Epoch zero and reduce to the txnID order.
+// small. Pre-epoch logs leave Epoch zero and reduce to the txnID order.
 type recordVersion map[int32]map[uint64]recVer
 
 type recVer struct{ epoch, txn uint64 }
@@ -172,180 +463,14 @@ func (e *Engine) applyValueRecord(cr *wal.CommitRecord, versions recordVersion, 
 	return nil
 }
 
-func (e *Engine) recoverValue(log io.Reader) (RecoveryStats, error) {
-	rs := RecoveryStats{Streams: 1}
-	versions := make(recordVersion)
-	st, err := wal.ReplayWithStats(log, func(cr *wal.CommitRecord) error {
-		return e.applyValueRecord(cr, versions, &rs)
-	})
-	rs.Bytes, rs.TornBytes, rs.CorruptTailRecords = st.Bytes, st.TornBytes, st.CorruptTailRecords
-	return rs, err
-}
-
-// RecoverStreams replays a multi-stream parallel WAL into the engine: the
-// streams are merged by epoch and truncated to the last epoch fully present
-// across all of them (see wal.ReplayStreams). The engine must be freshly
-// loaded, as for Recover. Value mode applies after-images with the same
-// applied-if-newer filtering; command mode re-executes procedures in
-// (epoch, commit-sequence) order — the merged serialization order.
-func (e *Engine) RecoverStreams(logs []io.Reader) (RecoveryStats, error) {
-	var rs RecoveryStats
-	err := e.recoverStreamsFrom(logs, 0, false, &rs)
-	return rs, err
-}
-
-// recoverStreamsFrom is the shared multi-stream replay: records tagged at
-// or below afterEpoch are skipped (they are covered by a restored
-// checkpoint), and noLog suppresses re-logging of re-executed procedures
-// (store-based recovery keeps the sealed segments authoritative instead).
-func (e *Engine) recoverStreamsFrom(logs []io.Reader, afterEpoch uint64, noLog bool, rs *RecoveryStats) error {
-	if e.cfg.LogMode != wal.ModeValue && e.cfg.LogMode != wal.ModeCommand {
-		return fmt.Errorf("core: recovery requires a logging mode, have %v: %w", e.cfg.LogMode, ErrInvalidUsage)
-	}
-	versions := make(recordVersion)
-	var tx *Tx
-	st, err := wal.ReplayStreams(logs, func(_ int, cr *wal.CommitRecord) error {
-		if cr.Epoch <= afterEpoch {
-			rs.SkippedOldEpoch++
-			return nil
-		}
-		if e.cfg.LogMode == wal.ModeValue {
-			return e.applyValueRecord(cr, versions, rs)
-		}
-		rs.Records++
-		if tx == nil {
-			tx = e.NewTx(0, 0x5ec0Fe5)
-			tx.noLog = noLog
-		}
-		// Params alias the replay buffer; copy before re-execution.
-		params := append([]byte(nil), cr.Params...)
-		if err := tx.RunProc(cr.Proc, params); err != nil {
-			return fmt.Errorf("core: proc %d replay: %w", cr.Proc, err)
-		}
-		rs.Procs++
-		return nil
-	})
-	rs.Bytes, rs.TornBytes, rs.CorruptTailRecords = st.Bytes, st.TornBytes, st.CorruptTailRecords
-	rs.Streams, rs.FrontierEpoch, rs.TruncatedRecords = st.Streams, st.Frontier, st.TruncatedRecords
-	rs.MaxEpoch = st.MaxEpoch
-	return err
-}
-
-// RecoverFromStore performs bounded store-based recovery: restore the
-// newest loadable checkpoint generation from att's manifest snapshot, then
-// replay only the log tail past its epoch. A corrupt or missing generation
-// falls back to the next older one; with no usable checkpoint (or none
-// taken yet) load is called to produce the initial state and the full log
-// replays. The engine must be freshly opened with att.Devices and its
-// schema created; transactions must not be running.
-//
-// Re-executed procedures under command logging are not re-logged: the
-// sealed segments named by the manifest remain the authoritative tail
-// until a later checkpoint prunes them, so a second crash before then
-// replays the same state, never a doubled one.
-func (e *Engine) RecoverFromStore(store CheckpointStore, att *LogAttachment, load func() error) (RecoveryStats, error) {
-	var rs RecoveryStats
-	rs.ManifestFallback = att.fellBack
-	m := att.recover
-
-	if e.cfg.PartitionWAL {
-		err := e.recoverFromStorePartitioned(store, att, load, &rs)
-		return rs, err
-	}
-
-	// Newest loadable generation wins; corruption falls back.
-	cks := append([]wal.ManifestCheckpoint(nil), m.Checkpoints...)
-	sort.Slice(cks, func(i, j int) bool { return cks[i].Gen > cks[j].Gen })
-	var afterEpoch uint64
-	for _, ck := range cks {
-		rc, err := store.OpenCheckpoint(ck.Name)
-		if err != nil {
-			rs.CheckpointFallbacks++
-			continue //next700:allowretry(fallback scan: an unreadable checkpoint falls back to the next-newest generation by design)
-		}
-		err = e.LoadCheckpoint(rc)
-		rc.Close()
-		if err != nil {
-			if errors.Is(err, ErrBadCheckpoint) {
-				rs.CheckpointFallbacks++
-				continue
-			}
-			return rs, err
-		}
-		rs.CheckpointLoaded = true
-		rs.CheckpointGen, rs.CheckpointEpoch = ck.Gen, ck.Epoch
-		afterEpoch = ck.Epoch
-		break
-	}
-	if !rs.CheckpointLoaded {
-		if load != nil {
-			if err := load(); err != nil {
-				return rs, err
-			}
-		}
-	}
-
-	// Per stream, the tail is the manifest's segments in generation order,
-	// concatenated. Each segment is sealed individually before the splice:
-	// its torn tail is trimmed (a crash artifact that would otherwise sit
-	// mid-stream, where the scanner treats it as hard corruption) and, for
-	// segments a previous recovery or checkpoint sealed, frames above the
-	// sealing epoch are dropped — the durable form of that pass's truncation
-	// decision. Segments published but never written (a crash between
-	// publication and first append, or this attachment's own siblings in a
-	// chained recovery) read as empty.
-	readers := make([]io.Reader, m.Streams)
-	for i := 0; i < m.Streams; i++ {
-		var image []byte
-		for _, sg := range m.Segments {
-			if sg.Stream != i {
-				continue
-			}
-			rc, err := store.OpenSegment(sg.Name)
-			if err != nil {
-				continue //next700:allowretry(degraded replay: a missing segment contributes an empty stream; the scan advances)
-			}
-			data, err := io.ReadAll(rc)
-			rc.Close()
-			if err != nil {
-				return rs, fmt.Errorf("core: recovery segment %s: %w", sg.Name, err)
-			}
-			clean, err := wal.SealSegment(data, sg.ToEpoch)
-			if err != nil {
-				return rs, fmt.Errorf("core: recovery segment %s: %w", sg.Name, err)
-			}
-			image = append(image, clean...)
-		}
-		readers[i] = bytes.NewReader(image)
-	}
-	if err := e.recoverStreamsFrom(readers, afterEpoch, true, &rs); err != nil {
-		return rs, err
-	}
-
-	// Post-recovery appends must tag strictly above every epoch already in
-	// the log (or covered by the restored checkpoint), or a later recovery
-	// would merge the incarnations out of order.
-	base := rs.MaxEpoch
-	if afterEpoch > base {
-		base = afterEpoch
-	}
-	if e.logs != nil {
-		e.logs.RaiseEpoch(base)
-	}
-
-	err := e.sealInheritedSegments(store, att, func(int) uint64 { return rs.FrontierEpoch }, &rs)
-	return rs, err
-}
-
 // sealInheritedSegments makes a store-based recovery's truncation decision
-// durable: the inherited active segments are sealed at frontierOf(stream) so
-// any intact record beyond that — a commit that was never acknowledged —
-// stays dead in every later recovery, even once new epochs grow past it.
-// When nothing in a stream was recoverable (frontier zero) its inherited
-// actives are dropped outright. The attachment's own fresh segments stay
-// active. Whole-engine recovery passes the merged frontier for every stream;
-// partitioned recovery passes each stream's own certified frontier.
-func (e *Engine) sealInheritedSegments(store CheckpointStore, att *LogAttachment, frontierOf func(stream int) uint64, rs *RecoveryStats) error {
+// durable: the inherited active segments are sealed at their stream's replay
+// frontier so any intact record beyond that — a commit that was never
+// acknowledged — stays dead in every later recovery, even once new epochs
+// grow past it. When nothing in a stream was recoverable (frontier zero) its
+// inherited actives are dropped outright. The attachment's own fresh
+// segments stay active.
+func (e *Engine) sealInheritedSegments(store CheckpointStore, att *LogAttachment, frontiers []uint64, rs *RecoveryStats) error {
 	m := att.recover
 	sealed := wal.Manifest{Streams: m.Streams, Mode: m.Mode}
 	sealed.Checkpoints = append([]wal.ManifestCheckpoint(nil), m.Checkpoints...)
@@ -353,7 +478,10 @@ func (e *Engine) sealInheritedSegments(store CheckpointStore, att *LogAttachment
 	for _, sg := range m.Segments {
 		if sg.ToEpoch == 0 {
 			rs.SealedSegments++
-			frontier := frontierOf(sg.Stream)
+			var frontier uint64
+			if uint(sg.Stream) < uint(len(frontiers)) {
+				frontier = frontiers[sg.Stream]
+			}
 			if frontier == 0 {
 				dropped = append(dropped, sg)
 				continue
@@ -386,23 +514,4 @@ func (e *Engine) reloadRecord(th *Table, rid storage.RecordID, key uint64, data 
 	}); ok {
 		loader.LoadRecord(th.tbl, rid, key, data)
 	}
-}
-
-func (e *Engine) recoverCommand(log io.Reader) (RecoveryStats, error) {
-	rs := RecoveryStats{Streams: 1}
-	tx := e.NewTx(0, 0x5ec0Fe5)
-	st, err := wal.ReplayWithStats(log, func(cr *wal.CommitRecord) error {
-		rs.Records++
-		// Params alias the replay buffer; copy before re-execution. Replay
-		// goes through RunProc so the recovered engine's own command log
-		// stays complete.
-		params := append([]byte(nil), cr.Params...)
-		if err := tx.RunProc(cr.Proc, params); err != nil {
-			return fmt.Errorf("core: proc %d replay: %w", cr.Proc, err)
-		}
-		rs.Procs++
-		return nil
-	})
-	rs.Bytes, rs.TornBytes, rs.CorruptTailRecords = st.Bytes, st.TornBytes, st.CorruptTailRecords
-	return rs, err
 }

@@ -34,9 +34,10 @@ type Tx struct {
 	// HookedCommitter protocols; building it once per context keeps the
 	// logging commit path allocation-free.
 	seqHook func()
-	// logStream is this worker's parallel-WAL stream (threadID modulo the
-	// stream count); 0 when the engine logs through the single Writer.
-	logStream int
+	// logStream is this worker's log stream (threadID modulo the stream
+	// count), held as the one-element stream list thread-affinity commits
+	// append to and wait on.
+	logStream [1]int
 	// streamScratch is the commit path's touched-partition set under
 	// PartitionWAL (ascending stream ids, deduplicated); pre-sized to the
 	// partition bound so collectStreams allocates nothing.
@@ -67,11 +68,8 @@ func (e *Engine) NewTx(threadID int, seed uint64) *Tx {
 		// protected: log replay orders entries by it.
 		t.inner.ID = e.env.TS.Next()
 	}
-	if e.logs != nil {
-		t.logStream = threadID % e.logs.NumStreams()
-		if t.logStream < 0 {
-			t.logStream = 0
-		}
+	if e.logs != nil && threadID > 0 {
+		t.logStream[0] = threadID % e.logs.NumStreams()
 	}
 	if e.cfg.PartitionWAL {
 		t.streamScratch = make([]int, 0, e.cfg.Partitions)
@@ -375,7 +373,7 @@ var ErrLivelock = errors.New("core: transaction livelocked")
 // errors.Is(err, core.ErrInvalidUsage).
 var ErrInvalidUsage = errors.New("core: invalid usage")
 
-// errNeedRunProc is prebuilt because appendLog sits on the commit hot path.
+// errNeedRunProc is prebuilt because encodeLog sits on the commit hot path.
 var errNeedRunProc = fmt.Errorf("core: command logging requires RunProc: %w", ErrInvalidUsage)
 
 // errInsertSize is prebuilt because Insert sits on workload hot paths.
@@ -504,80 +502,122 @@ func (t *Tx) deadlineAbort() error {
 }
 
 // commit drives the protocol commit, post-commit index maintenance, and
-// write-ahead logging. committed reports whether the protocol commit
-// succeeded (after which errors are logging failures, not rollbacks).
+// write-ahead logging, and waits for the record's durability. committed
+// reports whether the protocol commit succeeded (after which errors are
+// logging failures, not rollbacks).
 //
 //next700:hotpath
 func (t *Tx) commit(procID int32, params []byte) (committed bool, err error) {
+	committed, epoch, err := t.publish(procID, params)
+	if err != nil || epoch == 0 {
+		return committed, err
+	}
+	// The wait happens outside the checkpoint fence and may park for a full
+	// epoch window. Under partition affinity it certifies the record on
+	// every touched stream; a stream that dies in the window is a partition
+	// outage, not a rollback.
+	err = t.eng.logs.WaitDurableMulti(t.appendStreams(), epoch, t.inner.Deadline)
+	if errors.Is(err, wal.ErrWaitDeadline) {
+		return true, errDurabilityDeadline
+	}
+	return true, t.eng.wrapPartitionErr(err)
+}
+
+// appendStreams is the stream list the commit record goes to: the worker's
+// own stream under thread affinity, the stream of every partition the write
+// set touched (collectStreams) under partition affinity.
+func (t *Tx) appendStreams() []int {
+	if t.eng.cfg.PartitionWAL {
+		return t.streamScratch
+	}
+	return t.logStream[:]
+}
+
+// publish is the commit path up to the durability wait: the pre-commit
+// gates, the protocol commit, post-commit index maintenance and, when
+// logging, encode and append. It returns the epoch the record was tagged
+// with — 0 when nothing was appended — which the caller waits on
+// (Tx.commit) or seals a whole batch with (DetExecutor).
+//
+//next700:hotpath
+func (t *Tx) publish(procID int32, params []byte) (committed bool, epoch uint64, err error) {
 	e := t.eng
 	inner := t.inner
 
-	logging := (e.logw != nil || e.logs != nil) && !t.noLog
-	// On the parallel WAL the checkpoint fence spans memory publication
-	// through log append: the record's epoch tag is drawn while the fence
-	// is held, so a checkpoint rotation that has drained the fence knows no
-	// in-flight commit can tag at or below its boundary epoch. The
-	// durability wait happens after release — the fence drains in
-	// microseconds even under group-commit windows. Uncontended, the read
-	// lock is one atomic each way; it is only ever contended for the
-	// rotation instant itself.
-	fenced := e.logs != nil
-	if fenced {
-		e.ckptFence.RLock()
+	if e.logs == nil || t.noLog {
+		if err = e.proto.Commit(inner); err != nil {
+			t.retractInserts()
+			return false, 0, err
+		}
+		t.retractDeletes()
+		return true, 0, nil
 	}
+	// The checkpoint fence spans memory publication through log append: the
+	// record's epoch tag is drawn while the fence is held, so a checkpoint
+	// rotation that has drained the fence knows no in-flight commit can tag
+	// at or below its boundary epoch. Uncontended, the read lock is one
+	// atomic each way; it is only ever contended for the rotation instant
+	// itself.
+	e.ckptFence.RLock()
+	defer e.ckptFence.RUnlock()
 
 	// A dead log device cannot make any new commit durable: degrade to a
 	// clean abort instead of committing memory state that would silently
 	// vanish on recovery. One atomic load; free when the log is healthy.
-	if logging && e.logFailed() {
-		if fenced {
-			e.ckptFence.RUnlock()
-		}
+	if e.logs.Failed() {
 		e.proto.Abort(inner)
 		t.retractInserts()
-		return false, e.logErr()
+		return false, 0, e.logs.Err()
 	}
 
 	// Partition-affinity pre-commit gate: a write set that touches a
 	// quarantined partition can never be made durable, so it aborts here —
 	// before the protocol commit, while rollback is still possible. The ops
 	// gates make this race-narrow; this check makes it sound.
-	pwal := logging && e.cfg.PartitionWAL
-	if pwal {
+	if e.cfg.PartitionWAL {
 		if wmask := t.collectStreams(); wmask != 0 && e.quarMask.Load()&wmask != 0 {
-			if fenced {
-				e.ckptFence.RUnlock()
-			}
 			e.proto.Abort(inner)
 			t.retractInserts()
-			return false, errPartitionGate
+			return false, 0, errPartitionGate
 		}
 	}
 
-	if logging {
-		if hooked, ok := e.proto.(cc.HookedCommitter); ok {
-			err = hooked.CommitHooked(inner, t.seqHook)
-		} else {
-			err = e.proto.Commit(inner)
-		}
+	if hooked, ok := e.proto.(cc.HookedCommitter); ok {
+		err = hooked.CommitHooked(inner, t.seqHook)
 	} else {
 		err = e.proto.Commit(inner)
 	}
 	if err != nil {
-		if fenced {
-			e.ckptFence.RUnlock()
-		}
 		t.retractInserts()
-		return false, err
+		return false, 0, err
 	}
+	t.retractDeletes()
 
-	// Post-commit index maintenance: retract deleted keys.
+	if !inner.HasWrites() {
+		return true, 0, nil
+	}
+	// Encode and append inside the fence: the record's epoch tag is drawn
+	// under the stream mutex. Partition affinity replicates the record onto
+	// every touched partition's stream under one tag.
+	if err = t.encodeLog(procID, params); err != nil {
+		return true, 0, err
+	}
+	epoch, err = e.logs.AppendMulti(t.appendStreams(), t.logBuf)
+	return true, epoch, e.wrapPartitionErr(err)
+}
+
+// retractDeletes is the post-commit index maintenance: the committed
+// transaction's deleted keys leave the primary and secondary indexes.
+//
+//next700:hotpath
+func (t *Tx) retractDeletes() {
+	inner := t.inner
 	for i := range inner.Accesses {
 		a := &inner.Accesses[i]
 		if a.Kind != txn.KindDelete {
 			continue
 		}
-		th := e.tableByID(a.Table.ID())
+		th := t.eng.tableByID(a.Table.ID())
 		if th == nil {
 			continue
 		}
@@ -586,50 +626,10 @@ func (t *Tx) commit(procID int32, params []byte) (committed bool, err error) {
 			row := a.Table.Row(a.RID)
 			for j := range th.secondaries {
 				s := &th.secondaries[j]
-				//next700:locked(Engine.ckptFence: abort-path index undo invokes the table engine-registered key extractor; bounded, lock-free)
 				s.idx.Delete(s.extract(th.sch, row, a.Key))
 			}
 		}
 	}
-
-	if logging && inner.HasWrites() {
-		if e.logs == nil {
-			// Single-stream Writer path: no fence is held (fenced is false
-			// whenever e.logs is nil).
-			return true, t.appendLog(procID, params)
-		}
-		// Parallel WAL: encode and append inside the fence — the record's
-		// epoch tag is drawn under the stream mutex — then release the
-		// fence before the durability wait, which may park for a full
-		// epoch window.
-		err = t.encodeLog(procID, params)
-		if err != nil {
-			e.ckptFence.RUnlock()
-			return true, err
-		}
-		if pwal {
-			// Partition affinity: the record is replicated onto the stream
-			// of every partition it wrote, under one epoch tag, and the
-			// durability wait certifies it on each of them. A stream that
-			// dies in the window is a partition outage, not a rollback.
-			epoch, aerr := e.logs.AppendMulti(t.streamScratch, t.logBuf)
-			e.ckptFence.RUnlock()
-			if aerr != nil {
-				return true, e.wrapPartitionErr(aerr)
-			}
-			return true, t.waitStreamsDurable(epoch)
-		}
-		epoch, aerr := e.logs.Append(t.logStream, t.logBuf)
-		e.ckptFence.RUnlock()
-		if aerr != nil {
-			return true, aerr
-		}
-		return true, t.waitStreamDurable(epoch)
-	}
-	if fenced {
-		e.ckptFence.RUnlock()
-	}
-	return true, nil
 }
 
 // encodeLog builds the commit record for the committed transaction into
@@ -678,47 +678,6 @@ func (t *Tx) encodeLog(procID int32, params []byte) error {
 	}
 	cr.Params = nil
 	return nil
-}
-
-// waitStreamDurable parks on the parallel WAL's epoch frontier until the
-// committed record's epoch is durable on every stream.
-//
-//next700:hotpath
-func (t *Tx) waitStreamDurable(epoch uint64) error {
-	e := t.eng
-	if dl := t.inner.Deadline; dl != 0 {
-		if werr := e.logs.WaitDurableUntil(t.logStream, epoch, dl); werr != nil {
-			if errors.Is(werr, wal.ErrWaitDeadline) {
-				return errDurabilityDeadline
-			}
-			return werr
-		}
-		return nil
-	}
-	return e.logs.WaitDurable(t.logStream, epoch)
-}
-
-// appendLog encodes, appends, and waits out the WAL record on the
-// single-stream group-commit Writer.
-func (t *Tx) appendLog(procID int32, params []byte) error {
-	e := t.eng
-	if err := t.encodeLog(procID, params); err != nil {
-		return err
-	}
-	lsn, err := e.logw.Append(t.logBuf)
-	if err != nil {
-		return err
-	}
-	if dl := t.inner.Deadline; dl != 0 {
-		if werr := e.logw.WaitDurableUntil(lsn, dl); werr != nil {
-			if errors.Is(werr, wal.ErrWaitDeadline) {
-				return errDurabilityDeadline
-			}
-			return werr
-		}
-		return nil
-	}
-	return e.logw.WaitDurable(lsn)
 }
 
 // errDurabilityDeadline is the pre-built (allocation-free) error returned

@@ -36,7 +36,7 @@ type Plan struct {
 	// ErrCrashed, which is sticky.
 	CrashAtByte int64
 	// TransientSyncEvery, when > 0, fails every Nth Sync with a retryable
-	// error (ErrTransientSync). The wal.Writer's bounded retry clears it.
+	// error (ErrTransientSync). The log flusher's bounded retry clears it.
 	TransientSyncEvery int
 	// TransientSyncProb additionally fails each Sync with this probability,
 	// drawn from the seeded RNG (still deterministic given the Plan).
@@ -70,7 +70,7 @@ type Plan struct {
 var ErrCrashed = errors.New("fault: device crashed")
 
 // TransientError is an injected failure that a retry may clear. It
-// implements the Transient marker interface the wal.Writer's flush loop
+// implements the Transient marker interface the wal flush loop
 // checks before going sticky.
 type TransientError struct {
 	// Op names the failed operation ("sync", "write").
@@ -111,7 +111,7 @@ func IsTransient(err error) bool {
 }
 
 // Device wraps an inner wal.Device with the Plan's faults. All state is
-// guarded by a mutex; the wal.Writer's flusher is single-threaded, but
+// guarded by a mutex; a log stream's flusher is single-threaded, but
 // tests may probe the device concurrently.
 type Device struct {
 	inner wal.Device
@@ -148,7 +148,7 @@ func (d *Device) Write(p []byte) (int, error) {
 			d.written += int64(n)
 		}
 		d.crashed = true
-		return keep, fmt.Errorf("%w (torn write at byte %d)", ErrCrashed, c) //next700:allowalloc(chaos apparatus: the planned crash fires once per torture iteration)
+		return keep, fmt.Errorf("%w (torn write at byte %d)", ErrCrashed, c)
 	}
 	n, err := d.inner.Write(p)
 	d.written += int64(n)
@@ -169,9 +169,9 @@ func (d *Device) Sync() error {
 	d.syncs++
 	if at := d.plan.StallSyncAt; at > 0 && d.syncs >= at && !d.released {
 		if d.stallCh == nil {
-			d.stallCh = make(chan struct{}) //next700:allowalloc(chaos apparatus: the planned stall allocates once when it first fires)
+			d.stallCh = make(chan struct{})
 			if d.plan.StallRelease > 0 {
-				time.AfterFunc(d.plan.StallRelease, d.Release) //next700:allowalloc(chaos apparatus: release timer for the planned stall)
+				time.AfterFunc(d.plan.StallRelease, d.Release)
 			}
 		}
 		ch := d.stallCh

@@ -123,22 +123,22 @@ func TestIsTransient(t *testing.T) {
 	}
 }
 
-// TestWriterSurvivesTransientSyncs: the group-commit writer must absorb
-// injected transient sync failures via bounded retry and still acknowledge
+// TestLogSurvivesTransientSyncs: a one-stream log must absorb injected
+// transient sync failures via bounded retry and still acknowledge
 // durability for every record.
-func TestWriterSurvivesTransientSyncs(t *testing.T) {
+func TestLogSurvivesTransientSyncs(t *testing.T) {
 	mem := &MemDevice{}
 	dev := NewDevice(mem, Plan{TransientSyncEvery: 2})
-	w := wal.NewWriter(dev, 0)
+	w := wal.NewStreamSet([]wal.Device{dev}, 0)
 	rec := (&wal.CommitRecord{TxnID: 1, Entries: []wal.Entry{
 		{Kind: wal.EntryUpdate, Table: 1, RID: 2, Key: 3, Data: []byte("x")},
 	}}).Encode(nil)
 	for i := 0; i < 20; i++ {
-		lsn, err := w.Append(rec)
+		epoch, err := w.Append(0, rec)
 		if err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
-		if err := w.WaitDurable(lsn); err != nil {
+		if err := w.WaitDurable(0, epoch); err != nil {
 			t.Fatalf("wait %d: %v", i, err)
 		}
 	}
@@ -151,26 +151,26 @@ func TestWriterSurvivesTransientSyncs(t *testing.T) {
 	}
 }
 
-// TestWriterCrashGoesSticky: after the device crashes, the writer must wake
-// every waiter with ErrLogFailed and refuse further appends.
-func TestWriterCrashGoesSticky(t *testing.T) {
+// TestLogCrashGoesSticky: after the device crashes, the log must wake every
+// waiter with ErrLogFailed and refuse further appends.
+func TestLogCrashGoesSticky(t *testing.T) {
 	mem := &MemDevice{}
 	dev := NewDevice(mem, Plan{CrashAtByte: 1}) // first write tears immediately
-	w := wal.NewWriter(dev, 0)
+	w := wal.NewStreamSet([]wal.Device{dev}, 0)
 	rec := (&wal.CommitRecord{TxnID: 1, Entries: []wal.Entry{
 		{Kind: wal.EntryUpdate, Table: 1, RID: 2, Key: 3, Data: []byte("x")},
 	}}).Encode(nil)
-	lsn, err := w.Append(rec)
+	epoch, err := w.Append(0, rec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.WaitDurable(lsn); !errors.Is(err, wal.ErrLogFailed) || !errors.Is(err, ErrCrashed) {
+	if err := w.WaitDurable(0, epoch); !errors.Is(err, wal.ErrLogFailed) || !errors.Is(err, ErrCrashed) {
 		t.Fatalf("WaitDurable err=%v, want ErrLogFailed wrapping ErrCrashed", err)
 	}
 	if !w.Failed() {
-		t.Fatal("writer not marked failed")
+		t.Fatal("log not marked failed")
 	}
-	if _, err := w.Append(rec); !errors.Is(err, wal.ErrLogFailed) {
+	if _, err := w.Append(0, rec); !errors.Is(err, wal.ErrLogFailed) {
 		t.Fatalf("Append after crash err=%v", err)
 	}
 	if err := w.Close(); !errors.Is(err, wal.ErrLogFailed) {

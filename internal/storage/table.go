@@ -79,14 +79,16 @@ func (t *Table) ensureChunk(rid RecordID) {
 	defer t.mu.Unlock()
 	chunks = *t.chunks.Load()
 	for idx >= len(chunks) {
+		// Tombstones first: a concurrent Alloc that finds the chunk published
+		// returns at once and may SetTombstone a slot of it.
+		t.tombMu.Lock()
+		t.tombstone = append(t.tombstone, make([]atomic.Bool, chunkSize)...)
+		t.tombMu.Unlock()
+
 		chunk := make([]byte, chunkSize*t.schema.rowSize)
 		grown := append(chunks, chunk)
 		t.chunks.Store(&grown)
 		chunks = grown
-
-		t.tombMu.Lock()
-		t.tombstone = append(t.tombstone, make([]atomic.Bool, chunkSize)...)
-		t.tombMu.Unlock()
 	}
 }
 

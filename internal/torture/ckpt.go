@@ -27,8 +27,7 @@ import (
 // the store script instead.
 type CkptConfig struct {
 	Config
-	// Streams is the checkpoint log's stream count (default 2, minimum 2:
-	// the checkpointer requires the parallel WAL).
+	// Streams is the checkpoint log's stream count (default 2).
 	Streams int
 	// Keep is the checkpoint generations to retain (default 2).
 	Keep int
@@ -60,7 +59,7 @@ type CkptConfig struct {
 
 func (c CkptConfig) normalized() CkptConfig {
 	c.Config = c.Config.normalized()
-	if c.Streams < 2 {
+	if c.Streams < 1 {
 		c.Streams = 2
 	}
 	if c.Keep <= 0 {

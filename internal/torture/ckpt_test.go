@@ -34,16 +34,19 @@ func ckptBase(protocol string, mode wal.Mode, seed uint64) CkptConfig {
 // Each run continues into a second clean incarnation, so the recovered
 // engine also has to checkpoint, rotate, and recover again on top of the
 // sealed history. InitCheckpointLog consumes Streams+1 ops, so the sweep
-// starts just past bootstrap.
+// starts just past bootstrap. The value-silo lane runs on a one-stream log
+// and on a four-stream one: the lifecycle is the same code at every count.
 func TestCkptTortureCrashSweep(t *testing.T) {
 	lanes := []struct {
 		name     string
 		protocol string
 		mode     wal.Mode
+		streams  int
 	}{
-		{"value-silo", "SILO", wal.ModeValue},
-		{"command-silo", "SILO", wal.ModeCommand},
-		{"value-mvcc", "MVCC", wal.ModeValue},
+		{"value-silo-1stream", "SILO", wal.ModeValue, 1},
+		{"value-silo-4streams", "SILO", wal.ModeValue, 4},
+		{"command-silo", "SILO", wal.ModeCommand, 2},
+		{"value-mvcc", "MVCC", wal.ModeValue, 2},
 	}
 	maxOp := 40
 	if testing.Short() {
@@ -54,8 +57,9 @@ func TestCkptTortureCrashSweep(t *testing.T) {
 		t.Run(lane.name, func(t *testing.T) {
 			t.Parallel()
 			crashed, ckptLoaded, logFallback := 0, 0, 0
-			for op := 4; op <= maxOp; op++ {
+			for op := lane.streams + 2; op <= maxOp; op++ {
 				cfg := ckptBase(lane.protocol, lane.mode, 0xC0FFEE00+uint64(op))
+				cfg.Streams = lane.streams
 				cfg.Incarnations = 2
 				cfg.Chaos = fault.StoreChaos{Seed: uint64(op) * 977, CrashAtOp: op}
 				res, err := RunCkpt(cfg)

@@ -181,23 +181,17 @@ func encodeParams(worker uint32, from, to uint64, delta int64, hot bool) []byte 
 	return p
 }
 
-// buildEngine opens an engine on the given per-stream devices (one device =
-// the classic single-stream writer), creates the account table, and
+// buildEngine opens an engine on the given per-stream devices, creates the account table, and
 // registers the transfer procedure. With preload set it also performs the
 // deterministic initial load (loadInitial); checkpoint-based recovery opens
 // the engine empty instead and hands loadInitial to RecoverFromStore as the
 // no-usable-checkpoint fallback.
 func buildEngine(cfg Config, devs []wal.Device, preload bool) (*core.Engine, *core.Table, error) {
 	ecfg := core.Config{
-		Protocol: cfg.Protocol,
-		Threads:  cfg.Workers,
-		LogMode:  cfg.LogMode,
-	}
-	if len(devs) > 1 {
-		ecfg.WALStreams = len(devs)
-		ecfg.LogDevices = devs
-	} else {
-		ecfg.LogDevice = devs[0]
+		Protocol:   cfg.Protocol,
+		Threads:    cfg.Workers,
+		LogMode:    cfg.LogMode,
+		LogDevices: devs,
 	}
 	e, err := core.Open(ecfg)
 	if err != nil {
@@ -379,16 +373,11 @@ func Run(cfg Config) (Result, error) {
 		return res, err
 	}
 	defer e2.Close()
-	var rs core.RecoveryStats
-	if streams > 1 {
-		readers := make([]io.Reader, streams)
-		for i := range survivors {
-			readers[i] = bytes.NewReader(survivors[i])
-		}
-		rs, err = e2.RecoverStreams(readers)
-	} else {
-		rs, err = e2.Recover(bytes.NewReader(survivors[0]))
+	readers := make([]io.Reader, streams)
+	for i := range survivors {
+		readers[i] = bytes.NewReader(survivors[i])
 	}
+	rs, err := e2.RecoverStreams(readers)
 	res.Recovery = rs
 	if err != nil {
 		return res, fmt.Errorf("torture: recovery failed (seed %d): %w", cfg.Seed, err)

@@ -19,7 +19,7 @@ func TestWaitDurableUntilBoundsStalledDevice(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
 	dev := &stallDevice{release: make(chan struct{})}
 	w := NewWriter(dev, 0)
-	lsn, err := w.Append([]byte("rec"))
+	lsn, err := w.Append(setRecord(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestWaitDurableUntilPastDeadlinePendingRecord(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
 	dev := &stallDevice{release: make(chan struct{})}
 	w := NewWriter(dev, 0)
-	lsn, err := w.Append([]byte("rec"))
+	lsn, err := w.Append(setRecord(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestWaitDurableUntilDurableRecordIgnoresDeadline(t *testing.T) {
 	dev := &stallDevice{release: make(chan struct{})}
 	close(dev.release) // healthy device
 	w := NewWriter(dev, 0)
-	lsn, err := w.Append([]byte("rec"))
+	lsn, err := w.Append(setRecord(1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,12 +2,13 @@ package wal
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"io"
-	"sort"
+	"slices"
 )
 
 // Manifest describes a multi-stream log for recovery: how many streams the
@@ -53,19 +54,20 @@ func ReadManifest(r io.Reader) (Manifest, error) {
 	return m, nil
 }
 
-// StreamReplayStats reports what a multi-stream replay consumed, truncated,
-// and skipped.
+// StreamReplayStats reports what a stream replay consumed, truncated, and
+// skipped.
 type StreamReplayStats struct {
-	// Streams is the number of streams merged.
+	// Streams is the number of streams replayed.
 	Streams int
 	// Frontier is the merged durable frontier: the highest epoch fully
-	// present across all streams. Records of later epochs are truncated.
+	// present across all streams (the minimum of StreamFrontiers' own
+	// values under FrontierPerStream).
 	Frontier uint64
-	// Records is the number of records applied (epoch <= Frontier).
+	// Records is the number of records applied.
 	Records int
-	// TruncatedRecords counts intact records beyond the frontier that were
-	// dropped: they belong to epochs some stream may have lost, so replaying
-	// them could resurrect a partially durable epoch.
+	// TruncatedRecords counts intact records beyond their stream's replay
+	// frontier that were dropped: they belong to epochs some stream may have
+	// lost, so replaying them could resurrect a partially durable epoch.
 	TruncatedRecords int
 	// Markers is the number of intact epoch markers across all streams.
 	Markers int
@@ -80,226 +82,205 @@ type StreamReplayStats struct {
 	// Restart recovery feeds it to StreamSet.RaiseEpoch so post-recovery
 	// appends tag strictly above everything already in the log.
 	MaxEpoch uint64
-	// StreamFrontiers holds each stream's own certified frontier when the
-	// replay ran in partitioned (per-stream-frontier) mode; nil otherwise.
+	// StreamFrontiers holds the epoch each stream was replayed through: the
+	// merged Frontier for every stream under FrontierGlobal, the stream's own
+	// certified frontier under FrontierPerStream.
 	StreamFrontiers []uint64
 }
 
-// streamRecord is one buffered record awaiting the epoch merge.
-type streamRecord struct {
-	epoch   uint64
-	txnID   uint64
-	stream  int
-	seq     int // per-stream append order, the final tiebreak
-	payload []byte
+// FrontierRule selects how far each stream of a log replays.
+type FrontierRule int
+
+const (
+	// FrontierGlobal replays every stream to the last epoch fully present
+	// across all of them — thread-affinity logs, where one transaction
+	// history is sharded over the streams and a torn tail in one stream must
+	// truncate the epoch everywhere.
+	FrontierGlobal FrontierRule = iota
+	// FrontierPerStream replays each stream to its own certified frontier —
+	// partition-affinity logs, where each stream is authoritative for
+	// exactly its own partition and one torn or short stream must truncate
+	// only its partition's tail, never the healthy partitions' acknowledged
+	// epochs. That is the recovery face of quarantine re-certification:
+	// after a quarantined stream's set kept committing, healthy streams hold
+	// acked epochs far past the dead stream's claim.
+	//
+	// The apply callback must filter entries to the stream's own partition:
+	// a multi-partition record is replicated into every touched stream (one
+	// copy per partition, all tagged with one epoch), and in the loss window
+	// at a dead stream's frontier a record's copies may survive in some
+	// streams but not others. Applying only partition-local entries keeps
+	// each partition an exact prefix of its own commit order; an
+	// unacknowledged cross-partition commit in that window recovers on the
+	// surviving partitions only — acknowledged commits are certified on
+	// every touched stream and always recover in full.
+	FrontierPerStream
+)
+
+// heldRecord is one record awaiting certification (streamScan) or the epoch
+// merge (ReplayStreams): its payload lives at buf[off:end] of the owning
+// buffer.
+type heldRecord struct {
+	epoch, txnID uint64
+	stream       int
+	off, end     int
 }
 
-// ReplayStreams merges N log streams written by a StreamSet: it scans each
-// stream's intact prefix, computes the durable frontier — the last epoch
-// fully present across all streams, proven per stream by its epoch markers
-// and by the monotone epoch tags themselves — and applies exactly the
-// records with Epoch <= frontier, ordered by (epoch, txnID, stream). A torn
-// tail in one stream truncates the global frontier; intact records beyond
-// it in other streams are dropped, never resurrected.
+// ReplayStreams replays the N streams written by a StreamSet: it scans each
+// stream's intact prefix, computes the stream's certified frontier — proven
+// by its epoch markers and by the monotone epoch tags themselves — and
+// applies exactly the records at or below the frontier the rule selects,
+// ordered by (epoch, txnID) within a stream. A torn tail truncates; intact
+// records beyond the frontier are dropped, never resurrected. Records
+// tagged epoch 0 (pre-epoch single-stream logs) lie below every frontier
+// and always replay.
 //
-// Within the frontier the merge order is total and deterministic: command
-// replay re-executes in commit-sequence order, and value replay's
-// applied-if-newer filtering is order-independent anyway.
-func ReplayStreams(readers []io.Reader, apply func(stream int, cr *CommitRecord) error) (StreamReplayStats, error) {
-	st := StreamReplayStats{Streams: len(readers)}
+// A stream replayed to its own frontier — every stream under
+// FrontierPerStream, and the only stream of a one-stream log — needs no
+// merge: it is applied as it is scanned, holding back only the records of
+// its newest, not yet certified epoch. Only FrontierGlobal over several
+// streams must see every stream's frontier before it can apply anything;
+// it buffers the records and merges them by (epoch, txnID, stream), which
+// is total and deterministic: command replay re-executes in
+// commit-sequence order, and value replay's applied-if-newer filtering is
+// order-independent anyway.
+func ReplayStreams(readers []io.Reader, rule FrontierRule, apply func(stream int, cr *CommitRecord) error) (StreamReplayStats, error) {
+	st := StreamReplayStats{Streams: len(readers), StreamFrontiers: make([]uint64, len(readers))}
 	if len(readers) == 0 {
 		return st, fmt.Errorf("wal: replay needs at least one stream: %w", ErrCorrupt)
 	}
-
-	var records []streamRecord
+	merge := rule == FrontierGlobal && len(readers) > 1
+	var cr CommitRecord
+	emit := func(stream int, payload []byte) error {
+		if err := decode(payload, &cr); err != nil {
+			return err
+		}
+		if err := apply(stream, &cr); err != nil {
+			return err
+		}
+		st.Records++
+		return nil
+	}
+	var buf []byte
+	var held []heldRecord
 	frontier := ^uint64(0)
 	for i, r := range readers {
-		// high is the exclusive completeness bound for this stream: every
-		// record with epoch < high is provably intact here. A marker C
-		// certifies epochs < C; a surviving record tagged e certifies epochs
-		// < e (per-stream tags are monotone, so everything earlier precedes
-		// it on the device and within the intact prefix).
-		var high uint64
-		seq := 0
-		s, err := ScanStream(r,
-			func(cr *CommitRecord) error {
-				if cr.Epoch > high {
-					high = cr.Epoch
-				}
-				records = append(records, streamRecord{
-					epoch:   cr.Epoch,
-					txnID:   cr.TxnID,
-					stream:  i,
-					seq:     seq,
-					payload: cr.Encode(nil)[headerSize:],
-				})
-				seq++
-				return nil
-			},
-			func(epoch uint64) error {
-				if epoch > high {
-					high = epoch
-				}
-				return nil
-			})
-		st.Markers += s.Markers
-		st.Bytes += s.Bytes
-		st.TornBytes += s.TornBytes
-		st.CorruptTailRecords += s.CorruptTailRecords
+		sc := streamScan{stream: i, buf: buf, held: held, keep: merge, emit: emit}
+		var fs ReplayStats
+		err := scanFrames(r, &fs, sc.frame)
+		buf, held = sc.buf, sc.held
+		st.Markers += fs.Markers
+		st.Bytes += fs.Bytes
+		st.TornBytes += fs.TornBytes
+		st.CorruptTailRecords += fs.CorruptTailRecords
 		if err != nil {
 			return st, fmt.Errorf("wal: stream %d: %w", i, err)
 		}
-		if high > st.MaxEpoch {
-			st.MaxEpoch = high
+		if sc.high > st.MaxEpoch {
+			st.MaxEpoch = sc.high
 		}
-		var complete uint64
-		if high > 0 {
-			complete = high - 1
+		if sc.high > 0 {
+			st.StreamFrontiers[i] = sc.high - 1
 		}
-		if complete < frontier {
-			frontier = complete
+		if st.StreamFrontiers[i] < frontier {
+			frontier = st.StreamFrontiers[i]
+		}
+		if !merge {
+			// What is still held is the stream's uncertified newest epoch.
+			st.TruncatedRecords += len(held)
+			buf, held = buf[:0], held[:0]
 		}
 	}
 	st.Frontier = frontier
-
-	sort.Slice(records, func(a, b int) bool {
-		x, y := &records[a], &records[b]
-		if x.epoch != y.epoch {
-			return x.epoch < y.epoch
-		}
-		if x.txnID != y.txnID {
-			return x.txnID < y.txnID
-		}
-		if x.stream != y.stream {
-			return x.stream < y.stream
-		}
-		return x.seq < y.seq
-	})
-
-	var cr CommitRecord
-	for i := range records {
-		rec := &records[i]
-		if rec.epoch > frontier {
+	if !merge {
+		return st, nil
+	}
+	for i := range st.StreamFrontiers {
+		st.StreamFrontiers[i] = st.Frontier
+	}
+	sortHeld(held)
+	for _, h := range held {
+		if h.epoch > st.Frontier {
 			st.TruncatedRecords++
 			continue
 		}
-		if err := decode(rec.payload, &cr); err != nil {
+		if err := emit(h.stream, buf[h.off:h.end]); err != nil {
 			return st, err
 		}
-		if err := apply(rec.stream, &cr); err != nil {
-			return st, err
-		}
-		st.Records++
 	}
 	return st, nil
 }
 
-// ReplayStreamsPartitioned replays N streams written under per-partition
-// affinity: each stream is authoritative for exactly its own partition, so
-// every stream replays to its OWN certified frontier instead of the global
-// minimum — one torn or short stream truncates only its partition's tail,
-// never the healthy partitions' acknowledged epochs. That is the recovery
-// face of quarantine re-certification: after a quarantined stream's set
-// kept committing, healthy streams hold acked epochs far past the dead
-// stream's claim, and a global-minimum merge would wrongly truncate them.
-//
-// The apply callback must filter entries to the stream's own partition: a
-// multi-partition record is replicated into every touched stream (one copy
-// per partition, all tagged with one epoch), and in the loss window at a
-// dead stream's frontier a record's copies may survive in some streams but
-// not others. Applying only partition-local entries keeps each partition an
-// exact prefix of its own commit order; an unacknowledged cross-partition
-// commit in that window recovers on the surviving partitions only —
-// acknowledged commits are certified on every touched stream and always
-// recover in full.
-//
-// Within a stream, records are applied in (epoch, txnID, seq) order;
-// partitioned replay is value-mode only, so applied-if-newer filtering
-// makes cross-stream order immaterial.
-func ReplayStreamsPartitioned(readers []io.Reader, apply func(stream int, cr *CommitRecord) error) (StreamReplayStats, error) {
-	st := StreamReplayStats{Streams: len(readers)}
-	if len(readers) == 0 {
-		return st, fmt.Errorf("wal: replay needs at least one stream: %w", ErrCorrupt)
-	}
-	st.StreamFrontiers = make([]uint64, len(readers))
+// streamScan is the per-stream frame handler behind ReplayStreams. It tracks
+// high, the exclusive completeness bound: every record with epoch < high is
+// provably intact in this stream. A marker C certifies epochs < C; a
+// surviving record tagged e certifies epochs < e (per-stream tags are
+// monotone, so everything earlier precedes it on the device and within the
+// intact prefix). A record is therefore certified the moment a later frame
+// raises high past its tag, and the records held in between all carry the
+// stream's newest epoch — bounded by one epoch's commits, not by the log.
+// With keep set nothing is emitted during the scan: every record stays held
+// for the caller's cross-stream merge.
+type streamScan struct {
+	stream int
+	high   uint64
+	buf    []byte
+	held   []heldRecord
+	keep   bool
+	emit   func(stream int, payload []byte) error
+}
 
-	var records []streamRecord
-	minFrontier := ^uint64(0)
-	for i, r := range readers {
-		var high uint64
-		seq := 0
-		s, err := ScanStream(r,
-			func(cr *CommitRecord) error {
-				if cr.Epoch > high {
-					high = cr.Epoch
-				}
-				records = append(records, streamRecord{
-					epoch:   cr.Epoch,
-					txnID:   cr.TxnID,
-					stream:  i,
-					seq:     seq,
-					payload: cr.Encode(nil)[headerSize:],
-				})
-				seq++
-				return nil
-			},
-			func(epoch uint64) error {
-				if epoch > high {
-					high = epoch
-				}
-				return nil
-			})
-		st.Markers += s.Markers
-		st.Bytes += s.Bytes
-		st.TornBytes += s.TornBytes
-		st.CorruptTailRecords += s.CorruptTailRecords
-		if err != nil {
-			return st, fmt.Errorf("wal: stream %d: %w", i, err)
-		}
-		if high > st.MaxEpoch {
-			st.MaxEpoch = high
-		}
-		var complete uint64
-		if high > 0 {
-			complete = high - 1
-		}
-		st.StreamFrontiers[i] = complete
-		if complete < minFrontier {
-			minFrontier = complete
+func (sc *streamScan) frame(payload []byte) error {
+	epoch, isMarker, err := frameEpoch(payload)
+	if err != nil {
+		return err
+	}
+	if epoch > sc.high {
+		sc.high = epoch
+		if !sc.keep {
+			if err := sc.release(); err != nil {
+				return err
+			}
 		}
 	}
-	st.Frontier = minFrontier
-
-	sort.Slice(records, func(a, b int) bool {
-		x, y := &records[a], &records[b]
-		if x.epoch != y.epoch {
-			return x.epoch < y.epoch
-		}
-		if x.txnID != y.txnID {
-			return x.txnID < y.txnID
-		}
-		if x.stream != y.stream {
-			return x.stream < y.stream
-		}
-		return x.seq < y.seq
+	if isMarker {
+		return nil
+	}
+	if !sc.keep && (epoch == 0 || epoch < sc.high) {
+		return sc.emit(sc.stream, payload) // untagged, or already certified
+	}
+	off := len(sc.buf)
+	sc.buf = append(sc.buf, payload...)
+	sc.held = append(sc.held, heldRecord{
+		epoch: epoch, txnID: binary.LittleEndian.Uint64(payload[1:]),
+		stream: sc.stream, off: off, end: len(sc.buf),
 	})
+	return nil
+}
 
-	var cr CommitRecord
-	for i := range records {
-		rec := &records[i]
-		if rec.epoch > st.StreamFrontiers[rec.stream] {
-			st.TruncatedRecords++
-			continue
+// release emits the held group — one epoch's records, now certified — in
+// commit-sequence order.
+func (sc *streamScan) release() error {
+	sortHeld(sc.held)
+	for _, h := range sc.held {
+		if err := sc.emit(h.stream, sc.buf[h.off:h.end]); err != nil {
+			return err
 		}
-		if err := decode(rec.payload, &cr); err != nil {
-			return st, err
-		}
-		if err := apply(rec.stream, &cr); err != nil {
-			return st, err
-		}
-		st.Records++
 	}
-	return st, nil
+	sc.buf, sc.held = sc.buf[:0], sc.held[:0]
+	return nil
+}
+
+// sortHeld orders records by (epoch, txnID, stream), append order breaking
+// ties. Streams append nearly in commit-sequence order, so the common case
+// is the already-sorted check.
+func sortHeld(held []heldRecord) {
+	order := func(x, y heldRecord) int {
+		return cmp.Or(cmp.Compare(x.epoch, y.epoch), cmp.Compare(x.txnID, y.txnID), x.stream-y.stream)
+	}
+	if !slices.IsSortedFunc(held, order) {
+		slices.SortStableFunc(held, order)
+	}
 }
 
 // SealSegment prepares one segment file's image for concatenated replay: it
@@ -349,14 +330,9 @@ func SealSegment(data []byte, ceiling uint64) ([]byte, error) {
 			}
 			return nil, ErrCorrupt
 		}
-		var epoch uint64
-		switch {
-		case IsMarkerPayload(payload):
-			epoch = binary.LittleEndian.Uint64(payload[1:])
-		case len(payload) >= 17:
-			epoch = binary.LittleEndian.Uint64(payload[9:])
-		default:
-			return nil, ErrCorrupt
+		epoch, _, err := frameEpoch(payload)
+		if err != nil {
+			return nil, err
 		}
 		if ceiling == 0 || epoch <= ceiling {
 			out = append(out, data[off:end]...)
@@ -369,12 +345,12 @@ func SealSegment(data []byte, ceiling uint64) ([]byte, error) {
 	return out, nil
 }
 
-// ReplayStreamBytes is ReplayStreams over in-memory stream images (tests
-// and the torture harness).
+// ReplayStreamBytes is ReplayStreams under FrontierGlobal over in-memory
+// stream images (tests and the torture harness).
 func ReplayStreamBytes(streams [][]byte, apply func(stream int, cr *CommitRecord) error) (StreamReplayStats, error) {
 	readers := make([]io.Reader, len(streams))
 	for i := range streams {
 		readers[i] = bytes.NewReader(streams[i])
 	}
-	return ReplayStreams(readers, apply)
+	return ReplayStreams(readers, FrontierGlobal, apply)
 }

@@ -97,6 +97,10 @@ type StreamSet struct {
 	streams []*stream
 	order   []int // coordinator scratch: deadline-priority wake order
 
+	// epochGate, when set, is held around every coordinator epoch bump (see
+	// SetEpochGate). Guarded by mu.
+	epochGate sync.Locker
+
 	// failureC delivers failed stream indexes to the engine's quarantine
 	// guard in scoped mode (buffered one slot per stream; a stream fails at
 	// most once per incarnation). Closed by Close after the flushers drain.
@@ -244,6 +248,20 @@ func (s *StreamSet) RaiseEpoch(base uint64) {
 	}
 }
 
+// SetEpochGate makes the coordinator hold gate around every epoch bump. The
+// engine passes the write side of the fence its commits read-hold from
+// memory publication through log append, so the epoch never advances while
+// a commit sits between the two: a transaction that observed a published
+// write then always tags at or above the writer's epoch, and recovery —
+// which truncates by epoch and orders after-images epoch-major — can never
+// keep the reader while dropping, or reorder it before, the write it
+// depends on. Call before the first append.
+func (s *StreamSet) SetEpochGate(gate sync.Locker) {
+	s.mu.Lock()
+	s.epochGate = gate
+	s.mu.Unlock()
+}
+
 // CurrentEpoch returns the epoch new appends are tagged with.
 func (s *StreamSet) CurrentEpoch() uint64 { return atomic.LoadUint64(&s.epoch) }
 
@@ -263,48 +281,29 @@ func (s *StreamSet) Err() error {
 }
 
 // Append stages an encoded record (produced by CommitRecord.Encode) on the
-// given stream and returns the epoch the caller must wait on. The record's
-// Epoch field is patched in place — rec is mutated — and the CRC re-sealed,
-// under the stream's own mutex only: with per-worker stream affinity the
-// append path shares nothing across workers.
+// given stream and returns the epoch the caller must wait on: AppendMulti
+// over one stream. With per-worker stream affinity the append path shares
+// nothing across workers.
 //
 //next700:hotpath
 func (s *StreamSet) Append(streamID int, rec []byte) (uint64, error) {
-	if s.failed.Load() {
-		return 0, s.Err()
-	}
-	if s.closing.Load() {
-		return 0, ErrClosed
-	}
-	st := s.streams[streamID]
-	if s.scoped && st.sfailed.Load() {
-		// serr is written before sfailed is set; observing sfailed true makes
-		// the read safe without the set mutex.
-		return 0, st.serr
-	}
-	st.mu.Lock()
-	epoch := atomic.LoadUint64(&s.epoch)
-	binary.LittleEndian.PutUint64(rec[epochOffset:], epoch)
-	binary.LittleEndian.PutUint32(rec[4:], crc32.ChecksumIEEE(rec[headerSize:]))
-	st.buf = append(st.buf, rec...)
-	st.mu.Unlock()
-	return epoch, nil
+	ids := [1]int{streamID}
+	return s.AppendMulti(ids[:], rec)
 }
 
-// AppendMulti stages one record on several streams — a multi-partition
-// commit under per-partition affinity replicates its full record into every
-// touched partition's stream, which is what keeps single-partition recovery
-// self-contained. streamIDs must be sorted ascending and duplicate-free
-// (the engine's touched-partition scratch is built that way); all target
-// stream mutexes are taken in that order and one epoch is drawn for every
-// copy, so per-stream epoch-tag monotonicity holds and no copy can tag
-// ahead of another.
+// AppendMulti stages one record on one or several streams — a
+// multi-partition commit under per-partition affinity replicates its full
+// record into every touched partition's stream, which is what keeps
+// single-partition recovery self-contained. The record's Epoch field is
+// patched in place — rec is mutated — and the CRC re-sealed, under the
+// target streams' own mutexes only. streamIDs must be sorted ascending and
+// duplicate-free (the engine's touched-partition scratch is built that
+// way); all target stream mutexes are taken in that order and one epoch is
+// drawn for every copy, so per-stream epoch-tag monotonicity holds and no
+// copy can tag ahead of another.
 //
 //next700:hotpath
 func (s *StreamSet) AppendMulti(streamIDs []int, rec []byte) (uint64, error) {
-	if len(streamIDs) == 1 {
-		return s.Append(streamIDs[0], rec)
-	}
 	if s.failed.Load() {
 		return 0, s.Err()
 	}
@@ -313,6 +312,8 @@ func (s *StreamSet) AppendMulti(streamIDs []int, rec []byte) (uint64, error) {
 	}
 	if s.scoped {
 		for _, id := range streamIDs {
+			// serr is written before sfailed is set; observing sfailed true
+			// makes the read safe without the set mutex.
 			if st := s.streams[id]; st.sfailed.Load() {
 				return 0, st.serr
 			}
@@ -335,21 +336,15 @@ func (s *StreamSet) AppendMulti(streamIDs []int, rec []byte) (uint64, error) {
 // WaitDurable blocks until epoch is durable on every stream. streamID names
 // the stream the caller appended to, for deadline-priority accounting.
 func (s *StreamSet) WaitDurable(streamID int, epoch uint64) error {
-	return s.waitDurable(streamID, epoch, 0)
+	return s.WaitDurableUntil(streamID, epoch, 0)
 }
 
 // WaitDurableUntil is WaitDurable bounded by an absolute deadline in Unix
 // nanoseconds (0 means wait forever). The deadline is registered with the
 // caller's stream so the coordinator can start the most urgent syncs first.
 func (s *StreamSet) WaitDurableUntil(streamID int, epoch uint64, deadline int64) error {
-	return s.waitDurable(streamID, epoch, deadline)
-}
-
-// WaitDurableMulti blocks until epoch is durable for a multi-stream append:
-// the frontier must cover epoch and none of the touched streams may have
-// died before certifying it. streamIDs must be the AppendMulti target list.
-func (s *StreamSet) WaitDurableMulti(streamIDs []int, epoch uint64, deadline int64) error {
-	return s.waitDurableIDs(streamIDs, epoch, deadline)
+	ids := [1]int{streamID}
+	return s.WaitDurableMulti(ids[:], epoch, deadline)
 }
 
 // deadFor reports whether a record tagged epoch on this stream can never
@@ -362,78 +357,13 @@ func (st *stream) deadFor(epoch uint64) bool {
 	return st.sfailed.Load() && epoch >= st.claim.Load()
 }
 
-//next700:allowalloc(blocked path only: the deadline timer and clock reads happen while parked, never on a commit that finds its epoch durable)
-func (s *StreamSet) waitDurable(streamID int, epoch uint64, deadline int64) error {
-	st := s.streams[streamID]
-	if atomic.LoadUint64(&s.durable) >= epoch && !(s.scoped && st.deadFor(epoch)) {
-		return nil
-	}
-	var timer *time.Timer
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.waiters++
-	defer func() { s.waiters-- }()
-	kicked := false
-	for atomic.LoadUint64(&s.durable) < epoch && s.err == nil && !s.closed &&
-		!(s.scoped && st.deadFor(epoch)) {
-		if deadline != 0 {
-			st.noteDeadline(deadline)
-			remaining := deadline - time.Now().UnixNano()
-			if remaining <= 0 {
-				if timer != nil {
-					timer.Stop()
-				}
-				return ErrWaitDeadline
-			}
-			if timer == nil {
-				//next700:locked(StreamSet.mu: deadline timer armed at most once per parked waiter; commits that find their epoch durable never reach this)
-				timer = time.AfterFunc(time.Duration(remaining), func() {
-					s.mu.Lock()
-					s.cond.Broadcast()
-					s.mu.Unlock()
-				})
-			}
-		}
-		if s.window == 0 && !kicked {
-			// One kick per wait: the caller's record is already staged, so
-			// the single advance the kick triggers bumps the epoch past its
-			// tag and the resulting flush round certifies it. Re-kicking on
-			// every broadcast wake would feed advances back into broadcasts —
-			// a self-sustaining storm of empty epochs.
-			s.kick()
-			kicked = true
-		}
-		// Deadline-aware by construction when deadline != 0: the AfterFunc
-		// broadcast above re-wakes this Wait and the loop head re-checks the
-		// deadline. The deadline==0 form is the caller's explicit opt-out
-		// (WaitDurable), kept for loaders and tests.
-		s.cond.Wait() //next700:allowwait(timer broadcast re-wakes; deadline re-checked at loop head; deadline==0 is the caller's opt-out)
-	}
-	if timer != nil {
-		timer.Stop()
-	}
-	if s.scoped && st.deadFor(epoch) {
-		// The caller's own stream died before certifying this epoch: even if
-		// the re-certified frontier has moved past it, the record is on the
-		// dead device and is not durable.
-		return st.serr
-	}
-	if atomic.LoadUint64(&s.durable) >= epoch {
-		// The epoch closed on every stream; a later failure does not retract
-		// its durability.
-		return nil
-	}
-	if s.err != nil {
-		return s.err
-	}
-	return errClosedBeforeDurable
-}
-
-// waitDurableIDs is waitDurable over a touched-stream list: the epoch must
-// close on the frontier and every listed stream must have certified it.
+// WaitDurableMulti blocks until epoch is durable for an append to the listed
+// streams (the AppendMulti target list, or the one stream of an Append): the
+// frontier must cover epoch and, in scoped mode, none of the touched streams
+// may have died before certifying it.
 //
 //next700:allowalloc(blocked path only: the deadline timer and clock reads happen while parked, never on a commit that finds its epoch durable)
-func (s *StreamSet) waitDurableIDs(streamIDs []int, epoch uint64, deadline int64) error {
+func (s *StreamSet) WaitDurableMulti(streamIDs []int, epoch uint64, deadline int64) error {
 	deadStream := func() *stream {
 		if !s.scoped {
 			return nil
@@ -476,18 +406,32 @@ func (s *StreamSet) waitDurableIDs(streamIDs []int, epoch uint64, deadline int64
 			}
 		}
 		if s.window == 0 && !kicked {
+			// One kick per wait: the caller's record is already staged, so
+			// the single advance the kick triggers bumps the epoch past its
+			// tag and the resulting flush round certifies it. Re-kicking on
+			// every broadcast wake would feed advances back into broadcasts —
+			// a self-sustaining storm of empty epochs.
 			s.kick()
 			kicked = true
 		}
+		// Deadline-aware by construction when deadline != 0: the AfterFunc
+		// broadcast above re-wakes this Wait and the loop head re-checks the
+		// deadline. The deadline==0 form is the caller's explicit opt-out
+		// (WaitDurable), kept for loaders and tests.
 		s.cond.Wait() //next700:allowwait(timer broadcast re-wakes; deadline re-checked at loop head; deadline==0 is the caller's opt-out)
 	}
 	if timer != nil {
 		timer.Stop()
 	}
 	if st := deadStream(); st != nil {
+		// A touched stream died before certifying this epoch: even if the
+		// re-certified frontier has moved past it, the record is on the dead
+		// device and is not durable.
 		return st.serr
 	}
 	if atomic.LoadUint64(&s.durable) >= epoch {
+		// The epoch closed on every stream; a later failure does not retract
+		// its durability.
 		return nil
 	}
 	if s.err != nil {
@@ -559,7 +503,16 @@ func (s *StreamSet) advance() {
 	if s.idle() {
 		return
 	}
+	s.mu.Lock()
+	gate := s.epochGate
+	s.mu.Unlock()
+	if gate != nil {
+		gate.Lock()
+	}
 	atomic.AddUint64(&s.epoch, 1)
+	if gate != nil {
+		gate.Unlock()
+	}
 	order := s.order
 	for i := range order {
 		order[i] = i

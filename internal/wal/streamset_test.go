@@ -369,7 +369,7 @@ func TestReplayStreamsPartitioned(t *testing.T) {
 		readers[i] = bytes.NewReader(images[i])
 	}
 	applied := make(map[uint64]bool)
-	st, err := ReplayStreamsPartitioned(readers, func(_ int, cr *CommitRecord) error {
+	st, err := ReplayStreams(readers, FrontierPerStream, func(_ int, cr *CommitRecord) error {
 		applied[cr.TxnID] = true
 		return nil
 	})
@@ -402,6 +402,40 @@ func TestReplayStreamsPartitioned(t *testing.T) {
 	}
 	if lost == 0 {
 		t.Fatal("tearing half of stream 1 dropped nothing; test is vacuous")
+	}
+}
+
+// TestStreamSetEpochGate: while the gate's read side is held — a commit
+// between memory publication and log append — the coordinator cannot bump
+// the epoch, so a late append still tags the epoch its dependents can at
+// best equal; releasing the gate lets the parked waiter's kick go through.
+func TestStreamSetEpochGate(t *testing.T) {
+	defer testutil.CheckGoroutines(t)()
+	var gate sync.RWMutex
+	s := NewStreamSet([]Device{&memDevice{}}, 0)
+	s.SetEpochGate(&gate)
+
+	gate.RLock()
+	ep, err := s.Append(0, setRecord(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- s.WaitDurable(0, ep) }()
+	select {
+	case err := <-done:
+		t.Fatalf("epoch %d closed while the gate was read-held: %v", ep, err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	if late, _ := s.Append(0, setRecord(2)); late != ep {
+		t.Fatalf("append under the held gate tagged epoch %d, want %d", late, ep)
+	}
+	gate.RUnlock()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

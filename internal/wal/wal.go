@@ -1,8 +1,10 @@
 // Package wal implements write-ahead logging for the engine: binary
 // redo-only commit records (value logging) or stored-procedure invocations
-// (command logging), a group-commit writer that batches fsyncs across
-// worker threads, and crash recovery that replays a CRC-validated log
-// prefix and stops cleanly at a torn tail.
+// (command logging), one group-commit log — StreamSet: N device streams
+// under a global epoch, N=1 being the classic single log — that batches
+// fsyncs across worker threads, and crash recovery that replays each
+// stream's CRC-validated prefix up to the epoch frontier and stops cleanly
+// at a torn tail.
 //
 // The two logging modes bracket the design space the durability experiment
 // (E8) explores: value logging pays per-write log volume but replays
@@ -17,8 +19,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -73,10 +73,10 @@ type Entry struct {
 // changed (value mode) or the command that reproduces it (command mode).
 type CommitRecord struct {
 	TxnID uint64
-	// Epoch is the durability epoch the record was appended under. Single-
-	// stream Writer logs leave it zero (the per-record LSN orders them); a
+	// Epoch is the durability epoch the record was appended under: the
 	// StreamSet stamps it at append time and recovery truncates the merged
-	// streams to the last epoch fully present across all of them.
+	// streams to the last epoch fully present across all of them. Zero marks
+	// a record from a pre-epoch single-stream log, which always replays.
 	Epoch uint64
 	// Entries is set in value mode.
 	Entries []Entry
@@ -142,7 +142,7 @@ func (cr *CommitRecord) Encode(buf []byte) []byte {
 // torn tail, which Replay treats as end-of-log).
 var ErrCorrupt = errors.New("wal: corrupt record")
 
-// ErrClosed is returned by operations on a Writer after Close: Append
+// ErrClosed is returned by operations on a log after Close: Append
 // rejects new records and waiters that cannot become durable report it
 // (wrapped). It is a typed class — callers distinguish an orderly shutdown
 // from a device failure (ErrLogFailed) with errors.Is.
@@ -152,7 +152,7 @@ var ErrClosed = errors.New("wal: writer closed")
 // (prebuilt so the durability wait path stays allocation-free).
 var errClosedBeforeDurable = fmt.Errorf("wal: writer closed before durability: %w", ErrClosed)
 
-// ErrLogFailed is the sticky writer error: once the device has failed
+// ErrLogFailed is the sticky log error: once the device has failed
 // non-transiently, every Append and WaitDurable wraps it, all blocked
 // waiters are woken, and the engine turns subsequent commits into clean
 // aborts instead of hanging on durability that can never arrive.
@@ -160,7 +160,7 @@ var ErrLogFailed = errors.New("wal: log device failed")
 
 // transient is implemented by injected device errors a retry may clear
 // (see internal/fault). Any other flush error is sticky and fails the
-// writer permanently.
+// log permanently.
 type transient interface{ Transient() bool }
 
 // isTransient reports whether err (or anything it wraps) marks itself
@@ -171,7 +171,7 @@ func isTransient(err error) bool {
 }
 
 // maxSyncRetries bounds re-Sync attempts on transient device errors before
-// the writer declares the device dead.
+// the flusher declares the device dead.
 const maxSyncRetries = 8
 
 // decode parses one payload into cr. Data slices alias the payload.
@@ -237,76 +237,49 @@ type Device interface {
 	Sync() error
 }
 
-// Writer is the group-commit log writer. Workers Append encoded records and
-// then WaitDurable; a single flusher goroutine drains the shared buffer
-// every Window (or immediately when Window is zero) and issues one Sync per
-// batch, amortizing the sync cost across all transactions in the window —
-// the classic group commit.
-type Writer struct {
-	dev    Device
-	window time.Duration
-
-	mu      sync.Mutex
-	cond    *sync.Cond
-	buf     []byte
-	spare   []byte // recycled batch buffer; buf and spare ping-pong across flushes
-	next    uint64 // LSN after the last appended byte
-	durable uint64 // LSN through which data is synced
-	closed  bool
-	err     error
-
-	// failed mirrors err != nil without the mutex, so engines can gate
-	// commits on log health from the hot path without contending.
-	failed atomic.Bool
-
-	wake chan struct{}
-	done chan struct{}
-}
-
-// NewWriter starts a group-commit writer over dev. window is the maximum
-// time a committing transaction waits for peers to share its sync; zero
-// means every WaitDurable triggers an immediate flush.
-func NewWriter(dev Device, window time.Duration) *Writer {
-	w := &Writer{
-		dev:    dev,
-		window: window,
-		wake:   make(chan struct{}, 1),
-		done:   make(chan struct{}),
-	}
-	w.cond = sync.NewCond(&w.mu)
-	go w.flusher()
-	return w
-}
-
-// Append stages an encoded record and returns the LSN a caller must wait
-// for to know it is durable.
+// Writer is the single-log face of a one-stream StreamSet: one device,
+// LSN := epoch. It owns no buffer, goroutine, or group-commit loop of its
+// own — NewStreamSet with one device is the same log.
 //
-//next700:hotpath
-func (w *Writer) Append(rec []byte) (uint64, error) {
-	w.mu.Lock()
-	if w.closed {
-		w.mu.Unlock()
-		return 0, ErrClosed
-	}
-	if w.err != nil {
-		err := w.err
-		w.mu.Unlock()
-		return 0, err
-	}
-	w.buf = append(w.buf, rec...)
-	w.next += uint64(len(rec))
-	lsn := w.next
-	w.mu.Unlock()
-	return lsn, nil
+// Deprecated: the engine logs through StreamSet at every stream count; this
+// adapter survives only for the perf ledger's wal.writer_* probes and the
+// writer poison tests, and goes when they do.
+type Writer struct{ s *StreamSet }
+
+// NewWriter starts a one-stream StreamSet over dev. window is the epoch
+// advance period — the group-commit batching window; zero means every
+// WaitDurable triggers an immediate flush.
+func NewWriter(dev Device, window time.Duration) *Writer {
+	return &Writer{s: NewStreamSet([]Device{dev}, window)}
 }
 
-// WaitDurable blocks until everything up to lsn is on the device. With a
-// batching window the caller simply waits for the flusher's next tick —
-// that wait is the group-commit latency the window trades for sync
-// amortization; in immediate mode (window 0) the flusher is kicked.
-func (w *Writer) WaitDurable(lsn uint64) error {
-	return w.waitDurable(lsn, 0)
+// Append stages a record framed by CommitRecord.Encode (its epoch tag is
+// patched in place) and returns the epoch a caller must wait for to know it
+// is durable.
+func (w *Writer) Append(rec []byte) (uint64, error) { return w.s.Append(0, rec) }
+
+// WaitDurable blocks until everything appended at or below lsn is on the
+// device.
+func (w *Writer) WaitDurable(lsn uint64) error { return w.s.WaitDurable(0, lsn) }
+
+// WaitDurableUntil is WaitDurable bounded by an absolute deadline in Unix
+// nanoseconds (0 means wait forever).
+func (w *Writer) WaitDurableUntil(lsn uint64, deadline int64) error {
+	return w.s.WaitDurableUntil(0, lsn, deadline)
 }
+
+// Close flushes remaining records and stops the log's goroutines, reporting
+// the sticky device error if there is one.
+func (w *Writer) Close() error { return w.s.Close() }
+
+// Durable returns the durable epoch frontier.
+func (w *Writer) Durable() uint64 { return w.s.DurableEpoch() }
+
+// Failed reports whether the log has hit a sticky device failure.
+func (w *Writer) Failed() bool { return w.s.Failed() }
+
+// Err returns the sticky error (wrapping ErrLogFailed), or nil.
+func (w *Writer) Err() error { return w.s.Err() }
 
 // ErrWaitDeadline is returned by WaitDurableUntil when the deadline passes
 // before the record becomes durable. The record stays staged: it may still
@@ -315,184 +288,10 @@ func (w *Writer) WaitDurable(lsn uint64) error {
 // stalled — as opposed to poisoned — device.
 var ErrWaitDeadline = errors.New("wal: durability wait deadline exceeded")
 
-// WaitDurableUntil is WaitDurable bounded by an absolute deadline in Unix
-// nanoseconds (0 means wait forever). A timer broadcast wakes the waiter
-// even when the device is hung mid-Sync and the flusher can make no
-// progress.
-func (w *Writer) WaitDurableUntil(lsn uint64, deadline int64) error {
-	return w.waitDurable(lsn, deadline)
-}
-
-//next700:allowalloc(blocked path only: the deadline timer and clock reads happen while parked, never on a commit that finds its LSN durable)
-func (w *Writer) waitDurable(lsn uint64, deadline int64) error {
-	var timer *time.Timer
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for w.durable < lsn && w.err == nil && !w.closed {
-		if deadline != 0 {
-			remaining := deadline - time.Now().UnixNano()
-			if remaining <= 0 {
-				if timer != nil {
-					timer.Stop()
-				}
-				return ErrWaitDeadline
-			}
-			if timer == nil {
-				//next700:locked(Writer.mu: deadline timer armed at most once per parked waiter; commits that find their LSN durable never reach this)
-				timer = time.AfterFunc(time.Duration(remaining), func() {
-					w.mu.Lock()
-					w.cond.Broadcast()
-					w.mu.Unlock()
-				})
-			}
-		}
-		if w.window == 0 {
-			w.kick()
-		}
-		// Deadline-aware by construction when deadline != 0: the AfterFunc
-		// broadcast above re-wakes this Wait and the loop head re-checks the
-		// deadline. The deadline==0 form is the caller's explicit opt-out
-		// (WaitDurable), kept for loaders and tests.
-		w.cond.Wait() //next700:allowwait(timer broadcast re-wakes; deadline re-checked at loop head; deadline==0 is the caller's opt-out)
-	}
-	if timer != nil {
-		timer.Stop()
-	}
-	if w.durable >= lsn {
-		// The record made it to the device; a later failure does not
-		// retract its durability.
-		return nil
-	}
-	if w.err != nil {
-		return w.err
-	}
-	return errClosedBeforeDurable
-}
-
-// kick nudges the flusher without blocking.
-func (w *Writer) kick() {
-	select {
-	case w.wake <- struct{}{}:
-	default:
-	}
-}
-
-// flusher drains the buffer on wakeups and window ticks.
-func (w *Writer) flusher() {
-	defer close(w.done)
-	var ticker *time.Ticker
-	var tick <-chan time.Time
-	if w.window > 0 {
-		ticker = time.NewTicker(w.window)
-		tick = ticker.C
-		defer ticker.Stop()
-	}
-	for {
-		select {
-		case _, ok := <-w.wake:
-			if !ok {
-				w.flush()
-				return
-			}
-		case <-tick:
-		}
-		w.flush()
-	}
-}
-
-// maxRetainedBatchCap bounds the capacity of the recycled batch buffer so
-// one oversized group commit does not pin memory for the writer's lifetime.
+// maxRetainedBatchCap bounds the capacity of a stream's recycled batch
+// buffer so one oversized group commit does not pin memory for the log's
+// lifetime.
 const maxRetainedBatchCap = 4 << 20
-
-// flush writes and syncs the staged buffer. The flushed batch and the
-// staging buffer ping-pong so the steady state appends into retained
-// capacity instead of reallocating per group commit.
-//
-//next700:hotpath
-func (w *Writer) flush() {
-	w.mu.Lock()
-	if w.err != nil {
-		// The log is dead. Writing more would leave a gap after the failed
-		// batch and corrupt the LSN accounting, so staged bytes are dropped —
-		// loudly: every waiter is woken and observes the sticky error.
-		w.buf = w.buf[:0]
-		w.cond.Broadcast()
-		w.mu.Unlock()
-		return
-	}
-	if len(w.buf) == 0 {
-		w.cond.Broadcast()
-		w.mu.Unlock()
-		return
-	}
-	batch := w.buf
-	w.buf = w.spare[:0]
-	w.spare = nil
-	target := w.next
-	w.mu.Unlock()
-
-	_, err := w.dev.Write(batch)
-	if err == nil {
-		err = w.dev.Sync()
-		// A transient sync failure (injected by fault devices, or the moral
-		// equivalent of EINTR) is retried in place; only persistent failure
-		// poisons the writer.
-		for retries := 0; err != nil && isTransient(err) && retries < maxSyncRetries; retries++ {
-			err = w.dev.Sync()
-		}
-	}
-
-	w.mu.Lock()
-	if err != nil {
-		//next700:allowalloc(device-failure path: the sticky error is built once, after which the writer is dead)
-		w.err = fmt.Errorf("%w: %w", ErrLogFailed, err)
-		w.failed.Store(true)
-	} else {
-		w.durable = target
-	}
-	if cap(batch) <= maxRetainedBatchCap {
-		w.spare = batch[:0]
-	}
-	w.cond.Broadcast()
-	w.mu.Unlock()
-}
-
-// Close flushes remaining records and stops the flusher. When the device
-// has failed, records buffered after the failure cannot be made durable;
-// Close reports the sticky error rather than dropping them silently.
-func (w *Writer) Close() error {
-	w.mu.Lock()
-	if w.closed {
-		w.mu.Unlock()
-		return nil
-	}
-	w.closed = true
-	w.mu.Unlock()
-	close(w.wake)
-	<-w.done //next700:allowwait(shutdown join: closing wake guarantees the flusher drains and exits)
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.cond.Broadcast()
-	return w.err
-}
-
-// Durable returns the currently durable LSN.
-func (w *Writer) Durable() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.durable
-}
-
-// Failed reports whether the writer has hit a sticky device failure. It is
-// a single atomic load, cheap enough for the commit hot path to gate on.
-func (w *Writer) Failed() bool { return w.failed.Load() }
-
-// Err returns the sticky writer error (wrapping ErrLogFailed), or nil.
-func (w *Writer) Err() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.err
-}
 
 // ReplayStats describes what a replay pass consumed and what it skipped —
 // the raw material for recovery reports (core.RecoveryStats) and for the
@@ -535,17 +334,55 @@ func ReplayWithStats(r io.Reader, apply func(*CommitRecord) error) (ReplayStats,
 // scan without error; damage before the end is ErrCorrupt.
 func ScanStream(r io.Reader, apply func(*CommitRecord) error, marker func(epoch uint64) error) (ReplayStats, error) {
 	var st ReplayStats
+	var cr CommitRecord
+	err := scanFrames(r, &st, func(payload []byte) error {
+		epoch, isMarker, err := frameEpoch(payload)
+		switch {
+		case err != nil:
+			return err
+		case isMarker && marker != nil:
+			return marker(epoch)
+		case isMarker:
+			return nil
+		}
+		if err := decode(payload, &cr); err != nil {
+			return err
+		}
+		return apply(&cr)
+	})
+	return st, err
+}
+
+// frameEpoch classifies a non-empty payload and returns the epoch it
+// carries: the epoch a marker certifies, or the tag of a commit record. A
+// marker-typed payload of the wrong length, or a record too short to hold
+// its tag, is ErrCorrupt.
+func frameEpoch(payload []byte) (epoch uint64, marker bool, err error) {
+	switch {
+	case IsMarkerPayload(payload):
+		return binary.LittleEndian.Uint64(payload[1:]), true, nil
+	case payload[0] != payloadEpoch && len(payload) >= 17:
+		return binary.LittleEndian.Uint64(payload[9:]), false, nil
+	}
+	return 0, false, ErrCorrupt
+}
+
+// scanFrames walks one stream's CRC-valid frames in order, handing each
+// payload (valid until the next frame) to frame and accounting it in st as
+// a marker or a record once frame accepts it. It owns the torn-tail rules:
+// a truncated, zeroed, or in-place-torn final frame ends the scan cleanly
+// with the skipped bytes counted; damage before the end is ErrCorrupt.
+func scanFrames(r io.Reader, st *ReplayStats, frame func(payload []byte) error) error {
 	var hdr [headerSize]byte
 	var payload []byte
-	var cr CommitRecord
 	for {
 		hn, err := io.ReadFull(r, hdr[:])
 		if err != nil {
 			if err == io.EOF || err == io.ErrUnexpectedEOF {
 				st.TornBytes += int64(hn) // clean end or torn header
-				return st, nil
+				return nil
 			}
-			return st, err
+			return err
 		}
 		size := binary.LittleEndian.Uint32(hdr[0:])
 		crc := binary.LittleEndian.Uint32(hdr[4:])
@@ -554,7 +391,7 @@ func ScanStream(r io.Reader, apply func(*CommitRecord) error, marker func(epoch 
 			// everything from this header on is skipped.
 			rest, _ := io.Copy(io.Discard, r)
 			st.TornBytes += headerSize + rest
-			return st, nil
+			return nil
 		}
 		if cap(payload) < int(size) {
 			payload = make([]byte, size)
@@ -564,9 +401,9 @@ func ScanStream(r io.Reader, apply func(*CommitRecord) error, marker func(epoch 
 		if err != nil {
 			if err == io.EOF || err == io.ErrUnexpectedEOF {
 				st.TornBytes += headerSize + int64(pn) // torn payload
-				return st, nil
+				return nil
 			}
-			return st, err
+			return err
 		}
 		if crc32.ChecksumIEEE(payload) != crc {
 			// Could be a torn tail (last record) or corruption. Peek: if
@@ -575,30 +412,18 @@ func ScanStream(r io.Reader, apply func(*CommitRecord) error, marker func(epoch 
 			if _, err := io.ReadFull(r, one[:]); err == io.EOF {
 				st.TornBytes += headerSize + int64(size)
 				st.CorruptTailRecords++
-				return st, nil
+				return nil
 			}
-			return st, ErrCorrupt
+			return ErrCorrupt
 		}
-		if len(payload) > 0 && payload[0] == payloadEpoch {
-			if len(payload) != 9 {
-				return st, ErrCorrupt
-			}
+		if err := frame(payload); err != nil {
+			return err
+		}
+		if payload[0] == payloadEpoch {
 			st.Markers++
-			st.Bytes += headerSize + int64(size)
-			if marker != nil {
-				if err := marker(binary.LittleEndian.Uint64(payload[1:])); err != nil {
-					return st, err
-				}
-			}
-			continue
+		} else {
+			st.Records++
 		}
-		if err := decode(payload, &cr); err != nil {
-			return st, err
-		}
-		if err := apply(&cr); err != nil {
-			return st, err
-		}
-		st.Records++
 		st.Bytes += headerSize + int64(size)
 	}
 }

@@ -278,7 +278,7 @@ func TestWriterNoWritesAfterFailure(t *testing.T) {
 	before := len(dev.bytes())
 	// Appends are rejected, but even a direct flush must not touch the
 	// device again.
-	w.kick()
+	w.s.kick()
 	time.Sleep(10 * time.Millisecond)
 	if got := len(dev.bytes()); got != before {
 		t.Fatalf("device grew from %d to %d bytes after failure", before, got)
@@ -297,10 +297,10 @@ func TestWaitDurableAfterLaterFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Poison the writer by hand (simplest deterministic injection).
-	w.mu.Lock()
-	w.err = ErrLogFailed
-	w.failed.Store(true)
-	w.mu.Unlock()
+	w.s.mu.Lock()
+	w.s.err = ErrLogFailed
+	w.s.failed.Store(true)
+	w.s.mu.Unlock()
 	if err := w.WaitDurable(lsn); err != nil {
 		t.Fatalf("already-durable LSN reported failed: %v", err)
 	}
@@ -349,15 +349,12 @@ func TestReplayOrderAndContent(t *testing.T) {
 }
 
 func TestReplayTornTail(t *testing.T) {
-	dev := &memDevice{}
-	w := NewWriter(dev, 0)
-	var lsn uint64
+	// A marker-free image (the pre-epoch single-stream format), so the cuts
+	// below land in the final record rather than in a trailing marker.
+	var full []byte
 	for i := 0; i < 5; i++ {
-		lsn, _ = w.Append(valueRecord(uint64(i), 2).Encode(nil))
+		full = append(full, valueRecord(uint64(i), 2).Encode(nil)...)
 	}
-	w.WaitDurable(lsn)
-	w.Close()
-	full := dev.bytes()
 	// Truncate mid-record at various points: replay must return the intact
 	// prefix count and no error.
 	for cut := len(full) - 1; cut > len(full)-40 && cut > 0; cut -= 7 {
@@ -483,15 +480,11 @@ func TestReplayMidStreamCorruptionDoesNotTruncate(t *testing.T) {
 // TestReplayCorruptTailCounted: a final record torn in place (CRC mismatch,
 // nothing after it) is dropped without error and accounted as corrupt tail.
 func TestReplayCorruptTailCounted(t *testing.T) {
-	dev := &memDevice{}
-	w := NewWriter(dev, 0)
-	var lsn uint64
+	// Marker-free image: the final frame must be a record, not a marker.
+	var full []byte
 	for i := 0; i < 3; i++ {
-		lsn, _ = w.Append(valueRecord(uint64(i), 2).Encode(nil))
+		full = append(full, valueRecord(uint64(i), 2).Encode(nil)...)
 	}
-	w.WaitDurable(lsn)
-	w.Close()
-	full := dev.bytes()
 	full[len(full)-1] ^= 0xFF // flip last payload byte
 	st, err := ReplayWithStats(bytes.NewReader(full), func(*CommitRecord) error { return nil })
 	if err != nil {
