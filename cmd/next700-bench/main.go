@@ -109,8 +109,20 @@ func main() {
 		ckptDir        = flag.String("ckpt-dir", "", "recover-sweep: checkpoint store scratch directory (default: a temp dir, removed afterwards)")
 		ckptEvery      = flag.Int("ckpt-every", 0, "recover-sweep: finest checkpoint interval N in commits (default 2000)")
 		ckptKeep       = flag.Int("ckpt-keep", 0, "recover-sweep: checkpoint generations to retain (default 2)")
+
+		// Runtime profiles of whatever the other flags select.
+		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
+		memProfile = flag.String("memprofile", "", "write a heap profile to this file when the run ends (go tool pprof)")
+		execTrace  = flag.String("trace", "", "write a runtime execution trace of the run to this file (go tool trace)")
 	)
 	flag.Parse()
+
+	stop, err := harness.StartProfiles(*cpuProfile, *memProfile, *execTrace)
+	if err != nil {
+		fatal("profiles: %v", err)
+	}
+	stopProfiles = stop
+	defer stopProfiles()
 
 	if *doWALSweep {
 		runWALSweep(walSweepOpts{
@@ -489,7 +501,12 @@ func freshWorkload(template workload.Workload) workload.Workload {
 	}
 }
 
+// stopProfiles finishes the profiles main started. main defers it; fatal
+// calls it because os.Exit runs no defers.
+var stopProfiles = func() {}
+
 func fatal(format string, args ...interface{}) {
 	fmt.Fprintf(os.Stderr, "next700-bench: "+format+"\n", args...)
+	stopProfiles()
 	os.Exit(1)
 }

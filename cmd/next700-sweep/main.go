@@ -7,6 +7,7 @@
 //	next700-sweep -exp E2,E7      # selected experiments
 //	next700-sweep -quick          # reduced scale (~seconds per experiment)
 //	next700-sweep -list           # show the experiment index
+//	next700-sweep -exp E13 -cpuprofile cpu.out -trace trace.out
 package main
 
 import (
@@ -24,8 +25,24 @@ func main() {
 		list  = flag.Bool("list", false, "list experiments and exit")
 		exp   = flag.String("exp", "", "comma-separated experiment ids (default: all)")
 		quick = flag.Bool("quick", false, "reduced scale")
+
+		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file (go tool pprof)")
+		memProfile = flag.String("memprofile", "", "write a heap profile to this file when the sweep ends (go tool pprof)")
+		execTrace  = flag.String("trace", "", "write a runtime execution trace of the sweep to this file (go tool trace)")
 	)
 	flag.Parse()
+
+	stopProfiles, err := harness.StartProfiles(*cpuProfile, *memProfile, *execTrace)
+	defer stopProfiles()
+	// fatal finishes the profiles first: os.Exit runs no defers.
+	fatal := func(format string, args ...interface{}) {
+		fmt.Fprintf(os.Stderr, "next700-sweep: "+format+"\n", args...)
+		stopProfiles()
+		os.Exit(1)
+	}
+	if err != nil {
+		fatal("profiles: %v", err)
+	}
 
 	if *list {
 		for _, e := range harness.All() {
@@ -42,8 +59,7 @@ func main() {
 			id = strings.TrimSpace(id)
 			e := harness.ByID(id)
 			if e == nil {
-				fmt.Fprintf(os.Stderr, "next700-sweep: unknown experiment %q (try -list)\n", id)
-				os.Exit(1)
+				fatal("unknown experiment %q (try -list)", id)
 			}
 			selected = append(selected, *e)
 		}
@@ -58,8 +74,7 @@ func main() {
 		t0 := time.Now()
 		fmt.Printf("== %s: %s ==\n", e.ID, e.Title)
 		if err := e.Run(os.Stdout, *quick); err != nil {
-			fmt.Fprintf(os.Stderr, "next700-sweep: %s failed: %v\n", e.ID, err)
-			os.Exit(1)
+			fatal("%s failed: %v", e.ID, err)
 		}
 		fmt.Printf("(%s in %v)\n\n", e.ID, time.Since(t0).Round(time.Millisecond))
 	}

@@ -91,8 +91,12 @@ func newMVCC(env *Env) *mvcc {
 func (p *mvcc) Name() string { return "MVCC" }
 
 // Begin implements Protocol: draw the begin timestamp and register it for
-// GC visibility.
+// GC visibility. A lower bound is published before the draw: a committer
+// that reads the watermark between the draw and the registration would
+// otherwise see no trace of this transaction, cut every version older than
+// the one it installs, and leave this snapshot nothing to read.
 func (p *mvcc) Begin(tx *txn.Txn) {
+	p.env.Active.Enter(tx.ThreadID, p.env.TS.Last())
 	tx.ID = p.env.TS.Next()
 	if tx.Priority == 0 {
 		tx.Priority = tx.ID
@@ -289,8 +293,14 @@ func (p *mvcc) Commit(tx *txn.Txn) error {
 // version is strictly older than the newest version visible at the
 // watermark, and under every isolation level a version installed while a
 // reader was active carries a begin timestamp the reader cannot see past,
-// so no still-running transaction can hold a pruned node's data. Caller
-// holds m.mu.
+// so no still-running transaction can hold a pruned node's data. That
+// argument needs the watermark to bound every begin timestamp still to be
+// used, including one drawn but not yet registered: Begin publishes
+// TS.Last() before it draws, so a committer either sees that bound, or read
+// the watermark before it was stored — then its own begin timestamp (its
+// slot caps the watermark) was drawn before the newcomer's. Either way the
+// version kept at the watermark is visible to the newcomer. Caller holds
+// m.mu.
 func pruneVersions(m *mvMeta, watermark uint64) {
 	for v := m.head; v != nil; v = v.next {
 		if v.begin <= watermark {

@@ -256,18 +256,27 @@ func TestDetExecutorCrossPartitionDelivery(t *testing.T) {
 
 // TestDetExecutorBatchPerEpochWAL: at every stream count — one stream is the
 // same log — each batch seals exactly one epoch, and replaying the synced
-// streams into a fresh engine reproduces the live digest.
+// streams into a fresh engine reproduces the live digest. The rows with a
+// sync latency give the immediate-mode log a gather budget to spend: the
+// seal is a lone waiter, so it must still cost one bump and no more.
 func TestDetExecutorBatchPerEpochWAL(t *testing.T) {
 	const parts = 2
 	const keys = 32
-	for _, streams := range []int{1, parts} {
-		t.Run(fmt.Sprintf("streams=%d", streams), func(t *testing.T) {
+	for _, tc := range []struct {
+		streams int
+		sync    time.Duration
+	}{{1, 0}, {parts, 0}, {1, 100 * time.Microsecond}, {parts, 100 * time.Microsecond}} {
+		streams := tc.streams
+		t.Run(fmt.Sprintf("streams=%d/sync=%s", streams, tc.sync), func(t *testing.T) {
 			mems := make([]*fault.MemDevice, streams)
 			devs := make([]wal.Device, streams)
 			sinks := make([]wal.Device, streams)
 			for i := range mems {
 				mems[i] = &fault.MemDevice{}
 				devs[i], sinks[i] = mems[i], &fault.MemDevice{}
+				if tc.sync > 0 {
+					devs[i] = fault.NewDevice(mems[i], fault.Plan{SyncLatency: tc.sync})
+				}
 			}
 			cfg := Config{LogMode: wal.ModeValue, LogDevices: devs}
 			batches := randomDetBatches(99, 5, 20, keys)

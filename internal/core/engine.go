@@ -72,7 +72,7 @@ type Config struct {
 	PartitionWAL bool
 	// QuarantineStall, when > 0 with PartitionWAL, is the gray-failure
 	// escalation threshold: a stream whose sync claim makes no progress
-	// while records are pending for this long is failed and quarantined as
+	// while a flush is in flight for this long is failed and quarantined as
 	// if its device had errored. Zero disables stall escalation.
 	QuarantineStall time.Duration
 	// OnPartitionDown, when set with PartitionWAL, is invoked after a

@@ -48,7 +48,7 @@ var ErrPartitionUnavailable = errors.New("core: partition unavailable")
 var errPartitionGate = fmt.Errorf("core: transaction touches quarantined partition: %w", ErrPartitionUnavailable)
 
 // errStreamStalled is the cause recorded when the guard escalates a
-// sustained gray stall (no sync progress with records pending for
+// sustained gray stall (no sync progress with a flush in flight for
 // Config.QuarantineStall) to a stream failure.
 var errStreamStalled = fmt.Errorf("core: log stream sync stalled: %w", ErrPartitionUnavailable)
 
@@ -175,7 +175,7 @@ func (e *Engine) QuarantinePartition(p int) error {
 
 // partitionGuard is the quarantine monitor: it converts per-stream failure
 // signals into partition quarantines, and escalates sustained gray stalls
-// (claim stagnant with records pending for Config.QuarantineStall) into
+// (claim stagnant with a flush in flight for Config.QuarantineStall) into
 // failures. One goroutine per engine, started only in partition mode.
 func (e *Engine) partitionGuard() {
 	defer close(e.guardDone)
@@ -205,20 +205,21 @@ func (e *Engine) partitionGuard() {
 			}
 			e.quarantine(i)
 		case now := <-tickC:
-			// A stalled stream is one whose claim froze while the global
-			// epoch kept advancing past it: healthy streams certify every
-			// epoch within a flush latency (an idle stream still syncs the
-			// epoch marker), so a claim pinned more than one epoch behind
-			// for the full window means its device is wedged — the staged
-			// batch may already be swapped in-flight and parked inside
-			// Sync, so buffered bytes are NOT a reliable signal.
-			epoch := e.logs.CurrentEpoch()
+			// A stalled stream is one whose flusher has held a batch the
+			// device will not acknowledge — claim frozen, flush in flight —
+			// for the full window. Neither the distance between claim and
+			// epoch nor buffered bytes would do as the signal. The
+			// immediate-mode log runs one flush round at a time, so a wedged
+			// sync pins the epoch at claim+1 for as long as it hangs; and the
+			// hung batch is already swapped out of the staging buffer, while
+			// the healthy streams sit on staged records, claims frozen, until
+			// the hung stream is failed.
 			for i := range states {
 				if e.logs.StreamFailed(i) {
 					continue
 				}
 				claim := e.logs.StreamClaim(i)
-				if claim != states[i].claim || epoch <= claim+1 {
+				if claim != states[i].claim || !e.logs.StreamPending(i) {
 					states[i] = stallState{claim: claim}
 					continue
 				}

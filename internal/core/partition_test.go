@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -315,6 +316,85 @@ func TestPartitionStallEscalation(t *testing.T) {
 	// The healthy partition was never frozen for long: it still commits.
 	if err := setKey(tx, tbl, 0, 1); err != nil {
 		t.Fatal(err)
+	}
+	stalled.Release()
+	e.Close()
+}
+
+// TestPartitionStallEscalationImmediate is the same gray failure under the
+// immediate-mode log (GroupCommitWindow 0), mid-run, with a healthy partition
+// committing alongside. That log runs one flush round at a time, so the hung
+// sync holds every later epoch bump back: the guard cannot tell the stall
+// from the epoch running ahead of the claim and must see the flush in flight.
+// Once it escalates, the healthy partition's parked commit completes and it
+// keeps committing.
+func TestPartitionStallEscalationImmediate(t *testing.T) {
+	defer testutil.CheckGoroutines(t)()
+	const parts = 2
+	const dead = 1
+	var stalled *fault.Device
+	e, _, tbl := partEngine(t, parts, 16, func(cfg *Config, devs []wal.Device) {
+		stalled = fault.NewDevice(&fault.MemDevice{}, fault.Plan{StallSyncAt: 20})
+		devs[dead] = stalled
+		cfg.GroupCommitWindow = 0
+		cfg.QuarantineStall = 50 * time.Millisecond
+	})
+	// Release the stalled sync before Close so the flusher can drain.
+	defer stalled.Release()
+
+	// The healthy partition's committer runs until told to stop, counting the
+	// commits it gets through.
+	var healthy atomic.Int64
+	stop := make(chan struct{})
+	healthyDone := make(chan error, 1)
+	go func() {
+		tx := e.NewTx(0, 7)
+		for i := int64(0); ; i++ {
+			select {
+			case <-stop:
+				healthyDone <- nil
+				return
+			default:
+			}
+			if err := setKey(tx, tbl, 0, i); err != nil {
+				healthyDone <- err
+				return
+			}
+			healthy.Add(1)
+		}
+	}()
+
+	stalledDone := make(chan error, 1)
+	go func() {
+		tx := e.NewTx(1, 3)
+		var err error
+		for i := int64(0); i < 1000 && err == nil; i++ {
+			err = setKey(tx, tbl, dead, i)
+		}
+		stalledDone <- err
+	}()
+	select {
+	case err := <-stalledDone:
+		if !errors.Is(err, ErrPartitionUnavailable) {
+			t.Fatalf("stalled-partition commit = %v, want ErrPartitionUnavailable", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("guard never escalated the hung sync: mask %#x, %d healthy commits", e.QuarantinedPartitions(), healthy.Load())
+	}
+	if e.QuarantinedPartitions() != 1<<dead {
+		t.Fatalf("mask = %#x, want %#x", e.QuarantinedPartitions(), 1<<dead)
+	}
+	// The healthy partition is moving again behind the hung, quarantined one.
+	resumed := healthy.Load() + 20
+	for deadline := time.Now().Add(5 * time.Second); healthy.Load() < resumed; {
+		if time.Now().After(deadline) {
+			t.Fatalf("healthy partition still parked after the quarantine: %d commits", healthy.Load())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(stop)
+	if err := <-healthyDone; err != nil {
+		t.Fatalf("healthy partition: %v", err)
 	}
 	stalled.Release()
 	e.Close()

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -50,9 +51,10 @@ func (e *StreamError) Unwrap() []error {
 // mutex on the append path — and each record is stamped with the epoch
 // current at append time (patched in place under the stream's mutex, which
 // makes per-stream epoch tags monotone). A coordinator advances the epoch on
-// a ticker (or on flush pressure in immediate mode) and wakes every stream
-// flusher; a flusher drains its buffer, appends an epoch marker certifying
-// the epochs it has completed, and syncs. Epoch E is durable only once every
+// a ticker (or, in immediate mode, one flush round at a time as committers
+// park — see gather) and wakes every stream flusher; a flusher drains its
+// buffer, appends an epoch marker certifying the epochs it has completed,
+// and syncs. Epoch E is durable only once every
 // stream has synced through E — the durable frontier is the minimum of the
 // per-stream claims, minus one — and commit waits block on that frontier,
 // not on a per-stream byte offset.
@@ -93,6 +95,29 @@ type StreamSet struct {
 	err     error
 	closed  bool
 	waiters int // parked waitDurable callers; the coordinator never skips an advance while any exist
+
+	// openAt is the highest epoch tag any waiter has parked on and openN the
+	// waiters currently parked on exactly that tag. Tags never exceed the
+	// epoch counter, so those waiters' epoch is still open — no bump has
+	// closed it, no round is coming for them — iff openAt equals the counter.
+	openAt uint64
+	openN  int
+	// gatherTarget is the parked-waiter count when the frontier last rose:
+	// the committers a completed round released plus those it left open, i.e.
+	// how many the immediate-mode coordinator can expect to gather before the
+	// next bump. An upper estimate — a released committer may not come back,
+	// and a waiter on a dead stream or on an epoch a Rotate closed is counted
+	// too — whose only cost is the gather running out its budget.
+	gatherTarget int
+	// parks counts WaitDurable parkings. Raised under mu, read lock-free by
+	// the gather so it can spin without taking the mutex committers park on.
+	parks atomic.Uint64
+	// launched is the epoch value of the coordinator's last bump. Its round is
+	// complete once every live stream claims it. Coordinator goroutine only.
+	launched uint64
+	// syncNanos is the latest dev.Sync latency a flusher measured; an eighth
+	// of it bounds the immediate-mode gather.
+	syncNanos atomic.Int64
 
 	streams []*stream
 	order   []int // coordinator scratch: deadline-priority wake order
@@ -153,6 +178,11 @@ type stream struct {
 	// the stream's flusher touches it.
 	lastMark uint64
 
+	// inflight is set while the flusher holds a batch the device has not
+	// acknowledged — from the swap out of the staging buffer until the claim
+	// raise (or failure marking) that follows the sync. See StreamPending.
+	inflight atomic.Bool
+
 	// next and rotateTarget stage a pending device rotation, guarded by the
 	// set mutex. The flusher installs next as the stream's device once its
 	// claim reaches rotateTarget — i.e. once the rotation epoch's marker is
@@ -168,8 +198,11 @@ type stream struct {
 }
 
 // NewStreamSet starts a parallel log over the given per-stream devices.
-// window is the epoch advance period — the group-commit batching window;
-// zero means every WaitDurable kicks an immediate epoch advance and flush.
+// window is the epoch advance period — the group-commit batching window.
+// Zero is immediate mode: groups form themselves. A parked WaitDurable kicks
+// the coordinator, which runs one flush round at a time and, before closing
+// an epoch, briefly gathers the committers the last round released (see
+// gather); a lone committer or an unthrottled device never waits.
 // Failure semantics are whole-set (legacy thread affinity): one sticky
 // device failure poisons every stream. See NewStreamSetScoped for the
 // per-partition alternative.
@@ -360,7 +393,9 @@ func (st *stream) deadFor(epoch uint64) bool {
 // WaitDurableMulti blocks until epoch is durable for an append to the listed
 // streams (the AppendMulti target list, or the one stream of an Append): the
 // frontier must cover epoch and, in scoped mode, none of the touched streams
-// may have died before certifying it.
+// may have died before certifying it. In immediate mode a parked waiter kicks
+// the coordinator while its epoch is still open; once a bump has closed the
+// epoch a flush round is already on its way and the waiter only waits.
 //
 //next700:allowalloc(blocked path only: the deadline timer and clock reads happen while parked, never on a commit that finds its epoch durable)
 func (s *StreamSet) WaitDurableMulti(streamIDs []int, epoch uint64, deadline int64) error {
@@ -382,8 +417,19 @@ func (s *StreamSet) WaitDurableMulti(streamIDs []int, epoch uint64, deadline int
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.waiters++
-	defer func() { s.waiters-- }()
-	kicked := false
+	s.parks.Add(1)
+	if epoch > s.openAt {
+		s.openAt, s.openN = epoch, 0
+	}
+	if epoch == s.openAt {
+		s.openN++
+	}
+	defer func() {
+		s.waiters--
+		if epoch == s.openAt {
+			s.openN--
+		}
+	}()
 	for atomic.LoadUint64(&s.durable) < epoch && s.err == nil && !s.closed && deadStream() == nil {
 		if deadline != 0 {
 			for _, id := range streamIDs {
@@ -405,14 +451,13 @@ func (s *StreamSet) WaitDurableMulti(streamIDs []int, epoch uint64, deadline int
 				})
 			}
 		}
-		if s.window == 0 && !kicked {
-			// One kick per wait: the caller's record is already staged, so
-			// the single advance the kick triggers bumps the epoch past its
-			// tag and the resulting flush round certifies it. Re-kicking on
-			// every broadcast wake would feed advances back into broadcasts —
-			// a self-sustaining storm of empty epochs.
+		if s.window == 0 && epoch >= atomic.LoadUint64(&s.epoch) {
+			// The caller's record is staged in an epoch no bump has closed
+			// yet: ask for one. A closed epoch needs no kick — the bump that
+			// closed it signalled every flusher — and the coordinator ignores
+			// kicks that find no open waiter, so broadcast wakes cannot feed
+			// a storm of empty epochs.
 			s.kick()
-			kicked = true
 		}
 		// Deadline-aware by construction when deadline != 0: the AfterFunc
 		// broadcast above re-wakes this Wait and the loop head re-checks the
@@ -463,8 +508,9 @@ func (s *StreamSet) kick() {
 	}
 }
 
-// coordinator advances the epoch on window ticks (or wait-pressure kicks in
-// immediate mode) and wakes the stream flushers in deadline-priority order.
+// coordinator advances the epoch on window ticks (or, in immediate mode, on
+// wait-pressure kicks, one round at a time) and wakes the stream flushers in
+// deadline-priority order.
 func (s *StreamSet) coordinator() {
 	defer close(s.done)
 	var ticker *time.Ticker
@@ -491,8 +537,75 @@ func (s *StreamSet) coordinator() {
 			}
 		case <-tick:
 		}
+		if s.window == 0 && !s.gather() {
+			continue
+		}
 		s.advance()
 	}
+}
+
+// gather is what makes immediate-mode groups form themselves. A kick used to
+// bump the epoch at once, even with the flusher mid-sync, so W closed-loop
+// committers took turns at the device in singleton epochs, each waiting out
+// the other's sync before its own. Instead:
+//
+//  1. One round at a time: the kick is served when the round the last bump
+//     launched has completed on every live stream. Failed and quarantined
+//     streams are not waited for, and the wait is re-evaluated on every
+//     flusher, FailStream, Quarantine, poison and Close broadcast, so a
+//     stalled stream stops holding the others up the moment it is failed.
+//     Until then it does hold them: a hung sync pins the epoch one above the
+//     stalled claim, so whoever escalates stalls must key on StreamPending,
+//     not on the epoch running ahead of the claim.
+//  2. Gather: the committers that round released are about to return, so
+//     yield until as many waiters are parked on the open epoch as were parked
+//     when the frontier last rose — for at most an eighth of the sync latency
+//     the flushers measure. Both are observed: a lone committer (target 1,
+//     itself) and an unthrottled device (budget ≈ 0) never wait. The yield is
+//     runtime.Gosched against the monotonic clock, never a timer: a timer
+//     tick can cost more than the sync it would save.
+//
+// It reports whether any waiter is parked on the open epoch; if none is, the
+// kick was stale (a bump has closed its sender's epoch since) and advancing
+// would only sync an empty epoch.
+func (s *StreamSet) gather() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for s.roundInFlightLocked() && s.err == nil && !s.closed {
+		s.cond.Wait() //next700:allowwait(every claim raise, stream failure, quarantine, set poison and Close broadcasts; failed and quarantined streams are not waited for)
+	}
+	deadline := time.Now().Add(time.Duration(s.syncNanos.Load() / 8))
+	for s.openLocked() < s.gatherTarget && s.err == nil && !s.closed && time.Now().Before(deadline) {
+		// Only a newly parked waiter, poison or Close can change the answer:
+		// yield off the mutex until one shows up, so the returning committers
+		// never contend with the gather for the lock they need to park.
+		seen := s.parks.Load()
+		s.mu.Unlock()
+		for s.parks.Load() == seen && !s.failed.Load() && !s.closing.Load() && time.Now().Before(deadline) {
+			runtime.Gosched()
+		}
+		s.mu.Lock()
+	}
+	return s.openLocked() > 0
+}
+
+// roundInFlightLocked reports whether some live stream has yet to sync
+// through the coordinator's last bump. Requires s.mu.
+func (s *StreamSet) roundInFlightLocked() bool {
+	for _, st := range s.streams {
+		if !st.quarantined && !st.sfailed.Load() && st.claim.Load() < s.launched {
+			return true
+		}
+	}
+	return false
+}
+
+// openLocked counts the waiters parked on the still-open epoch. Requires s.mu.
+func (s *StreamSet) openLocked() int {
+	if s.openAt < atomic.LoadUint64(&s.epoch) {
+		return 0
+	}
+	return s.openN
 }
 
 // advance closes the current epoch and wakes every stream flusher, most
@@ -509,7 +622,7 @@ func (s *StreamSet) advance() {
 	if gate != nil {
 		gate.Lock()
 	}
-	atomic.AddUint64(&s.epoch, 1)
+	s.launched = atomic.AddUint64(&s.epoch, 1)
 	if gate != nil {
 		gate.Unlock()
 	}
@@ -629,6 +742,7 @@ func (s *StreamSet) recomputeFrontierLocked() {
 	}
 	if any && min > 0 && min-1 > atomic.LoadUint64(&s.durable) {
 		atomic.StoreUint64(&s.durable, min-1)
+		s.gatherTarget = s.waiters
 	}
 }
 
@@ -709,6 +823,7 @@ func (st *stream) flushOnce() {
 	batch := st.buf
 	st.buf = st.spare[:0]
 	st.spare = nil
+	st.inflight.Store(true)
 	st.mu.Unlock()
 
 	if target > st.lastMark {
@@ -716,12 +831,14 @@ func (st *stream) flushOnce() {
 	}
 	_, err := st.dev.Write(batch)
 	if err == nil {
+		t0 := time.Now()
 		err = st.dev.Sync()
 		// A transient sync failure is retried in place; only persistent
 		// failure poisons the set.
 		for retries := 0; err != nil && isTransient(err) && retries < maxSyncRetries; retries++ {
 			err = st.dev.Sync()
 		}
+		s.syncNanos.Store(int64(time.Since(t0)))
 	}
 	if err == nil && target > st.lastMark {
 		st.lastMark = target
@@ -758,6 +875,7 @@ func (st *stream) flushOnce() {
 			st.next = nil
 		}
 	}
+	st.inflight.Store(false)
 	s.cond.Broadcast()
 	s.mu.Unlock()
 }
@@ -996,14 +1114,15 @@ func (s *StreamSet) StreamQuarantined(i int) bool {
 	return s.streams[i].quarantined
 }
 
-// StreamPending reports whether the stream has staged bytes awaiting flush
-// (the stall monitor pairs it with a stagnant claim to detect gray failure).
-func (s *StreamSet) StreamPending(i int) bool {
-	st := s.streams[i]
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return len(st.buf) > 0
-}
+// StreamPending reports whether the stream's flusher holds a batch the device
+// has not acknowledged: swapped out of the staging buffer and still inside
+// Write/Sync. Held together with a frozen claim it is the stall monitor's
+// gray-failure signal, and the only one that does not depend on how the
+// coordinator paces epochs: a hung sync looks the same under a ticker and
+// under immediate mode's one-round-at-a-time. Staged bytes deliberately do
+// not count — a healthy stream's staged records wait, claim frozen, for as
+// long as another stream's hung round holds the next bump back.
+func (s *StreamSet) StreamPending(i int) bool { return s.streams[i].inflight.Load() }
 
 // Close advances one final epoch, drains every stream, and stops the
 // background goroutines. When a device has failed, records staged after the
@@ -1017,6 +1136,7 @@ func (s *StreamSet) Close() error {
 		return nil
 	}
 	s.closed = true
+	s.cond.Broadcast() // the coordinator may be waiting out a round
 	s.mu.Unlock()
 	s.closing.Store(true)
 	close(s.wake)

@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"sync"
 	"testing"
@@ -507,6 +508,241 @@ func TestStreamSetIdleStopsEpochChurn(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// slowDevice is a memDevice whose Sync takes a modelled latency — the device
+// the immediate-mode coordinator sizes its gather budget from. Tests assert
+// on its sync count, never on elapsed time, and model a latency whose eighth
+// (the gather budget) dwarfs scheduler jitter on a loaded runner.
+type slowDevice struct {
+	memDevice
+	latency time.Duration
+}
+
+func (d *slowDevice) Sync() error {
+	time.Sleep(d.latency)
+	return d.memDevice.Sync()
+}
+
+// counts returns the syncs issued and the durably acknowledged prefix.
+func (d *slowDevice) counts() (syncs int, synced []byte) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.syncs, append([]byte(nil), d.data[:d.synced]...)
+}
+
+// closedLoop spreads commits over k committers, each appending to stream 0
+// and waiting for its own record, and returns the acknowledged transaction
+// ids.
+func closedLoop(tb testing.TB, s *StreamSet, k, commits int) []uint64 {
+	tb.Helper()
+	acked := make([][]uint64, k)
+	var wg sync.WaitGroup
+	for w := 0; w < k; w++ {
+		n := commits / k
+		if w < commits%k {
+			n++
+		}
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < n; i++ {
+				id := uint64(w)<<32 + uint64(i) + 1
+				ep, err := s.Append(0, setRecord(id))
+				if err == nil {
+					err = s.WaitDurable(0, ep)
+				}
+				if err != nil {
+					tb.Errorf("commit: %v", err)
+					return
+				}
+				acked[w] = append(acked[w], id)
+			}
+		}(w)
+	}
+	wg.Wait()
+	var all []uint64
+	for _, a := range acked {
+		all = append(all, a...)
+	}
+	return all
+}
+
+// TestStreamSetImmediateGroupFormation: closed-loop committers on an
+// immediate-mode set must share device round trips without anyone tuning a
+// window. Two committers used to take turns — one sync per commit, each
+// waiting out the other's; now the round that releases them is followed by a
+// gather that catches both, so a sync carries two commits (a committer that
+// misses a gather costs one extra sync and is caught by the next, hence the
+// slack in the bound). A lone committer pays exactly one sync per commit:
+// nothing to gather, nothing waited for.
+func TestStreamSetImmediateGroupFormation(t *testing.T) {
+	const perCommitter = 15
+	for _, tc := range []struct {
+		committers int
+		maxRatio   float64
+	}{{1, 1}, {2, 0.75}, {4, 0.75}} {
+		t.Run(fmt.Sprintf("committers=%d", tc.committers), func(t *testing.T) {
+			defer testutil.CheckGoroutines(t)()
+			// Budget 2.5 ms for a committer to wake, return and park again.
+			dev := &slowDevice{latency: 20 * time.Millisecond}
+			s := NewStreamSet([]Device{dev}, 0)
+			commits := tc.committers * perCommitter
+			acked := closedLoop(t, s, tc.committers, commits)
+			syncs, image := dev.counts()
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if len(acked) != commits {
+				t.Fatalf("acked %d of %d commits", len(acked), commits)
+			}
+			if tc.committers == 1 && syncs != commits {
+				t.Fatalf("lone committer: %d syncs for %d commits, want exactly one each", syncs, commits)
+			}
+			if ratio := float64(syncs) / float64(commits); ratio > tc.maxRatio {
+				t.Fatalf("%d syncs for %d commits = %.2f per commit, want <= %.2f", syncs, commits, ratio, tc.maxRatio)
+			}
+			got := make(map[uint64]bool)
+			if _, err := ReplayStreamBytes([][]byte{image}, func(_ int, cr *CommitRecord) error {
+				got[cr.TxnID] = true
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			for _, id := range acked {
+				if !got[id] {
+					t.Fatalf("acked txn %d is not on the synced device image", id)
+				}
+			}
+		})
+	}
+}
+
+// parked polls until n waiters are parked on the set.
+func parked(t *testing.T, s *StreamSet, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		s.mu.Lock()
+		w := s.waiters
+		s.mu.Unlock()
+		if w == n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d waiters parked, want %d", w, n)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// TestStreamSetRoundSkipsFailedStream: the immediate-mode coordinator runs
+// one round at a time, so it must never wait on a round a dead stream cannot
+// finish. Stream 1's device hangs in its first sync and stays hung; once the
+// stream is failed and quarantined, commits on stream 0 keep completing.
+func TestStreamSetRoundSkipsFailedStream(t *testing.T) {
+	defer testutil.CheckGoroutines(t)()
+	stall := &stallDevice{release: make(chan struct{})}
+	s := NewStreamSetScoped([]Device{&memDevice{}, stall}, 0)
+	commit := func(id uint64) error {
+		ep, err := s.Append(0, setRecord(id))
+		if err != nil {
+			return err
+		}
+		return s.WaitDurableUntil(0, ep, time.Now().Add(10*time.Second).UnixNano())
+	}
+
+	// The first round hangs on stream 1's marker sync: the frontier cannot
+	// pass it and the commit parks.
+	first := make(chan error, 1)
+	go func() { first <- commit(1) }()
+	parked(t, s, 1)
+	if err := s.FailStream(1, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Quarantine(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-first; err != nil {
+		t.Fatalf("healthy-stream commit after quarantine: %v", err)
+	}
+	// Stream 1's flusher is still inside that sync. Every further commit
+	// needs a fresh round, which must not wait for it.
+	for id := uint64(2); id <= 10; id++ {
+		if err := commit(id); err != nil {
+			t.Fatalf("commit %d behind a hung quarantined stream: %v", id, err)
+		}
+	}
+	// The stall monitor's signal: the hung flusher still holds its batch, the
+	// healthy one holds nothing.
+	if !s.StreamPending(1) || s.StreamPending(0) {
+		t.Fatalf("StreamPending = %v (healthy), %v (hung), want false, true", s.StreamPending(0), s.StreamPending(1))
+	}
+	close(stall.release) // Close joins the flusher
+	if err := s.Close(); !errors.Is(err, ErrStreamFailed) {
+		t.Fatalf("close: err=%v, want ErrStreamFailed", err)
+	}
+}
+
+// TestStreamSetCloseBreaksCoordinatorWaits: Close must get the coordinator
+// out of both of its immediate-mode waits — the wait for the round in flight
+// and the gather — and every parked committer must return.
+func TestStreamSetCloseBreaksCoordinatorWaits(t *testing.T) {
+	closeWithin := func(t *testing.T, s *StreamSet, waits ...chan error) {
+		t.Helper()
+		closed := make(chan error, 1)
+		go func() { closed <- s.Close() }()
+		for _, c := range append(waits, closed) {
+			select {
+			case <-c:
+			case <-time.After(10 * time.Second):
+				t.Fatal("Close left the coordinator or a committer waiting")
+			}
+		}
+	}
+	commitAsync := func(s *StreamSet, id uint64) chan error {
+		done := make(chan error, 1)
+		go func() {
+			ep, err := s.Append(0, setRecord(id))
+			if err == nil {
+				err = s.WaitDurable(0, ep)
+			}
+			done <- err
+		}()
+		return done
+	}
+
+	t.Run("round in flight", func(t *testing.T) {
+		defer testutil.CheckGoroutines(t)()
+		stall := &stallDevice{release: make(chan struct{})}
+		s := NewStreamSet([]Device{stall}, 0)
+		a := commitAsync(s, 1) // its round hangs in Sync
+		parked(t, s, 1)
+		for s.CurrentEpoch() < 2 {
+			time.Sleep(100 * time.Microsecond)
+		}
+		b := commitAsync(s, 2) // its kick waits for that round
+		parked(t, s, 2)
+		if got := s.CurrentEpoch(); got != 2 {
+			t.Fatalf("epoch bumped to %d while a round was in flight, want 2", got)
+		}
+		time.AfterFunc(10*time.Millisecond, func() { close(stall.release) })
+		closeWithin(t, s, a, b)
+	})
+
+	t.Run("gather", func(t *testing.T) {
+		defer testutil.CheckGoroutines(t)()
+		s := NewStreamSet([]Device{&memDevice{}}, 0)
+		// As if the last round had released two committers over a very slow
+		// device: the coordinator will gather for a second one that never
+		// comes, for longer than the test runs.
+		s.mu.Lock()
+		s.gatherTarget = 2
+		s.mu.Unlock()
+		s.syncNanos.Store(int64(time.Hour))
+		a := commitAsync(s, 1)
+		parked(t, s, 1)
+		closeWithin(t, s, a)
+	})
 }
 
 // TestManifestRoundTrip exercises the stream-count manifest.
