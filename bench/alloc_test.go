@@ -429,18 +429,28 @@ func TestTxnAllocBudgets(t *testing.T) {
 }
 
 // TestMeasureAllocs exercises the harness-level allocation sampling used by
-// next700-bench -allocs.
+// next700-bench -allocs, closed loop and open: the driver has one window, so
+// -rate R -allocs measures too (it used to print allocs/txn=0.00).
 func TestMeasureAllocs(t *testing.T) {
-	res, err := Run(EngineConfig{Protocol: "SILO", Threads: 2},
-		NewYCSB(YCSBConfig{Records: 1024, OpsPerTxn: 4, ReadRatio: 1}),
-		RunOptions{Threads: 2, TxnsPerWorker: 500, WarmupTxns: 200, Seed: 1, MeasureAllocs: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Commits == 0 {
-		t.Fatal("no commits")
-	}
-	if !raceEnabled && res.AllocsPerTxn > 1.0 {
-		t.Errorf("read-only SILO measured %.2f allocs/txn via harness, want ~0", res.AllocsPerTxn)
+	for name, opts := range map[string]RunOptions{
+		"closed": {Threads: 2, TxnsPerWorker: 500, WarmupTxns: 200, Seed: 1, MeasureAllocs: true},
+		"open":   {Threads: 2, OfferedRate: 5000, Duration: 200 * time.Millisecond, WarmupTxns: 200, Seed: 1, MeasureAllocs: true},
+	} {
+		res, err := Run(EngineConfig{Protocol: "SILO", Threads: 2},
+			NewYCSB(YCSBConfig{Records: 1024, OpsPerTxn: 4, ReadRatio: 1}), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Commits == 0 {
+			t.Fatalf("%s: no commits", name)
+		}
+		// The window itself allocates (its timer, the sampling call), so a
+		// measured run never reports exactly zero.
+		if res.AllocsPerTxn <= 0 || res.BytesPerTxn <= 0 {
+			t.Errorf("%s: allocs/txn=%v bytes/txn=%v: the window was not measured", name, res.AllocsPerTxn, res.BytesPerTxn)
+		}
+		if !raceEnabled && res.AllocsPerTxn > 1.0 {
+			t.Errorf("%s: read-only SILO measured %.2f allocs/txn via harness, want ~0", name, res.AllocsPerTxn)
+		}
 	}
 }

@@ -1,213 +1,83 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"time"
 
 	"next700/internal/core"
 	"next700/internal/harness"
 	"next700/internal/workload"
 )
 
-// detOpts parameterizes a single -det measurement.
-type detOpts struct {
-	Partitions int
-	Batch      int
-	Batches    int
-	Seed       uint64
-	Rate       float64
-	Duration   time.Duration
-	Allocs     bool
-}
-
-// runDet drives one deterministic queue-oriented measurement and prints it in
-// the same shape as the interactive path. Closed mode runs a fixed batch
-// count; -rate switches to batch-arrival open-loop mode for -duration.
-func runDet(cfg core.Config, wl workload.DeclaredAccess, o detOpts) {
-	opts := harness.DetOptions{
-		Batch:         o.Batch,
-		Batches:       o.Batches,
-		WarmupBatches: 4,
-		Seed:          o.Seed,
-		MeasureAllocs: o.Allocs,
-	}
-	if o.Rate > 0 {
-		opts.OfferedRate = o.Rate
-		opts.Duration = o.Duration
-	}
-	cfg.Partitions = o.Partitions
-	mode := fmt.Sprintf("closed, %d batches × %d txns", opts.Batches, opts.Batch)
-	if o.Rate > 0 {
-		mode = fmt.Sprintf("open, %.0f/s offered, batch %d, %v", o.Rate, opts.Batch, o.Duration)
-	}
-	fmt.Printf("next700-bench: %s on DET(QSTORE), %d partitions, %s\n",
-		wl.Name(), o.Partitions, mode)
-	res, err := harness.RunDet(cfg, wl, opts)
-	if err != nil {
-		fatal("det: %v", err)
-	}
-	fmt.Println(res)
-	fmt.Printf("  commits=%d aborts=%d fatal_aborts=%d waits=%d\n",
-		res.Commits, res.Aborts, res.FatalAborts, res.Waits)
-	fmt.Printf("  latency: %s\n", res.Latency)
-	if o.Rate > 0 {
-		fmt.Printf("  open-loop: offered=%.0f/s arrivals=%d backlog=%d\n",
-			res.Offered, res.Arrivals, res.Backlog)
-		fmt.Printf("  queue: %s\n", res.QueueLatency)
-		fmt.Printf("  e2e:   %s\n", res.E2ELatency)
-	}
-	if o.Allocs {
-		fmt.Printf("  allocs/txn=%.2f bytes/txn=%.1f\n", res.AllocsPerTxn, res.BytesPerTxn)
-	}
-	fmt.Printf("  digest: %s\n", res.Digest)
-	if res.Aborts != 0 {
-		fatal("det: %d conflict aborts (deterministic execution must be abort-free)", res.Aborts)
-	}
-}
-
-// detSweepOpts parameterizes the -det-sweep run.
-type detSweepOpts struct {
-	Threads  int
-	Batch    int
-	Duration time.Duration
-	Seed     uint64
-	Theta    float64
-	Out      string
-}
-
-// detRow is one engine measurement in the JSON report. The DET row carries
-// the state digest; interactive rows carry their conflict-abort rate — the
-// quantity deterministic execution eliminates by construction.
-type detRow struct {
-	Engine    string  `json:"engine"`
-	Threads   int     `json:"threads"`
-	Commits   uint64  `json:"commits"`
-	Aborts    uint64  `json:"aborts"`
-	AbortRate float64 `json:"abort_rate"`
-	Tps       float64 `json:"tps"`
-	P50Ms     float64 `json:"p50_ms"`
-	P99Ms     float64 `json:"p99_ms"`
-	Digest    string  `json:"digest,omitempty"`
-}
-
-// detReport is the full sweep, written as one JSON document.
-type detReport struct {
-	Workload string  `json:"workload"`
-	Theta    float64 `json:"theta"`
-	Batch    int     `json:"batch"`
-	// DigestStable records the in-sweep determinism check: a second DET run
-	// with the same seed produced a byte-identical state digest.
-	DigestStable bool     `json:"digest_stable"`
-	Rows         []detRow `json:"rows"`
-	// DetTpsVsBestInteractive is the DET row's throughput relative to the
-	// best interactive protocol measured in the same sweep.
-	DetTpsVsBestInteractive float64 `json:"det_tps_vs_best_interactive"`
-}
-
-// runDetSweep compares deterministic queue-oriented execution against the
+// detSweep compares deterministic queue-oriented execution against the
 // interactive protocols at high Zipfian contention — the regime where
 // interactive CC burns work on conflict aborts and lock waits while the det
 // planner has already serialized every conflict into queue order. The DET
 // point is run twice with the same seed as an inline determinism check
 // (byte-identical digests), then NO_WAIT, SILO, and MVCC run the same
-// workload configuration interactively for -duration each.
-func runDetSweep(o detSweepOpts) {
-	if o.Threads <= 0 {
-		o.Threads = 4
+// workload configuration interactively for -duration each. Both sides go
+// through the one closed-loop driver, so a row differs from the next in its
+// executor and nothing else.
+func detSweep(c common, batch int, theta float64) sweep {
+	if c.Threads <= 0 {
+		c.Threads = 4
 	}
-	if o.Batch <= 0 {
-		o.Batch = 64
+	if batch <= 0 {
+		batch = 64
 	}
-	if o.Theta <= 0 {
-		o.Theta = 0.9
+	if theta <= 0 {
+		theta = 0.9
 	}
-	// Batch count sized so the DET point commits enough work for a stable
-	// throughput estimate without dominating the sweep's runtime.
-	batches := 64
 	wlCfg := workload.YCSBConfig{
 		Records: 65536, OpsPerTxn: 8, ReadRatio: 0.5,
-		Theta: o.Theta, MultiPartitionFraction: 0.1,
+		Theta: theta, MultiPartitionFraction: 0.1,
 	}
-	fmt.Printf("next700-bench: det sweep, ycsb theta=%.2f, %d threads, batch %d, %v per interactive point\n",
-		o.Theta, o.Threads, o.Batch, o.Duration)
+	return sweep{
+		name: "det",
+		title: fmt.Sprintf("det sweep, ycsb theta=%.2f, %d threads, batch %d, %v per interactive point",
+			theta, c.Threads, batch, c.Duration),
+		params: map[string]interface{}{"workload": "ycsb", "theta": theta, "batch": batch, "threads": c.Threads},
+		axes:   []string{"engine"},
+		cols:   []string{"tps", "aborts", "abort_rate", "p50_ms", "p99_ms", "det_tps_ratio"},
+		run: func(s *sweepRun) error {
+			// 64 batches: enough committed work for a stable throughput
+			// estimate without dominating the sweep's runtime.
+			det := func() (harness.Result, error) {
+				return harness.RunDet(core.Config{Partitions: c.Threads}, workload.NewYCSB(wlCfg),
+					harness.RunOptions{Seed: c.Seed},
+					harness.DetOptions{Batch: batch, Batches: 64, WarmupBatches: 4})
+			}
+			dres, err := det()
+			if err != nil {
+				return fmt.Errorf("DET: %w", err)
+			}
+			again, err := det()
+			if err != nil {
+				return fmt.Errorf("DET rerun: %w", err)
+			}
+			s.row(map[string]interface{}{"engine": "DET"}, runMetrics(dres))
+			s.check("det_aborts_zero", dres.Aborts == 0, "%d conflict aborts", dres.Aborts)
+			s.check("digest_stable", dres.Digest != "" && dres.Digest == again.Digest,
+				"digest %s, same-seed rerun %.16s…", dres.Digest, again.Digest)
 
-	rep := detReport{Workload: "ycsb", Theta: o.Theta, Batch: o.Batch}
-
-	detOpts := harness.DetOptions{
-		Batch: o.Batch, Batches: batches, WarmupBatches: 4, Seed: o.Seed,
+			// det_tps_ratio is the DET row's throughput relative to this
+			// interactive protocol measured in the same sweep; the smallest
+			// is DET against the best of them.
+			for _, protocol := range []string{"NO_WAIT", "SILO", "MVCC"} {
+				res, err := harness.Run(
+					core.Config{Protocol: protocol, Threads: c.Threads},
+					workload.NewYCSB(wlCfg),
+					harness.RunOptions{Threads: c.Threads, Duration: c.Duration, WarmupTxns: 200, Seed: c.Seed},
+				)
+				if err != nil {
+					return fmt.Errorf("%s: %w", protocol, err)
+				}
+				m := runMetrics(res)
+				if res.Tps > 0 {
+					m["det_tps_ratio"] = ratio(dres.Tps / res.Tps)
+				}
+				s.row(map[string]interface{}{"engine": protocol}, m)
+			}
+			return nil
+		},
 	}
-	dres, err := harness.RunDet(core.Config{Partitions: o.Threads}, workload.NewYCSB(wlCfg), detOpts)
-	if err != nil {
-		fatal("det-sweep DET: %v", err)
-	}
-	if dres.Aborts != 0 {
-		fatal("det-sweep: DET recorded %d conflict aborts, want 0", dres.Aborts)
-	}
-	dres2, err := harness.RunDet(core.Config{Partitions: o.Threads}, workload.NewYCSB(wlCfg), detOpts)
-	if err != nil {
-		fatal("det-sweep DET rerun: %v", err)
-	}
-	rep.DigestStable = dres.Digest != "" && dres.Digest == dres2.Digest
-	if !rep.DigestStable {
-		fatal("det-sweep: same-seed digests differ: %s vs %s", dres.Digest, dres2.Digest)
-	}
-	rep.Rows = append(rep.Rows, detRow{
-		Engine: "DET", Threads: o.Threads,
-		Commits: dres.Commits, Aborts: dres.Aborts,
-		Tps:    dres.Tps,
-		P50Ms:  float64(dres.Latency.P50) / float64(time.Millisecond),
-		P99Ms:  float64(dres.Latency.P99) / float64(time.Millisecond),
-		Digest: dres.Digest,
-	})
-	fmt.Printf("  %-8s tps=%-9.0f aborts=%-6d p50=%-8v p99=%-8v digest=%s\n",
-		"DET", dres.Tps, dres.Aborts,
-		time.Duration(dres.Latency.P50).Round(time.Microsecond),
-		time.Duration(dres.Latency.P99).Round(time.Microsecond),
-		dres.Digest[:16]+"…")
-
-	var bestInteractive float64
-	for _, protocol := range []string{"NO_WAIT", "SILO", "MVCC"} {
-		res, err := harness.Run(
-			core.Config{Protocol: protocol, Threads: o.Threads},
-			workload.NewYCSB(wlCfg),
-			harness.RunOptions{Threads: o.Threads, Duration: o.Duration, WarmupTxns: 200, Seed: o.Seed},
-		)
-		if err != nil {
-			fatal("det-sweep %s: %v", protocol, err)
-		}
-		attempts := res.Commits + res.Aborts
-		row := detRow{
-			Engine: protocol, Threads: o.Threads,
-			Commits: res.Commits, Aborts: res.Aborts,
-			Tps:   res.Tps,
-			P50Ms: float64(res.Latency.P50) / float64(time.Millisecond),
-			P99Ms: float64(res.Latency.P99) / float64(time.Millisecond),
-		}
-		if attempts > 0 {
-			row.AbortRate = float64(res.Aborts) / float64(attempts)
-		}
-		if res.Tps > bestInteractive {
-			bestInteractive = res.Tps
-		}
-		rep.Rows = append(rep.Rows, row)
-		fmt.Printf("  %-8s tps=%-9.0f aborts=%-6d abort_rate=%.3f p50=%-8v p99=%-8v\n",
-			protocol, res.Tps, res.Aborts, row.AbortRate,
-			time.Duration(res.Latency.P50).Round(time.Microsecond),
-			time.Duration(res.Latency.P99).Round(time.Microsecond))
-	}
-	if bestInteractive > 0 {
-		rep.DetTpsVsBestInteractive = dres.Tps / bestInteractive
-	}
-
-	out, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fatal("det-sweep: %v", err)
-	}
-	if err := os.WriteFile(o.Out, append(out, '\n'), 0o644); err != nil {
-		fatal("det-sweep: %v", err)
-	}
-	fmt.Printf("  report: %s (det/best-interactive = %.2fx, digest stable)\n",
-		o.Out, rep.DetTpsVsBestInteractive)
 }

@@ -10,7 +10,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -58,9 +57,9 @@ func main() {
 		accounts = flag.Uint64("accounts", 100000, "smallbank: account count")
 		hotspot  = flag.Float64("hotspot", 0.25, "smallbank: hotspot access probability")
 
-		doVerify  = flag.Bool("verify", false, "run a contended isolation-anomaly sweep across all protocols and exit: each protocol drives the stamped verification probe and its recorded history is checked for Adya anomalies (G0/G1/G2); honors -threads, -seed, and -isolation")
-		allocs    = flag.Bool("allocs", false, "measure heap allocs/txn and bytes/txn during the run")
-		allocsOut = flag.String("allocsout", "BENCH_allocs.json", "output path for the -allocs JSON report")
+		doVerify = flag.Bool("verify", false, "run a contended isolation-anomaly sweep across all protocols and exit: each protocol drives the stamped verification probe and its recorded history is checked for Adya anomalies (G0/G1/G2); honors -threads, -seed, and -isolation")
+		allocs   = flag.Bool("allocs", false, "measure heap allocs/txn and bytes/txn during the run (any mode: closed or -rate, interactive or -det) and append a row to the allocs report")
+		out      = flag.String("out", "", "output path for the JSON report of a sweep or of -allocs (default BENCH_<sweep>.json: wal, det, overload, partition, recovery, allocs)")
 
 		// Retry/backoff policy (0 keeps the engine default).
 		retryAttempts = flag.Int("retry-attempts", 0, "max attempts per txn before livelock error")
@@ -87,24 +86,19 @@ func main() {
 		queueCoDelTarget   = flag.Duration("queue-codel-target", 0, "open-loop queue: CoDel head-age target; sustained excess evicts the oldest arrivals at enqueue (0 = off)")
 		queueCoDelInterval = flag.Duration("queue-codel-interval", 0, "open-loop queue: CoDel tolerance interval before dropping starts (default 100ms)")
 
-		doOverload  = flag.Bool("overload", false, "run the overload sweep and exit: measure closed-loop capacity, then offer 1x/2x/3x that rate open-loop, unprotected vs deadline+admission")
-		overloadOut = flag.String("overload-out", "BENCH_overload.json", "output path for the -overload JSON report")
+		doOverload = flag.Bool("overload", false, "run the overload sweep and exit: measure closed-loop capacity, then offer 1x/2x/3x that rate open-loop, unprotected vs deadline+admission")
 
-		doWALSweep = flag.Bool("wal-sweep", false, "run the parallel-WAL scaling sweep and exit: SILO + value logging on a bandwidth-limited simulated device at 1/2/4 streams; writes -wal-out")
-		walOut     = flag.String("wal-out", "BENCH_wal.json", "output path for the -wal-sweep JSON report")
+		doWALSweep = flag.Bool("wal-sweep", false, "run the parallel-WAL scaling sweep and exit: SILO + value logging on a bandwidth-limited simulated device at 1/2/4 streams")
 
 		// Deterministic (queue-oriented) execution.
 		doDet      = flag.Bool("det", false, "run a deterministic queue-oriented measurement: the sequencer plans seeded batches of declared access sets, per-partition executors drain priority queues abort-free, and the run prints the canonical state digest; honors -rate (batch-arrival open loop), -duration, -theta, -allocs")
 		detBatch   = flag.Int("det-batch", 64, "deterministic mode: transactions sequenced per batch (each batch commits as one WAL epoch)")
-		doDetSweep = flag.Bool("det-sweep", false, "run the deterministic-vs-interactive contention sweep and exit: DET (run twice, digests must match) vs NO_WAIT/SILO/MVCC on high-Zipfian YCSB, comparing goodput, abort rate, and tail latency; writes -det-out")
-		detOut     = flag.String("det-out", "BENCH_det.json", "output path for the -det-sweep JSON report")
+		doDetSweep = flag.Bool("det-sweep", false, "run the deterministic-vs-interactive contention sweep and exit: DET (run twice, digests must match) vs NO_WAIT/SILO/MVCC on high-Zipfian YCSB, comparing goodput, abort rate, and tail latency")
 
 		// Checkpointing / bounded recovery.
-		doPartSweep = flag.Bool("partition-sweep", false, "run the partition-fault sweep and exit: on a partition-affinity WAL engine, measure healthy goodput, quarantine one partition and measure surviving-partition goodput plus terminal abort classification, then compare live single-partition recovery against whole-engine store recovery of the same history; writes -partition-out")
-		partOut     = flag.String("partition-out", "BENCH_partition.json", "output path for the -partition-sweep JSON report")
+		doPartSweep = flag.Bool("partition-sweep", false, "run the partition-fault sweep and exit: on a partition-affinity WAL engine, measure healthy goodput, quarantine one partition and measure surviving-partition goodput plus terminal abort classification, then compare live single-partition recovery against whole-engine store recovery of the same history")
 
-		doRecoverSweep = flag.Bool("recover-sweep", false, "run the checkpoint-interval recovery sweep and exit: build the same transaction history with checkpoints every {never, 16N, 4N, N} commits, crash-attach each store, and measure store-based recovery time vs full-log replay; writes -recover-out")
-		recoverOut     = flag.String("recover-out", "BENCH_recovery.json", "output path for the -recover-sweep JSON report")
+		doRecoverSweep = flag.Bool("recover-sweep", false, "run the checkpoint-interval recovery sweep and exit: build the same transaction history with checkpoints every {never, 16N, 4N, N} commits, crash-attach each store, and measure store-based recovery time vs full-log replay")
 		recoverTxns    = flag.Int("recover-txns", 0, "recover-sweep: total committed transactions of history per point (default 125000)")
 		ckptDir        = flag.String("ckpt-dir", "", "recover-sweep: checkpoint store scratch directory (default: a temp dir, removed afterwards)")
 		ckptEvery      = flag.Int("ckpt-every", 0, "recover-sweep: finest checkpoint interval N in commits (default 2000)")
@@ -124,32 +118,28 @@ func main() {
 	stopProfiles = stop
 	defer stopProfiles()
 
+	c := common{Threads: *threads, Duration: *duration, Warmup: *warmup, Seed: *seed}
+	runSweepOrDie := func(sw sweep) {
+		if err := runSweep(os.Stdout, *out, sw); err != nil {
+			fatal("%v", err)
+		}
+	}
 	if *doWALSweep {
-		runWALSweep(walSweepOpts{
-			Threads: *threads, Duration: *duration, Warmup: *warmup,
-			Seed: *seed, Out: *walOut,
-		})
+		runSweepOrDie(walSweep(c))
 		return
 	}
 	if *doDetSweep {
-		runDetSweep(detSweepOpts{
-			Threads: *threads, Batch: *detBatch, Duration: *duration,
-			Seed: *seed, Theta: *theta, Out: *detOut,
-		})
+		runSweepOrDie(detSweep(c, *detBatch, *theta))
 		return
 	}
 	if *doPartSweep {
-		runPartitionSweep(partitionSweepOpts{
-			Partitions: *partitions, Duration: *duration, Seed: *seed, Out: *partOut,
-		})
+		runSweepOrDie(partitionSweep(c, *partitions))
 		return
 	}
 	if *doRecoverSweep {
-		runRecoverSweep(recoverSweepOpts{
-			Threads: *threads, Txns: *recoverTxns, Every: *ckptEvery,
-			Keep: *ckptKeep, Streams: *walStreams, Seed: *seed,
-			Dir: *ckptDir, Out: *recoverOut,
-		})
+		runSweepOrDie(recoverSweep(c, recoverSweepOpts{
+			Txns: *recoverTxns, Every: *ckptEvery, Keep: *ckptKeep, Streams: *walStreams, Dir: *ckptDir,
+		}))
 		return
 	}
 	if *tortureN > 0 {
@@ -205,58 +195,35 @@ func main() {
 		cfg.LogDevices = devs
 	}
 
-	var wl workload.Workload
+	// Workloads are single-Setup, so every engine a run or sweep opens gets
+	// a fresh one.
+	var newWorkload func() workload.Workload
 	switch *wlName {
 	case "ycsb":
-		wl = workload.NewYCSB(workload.YCSBConfig{
-			Records: *records, Theta: *theta, OpsPerTxn: *ops,
-			ReadRatio: *reads, MultiPartitionFraction: *multiP,
-		})
+		newWorkload = func() workload.Workload {
+			return workload.NewYCSB(workload.YCSBConfig{
+				Records: *records, Theta: *theta, OpsPerTxn: *ops,
+				ReadRatio: *reads, MultiPartitionFraction: *multiP,
+			})
+		}
 	case "tpcc":
-		wl = workload.NewTPCC(workload.TPCCConfig{
-			Warehouses: *warehouses, Items: *items, CustomersPerDistrict: *customers,
-		})
+		newWorkload = func() workload.Workload {
+			return workload.NewTPCC(workload.TPCCConfig{
+				Warehouses: *warehouses, Items: *items, CustomersPerDistrict: *customers,
+			})
+		}
 	case "smallbank":
-		wl = workload.NewSmallBank(workload.SmallBankConfig{
-			Customers: *accounts, HotspotProb: *hotspot,
-		})
+		newWorkload = func() workload.Workload {
+			return workload.NewSmallBank(workload.SmallBankConfig{
+				Customers: *accounts, HotspotProb: *hotspot,
+			})
+		}
 	default:
 		fatal("unknown -workload %q", *wlName)
 	}
 
-	if *doDet {
-		da, ok := wl.(workload.DeclaredAccess)
-		if !ok {
-			fatal("-det requires a workload with declared access sets (ycsb)")
-		}
-		parts := *partitions
-		if parts <= 0 {
-			parts = *threads
-		}
-		if cfg.LogMode != wal.ModeNone {
-			// A logged batch seals as exactly one epoch, so the log must not
-			// advance epochs on a timer (core.NewDetExecutor enforces it at
-			// every stream count). The -groupcommit default is for the
-			// interactive path; only an explicit non-zero value is an error.
-			flag.Visit(func(f *flag.Flag) {
-				if f.Name == "groupcommit" && *gcWindow != 0 {
-					fatal("-det with -log %s requires -groupcommit 0 (each batch seals as one epoch)", *logMode)
-				}
-			})
-			cfg.GroupCommitWindow = 0
-		}
-		runDet(cfg, da, detOpts{
-			Partitions: parts, Batch: *detBatch, Batches: 64,
-			Seed: *seed, Rate: *rate, Duration: *duration, Allocs: *allocs,
-		})
-		return
-	}
-
 	if *doOverload {
-		runOverload(cfg, wl, overloadOpts{
-			Threads: *threads, Duration: *duration, Warmup: *warmup,
-			Seed: *seed, SLO: *slo, Out: *overloadOut,
-		})
+		runSweepOrDie(overloadSweep(c, cfg, newWorkload, *slo))
 		return
 	}
 
@@ -280,44 +247,77 @@ func main() {
 		}
 		opts.AdmissionPerPartition = *admitParts
 	}
-	fmt.Printf("next700-bench: %s on %s, %d threads, %v\n",
-		*wlName, *protocol, *threads, *duration)
-	res, err := harness.Run(cfg, wl, opts)
+	engine := *protocol
+	var res harness.Result
+	if *doDet {
+		// One deterministic queue-oriented measurement. Closed mode runs a
+		// fixed batch count; -rate switches to batch-arrival open-loop mode
+		// for -duration.
+		da, ok := newWorkload().(workload.DeclaredAccess)
+		if !ok {
+			fatal("-det requires a workload with declared access sets (ycsb)")
+		}
+		if cfg.Partitions <= 0 {
+			cfg.Partitions = *threads
+		}
+		if cfg.LogMode != wal.ModeNone {
+			// A logged batch seals as exactly one epoch, so the log must not
+			// advance epochs on a timer (core.NewDetExecutor enforces it at
+			// every stream count). The -groupcommit default is for the
+			// interactive path; only an explicit non-zero value is an error.
+			flag.Visit(func(f *flag.Flag) {
+				if f.Name == "groupcommit" && *gcWindow != 0 {
+					fatal("-det with -log %s requires -groupcommit 0 (each batch seals as one epoch)", *logMode)
+				}
+			})
+			cfg.GroupCommitWindow = 0
+		}
+		engine = "DET(QSTORE)"
+		dopts := harness.DetOptions{Batch: *detBatch, Batches: 64, WarmupBatches: 4}
+		fmt.Printf("next700-bench: %s on %s, %d partitions, batches of %d\n",
+			*wlName, engine, cfg.Partitions, dopts.Batch)
+		res, err = harness.RunDet(cfg, da, opts, dopts)
+	} else {
+		fmt.Printf("next700-bench: %s on %s, %d threads, %v\n",
+			*wlName, engine, *threads, *duration)
+		res, err = harness.Run(cfg, newWorkload(), opts)
+	}
 	if err != nil {
 		fatal("%v", err)
 	}
-	fmt.Println(res)
-	fmt.Printf("  commits=%d aborts=%d user_aborts=%d fatal_aborts=%d deadline_aborts=%d shed=%d waits=%d\n",
-		res.Commits, res.Aborts, res.UserAborts, res.FatalAborts, res.DeadlineAborts, res.ShedAborts, res.Waits)
-	fmt.Printf("  latency: %s\n", res.Latency)
-	if *rate > 0 {
-		fmt.Printf("  open-loop: offered=%.0f/s arrivals=%d goodput=%.0f/s late=%d backlog=%d\n",
-			res.Offered, res.Arrivals, res.Goodput, res.LateCommits, res.Backlog)
-		if res.QueueDropped > 0 || res.QueueLIFOServed > 0 {
-			fmt.Printf("  queue discipline: codel_dropped=%d lifo_served=%d\n",
-				res.QueueDropped, res.QueueLIFOServed)
-		}
-		fmt.Printf("  queue: %s\n", res.QueueLatency)
-		fmt.Printf("  e2e:   %s\n", res.E2ELatency)
-		if res.AdmissionLimit > 0 {
-			fmt.Printf("  admission limit: %d\n", res.AdmissionLimit)
-		}
-		if len(res.AdmissionLimits) > 0 {
-			fmt.Printf("  per-partition limits: %v\n", res.AdmissionLimits)
-		}
+	fmt.Print(res.Detail())
+	if *doDet && res.Aborts != 0 {
+		fatal("det: %d conflict aborts (deterministic execution must be abort-free)", res.Aborts)
 	}
 	if *doRecover {
 		if cfg.LogMode == wal.ModeNone {
 			fatal("-recover requires -log value|command")
 		}
-		printRecovery(cfg, wl, *logPath)
+		printRecovery(cfg, newWorkload(), *logPath)
 	}
 	if *allocs {
-		fmt.Printf("  allocs/txn=%.2f bytes/txn=%.1f\n", res.AllocsPerTxn, res.BytesPerTxn)
-		if err := writeAllocsReport(*allocsOut, *wlName, *protocol, res); err != nil {
-			fatal("write allocs report: %v", err)
-		}
-		fmt.Printf("  allocs report: %s\n", *allocsOut)
+		runSweepOrDie(allocsSweep(*wlName, engine, res))
+	}
+}
+
+// allocsSweep is a one-row sweep: one (engine × workload) allocation
+// measurement, appended to the report so successive runs accumulate a
+// trajectory.
+func allocsSweep(wlName, engine string, res harness.Result) sweep {
+	return sweep{
+		name:   "allocs",
+		title:  "allocation report",
+		params: map[string]interface{}{},
+		axes:   []string{"workload", "engine", "threads"},
+		cols:   []string{"commits", "tps", "allocs_per_txn", "bytes_per_txn"},
+		extend: true,
+		run: func(s *sweepRun) error {
+			m := runMetrics(res)
+			m["allocs_per_txn"] = metric{res.AllocsPerTxn, "allocs/txn"}
+			m["bytes_per_txn"] = metric{res.BytesPerTxn, "B/txn"}
+			s.row(map[string]interface{}{"workload": wlName, "engine": engine, "threads": res.Threads}, m)
+			return nil
+		},
 	}
 }
 
@@ -399,7 +399,7 @@ func runTorture(protocol string, iters int, seed uint64) {
 // deterministic workload load) and prints what recovery saw, including the
 // damage accounting for torn tails and CRC-corrupt final records: it pairs
 // the manifest with the per-stream files and merges them by epoch.
-func printRecovery(cfg core.Config, template workload.Workload, logPath string) {
+func printRecovery(cfg core.Config, wl workload.Workload, logPath string) {
 	// The replay engine's own log is irrelevant: run it one-stream into a
 	// discard device regardless of how the recovered log was sharded.
 	cfg.LogDevice = discardDevice{}
@@ -410,7 +410,7 @@ func printRecovery(cfg core.Config, template workload.Workload, logPath string) 
 		fatal("recover open: %v", err)
 	}
 	defer e.Close()
-	if err := freshWorkload(template).Setup(e); err != nil {
+	if err := wl.Setup(e); err != nil {
 		fatal("recover setup: %v", err)
 	}
 	t0 := time.Now()
@@ -449,57 +449,6 @@ type discardDevice struct{}
 
 func (discardDevice) Write(p []byte) (int, error) { return len(p), nil }
 func (discardDevice) Sync() error                 { return nil }
-
-// allocsReport is one (protocol × workload) allocation measurement, written
-// as JSON for trajectory tracking across runs.
-type allocsReport struct {
-	Workload     string  `json:"workload"`
-	Protocol     string  `json:"protocol"`
-	Threads      int     `json:"threads"`
-	Commits      uint64  `json:"commits"`
-	Tps          float64 `json:"tps"`
-	AllocsPerTxn float64 `json:"allocs_per_txn"`
-	BytesPerTxn  float64 `json:"bytes_per_txn"`
-}
-
-// writeAllocsReport appends the measurement to the JSON report: the file
-// holds an array of rows so successive runs accumulate a trajectory.
-func writeAllocsReport(path, wlName, protocol string, res harness.Result) error {
-	var rows []allocsReport
-	if prev, err := os.ReadFile(path); err == nil {
-		// Best-effort: a corrupt or foreign file is restarted, not fatal.
-		_ = json.Unmarshal(prev, &rows)
-	}
-	rows = append(rows, allocsReport{
-		Workload:     wlName,
-		Protocol:     protocol,
-		Threads:      res.Threads,
-		Commits:      res.Commits,
-		Tps:          res.Tps,
-		AllocsPerTxn: res.AllocsPerTxn,
-		BytesPerTxn:  res.BytesPerTxn,
-	})
-	out, err := json.MarshalIndent(rows, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
-}
-
-// freshWorkload clones a workload's configuration into an unused instance
-// (workloads are single-Setup).
-func freshWorkload(template workload.Workload) workload.Workload {
-	switch w := template.(type) {
-	case *workload.YCSB:
-		return workload.NewYCSB(w.Config())
-	case *workload.TPCC:
-		return workload.NewTPCC(w.Config())
-	case *workload.SmallBank:
-		return workload.NewSmallBank(w.Config())
-	default:
-		return template
-	}
-}
 
 // stopProfiles finishes the profiles main started. main defers it; fatal
 // calls it because os.Exit runs no defers.

@@ -1,9 +1,7 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"time"
 
 	"next700/internal/admission"
@@ -12,62 +10,7 @@ import (
 	"next700/internal/workload"
 )
 
-// overloadOpts parameterizes the -overload sweep.
-type overloadOpts struct {
-	Threads  int
-	Duration time.Duration
-	Warmup   int
-	Seed     uint64
-	// SLO is the goodput window: a commit slower than this (arrival to
-	// completion) is late, not good. 0 selects 50ms.
-	SLO time.Duration
-	Out string
-}
-
-// overloadRow is one sweep measurement in the JSON report.
-type overloadRow struct {
-	// Mode is capacity (closed loop), unprotected (open loop, no deadline,
-	// no admission), or protected (enforced deadline + admission control).
-	Mode           string  `json:"mode"`
-	Multiplier     float64 `json:"multiplier,omitempty"`
-	OfferedTps     float64 `json:"offered_tps,omitempty"`
-	Tps            float64 `json:"tps"`
-	GoodputTps     float64 `json:"goodput_tps"`
-	GoodputVsPeak  float64 `json:"goodput_vs_peak"`
-	LateCommits    uint64  `json:"late_commits"`
-	DeadlineAborts uint64  `json:"deadline_aborts"`
-	ShedAborts     uint64  `json:"shed_aborts"`
-	Backlog        uint64  `json:"backlog"`
-	QueueP99Ms     float64 `json:"queue_p99_ms,omitempty"`
-	E2EP99Ms       float64 `json:"e2e_p99_ms,omitempty"`
-	AdmissionLimit int     `json:"admission_limit,omitempty"`
-	// AdmissionTimeline is the per-window controller trace for protected
-	// rows: how the AIMD limit, the latency EWMA, and the shed rate moved
-	// over the run (harness.Result.AdmissionTimeline in report form).
-	AdmissionTimeline []admissionPoint `json:"admission_timeline,omitempty"`
-}
-
-// admissionPoint is one admission-timeline sample in report form.
-type admissionPoint struct {
-	OffsetMs float64 `json:"offset_ms"`
-	Limit    int     `json:"limit"`
-	InFlight int     `json:"in_flight"`
-	EWMAMs   float64 `json:"ewma_ms"`
-	ShedRate float64 `json:"shed_rate"`
-}
-
-// overloadReport is the full sweep, written as one JSON document.
-type overloadReport struct {
-	Workload   string        `json:"workload"`
-	Protocol   string        `json:"protocol"`
-	Threads    int           `json:"threads"`
-	SLOMs      float64       `json:"slo_ms"`
-	DeadlineMs float64       `json:"deadline_ms"`
-	PeakTps    float64       `json:"peak_tps"`
-	Rows       []overloadRow `json:"rows"`
-}
-
-// runOverload measures closed-loop capacity, then offers 1x/2x/3x that rate
+// overloadSweep measures closed-loop capacity, then offers 1x/2x/3x that rate
 // open-loop, once with no protection (every arrival is eventually executed,
 // however stale) and once with an enforced deadline plus admission control.
 // The contrast is the point of the experiment: the unprotected engine's raw
@@ -76,115 +19,90 @@ type overloadReport struct {
 // protected engine sheds stale and excess work cheaply and keeps goodput
 // near the closed-loop peak.
 //
-// The protected rows enforce a deadline of SLO/2, not the SLO itself: under
-// sustained overload a FIFO queue serves arrivals right at the age-out
-// edge, so enforcing the SLO directly would commit mostly just-late work.
-// Enforcing at half leaves survivors headroom to land inside the SLO. The
-// open-loop rows run a worker pool twice the capacity configuration so the
-// admission semaphore (capped at the measured-capacity concurrency) is a
-// real constraint rather than a no-op behind the pool size.
-func runOverload(cfg core.Config, template workload.Workload, o overloadOpts) {
-	if o.SLO <= 0 {
-		o.SLO = 50 * time.Millisecond
+// slo is the goodput window: a commit slower than this (arrival to
+// completion) is late, not good; 0 selects 50ms. The protected rows enforce
+// a deadline of slo/2, not the SLO itself: under sustained overload a FIFO
+// queue serves arrivals right at the age-out edge, so enforcing the SLO
+// directly would commit mostly just-late work. Enforcing at half leaves
+// survivors headroom to land inside the SLO. The open-loop rows run a worker
+// pool twice the capacity configuration so the admission semaphore (capped
+// at the measured-capacity concurrency) is a real constraint rather than a
+// no-op behind the pool size.
+func overloadSweep(c common, cfg core.Config, newWorkload func() workload.Workload, slo time.Duration) sweep {
+	if slo <= 0 {
+		slo = 50 * time.Millisecond
 	}
-	deadline := o.SLO / 2
-	fmt.Printf("next700-bench: overload sweep, %s on %s, %d threads, %v per row, slo=%v deadline=%v\n",
-		template.Name(), cfg.Protocol, o.Threads, o.Duration, o.SLO, deadline)
+	deadline := slo / 2
+	name := newWorkload().Name()
+	return sweep{
+		name: "overload",
+		title: fmt.Sprintf("overload sweep, %s on %s, %d threads, %v per row, slo=%v deadline=%v",
+			name, cfg.Protocol, c.Threads, c.Duration, slo, deadline),
+		params: map[string]interface{}{
+			"workload": name, "protocol": cfg.Protocol, "threads": c.Threads,
+			"slo_ms": ms(slo).Value, "deadline_ms": ms(deadline).Value,
+		},
+		// mode is capacity (closed loop), unprotected (open loop, no deadline,
+		// no admission), or protected (enforced deadline + admission control).
+		axes: []string{"mode", "mult"},
+		cols: []string{"offered_tps", "tps", "goodput_tps", "goodput_vs_peak", "late_commits", "deadline_aborts", "shed_aborts", "e2e_p99_ms"},
+		run: func(s *sweepRun) error {
+			base := harness.RunOptions{Threads: c.Threads, Duration: c.Duration, WarmupTxns: c.Warmup, Seed: c.Seed}
+			peak, err := harness.Run(cfg, newWorkload(), base)
+			if err != nil {
+				return fmt.Errorf("capacity run: %w", err)
+			}
+			cell := func(mode string, mult float64, res harness.Result) {
+				at := map[string]interface{}{"mode": mode, "mult": mult}
+				m := runMetrics(res)
+				m["offered_tps"] = perSec(res.Offered)
+				m["goodput_tps"] = perSec(res.Goodput)
+				m["goodput_vs_peak"] = ratio(res.Goodput / peak.Tps)
+				m["late_commits"] = count(res.LateCommits)
+				m["deadline_aborts"] = count(res.DeadlineAborts)
+				m["shed_aborts"] = count(res.ShedAborts)
+				m["backlog"] = count(res.Backlog)
+				m["queue_p99_ms"] = ms(time.Duration(res.QueueLatency.P99))
+				m["e2e_p99_ms"] = ms(time.Duration(res.E2ELatency.P99))
+				m["admission_limit"] = count(uint64(res.AdmissionLimit))
+				s.row(at, m)
+				// The controller trace of a protected row — how the AIMD limit,
+				// the latency EWMA, and the shed rate moved over the run — is
+				// a series under the cell.
+				for _, p := range res.AdmissionTimeline {
+					s.detail(map[string]interface{}{"mode": mode, "mult": mult, "offset_ms": ms(p.Offset).Value},
+						map[string]metric{
+							"limit":     count(uint64(p.Limit)),
+							"in_flight": count(uint64(p.InFlight)),
+							"ewma_ms":   ms(p.LatencyEWMA),
+							"shed_rate": ratio(p.ShedRate),
+						})
+				}
+			}
+			cell("capacity", 0, peak)
+			for _, mult := range []float64{1, 2, 3} {
+				open := base
+				open.Threads = 2 * c.Threads
+				open.OfferedRate = mult * peak.Tps
+				open.GoodputWindow = slo
+				res, err := harness.Run(cfg, newWorkload(), open)
+				if err != nil {
+					return fmt.Errorf("unprotected %gx: %w", mult, err)
+				}
+				cell("unprotected", mult, res)
 
-	base := harness.RunOptions{
-		Threads: o.Threads, Duration: o.Duration, WarmupTxns: o.Warmup, Seed: o.Seed,
+				open.Deadline = deadline
+				open.Admission = &admission.Config{
+					MaxInFlight:   c.Threads,
+					MaxQueueWait:  deadline / 2,
+					TargetLatency: deadline,
+				}
+				if res, err = harness.Run(cfg, newWorkload(), open); err != nil {
+					return fmt.Errorf("protected %gx: %w", mult, err)
+				}
+				cell("protected", mult, res)
+			}
+			return nil
+		},
 	}
-	peak, err := harness.Run(cfg, freshWorkload(template), base)
-	if err != nil {
-		fatal("overload capacity run: %v", err)
-	}
-	fmt.Printf("  closed-loop capacity: %.0f tps (p99 %v)\n",
-		peak.Tps, time.Duration(peak.Latency.P99))
-
-	rep := overloadReport{
-		Workload: template.Name(), Protocol: cfg.Protocol, Threads: o.Threads,
-		SLOMs:      float64(o.SLO) / float64(time.Millisecond),
-		DeadlineMs: float64(deadline) / float64(time.Millisecond),
-		PeakTps:    peak.Tps,
-		Rows: []overloadRow{{
-			Mode: "capacity", Tps: peak.Tps, GoodputTps: peak.Tps, GoodputVsPeak: 1,
-		}},
-	}
-
-	fmt.Printf("  %-12s %5s %12s %12s %12s %8s %10s %10s %10s %12s\n",
-		"mode", "mult", "offered/s", "tps", "goodput/s", "good%", "late", "dl_aborts", "shed", "e2e_p99")
-	for _, mult := range []float64{1, 2, 3} {
-		rate := mult * peak.Tps
-		open := base
-		open.Threads = 2 * o.Threads
-		open.OfferedRate = rate
-
-		un := open
-		un.GoodputWindow = o.SLO
-		resU, err := harness.Run(cfg, freshWorkload(template), un)
-		if err != nil {
-			fatal("overload unprotected %gx: %v", mult, err)
-		}
-		rep.Rows = append(rep.Rows, sweepRow("unprotected", mult, rate, peak.Tps, resU))
-		printSweepRow(rep.Rows[len(rep.Rows)-1])
-
-		pr := open
-		pr.Deadline = deadline
-		pr.GoodputWindow = o.SLO
-		pr.Admission = &admission.Config{
-			MaxInFlight:   o.Threads,
-			MaxQueueWait:  deadline / 2,
-			TargetLatency: deadline,
-		}
-		resP, err := harness.Run(cfg, freshWorkload(template), pr)
-		if err != nil {
-			fatal("overload protected %gx: %v", mult, err)
-		}
-		rep.Rows = append(rep.Rows, sweepRow("protected", mult, rate, peak.Tps, resP))
-		printSweepRow(rep.Rows[len(rep.Rows)-1])
-	}
-
-	out, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fatal("overload report: %v", err)
-	}
-	if err := os.WriteFile(o.Out, append(out, '\n'), 0o644); err != nil {
-		fatal("overload report: %v", err)
-	}
-	fmt.Printf("  overload report: %s\n", o.Out)
-}
-
-func sweepRow(mode string, mult, rate, peakTps float64, res harness.Result) overloadRow {
-	var tl []admissionPoint
-	for _, s := range res.AdmissionTimeline {
-		tl = append(tl, admissionPoint{
-			OffsetMs: float64(s.Offset) / float64(time.Millisecond),
-			Limit:    s.Limit,
-			InFlight: s.InFlight,
-			EWMAMs:   float64(s.LatencyEWMA) / float64(time.Millisecond),
-			ShedRate: s.ShedRate,
-		})
-	}
-	return overloadRow{
-		Mode:              mode,
-		Multiplier:        mult,
-		OfferedTps:        rate,
-		Tps:               res.Tps,
-		GoodputTps:        res.Goodput,
-		GoodputVsPeak:     res.Goodput / peakTps,
-		LateCommits:       res.LateCommits,
-		DeadlineAborts:    res.DeadlineAborts,
-		ShedAborts:        res.ShedAborts,
-		Backlog:           res.Backlog,
-		QueueP99Ms:        float64(res.QueueLatency.P99) / float64(time.Millisecond),
-		E2EP99Ms:          float64(res.E2ELatency.P99) / float64(time.Millisecond),
-		AdmissionLimit:    res.AdmissionLimit,
-		AdmissionTimeline: tl,
-	}
-}
-
-func printSweepRow(r overloadRow) {
-	fmt.Printf("  %-12s %4gx %12.0f %12.0f %12.0f %7.1f%% %10d %10d %10d %10.1fms\n",
-		r.Mode, r.Multiplier, r.OfferedTps, r.Tps, r.GoodputTps, 100*r.GoodputVsPeak,
-		r.LateCommits, r.DeadlineAborts, r.ShedAborts, r.E2EP99Ms)
 }

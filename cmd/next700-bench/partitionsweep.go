@@ -3,12 +3,10 @@ package main
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
 	"sync"
 	"time"
 
@@ -39,56 +37,6 @@ import (
 // per-partition goodput while one partition is dark.
 const partitionRetainTarget = 0.8
 
-type partitionSweepOpts struct {
-	Partitions int
-	Duration   time.Duration // per measured phase
-	Seed       uint64
-	Out        string
-}
-
-type partitionReport struct {
-	Protocol   string `json:"protocol"`
-	Partitions int    `json:"partitions"`
-	Records    int    `json:"records_per_partition"`
-	Target     int    `json:"quarantined_partition"`
-	PhaseMS    float64 `json:"phase_ms"`
-
-	HealthyTPS       float64 `json:"healthy_goodput_tps"`
-	HealthyPerPart   float64 `json:"healthy_per_partition_tps"`
-	SurvivingTPS     float64 `json:"degraded_surviving_goodput_tps"`
-	SurvivingPerPart float64 `json:"degraded_surviving_per_partition_tps"`
-	RetainedFraction float64 `json:"surviving_retained_fraction"`
-	RetainTarget     float64 `json:"retain_target"`
-
-	PartitionAborts   uint64 `json:"partition_aborts"`
-	AbortsAllTerminal bool   `json:"aborts_all_partition_class"`
-
-	PartSliceLoaded    bool    `json:"partition_slice_loaded"`
-	PartTailRecords    int     `json:"partition_tail_records"`
-	PartitionRecoverMS float64 `json:"partition_recover_ms"`
-	WholeCkptLoaded    bool    `json:"whole_checkpoint_loaded"`
-	WholeTailRecords   int     `json:"whole_tail_records"`
-	WholeRecoverMS     float64 `json:"whole_engine_recover_ms"`
-	RecoverSpeedup     float64 `json:"partition_recover_speedup"`
-	DigestMatch        bool    `json:"recovered_digest_match"`
-}
-
-func (o partitionSweepOpts) normalized() partitionSweepOpts {
-	if o.Partitions <= 1 {
-		o.Partitions = 4
-	}
-	if o.Partitions > 16 {
-		o.Partitions = 16
-	}
-	if o.Duration <= 0 {
-		o.Duration = time.Second
-	}
-	if o.Out == "" {
-		o.Out = "BENCH_partition.json"
-	}
-	return o
-}
-
 // partSweepRecords is each partition's key count: small enough that slices
 // stay cheap, large enough that recovery does real index and copy work.
 const partSweepRecords = 2048
@@ -97,164 +45,164 @@ const partSweepRecords = 2048
 // keys stay inside the worker's home partition.
 const partSweepOpsPerTxn = 4
 
-func runPartitionSweep(o partitionSweepOpts) {
-	o = o.normalized()
-	P := o.Partitions
-	rep := partitionReport{
-		Protocol: "SILO", Partitions: P, Records: partSweepRecords,
-		Target: P - 1, PhaseMS: float64(o.Duration) / float64(time.Millisecond),
-		RetainTarget: partitionRetainTarget,
+// partitionSweep is one engine lifecycle reported as four rows — the healthy
+// and degraded goodput phases, then the two recoveries of the same history.
+// Of the common parameters it uses Duration (per measured phase) and Seed.
+func partitionSweep(c common, P int) sweep {
+	if P <= 1 {
+		P = 4
 	}
-	fmt.Printf("next700-bench: partition-fault sweep, SILO + partition-affinity WAL, %d partitions × %d records, %s per phase\n",
-		P, partSweepRecords, o.Duration)
-
-	store := fault.NewMemStore(fault.StoreChaos{Seed: o.Seed})
-	att, err := core.InitCheckpointLog(store, P, wal.ModeValue)
-	if err != nil {
-		fatal("partition-sweep: %v", err)
+	if P > 16 {
+		P = 16
 	}
-	e, tbl, err := partSweepEngine(P, att.Devices)
-	if err != nil {
-		fatal("partition-sweep: %v", err)
+	if c.Duration <= 0 {
+		c.Duration = time.Second
 	}
-	if err := partSweepLoad(e, tbl, P, -1); err != nil {
-		fatal("partition-sweep: load: %v", err)
-	}
-	ck, err := e.NewCheckpointer(store, 2, att.Devices)
-	if err != nil {
-		fatal("partition-sweep: %v", err)
-	}
-
-	// Phase 1: healthy goodput, all partitions committing.
-	healthy, err := partSweepPhase(e, tbl, P, -1, o.Duration, o.Seed)
-	if err != nil {
-		fatal("partition-sweep healthy phase: %v", err)
-	}
-	rep.HealthyTPS = float64(healthy.commits) / o.Duration.Seconds()
-	rep.HealthyPerPart = rep.HealthyTPS / float64(P)
-
-	// One sliced generation, then a tail burst so every stream has history
-	// past its slice — the single-partition recovery replays that tail.
-	if err := ck.CheckpointNow(); err != nil {
-		fatal("partition-sweep checkpoint: %v", err)
-	}
-	if _, err := partSweepPhase(e, tbl, P, -1, o.Duration/2, o.Seed^0x9e37); err != nil {
-		fatal("partition-sweep tail burst: %v", err)
-	}
-
-	// Quarantine one partition and measure the survivors.
 	target := P - 1
-	if err := e.QuarantinePartition(target); err != nil {
-		fatal("partition-sweep quarantine: %v", err)
-	}
-	degraded, err := partSweepPhase(e, tbl, P, target, o.Duration, o.Seed^0x7f4a)
-	if err != nil {
-		fatal("partition-sweep degraded phase: %v", err)
-	}
-	rep.SurvivingTPS = float64(degraded.commits) / o.Duration.Seconds()
-	rep.SurvivingPerPart = rep.SurvivingTPS / float64(P-1)
-	if rep.HealthyPerPart > 0 {
-		rep.RetainedFraction = rep.SurvivingPerPart / rep.HealthyPerPart
-	}
-	rep.PartitionAborts = degraded.partitionAborts
-	rep.AbortsAllTerminal = degraded.wrongClass == nil
-	if degraded.wrongClass != nil {
-		fatal("partition-sweep: loss on quarantined partition with wrong class: %v", degraded.wrongClass)
-	}
+	return sweep{
+		name: "partition",
+		title: fmt.Sprintf("partition-fault sweep, SILO + partition-affinity WAL, %d partitions × %d records, %s per phase",
+			P, partSweepRecords, c.Duration),
+		params: map[string]interface{}{
+			"protocol": "SILO", "partitions": P, "records_per_partition": partSweepRecords,
+			"quarantined_partition": target, "phase_ms": ms(c.Duration).Value, "retain_target": partitionRetainTarget,
+		},
+		axes: []string{"phase"},
+		cols: []string{"goodput_tps", "per_partition_tps", "partition_aborts", "recover_ms", "tail_records", "checkpoint_loaded"},
+		run: func(s *sweepRun) error {
+			store := fault.NewMemStore(fault.StoreChaos{Seed: c.Seed})
+			att, err := core.InitCheckpointLog(store, P, wal.ModeValue)
+			if err != nil {
+				return err
+			}
+			e, tbl, err := partSweepEngine(P, att.Devices)
+			if err != nil {
+				return err
+			}
+			defer e.Close()
+			if err := partSweepLoad(e, tbl, P, -1); err != nil {
+				return fmt.Errorf("load: %w", err)
+			}
+			ck, err := e.NewCheckpointer(store, 2, att.Devices)
+			if err != nil {
+				return err
+			}
+			goodput := func(phase string, commits uint64, parts int, m map[string]metric) float64 {
+				tps := float64(commits) / c.Duration.Seconds()
+				m["goodput_tps"] = perSec(tps)
+				m["per_partition_tps"] = perSec(tps / float64(parts))
+				s.row(map[string]interface{}{"phase": phase}, m)
+				return tps / float64(parts)
+			}
 
-	// Snapshot the store before repairing anything: the whole-engine
-	// recovery below rebuilds from this same moment, so the two recovery
-	// times answer "one partition vs everything" for identical history.
-	surv := store.Survivor(fault.StoreChaos{Seed: o.Seed + 1})
+			// Phase 1: healthy goodput, all partitions committing.
+			healthy, err := partSweepPhase(e, tbl, P, -1, c.Duration, c.Seed)
+			if err != nil {
+				return fmt.Errorf("healthy phase: %w", err)
+			}
+			healthyPerPart := goodput("healthy", healthy.commits, P, map[string]metric{})
 
-	// Live single-partition recovery: newest slice + own stream tail.
-	slice, tail, err := partSweepRecoveryInputs(store, P, target)
-	if err != nil {
-		fatal("partition-sweep: %v", err)
-	}
-	newDev, err := store.CreateSegment(fmt.Sprintf("seg-repair-%d", target))
-	if err != nil {
-		fatal("partition-sweep: %v", err)
-	}
-	var load func() error
-	if slice == nil {
-		load = func() error { return partSweepLoad(e, tbl, P, target) }
-	}
-	t0 := time.Now()
-	rs, err := e.RecoverPartition(target, load, slice, tail, newDev)
-	rep.PartitionRecoverMS = float64(time.Since(t0)) / float64(time.Millisecond)
-	if err != nil {
-		fatal("partition-sweep RecoverPartition: %v", err)
-	}
-	rep.PartSliceLoaded = rs.CheckpointLoaded
-	rep.PartTailRecords = rs.Records
+			// One sliced generation, then a tail burst so every stream has history
+			// past its slice — the single-partition recovery replays that tail.
+			if err := ck.CheckpointNow(); err != nil {
+				return fmt.Errorf("checkpoint: %w", err)
+			}
+			if _, err := partSweepPhase(e, tbl, P, -1, c.Duration/2, c.Seed^0x9e37); err != nil {
+				return fmt.Errorf("tail burst: %w", err)
+			}
 
-	digestLive, err := partSweepDigest(e, tbl, P, target)
-	if err != nil {
-		fatal("partition-sweep digest: %v", err)
-	}
-	// The readmitted partition must take commits again.
-	if err := partSweepCommitOne(e, tbl, P, target); err != nil {
-		fatal("partition-sweep post-recovery commit: %v", err)
-	}
-	e.Close()
+			// Quarantine one partition and measure the survivors.
+			if err := e.QuarantinePartition(target); err != nil {
+				return fmt.Errorf("quarantine: %w", err)
+			}
+			degraded, err := partSweepPhase(e, tbl, P, target, c.Duration, c.Seed^0x7f4a)
+			if err != nil {
+				return fmt.Errorf("degraded phase: %w", err)
+			}
+			survivingPerPart := goodput("degraded", degraded.commits, P-1,
+				map[string]metric{"partition_aborts": count(degraded.partitionAborts)})
+			s.check("aborts_all_partition_class", degraded.wrongClass == nil,
+				"%d partition aborts; first loss on the quarantined partition of another class: %v",
+				degraded.partitionAborts, degraded.wrongClass)
+			retained := 0.0
+			if healthyPerPart > 0 {
+				retained = survivingPerPart / healthyPerPart
+			}
+			s.target("retain_target", retained >= partitionRetainTarget,
+				"surviving partitions retained %.0f%% of healthy per-partition goodput, target %.0f%%",
+				retained*100, partitionRetainTarget*100)
 
-	// Whole-engine recovery of the same store state.
-	att2, err := core.AttachCheckpointLog(surv)
-	if err != nil {
-		fatal("partition-sweep: %v", err)
-	}
-	e2, tbl2, err := partSweepEngine(P, att2.Devices)
-	if err != nil {
-		fatal("partition-sweep: %v", err)
-	}
-	t0 = time.Now()
-	rs2, err := e2.RecoverFromStore(surv, att2, func() error {
-		return partSweepLoad(e2, tbl2, P, -1)
-	})
-	rep.WholeRecoverMS = float64(time.Since(t0)) / float64(time.Millisecond)
-	if err != nil {
-		fatal("partition-sweep RecoverFromStore: %v", err)
-	}
-	rep.WholeCkptLoaded = rs2.CheckpointLoaded
-	rep.WholeTailRecords = rs2.Records
-	digestWhole, err := partSweepDigest(e2, tbl2, P, target)
-	if err != nil {
-		fatal("partition-sweep digest: %v", err)
-	}
-	e2.Close()
-	rep.DigestMatch = digestLive == digestWhole
-	if rep.PartitionRecoverMS > 0 {
-		rep.RecoverSpeedup = rep.WholeRecoverMS / rep.PartitionRecoverMS
-	}
+			// Snapshot the store before repairing anything: the whole-engine
+			// recovery below rebuilds from this same moment, so the two recovery
+			// times answer "one partition vs everything" for identical history.
+			surv := store.Survivor(fault.StoreChaos{Seed: c.Seed + 1})
 
-	fmt.Printf("  healthy: %8.0f tps (%0.0f/partition)\n", rep.HealthyTPS, rep.HealthyPerPart)
-	fmt.Printf("  degraded (partition %d dark): %8.0f tps surviving (%0.0f/partition, %.0f%% retained), %d partition aborts, all terminal=%v\n",
-		target, rep.SurvivingTPS, rep.SurvivingPerPart, rep.RetainedFraction*100,
-		rep.PartitionAborts, rep.AbortsAllTerminal)
-	fmt.Printf("  recovery: partition %7.2fms (slice=%v tail=%d) vs whole engine %7.2fms (tail=%d), speedup %.1fx, digest_ok=%v\n",
-		rep.PartitionRecoverMS, rep.PartSliceLoaded, rep.PartTailRecords,
-		rep.WholeRecoverMS, rep.WholeTailRecords, rep.RecoverSpeedup, rep.DigestMatch)
+			// Live single-partition recovery: newest slice + own stream tail.
+			slice, tail, err := partSweepRecoveryInputs(store, P, target)
+			if err != nil {
+				return err
+			}
+			newDev, err := store.CreateSegment(fmt.Sprintf("seg-repair-%d", target))
+			if err != nil {
+				return err
+			}
+			var load func() error
+			if slice == nil {
+				load = func() error { return partSweepLoad(e, tbl, P, target) }
+			}
+			recovered := func(phase string, rs core.RecoveryStats, took time.Duration) {
+				s.row(map[string]interface{}{"phase": phase}, map[string]metric{
+					"recover_ms":        ms(took),
+					"tail_records":      count(uint64(rs.Records)),
+					"checkpoint_loaded": flag01(rs.CheckpointLoaded),
+				})
+			}
+			t0 := time.Now()
+			rs, err := e.RecoverPartition(target, load, slice, tail, newDev)
+			partTook := time.Since(t0)
+			if err != nil {
+				return fmt.Errorf("RecoverPartition: %w", err)
+			}
+			recovered("recover_partition", rs, partTook)
+			digestLive, err := partSweepDigest(e, tbl, P, target)
+			if err != nil {
+				return fmt.Errorf("digest: %w", err)
+			}
+			// The readmitted partition must take commits again.
+			if err := partSweepCommitOne(e, tbl, P, target); err != nil {
+				return fmt.Errorf("post-recovery commit: %w", err)
+			}
+			e.Close()
 
-	out, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fatal("partition-sweep: %v", err)
-	}
-	if err := os.WriteFile(o.Out, append(out, '\n'), 0o644); err != nil {
-		fatal("partition-sweep: %v", err)
-	}
-	fmt.Printf("  report: %s\n", o.Out)
-
-	if !rep.DigestMatch {
-		fatal("partition-sweep: live partition recovery and whole-engine recovery disagree on partition %d", target)
-	}
-	if rep.RetainedFraction < partitionRetainTarget {
-		fmt.Printf("  WARNING: surviving partitions retained only %.0f%% of healthy goodput (target %.0f%%)\n",
-			rep.RetainedFraction*100, partitionRetainTarget*100)
-	}
-	if rep.RecoverSpeedup <= 1 {
-		fmt.Printf("  WARNING: single-partition recovery (%.2fms) not faster than whole-engine (%.2fms)\n",
-			rep.PartitionRecoverMS, rep.WholeRecoverMS)
+			// Whole-engine recovery of the same store state.
+			att2, err := core.AttachCheckpointLog(surv)
+			if err != nil {
+				return err
+			}
+			e2, tbl2, err := partSweepEngine(P, att2.Devices)
+			if err != nil {
+				return err
+			}
+			defer e2.Close()
+			t0 = time.Now()
+			rs2, err := e2.RecoverFromStore(surv, att2, func() error {
+				return partSweepLoad(e2, tbl2, P, -1)
+			})
+			wholeTook := time.Since(t0)
+			if err != nil {
+				return fmt.Errorf("RecoverFromStore: %w", err)
+			}
+			recovered("recover_engine", rs2, wholeTook)
+			digestWhole, err := partSweepDigest(e2, tbl2, P, target)
+			if err != nil {
+				return fmt.Errorf("digest: %w", err)
+			}
+			s.check("recovered_digest_match", digestLive == digestWhole,
+				"partition %d after live recovery %08x, after whole-engine recovery %08x", target, digestLive, digestWhole)
+			s.target("recover_speedup_target", partTook < wholeTook,
+				"single-partition recovery %v vs whole-engine %v", partTook, wholeTook)
+			return nil
+		},
 	}
 }
 

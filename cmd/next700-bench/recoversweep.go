@@ -1,17 +1,16 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"next700/internal/core"
+	"next700/internal/harness"
 	"next700/internal/wal"
 	"next700/internal/workload"
 )
@@ -28,55 +27,19 @@ import (
 // interval must recover at least this many times faster than full replay.
 const recoverSpeedupTarget = 5.0
 
+// recoverSweepOpts is what the recovery sweep takes beyond the common
+// parameters (of which it uses Threads and Seed).
 type recoverSweepOpts struct {
-	Threads int
 	Txns    int // total committed transactions of history per point
 	Every   int // finest checkpoint interval in commits (points: 0, 16N, 4N, N)
 	Keep    int
 	Streams int
-	Seed    uint64
 	Dir     string // checkpoint store scratch dir ("" = temp, removed after)
-	Out     string
 }
 
-// recoverRow is one sweep point in the JSON report.
-type recoverRow struct {
-	// CkptEveryTxns is the checkpoint interval in commits; 0 is the
-	// no-checkpoint baseline whose recovery replays the full log.
-	CkptEveryTxns int    `json:"ckpt_every_txns"`
-	Commits       uint64 `json:"commits"`
-	CkptCycles    int    `json:"ckpt_cycles"`
-	// StoreBytes is everything on disk at recovery time; SegmentBytes is
-	// the log-tail portion — the number that truncation keeps bounded.
-	StoreBytes   int64 `json:"store_bytes"`
-	SegmentBytes int64 `json:"segment_bytes"`
-	// Recovery provenance: which generation loaded and how much log was
-	// actually replayed past it.
-	CheckpointLoaded bool    `json:"checkpoint_loaded"`
-	CheckpointGen    uint64  `json:"checkpoint_gen"`
-	TailRecords      int     `json:"tail_records"`
-	SkippedOldEpoch  int     `json:"skipped_old_epoch"`
-	RecoveryMS       float64 `json:"recovery_ms"`
-	SpeedupVsFull    float64 `json:"speedup_vs_full_replay"`
-	// DigestMatch reports that a second, independent recovery of the same
-	// store reproduced a byte-identical state (checkpoint-format digest).
-	DigestMatch bool `json:"redundant_recovery_digest_match"`
-}
-
-type recoverReport struct {
-	Workload      string       `json:"workload"`
-	Protocol      string       `json:"protocol"`
-	Threads       int          `json:"threads"`
-	Txns          int          `json:"txns"`
-	Streams       int          `json:"streams"`
-	Keep          int          `json:"keep"`
-	TargetSpeedup float64      `json:"target_speedup"`
-	Rows          []recoverRow `json:"rows"`
-}
-
-func (o recoverSweepOpts) normalized() recoverSweepOpts {
-	if o.Threads <= 0 {
-		o.Threads = 4
+func recoverSweep(c common, o recoverSweepOpts) sweep {
+	if c.Threads <= 0 {
+		c.Threads = 4
 	}
 	if o.Txns <= 0 {
 		o.Txns = 125_000
@@ -90,104 +53,96 @@ func (o recoverSweepOpts) normalized() recoverSweepOpts {
 	if o.Streams < 2 {
 		o.Streams = 2
 	}
-	return o
-}
-
-func runRecoverSweep(o recoverSweepOpts) {
-	o = o.normalized()
-	base := o.Dir
-	if base == "" {
-		tmp, err := os.MkdirTemp("", "next700-recover-sweep-")
-		if err != nil {
-			fatal("recover-sweep: %v", err)
-		}
-		defer os.RemoveAll(tmp)
-		base = tmp
-	}
-
+	// ckpt_every_txns = 0 is the no-checkpoint baseline whose recovery
+	// replays the full log.
 	intervals := []int{0, o.Every * 16, o.Every * 4, o.Every}
-	fmt.Printf("next700-bench: recovery sweep, SILO + value log, %d txns × %d threads, checkpoint intervals %v\n",
-		o.Txns, o.Threads, intervals)
-
-	rep := recoverReport{
-		Workload: "ycsb", Protocol: "SILO", Threads: o.Threads, Txns: o.Txns,
-		Streams: o.Streams, Keep: o.Keep, TargetSpeedup: recoverSpeedupTarget,
-	}
-	var fullMS float64
-	for _, every := range intervals {
-		dir := filepath.Join(base, fmt.Sprintf("every-%d", every))
-		row, err := recoverPoint(o, dir, every)
-		if err != nil {
-			fatal("recover-sweep every=%d: %v", every, err)
-		}
-		if every == 0 {
-			fullMS = row.RecoveryMS
-		}
-		if fullMS > 0 && row.RecoveryMS > 0 {
-			row.SpeedupVsFull = fullMS / row.RecoveryMS
-		}
-		rep.Rows = append(rep.Rows, row)
-		fmt.Printf("  every=%-6d cycles=%-3d tail_records=%-7d seg_bytes=%-9d recover=%7.1fms speedup=%.1fx digest_ok=%v\n",
-			row.CkptEveryTxns, row.CkptCycles, row.TailRecords, row.SegmentBytes,
-			row.RecoveryMS, row.SpeedupVsFull, row.DigestMatch)
-	}
-
-	out, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fatal("recover-sweep: %v", err)
-	}
-	if err := os.WriteFile(o.Out, append(out, '\n'), 0o644); err != nil {
-		fatal("recover-sweep: %v", err)
-	}
-	fmt.Printf("  report: %s\n", o.Out)
-
-	best := rep.Rows[len(rep.Rows)-1]
-	if best.SpeedupVsFull < recoverSpeedupTarget {
-		fmt.Printf("  WARNING: finest interval recovered only %.1fx faster than full replay (target %.1fx)\n",
-			best.SpeedupVsFull, recoverSpeedupTarget)
-	}
-	for _, r := range rep.Rows {
-		if !r.DigestMatch {
-			fatal("recover-sweep: repeated recovery diverged at every=%d", r.CkptEveryTxns)
-		}
+	return sweep{
+		name: "recovery",
+		title: fmt.Sprintf("recovery sweep, SILO + value log, %d txns × %d threads, checkpoint intervals %v",
+			o.Txns, c.Threads, intervals),
+		params: map[string]interface{}{
+			"workload": "ycsb", "protocol": "SILO", "threads": c.Threads, "txns": o.Txns,
+			"streams": o.Streams, "keep": o.Keep, "target_speedup": recoverSpeedupTarget,
+		},
+		axes: []string{"ckpt_every_txns"},
+		cols: []string{"ckpt_cycles", "tail_records", "segment_bytes", "recovery_ms", "speedup_vs_full_replay"},
+		run: func(s *sweepRun) error {
+			base := o.Dir
+			if base == "" {
+				tmp, err := os.MkdirTemp("", "next700-recover-sweep-")
+				if err != nil {
+					return err
+				}
+				defer os.RemoveAll(tmp)
+				base = tmp
+			}
+			var full, speedup float64
+			for _, every := range intervals {
+				m, digest1, digest2, err := recoverPoint(c, o, filepath.Join(base, fmt.Sprintf("every-%d", every)), every)
+				if err != nil {
+					return fmt.Errorf("every=%d: %w", every, err)
+				}
+				if every == 0 {
+					full = m["recovery_ms"].Value
+				}
+				if took := m["recovery_ms"].Value; took > 0 {
+					speedup = full / took
+				}
+				m["speedup_vs_full_replay"] = ratio(speedup)
+				s.row(map[string]interface{}{"ckpt_every_txns": every}, m)
+				// A second, independent recovery of the same store must
+				// reproduce a byte-identical state (checkpoint-format digest).
+				s.check(fmt.Sprintf("redundant_recovery_digest_match[every=%d]", every), digest1 == digest2,
+					"digests %08x and %08x", digest1, digest2)
+			}
+			s.target("speedup_target", speedup >= recoverSpeedupTarget,
+				"finest interval recovered %.1fx faster than full replay, target %.1fx", speedup, recoverSpeedupTarget)
+			return nil
+		},
 	}
 }
 
 // recoverPoint builds one transaction history with the given checkpoint
-// interval, crash-attaches the store, and measures store-based recovery.
-func recoverPoint(o recoverSweepOpts, dir string, every int) (recoverRow, error) {
-	row := recoverRow{CkptEveryTxns: every}
+// interval, crash-attaches the store, and measures store-based recovery —
+// twice: the first is the timed one, and the sealed manifest it leaves must
+// make the second reproduce the exact same state (the truncation decisions
+// made once stay made).
+func recoverPoint(c common, o recoverSweepOpts, dir string, every int) (m map[string]metric, digest1, digest2 uint32, err error) {
 	store, err := core.NewDirStore(dir)
 	if err != nil {
-		return row, err
+		return nil, 0, 0, err
 	}
-	if err := recoverBuildHistory(o, store, every, &row); err != nil {
-		return row, err
-	}
-	row.StoreBytes, row.SegmentBytes, err = storeFootprint(dir)
+	commits, cycles, err := recoverBuildHistory(c, o, store, every)
 	if err != nil {
-		return row, err
+		return nil, 0, 0, err
+	}
+	// store_bytes is everything on disk at recovery time; segment_bytes is
+	// the log-tail portion — the number that truncation keeps bounded.
+	storeBytes, segmentBytes, err := storeFootprint(dir)
+	if err != nil {
+		return nil, 0, 0, err
 	}
 
-	// Recovery #1: the timed one.
-	digest1, rs, dur, err := recoverOnce(o, store)
+	digest1, rs, dur, err := recoverOnce(c, o, store)
 	if err != nil {
-		return row, err
+		return nil, 0, 0, err
 	}
-	row.CheckpointLoaded = rs.CheckpointLoaded
-	row.CheckpointGen = rs.CheckpointGen
-	row.TailRecords = rs.Records
-	row.SkippedOldEpoch = rs.SkippedOldEpoch
-	row.RecoveryMS = float64(dur) / float64(time.Millisecond)
-
-	// Recovery #2: the sealed manifest from #1 must reproduce the exact
-	// same state — the truncation decisions made once stay made.
-	digest2, _, _, err := recoverOnce(o, store)
-	if err != nil {
-		return row, err
+	if digest2, _, _, err = recoverOnce(c, o, store); err != nil {
+		return nil, 0, 0, err
 	}
-	row.DigestMatch = digest1 == digest2
-	return row, nil
+	return map[string]metric{
+		"commits":       count(commits),
+		"ckpt_cycles":   count(uint64(cycles)),
+		"store_bytes":   size(storeBytes),
+		"segment_bytes": size(segmentBytes),
+		// Recovery provenance: which generation loaded and how much log was
+		// actually replayed past it.
+		"checkpoint_loaded": flag01(rs.CheckpointLoaded),
+		"checkpoint_gen":    count(rs.CheckpointGen),
+		"tail_records":      count(uint64(rs.Records)),
+		"skipped_old_epoch": count(uint64(rs.SkippedOldEpoch)),
+		"recovery_ms":       ms(dur),
+	}, digest1, digest2, nil
 }
 
 // recoverSweepWorkload is the sweep's fixed workload shape: update-heavy so
@@ -199,91 +154,82 @@ func recoverSweepWorkload(threads int) *workload.YCSB {
 	})
 }
 
-// recoverBuildHistory runs o.Txns committed transactions against a fresh
-// engine logging into the store, checkpointing every `every` commits (0 =
-// never), then closes the engine cleanly.
-func recoverBuildHistory(o recoverSweepOpts, store *core.DirStore, every int, row *recoverRow) error {
-	att, err := core.InitCheckpointLog(store, o.Streams, wal.ModeValue)
-	if err != nil {
-		return err
-	}
-	e, err := core.Open(core.Config{
-		Protocol: "SILO", Threads: o.Threads,
-		LogMode: wal.ModeValue, WALStreams: o.Streams, LogDevices: att.Devices,
+// recoverSweepConfig is the engine both sides of the sweep open: the one
+// that builds a history into the store's log and the one that recovers it.
+func recoverSweepConfig(c common, o recoverSweepOpts, devs []wal.Device) core.Config {
+	return core.Config{
+		Protocol: "SILO", Threads: c.Threads,
+		LogMode: wal.ModeValue, WALStreams: o.Streams, LogDevices: devs,
 		GroupCommitWindow: 200 * time.Microsecond,
-	})
-	if err != nil {
-		return err
 	}
-	defer e.Close()
-	wl := recoverSweepWorkload(o.Threads)
-	if err := wl.Setup(e); err != nil {
-		return err
-	}
-	var ck *core.Checkpointer
-	if every > 0 {
-		if ck, err = e.NewCheckpointer(store, o.Keep, att.Devices); err != nil {
-			return err
-		}
-	}
+}
 
-	var committed atomic.Uint64
-	errs := make([]error, o.Threads)
-	perWorker := o.Txns / o.Threads
-	var wg sync.WaitGroup
-	for i := 0; i < o.Threads; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			tx := e.NewTx(id, o.Seed*1_000_003+uint64(id)+1)
-			for t := 0; t < perWorker; t++ {
-				if err := wl.RunOne(tx); err != nil {
-					errs[id] = err
-					return
-				}
-				n := committed.Add(1)
-				if every > 0 && n%uint64(every) == 0 {
-					// The crossing worker runs the cycle inline; the others
-					// keep committing — the capture is online.
-					if err := ck.CheckpointNow(); err != nil {
-						errs[id] = err
-						return
-					}
-				}
-			}
-		}(i)
+// checkpointing is the sweep's workload with a checkpoint cycle into store
+// every `every` commits (0 = never). The worker whose commit crosses the
+// interval runs the cycle inline; the others keep committing — the capture
+// is online.
+type checkpointing struct {
+	*workload.YCSB
+	store       *core.DirStore
+	devs        []wal.Device
+	keep, every int
+	ck          *core.Checkpointer
+	committed   atomic.Uint64
+}
+
+func (w *checkpointing) Setup(e *core.Engine) error {
+	if err := w.YCSB.Setup(e); err != nil || w.every == 0 {
+		return err
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
+	var err error
+	w.ck, err = e.NewCheckpointer(w.store, w.keep, w.devs)
+	return err
+}
+
+func (w *checkpointing) RunOne(tx *core.Tx) error {
+	if err := w.YCSB.RunOne(tx); err != nil {
+		return err
 	}
-	row.Commits = committed.Load()
-	if ck != nil {
-		row.CkptCycles = ck.Stats().Cycles
+	if n := w.committed.Add(1); w.every > 0 && n%uint64(w.every) == 0 {
+		return w.ck.CheckpointNow()
 	}
 	return nil
+}
+
+// recoverBuildHistory runs o.Txns committed transactions against a fresh
+// engine logging into the store, checkpointing every `every` commits, and
+// leaves the engine cleanly closed.
+func recoverBuildHistory(c common, o recoverSweepOpts, store *core.DirStore, every int) (commits uint64, cycles int, err error) {
+	att, err := core.InitCheckpointLog(store, o.Streams, wal.ModeValue)
+	if err != nil {
+		return 0, 0, err
+	}
+	wl := &checkpointing{YCSB: recoverSweepWorkload(c.Threads), store: store, devs: att.Devices, keep: o.Keep, every: every}
+	res, err := harness.Run(recoverSweepConfig(c, o, att.Devices), wl,
+		harness.RunOptions{Threads: c.Threads, TxnsPerWorker: o.Txns / c.Threads, Seed: c.Seed})
+	if err != nil {
+		return 0, 0, err
+	}
+	if wl.ck != nil {
+		cycles = wl.ck.Stats().Cycles
+	}
+	return res.Commits, cycles, nil
 }
 
 // recoverOnce attaches the store to a fresh schema-only engine, runs
 // store-based recovery, and returns a digest of the recovered state (the
 // deterministic checkpoint serialization, CRC-folded).
-func recoverOnce(o recoverSweepOpts, store *core.DirStore) (digest uint32, rs core.RecoveryStats, dur time.Duration, err error) {
+func recoverOnce(c common, o recoverSweepOpts, store *core.DirStore) (digest uint32, rs core.RecoveryStats, dur time.Duration, err error) {
 	att, err := core.AttachCheckpointLog(store)
 	if err != nil {
 		return 0, rs, 0, err
 	}
-	e, err := core.Open(core.Config{
-		Protocol: "SILO", Threads: o.Threads,
-		LogMode: wal.ModeValue, WALStreams: o.Streams, LogDevices: att.Devices,
-		GroupCommitWindow: 200 * time.Microsecond,
-	})
+	e, err := core.Open(recoverSweepConfig(c, o, att.Devices))
 	if err != nil {
 		return 0, rs, 0, err
 	}
 	defer e.Close()
-	wl := recoverSweepWorkload(o.Threads)
+	wl := recoverSweepWorkload(c.Threads)
 	if err := wl.SetupSchema(e); err != nil {
 		return 0, rs, 0, err
 	}

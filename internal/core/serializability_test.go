@@ -120,7 +120,8 @@ func TestIsolationConformanceMatrixDet(t *testing.T) {
 				res, err := harness.RunDet(
 					core.Config{Partitions: 4},
 					probe,
-					harness.DetOptions{Batch: 50, Batches: batches, Seed: 42, Verify: true},
+					harness.RunOptions{Seed: 42, Verify: true},
+					harness.DetOptions{Batch: 50, Batches: batches},
 				)
 				if err != nil {
 					t.Fatal(err)

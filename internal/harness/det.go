@@ -2,15 +2,10 @@ package harness
 
 import (
 	"encoding/hex"
-	"fmt"
-	"math"
-	"runtime"
 	"time"
 
 	"next700/internal/core"
 	"next700/internal/det"
-	"next700/internal/stats"
-	"next700/internal/verify"
 	"next700/internal/workload"
 	"next700/internal/xrand"
 )
@@ -25,63 +20,50 @@ type DetBatchObserver interface {
 	EndBatch()
 }
 
-// DetOptions controls one deterministic (queue-oriented) measurement run.
+// DetOptions is what only the deterministic executor needs; everything else
+// — Seed, Verify, MeasureAllocs, OfferedRate, Duration, GoodputWindow, the
+// queue disciplines — is the RunOptions every run takes.
 type DetOptions struct {
 	// Batch is the number of transactions sequenced into each batch
 	// (default 64).
 	Batch int
 	// Batches is the number of measured batches in closed mode
-	// (default 64). Ignored in open-loop mode.
+	// (default 64). Ignored in open-loop mode, which runs for Duration.
 	Batches int
-	// WarmupBatches are executed before measurement starts (closed mode).
+	// WarmupBatches are executed before measurement starts.
 	WarmupBatches int
-	// Seed seeds the sequencer RNG; the same seed yields the same planned
-	// batches at any partition count — the premise of the determinism
-	// oracle.
-	Seed uint64
-	// Verify enables isolation-anomaly recording; the workload must
-	// implement verify.Recordable (verify.DetProbe does).
-	Verify bool
-	// MeasureAllocs reports heap allocations per committed transaction over
-	// the measured window (closed mode; forces a GC first).
-	MeasureAllocs bool
-
-	// OfferedRate, when > 0, switches to batch-arrival open-loop mode:
-	// transactions arrive by a seeded Poisson process and the sequencer
-	// cuts a batch when it reaches Batch transactions or when the oldest
-	// waiting arrival has aged past MaxBatchDelay. Queue latency (arrival →
-	// batch start) and end-to-end latency (arrival → batch durable) are
-	// recorded separately; the run lasts Duration.
-	OfferedRate   float64
+	// MaxBatchDelay bounds batching delay in open-loop mode: the sequencer
+	// cuts a batch when it reaches Batch transactions or when its oldest
+	// arrival has waited this long (default 5ms). A closed loop never waits
+	// for an arrival, so there every batch is cut full.
 	MaxBatchDelay time.Duration
-	Duration      time.Duration
-}
-
-func (o *DetOptions) normalize() {
-	if o.Batch <= 0 {
-		o.Batch = 64
-	}
-	if o.Batches <= 0 {
-		o.Batches = 64
-	}
-	if o.MaxBatchDelay <= 0 {
-		o.MaxBatchDelay = 5 * time.Millisecond
-	}
-	if o.Duration <= 0 {
-		o.Duration = time.Second
-	}
 }
 
 // RunDet opens a QSTORE engine with cfg, sets up wl, and drives it through
-// the deterministic queue-oriented executor. The Protocol field of cfg is
-// overridden ("QSTORE" is the only sound protocol under the deterministic
-// scheduler) and Threads is raised to the partition count if needed.
-// Deterministic planning uses the engine's default key-modulo partitioning.
+// the deterministic queue-oriented executor: one sequencer worker plans the
+// arrivals — closed-loop, or seeded Poisson with opts.OfferedRate — into
+// batches and executes each batch on the partition executors. The Protocol
+// field of cfg is overridden ("QSTORE" is the only sound protocol under the
+// deterministic scheduler) and Threads is raised to the partition count if
+// needed. Deterministic planning uses the engine's default key-modulo
+// partitioning. opts.Seed seeds the sequencer RNG: the same seed yields the
+// same planned batches at any partition count — the premise of the
+// determinism oracle. Planning is admission and a batch has no deadline, so
+// opts.Threads, TxnsPerWorker, WarmupTxns, Deadline and Admission do not
+// apply.
 //
 // The returned Result's Digest is the engine's canonical state digest after
 // the run — the comparand of the determinism oracles.
-func RunDet(cfg core.Config, wl workload.DeclaredAccess, opts DetOptions) (Result, error) {
-	opts.normalize()
+func RunDet(cfg core.Config, wl workload.DeclaredAccess, opts RunOptions, dopts DetOptions) (Result, error) {
+	if dopts.Batch <= 0 {
+		dopts.Batch = 64
+	}
+	if dopts.Batches <= 0 {
+		dopts.Batches = 64
+	}
+	if dopts.MaxBatchDelay <= 0 {
+		dopts.MaxBatchDelay = 5 * time.Millisecond
+	}
 	cfg.Protocol = "QSTORE"
 	if cfg.Partitions <= 0 {
 		cfg.Partitions = 1
@@ -89,254 +71,116 @@ func RunDet(cfg core.Config, wl workload.DeclaredAccess, opts DetOptions) (Resul
 	if cfg.Threads < cfg.Partitions {
 		cfg.Threads = cfg.Partitions
 	}
-	var hist *verify.History
-	if opts.Verify {
-		rec, ok := wl.(verify.Recordable)
-		if !ok {
-			return Result{}, fmt.Errorf("harness: workload %q does not support verification recording", wl.Name())
+	var digest string
+	res, err := run(cfg, wl, opts, 1, func(e *core.Engine) (load, func(), error) {
+		x, err := core.NewDetExecutor(e, wl.ExecOp)
+		if err != nil {
+			return load{}, nil, err
 		}
-		hist = verify.NewHistory(1)
-		rec.AttachHistory(hist)
-	}
-	e, err := core.Open(cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	defer e.Close()
-	if err := wl.Setup(e); err != nil {
-		return Result{}, err
-	}
-	x, err := core.NewDetExecutor(e, wl.ExecOp)
-	if err != nil {
-		return Result{}, err
-	}
-	defer x.Close()
-
-	var res Result
-	if opts.OfferedRate > 0 {
-		res, err = driveDetOpen(e, x, wl, opts)
-	} else {
-		res, err = driveDetClosed(e, x, wl, opts)
-	}
-	res.Protocol = e.Protocol()
-	res.Workload = wl.Name()
+		s := &detExec{
+			wl:          wl,
+			x:           x,
+			rng:         xrand.New(opts.Seed*1_000_003 + 0xD0_0D),
+			pl:          det.NewPlanner(x.Parts(), nil),
+			txns:        make([]det.TxnPlan, dopts.Batch),
+			at:          make([]int64, dopts.Batch),
+			maxDelay:    int64(dopts.MaxBatchDelay),
+			warmBatches: dopts.WarmupBatches,
+		}
+		s.obs, _ = wl.(DetBatchObserver)
+		return load{execs: []executor{s}, count: dopts.Batch * dopts.Batches}, func() {
+			x.Close()
+			d := e.StateDigest()
+			digest = hex.EncodeToString(d[:])
+		}, nil
+	})
 	res.Threads = cfg.Partitions
-	d := e.StateDigest()
-	res.Digest = hex.EncodeToString(d[:])
-	if err == nil && hist != nil {
-		final, ferr := wl.(verify.Recordable).FinalVersions(e)
-		if ferr != nil {
-			return res, fmt.Errorf("harness: reading final versions: %w", ferr)
-		}
-		res.Verification = hist.Check(final)
-	}
+	res.Digest = digest
 	return res, err
 }
 
-// detSequencer owns batch planning: a single goroutine, a single RNG, a
-// reused TxnPlan slate, and the planner scratch.
-type detSequencer struct {
+// detExec is the deterministic executor: the sequencer. It owns batch
+// planning — a single goroutine, a single RNG, a reused TxnPlan slate, the
+// planner scratch — and cuts the open batch into core.DetExecutor when it
+// is full or, in an open loop, when its oldest arrival has aged out.
+// Planning is the sequencer's admission.
+type detExec struct {
 	wl   workload.DeclaredAccess
 	obs  DetBatchObserver // nil when the workload keeps no batch state
+	x    *core.DetExecutor
 	rng  *xrand.RNG
 	pl   *det.Planner
 	txns []det.TxnPlan
-	n    int // transactions planned into the open batch
+	at   []int64 // arrival stamps of the open batch
+	n    int     // transactions planned into the open batch
+	busy int64   // ns spent planning the open batch
+
+	maxDelay    int64
+	warmBatches int
 }
 
-func newDetSequencer(wl workload.DeclaredAccess, parts int, opts DetOptions) *detSequencer {
-	s := &detSequencer{
-		wl:   wl,
-		rng:  xrand.New(opts.Seed*1_000_003 + 0xD0_0D),
-		pl:   det.NewPlanner(parts, nil),
-		txns: make([]det.TxnPlan, opts.Batch),
+func (s *detExec) warm() error {
+	scratch := newCollector(0)
+	for b := 0; b < s.warmBatches; b++ {
+		for s.n < len(s.txns) {
+			now := time.Now().UnixNano()
+			s.plan(now, now)
+		}
+		if err := s.cut(scratch); err != nil {
+			return err
+		}
 	}
-	s.obs, _ = wl.(DetBatchObserver)
-	return s
+	return nil
 }
 
-// planOne declares the next transaction into the open batch, opening a new
-// batch first if none is.
-func (s *detSequencer) planOne() {
+// plan declares the arrival into the open batch, opening a new batch first
+// if none is.
+func (s *detExec) plan(at, now int64) {
 	if s.n == 0 && s.obs != nil {
 		s.obs.BeginBatch()
 	}
 	tp := &s.txns[s.n]
 	tp.Reset()
 	s.wl.PlanTxn(s.rng, tp)
+	s.at[s.n] = at
 	s.n++
+	s.busy += time.Now().UnixNano() - now
 }
 
-// execute compiles and runs the open batch, returning its size.
-func (s *detSequencer) execute(x *core.DetExecutor) (int, error) {
+func (s *detExec) exec(at, now int64, c *collector) (int64, error) {
+	if at != 0 {
+		s.plan(at, now)
+		if s.n < len(s.txns) {
+			return s.at[0] + s.maxDelay, nil
+		}
+	}
+	return 0, s.cut(c)
+}
+
+// cut compiles and runs the open batch. No transaction completes before its
+// batch seals, so all of them share the batch's times: queue latency is
+// arrival → execution start, end-to-end is arrival → batch durable, and
+// service is the work in between that was theirs — planning the batch plus
+// executing it, not the wait for the batch to fill.
+func (s *detExec) cut(c *collector) error {
 	n := s.n
 	s.n = 0
-	_, err := x.ExecuteBatch(s.pl.PlanBatch(s.txns[:n]))
-	if err != nil {
-		return n, err
+	start := time.Now().UnixNano()
+	if _, err := s.x.ExecuteBatch(s.pl.PlanBatch(s.txns[:n])); err != nil {
+		return err
 	}
 	if s.obs != nil {
 		s.obs.EndBatch()
 	}
-	return n, nil
+	done := time.Now().UnixNano()
+	svc := s.busy + done - start
+	s.busy = 0
+	for _, at := range s.at[:n] {
+		c.queue.Record(start - at)
+		c.commit(svc, done-at)
+	}
+	return nil
 }
 
-// driveDetClosed runs a fixed batch count back to back. Each committed
-// transaction's latency is its batch's plan-to-durable time: under batched
-// deterministic execution no transaction completes before its batch seals.
-func driveDetClosed(e *core.Engine, x *core.DetExecutor, wl workload.DeclaredAccess, opts DetOptions) (Result, error) {
-	seq := newDetSequencer(wl, x.Parts(), opts)
-	runBatch := func() (int, time.Duration, error) {
-		t0 := time.Now()
-		for i := 0; i < opts.Batch; i++ {
-			seq.planOne()
-		}
-		n, err := seq.execute(x)
-		return n, time.Since(t0), err
-	}
-	for b := 0; b < opts.WarmupBatches; b++ {
-		if _, _, err := runBatch(); err != nil {
-			return Result{}, err
-		}
-	}
-	var memBefore runtime.MemStats
-	if opts.MeasureAllocs {
-		runtime.GC()
-		runtime.ReadMemStats(&memBefore)
-	}
-	base := e.TotalCounter()
-	hist := stats.NewHistogram()
-	var commits uint64
-	start := time.Now()
-	for b := 0; b < opts.Batches; b++ {
-		n, d, err := runBatch()
-		if err != nil {
-			return Result{}, err
-		}
-		commits += uint64(n)
-		for i := 0; i < n; i++ {
-			hist.RecordDuration(d)
-		}
-	}
-	elapsed := time.Since(start)
-	var memAfter runtime.MemStats
-	if opts.MeasureAllocs {
-		runtime.ReadMemStats(&memAfter)
-	}
-	res := detResult(e, base, commits, elapsed, hist)
-	if opts.MeasureAllocs && commits > 0 {
-		res.AllocsPerTxn = float64(memAfter.Mallocs-memBefore.Mallocs) / float64(commits)
-		res.BytesPerTxn = float64(memAfter.TotalAlloc-memBefore.TotalAlloc) / float64(commits)
-	}
-	return res, nil
-}
-
-// driveDetOpen is the batch-arrival open-loop mode: a seeded Poisson
-// arrival process feeds the sequencer, which cuts a batch at Batch
-// transactions or when the oldest arrival has waited MaxBatchDelay. Unlike
-// the interactive open loop there is no arrival queue to drain — planning
-// IS admission — so backlog only accumulates while a batch executes, and
-// the latency decomposition is queue (arrival → batch execution start) vs
-// end-to-end (arrival → batch durable).
-func driveDetOpen(e *core.Engine, x *core.DetExecutor, wl workload.DeclaredAccess, opts DetOptions) (Result, error) {
-	seq := newDetSequencer(wl, x.Parts(), opts)
-	arrRNG := xrand.New(opts.Seed*9_176_867 + 0xfeed)
-	gap := func() time.Duration {
-		u := arrRNG.Float64()
-		if u > 0.999999 {
-			u = 0.999999
-		}
-		return time.Duration(-math.Log(1-u) / opts.OfferedRate * float64(time.Second))
-	}
-	hist := stats.NewHistogram()
-	queueH := stats.NewHistogram()
-	e2eH := stats.NewHistogram()
-	arrivalAt := make([]time.Time, opts.Batch)
-	base := e.TotalCounter()
-	var commits, arrivals uint64
-
-	start := time.Now()
-	deadline := start.Add(opts.Duration)
-	next := start.Add(gap())
-	flush := func() error {
-		execStart := time.Now()
-		n, err := seq.execute(x)
-		if err != nil {
-			return err
-		}
-		done := time.Now()
-		commits += uint64(n)
-		for i := 0; i < n; i++ {
-			queueH.RecordDuration(execStart.Sub(arrivalAt[i]))
-			e2eH.RecordDuration(done.Sub(arrivalAt[i]))
-			hist.RecordDuration(done.Sub(execStart))
-		}
-		return nil
-	}
-	for {
-		now := time.Now()
-		if now.After(deadline) {
-			break
-		}
-		if !now.Before(next) {
-			// An arrival is due: plan it immediately (planning is the
-			// sequencer's admission) and schedule the next one.
-			arrivalAt[seq.n] = next
-			seq.planOne()
-			arrivals++
-			next = next.Add(gap())
-			if seq.n == opts.Batch {
-				if err := flush(); err != nil {
-					return Result{}, err
-				}
-			}
-			continue
-		}
-		if seq.n > 0 && now.Sub(arrivalAt[0]) >= opts.MaxBatchDelay {
-			if err := flush(); err != nil {
-				return Result{}, err
-			}
-			continue
-		}
-		// Idle: sleep until the next arrival or the batch-age cut, whichever
-		// comes first. Sub-2ms sleeps oversleep on the OS timer, so short
-		// waits just yield (matching the interactive open loop's policy).
-		wake := next
-		if seq.n > 0 {
-			if cut := arrivalAt[0].Add(opts.MaxBatchDelay); cut.Before(wake) {
-				wake = cut
-			}
-		}
-		if d := time.Until(wake); d > 2*time.Millisecond {
-			time.Sleep(d)
-		} else {
-			runtime.Gosched()
-		}
-	}
-	backlog := uint64(seq.n)
-	elapsed := time.Since(start)
-	res := detResult(e, base, commits, elapsed, hist)
-	res.Offered = opts.OfferedRate
-	res.Arrivals = arrivals
-	res.Backlog = backlog
-	res.QueueLatency = queueH.Summarize()
-	res.E2ELatency = e2eH.Summarize()
-	return res, nil
-}
-
-// detResult assembles the common fields from the engine's counter delta.
-func detResult(e *core.Engine, base stats.Counter, commits uint64, elapsed time.Duration, hist *stats.Histogram) Result {
-	c := e.TotalCounter()
-	return Result{
-		Elapsed: elapsed,
-		Commits: commits,
-		// Deterministic execution is abort-free by construction; these
-		// deltas are the proof surfaced per run (conflict aborts must be 0).
-		Aborts:      c.Aborts - base.Aborts,
-		FatalAborts: c.FatalAborts - base.FatalAborts,
-		Waits:       c.Waits - base.Waits,
-		Tps:         float64(commits) / elapsed.Seconds(),
-		Goodput:     float64(commits) / elapsed.Seconds(),
-		Latency:     hist.Summarize(),
-	}
-}
+// finish leaves an uncut batch as backlog: it was admitted, never run.
+func (s *detExec) finish() uint64 { return uint64(s.n) }

@@ -22,13 +22,13 @@ func detYCSB() *workload.YCSB {
 // TestRunDetSameSeedSameDigest is determinism oracle #1: two runs of the
 // same seeded schedule produce byte-identical state digests, abort-free.
 func TestRunDetSameSeedSameDigest(t *testing.T) {
-	opts := DetOptions{Batch: 32, Batches: 12, Seed: 7}
+	opts, dopts := RunOptions{Seed: 7}, DetOptions{Batch: 32, Batches: 12}
 	cfg := core.Config{Partitions: 2}
-	a, err := RunDet(cfg, detYCSB(), opts)
+	a, err := RunDet(cfg, detYCSB(), opts, dopts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunDet(cfg, detYCSB(), opts)
+	b, err := RunDet(cfg, detYCSB(), opts, dopts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,10 +48,10 @@ func TestRunDetSameSeedSameDigest(t *testing.T) {
 // same digest — queue-oriented execution is equivalent to the serial
 // priority order at any worker count.
 func TestRunDetDigestAcrossWorkers(t *testing.T) {
-	opts := DetOptions{Batch: 32, Batches: 10, Seed: 99}
+	opts, dopts := RunOptions{Seed: 99}, DetOptions{Batch: 32, Batches: 10}
 	var ref string
 	for _, workers := range []int{1, 2, 4, 8} {
-		res, err := RunDet(core.Config{Partitions: workers}, detYCSB(), opts)
+		res, err := RunDet(core.Config{Partitions: workers}, detYCSB(), opts, dopts)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -69,13 +69,9 @@ func TestRunDetDigestAcrossWorkers(t *testing.T) {
 // TestRunDetOpenLoop smoke-tests batch-arrival mode: arrivals flow, batches
 // cut on size or age, and the latency decomposition is populated.
 func TestRunDetOpenLoop(t *testing.T) {
-	res, err := RunDet(core.Config{Partitions: 2}, detYCSB(), DetOptions{
-		Batch:         16,
-		Seed:          3,
-		OfferedRate:   4000,
-		MaxBatchDelay: 2 * time.Millisecond,
-		Duration:      250 * time.Millisecond,
-	})
+	res, err := RunDet(core.Config{Partitions: 2}, detYCSB(),
+		RunOptions{Seed: 3, OfferedRate: 4000, Duration: 250 * time.Millisecond},
+		DetOptions{Batch: 16, MaxBatchDelay: 2 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +101,8 @@ func TestRunDetVerified(t *testing.T) {
 		WriteRatio:    0.5,
 		CrossFraction: 0.3,
 	})
-	res, err := RunDet(core.Config{Partitions: 4}, probe, DetOptions{Batch: 24, Batches: 10, Seed: 5, Verify: true})
+	res, err := RunDet(core.Config{Partitions: 4}, probe,
+		RunOptions{Seed: 5, Verify: true}, DetOptions{Batch: 24, Batches: 10})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,11 +4,11 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sync"
 	"time"
 
 	"next700/internal/cc"
 	"next700/internal/core"
-	"next700/internal/partition"
 	"next700/internal/sim"
 	"next700/internal/stats"
 	"next700/internal/wal"
@@ -84,27 +84,36 @@ func simHorizon(quick bool) uint64 {
 	return 2_000_000
 }
 
+// table measures cell at every (row, column) pair and writes header over the
+// rendered table; the corner names the row-label column.
+func table[R, C any](w io.Writer, header, corner string, rows []R, cols []C,
+	cell func(r R, c C) (interface{}, error)) error {
+	tbl := stats.NewTable(append([]string{corner}, toStrings(cols)...)...)
+	for _, r := range rows {
+		line := []interface{}{r}
+		for _, c := range cols {
+			v, err := cell(r, c)
+			if err != nil {
+				return fmt.Errorf("%v %v: %w", r, c, err)
+			}
+			line = append(line, v)
+		}
+		tbl.AddRow(line...)
+	}
+	fmt.Fprintf(w, "%s\n%s\n", header, tbl)
+	return nil
+}
+
 // ycsbSweep measures every protocol over a parameter list.
 func ycsbSweep[T any](w io.Writer, header string, params []T,
 	mkCfg func(p T) (core.Config, workload.YCSBConfig, RunOptions),
 	cell func(r Result) interface{}) error {
-	tbl := stats.NewTable(append([]string{"protocol"}, toStrings(params)...)...)
-	for _, proto := range cc.Names() {
-		row := make([]interface{}, 0, len(params)+1)
-		row = append(row, proto)
-		for _, p := range params {
-			cfg, ycfg, opts := mkCfg(p)
-			cfg.Protocol = proto
-			r, err := Run(cfg, workload.NewYCSB(ycfg), opts)
-			if err != nil {
-				return fmt.Errorf("%s %v: %w", proto, p, err)
-			}
-			row = append(row, cell(r))
-		}
-		tbl.AddRow(row...)
-	}
-	fmt.Fprintf(w, "%s\n%s\n", header, tbl)
-	return nil
+	return table(w, header, "protocol", cc.Names(), params, func(proto string, p T) (interface{}, error) {
+		cfg, ycfg, opts := mkCfg(p)
+		cfg.Protocol = proto
+		r, err := Run(cfg, workload.NewYCSB(ycfg), opts)
+		return cell(r), err
+	})
 }
 
 func toStrings[T any](params []T) []string {
@@ -187,69 +196,50 @@ func tpccConfig(quick bool, warehouses int) workload.TPCCConfig {
 
 // E5: TPC-C throughput by warehouse count.
 func runE5(w io.Writer, quick bool) error {
-	warehouses := []int{1, 2, 4}
 	const threads = 4
-	tbl := stats.NewTable(append([]string{"protocol"}, toStrings(warehouses)...)...)
-	for _, proto := range cc.Names() {
-		row := []interface{}{proto}
-		for _, wh := range warehouses {
+	return table(w, "E5: TPC-C tps (full mix), 4 threads, by warehouse count", "protocol", cc.Names(), []int{1, 2, 4},
+		func(proto string, wh int) (interface{}, error) {
 			r, err := Run(core.Config{Protocol: proto, Threads: threads, Partitions: wh},
 				workload.NewTPCC(tpccConfig(quick, wh)), runOpts(quick, threads))
-			if err != nil {
-				return err
-			}
-			row = append(row, r.Tps)
-		}
-		tbl.AddRow(row...)
-	}
-	fmt.Fprintf(w, "E5: TPC-C tps (full mix), 4 threads, by warehouse count\n%s\n", tbl)
-	return nil
+			return r.Tps, err
+		})
 }
 
 // E6: TPC-C thread scalability at W=4.
 func runE6(w io.Writer, quick bool) error {
-	threads := []int{1, 2, 4, 8}
-	tbl := stats.NewTable(append([]string{"protocol"}, toStrings(threads)...)...)
-	for _, proto := range cc.Names() {
-		row := []interface{}{proto}
-		for _, th := range threads {
+	return table(w, "E6: TPC-C tps (full mix), W=4, by thread count", "protocol", cc.Names(), []int{1, 2, 4, 8},
+		func(proto string, th int) (interface{}, error) {
 			r, err := Run(core.Config{Protocol: proto, Threads: th, Partitions: 4},
 				workload.NewTPCC(tpccConfig(quick, 4)), runOpts(quick, th))
-			if err != nil {
-				return err
-			}
-			row = append(row, r.Tps)
-		}
-		tbl.AddRow(row...)
-	}
-	fmt.Fprintf(w, "E6: TPC-C tps (full mix), W=4, by thread count\n%s\n", tbl)
-	return nil
+			return r.Tps, err
+		})
 }
 
 // E7: simulated many-core scalability.
 func runE7(w io.Writer, quick bool) error {
 	cores := []int{1, 4, 16, 64, 256, 1024}
+	records := uint64(1 << 16)
 	if quick {
+		// The simulator is deterministic: quick has to show that both tables
+		// render at three core counts, not a curve. What the 256-core column
+		// costs is not simulated time but every core's Zipf table over the
+		// records, so quick shrinks those.
 		cores = []int{1, 16, 256}
+		records = 1 << 11
 	}
 	for _, theta := range []float64{0.6, 0.8} {
-		tbl := stats.NewTable(append([]string{"protocol"}, toStrings(cores)...)...)
-		for _, proto := range cc.Names() {
-			row := []interface{}{proto}
-			for _, n := range cores {
-				r, err := sim.Run(sim.Config{
-					Protocol: proto, Cores: n, Records: 1 << 16, Theta: theta,
-					OpsPerTxn: 16, WriteRatio: 0.5, Horizon: simHorizon(quick),
-					Partitions: n,
-				})
-				if err != nil {
-					return err
-				}
-				row = append(row, r.Throughput)
-			}
-			tbl.AddRow(row...)
+		header := fmt.Sprintf("E7: simulated throughput (txn per Mcycle), theta=%.1f, by core count", theta)
+		err := table(w, header, "protocol", cc.Names(), cores, func(proto string, n int) (interface{}, error) {
+			r, err := sim.Run(sim.Config{
+				Protocol: proto, Cores: n, Records: records, Theta: theta,
+				OpsPerTxn: 16, WriteRatio: 0.5, Horizon: simHorizon(quick),
+				Partitions: n,
+			})
+			return r.Throughput, err
+		})
+		if err != nil {
+			return err
 		}
-		fmt.Fprintf(w, "E7: simulated throughput (txn per Mcycle), theta=%.1f, by core count\n%s\n", theta, tbl)
 	}
 	return nil
 }
@@ -344,26 +334,17 @@ func runE9(w io.Writer, quick bool) error {
 
 // E10: H-Store multi-partition cliff.
 func runE10(w io.Writer, quick bool) error {
-	fracs := []float64{0, 0.05, 0.1, 0.2, 0.5, 1}
 	const threads = 8
-	tbl := stats.NewTable(append([]string{"protocol"}, toStrings(fracs)...)...)
-	for _, proto := range []string{"HSTORE", "SILO", "NO_WAIT"} {
-		row := []interface{}{proto}
-		for _, mp := range fracs {
+	return table(w, "E10: YCSB tps, 8 threads/partitions, by multi-partition fraction", "protocol",
+		[]string{"HSTORE", "SILO", "NO_WAIT"}, []float64{0, 0.05, 0.1, 0.2, 0.5, 1},
+		func(proto string, mp float64) (interface{}, error) {
 			r, err := Run(core.Config{Protocol: proto, Threads: threads, Partitions: threads},
 				workload.NewYCSB(workload.YCSBConfig{
 					Records: ycsbRecords(quick), OpsPerTxn: 16, ReadRatio: 0.5,
 					PartitionLocal: true, MultiPartitionFraction: mp,
 				}), runOpts(quick, threads))
-			if err != nil {
-				return err
-			}
-			row = append(row, r.Tps)
-		}
-		tbl.AddRow(row...)
-	}
-	fmt.Fprintf(w, "E10: YCSB tps, 8 threads/partitions, by multi-partition fraction\n%s\n", tbl)
-	return nil
+			return r.Tps, err
+		})
 }
 
 // E11: data-oriented execution vs thread-to-transaction under skew.
@@ -381,12 +362,13 @@ func runE11(w io.Writer, quick bool) error {
 	doraRow := []interface{}{"DORA"}
 	for _, theta := range []float64{0.6, 0.95} {
 		counters := make([]int64, records)
-		ex := partition.NewExecutor(parts, 256)
-		part := partition.NewHashPartitioner(parts)
+		ex := newDoraExecutor(parts, 256)
 		t0 := time.Now()
-		var wg workerGroup
+		var wg sync.WaitGroup
 		for th := 0; th < parts; th++ {
-			wg.Go(func(th int) {
+			wg.Add(1)
+			go func(th int) {
+				defer wg.Done()
 				rng := xrand.New(uint64(th + 1))
 				zipf := xrand.NewZipf(rng, records/parts, theta)
 				keys := make([]uint64, ops)
@@ -395,16 +377,16 @@ func runE11(w io.Writer, quick bool) error {
 					for j := range keys {
 						keys[j] = zipf.Next()*parts + uint64(home)
 					}
-					ex.ExecSingle(part.Partition(keys[0]), func() {
+					ex.exec(int(keys[0]%parts), func() {
 						for _, k := range keys {
 							counters[k]++
 						}
 					})
 				}
-			}, th)
+			}(th)
 		}
 		wg.Wait()
-		ex.Stop()
+		ex.stop()
 		doraRow = append(doraRow, float64(parts*txns)/time.Since(t0).Seconds())
 	}
 	tbl.AddRow(doraRow...)
@@ -427,24 +409,6 @@ func runE11(w io.Writer, quick bool) error {
 	}
 	fmt.Fprintf(w, "E11: RMW tps, 8 workers, data-oriented vs thread-to-transaction\n%s\n", tbl)
 	return nil
-}
-
-// workerGroup is a tiny indexed WaitGroup helper.
-type workerGroup struct{ wg []chan struct{} }
-
-func (g *workerGroup) Go(fn func(int), arg int) {
-	done := make(chan struct{})
-	g.wg = append(g.wg, done)
-	go func() {
-		defer close(done)
-		fn(arg)
-	}()
-}
-
-func (g *workerGroup) Wait() {
-	for _, d := range g.wg {
-		<-d
-	}
 }
 
 // E12: index structure ablation.

@@ -4,10 +4,8 @@
 package harness
 
 import (
-	"errors"
 	"fmt"
-	"runtime"
-	"sync"
+	"strings"
 	"time"
 
 	"next700/internal/admission"
@@ -17,7 +15,7 @@ import (
 	"next700/internal/workload"
 )
 
-// RunOptions controls one measurement run.
+// RunOptions controls one measurement run, whichever executor it drives.
 type RunOptions struct {
 	// Threads is the worker count (defaults to the engine's).
 	Threads int
@@ -32,8 +30,9 @@ type RunOptions struct {
 	// Seed perturbs worker RNGs.
 	Seed uint64
 	// MeasureAllocs samples runtime.MemStats around the measurement window
-	// and reports heap allocations per committed transaction. A GC cycle is
-	// forced before the window, so enable this only for allocation
+	// (closed or open loop, interactive or deterministic — there is one
+	// window) and reports heap allocations per committed transaction. A GC
+	// cycle is forced before the window, so enable this only for allocation
 	// profiling, not latency measurement.
 	MeasureAllocs bool
 	// Retry overrides the engine's transient-abort retry/backoff policy
@@ -48,14 +47,14 @@ type RunOptions struct {
 	Verify bool
 
 	// OfferedRate, when > 0, switches the run to open-loop mode: seeded
-	// Poisson arrivals are generated at this rate (txns/sec) regardless of
-	// completion rate, workers drain the arrival queue, and queue latency
-	// (arrival → execution start) is recorded separately from service
-	// latency. This is the regime where overload is measurable: a
+	// Poisson arrivals are generated at this rate (txns/sec) for Duration
+	// regardless of completion rate, workers drain the arrival queue, and
+	// queue latency (arrival → execution start) is recorded separately from
+	// service latency. This is the regime where overload is measurable: a
 	// closed-loop run can never offer more than capacity.
 	OfferedRate float64
-	// Deadline, when > 0, is the enforced per-transaction deadline: from
-	// arrival in open-loop mode, from execution start in closed-loop mode.
+	// Deadline, when > 0, is the enforced per-transaction deadline from
+	// arrival (in a closed loop a transaction arrives as its worker frees up).
 	// Expired transactions abort with the deadline class (engine-level
 	// waits included) instead of blocking; a worker treats the deadline
 	// abort as a per-transaction outcome, not a run failure.
@@ -86,9 +85,9 @@ type RunOptions struct {
 	// unless Admission is set.
 	AdmissionPerPartition bool
 	// AdmissionSampleEvery is the sampling interval for the admission
-	// timeline recorded during open-loop runs with a controller; zero
-	// defaults to Duration/16. Each interval contributes one
-	// Result.AdmissionTimeline sample.
+	// timeline recorded during runs with a controller; zero defaults to
+	// Duration/16. Each interval contributes one Result.AdmissionTimeline
+	// sample.
 	AdmissionSampleEvery time.Duration
 	// QueueLIFOAge, when > 0, turns on adaptive LIFO for the open-loop
 	// arrival queue: while the oldest waiting arrival is older than this,
@@ -108,7 +107,7 @@ type RunOptions struct {
 }
 
 // AdmissionSample is one periodic observation of the admission controller
-// during an open-loop run.
+// during a run.
 type AdmissionSample struct {
 	// Offset is the sample time relative to measurement start.
 	Offset time.Duration
@@ -164,7 +163,7 @@ type Result struct {
 	Backlog  uint64
 	// Goodput is commits completing within the goodput window per second
 	// (== Tps when no window is configured); LateCommits are commits that
-	// finished but missed the window.
+	// finished but missed the window. Both are set in closed-loop runs too.
 	Goodput     float64
 	LateCommits uint64
 	// QueueDropped counts arrivals the CoDel discipline evicted at enqueue
@@ -191,7 +190,7 @@ type Result struct {
 	// AdmissionTimeline traces the controller over the run: one sample per
 	// RunOptions.AdmissionSampleEvery plus a closing sample, capturing how
 	// the AIMD limit, the latency EWMA, and the shed rate evolved. Set only
-	// for open-loop runs with a controller configured.
+	// for runs with a controller configured.
 	AdmissionTimeline []AdmissionSample
 	// AllocsPerTxn / BytesPerTxn are heap allocations and bytes per
 	// committed transaction across the whole process during the measurement
@@ -215,9 +214,41 @@ func (r Result) String() string {
 		time.Duration(r.Latency.P99))
 }
 
+// Detail renders the full report the CLIs print after a run: the summary
+// line, the outcome counts and service latency, then a line group for each
+// thing this run measured — the open-loop decomposition, allocations, the
+// state digest.
+func (r Result) Detail() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s\n  commits=%d aborts=%d user_aborts=%d fatal_aborts=%d deadline_aborts=%d shed=%d waits=%d\n  latency: %s\n",
+		r, r.Commits, r.Aborts, r.UserAborts, r.FatalAborts, r.DeadlineAborts, r.ShedAborts, r.Waits, r.Latency)
+	if r.Offered > 0 {
+		fmt.Fprintf(&b, "  open-loop: offered=%.0f/s arrivals=%d goodput=%.0f/s late=%d backlog=%d\n",
+			r.Offered, r.Arrivals, r.Goodput, r.LateCommits, r.Backlog)
+		if r.QueueDropped > 0 || r.QueueLIFOServed > 0 {
+			fmt.Fprintf(&b, "  queue discipline: codel_dropped=%d lifo_served=%d\n", r.QueueDropped, r.QueueLIFOServed)
+		}
+		fmt.Fprintf(&b, "  queue: %s\n  e2e:   %s\n", r.QueueLatency, r.E2ELatency)
+	}
+	if r.AdmissionLimit > 0 {
+		fmt.Fprintf(&b, "  admission limit: %d\n", r.AdmissionLimit)
+	}
+	if len(r.AdmissionLimits) > 0 {
+		fmt.Fprintf(&b, "  per-partition limits: %v\n", r.AdmissionLimits)
+	}
+	if r.AllocsPerTxn > 0 {
+		fmt.Fprintf(&b, "  allocs/txn=%.2f bytes/txn=%.1f\n", r.AllocsPerTxn, r.BytesPerTxn)
+	}
+	if r.Digest != "" {
+		fmt.Fprintf(&b, "  digest: %s\n", r.Digest)
+	}
+	return b.String()
+}
+
 // Run opens an engine with cfg, sets up wl, and drives it with the given
-// options. The engine is closed before returning. Setup problems and the
-// first worker failure are both reported as errors.
+// options: one interactive Tx per worker, arrivals closed-loop or — with
+// OfferedRate — open-loop. The engine is closed before returning. Setup
+// problems and the first worker failure are both reported as errors.
 func Run(cfg core.Config, wl workload.Workload, opts RunOptions) (Result, error) {
 	if opts.Threads <= 0 {
 		opts.Threads = cfg.Threads
@@ -225,19 +256,49 @@ func Run(cfg core.Config, wl workload.Workload, opts RunOptions) (Result, error)
 	if cfg.Threads < opts.Threads {
 		cfg.Threads = opts.Threads
 	}
-	if opts.Duration <= 0 && opts.TxnsPerWorker <= 0 {
+	return run(cfg, wl, opts, cfg.Threads, func(e *core.Engine) (load, func(), error) {
+		ld := load{count: opts.TxnsPerWorker, ctrls: newControllers(e, opts)}
+		for id := 0; id < opts.Threads; id++ {
+			x := &txExec{
+				wl: wl, tx: e.NewTx(id, opts.Seed*1_000_003+uint64(id)+1),
+				warmup: opts.WarmupTxns, deadline: int64(opts.Deadline),
+			}
+			if len(ld.ctrls) > 0 {
+				x.ctrl = ld.ctrls[id%len(ld.ctrls)]
+			}
+			ld.execs = append(ld.execs, x)
+		}
+		return ld, func() {}, nil
+	})
+}
+
+// subject is the part of a workload the shared prologue needs, common to
+// workload.Workload and workload.DeclaredAccess.
+type subject interface {
+	Name() string
+	Setup(e *core.Engine) error
+}
+
+// run is the prologue and epilogue every measurement shares: open the
+// engine, attach the verification history (histWorkers wide), set the
+// workload up, build the executors, drive them, and check the recorded
+// history against the final versions. done releases what build started and
+// runs before the engine closes.
+func run(cfg core.Config, wl subject, opts RunOptions, histWorkers int,
+	build func(*core.Engine) (ld load, done func(), err error)) (Result, error) {
+	if opts.Duration <= 0 {
 		opts.Duration = time.Second
 	}
 	if opts.Retry != (core.RetryPolicy{}) {
 		cfg.Retry = opts.Retry
 	}
 	var hist *verify.History
+	rec, _ := wl.(verify.Recordable)
 	if opts.Verify {
-		rec, ok := wl.(verify.Recordable)
-		if !ok {
+		if rec == nil {
 			return Result{}, fmt.Errorf("harness: workload %q does not support verification recording", wl.Name())
 		}
-		hist = verify.NewHistory(cfg.Threads)
+		hist = verify.NewHistory(histWorkers)
 		rec.AttachHistory(hist)
 	}
 	e, err := core.Open(cfg)
@@ -248,170 +309,20 @@ func Run(cfg core.Config, wl workload.Workload, opts RunOptions) (Result, error)
 	if err := wl.Setup(e); err != nil {
 		return Result{}, err
 	}
-	var res Result
-	if opts.OfferedRate > 0 {
-		res, err = driveOpen(e, wl, opts)
-	} else {
-		res, err = drive(e, wl, opts)
+	ld, done, err := build(e)
+	if err != nil {
+		return Result{}, err
 	}
+	defer done()
+	res, err := drive(e, ld, opts)
 	res.Protocol = e.Protocol()
 	res.Workload = wl.Name()
 	if err == nil && hist != nil {
-		final, ferr := wl.(verify.Recordable).FinalVersions(e)
+		final, ferr := rec.FinalVersions(e)
 		if ferr != nil {
 			return res, fmt.Errorf("harness: reading final versions: %w", ferr)
 		}
 		res.Verification = hist.Check(final)
 	}
 	return res, err
-}
-
-// drive executes the measurement against an already set-up engine.
-func drive(e *core.Engine, wl workload.Workload, opts RunOptions) (Result, error) {
-	threads := opts.Threads
-	type workerOut struct {
-		counter stats.Counter
-		hist    *stats.Histogram
-		err     error
-	}
-	outs := make([]workerOut, threads)
-	var wg sync.WaitGroup
-	var stop chan struct{}
-	if opts.TxnsPerWorker <= 0 {
-		stop = make(chan struct{})
-	}
-
-	// Workers rendezvous after warmup so the measurement window (and its
-	// duration timer) begins only once every worker is warm — otherwise a
-	// slow-commit configuration can burn the whole window warming up.
-	var warm sync.WaitGroup
-	warm.Add(threads)
-	begin := make(chan struct{})
-
-	var start time.Time
-	for i := 0; i < threads; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			tx := e.NewTx(id, opts.Seed*1_000_003+uint64(id)+1)
-			hist := stats.NewHistogram()
-			for w := 0; w < opts.WarmupTxns; w++ {
-				if err := wl.RunOne(tx); err != nil {
-					outs[id].err = err
-					warm.Done()
-					return
-				}
-			}
-			warm.Done()
-			<-begin
-			// Snapshot counters after warmup so it is excluded.
-			base := *tx.Counter()
-			n := 0
-			for {
-				if opts.TxnsPerWorker > 0 {
-					if n >= opts.TxnsPerWorker {
-						break
-					}
-				} else if stopped(stop) {
-					break
-				}
-				if opts.Deadline > 0 {
-					tx.SetDeadlineAfter(opts.Deadline)
-				}
-				t0 := time.Now()
-				if err := wl.RunOne(tx); err != nil {
-					if errors.Is(err, core.ErrDeadlineExceeded) {
-						// A deadline abort is a measured per-transaction
-						// outcome (already accounted by the engine), not a
-						// run failure.
-						n++
-						continue //next700:allowretry(measured outcome: the worker advances to the next transaction; the deadline-aborted one is not re-run)
-					}
-					outs[id].err = err
-					break
-				}
-				hist.RecordDuration(time.Since(t0))
-				n++
-			}
-			tx.ClearDeadline()
-			c := *tx.Counter()
-			c.Commits -= base.Commits
-			c.Aborts -= base.Aborts
-			c.UserAborts -= base.UserAborts
-			c.FatalAborts -= base.FatalAborts
-			c.DeadlineAborts -= base.DeadlineAborts
-			c.ShedAborts -= base.ShedAborts
-			c.PartitionAborts -= base.PartitionAborts
-			c.Reads -= base.Reads
-			c.Writes -= base.Writes
-			c.Inserts -= base.Inserts
-			c.Deletes -= base.Deletes
-			c.Scans -= base.Scans
-			c.Waits -= base.Waits
-			outs[id].counter = c
-			outs[id].hist = hist
-		}(i)
-	}
-	warm.Wait()
-	var memBefore runtime.MemStats
-	if opts.MeasureAllocs {
-		// Settle the heap so warmup garbage is not charged to the window.
-		runtime.GC()
-		runtime.ReadMemStats(&memBefore)
-	}
-	start = time.Now()
-	close(begin)
-	if stop != nil {
-		time.AfterFunc(opts.Duration, func() { close(stop) })
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	var memAfter runtime.MemStats
-	if opts.MeasureAllocs {
-		runtime.ReadMemStats(&memAfter)
-	}
-
-	var total stats.Counter
-	hist := stats.NewHistogram()
-	var firstErr error
-	for i := range outs {
-		total.Add(&outs[i].counter)
-		hist.Merge(outs[i].hist)
-		if outs[i].err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("worker %d: %w", i, outs[i].err)
-		}
-	}
-	res := Result{
-		Threads:         threads,
-		Elapsed:         elapsed,
-		Commits:         total.Commits,
-		Aborts:          total.Aborts,
-		UserAborts:      total.UserAborts,
-		FatalAborts:     total.FatalAborts,
-		DeadlineAborts:  total.DeadlineAborts,
-		ShedAborts:      total.ShedAborts,
-		PartitionAborts: total.PartitionAborts,
-		Waits:           total.Waits,
-		Tps:             float64(total.Commits) / elapsed.Seconds(),
-		Goodput:         float64(total.Commits) / elapsed.Seconds(),
-		AbortRate:       total.AbortRate(),
-		Latency:         hist.Summarize(),
-	}
-	if opts.MeasureAllocs && total.Commits > 0 {
-		res.AllocsPerTxn = float64(memAfter.Mallocs-memBefore.Mallocs) / float64(total.Commits)
-		res.BytesPerTxn = float64(memAfter.TotalAlloc-memBefore.TotalAlloc) / float64(total.Commits)
-	}
-	return res, firstErr
-}
-
-func stopped(stop chan struct{}) bool {
-	if stop == nil {
-		return false
-	}
-	select {
-	case <-stop:
-		return true
-	default:
-		return false
-	}
 }

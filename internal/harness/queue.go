@@ -2,8 +2,11 @@ package harness
 
 import (
 	"math"
+	"runtime"
 	"sync"
 	"time"
+
+	"next700/internal/xrand"
 )
 
 // arrivalQueue is the open-loop arrival buffer with a pluggable discipline.
@@ -30,7 +33,7 @@ import (
 //     per good commit.
 //
 // All methods taking an explicit now are deterministic and unit-testable;
-// the blocking pop wraps them with the real clock.
+// next wraps them with the real clock.
 type arrivalQueue struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -163,18 +166,40 @@ func (q *arrivalQueue) popLocked(now int64) (int64, bool) {
 	return q.takeHead(), true
 }
 
-// pop blocks until an arrival is available or the queue closes.
-func (q *arrivalQueue) pop() (int64, bool) {
+// next is the queue as an arrival source: it blocks until an arrival is
+// available and returns its stamp with the clock reading that served it.
+// ok is false once the queue has closed. A caller that must be back by a
+// given time passes it as until (0 = no bound): when the clock gets there
+// first, next returns at == 0. The bounded wait polls — a sleep while the
+// bound is more than 2ms away (the OS timer oversleeps anything shorter), a
+// yield after that — so it costs no timer per arrival.
+func (q *arrivalQueue) next(until int64) (at, now int64, ok bool) {
 	q.mu.Lock()
-	defer q.mu.Unlock()
 	for {
 		if q.closed {
-			return 0, false
+			q.mu.Unlock()
+			return 0, 0, false
 		}
+		now = time.Now().UnixNano()
 		if q.size() > 0 {
-			return q.popLocked(time.Now().UnixNano())
+			at, _ = q.popLocked(now)
+			q.mu.Unlock()
+			return at, now, true
 		}
-		q.cond.Wait()
+		if until == 0 {
+			q.cond.Wait()
+			continue
+		}
+		q.mu.Unlock()
+		if now >= until {
+			return 0, now, true
+		}
+		if d := time.Duration(until - now); d > 2*time.Millisecond {
+			time.Sleep(d)
+		} else {
+			runtime.Gosched()
+		}
+		q.mu.Lock()
 	}
 }
 
@@ -191,4 +216,55 @@ func (q *arrivalQueue) stats() (remaining int, dropped, overflow, lifoPops uint6
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return q.size(), q.dropped, q.overflow, q.lifoPops
+}
+
+// maxArrivalQueue bounds the arrival queue: past this many undrained
+// arrivals the generator counts drops into the backlog instead of buffering
+// — the run is already deep in collapse territory by then and the exact
+// queue contents no longer change the story.
+const maxArrivalQueue = 1 << 20
+
+// poissonGap draws one exponential inter-arrival time at rate per second.
+func poissonGap(rng *xrand.RNG, rate float64) time.Duration {
+	u := rng.Float64()
+	if u > 0.999999 {
+		u = 0.999999
+	}
+	return time.Duration(-math.Log(1-u) / rate * float64(time.Second))
+}
+
+// generate is the open-loop arrival process, the same one whatever executes
+// the arrivals: exponential gaps from a seeded RNG make the offered process
+// Poisson and the run replayable. It feeds q until stop closes, then closes q
+// (so blocked workers wake and whatever is still queued counts as backlog)
+// and returns how many arrivals it offered. Sleeps under ~2ms are skipped
+// (the OS timer would oversleep them), so high rates arrive in
+// millisecond-scale bursts — far below the latency scales being measured.
+func generate(q *arrivalQueue, rate float64, seed uint64, stop <-chan struct{}) (generated uint64) {
+	defer q.close()
+	rng := xrand.New(seed*9_176_867 + 0xfeed)
+	// One reusable timer, armed and drained here: a time.After per sleep
+	// would be charged to the window MeasureAllocs brackets.
+	sleep := time.NewTimer(0)
+	defer sleep.Stop()
+	<-sleep.C
+	next := time.Now()
+	for {
+		select {
+		case <-stop:
+			return generated
+		default:
+		}
+		next = next.Add(poissonGap(rng, rate))
+		if d := time.Until(next); d > 2*time.Millisecond {
+			sleep.Reset(d)
+			select {
+			case <-stop:
+				return generated
+			case <-sleep.C:
+			}
+		}
+		generated++
+		q.pushAt(next.UnixNano(), time.Now().UnixNano())
+	}
 }

@@ -108,13 +108,13 @@ func TestQueueCoDelDrop(t *testing.T) {
 	}
 }
 
-// TestQueueCloseUnblocks: close wakes blocked pops and stops service even
+// TestQueueCloseUnblocks: close wakes blocked waiters and stops service even
 // with entries still queued (they are backlog, as with the old channel).
 func TestQueueCloseUnblocks(t *testing.T) {
 	q := newArrivalQueue(16, 0, 0, 0)
 	done := make(chan bool)
 	go func() {
-		_, ok := q.pop()
+		_, _, ok := q.next(0)
 		done <- ok
 	}()
 	time.Sleep(5 * time.Millisecond)

@@ -270,6 +270,24 @@ func (c *Counter) Add(other *Counter) {
 	c.Waits += other.Waits
 }
 
+// Sub removes other from c: with other a snapshot taken earlier from the same
+// accumulating counter, c becomes what was counted since.
+func (c *Counter) Sub(other *Counter) {
+	c.Commits -= other.Commits
+	c.Aborts -= other.Aborts
+	c.UserAborts -= other.UserAborts
+	c.FatalAborts -= other.FatalAborts
+	c.DeadlineAborts -= other.DeadlineAborts
+	c.ShedAborts -= other.ShedAborts
+	c.PartitionAborts -= other.PartitionAborts
+	c.Reads -= other.Reads
+	c.Writes -= other.Writes
+	c.Inserts -= other.Inserts
+	c.Deletes -= other.Deletes
+	c.Scans -= other.Scans
+	c.Waits -= other.Waits
+}
+
 // AbortRate returns aborts per attempted transaction (aborts may exceed
 // commits under heavy contention because a transaction can abort many times
 // before committing).

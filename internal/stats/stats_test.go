@@ -174,6 +174,15 @@ func TestCounter(t *testing.T) {
 	if empty.AbortRate() != 0 {
 		t.Fatal("empty abort rate must be 0")
 	}
+	// Sub undoes Add on every field (the unkeyed literal stops compiling when
+	// a field is added, which is when Add and Sub need the new line too).
+	full := Counter{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13}
+	sum := full
+	sum.Add(&full)
+	sum.Sub(&full)
+	if sum != full {
+		t.Fatalf("counter sub is not the inverse of add: %+v", sum)
+	}
 }
 
 func TestTableRendering(t *testing.T) {
