@@ -5,8 +5,6 @@
 package bench
 
 import (
-	"time"
-
 	"next700/internal/core"
 	"next700/internal/harness"
 	"next700/internal/wal"
@@ -62,8 +60,6 @@ type EngineConfig struct {
 	LogMode wal.Mode
 	// LogPath is the WAL file (temp file recommended for benchmarks).
 	LogPath string
-	// GroupCommitWindow batches log syncs.
-	GroupCommitWindow time.Duration
 }
 
 // Run measures one (engine, workload) combination: it opens a fresh engine,
@@ -71,12 +67,11 @@ type EngineConfig struct {
 // the result.
 func Run(cfg EngineConfig, wl Workload, opts RunOptions) (Result, error) {
 	c := core.Config{
-		Protocol:          cfg.Protocol,
-		Threads:           cfg.Threads,
-		Partitions:        cfg.Partitions,
-		Isolation:         cfg.Isolation,
-		LogMode:           cfg.LogMode,
-		GroupCommitWindow: cfg.GroupCommitWindow,
+		Protocol:   cfg.Protocol,
+		Threads:    cfg.Threads,
+		Partitions: cfg.Partitions,
+		Isolation:  cfg.Isolation,
+		LogMode:    cfg.LogMode,
 	}
 	if cfg.LogMode != wal.ModeNone && cfg.LogPath != "" {
 		f, err := openLog(cfg.LogPath)

@@ -38,7 +38,6 @@ func main() {
 		seed       = flag.Uint64("seed", 42, "random seed")
 		logMode    = flag.String("log", "none", "durability: none | value | command")
 		logPath    = flag.String("logpath", "", "WAL path prefix (required for -log != none): the log is written to <logpath>.<i>, one file per stream, plus <logpath>.manifest.json for -recover")
-		gcWindow   = flag.Duration("groupcommit", time.Millisecond, "group commit window: the log's epoch advance period (0 = flush on every commit; -det with -log pins it to 0)")
 		walStreams = flag.Int("wal-streams", 1, "WAL stream count: the log is one StreamSet sharded across this many files with an epoch-based durable frontier (1 = the classic single log, same code)")
 
 		// YCSB knobs.
@@ -152,11 +151,10 @@ func main() {
 	}
 
 	cfg := core.Config{
-		Protocol:          *protocol,
-		Threads:           *threads,
-		Partitions:        *partitions,
-		Isolation:         *isolation,
-		GroupCommitWindow: *gcWindow,
+		Protocol:   *protocol,
+		Threads:    *threads,
+		Partitions: *partitions,
+		Isolation:  *isolation,
 	}
 	switch *logMode {
 	case "none":
@@ -259,18 +257,6 @@ func main() {
 		}
 		if cfg.Partitions <= 0 {
 			cfg.Partitions = *threads
-		}
-		if cfg.LogMode != wal.ModeNone {
-			// A logged batch seals as exactly one epoch, so the log must not
-			// advance epochs on a timer (core.NewDetExecutor enforces it at
-			// every stream count). The -groupcommit default is for the
-			// interactive path; only an explicit non-zero value is an error.
-			flag.Visit(func(f *flag.Flag) {
-				if f.Name == "groupcommit" && *gcWindow != 0 {
-					fatal("-det with -log %s requires -groupcommit 0 (each batch seals as one epoch)", *logMode)
-				}
-			})
-			cfg.GroupCommitWindow = 0
 		}
 		engine = "DET(QSTORE)"
 		dopts := harness.DetOptions{Batch: *detBatch, Batches: 64, WarmupBatches: 4}

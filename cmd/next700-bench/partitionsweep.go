@@ -211,15 +211,14 @@ func partitionSweep(c common, P int) sweep {
 // keys {i*P + p}.
 func partSweepEngine(P int, devs []wal.Device) (*core.Engine, *core.Table, error) {
 	e, err := core.Open(core.Config{
-		Protocol:          "SILO",
-		Threads:           P,
-		Partitions:        P,
-		LogMode:           wal.ModeValue,
-		WALStreams:        P,
-		LogDevices:        devs,
-		PartitionWAL:      true,
-		GroupCommitWindow: 200 * time.Microsecond,
-		EpochInterval:     time.Millisecond,
+		Protocol:      "SILO",
+		Threads:       P,
+		Partitions:    P,
+		LogMode:       wal.ModeValue,
+		WALStreams:    P,
+		LogDevices:    devs,
+		PartitionWAL:  true,
+		EpochInterval: time.Millisecond,
 	})
 	if err != nil {
 		return nil, nil, err

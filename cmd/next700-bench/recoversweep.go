@@ -160,7 +160,6 @@ func recoverSweepConfig(c common, o recoverSweepOpts, devs []wal.Device) core.Co
 	return core.Config{
 		Protocol: "SILO", Threads: c.Threads,
 		LogMode: wal.ModeValue, WALStreams: o.Streams, LogDevices: devs,
-		GroupCommitWindow: 200 * time.Microsecond,
 	}
 }
 

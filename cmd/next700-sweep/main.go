@@ -7,7 +7,7 @@
 //	next700-sweep -exp E2,E7      # selected experiments
 //	next700-sweep -quick          # reduced scale (~seconds per experiment)
 //	next700-sweep -list           # show the experiment index
-//	next700-sweep -exp E13 -cpuprofile cpu.out -trace trace.out
+//	next700-sweep -exp E8 -cpuprofile cpu.out -trace trace.out
 package main
 
 import (

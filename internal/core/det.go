@@ -79,11 +79,12 @@ type DetExecutor struct {
 }
 
 // NewDetExecutor builds the executor and starts its partition goroutines.
-// The engine must use the QSTORE protocol, have at least as many worker
-// slots as partitions, and — when logging, at any stream count — use an
-// immediate group-commit window (0), so that epochs advance only at batch
-// boundaries and the frontier maps 1:1 onto batches. Close stops the
-// goroutines; the engine outlives the executor.
+// The engine must use the QSTORE protocol and have at least as many worker
+// slots as partitions. When logging, at any stream count, the log bumps its
+// epoch only for a parked durability wait and a batch parks exactly one (the
+// seal), so epochs advance only at batch boundaries and the frontier maps
+// 1:1 onto batches. Close stops the goroutines; the engine outlives the
+// executor.
 func NewDetExecutor(e *Engine, exec DetExecFunc) (*DetExecutor, error) {
 	if e.Protocol() != "QSTORE" {
 		return nil, fmt.Errorf("core: deterministic execution requires the QSTORE protocol, engine has %s: %w",
@@ -97,10 +98,6 @@ func NewDetExecutor(e *Engine, exec DetExecFunc) (*DetExecutor, error) {
 	if e.cfg.Threads < parts {
 		return nil, fmt.Errorf("core: deterministic execution needs Threads >= Partitions (%d < %d): %w",
 			e.cfg.Threads, parts, ErrInvalidUsage)
-	}
-	if e.logs != nil && e.cfg.GroupCommitWindow != 0 {
-		return nil, fmt.Errorf("core: logged deterministic execution requires GroupCommitWindow=0, have %v "+
-			"(epochs must advance only at batch boundaries): %w", e.cfg.GroupCommitWindow, ErrInvalidUsage)
 	}
 	if e.cfg.LogMode == wal.ModeCommand {
 		return nil, fmt.Errorf("core: deterministic execution requires value logging or none "+
@@ -184,7 +181,7 @@ func (x *DetExecutor) ExecuteBatch(plan *det.Plan) (DetBatchResult, error) {
 	}
 	res.Committed = plan.Txns
 	// Seal the batch: one durability wait closes the epoch (its kick is
-	// what advances the immediate-mode coordinator), so the next batch's
+	// what advances the log's coordinator), so the next batch's
 	// appends land in a fresh epoch and the frontier stays batch-aligned.
 	if res.Epoch > 0 {
 		if err := x.e.logs.WaitDurable(0, res.Epoch); err != nil {

@@ -257,25 +257,29 @@ func TestDetExecutorCrossPartitionDelivery(t *testing.T) {
 // TestDetExecutorBatchPerEpochWAL: at every stream count — one stream is the
 // same log — each batch seals exactly one epoch, and replaying the synced
 // streams into a fresh engine reproduces the live digest. The rows with a
-// sync latency give the immediate-mode log a gather budget to spend: the
+// sync or per-byte write latency give the log a gather budget to spend: the
 // seal is a lone waiter, so it must still cost one bump and no more.
 func TestDetExecutorBatchPerEpochWAL(t *testing.T) {
 	const parts = 2
 	const keys = 32
 	for _, tc := range []struct {
-		streams int
-		sync    time.Duration
-	}{{1, 0}, {parts, 0}, {1, 100 * time.Microsecond}, {parts, 100 * time.Microsecond}} {
+		streams     int
+		sync, write time.Duration
+	}{
+		{1, 0, 0}, {parts, 0, 0},
+		{1, 100 * time.Microsecond, 0}, {parts, 100 * time.Microsecond, 0},
+		{1, 0, time.Microsecond}, {parts, 0, time.Microsecond},
+	} {
 		streams := tc.streams
-		t.Run(fmt.Sprintf("streams=%d/sync=%s", streams, tc.sync), func(t *testing.T) {
+		t.Run(fmt.Sprintf("streams=%d/sync=%s/write=%s", streams, tc.sync, tc.write), func(t *testing.T) {
 			mems := make([]*fault.MemDevice, streams)
 			devs := make([]wal.Device, streams)
 			sinks := make([]wal.Device, streams)
 			for i := range mems {
 				mems[i] = &fault.MemDevice{}
 				devs[i], sinks[i] = mems[i], &fault.MemDevice{}
-				if tc.sync > 0 {
-					devs[i] = fault.NewDevice(mems[i], fault.Plan{SyncLatency: tc.sync})
+				if tc.sync > 0 || tc.write > 0 {
+					devs[i] = fault.NewDevice(mems[i], fault.Plan{SyncLatency: tc.sync, WriteByteLatency: tc.write})
 				}
 			}
 			cfg := Config{LogMode: wal.ModeValue, LogDevices: devs}
@@ -334,18 +338,6 @@ func TestDetExecutorConfigValidation(t *testing.T) {
 	defer e.Close()
 	if _, err := NewDetExecutor(e, func(*Tx, det.Op, *det.Mailbox) error { return nil }); !errors.Is(err, ErrInvalidUsage) {
 		t.Fatalf("SILO engine accepted: %v", err)
-	}
-	// A non-zero window breaks the batch=epoch mapping, at any stream count.
-	for _, devs := range [][]wal.Device{{&fault.MemDevice{}}, {&fault.MemDevice{}, &fault.MemDevice{}}} {
-		e2, err := Open(Config{Protocol: "QSTORE", Threads: 2, Partitions: 2,
-			LogMode: wal.ModeValue, LogDevices: devs, GroupCommitWindow: time.Millisecond})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer e2.Close()
-		if _, err := NewDetExecutor(e2, func(*Tx, det.Op, *det.Mailbox) error { return nil }); !errors.Is(err, ErrInvalidUsage) {
-			t.Fatalf("windowed %d-stream log accepted: %v", len(devs), err)
-		}
 	}
 	// Command logging cannot express fragments.
 	e3, err := Open(Config{Protocol: "QSTORE", Threads: 1, Partitions: 1,

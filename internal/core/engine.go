@@ -58,8 +58,9 @@ type Config struct {
 	// LogDevices are the per-stream durable sinks; exactly WALStreams
 	// devices are required.
 	LogDevices []wal.Device
-	// GroupCommitWindow is the group-commit batching window — the epoch
-	// advance period (0 = flush on every commit).
+	// Deprecated: GroupCommitWindow is ignored — the log paces its own flush
+	// rounds (wal.StreamSet) — and read by nothing; it stays only because the
+	// frozen benchmark/engine.go:108 still sets it.
 	GroupCommitWindow time.Duration
 	// PartitionWAL shards the parallel WAL by partition instead of worker
 	// thread: stream p is partition p's log (WALStreams must equal
@@ -272,9 +273,9 @@ func Open(cfg Config) (*Engine, error) {
 	e.ckptThread = cfg.Threads
 	if cfg.LogMode != wal.ModeNone {
 		if cfg.PartitionWAL {
-			e.logs = wal.NewStreamSetScoped(cfg.LogDevices, cfg.GroupCommitWindow)
+			e.logs = wal.NewStreamSetScoped(cfg.LogDevices)
 		} else {
-			e.logs = wal.NewStreamSet(cfg.LogDevices, cfg.GroupCommitWindow)
+			e.logs = wal.NewStreamSet(cfg.LogDevices, 0)
 		}
 		e.logs.SetEpochGate(&e.ckptFence)
 	}

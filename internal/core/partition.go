@@ -209,7 +209,7 @@ func (e *Engine) partitionGuard() {
 			// device will not acknowledge — claim frozen, flush in flight —
 			// for the full window. Neither the distance between claim and
 			// epoch nor buffered bytes would do as the signal. The
-			// immediate-mode log runs one flush round at a time, so a wedged
+			// log runs one flush round at a time, so a wedged
 			// sync pins the epoch at claim+1 for as long as it hangs; and the
 			// hung batch is already swapped out of the staging buffer, while
 			// the healthy streams sit on staged records, claims frozen, until

@@ -27,15 +27,14 @@ func partEngine(t testing.TB, parts, n int, tweak func(cfg *Config, devs []wal.D
 		devs[i] = mems[i]
 	}
 	cfg := Config{
-		Protocol:          "SILO",
-		Threads:           parts,
-		Partitions:        parts,
-		LogMode:           wal.ModeValue,
-		WALStreams:        parts,
-		LogDevices:        devs,
-		PartitionWAL:      true,
-		GroupCommitWindow: 200 * time.Microsecond,
-		EpochInterval:     time.Millisecond,
+		Protocol:      "SILO",
+		Threads:       parts,
+		Partitions:    parts,
+		LogMode:       wal.ModeValue,
+		WALStreams:    parts,
+		LogDevices:    devs,
+		PartitionWAL:  true,
+		EpochInterval: time.Millisecond,
 	}
 	if tweak != nil {
 		tweak(&cfg, devs)
@@ -321,14 +320,13 @@ func TestPartitionStallEscalation(t *testing.T) {
 	e.Close()
 }
 
-// TestPartitionStallEscalationImmediate is the same gray failure under the
-// immediate-mode log (GroupCommitWindow 0), mid-run, with a healthy partition
-// committing alongside. That log runs one flush round at a time, so the hung
-// sync holds every later epoch bump back: the guard cannot tell the stall
-// from the epoch running ahead of the claim and must see the flush in flight.
-// Once it escalates, the healthy partition's parked commit completes and it
-// keeps committing.
-func TestPartitionStallEscalationImmediate(t *testing.T) {
+// TestPartitionStallEscalationMidRun is the same gray failure mid-run, with a
+// healthy partition committing alongside. The log runs one flush round at a
+// time, so the hung sync holds every later epoch bump back: the guard cannot
+// tell the stall from the epoch running ahead of the claim and must see the
+// flush in flight. Once it escalates, the healthy partition's parked commit
+// completes and it keeps committing.
+func TestPartitionStallEscalationMidRun(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
 	const parts = 2
 	const dead = 1
@@ -336,7 +334,6 @@ func TestPartitionStallEscalationImmediate(t *testing.T) {
 	e, _, tbl := partEngine(t, parts, 16, func(cfg *Config, devs []wal.Device) {
 		stalled = fault.NewDevice(&fault.MemDevice{}, fault.Plan{StallSyncAt: 20})
 		devs[dead] = stalled
-		cfg.GroupCommitWindow = 0
 		cfg.QuarantineStall = 50 * time.Millisecond
 	})
 	// Release the stalled sync before Close so the flusher can drain.
@@ -457,15 +454,14 @@ func TestSlicedCheckpointRecoverFromStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := openEngine(t, Config{
-		Protocol:          "SILO",
-		Threads:           parts,
-		Partitions:        parts,
-		LogMode:           wal.ModeValue,
-		WALStreams:        parts,
-		LogDevices:        att.Devices,
-		PartitionWAL:      true,
-		GroupCommitWindow: 100 * time.Microsecond,
-		EpochInterval:     time.Millisecond,
+		Protocol:      "SILO",
+		Threads:       parts,
+		Partitions:    parts,
+		LogMode:       wal.ModeValue,
+		WALStreams:    parts,
+		LogDevices:    att.Devices,
+		PartitionWAL:  true,
+		EpochInterval: time.Millisecond,
 	})
 	tbl := kvTable(t, e, "kv", IndexHash, keys)
 	tx := e.NewTx(0, 5)
@@ -507,15 +503,14 @@ func TestSlicedCheckpointRecoverFromStore(t *testing.T) {
 			t.Fatal(err)
 		}
 		e2 := openEngine(t, Config{
-			Protocol:          "SILO",
-			Threads:           parts,
-			Partitions:        parts,
-			LogMode:           wal.ModeValue,
-			WALStreams:        parts,
-			LogDevices:        att2.Devices,
-			PartitionWAL:      true,
-			GroupCommitWindow: 100 * time.Microsecond,
-			EpochInterval:     time.Millisecond,
+			Protocol:      "SILO",
+			Threads:       parts,
+			Partitions:    parts,
+			LogMode:       wal.ModeValue,
+			WALStreams:    parts,
+			LogDevices:    att2.Devices,
+			PartitionWAL:  true,
+			EpochInterval: time.Millisecond,
 		})
 		tbl2 := kvTable(t, e2, "kv", IndexHash, 0)
 		load := func() error {
@@ -572,15 +567,14 @@ func TestCheckpointDeferredWhileQuarantined(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := openEngine(t, Config{
-		Protocol:          "SILO",
-		Threads:           parts,
-		Partitions:        parts,
-		LogMode:           wal.ModeValue,
-		WALStreams:        parts,
-		LogDevices:        att.Devices,
-		PartitionWAL:      true,
-		GroupCommitWindow: 100 * time.Microsecond,
-		EpochInterval:     time.Millisecond,
+		Protocol:      "SILO",
+		Threads:       parts,
+		Partitions:    parts,
+		LogMode:       wal.ModeValue,
+		WALStreams:    parts,
+		LogDevices:    att.Devices,
+		PartitionWAL:  true,
+		EpochInterval: time.Millisecond,
 	})
 	tbl := kvTable(t, e, "kv", IndexHash, 8)
 	tx := e.NewTx(0, 7)

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
+	"next700/internal/testutil"
 	"next700/internal/txn"
 	"next700/internal/wal"
 )
@@ -175,5 +177,48 @@ func TestLogCrashGoesSticky(t *testing.T) {
 	}
 	if err := w.Close(); !errors.Is(err, wal.ErrLogFailed) {
 		t.Fatalf("Close after crash err=%v", err)
+	}
+}
+
+// TestDeadlineWaiterLeavesItsRecordFlushable: a committer that gives up on
+// ErrWaitDeadline while a round is in flight has been told "committed,
+// durability unknown" — its staged record must still reach the device once
+// the device recovers, without waiting for another committer or for Close to
+// close its epoch.
+func TestDeadlineWaiterLeavesItsRecordFlushable(t *testing.T) {
+	defer testutil.CheckGoroutines(t)()
+	mem := &MemDevice{}
+	dev := NewDevice(mem, Plan{StallSyncAt: 1})
+	s := wal.NewStreamSet([]wal.Device{dev}, 0)
+	// The first commit's round hangs in Sync; the second stages its record on
+	// the open epoch behind it. Both waits run out.
+	var last uint64
+	for id := uint64(1); id <= 2; id++ {
+		rec := (&wal.CommitRecord{TxnID: id, Entries: []wal.Entry{
+			{Kind: wal.EntryUpdate, Table: 1, RID: id, Key: id, Data: []byte("x")},
+		}}).Encode(nil)
+		epoch, err := s.Append(0, rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = s.WaitDurableUntil(0, epoch, time.Now().Add(20*time.Millisecond).UnixNano())
+		if !errors.Is(err, wal.ErrWaitDeadline) {
+			t.Fatalf("commit %d on a stalled device: err=%v, want ErrWaitDeadline", id, err)
+		}
+		last = epoch
+	}
+	dev.Release()
+	for deadline := time.Now().Add(5 * time.Second); s.DurableEpoch() < last; {
+		if time.Now().After(deadline) {
+			t.Fatalf("durable epoch %d, want %d: the departed waiter's record was never flushed", s.DurableEpoch(), last)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	n, err := wal.Replay(bytes.NewReader(mem.SyncedBytes()), func(*wal.CommitRecord) error { return nil })
+	if err != nil || n != 2 {
+		t.Fatalf("replay n=%d err=%v, want both records", n, err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

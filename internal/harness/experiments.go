@@ -45,7 +45,6 @@ func All() []Experiment {
 		{"E10", "H-Store multi-partition cliff", "BenchmarkE10_MultiPartition", runE10},
 		{"E11", "Data-oriented (DORA) vs thread-to-transaction", "BenchmarkE11_DORA", runE11},
 		{"E12", "Index structure ablation (hash vs B+ tree)", "BenchmarkE12_Index", runE12},
-		{"E13", "Group-commit window ablation", "BenchmarkE13_GroupCommit", runE13},
 		{"E14", "MVCC isolation-level ablation", "BenchmarkE14_Isolation", runE14},
 		{"E15", "HTAP: analytical scans concurrent with OLTP (extension)", "BenchmarkE15_HTAP", runE15},
 	}
@@ -261,7 +260,6 @@ func runE8(w io.Writer, quick bool) error {
 			logPath = f.Name()
 			defer os.Remove(logPath)
 			cfg.LogDevice = f
-			cfg.GroupCommitWindow = time.Millisecond
 			defer f.Close()
 		}
 		ycfg := workload.YCSBConfig{Records: records, OpsPerTxn: 8, ReadRatio: 0.5, Theta: 0.4}
@@ -442,34 +440,6 @@ func runE12(w io.Writer, quick bool) error {
 	}
 	tbl.AddRow("50% scans", "n/a", r.Tps)
 	fmt.Fprintf(w, "E12: YCSB tps by primary index kind (SILO, 4 threads)\n%s\n", tbl)
-	return nil
-}
-
-// E13: group-commit window ablation.
-func runE13(w io.Writer, quick bool) error {
-	const threads = 4
-	windows := []time.Duration{0, time.Millisecond, 5 * time.Millisecond}
-	tbl := stats.NewTable("window", "tps", "p50", "p99")
-	for _, win := range windows {
-		f, err := os.CreateTemp("", "next700-e13-*.log")
-		if err != nil {
-			return err
-		}
-		r, err := Run(core.Config{
-			Protocol: "NO_WAIT", Threads: threads,
-			LogMode: wal.ModeValue, LogDevice: f, GroupCommitWindow: win,
-		}, workload.NewYCSB(workload.YCSBConfig{
-			Records: ycsbRecords(quick), OpsPerTxn: 8, ReadRatio: 0.5,
-		}), runOpts(quick, threads))
-		f.Close()
-		os.Remove(f.Name())
-		if err != nil {
-			return err
-		}
-		tbl.AddRow(win.String(), r.Tps,
-			time.Duration(r.Latency.P50).String(), time.Duration(r.Latency.P99).String())
-	}
-	fmt.Fprintf(w, "E13: YCSB with value logging, by group-commit window\n%s\n", tbl)
 	return nil
 }
 

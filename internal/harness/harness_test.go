@@ -112,8 +112,8 @@ func TestRunVerifyRequiresRecordable(t *testing.T) {
 
 func TestExperimentRegistry(t *testing.T) {
 	all := All()
-	if len(all) != 15 {
-		t.Fatalf("expected 15 experiments, got %d", len(all))
+	if len(all) != 14 {
+		t.Fatalf("expected 14 experiments, got %d", len(all))
 	}
 	seen := map[string]bool{}
 	for _, e := range all {

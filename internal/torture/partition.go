@@ -129,15 +129,14 @@ func partitionPlans(cfg PartitionConfig) [][]transfer {
 func buildPartitionEngine(cfg PartitionConfig, devs []wal.Device) (*core.Engine, *core.Table, error) {
 	P := cfg.Partitions
 	e, err := core.Open(core.Config{
-		Protocol:          cfg.Protocol,
-		Threads:           P,
-		Partitions:        P,
-		LogMode:           wal.ModeValue,
-		WALStreams:        P,
-		LogDevices:        devs,
-		PartitionWAL:      true,
-		GroupCommitWindow: 200 * time.Microsecond,
-		EpochInterval:     time.Millisecond,
+		Protocol:      cfg.Protocol,
+		Threads:       P,
+		Partitions:    P,
+		LogMode:       wal.ModeValue,
+		WALStreams:    P,
+		LogDevices:    devs,
+		PartitionWAL:  true,
+		EpochInterval: time.Millisecond,
 	})
 	if err != nil {
 		return nil, nil, err

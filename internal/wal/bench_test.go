@@ -59,19 +59,18 @@ func BenchmarkAppend(b *testing.B) {
 }
 
 // BenchmarkCommitImmediate is the closed loop the perf ledger's ycsb_durable
-// runs, without the engine: committers append and wait on an immediate-mode
-// set over a device whose sync takes a modelled latency. syncs/commit is the
+// runs, without the engine: committers append and wait on a one-stream set
+// over a device whose sync takes a modelled latency. syncs/commit is the
 // count that explains the ledger: 1.0 for a lone committer (nothing to
 // gather), about 1/committers once groups form.
 func BenchmarkCommitImmediate(b *testing.B) {
 	for _, committers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("committers=%d", committers), func(b *testing.B) {
-			dev := &slowDevice{latency: 100 * time.Microsecond}
-			s := NewStreamSet([]Device{dev}, 0)
+			s, devs := slowSet(1, 100*time.Microsecond, 0)
 			b.ResetTimer()
 			closedLoop(b, s, committers, b.N)
 			b.StopTimer()
-			syncs, _ := dev.counts()
+			syncs, _ := devs[0].counts()
 			b.ReportMetric(float64(syncs)/float64(b.N), "syncs/commit")
 			if err := s.Close(); err != nil {
 				b.Fatal(err)

@@ -50,14 +50,13 @@ func (e *StreamError) Unwrap() []error {
 // Workers append encoded records to their own stream — there is no shared
 // mutex on the append path — and each record is stamped with the epoch
 // current at append time (patched in place under the stream's mutex, which
-// makes per-stream epoch tags monotone). A coordinator advances the epoch on
-// a ticker (or, in immediate mode, one flush round at a time as committers
-// park — see gather) and wakes every stream flusher; a flusher drains its
-// buffer, appends an epoch marker certifying the epochs it has completed,
-// and syncs. Epoch E is durable only once every
-// stream has synced through E — the durable frontier is the minimum of the
-// per-stream claims, minus one — and commit waits block on that frontier,
-// not on a per-stream byte offset.
+// makes per-stream epoch tags monotone). A coordinator advances the epoch
+// one flush round at a time as committers park (see gather) and wakes every
+// stream flusher; a flusher drains its buffer, appends an epoch marker
+// certifying the epochs it has completed, and syncs. Epoch E is durable only
+// once every stream has synced through E — the durable frontier is the
+// minimum of the per-stream claims, minus one — and commit waits block on
+// that frontier, not on a per-stream byte offset.
 //
 // The flusher wake order prioritizes streams whose WaitDurableUntil waiters
 // are nearest their deadlines (the streams sync concurrently; the order is
@@ -76,8 +75,6 @@ type StreamSet struct {
 	// engine's health probes are lock-free.
 	durable uint64
 
-	window time.Duration
-
 	// scoped selects per-stream failure semantics (NewStreamSetScoped): a
 	// sticky device failure poisons only its own stream, the frontier
 	// freezes until the failed stream is quarantined, and Quarantine
@@ -90,37 +87,41 @@ type StreamSet struct {
 	failed  atomic.Bool
 	closing atomic.Bool
 
-	mu      sync.Mutex
-	cond    *sync.Cond
-	err     error
-	closed  bool
-	waiters int // parked waitDurable callers; the coordinator never skips an advance while any exist
+	mu     sync.Mutex
+	cond   *sync.Cond
+	err    error
+	closed bool
 
-	// openAt is the highest epoch tag any waiter has parked on and openN the
-	// waiters currently parked on exactly that tag. Tags never exceed the
-	// epoch counter, so those waiters' epoch is still open — no bump has
-	// closed it, no round is coming for them — iff openAt equals the counter.
-	openAt uint64
-	openN  int
-	// gatherTarget is the parked-waiter count when the frontier last rose:
-	// the committers a completed round released plus those it left open, i.e.
-	// how many the immediate-mode coordinator can expect to gather before the
-	// next bump. An upper estimate — a released committer may not come back,
-	// and a waiter on a dead stream or on an epoch a Rotate closed is counted
-	// too — whose only cost is the gather running out its budget.
+	// parked holds the epoch tag of every waiter parked in WaitDurableMulti.
+	// Tags never exceed the epoch counter, so a waiter's epoch is still open —
+	// no bump has closed it, no round is coming for it — iff its tag equals
+	// the counter. A handful of entries at most (one per committer).
+	parked []uint64
+	// orphanAt is the highest tag a waiter left behind on ErrWaitDeadline
+	// while its epoch was still open: its record is staged, nobody is parked
+	// to ask for the bump that would flush it, so the kick it left stands in
+	// for it until a bump passes the tag.
+	orphanAt uint64
+	// gatherTarget is how many committers the coordinator can expect to gather
+	// before the next bump: when the frontier last rose, the waiters that rise
+	// released plus those parked on the open epoch. Waiters on a dead stream
+	// or on an epoch a Rotate closed are neither. An upper estimate — a
+	// released committer may not come back — whose only cost is the gather
+	// running out its budget.
 	gatherTarget int
-	// parks counts WaitDurable parkings. Raised under mu, read lock-free by
-	// the gather so it can spin without taking the mutex committers park on.
-	parks atomic.Uint64
 	// launched is the epoch value of the coordinator's last bump. Its round is
 	// complete once every live stream claims it. Coordinator goroutine only.
 	launched uint64
-	// syncNanos is the latest dev.Sync latency a flusher measured; an eighth
-	// of it bounds the immediate-mode gather.
-	syncNanos atomic.Int64
+	// flushNanos is the latest device round trip (Write plus Sync) a flusher
+	// measured; an eighth of it bounds the gather. gatherTimer times the part
+	// of a gather spent parked (coordinator goroutine only; stopped and
+	// drained in between).
+	flushNanos  atomic.Int64
+	gatherTimer *time.Timer
 
-	streams []*stream
-	order   []int // coordinator scratch: deadline-priority wake order
+	streams  []*stream
+	flushers sync.WaitGroup // the stream flusher goroutines; the coordinator joins them at shutdown
+	order    []int          // coordinator scratch: deadline-priority wake order
 
 	// epochGate, when set, is held around every coordinator epoch bump (see
 	// SetEpochGate). Guarded by mu.
@@ -194,20 +195,22 @@ type stream struct {
 	rotateTarget uint64
 
 	flush chan struct{}
-	done  chan struct{}
 }
 
 // NewStreamSet starts a parallel log over the given per-stream devices.
-// window is the epoch advance period — the group-commit batching window.
-// Zero is immediate mode: groups form themselves. A parked WaitDurable kicks
-// the coordinator, which runs one flush round at a time and, before closing
-// an epoch, briefly gathers the committers the last round released (see
-// gather); a lone committer or an unthrottled device never waits.
+// Commit groups form themselves at every stream count: a parked WaitDurable
+// kicks the coordinator, which runs one flush round at a time — every live
+// stream syncs once, in parallel — and, before closing an epoch, briefly
+// gathers the committers the last round released (see gather); a lone
+// committer or an unthrottled device never waits.
 // Failure semantics are whole-set (legacy thread affinity): one sticky
 // device failure poisons every stream. See NewStreamSetScoped for the
 // per-partition alternative.
-func NewStreamSet(devs []Device, window time.Duration) *StreamSet {
-	return newStreamSet(devs, window, false)
+//
+// The second parameter is deprecated and ignored — it was the epoch ticker's
+// period; the frozen benchmark/probes.go:376 still passes one.
+func NewStreamSet(devs []Device, _ time.Duration) *StreamSet {
+	return newStreamSet(devs, false)
 }
 
 // NewStreamSetScoped starts a parallel log with per-stream failure scope,
@@ -218,14 +221,13 @@ func NewStreamSet(devs []Device, window time.Duration) *StreamSet {
 // over the surviving streams so healthy partitions keep committing durably.
 // Failed stream indexes are delivered on FailureC for the engine's
 // quarantine guard.
-func NewStreamSetScoped(devs []Device, window time.Duration) *StreamSet {
-	return newStreamSet(devs, window, true)
+func NewStreamSetScoped(devs []Device) *StreamSet {
+	return newStreamSet(devs, true)
 }
 
-func newStreamSet(devs []Device, window time.Duration, scoped bool) *StreamSet {
+func newStreamSet(devs []Device, scoped bool) *StreamSet {
 	s := &StreamSet{
 		epoch:  1,
-		window: window,
 		scoped: scoped,
 		order:  make([]int, len(devs)),
 		wake:   make(chan struct{}, 1),
@@ -235,6 +237,8 @@ func newStreamSet(devs []Device, window time.Duration, scoped bool) *StreamSet {
 		s.failureC = make(chan int, len(devs))
 	}
 	s.cond = sync.NewCond(&s.mu)
+	s.gatherTimer = time.NewTimer(time.Hour)
+	s.gatherTimer.Stop()
 	s.streams = make([]*stream, len(devs))
 	for i, dev := range devs {
 		st := &stream{
@@ -242,9 +246,9 @@ func newStreamSet(devs []Device, window time.Duration, scoped bool) *StreamSet {
 			dev:   dev,
 			id:    i,
 			flush: make(chan struct{}, 1),
-			done:  make(chan struct{}),
 		}
 		s.streams[i] = st
+		s.flushers.Add(1)
 		go st.flusher()
 	}
 	go s.coordinator()
@@ -393,9 +397,9 @@ func (st *stream) deadFor(epoch uint64) bool {
 // WaitDurableMulti blocks until epoch is durable for an append to the listed
 // streams (the AppendMulti target list, or the one stream of an Append): the
 // frontier must cover epoch and, in scoped mode, none of the touched streams
-// may have died before certifying it. In immediate mode a parked waiter kicks
-// the coordinator while its epoch is still open; once a bump has closed the
-// epoch a flush round is already on its way and the waiter only waits.
+// may have died before certifying it. A parked waiter kicks the coordinator
+// while its epoch is still open; once a bump has closed the epoch a flush
+// round is already on its way and the waiter only waits.
 //
 //next700:allowalloc(blocked path only: the deadline timer and clock reads happen while parked, never on a commit that finds its epoch durable)
 func (s *StreamSet) WaitDurableMulti(streamIDs []int, epoch uint64, deadline int64) error {
@@ -416,20 +420,8 @@ func (s *StreamSet) WaitDurableMulti(streamIDs []int, epoch uint64, deadline int
 	var timer *time.Timer
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.waiters++
-	s.parks.Add(1)
-	if epoch > s.openAt {
-		s.openAt, s.openN = epoch, 0
-	}
-	if epoch == s.openAt {
-		s.openN++
-	}
-	defer func() {
-		s.waiters--
-		if epoch == s.openAt {
-			s.openN--
-		}
-	}()
+	s.parked = append(s.parked, epoch)
+	defer s.unparkLocked(epoch)
 	for atomic.LoadUint64(&s.durable) < epoch && s.err == nil && !s.closed && deadStream() == nil {
 		if deadline != 0 {
 			for _, id := range streamIDs {
@@ -439,6 +431,13 @@ func (s *StreamSet) WaitDurableMulti(streamIDs []int, epoch uint64, deadline int
 			if remaining <= 0 {
 				if timer != nil {
 					timer.Stop()
+				}
+				if epoch >= atomic.LoadUint64(&s.epoch) {
+					// Leaving with the record staged in an epoch nobody else may
+					// ever ask to close: a kick already taken for this waiter
+					// would find it gone, so leave one that outlives it.
+					s.orphanAt = epoch
+					s.kick()
 				}
 				return ErrWaitDeadline
 			}
@@ -451,7 +450,7 @@ func (s *StreamSet) WaitDurableMulti(streamIDs []int, epoch uint64, deadline int
 				})
 			}
 		}
-		if s.window == 0 && epoch >= atomic.LoadUint64(&s.epoch) {
+		if epoch >= atomic.LoadUint64(&s.epoch) {
 			// The caller's record is staged in an epoch no bump has closed
 			// yet: ask for one. A closed epoch needs no kick — the bump that
 			// closed it signalled every flusher — and the coordinator ignores
@@ -485,6 +484,19 @@ func (s *StreamSet) WaitDurableMulti(streamIDs []int, epoch uint64, deadline int
 	return errClosedBeforeDurable
 }
 
+// unparkLocked drops one waiter tagged epoch from the parked set. Requires
+// s.mu.
+func (s *StreamSet) unparkLocked(epoch uint64) {
+	for i, tag := range s.parked {
+		if tag == epoch {
+			last := len(s.parked) - 1
+			s.parked[i] = s.parked[last]
+			s.parked = s.parked[:last]
+			return
+		}
+	}
+}
+
 // noteDeadline registers a waiter deadline with the stream (keep-the-
 // earliest). Flushers reset it at each cycle; parked waiters re-register at
 // every loop iteration, so staleness is bounded by one epoch.
@@ -508,45 +520,30 @@ func (s *StreamSet) kick() {
 	}
 }
 
-// coordinator advances the epoch on window ticks (or, in immediate mode, on
-// wait-pressure kicks, one round at a time) and wakes the stream flushers in
-// deadline-priority order.
+// coordinator serves wait-pressure kicks one flush round at a time: each
+// kick that finds a committer to flush for closes the epoch and wakes the
+// stream flushers in deadline-priority order.
 func (s *StreamSet) coordinator() {
 	defer close(s.done)
-	var ticker *time.Ticker
-	var tick <-chan time.Time
-	if s.window > 0 {
-		ticker = time.NewTicker(s.window)
-		tick = ticker.C
-		defer ticker.Stop()
+	for range s.wake {
+		if s.gather() {
+			s.advance()
+		}
 	}
-	for {
-		select {
-		case _, ok := <-s.wake:
-			if !ok {
-				// Shutdown: one final advance closes the last epoch, then the
-				// flushers drain and exit.
-				s.advance()
-				for _, st := range s.streams {
-					close(st.flush)
-				}
-				for _, st := range s.streams {
-					<-st.done
-				}
-				return
-			}
-		case <-tick:
-		}
-		if s.window == 0 && !s.gather() {
-			continue
-		}
+	// Shutdown: one final advance closes the last epoch, then the flushers
+	// drain and exit.
+	if !s.settled() {
 		s.advance()
 	}
+	for _, st := range s.streams {
+		close(st.flush)
+	}
+	s.flushers.Wait()
 }
 
-// gather is what makes immediate-mode groups form themselves. A kick used to
-// bump the epoch at once, even with the flusher mid-sync, so W closed-loop
-// committers took turns at the device in singleton epochs, each waiting out
+// gather is what makes commit groups form themselves. A kick that bumped the
+// epoch at once, even with a flusher mid-sync, would have W closed-loop
+// committers take turns at the device in singleton epochs, each waiting out
 // the other's sync before its own. Instead:
 //
 //  1. One round at a time: the kick is served when the round the last bump
@@ -558,14 +555,14 @@ func (s *StreamSet) coordinator() {
 //     stalled claim, so whoever escalates stalls must key on StreamPending,
 //     not on the epoch running ahead of the claim.
 //  2. Gather: the committers that round released are about to return, so
-//     yield until as many waiters are parked on the open epoch as were parked
-//     when the frontier last rose — for at most an eighth of the sync latency
-//     the flushers measure. Both are observed: a lone committer (target 1,
-//     itself) and an unthrottled device (budget ≈ 0) never wait. The yield is
-//     runtime.Gosched against the monotonic clock, never a timer: a timer
-//     tick can cost more than the sync it would save.
+//     yield until as many waiters are parked on the open epoch as the last
+//     frontier rise released or left open — for at most an eighth of the
+//     device round trip (write plus sync) the flushers measure. Both are
+//     observed: a lone committer (target 1, itself) and an unthrottled device
+//     (budget ≈ 0) never wait. See awaitKick for how the wait is spent.
 //
-// It reports whether any waiter is parked on the open epoch; if none is, the
+// It reports whether the open epoch holds anything to flush for: a parked
+// waiter, or the record of one that left on its deadline. If neither, the
 // kick was stale (a bump has closed its sender's epoch since) and advancing
 // would only sync an empty epoch.
 func (s *StreamSet) gather() bool {
@@ -574,19 +571,61 @@ func (s *StreamSet) gather() bool {
 	for s.roundInFlightLocked() && s.err == nil && !s.closed {
 		s.cond.Wait() //next700:allowwait(every claim raise, stream failure, quarantine, set poison and Close broadcasts; failed and quarantined streams are not waited for)
 	}
-	deadline := time.Now().Add(time.Duration(s.syncNanos.Load() / 8))
+	start := time.Now()
+	deadline := start.Add(time.Duration(s.flushNanos.Load() / 8))
 	for s.openLocked() < s.gatherTarget && s.err == nil && !s.closed && time.Now().Before(deadline) {
-		// Only a newly parked waiter, poison or Close can change the answer:
-		// yield off the mutex until one shows up, so the returning committers
-		// never contend with the gather for the lock they need to park.
-		seen := s.parks.Load()
+		// Only a newly parked waiter or Close can change the answer, and both
+		// send on wake: wait for one off the mutex, so the returning
+		// committers never contend with the gather for the lock they need to
+		// park.
 		s.mu.Unlock()
-		for s.parks.Load() == seen && !s.failed.Load() && !s.closing.Load() && time.Now().Before(deadline) {
-			runtime.Gosched()
-		}
+		s.awaitKick(start.Add(gatherSpin), deadline)
 		s.mu.Lock()
 	}
-	return s.openLocked() > 0
+	return s.openLocked() > 0 || s.orphanAt >= atomic.LoadUint64(&s.epoch)
+}
+
+// gatherSpin is how long a gather holds its processor before it parks: about
+// what a timer wake-up costs.
+const gatherSpin = 100 * time.Microsecond
+
+// awaitKick returns once a waiter has kicked (each one parking on the open
+// epoch does), the set is closing, or the deadline has passed. Until spinUntil
+// it yields with runtime.Gosched against the monotonic clock, never a timer: a
+// timer tick can cost more than the sync a short budget is there to save, so
+// a budget under gatherSpin is kept to the microsecond. Past it the
+// coordinator parks on the kick channel and a timer: spinning out a budget of
+// milliseconds takes a processor from the committers it is waiting for.
+// Coordinator goroutine only.
+func (s *StreamSet) awaitKick(spinUntil, deadline time.Time) {
+	for len(s.wake) == 0 && !s.closing.Load() {
+		now := time.Now()
+		if !now.Before(deadline) {
+			return
+		}
+		if now.Before(spinUntil) {
+			runtime.Gosched()
+			continue
+		}
+		s.gatherTimer.Reset(deadline.Sub(now))
+		select {
+		case <-s.wake:
+			if !s.gatherTimer.Stop() {
+				// Fired since: take the tick, or the next park returns at
+				// once (harmless — gather re-checks its deadline — but wasted).
+				select {
+				case <-s.gatherTimer.C:
+				default:
+				}
+			}
+		case <-s.gatherTimer.C:
+		}
+		return
+	}
+	select {
+	case <-s.wake:
+	default:
+	}
 }
 
 // roundInFlightLocked reports whether some live stream has yet to sync
@@ -602,20 +641,23 @@ func (s *StreamSet) roundInFlightLocked() bool {
 
 // openLocked counts the waiters parked on the still-open epoch. Requires s.mu.
 func (s *StreamSet) openLocked() int {
-	if s.openAt < atomic.LoadUint64(&s.epoch) {
-		return 0
+	return s.parkedIn(atomic.LoadUint64(&s.epoch), ^uint64(0))
+}
+
+// parkedIn counts the parked waiters tagged within [lo, hi]. Requires s.mu.
+func (s *StreamSet) parkedIn(lo, hi uint64) int {
+	n := 0
+	for _, tag := range s.parked {
+		if lo <= tag && tag <= hi {
+			n++
+		}
 	}
-	return s.openN
+	return n
 }
 
 // advance closes the current epoch and wakes every stream flusher, most
-// urgent deadline first. A fully idle set (no staged bytes, no waiters,
-// every claim caught up) skips the advance: an idle engine must not churn
-// epochs and marker syncs forever.
+// urgent deadline first.
 func (s *StreamSet) advance() {
-	if s.idle() {
-		return
-	}
 	s.mu.Lock()
 	gate := s.epochGate
 	s.mu.Unlock()
@@ -646,60 +688,26 @@ func (s *StreamSet) advance() {
 	}
 }
 
-// idle reports whether an advance would be a pure no-op: nothing staged,
-// nobody waiting, and every stream's claim already at the current epoch with
-// the frontier right behind it. The waiter check is load-bearing: a record
-// can be tagged with the current epoch and flushed before the epoch closes —
-// on-device but uncertified — and only a further advance certifies it, so
-// the set is never idle while such a commit has a parked waiter.
-func (s *StreamSet) idle() bool {
+// settled reports whether a final advance would close an empty epoch:
+// nothing is staged and every stream in the frontier has synced through the
+// current epoch. Close must not add an epoch nobody committed in — a
+// deterministic run's epochs map 1:1 onto its batches.
+func (s *StreamSet) settled() bool {
 	s.mu.Lock()
-	if s.waiters > 0 || s.err != nil {
-		s.mu.Unlock()
-		return false
-	}
+	defer s.mu.Unlock()
 	epoch := atomic.LoadUint64(&s.epoch)
-	if atomic.LoadUint64(&s.durable) != epoch-1 {
-		s.mu.Unlock()
-		return false
-	}
 	for _, st := range s.streams {
-		// Quarantined streams are excluded from the frontier and never catch
-		// up; they must not keep the rest of the set churning empty epochs.
 		if st.quarantined {
-			continue
-		}
-		if st.claim.Load() != epoch {
-			s.mu.Unlock()
-			return false
-		}
-	}
-	quarantined := s.quarantinedMaskLocked()
-	s.mu.Unlock()
-	for i, st := range s.streams {
-		if quarantined&(1<<uint(i)) != 0 {
 			continue
 		}
 		st.mu.Lock()
 		staged := len(st.buf)
 		st.mu.Unlock()
-		if staged > 0 {
+		if staged > 0 || st.claim.Load() != epoch {
 			return false
 		}
 	}
 	return true
-}
-
-// quarantinedMaskLocked returns a bitmask of quarantined streams (requires
-// s.mu; stream counts are capped at 64 in scoped mode by the engine).
-func (s *StreamSet) quarantinedMaskLocked() uint64 {
-	var m uint64
-	for i, st := range s.streams {
-		if st.quarantined && i < 64 {
-			m |= 1 << uint(i)
-		}
-	}
-	return m
 }
 
 // deadlineKey orders streams for flusher wakeup: earliest waiter deadline
@@ -715,7 +723,7 @@ func (s *StreamSet) deadlineKey(idx int) int64 {
 // flusher drains the stream on coordinator signals; closing the flush
 // channel triggers one final drain and exit.
 func (st *stream) flusher() {
-	defer close(st.done)
+	defer st.set.flushers.Done()
 	for {
 		_, ok := <-st.flush //next700:allowwait(flusher parks for epoch signals; shutdown closes the channel, guaranteeing a final drain and exit)
 		st.flushOnce()
@@ -742,7 +750,7 @@ func (s *StreamSet) recomputeFrontierLocked() {
 	}
 	if any && min > 0 && min-1 > atomic.LoadUint64(&s.durable) {
 		atomic.StoreUint64(&s.durable, min-1)
-		s.gatherTarget = s.waiters
+		s.gatherTarget = s.parkedIn(0, min-1) + s.openLocked()
 	}
 }
 
@@ -829,16 +837,16 @@ func (st *stream) flushOnce() {
 	if target > st.lastMark {
 		batch = appendMarker(batch, target)
 	}
+	t0 := time.Now()
 	_, err := st.dev.Write(batch)
 	if err == nil {
-		t0 := time.Now()
 		err = st.dev.Sync()
 		// A transient sync failure is retried in place; only persistent
 		// failure poisons the set.
 		for retries := 0; err != nil && isTransient(err) && retries < maxSyncRetries; retries++ {
 			err = st.dev.Sync()
 		}
-		s.syncNanos.Store(int64(time.Since(t0)))
+		s.flushNanos.Store(int64(time.Since(t0)))
 	}
 	if err == nil && target > st.lastMark {
 		st.lastMark = target
@@ -942,9 +950,8 @@ func (s *StreamSet) Rotate(newDevs []Device) (uint64, error) {
 		st.rotateTarget = boundary + 1
 	}
 	s.mu.Unlock()
-	// Wake every flusher directly: rotation must not be skipped by the
-	// coordinator's idle check, and it must not wait for the next window
-	// tick either.
+	// Wake every flusher directly: the coordinator bumps only for parked
+	// committers, and rotation must not wait for one.
 	for _, st := range s.streams {
 		select {
 		case st.flush <- struct{}{}:
@@ -1117,11 +1124,11 @@ func (s *StreamSet) StreamQuarantined(i int) bool {
 // StreamPending reports whether the stream's flusher holds a batch the device
 // has not acknowledged: swapped out of the staging buffer and still inside
 // Write/Sync. Held together with a frozen claim it is the stall monitor's
-// gray-failure signal, and the only one that does not depend on how the
-// coordinator paces epochs: a hung sync looks the same under a ticker and
-// under immediate mode's one-round-at-a-time. Staged bytes deliberately do
-// not count — a healthy stream's staged records wait, claim frozen, for as
-// long as another stream's hung round holds the next bump back.
+// gray-failure signal. The epoch running ahead of the claim is not one: a
+// hung sync pins the epoch at the stalled claim plus one. Staged bytes
+// deliberately do not count — a healthy stream's staged records wait, claim
+// frozen, for as long as another stream's hung round holds the next bump
+// back.
 func (s *StreamSet) StreamPending(i int) bool { return s.streams[i].inflight.Load() }
 
 // Close advances one final epoch, drains every stream, and stops the

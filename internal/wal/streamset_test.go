@@ -183,7 +183,7 @@ func TestStreamSetScopedFailure(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
 	bad := &syncFailDevice{err: errors.New("disk gone")}
 	devs := []Device{&memDevice{}, bad}
-	s := NewStreamSetScoped(devs, 0)
+	s := NewStreamSetScoped(devs)
 
 	ep, err := s.Append(1, setRecord(1))
 	if err != nil {
@@ -251,7 +251,7 @@ func TestStreamSetReadmit(t *testing.T) {
 	bad := &syncFailDevice{err: errors.New("disk gone")}
 	fresh := &memDevice{}
 	devs := []Device{&memDevice{}, bad}
-	s := NewStreamSetScoped(devs, 0)
+	s := NewStreamSetScoped(devs)
 
 	if _, err := s.Append(1, setRecord(1)); err != nil {
 		t.Fatal(err)
@@ -296,7 +296,7 @@ func TestStreamSetAppendMulti(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
 	mems := []*memDevice{{}, {}, {}}
 	devs := []Device{mems[0], mems[1], mems[2]}
-	s := NewStreamSetScoped(devs, 0)
+	s := NewStreamSetScoped(devs)
 
 	ep, err := s.AppendMulti([]int{0, 2}, setRecord(7))
 	if err != nil {
@@ -339,7 +339,7 @@ func TestReplayStreamsPartitioned(t *testing.T) {
 		mems[i] = &memDevice{}
 		devs[i] = mems[i]
 	}
-	s := NewStreamSetScoped(devs, 0)
+	s := NewStreamSetScoped(devs)
 	epochs := make(map[uint64]uint64)
 	owner := make(map[uint64]int)
 	for i := 0; i < 30; i++ {
@@ -484,39 +484,20 @@ func TestStreamSetClose(t *testing.T) {
 	}
 }
 
-// TestStreamSetIdleStopsEpochChurn: with no appends and no waiters a
-// windowed set must stop advancing epochs — an idle engine cannot be
-// allowed to burn a marker sync per stream per window forever.
-func TestStreamSetIdleStopsEpochChurn(t *testing.T) {
-	defer testutil.CheckGoroutines(t)()
-	mem := &memDevice{}
-	s := NewStreamSet([]Device{mem}, time.Millisecond)
-	ep, err := s.Append(0, setRecord(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.WaitDurable(0, ep); err != nil {
-		t.Fatal(err)
-	}
-	// Let the set go quiet, then watch the epoch across many windows.
-	time.Sleep(10 * time.Millisecond)
-	before := s.CurrentEpoch()
-	time.Sleep(20 * time.Millisecond)
-	if after := s.CurrentEpoch(); after != before {
-		t.Fatalf("idle set advanced epoch %d -> %d", before, after)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// slowDevice is a memDevice whose Sync takes a modelled latency — the device
-// the immediate-mode coordinator sizes its gather budget from. Tests assert
-// on its sync count, never on elapsed time, and model a latency whose eighth
-// (the gather budget) dwarfs scheduler jitter on a loaded runner.
+// slowDevice is a memDevice with a modelled latency per sync and per byte
+// written — the device round trip the coordinator sizes its gather budget
+// from. Tests assert on its sync count and image, never on elapsed time, and
+// model a latency whose eighth (the gather budget) dwarfs scheduler jitter on
+// a loaded runner.
 type slowDevice struct {
 	memDevice
-	latency time.Duration
+	latency time.Duration // per Sync
+	perByte time.Duration // per byte written
+}
+
+func (d *slowDevice) Write(p []byte) (int, error) {
+	time.Sleep(time.Duration(len(p)) * d.perByte)
+	return d.memDevice.Write(p)
 }
 
 func (d *slowDevice) Sync() error {
@@ -531,9 +512,20 @@ func (d *slowDevice) counts() (syncs int, synced []byte) {
 	return d.syncs, append([]byte(nil), d.data[:d.synced]...)
 }
 
-// closedLoop spreads commits over k committers, each appending to stream 0
-// and waiting for its own record, and returns the acknowledged transaction
-// ids.
+// slowSet starts a legacy set over n slowDevices of the given latencies.
+func slowSet(n int, latency, perByte time.Duration) (*StreamSet, []*slowDevice) {
+	slow := make([]*slowDevice, n)
+	devs := make([]Device, n)
+	for i := range devs {
+		slow[i] = &slowDevice{latency: latency, perByte: perByte}
+		devs[i] = slow[i]
+	}
+	return NewStreamSet(devs, 0), slow
+}
+
+// closedLoop spreads commits over k committers, committer w appending to
+// stream w mod N and waiting for its own record, and returns the
+// acknowledged transaction ids.
 func closedLoop(tb testing.TB, s *StreamSet, k, commits int) []uint64 {
 	tb.Helper()
 	acked := make([][]uint64, k)
@@ -546,11 +538,12 @@ func closedLoop(tb testing.TB, s *StreamSet, k, commits int) []uint64 {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			stream := w % s.NumStreams()
 			for i := 0; i < n; i++ {
 				id := uint64(w)<<32 + uint64(i) + 1
-				ep, err := s.Append(0, setRecord(id))
+				ep, err := s.Append(stream, setRecord(id))
 				if err == nil {
-					err = s.WaitDurable(0, ep)
+					err = s.WaitDurable(stream, ep)
 				}
 				if err != nil {
 					tb.Errorf("commit: %v", err)
@@ -568,31 +561,51 @@ func closedLoop(tb testing.TB, s *StreamSet, k, commits int) []uint64 {
 	return all
 }
 
-// TestStreamSetImmediateGroupFormation: closed-loop committers on an
-// immediate-mode set must share device round trips without anyone tuning a
-// window. Two committers used to take turns — one sync per commit, each
-// waiting out the other's; now the round that releases them is followed by a
-// gather that catches both, so a sync carries two commits (a committer that
-// misses a gather costs one extra sync and is caught by the next, hence the
-// slack in the bound). A lone committer pays exactly one sync per commit:
-// nothing to gather, nothing waited for.
-func TestStreamSetImmediateGroupFormation(t *testing.T) {
+// syncedEpochs closes the set, replays the devices' synced images and returns
+// the epoch each recovered transaction was tagged with. Syncs are counted
+// before Close, whose final advance is not a commit round.
+func syncedEpochs(t *testing.T, s *StreamSet, devs []*slowDevice) (syncs int, epochOf map[uint64]uint64) {
+	t.Helper()
+	images := make([][]byte, len(devs))
+	for i, d := range devs {
+		n, image := d.counts()
+		syncs += n
+		images[i] = image
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	epochOf = make(map[uint64]uint64)
+	if _, err := ReplayStreamBytes(images, func(_ int, cr *CommitRecord) error {
+		epochOf[cr.TxnID] = cr.Epoch
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return syncs, epochOf
+}
+
+// TestStreamSetGroupFormation: closed-loop committers must share device round
+// trips without anyone tuning a window, at every stream count. A round syncs
+// every stream once; the gather that follows it catches the committers it
+// released, so N streams' syncs carry 2N commits where committers that took
+// turns would pay N syncs each (a committer that misses a gather costs one
+// extra round and is caught by the next, hence the slack in the bound). A
+// lone committer pays exactly one sync per commit: nothing to gather, nothing
+// waited for.
+func TestStreamSetGroupFormation(t *testing.T) {
 	const perCommitter = 15
 	for _, tc := range []struct {
-		committers int
-		maxRatio   float64
-	}{{1, 1}, {2, 0.75}, {4, 0.75}} {
-		t.Run(fmt.Sprintf("committers=%d", tc.committers), func(t *testing.T) {
+		streams, committers int
+		maxRatio            float64 // syncs over all streams, per commit
+	}{{1, 1, 1}, {1, 2, 0.75}, {1, 4, 0.75}, {2, 4, 0.75}, {4, 8, 0.75}} {
+		t.Run(fmt.Sprintf("streams=%d/committers=%d", tc.streams, tc.committers), func(t *testing.T) {
 			defer testutil.CheckGoroutines(t)()
 			// Budget 2.5 ms for a committer to wake, return and park again.
-			dev := &slowDevice{latency: 20 * time.Millisecond}
-			s := NewStreamSet([]Device{dev}, 0)
+			s, devs := slowSet(tc.streams, 20*time.Millisecond, 0)
 			commits := tc.committers * perCommitter
 			acked := closedLoop(t, s, tc.committers, commits)
-			syncs, image := dev.counts()
-			if err := s.Close(); err != nil {
-				t.Fatal(err)
-			}
+			syncs, epochOf := syncedEpochs(t, s, devs)
 			if len(acked) != commits {
 				t.Fatalf("acked %d of %d commits", len(acked), commits)
 			}
@@ -602,19 +615,52 @@ func TestStreamSetImmediateGroupFormation(t *testing.T) {
 			if ratio := float64(syncs) / float64(commits); ratio > tc.maxRatio {
 				t.Fatalf("%d syncs for %d commits = %.2f per commit, want <= %.2f", syncs, commits, ratio, tc.maxRatio)
 			}
-			got := make(map[uint64]bool)
-			if _, err := ReplayStreamBytes([][]byte{image}, func(_ int, cr *CommitRecord) error {
-				got[cr.TxnID] = true
-				return nil
-			}); err != nil {
-				t.Fatal(err)
-			}
 			for _, id := range acked {
-				if !got[id] {
+				if _, ok := epochOf[id]; !ok {
 					t.Fatalf("acked txn %d is not on the synced device image", id)
 				}
 			}
 		})
+	}
+}
+
+// TestStreamSetGatherCoversTheWrite: on a bandwidth-bound device — the write
+// takes milliseconds, the sync nothing — the gather budget must come from the
+// whole device round trip. Sized from the sync alone it is zero, the first
+// committer back closes the epoch alone, and the other seven queue behind its
+// write.
+func TestStreamSetGatherCoversTheWrite(t *testing.T) {
+	defer testutil.CheckGoroutines(t)()
+	const committers, perCommitter = 8, 22
+	// A full round writes about 8 x 50 B: a 40 ms round trip, 5 ms budget.
+	s, devs := slowSet(1, 0, 100*time.Microsecond)
+	acked := closedLoop(t, s, committers, committers*perCommitter)
+	_, epochOf := syncedEpochs(t, s, devs)
+	if len(acked) != committers*perCommitter {
+		t.Fatalf("acked %d of %d commits", len(acked), committers*perCommitter)
+	}
+	carried := make(map[uint64]int)
+	first, last := ^uint64(0), uint64(0)
+	for _, id := range acked {
+		ep, ok := epochOf[id]
+		if !ok {
+			t.Fatalf("acked txn %d is not on the synced device image", id)
+		}
+		carried[ep]++
+		first, last = min(first, ep), max(last, ep)
+	}
+	// The first round goes with whoever parked first and the last takes the
+	// remainder; every round between them can carry everyone.
+	delete(carried, first)
+	delete(carried, last)
+	full := 0
+	for _, n := range carried {
+		if n == committers {
+			full++
+		}
+	}
+	if float64(full) < 0.9*float64(len(carried)) {
+		t.Fatalf("%d of %d rounds carried all %d committers, want >= 90%%: %v", full, len(carried), committers, carried)
 	}
 }
 
@@ -623,7 +669,7 @@ func parked(t *testing.T, s *StreamSet, n int) {
 	t.Helper()
 	for deadline := time.Now().Add(5 * time.Second); ; {
 		s.mu.Lock()
-		w := s.waiters
+		w := len(s.parked)
 		s.mu.Unlock()
 		if w == n {
 			return
@@ -635,14 +681,14 @@ func parked(t *testing.T, s *StreamSet, n int) {
 	}
 }
 
-// TestStreamSetRoundSkipsFailedStream: the immediate-mode coordinator runs
-// one round at a time, so it must never wait on a round a dead stream cannot
+// TestStreamSetRoundSkipsFailedStream: the coordinator runs one round at a
+// time, so it must never wait on a round a dead stream cannot
 // finish. Stream 1's device hangs in its first sync and stays hung; once the
 // stream is failed and quarantined, commits on stream 0 keep completing.
 func TestStreamSetRoundSkipsFailedStream(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
 	stall := &stallDevice{release: make(chan struct{})}
-	s := NewStreamSetScoped([]Device{&memDevice{}, stall}, 0)
+	s := NewStreamSetScoped([]Device{&memDevice{}, stall})
 	commit := func(id uint64) error {
 		ep, err := s.Append(0, setRecord(id))
 		if err != nil {
@@ -656,6 +702,12 @@ func TestStreamSetRoundSkipsFailedStream(t *testing.T) {
 	first := make(chan error, 1)
 	go func() { first <- commit(1) }()
 	parked(t, s, 1)
+	for deadline := time.Now().Add(5 * time.Second); !s.StreamPending(1); {
+		if time.Now().After(deadline) {
+			t.Fatal("stream 1's flusher never reached its sync")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
 	if err := s.FailStream(1, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -684,8 +736,8 @@ func TestStreamSetRoundSkipsFailedStream(t *testing.T) {
 }
 
 // TestStreamSetCloseBreaksCoordinatorWaits: Close must get the coordinator
-// out of both of its immediate-mode waits — the wait for the round in flight
-// and the gather — and every parked committer must return.
+// out of both of its waits — the wait for the round in flight and the
+// gather — and every parked committer must return.
 func TestStreamSetCloseBreaksCoordinatorWaits(t *testing.T) {
 	closeWithin := func(t *testing.T, s *StreamSet, waits ...chan error) {
 		t.Helper()
@@ -738,7 +790,7 @@ func TestStreamSetCloseBreaksCoordinatorWaits(t *testing.T) {
 		s.mu.Lock()
 		s.gatherTarget = 2
 		s.mu.Unlock()
-		s.syncNanos.Store(int64(time.Hour))
+		s.flushNanos.Store(int64(time.Hour))
 		a := commitAsync(s, 1)
 		parked(t, s, 1)
 		closeWithin(t, s, a)

@@ -246,11 +246,11 @@ type Device interface {
 // writer poison tests, and goes when they do.
 type Writer struct{ s *StreamSet }
 
-// NewWriter starts a one-stream StreamSet over dev. window is the epoch
-// advance period — the group-commit batching window; zero means every
-// WaitDurable triggers an immediate flush.
-func NewWriter(dev Device, window time.Duration) *Writer {
-	return &Writer{s: NewStreamSet([]Device{dev}, window)}
+// NewWriter starts a one-stream StreamSet over dev. The second parameter is
+// deprecated and ignored — it was the epoch ticker's period; the frozen
+// benchmark/probes.go:345 and :356 still pass one.
+func NewWriter(dev Device, _ time.Duration) *Writer {
+	return &Writer{s: newStreamSet([]Device{dev}, false)}
 }
 
 // Append stages a record framed by CommitRecord.Encode (its epoch tag is

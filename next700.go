@@ -38,7 +38,6 @@ package next700
 
 import (
 	"os"
-	"time"
 
 	"next700/internal/core"
 	"next700/internal/storage"
@@ -176,20 +175,16 @@ type Options struct {
 	Logging LogMode
 	// LogPath is the WAL file path (created/appended).
 	LogPath string
-	// GroupCommitWindow batches log syncs across concurrent commits; zero
-	// syncs on every commit.
-	GroupCommitWindow time.Duration
 }
 
 // Open builds an engine instance.
 func Open(opts Options) (*DB, error) {
 	cfg := core.Config{
-		Protocol:          opts.Protocol,
-		Threads:           opts.Threads,
-		Partitions:        opts.Partitions,
-		Isolation:         opts.Isolation,
-		LogMode:           opts.Logging,
-		GroupCommitWindow: opts.GroupCommitWindow,
+		Protocol:   opts.Protocol,
+		Threads:    opts.Threads,
+		Partitions: opts.Partitions,
+		Isolation:  opts.Isolation,
+		LogMode:    opts.Logging,
 	}
 	var logFile *os.File
 	if opts.Logging != LogNone && opts.LogPath != "" {
