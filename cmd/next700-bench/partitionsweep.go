@@ -68,7 +68,7 @@ func partitionSweep(c common, P int) sweep {
 			"quarantined_partition": target, "phase_ms": ms(c.Duration).Value, "retain_target": partitionRetainTarget,
 		},
 		axes: []string{"phase"},
-		cols: []string{"goodput_tps", "per_partition_tps", "partition_aborts", "recover_ms", "tail_records", "checkpoint_loaded"},
+		cols: []string{"goodput_tps", "per_partition_tps", "partition_aborts", "checkpoint_ms", "recover_ms", "tail_records", "checkpoint_loaded"},
 		run: func(s *sweepRun) error {
 			store := fault.NewMemStore(fault.StoreChaos{Seed: c.Seed})
 			att, err := core.InitCheckpointLog(store, P, wal.ModeValue)
@@ -102,11 +102,13 @@ func partitionSweep(c common, P int) sweep {
 			}
 			healthyPerPart := goodput("healthy", healthy.commits, P, map[string]metric{})
 
-			// One sliced generation, then a tail burst so every stream has history
+			// One generation, then a tail burst so every stream has history
 			// past its slice — the single-partition recovery replays that tail.
+			t0 := time.Now()
 			if err := ck.CheckpointNow(); err != nil {
 				return fmt.Errorf("checkpoint: %w", err)
 			}
+			s.row(map[string]interface{}{"phase": "checkpoint"}, map[string]metric{"checkpoint_ms": ms(time.Since(t0))})
 			if _, err := partSweepPhase(e, tbl, P, -1, c.Duration/2, c.Seed^0x9e37); err != nil {
 				return fmt.Errorf("tail burst: %w", err)
 			}
@@ -157,7 +159,7 @@ func partitionSweep(c common, P int) sweep {
 					"checkpoint_loaded": flag01(rs.CheckpointLoaded),
 				})
 			}
-			t0 := time.Now()
+			t0 = time.Now()
 			rs, err := e.RecoverPartition(target, load, slice, tail, newDev)
 			partTook := time.Since(t0)
 			if err != nil {
@@ -331,7 +333,7 @@ func partSweepPhase(e *core.Engine, tbl *core.Table, P, target int, dur time.Dur
 }
 
 // partSweepRecoveryInputs resolves the dark partition's recovery sources
-// from the store manifest: its slice of the newest fully-sliced checkpoint
+// from the store manifest: its slice of the newest P-slice checkpoint
 // generation, and its stream's segments concatenated in manifest order
 // (sealed segments trimmed to their sealing epoch, like whole-engine
 // recovery does).

@@ -1,8 +1,8 @@
 package main
 
 import (
+	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -91,7 +91,7 @@ func recoverSweep(c common, o recoverSweepOpts) sweep {
 				m["speedup_vs_full_replay"] = ratio(speedup)
 				s.row(map[string]interface{}{"ckpt_every_txns": every}, m)
 				// A second, independent recovery of the same store must
-				// reproduce a byte-identical state (checkpoint-format digest).
+				// reproduce the same state (StateDigest, folded to 32 bits).
 				s.check(fmt.Sprintf("redundant_recovery_digest_match[every=%d]", every), digest1 == digest2,
 					"digests %08x and %08x", digest1, digest2)
 			}
@@ -217,7 +217,7 @@ func recoverBuildHistory(c common, o recoverSweepOpts, store *core.DirStore, eve
 
 // recoverOnce attaches the store to a fresh schema-only engine, runs
 // store-based recovery, and returns a digest of the recovered state (the
-// deterministic checkpoint serialization, CRC-folded).
+// leading word of core.Engine.StateDigest).
 func recoverOnce(c common, o recoverSweepOpts, store *core.DirStore) (digest uint32, rs core.RecoveryStats, dur time.Duration, err error) {
 	att, err := core.AttachCheckpointLog(store)
 	if err != nil {
@@ -238,11 +238,8 @@ func recoverOnce(c common, o recoverSweepOpts, store *core.DirStore) (digest uin
 	if err != nil {
 		return 0, rs, dur, err
 	}
-	h := crc32.NewIEEE()
-	if err := e.Checkpoint(h); err != nil {
-		return 0, rs, dur, err
-	}
-	return h.Sum32(), rs, dur, nil
+	sum := e.StateDigest()
+	return binary.BigEndian.Uint32(sum[:]), rs, dur, nil
 }
 
 // storeFootprint sums the DirStore's on-disk bytes: total and the log

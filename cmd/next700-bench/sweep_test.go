@@ -236,7 +236,7 @@ func TestSweepsSmoke(t *testing.T) {
 		{walSweep(c), 3},
 		{detSweep(c, 16, 0.9), 4},
 		{overloadSweep(c, core.Config{Protocol: "SILO", Threads: c.Threads}, ycsb, 0), 7},
-		{partitionSweep(c, 2), 4},
+		{partitionSweep(c, 2), 5},
 		{recoverSweep(c, recoverSweepOpts{Txns: 2000, Every: 100, Dir: t.TempDir()}), 4},
 	} {
 		tc := tc

@@ -14,41 +14,52 @@ import (
 	"next700/internal/txn"
 )
 
-// Checkpoint format:
+// A checkpoint generation is a set of S slices, one store object each:
+// S = Partitions under PartitionWAL, where slice p holds the rows whose
+// primary key maps to partition p, and S = 1 otherwise, where slice 0 holds
+// every row. Each slice is independently CRC-sealed, so corruption of one
+// degrades only that slice's recovery path. The slice format:
 //
-//	magic "N7CK" | version u32 | tableCount u32
+//	magic "N7CK" | version u32 | slice u32 | epoch u64 | tableCount u32
 //	per table: nameLen u32 | name | rowSize u32 | entryCount u64
 //	  per entry: key u64 | rid u64 | row bytes (rowSize)
 //	crc32 (IEEE) over everything before it
 //
-// Version 2 is the partition-sliced variant: after the version word it
-// carries `partition u32 | epoch u64` — the slice's partition id and its
-// epoch fence (the slice holds that partition's effects through this
-// epoch, healed by replaying the partition's log tail past it). A sliced
-// generation is one version-2 object per partition, each independently
-// CRC-sealed, so corruption of one slice degrades only that partition's
-// recovery path.
+// epoch is the slice's fence: the slice holds its rows' effects through that
+// epoch and is healed by replaying the log tail past it. The slice count is
+// not in the object — the manifest entry's Slices carries it, and the parser
+// is told which slice of how many it is looking at.
 //
-// Entries are written in ascending key order so checkpoints of equal state
-// are byte-identical.
+// Entries are written in ascending key order so slices of equal state are
+// byte-identical. Only index-reachable rows with a visible committed image
+// are written; record ids are preserved so a value-log tail written after
+// the checkpoint replays against the restored state.
 
 var checkpointMagic = [4]byte{'N', '7', 'C', 'K'}
 
-const (
-	checkpointVersion      = 1
-	checkpointSliceVersion = 2
-)
+// checkpointVersion is the only slice format this build reads or writes.
+// (Version 1 was the headerless whole-engine image of older builds.)
+const checkpointVersion = 2
 
-// ckptMeta is the parsed identity of a checkpoint stream: whole-engine
-// (sliced false) or one partition's slice with its embedded epoch fence.
-type ckptMeta struct {
-	sliced    bool
-	partition int
-	epoch     uint64
-}
+// checkpointHeaderLen is magic through tableCount.
+const checkpointHeaderLen = 4 + 4 + 4 + 8 + 4
 
 // ErrBadCheckpoint reports a malformed or corrupt checkpoint stream.
 var ErrBadCheckpoint = errors.New("core: bad checkpoint")
+
+// errCheckpointVersion marks a CRC-valid object in a format this build does
+// not read. That is another build's store, not media corruption an older
+// generation could stand in for, so recovery reports it instead of falling
+// back.
+var errCheckpointVersion = fmt.Errorf("%w: unsupported format version", ErrBadCheckpoint)
+
+// checkpointSlices returns S, the number of slices in a generation.
+func (e *Engine) checkpointSlices() int {
+	if e.cfg.PartitionWAL {
+		return e.cfg.Partitions
+	}
+	return 1
+}
 
 // crcWriter tees writes into a running CRC.
 type crcWriter struct {
@@ -61,94 +72,32 @@ func (cw *crcWriter) Write(p []byte) (int, error) {
 	return cw.w.Write(p)
 }
 
-// Checkpoint serializes a transactionally consistent snapshot of every
-// table to w. The engine must be quiesced (no in-flight transactions);
-// combined with starting a fresh WAL right after, it bounds recovery to
-// checkpoint load plus the log tail.
-//
-// Only index-reachable, live records are written; aborted or deleted
-// residue is not. Record ids are preserved so a value-log tail written
-// after the checkpoint replays against the restored state.
-func (e *Engine) Checkpoint(w io.Writer) error {
-	return e.writeCheckpoint(w, nil, e.collectQuiesced)
-}
-
-// CheckpointOnline serializes a fuzzy snapshot of every table while
-// transactions keep running: each row is captured through a committed-read
+// writeSlice serializes slice part of a generation cut into slices pieces,
+// fenced at epoch fence. Each row is captured through a committed-read
 // micro-transaction on the reserved checkpoint slot, so no image is ever
-// torn, but different rows may reflect different commit points. The result
-// is consistent only after replaying the value-log tail past the capture's
-// start epoch (see Checkpointer): any commit the scan raced with tags an
-// epoch at or after it, and value replay is idempotent. It must therefore
-// only be used under value logging; command replay re-executes procedures
-// and cannot heal a fuzzy base.
-//
-// Rows whose committed image is not visible (uncommitted inserts, deleted
-// residue) are skipped: if they commit, the log tail has them.
-func (e *Engine) CheckpointOnline(w io.Writer) error {
-	return e.writeCheckpoint(w, nil, e.collectOnline)
-}
-
-// CheckpointSlice serializes one partition's slice of the engine state:
-// only rows whose primary key maps to part are written, under the
-// version-2 format carrying (part, epoch) as the slice identity and epoch
-// fence. online selects the fuzzy scan (value logging; heal by replaying
-// the partition's tail past epoch); otherwise the caller must have
-// quiesced the engine.
-func (e *Engine) CheckpointSlice(w io.Writer, part int, epoch uint64, online bool) error {
-	collect := e.collectQuiesced
-	if online {
-		collect = e.collectOnline
-	}
-	sliced := func(t *Table) ([]ckptEntry, error) {
-		entries, err := collect(t)
-		if err != nil {
-			return nil, err
-		}
-		out := entries[:0]
-		for _, en := range entries {
-			if e.partitionOfKey(t.tbl, en.key) == part {
-				out = append(out, en)
-			}
-		}
-		return out, nil
-	}
-	return e.writeCheckpoint(w, &ckptMeta{sliced: true, partition: part, epoch: epoch}, sliced)
-}
-
-// writeCheckpoint writes the checkpoint format around a row collector.
-// slice non-nil selects the version-2 per-partition header.
-func (e *Engine) writeCheckpoint(w io.Writer, slice *ckptMeta, collect func(t *Table) ([]ckptEntry, error)) error {
+// torn. With workers running, different rows may reflect different commit
+// points: the result is then consistent only after replaying the value-log
+// tail past fence (any commit the scan raced with tags an epoch above it,
+// and value replay is idempotent). Command replay re-executes procedures and
+// cannot heal such a capture, so the Checkpointer quiesces the engine for
+// it — the same scan, meeting no conflict.
+func (e *Engine) writeSlice(w io.Writer, part, slices int, fence uint64) error {
 	bw := bufio.NewWriter(w)
 	cw := &crcWriter{w: bw}
-	var scratch [20]byte
-
 	tables := e.snapshotTables()
-	if _, err := cw.Write(checkpointMagic[:]); err != nil {
-		return err
-	}
-	version := uint32(checkpointVersion)
-	if slice != nil {
-		version = checkpointSliceVersion
-	}
-	binary.LittleEndian.PutUint32(scratch[0:], version)
-	if _, err := cw.Write(scratch[:4]); err != nil {
-		return err
-	}
-	if slice != nil {
-		binary.LittleEndian.PutUint32(scratch[0:], uint32(slice.partition))
-		binary.LittleEndian.PutUint64(scratch[4:], slice.epoch)
-		if _, err := cw.Write(scratch[:12]); err != nil {
-			return err
-		}
-	}
-	binary.LittleEndian.PutUint32(scratch[0:], uint32(len(tables)))
-	if _, err := cw.Write(scratch[:4]); err != nil {
+
+	var scratch [checkpointHeaderLen]byte
+	copy(scratch[:], checkpointMagic[:])
+	binary.LittleEndian.PutUint32(scratch[4:], checkpointVersion)
+	binary.LittleEndian.PutUint32(scratch[8:], uint32(part))
+	binary.LittleEndian.PutUint64(scratch[12:], fence)
+	binary.LittleEndian.PutUint32(scratch[20:], uint32(len(tables)))
+	if _, err := cw.Write(scratch[:]); err != nil {
 		return err
 	}
 
 	for _, t := range tables {
-		entries, err := collect(t)
+		entries, err := e.collectSlice(t, part, slices)
 		if err != nil {
 			return err
 		}
@@ -191,41 +140,28 @@ type ckptEntry struct {
 	row []byte
 }
 
-// collectKeys snapshots a table's primary index into key order.
-func collectKeys(t *Table) []ckptEntry {
-	entries := make([]ckptEntry, 0, t.primary.Len())
+// rowReadAttempts bounds the committed-read retries per row before the
+// checkpoint cycle fails cleanly (no generation is installed). Conflicts
+// here are rare: a row is only contended for the length of one commit.
+const rowReadAttempts = 64
+
+// collectSlice captures one table's rows of slice part in key order. The
+// slice is selected on the index entry, before the row is read, so a
+// generation costs one committed read per live row however many slices it
+// is cut into. A read that cannot see a committed image (ErrNotFound:
+// uncommitted insert, tombstoned residue) skips the row — if it commits, the
+// log tail has it; a conflicting read (lock busy under the 2PL variants) is
+// retried a bounded number of times.
+func (e *Engine) collectSlice(t *Table, part, slices int) ([]ckptEntry, error) {
+	entries := make([]ckptEntry, 0, t.primary.Len()/slices)
 	t.primary.Iterate(func(key uint64, rid storage.RecordID) bool {
-		entries = append(entries, ckptEntry{key: key, rid: rid})
+		if slices == 1 || e.partitionOfKey(t.tbl, key) == part {
+			entries = append(entries, ckptEntry{key: key, rid: rid})
+		}
 		return true
 	})
 	sort.Slice(entries, func(i, j int) bool { return entries[i].key < entries[j].key })
-	return entries
-}
 
-// collectQuiesced captures rows with the engine quiesced. Images are
-// copied out because protocol reads may return a per-context buffer that
-// the next read reuses.
-func (e *Engine) collectQuiesced(t *Table) ([]ckptEntry, error) {
-	entries := collectKeys(t)
-	for i := range entries {
-		entries[i].row = append([]byte(nil), e.checkpointRow(t, entries[i].rid)...)
-	}
-	return entries, nil
-}
-
-// onlineRowAttempts bounds the committed-read retries per row before the
-// checkpoint cycle fails cleanly (no generation is installed). Conflicts
-// here are rare: a row is only contended for the length of one commit.
-const onlineRowAttempts = 64
-
-// collectOnline captures rows through per-row committed-read
-// micro-transactions concurrent with workers. A read that cannot see a
-// committed image (ErrNotFound: uncommitted insert, tombstoned residue)
-// skips the row; a conflicting read (lock busy under the 2PL variants) is
-// retried a bounded number of times. Images are copied out before the read
-// transaction is released, so nothing aliases memory a writer may recycle.
-func (e *Engine) collectOnline(t *Table) ([]ckptEntry, error) {
-	entries := collectKeys(t)
 	tx := e.checkpointTx()
 	out := entries[:0]
 	for i := range entries {
@@ -233,12 +169,12 @@ func (e *Engine) collectOnline(t *Table) ([]ckptEntry, error) {
 		var row []byte
 		var err error
 		for attempt := 0; ; attempt++ {
-			row, err = e.onlineRow(tx, t, en.rid)
+			row, err = e.committedRow(tx, t, en.rid)
 			if err == nil || errors.Is(err, txn.ErrNotFound) {
 				break
 			}
-			if attempt+1 >= onlineRowAttempts {
-				return nil, fmt.Errorf("core: online checkpoint of %q rid %d: %w", t.Name(), en.rid, err)
+			if attempt+1 >= rowReadAttempts {
+				return nil, fmt.Errorf("core: checkpoint of %q rid %d: %w", t.Name(), en.rid, err)
 			}
 			time.Sleep(time.Duration(attempt+1) * 10 * time.Microsecond)
 		}
@@ -251,9 +187,12 @@ func (e *Engine) collectOnline(t *Table) ([]ckptEntry, error) {
 	return out, nil
 }
 
-// onlineRow reads one committed row image through a throwaway transaction
-// and returns a copy.
-func (e *Engine) onlineRow(tx *Tx, t *Table, rid storage.RecordID) ([]byte, error) {
+// committedRow reads one committed row image through a throwaway
+// transaction. For version-storing protocols (MVCC, SILO) the table row can
+// be stale, so the image always comes from a protocol read; it is copied out
+// before the read transaction is released, so nothing aliases a per-context
+// buffer the next read reuses or memory a writer may recycle.
+func (e *Engine) committedRow(tx *Tx, t *Table, rid storage.RecordID) ([]byte, error) {
 	tx.inner.Reset()
 	e.proto.Begin(tx.inner)
 	data, err := e.proto.Read(tx.inner, t.tbl, rid)
@@ -266,27 +205,9 @@ func (e *Engine) onlineRow(tx *Tx, t *Table, rid storage.RecordID) ([]byte, erro
 	return row, nil
 }
 
-// checkpointRow returns the committed image of a live record. For
-// version-storing protocols (MVCC, SILO) the table row can be stale, so
-// the committed image is fetched through a throwaway read.
-func (e *Engine) checkpointRow(t *Table, rid storage.RecordID) []byte {
-	tx := e.checkpointTx()
-	tx.inner.Reset()
-	e.proto.Begin(tx.inner)
-	data, err := e.proto.Read(tx.inner, t.tbl, rid)
-	if err != nil {
-		// Tombstoned or invisible residue: emit the raw row (it will be
-		// superseded by log replay if it matters).
-		data = t.tbl.Row(rid)
-	}
-	e.proto.Abort(tx.inner)
-	return data
-}
-
 // checkpointTx lazily creates the dedicated checkpoint-phase context. It
 // runs on the reserved protocol slot past the worker range, so its reads
-// share no per-thread protocol state or statistics cache line with workers
-// even when the scan is online.
+// share no per-thread protocol state or statistics cache line with workers.
 func (e *Engine) checkpointTx() *Tx {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -296,75 +217,39 @@ func (e *Engine) checkpointTx() *Tx {
 	return e.ckptTx
 }
 
-// ckptTableLoad is one fully validated table section of a checkpoint,
-// ready to apply. Entry rows alias the checkpoint buffer.
+// ckptTableLoad is one fully validated table section of a slice, ready to
+// apply. Entry rows alias the slice buffer.
 type ckptTableLoad struct {
 	t       *Table
 	entries []ckptEntry
 }
 
-// LoadCheckpoint restores a checkpoint into a freshly created engine whose
-// tables have already been created with matching schemas (the same
-// contract as Recover). Must not run concurrently with transactions.
-//
-// The stream is read fully, CRC-verified, and structurally validated —
-// tables known, row sizes matching, record ids in range, keys free of
-// duplicates (within the checkpoint and against the engine) — before
-// anything is applied, so a corrupt checkpoint never partially mutates the
-// engine: it either loads completely or leaves the engine untouched.
-func (e *Engine) LoadCheckpoint(r io.Reader) error {
+// readSlice reads one slice object in full and validates it with parseSlice,
+// applying nothing.
+func (e *Engine) readSlice(r io.Reader, part, slices int) ([]ckptTableLoad, uint64, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
-		return fmt.Errorf("%w: read: %v", ErrBadCheckpoint, err)
+		return nil, 0, fmt.Errorf("%w: read: %v", ErrBadCheckpoint, err)
 	}
-	plan, meta, err := e.parseCheckpoint(data)
-	if err != nil {
-		return err
-	}
-	if meta.sliced {
-		// A slice is one partition's state, not the engine's: loading it as
-		// a whole checkpoint would silently drop every other partition.
-		return fmt.Errorf("%w: stream is a partition slice (partition %d), not a whole checkpoint",
-			ErrBadCheckpoint, meta.partition)
-	}
-	e.applyCheckpointPlan(plan)
-	return nil
+	return e.parseSlice(data, part, slices)
 }
 
-// LoadCheckpointSlice restores one partition's slice into the engine and
-// returns the slice's epoch fence. The stream must be a version-2 slice for
-// exactly part, and every key in it must map to part under the engine's
-// partitioner — a slice written under a different partitioning (or routed
-// to the wrong partition) is rejected completely, like any corrupt
-// checkpoint: it either loads completely or leaves the engine untouched.
-func (e *Engine) LoadCheckpointSlice(r io.Reader, part int) (uint64, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return 0, fmt.Errorf("%w: read: %v", ErrBadCheckpoint, err)
-	}
-	plan, meta, err := e.parseCheckpoint(data)
+// loadSlice restores slice part of slices from r and returns its fence. The
+// engine's tables must already exist with matching schemas (the same
+// contract as Recover), and no transaction may be touching the slice's keys.
+// The object is validated in full before anything is applied, so a bad slice
+// never partially mutates the engine: it either loads completely or leaves
+// the engine untouched.
+func (e *Engine) loadSlice(r io.Reader, part, slices int) (uint64, error) {
+	plan, fence, err := e.readSlice(r, part, slices)
 	if err != nil {
 		return 0, err
 	}
-	if !meta.sliced {
-		return 0, fmt.Errorf("%w: stream is a whole checkpoint, not a partition slice", ErrBadCheckpoint)
-	}
-	if meta.partition != part {
-		return 0, fmt.Errorf("%w: slice is for partition %d, want %d", ErrBadCheckpoint, meta.partition, part)
-	}
-	for _, tl := range plan {
-		for _, en := range tl.entries {
-			if p := e.partitionOfKey(tl.t.tbl, en.key); p != part {
-				return 0, fmt.Errorf("%w: slice for partition %d holds key %d of partition %d",
-					ErrBadCheckpoint, part, en.key, p)
-			}
-		}
-	}
 	e.applyCheckpointPlan(plan)
-	return meta.epoch, nil
+	return fence, nil
 }
 
-// applyCheckpointPlan applies a fully validated checkpoint plan.
+// applyCheckpointPlan applies a fully validated slice plan.
 func (e *Engine) applyCheckpointPlan(plan []ckptTableLoad) {
 	for _, tl := range plan {
 		t := tl.t
@@ -384,17 +269,36 @@ func (e *Engine) applyCheckpointPlan(plan []ckptTableLoad) {
 	}
 }
 
-// parseCheckpoint verifies the CRC and fully validates the checkpoint
-// structure without touching engine state. Returned entry rows alias data.
-func (e *Engine) parseCheckpoint(data []byte) ([]ckptTableLoad, ckptMeta, error) {
-	var meta ckptMeta
-	if len(data) < 4+8+4 {
-		return nil, meta, fmt.Errorf("%w: too short", ErrBadCheckpoint)
+// parseSlice verifies the CRC and fully validates a slice without touching
+// engine state: it must be slice part, its tables known with matching row
+// sizes, record ids in range, keys free of duplicates (within the slice and
+// against the engine) and — when the generation has more than one slice —
+// every key must map to part under the engine's partitioner, so a slice
+// written under a different partitioning or routed to the wrong partition is
+// rejected whole. Returned entry rows alias data.
+func (e *Engine) parseSlice(data []byte, part, slices int) ([]ckptTableLoad, uint64, error) {
+	if len(data) < checkpointHeaderLen+4 {
+		return nil, 0, fmt.Errorf("%w: too short", ErrBadCheckpoint)
 	}
 	body, tail := data[:len(data)-4], data[len(data)-4:]
 	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(tail) {
-		return nil, meta, fmt.Errorf("%w: crc mismatch", ErrBadCheckpoint)
+		return nil, 0, fmt.Errorf("%w: crc mismatch", ErrBadCheckpoint)
 	}
+
+	// The length check above covers the fixed header.
+	hdr := body[:checkpointHeaderLen]
+	body = body[checkpointHeaderLen:]
+	if [4]byte(hdr[:4]) != checkpointMagic {
+		return nil, 0, fmt.Errorf("%w: bad magic", ErrBadCheckpoint)
+	}
+	if v := binary.LittleEndian.Uint32(hdr[4:]); v != checkpointVersion {
+		return nil, 0, fmt.Errorf("%w %d (this build reads version %d)", errCheckpointVersion, v, checkpointVersion)
+	}
+	if got := int(binary.LittleEndian.Uint32(hdr[8:])); got != part {
+		return nil, 0, fmt.Errorf("%w: object is slice %d, want %d", ErrBadCheckpoint, got, part)
+	}
+	fence := binary.LittleEndian.Uint64(hdr[12:])
+	tableCount := int(binary.LittleEndian.Uint32(hdr[20:]))
 
 	take := func(n int) ([]byte, error) {
 		if n < 0 || len(body) < n {
@@ -404,112 +308,83 @@ func (e *Engine) parseCheckpoint(data []byte) ([]ckptTableLoad, ckptMeta, error)
 		body = body[n:]
 		return out, nil
 	}
-
-	hdr, err := take(4 + 4)
-	if err != nil {
-		return nil, meta, err
-	}
-	if [4]byte(hdr[:4]) != checkpointMagic {
-		return nil, meta, fmt.Errorf("%w: bad magic", ErrBadCheckpoint)
-	}
-	switch v := binary.LittleEndian.Uint32(hdr[4:]); v {
-	case checkpointVersion:
-	case checkpointSliceVersion:
-		sh, err := take(4 + 8)
-		if err != nil {
-			return nil, meta, err
-		}
-		meta.sliced = true
-		meta.partition = int(binary.LittleEndian.Uint32(sh))
-		meta.epoch = binary.LittleEndian.Uint64(sh[4:])
-		if meta.partition < 0 || meta.partition >= e.cfg.Partitions {
-			return nil, meta, fmt.Errorf("%w: slice partition %d out of range", ErrBadCheckpoint, meta.partition)
-		}
-	default:
-		return nil, meta, fmt.Errorf("%w: unsupported version %d", ErrBadCheckpoint, v)
-	}
-	cb, err := take(4)
-	if err != nil {
-		return nil, meta, err
-	}
-	tableCount := int(binary.LittleEndian.Uint32(cb))
-
 	plan := make([]ckptTableLoad, 0, tableCount)
 	seenTables := make(map[string]bool, tableCount)
 	for ti := 0; ti < tableCount; ti++ {
 		b, err := take(4)
 		if err != nil {
-			return nil, meta, err
+			return nil, 0, err
 		}
 		nameLen := int(binary.LittleEndian.Uint32(b))
 		if nameLen > 1<<16 {
-			return nil, meta, fmt.Errorf("%w: absurd name length", ErrBadCheckpoint)
+			return nil, 0, fmt.Errorf("%w: absurd name length", ErrBadCheckpoint)
 		}
 		nameBytes, err := take(nameLen)
 		if err != nil {
-			return nil, meta, err
+			return nil, 0, err
 		}
 		name := string(nameBytes)
 		t := e.Table(name)
 		if t == nil {
-			return nil, meta, fmt.Errorf("%w: unknown table %q", ErrBadCheckpoint, name)
+			return nil, 0, fmt.Errorf("%w: unknown table %q", ErrBadCheckpoint, name)
 		}
 		if seenTables[name] {
-			return nil, meta, fmt.Errorf("%w: table %q appears twice", ErrBadCheckpoint, name)
+			return nil, 0, fmt.Errorf("%w: table %q appears twice", ErrBadCheckpoint, name)
 		}
 		seenTables[name] = true
 		b, err = take(12)
 		if err != nil {
-			return nil, meta, err
+			return nil, 0, err
 		}
 		rowSize := int(binary.LittleEndian.Uint32(b))
 		if rowSize != t.sch.RowSize() {
-			return nil, meta, fmt.Errorf("%w: table %q row size %d != schema %d",
+			return nil, 0, fmt.Errorf("%w: table %q row size %d != schema %d",
 				ErrBadCheckpoint, t.Name(), rowSize, t.sch.RowSize())
 		}
 		count := binary.LittleEndian.Uint64(b[4:])
-		// Every rid in a valid checkpoint is below the source table's
-		// allocation count, which is at most the entry count of all tables
-		// combined plus pre-existing rows; the body length bounds that. A
-		// slice carries only its partition's rows but source-table rids, so
-		// the bound scales by the partition count — under heavy allocation
-		// skew a legitimate slice can still exceed it, in which case the
-		// parse error costs that partition its bounded-recovery head start
-		// (CheckpointFallbacks), never correctness.
-		maxRID := uint64(len(data))/16 + t.tbl.NumRows() + 1
-		if meta.sliced {
-			maxRID = uint64(len(data))/16*uint64(e.cfg.Partitions) + t.tbl.NumRows() + 1
-		}
+		// Every rid in a valid slice is below the source table's allocation
+		// count. A slice carries 1/slices of the rows but source-table rids,
+		// so the body length bounds that count only after scaling by the
+		// slice count — under heavy allocation skew a legitimate slice can
+		// still exceed it, in which case the parse error costs that slice
+		// its bounded-recovery head start (CheckpointFallbacks), never
+		// correctness.
+		maxRID := uint64(len(data))/16*uint64(slices) + t.tbl.NumRows() + 1
 		if count > uint64(len(body)) {
-			return nil, meta, fmt.Errorf("%w: truncated body", ErrBadCheckpoint)
+			return nil, 0, fmt.Errorf("%w: truncated body", ErrBadCheckpoint)
 		}
 		tl := ckptTableLoad{t: t, entries: make([]ckptEntry, 0, count)}
 		seenKeys := make(map[uint64]bool, count)
 		for i := uint64(0); i < count; i++ {
 			b, err = take(16 + rowSize)
 			if err != nil {
-				return nil, meta, err
+				return nil, 0, err
 			}
 			key := binary.LittleEndian.Uint64(b)
 			rid := storage.RecordID(binary.LittleEndian.Uint64(b[8:]))
 			if uint64(rid) > maxRID {
-				return nil, meta, fmt.Errorf("%w: record id %d out of range", ErrBadCheckpoint, rid)
+				return nil, 0, fmt.Errorf("%w: record id %d out of range", ErrBadCheckpoint, rid)
 			}
 			if seenKeys[key] {
-				return nil, meta, fmt.Errorf("%w: duplicate key %d in %q", ErrBadCheckpoint, key, t.Name())
+				return nil, 0, fmt.Errorf("%w: duplicate key %d in %q", ErrBadCheckpoint, key, t.Name())
 			}
 			seenKeys[key] = true
+			if slices > 1 {
+				if p := e.partitionOfKey(t.tbl, key); p != part {
+					return nil, 0, fmt.Errorf("%w: slice %d holds key %d of partition %d", ErrBadCheckpoint, part, key, p)
+				}
+			}
 			if _, exists := t.primary.Lookup(key); exists {
-				return nil, meta, fmt.Errorf("%w: key %d already present in %q", ErrBadCheckpoint, key, t.Name())
+				return nil, 0, fmt.Errorf("%w: key %d already present in %q", ErrBadCheckpoint, key, t.Name())
 			}
 			tl.entries = append(tl.entries, ckptEntry{key: key, rid: rid, row: b[16:]})
 		}
 		plan = append(plan, tl)
 	}
 	if len(body) != 0 {
-		return nil, meta, fmt.Errorf("%w: %d trailing bytes", ErrBadCheckpoint, len(body))
+		return nil, 0, fmt.Errorf("%w: %d trailing bytes", ErrBadCheckpoint, len(body))
 	}
-	return plan, meta, nil
+	return plan, fence, nil
 }
 
 // snapshotTables returns the table handles in id order.

@@ -15,6 +15,11 @@ import (
 // frontier, so removing it could destroy an epoch recovery still needs.
 var errTruncateUnsafe = errors.New("core: segment sealed above durable frontier")
 
+// errFenceMoved is the invariant-violation class for the quiesced capture:
+// the epoch advanced between the fence and the rotation although the cycle
+// held the epoch gate, so the slices' fence is not the rotation boundary.
+var errFenceMoved = errors.New("core: epoch moved under the quiesce gate")
+
 // This file is the checkpoint lifecycle: bootstrap (InitCheckpointLog /
 // AttachCheckpointLog) and the Checkpointer that takes online checkpoint
 // generations, rotates the log, and truncates sealed segments the
@@ -23,25 +28,30 @@ var errTruncateUnsafe = errors.New("core: segment sealed above durable frontier"
 // A checkpoint cycle for generation G is a two-phase manifest protocol.
 // Every step leaves the store in a state recovery handles:
 //
-//  1. Scan: capture every table. Value logging scans fuzzily while workers
-//     run (CheckpointOnline) with checkpoint epoch C = CurrentEpoch()-1
-//     drawn before the scan: any commit the scan races with tags an epoch
-//     > C, so replaying the tail past C heals the capture. Command logging
-//     and HSTORE quiesce instead (re-execution cannot heal a fuzzy base),
-//     holding the gate through rotation so C = the rotation boundary.
-//  2. Install ckpt-G atomically (temp + CRC + rename). A crash before this
-//     completes leaves no object; recovery uses the previous generation.
+//  1. Fence and scan: draw the epoch fence C, then capture every table into
+//     the generation's S slices (checkpoint.go), each embedding C. Value
+//     logging scans fuzzily while workers run, with C = CurrentEpoch()-1:
+//     any commit the scan races with tags an epoch > C, so replaying the
+//     tail past C heals the capture. Command logging and HSTORE quiesce
+//     instead (re-execution cannot heal a fuzzy base), holding the gate and
+//     the epoch still through rotation, so C = CurrentEpoch() is exactly
+//     the rotation boundary.
+//  2. Install each slice ckpt-G-p<i> atomically (temp + CRC + rename). A
+//     crash before the manifest names them leaves unreferenced objects;
+//     recovery uses the previous generation.
 //  3. Create segment files seg-G-* and publish them in manifest M1
 //     alongside the still-active old segments. A crash here leaves empty
-//     segments that recovery treats as empty tails.
+//     segments that recovery treats as empty tails. From M1 on, generation
+//     number G is consumed even if the cycle fails.
 //  4. Rotate the StreamSet onto the new segments under the commit fence:
 //     the boundary epoch B is certified durable, old segments stop
 //     growing, and every later commit tags > B.
 //  5. Manifest M2: seal the old segments at ToEpoch = B, add the
-//     checkpoint entry (gen G, epoch C), and prune — keep the last K
-//     generations, drop sealed segments whose ToEpoch is at or below the
-//     oldest kept checkpoint's epoch. A crash between M1 and M2 recovers
-//     from the previous generation with the full (old + new) tail.
+//     checkpoint entry (gen G, epoch C, S slices), and prune — keep the
+//     last K generations, drop sealed segments whose ToEpoch is at or below
+//     the oldest kept checkpoint's epoch, and record the highest epoch so
+//     dropped as TruncatedThrough. A crash between M1 and M2 recovers from
+//     the previous generation with the full (old + new) tail.
 //  6. Physically remove pruned objects. Removal is the only irreversible
 //     step and happens strictly after M2 is durable, so truncation can
 //     never eat an epoch recovery still needs.
@@ -153,10 +163,6 @@ type Checkpointer struct {
 	manifest wal.Manifest
 	nextGen  uint64
 	cur      []wal.Device
-	// sliceEpoch is the epoch fence the in-progress sliced generation's
-	// slices embed (cycle-scoped; held here so writeImage's closure over
-	// the loop variable stays allocation-simple).
-	sliceEpoch uint64
 
 	loopMu sync.Mutex
 	stopCh chan struct{}
@@ -171,8 +177,9 @@ type Checkpointer struct {
 type CheckpointerStats struct {
 	// Cycles is the number of completed checkpoint generations.
 	Cycles int
-	// Failures is the number of cycles that failed cleanly (no generation
-	// installed).
+	// Failures is the number of cycles that failed: before rotation no
+	// generation is installed; after it the log has moved on to the new
+	// segments and the cycle's error says what was left undone.
 	Failures int
 	// LastErr is the most recent cycle failure (nil after a success).
 	LastErr error
@@ -231,17 +238,22 @@ func (c *Checkpointer) Stats() CheckpointerStats {
 func (c *Checkpointer) Manifest() wal.Manifest {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	m := c.manifest
-	m.Checkpoints = append([]wal.ManifestCheckpoint(nil), c.manifest.Checkpoints...)
-	m.Segments = append([]wal.ManifestSegment(nil), c.manifest.Segments...)
+	return cloneManifest(c.manifest)
+}
+
+// cloneManifest copies m deeply enough to edit its lists.
+func cloneManifest(m wal.Manifest) wal.Manifest {
+	m.Checkpoints = append([]wal.ManifestCheckpoint(nil), m.Checkpoints...)
+	m.Segments = append([]wal.ManifestSegment(nil), m.Segments...)
 	return m
 }
 
-// CheckpointNow runs one full checkpoint cycle synchronously. On failure
-// no new generation is installed and the engine keeps running on its
-// current log; the store may retain a harmless partial (an uninstalled
-// checkpoint object or empty published segments) that the next successful
-// cycle or recovery tolerates.
+// CheckpointNow runs one full checkpoint cycle synchronously. A failure
+// before rotation installs nothing and the engine keeps running on its
+// current log; a failure after it leaves the engine on the new segments
+// with the generation number consumed. Either way the store may retain a
+// harmless partial (uninstalled slices, empty published segments, a pruned
+// object whose removal failed) that later cycles and recovery tolerate.
 func (c *Checkpointer) CheckpointNow() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -262,197 +274,58 @@ func (c *Checkpointer) cycle() error {
 	if e.logs.Failed() {
 		return e.logs.Err()
 	}
-	// Sliced mode defers while any partition is quarantined: the dead
-	// stream cannot rotate, and a slice of the quarantined partition would
-	// capture memory state ahead of its durable frontier. The loop retries
-	// after RecoverPartition lifts the quarantine — and its next success is
-	// what closes the recovered tail's durability window.
-	sliced := e.cfg.PartitionWAL
-	if sliced {
-		if mask := e.quarMask.Load(); mask != 0 {
-			return fmt.Errorf("%w (mask %#x)", ErrCheckpointQuarantined, mask)
-		}
+	// A cycle defers while any partition is quarantined (the mask is only
+	// ever set under PartitionWAL): the dead stream cannot rotate, and a
+	// slice of the quarantined partition would capture memory state ahead
+	// of its durable frontier. The loop retries after RecoverPartition lifts
+	// the quarantine — and its next success is what closes the recovered
+	// tail's durability window.
+	if mask := e.quarMask.Load(); mask != 0 {
+		return fmt.Errorf("%w (mask %#x)", ErrCheckpointQuarantined, mask)
 	}
 	gen := c.nextGen
-	ckName := checkpointName(gen)
 
-	// Command replay re-executes procedures and HSTORE reads raw rows, so
-	// neither can heal a fuzzy capture: both quiesce for the scan and hold
-	// the gate through rotation. Value logging elsewhere scans online.
+	// Steps 1–4. The fence is drawn once, before the scan, and is both the
+	// epoch every slice embeds and the manifest entry's Epoch. Value logging
+	// scans with workers running, so it fences one below the open epoch and
+	// takes the commit fence only to rotate. Command replay re-executes
+	// procedures and HSTORE reads raw rows, so neither can heal a fuzzy
+	// capture: both hold the quiesce gate and the commit fence — which is
+	// also the log's epoch gate — from fence to rotation. Nothing can then
+	// commit or bump the epoch, so the open epoch itself is the fence, and
+	// it is the boundary Rotate seals at.
 	fuzzy := e.cfg.LogMode == wal.ModeValue && e.proto.Name() != "HSTORE"
-
-	// writeImage writes the generation's image objects: one whole-engine
-	// object, or one slice per partition (each with its own CRC and epoch
-	// fence) in sliced mode. Sliced generations always fence at
-	// CurrentEpoch()-1 — even on the quiesced path, where the manifest
-	// epoch is likewise kept at the fence rather than the rotation
-	// boundary: value-mode replay of the (fence, boundary] gap is
-	// idempotent, and the fence must be known when the slices are written.
-	writeImage := func(online bool) error {
-		if !sliced {
-			if online {
-				return c.store.WriteCheckpoint(ckName, e.CheckpointOnline)
-			}
-			return c.store.WriteCheckpoint(ckName, e.Checkpoint)
-		}
-		for p := 0; p < e.cfg.Partitions; p++ {
-			part := p
-			err := c.store.WriteCheckpoint(sliceName(ckName, part), func(w io.Writer) error {
-				return e.CheckpointSlice(w, part, c.sliceEpoch, online)
-			})
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	var ckptEpoch uint64
-	quiesced := false
+	var (
+		newDevs         []wal.Device
+		fence, boundary uint64
+		err             error
+	)
 	if fuzzy {
-		if cur := e.logs.CurrentEpoch(); cur > 0 {
-			ckptEpoch = cur - 1
+		if fence = e.logs.CurrentEpoch(); fence > 0 {
+			fence--
 		}
-		c.sliceEpoch = ckptEpoch
-		if err := writeImage(true); err != nil {
-			return fmt.Errorf("core: checkpoint gen %d scan: %w", gen, err)
+		if newDevs, err = c.stage(gen, fence); err == nil {
+			e.ckptFence.Lock()
+			boundary, err = e.logs.Rotate(newDevs)
+			e.ckptFence.Unlock()
 		}
 	} else {
 		e.quiesce.Lock()
-		quiesced = true
-		if sliced {
-			if cur := e.logs.CurrentEpoch(); cur > 0 {
-				ckptEpoch = cur - 1
-			}
-			c.sliceEpoch = ckptEpoch
-		}
-		if err := writeImage(false); err != nil {
-			e.quiesce.Unlock()
-			return fmt.Errorf("core: checkpoint gen %d scan: %w", gen, err)
-		}
-	}
-
-	// Create and publish (M1) the new generation's segments.
-	//next700:locked(Engine.quiesce: the checkpoint cycle allocates its generation segment table inside the quiesce window; once per checkpoint, never on the txn path)
-	newDevs := make([]wal.Device, e.logs.NumStreams())
-	m1 := c.manifest
-	m1.Checkpoints = append([]wal.ManifestCheckpoint(nil), c.manifest.Checkpoints...)
-	m1.Segments = append([]wal.ManifestSegment(nil), c.manifest.Segments...)
-	for i := range newDevs {
-		dev, err := c.store.CreateSegment(segmentName(gen, i))
-		if err != nil {
-			if quiesced {
-				e.quiesce.Unlock()
-			}
-			return fmt.Errorf("core: checkpoint gen %d segment %d: %w", gen, i, err)
-		}
-		newDevs[i] = dev
-		m1.Segments = append(m1.Segments, wal.ManifestSegment{Stream: i, Name: segmentName(gen, i)})
-	}
-	if err := c.store.SaveManifest(m1); err != nil {
-		if quiesced {
-			e.quiesce.Unlock()
-		}
-		return fmt.Errorf("core: checkpoint gen %d manifest M1: %w", gen, err)
-	}
-
-	// Rotate under the commit fence (the quiesce gate already excludes
-	// commits entirely on the quiesced path). Rotation certifies the
-	// boundary epoch durable before returning.
-	if !quiesced {
 		e.ckptFence.Lock()
-	}
-	boundary, rerr := e.logs.Rotate(newDevs)
-	if !quiesced {
+		fence = e.logs.CurrentEpoch()
+		if newDevs, err = c.stage(gen, fence); err == nil {
+			boundary, err = e.logs.Rotate(newDevs)
+		}
 		e.ckptFence.Unlock()
-	} else {
 		e.quiesce.Unlock()
 	}
-	if rerr != nil {
-		return fmt.Errorf("core: checkpoint gen %d rotate: %w", gen, rerr)
+	if err != nil {
+		// A rotation that failed part-way (a stream died in it) has already
+		// moved the other streams: keep every handle until one completes.
+		c.cur = append(c.cur, newDevs...)
+		return fmt.Errorf("core: checkpoint gen %d: %w", gen, err)
 	}
-	if !fuzzy && !sliced {
-		// Quiesced capture: the state is exactly the commits at or below
-		// the rotation boundary. (Sliced generations keep the pre-scan
-		// fence their slices embed — see writeImage.)
-		ckptEpoch = boundary
-	}
-
-	// M2: seal the swapped-out segments, install the checkpoint entry, and
-	// prune generations and fully covered sealed segments.
-	m2 := m1
-	m2.Checkpoints = append([]wal.ManifestCheckpoint(nil), m1.Checkpoints...)
-	m2.Segments = append([]wal.ManifestSegment(nil), m1.Segments...)
-	//next700:locked(Engine.ckptFence: sealing bookkeeping runs once per checkpoint inside the fence; never on the txn path)
-	newSeg := make(map[string]bool, len(newDevs))
-	for i := range newDevs {
-		newSeg[segmentName(gen, i)] = true
-	}
-	for i := range m2.Segments {
-		sg := &m2.Segments[i]
-		if sg.ToEpoch == 0 && !newSeg[sg.Name] {
-			sg.ToEpoch = boundary
-		}
-	}
-	entry := wal.ManifestCheckpoint{Gen: gen, Name: ckName, Epoch: ckptEpoch}
-	if sliced {
-		entry.Slices = e.cfg.Partitions
-	}
-	m2.Checkpoints = append(m2.Checkpoints, entry)
-
-	var dropCkpts []wal.ManifestCheckpoint
-	if len(m2.Checkpoints) > c.keep {
-		n := len(m2.Checkpoints) - c.keep
-		dropCkpts = append(dropCkpts, m2.Checkpoints[:n]...)
-		m2.Checkpoints = m2.Checkpoints[n:]
-	}
-	// Everything at or below the oldest retained checkpoint's epoch is
-	// recoverable from that checkpoint; sealed segments fully below it are
-	// dead weight.
-	cMin := m2.Checkpoints[0].Epoch
-	var dropSegs []wal.ManifestSegment
-	liveSegs := m2.Segments[:0]
-	for _, sg := range m2.Segments {
-		if sg.ToEpoch != 0 && sg.ToEpoch <= cMin {
-			dropSegs = append(dropSegs, sg)
-			continue
-		}
-		liveSegs = append(liveSegs, sg)
-	}
-	m2.Segments = liveSegs
-	if err := c.store.SaveManifest(m2); err != nil {
-		return fmt.Errorf("core: checkpoint gen %d manifest M2: %w", gen, err)
-	}
-
-	// Physical removal, strictly after M2 is durable. The durable-frontier
-	// assertion is defensive: rotation certifies every sealed boundary
-	// durable, so a violation here means an epoch recovery might still
-	// need was about to be destroyed.
-	durable := e.logs.DurableEpoch()
-	for _, sg := range dropSegs {
-		if sg.ToEpoch > durable {
-			return fmt.Errorf("%w: refusing to truncate %s sealed at epoch %d, durable frontier %d",
-				errTruncateUnsafe, sg.Name, sg.ToEpoch, durable)
-		}
-		if err := c.store.RemoveSegment(sg.Name); err != nil {
-			return fmt.Errorf("core: checkpoint gen %d truncate %s: %w", gen, sg.Name, err)
-		}
-	}
-	for _, ck := range dropCkpts {
-		if ck.Slices > 0 {
-			for p := 0; p < ck.Slices; p++ {
-				if err := c.store.RemoveCheckpoint(sliceName(ck.Name, p)); err != nil {
-					return fmt.Errorf("core: checkpoint gen %d prune %s: %w", gen, sliceName(ck.Name, p), err)
-				}
-			}
-			continue
-		}
-		if err := c.store.RemoveCheckpoint(ck.Name); err != nil {
-			return fmt.Errorf("core: checkpoint gen %d prune %s: %w", gen, ck.Name, err)
-		}
-	}
-
-	// The old devices are fully sealed and no longer referenced; release
+	// The swapped-out devices are sealed and no longer written; release
 	// their handles.
 	for _, d := range c.cur {
 		if cl, ok := d.(io.Closer); ok {
@@ -460,9 +333,108 @@ func (c *Checkpointer) cycle() error {
 		}
 	}
 	c.cur = newDevs
+	if !fuzzy && boundary != fence {
+		return fmt.Errorf("%w: checkpoint gen %d fenced at %d, rotated at %d", errFenceMoved, gen, fence, boundary)
+	}
+
+	// M2: seal the swapped-out segments (everything in M1 but the new
+	// segments at its end), install the checkpoint entry, and prune
+	// generations and fully covered sealed segments.
+	m2 := cloneManifest(c.manifest)
+	for i := range m2.Segments[:len(m2.Segments)-len(newDevs)] {
+		if sg := &m2.Segments[i]; sg.ToEpoch == 0 {
+			sg.ToEpoch = boundary
+		}
+	}
+	m2.Checkpoints = append(m2.Checkpoints, wal.ManifestCheckpoint{
+		Gen: gen, Name: checkpointName(gen), Epoch: fence, Slices: e.checkpointSlices(),
+	})
+	var dropCkpts []wal.ManifestCheckpoint
+	if n := len(m2.Checkpoints) - c.keep; n > 0 {
+		dropCkpts = append(dropCkpts, m2.Checkpoints[:n]...)
+		m2.Checkpoints = m2.Checkpoints[n:]
+	}
+	// Everything at or below the oldest retained checkpoint's epoch is
+	// recoverable from that checkpoint; sealed segments fully below it are
+	// dead weight. The durable-frontier assertion is defensive: rotation
+	// certifies every sealed boundary durable, so a violation means an
+	// epoch recovery might still need was about to leave the manifest.
+	cMin, durable := m2.Checkpoints[0].Epoch, e.logs.DurableEpoch()
+	var dropSegs []wal.ManifestSegment
+	liveSegs := m2.Segments[:0]
+	for _, sg := range m2.Segments {
+		if sg.ToEpoch == 0 || sg.ToEpoch > cMin {
+			liveSegs = append(liveSegs, sg)
+			continue
+		}
+		if sg.ToEpoch > durable {
+			return fmt.Errorf("%w: refusing to truncate %s sealed at epoch %d, durable frontier %d",
+				errTruncateUnsafe, sg.Name, sg.ToEpoch, durable)
+		}
+		dropSegs = append(dropSegs, sg)
+		if sg.ToEpoch > m2.TruncatedThrough {
+			m2.TruncatedThrough = sg.ToEpoch
+		}
+	}
+	m2.Segments = liveSegs
+	if err := c.store.SaveManifest(m2); err != nil {
+		return fmt.Errorf("core: checkpoint gen %d manifest M2: %w", gen, err)
+	}
 	c.manifest = m2
-	c.nextGen = gen + 1
-	return nil
+
+	// Physical removal, strictly after M2 is durable. Nothing names these
+	// objects any more, so one that will not go away is reported and left
+	// behind; it never holds up the objects after it or the next cycle.
+	var errs []error
+	for _, sg := range dropSegs {
+		if err := c.store.RemoveSegment(sg.Name); err != nil {
+			errs = append(errs, fmt.Errorf("core: checkpoint gen %d truncate %s: %w", gen, sg.Name, err))
+		}
+	}
+	for _, ck := range dropCkpts {
+		for p := 0; p < ck.Slices; p++ {
+			if err := c.store.RemoveCheckpoint(sliceName(ck.Name, p)); err != nil {
+				errs = append(errs, fmt.Errorf("core: checkpoint gen %d prune %s: %w", gen, sliceName(ck.Name, p), err))
+			}
+		}
+	}
+	return errors.Join(errs...)
+}
+
+// stage runs the steps of a cycle that precede rotation: write generation
+// gen's slices, each fenced at fence, then create the generation's segments
+// and publish them — M1, the old manifest with the new segments appended —
+// alongside the still-active old ones. It returns the new devices in stream
+// order. Once M1 is saved generation gen is consumed, whatever fails later:
+// the log is, or after a part-failed rotation may be, appending to
+// seg-gen-*, and a later cycle that reused the number would re-create —
+// truncate — them.
+func (c *Checkpointer) stage(gen, fence uint64) ([]wal.Device, error) {
+	e := c.e
+	slices := e.checkpointSlices()
+	for p := 0; p < slices; p++ {
+		err := c.store.WriteCheckpoint(sliceName(checkpointName(gen), p), func(w io.Writer) error {
+			return e.writeSlice(w, p, slices, fence)
+		})
+		if err != nil {
+			return nil, fmt.Errorf("scan: %w", err)
+		}
+	}
+	m1 := cloneManifest(c.manifest)
+	newDevs := make([]wal.Device, e.logs.NumStreams())
+	for i := range newDevs {
+		dev, err := c.store.CreateSegment(segmentName(gen, i))
+		if err != nil {
+			return nil, fmt.Errorf("segment %d: %w", i, err)
+		}
+		newDevs[i] = dev
+		m1.Segments = append(m1.Segments, wal.ManifestSegment{Stream: i, Name: segmentName(gen, i)})
+	}
+	if err := c.store.SaveManifest(m1); err != nil {
+		return nil, fmt.Errorf("manifest M1: %w", err)
+	}
+	c.manifest, c.nextGen = m1, gen+1
+	return newDevs, nil
 }
 
 // Start launches the background checkpoint loop with the given interval.

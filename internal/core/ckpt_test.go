@@ -2,7 +2,9 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -235,82 +237,6 @@ func TestCheckpointerCommandCycleRecover(t *testing.T) {
 	verifyValues(t, e3, tbl3, func(uint64) int64 { return 15 })
 }
 
-// TestCheckpointCorruptFallsBack flips a byte in the newest checkpoint
-// generation: recovery must fall back to the previous generation and still
-// reach the exact final state through the longer tail.
-func TestCheckpointCorruptFallsBack(t *testing.T) {
-	dir := t.TempDir()
-	e, store, att, tbl := ckptEngine(t, dir, "SILO", wal.ModeValue, true)
-	ck, err := e.NewCheckpointer(store, 2, att.Devices)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tx := e.NewTx(0, 3)
-	set := func(k uint64, v int64) {
-		t.Helper()
-		if err := tx.Run(func(tx *Tx) error {
-			row, err := tx.Update(tbl, k)
-			if err != nil {
-				return err
-			}
-			setV(tbl, row, v)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for k := uint64(0); k < ckptTestKeys; k++ {
-		set(k, 1)
-	}
-	if err := ck.CheckpointNow(); err != nil {
-		t.Fatal(err)
-	}
-	for k := uint64(0); k < ckptTestKeys; k++ {
-		set(k, 2)
-	}
-	if err := ck.CheckpointNow(); err != nil {
-		t.Fatal(err)
-	}
-	set(5, 3)
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Corrupt the newest generation's image on disk.
-	m, _, err := store.LoadManifest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	newest := m.Checkpoints[len(m.Checkpoints)-1]
-	path := filepath.Join(dir, newest.Name)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)/2] ^= 0xFF
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	e2, store2, att2, tbl2 := ckptEngine(t, dir, "SILO", wal.ModeValue, false)
-	rs, err := e2.RecoverFromStore(store2, att2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs.CheckpointFallbacks != 1 || !rs.CheckpointLoaded {
-		t.Fatalf("expected one generation fallback, got %+v", rs)
-	}
-	if rs.CheckpointGen == newest.Gen {
-		t.Fatal("recovery used the corrupt generation")
-	}
-	verifyValues(t, e2, tbl2, func(k uint64) int64 {
-		if k == 5 {
-			return 3
-		}
-		return 2
-	})
-}
-
 // TestCheckpointRetentionBoundsWAL runs repeated cycles with traffic and
 // verifies truncation keeps the store bounded: old generations and their
 // fully covered sealed segments are physically removed — at one stream as
@@ -451,4 +377,200 @@ func TestCheckpointerClosedEngineFailsCleanly(t *testing.T) {
 	if st.Cycles != 0 {
 		t.Fatalf("no generation should have installed: %+v", st)
 	}
+}
+
+// flakyStore fails the store operations a test arms, once each.
+type flakyStore struct {
+	CheckpointStore
+	failRemoveSegment bool   // fail the next RemoveSegment
+	failSaveIn        int    // fail the n-th SaveManifest from now (0: none)
+	beforeSave        func() // called before each SaveManifest
+	afterCheckpoint   func() // called after each successful WriteCheckpoint
+}
+
+var errInjected = errors.New("injected store fault")
+
+func (s *flakyStore) WriteCheckpoint(name string, write func(w io.Writer) error) error {
+	err := s.CheckpointStore.WriteCheckpoint(name, write)
+	if err == nil && s.afterCheckpoint != nil {
+		s.afterCheckpoint()
+	}
+	return err
+}
+
+func (s *flakyStore) RemoveSegment(name string) error {
+	if s.failRemoveSegment {
+		s.failRemoveSegment = false
+		return errInjected
+	}
+	return s.CheckpointStore.RemoveSegment(name)
+}
+
+func (s *flakyStore) SaveManifest(m wal.Manifest) error {
+	if s.beforeSave != nil {
+		s.beforeSave()
+	}
+	if s.failSaveIn > 0 {
+		if s.failSaveIn--; s.failSaveIn == 0 {
+			return errInjected
+		}
+	}
+	return s.CheckpointStore.SaveManifest(m)
+}
+
+// TestCheckpointerSurvivesPostRotationFailure fails a cycle after its
+// rotation succeeded — a pruned segment that will not go away, the M2 save —
+// and demands the checkpointer carry on: the generation number is spent, so
+// the next cycle must not re-create the segments the engine is appending to.
+// A commit acknowledged while that next cycle runs, after its scan, lives
+// only in those segments; the store is file-backed so that re-creating one
+// truncates it for real.
+func TestCheckpointerSurvivesPostRotationFailure(t *testing.T) {
+	for name, arm := range map[string]func(s *flakyStore){
+		"RemoveSegment":   func(s *flakyStore) { s.failRemoveSegment = true },
+		"SaveManifest M2": func(s *flakyStore) { s.failSaveIn = 2 },
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			e, dstore, att, tbl := ckptEngine(t, dir, "SILO", wal.ModeValue, true)
+			store := &flakyStore{CheckpointStore: dstore}
+			ck, err := e.NewCheckpointer(store, 1, att.Devices)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tx := e.NewTx(0, 3)
+			setAll := func(v int64) {
+				t.Helper()
+				for k := uint64(0); k < ckptTestKeys; k++ {
+					if err := setKey(tx, tbl, k, v); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			setAll(1)
+			if err := ck.CheckpointNow(); err != nil {
+				t.Fatal(err)
+			}
+			setAll(2)
+			arm(store) // keep=1: this cycle prunes generation 1 and the bootstrap segments
+			if err := ck.CheckpointNow(); !errors.Is(err, errInjected) {
+				t.Fatalf("armed cycle = %v, want the injected fault", err)
+			}
+			setAll(3)
+			// One more commit lands between the next cycle's scan and its
+			// rotation: too late for the image, acknowledged into the
+			// segments the failed cycle rotated onto.
+			store.afterCheckpoint = func() {
+				store.afterCheckpoint = nil
+				if err := setKey(e.NewTx(1, 4), tbl, 7, 77); err != nil {
+					t.Error(err)
+				}
+			}
+			if err := ck.CheckpointNow(); err != nil {
+				t.Fatalf("cycle after a post-rotation failure: %v", err)
+			}
+			if err := setKey(tx, tbl, 5, 4); err != nil {
+				t.Fatal(err)
+			}
+			if st := ck.Stats(); st.Cycles != 2 || st.Failures != 1 {
+				t.Fatalf("checkpointer stats %+v, want 2 cycles and 1 failure", st)
+			}
+			if err := e.Close(); err != nil { // crash
+				t.Fatal(err)
+			}
+
+			e2, store2, att2, tbl2 := ckptEngine(t, dir, "SILO", wal.ModeValue, false)
+			if _, err := e2.RecoverFromStore(store2, att2, nil); err != nil {
+				t.Fatal(err)
+			}
+			verifyValues(t, e2, tbl2, func(k uint64) int64 {
+				switch k {
+				case 5:
+					return 4
+				case 7:
+					return 77
+				}
+				return 3
+			})
+		})
+	}
+}
+
+// TestCheckpointerSurvivesPartialRotation kills one partition's stream
+// inside a cycle, between M1 and the rotation: the rotation fails with the
+// healthy stream already moved onto its new segment. After the partition is
+// recovered the next cycle must take a fresh generation number, not re-create
+// that segment.
+func TestCheckpointerSurvivesPartialRotation(t *testing.T) {
+	const parts, keys = 2, 16
+	mem := fault.NewMemStore(fault.StoreChaos{Seed: 6})
+	store := &flakyStore{CheckpointStore: mem}
+	e, att := sliceEngine(t, store, "SILO", parts, true)
+	tbl := kvTable(t, e, "kv", IndexHash, keys)
+	ck, err := e.NewCheckpointer(store, 2, att.Devices)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx := e.NewTx(0, 3)
+	for k := uint64(0); k < keys; k++ {
+		if err := setKey(tx, tbl, k, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	store.beforeSave = func() {
+		store.beforeSave = nil
+		if err := e.QuarantinePartition(1); err != nil {
+			t.Error(err)
+		}
+	}
+	if err := ck.CheckpointNow(); !errors.Is(err, wal.ErrStreamFailed) {
+		t.Fatalf("cycle with a stream dying before rotation = %v, want a stream failure", err)
+	}
+	for k := uint64(0); k < keys; k += parts { // partition 0 keeps committing
+		if err := setKey(tx, tbl, k, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tail, err := mem.OpenSegment(segmentName(att.Gen, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	repair, err := mem.CreateSegment("seg-repair-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.RecoverPartition(1, nil, nil, tail, repair); err != nil {
+		t.Fatal(err)
+	}
+	// Key 0 commits after its slice was scanned: acknowledged into the
+	// segment partition 0 moved onto in the failed rotation, and nowhere else.
+	store.afterCheckpoint = func() {
+		store.afterCheckpoint = nil
+		if err := setKey(e.NewTx(1, 4), tbl, 0, 99); err != nil {
+			t.Error(err)
+		}
+	}
+	if err := ck.CheckpointNow(); err != nil {
+		t.Fatalf("cycle after the partition came back: %v", err)
+	}
+	if m := ck.Manifest(); m.Checkpoints[len(m.Checkpoints)-1].Gen != 2 {
+		t.Fatalf("generation after a failed rotation = %+v, want 2 (1 was spent)", m.Checkpoints)
+	}
+	for k := uint64(1); k < keys; k++ {
+		if err := setKey(tx, tbl, k, int64(10+k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s2 := crash(t, e, mem)
+
+	e2, att2 := sliceEngine(t, s2, "SILO", parts, false)
+	tbl2 := kvTable(t, e2, "kv", IndexHash, 0)
+	if _, err := e2.RecoverFromStore(s2, att2, nil); err != nil {
+		t.Fatal(err)
+	}
+	want := map[uint64]int64{0: 99}
+	for k := uint64(1); k < keys; k++ {
+		want[k] = int64(10 + k)
+	}
+	wantValues(t, e2, tbl2, want)
 }

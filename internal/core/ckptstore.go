@@ -141,18 +141,19 @@ func (s *DirStore) LoadManifest() (wal.Manifest, bool, error) {
 // manifestName is the manifest file name inside a DirStore directory.
 const manifestName = "MANIFEST"
 
-// checkpointName renders the store object name for generation gen.
+// checkpointName renders generation gen's manifest name, the stem of its
+// slice objects.
 func checkpointName(gen uint64) string { return fmt.Sprintf("ckpt-%06d", gen) }
 
-// sliceName renders the store object name for one partition's slice of a
-// sliced checkpoint generation (ManifestCheckpoint.Slices > 0).
+// sliceName renders the store object name for slice part of a checkpoint
+// generation (0 <= part < ManifestCheckpoint.Slices).
 func sliceName(ckptName string, part int) string {
 	return fmt.Sprintf("%s-p%d", ckptName, part)
 }
 
 // CheckpointSliceName exposes the slice object naming scheme: harnesses use
-// it to address one partition's slice of a manifest checkpoint entry (for
-// corruption injection and single-partition recovery).
+// it to address one slice of a manifest checkpoint entry (for corruption
+// injection and single-partition recovery).
 func CheckpointSliceName(ckptName string, part int) string { return sliceName(ckptName, part) }
 
 // segmentName renders the store object name for the segment opened at

@@ -52,7 +52,7 @@ var errPartitionGate = fmt.Errorf("core: transaction touches quarantined partiti
 // Config.QuarantineStall) to a stream failure.
 var errStreamStalled = fmt.Errorf("core: log stream sync stalled: %w", ErrPartitionUnavailable)
 
-// ErrCheckpointQuarantined defers sliced checkpoint cycles while any
+// ErrCheckpointQuarantined defers checkpoint cycles while any
 // partition is quarantined: a generation taken then could not rotate the
 // dead stream, and its slice for the quarantined partition would capture
 // memory state ahead of that partition's durable frontier.
@@ -203,7 +203,12 @@ func (e *Engine) partitionGuard() {
 			if !ok {
 				return
 			}
-			e.quarantine(i)
+			// The signal can outlive the failure it reports:
+			// QuarantinePartition quarantines on its own, and RecoverPartition
+			// may have readmitted the stream before the guard gets here.
+			if e.logs.StreamFailed(i) {
+				e.quarantine(i)
+			}
 		case now := <-tickC:
 			// A stalled stream is one whose flusher has held a batch the
 			// device will not acknowledge — claim frozen, flush in flight —
@@ -352,10 +357,10 @@ func (e *Engine) PartitionFrontier(p int) uint64 {
 //     can still observe p's records.
 //  2. Clear p's in-memory state; reload its initial rows via load (nil when
 //     the partition had no pre-log state or a slice covers it).
-//  3. Restore the newest state from slice (a version-2 checkpoint slice for
-//     p; nil recovers from the log alone).
+//  3. Restore the newest state from slice (p's slice object of a checkpoint
+//     generation; nil recovers from the log alone).
 //  4. Replay tail — the failed stream's salvaged bytes — applying only p's
-//     entries with epochs in (sliceEpoch, PartitionFrontier(p)]: the
+//     entries with epochs in (slice fence, PartitionFrontier(p)]: the
 //     certified prefix. Records beyond the frontier were never
 //     acknowledged and stay dead, exactly like whole-engine recovery.
 //  5. Readmit the stream on newDev and clear the quarantine bit.
@@ -389,7 +394,7 @@ func (e *Engine) RecoverPartition(p int, load func() error, slice io.Reader, tai
 	}
 	skip := []uint64{0}
 	if slice != nil {
-		ep, err := e.LoadCheckpointSlice(slice, p)
+		ep, err := e.loadSlice(slice, p, e.cfg.Partitions)
 		if err != nil {
 			return rs, err
 		}

@@ -74,9 +74,10 @@ type RecoveryStats struct {
 // Every recovery is one pipeline in three stages:
 //
 //	base  the state the log tail replays over: the caller's pre-loaded
-//	      initial state, or — from a checkpoint store — the newest loadable
-//	      generation (whole image, or one slice per partition), falling back
-//	      to load() when none is usable;
+//	      initial state, or — from a checkpoint store — each slice's newest
+//	      loadable generation, falling back to load() when some slice has
+//	      none, and to ErrHistoryLost when the log no longer reaches back to
+//	      what was resolved;
 //	tail  the per-stream log readers, replayed up to the epoch frontier
 //	      (wal.ReplayStreams), skipping per stream the epochs the base
 //	      already covers;
@@ -118,13 +119,16 @@ func (e *Engine) RecoverStreams(logs []io.Reader) (RecoveryStats, error) {
 
 // RecoverFromStore performs bounded store-based recovery: restore the
 // newest loadable checkpoint generation from att's manifest snapshot, then
-// replay only the log tail past its epoch. A corrupt or missing generation
-// falls back to the next older one — per partition under PartitionWAL, where
-// every generation is a set of slices and each stream replays to its own
-// certified frontier; with no usable checkpoint (or none taken yet) load is
-// called to produce the initial state and the full log replays. The engine
-// must be freshly opened with att.Devices and its schema created;
-// transactions must not be running.
+// replay only the log tail past its epoch. A generation is a set of slices
+// (one per partition under PartitionWAL, where each stream also replays to
+// its own certified frontier; one otherwise) and a corrupt or missing slice
+// falls back to the next older generation's on its own; with no usable
+// checkpoint (or none taken yet) load is called to produce the initial state
+// and the full log replays — unless checkpoint cycles have already pruned
+// the start of the log, which is ErrHistoryLost. A generation written by a
+// build with another image format is an ErrBadCheckpoint, not a fallback.
+// The engine must be freshly opened with att.Devices and its schema
+// created; transactions must not be running.
 //
 // Re-executed procedures under command logging are not re-logged: the
 // sealed segments named by the manifest remain the authoritative tail
@@ -152,7 +156,7 @@ func (e *Engine) recoverFrom(src recoverySource) (RecoveryStats, error) {
 		return rs, fmt.Errorf("core: recovery requires a logging mode, have %v: %w", e.cfg.LogMode, ErrInvalidUsage)
 	}
 	fromStore := src.store != nil
-	sliced := fromStore && e.cfg.PartitionWAL
+	perPartition := fromStore && e.cfg.PartitionWAL
 
 	// Base: skip[i] is the epoch through which the restored state already
 	// covers stream i.
@@ -162,13 +166,10 @@ func (e *Engine) recoverFrom(src recoverySource) (RecoveryStats, error) {
 		m := &src.att.recover
 		rs.ManifestFallback = src.att.fellBack
 		skip = make([]uint64, m.Streams)
-		var err error
-		if sliced {
+		if perPartition {
 			rule = wal.FrontierPerStream
-			err = e.restoreSlices(src.store, m, skip, &rs)
-		} else {
-			err = e.restoreGeneration(src.store, m, skip, &rs)
 		}
+		err := e.restoreBase(src.store, m, skip, &rs)
 		if err == nil && !rs.CheckpointLoaded && src.load != nil {
 			err = src.load()
 		}
@@ -185,7 +186,7 @@ func (e *Engine) recoverFrom(src recoverySource) (RecoveryStats, error) {
 	var tx *Tx
 	st, err := e.replayTail(readers, rule, skip, &rs, func(stream int, cr *wal.CommitRecord) error {
 		switch {
-		case sliced:
+		case perPartition:
 			return e.applyValueRecordPartition(cr, stream, versions, &rs)
 		case e.cfg.LogMode == wal.ModeValue:
 			return e.applyValueRecord(cr, versions, &rs)
@@ -249,103 +250,93 @@ func newestFirst(m *wal.Manifest) []wal.ManifestCheckpoint {
 	return cks
 }
 
-// restoreGeneration is the whole-image base resolver: the newest loadable
-// generation wins, a missing or corrupt one falls back to the next older,
-// and the loaded generation's epoch covers every stream.
-func (e *Engine) restoreGeneration(store CheckpointStore, m *wal.Manifest, skip []uint64, rs *RecoveryStats) error {
-	for _, ck := range newestFirst(m) {
-		rc, err := store.OpenCheckpoint(ck.Name)
-		if err != nil {
-			rs.CheckpointFallbacks++
-			continue //next700:allowretry(fallback scan: an unreadable checkpoint falls back to the next-newest generation by design)
-		}
-		err = e.LoadCheckpoint(rc)
-		rc.Close()
-		if errors.Is(err, ErrBadCheckpoint) {
-			rs.CheckpointFallbacks++
-			continue
-		}
-		if err != nil {
-			return err
-		}
-		rs.CheckpointLoaded = true
-		rs.CheckpointGen, rs.CheckpointEpoch = ck.Gen, ck.Epoch
-		for i := range skip {
-			skip[i] = ck.Epoch
-		}
-		return nil
-	}
-	return nil
-}
+// ErrHistoryLost reports a store recovery cannot be complete: checkpoint
+// cycles pruned the log through an epoch (Manifest.TruncatedThrough) that the
+// base recovery could resolve does not cover — every retained copy of some
+// slice is missing or corrupt. Replaying what is left over that base would
+// silently drop the commits in between, so recovery refuses instead. Match
+// with errors.Is.
+var ErrHistoryLost = errors.New("core: log history lost")
 
-// restoreSlices is the per-partition base resolver: every generation is a
-// set of per-partition slices and each partition falls back through
-// generations independently — a corrupt slice costs its partition's
-// bounded-recovery head start, nobody else's. skip[p] receives partition p's
-// slice epoch (stream p is partition p's log).
-func (e *Engine) restoreSlices(store CheckpointStore, m *wal.Manifest, skip []uint64, rs *RecoveryStats) error {
-	P := e.cfg.Partitions
+// restoreBase is the base resolver: every generation in the manifest is a
+// set of S slices, and each slice falls back through the generations on its
+// own, newest first — a corrupt slice costs its own bounded-recovery head
+// start, nobody else's (at S = 1 that is "fall back to the previous
+// generation"). skip[i] receives the fence of the slice stream i's records
+// replay over: slice i under a partition-sharded log, slice 0 otherwise.
+func (e *Engine) restoreBase(store CheckpointStore, m *wal.Manifest, skip []uint64, rs *RecoveryStats) error {
+	S := e.checkpointSlices()
 	type sliceLoad struct {
-		plan  []ckptTableLoad
-		epoch uint64
-		gen   uint64
+		plan       []ckptTableLoad
+		fence, gen uint64
 	}
-	resolved := make([]*sliceLoad, P)
-	missing := P
+	resolved := make([]*sliceLoad, S)
+	missing := S
 	for _, ck := range newestFirst(m) {
 		if missing == 0 {
 			break
 		}
-		if ck.Slices != P {
-			// A whole-image or differently-partitioned generation cannot be
-			// loaded piecewise; skip it.
+		if ck.Slices == 0 {
+			return fmt.Errorf("%w 1: generation %d (%s) is a whole-engine image written by an older build",
+				errCheckpointVersion, ck.Gen, ck.Name)
+		}
+		if ck.Slices != S {
+			// A differently-partitioned generation cannot be loaded
+			// piecewise; skip it.
 			rs.CheckpointFallbacks++
 			continue
 		}
-		for p := 0; p < P; p++ {
+		for p := 0; p < S; p++ {
 			if resolved[p] != nil {
 				continue
 			}
+			var plan []ckptTableLoad
+			var fence uint64
 			rc, err := store.OpenCheckpoint(sliceName(ck.Name, p))
+			if err == nil {
+				plan, fence, err = e.readSlice(rc, p, S)
+				rc.Close()
+			}
+			if errors.Is(err, errCheckpointVersion) {
+				return fmt.Errorf("core: recovery slice %s: %w", sliceName(ck.Name, p), err)
+			}
 			if err != nil {
 				rs.CheckpointFallbacks++
-				continue //next700:allowretry(fallback scan: a failed slice open is counted and the next candidate is tried; nothing is re-run)
+				continue //next700:allowretry(fallback scan: an unreadable slice is counted and the next-older generation's is tried; nothing is re-run)
 			}
-			data, rerr := io.ReadAll(rc)
-			rc.Close()
-			if rerr != nil {
-				rs.CheckpointFallbacks++
-				continue
-			}
-			plan, meta, perr := e.parseCheckpoint(data)
-			if perr != nil || !meta.sliced || meta.partition != p {
-				rs.CheckpointFallbacks++
-				continue
-			}
-			resolved[p] = &sliceLoad{plan: plan, epoch: meta.epoch, gen: ck.Gen}
+			resolved[p] = &sliceLoad{plan: plan, fence: fence, gen: ck.Gen}
 			missing--
 		}
 	}
+	if missing == 0 {
+		for p, sl := range resolved {
+			if sl.gen > rs.CheckpointGen {
+				rs.CheckpointGen = sl.gen
+			}
+			if p == 0 || sl.fence < rs.CheckpointEpoch {
+				rs.CheckpointEpoch = sl.fence
+			}
+		}
+	}
+	if rs.CheckpointEpoch < m.TruncatedThrough {
+		return fmt.Errorf("%w: the log is truncated through epoch %d but the restorable base covers %d (%d checkpoint objects unusable)",
+			ErrHistoryLost, m.TruncatedThrough, rs.CheckpointEpoch, rs.CheckpointFallbacks)
+	}
 	if missing > 0 {
-		// No usable generation for at least one partition (none taken yet,
-		// or a double fault ate every copy of some slice): degrade to
-		// initial load plus full-log replay for everyone. Partial initial
-		// loads cannot be expressed through the load callback, and mixing
-		// them with slice state would be exactly the silent partial load
-		// the format forbids.
+		// No usable copy of some slice (no generation taken yet, or a double
+		// fault ate every one): the base is the initial load plus the full
+		// log for everyone. Partial initial loads cannot be expressed
+		// through the load callback, and mixing them with slice state would
+		// be exactly the silent partial load the format forbids.
 		return nil
 	}
-	// Slices validate against the engine (unknown tables, duplicate keys)
-	// at parse time; partitions are key-disjoint, so the plans compose.
-	for p, sl := range resolved {
+	// Slices validate against the engine (unknown tables, duplicate keys) at
+	// parse time and are key-disjoint, so the plans compose.
+	for _, sl := range resolved {
 		e.applyCheckpointPlan(sl.plan)
-		skip[p] = sl.epoch
-		if sl.gen > rs.CheckpointGen {
-			rs.CheckpointGen = sl.gen
-		}
-		if p == 0 || sl.epoch < rs.CheckpointEpoch {
-			rs.CheckpointEpoch = sl.epoch
-		}
+	}
+	for i := range skip {
+		skip[i] = resolved[i%S].fence
 	}
 	rs.CheckpointLoaded = true
 	return nil
@@ -472,8 +463,8 @@ func (e *Engine) applyValueRecord(cr *wal.CommitRecord, versions recordVersion, 
 // segments stay active.
 func (e *Engine) sealInheritedSegments(store CheckpointStore, att *LogAttachment, frontiers []uint64, rs *RecoveryStats) error {
 	m := att.recover
-	sealed := wal.Manifest{Streams: m.Streams, Mode: m.Mode}
-	sealed.Checkpoints = append([]wal.ManifestCheckpoint(nil), m.Checkpoints...)
+	sealed := m // keeps the checkpoints and TruncatedThrough; segments are re-listed below
+	sealed.Segments = nil
 	var dropped []wal.ManifestSegment
 	for _, sg := range m.Segments {
 		if sg.ToEpoch == 0 {

@@ -244,8 +244,11 @@ func flipCheckpoints(store *fault.MemStore, all bool) error {
 		targets = m.Checkpoints
 	}
 	for _, ck := range targets {
-		if !store.FlipCheckpointByte(ck.Name, 40) {
-			return fmt.Errorf("torture: could not corrupt checkpoint %s", ck.Name)
+		// These lanes run thread-affinity logs: one slice per generation.
+		// Offset 52 is the same byte of the first row section that offset 40
+		// was before the 12-byte slice header.
+		if name := core.CheckpointSliceName(ck.Name, 0); !store.FlipCheckpointByte(name, 52) {
+			return fmt.Errorf("torture: could not corrupt checkpoint %s", name)
 		}
 	}
 	return nil

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"next700/internal/core"
 	"next700/internal/fault"
 	"next700/internal/wal"
 )
@@ -232,8 +233,9 @@ func TestCkptTortureRepeatedCrashes(t *testing.T) {
 
 // TestCkptTortureDetectsLostHistory is the negative control: with every
 // retained checkpoint generation corrupted AND early segments already
-// truncated, the full history is unrecoverable — the harness must detect
-// the violation, proving the checker has teeth against silent state loss.
+// truncated, the full history is unrecoverable — and recovery itself must
+// say so (core.ErrHistoryLost) rather than replay what is left and leave the
+// state checker to notice the hole.
 func TestCkptTortureDetectsLostHistory(t *testing.T) {
 	for _, mode := range []wal.Mode{wal.ModeValue, wal.ModeCommand} {
 		cfg := ckptBase("SILO", mode, 0xDEAD+uint64(mode))
@@ -244,8 +246,8 @@ func TestCkptTortureDetectsLostHistory(t *testing.T) {
 		if err == nil {
 			t.Fatalf("mode %v: lost history went undetected", mode)
 		}
-		if !errors.Is(err, ErrState) && !errors.Is(err, ErrDurability) && !errors.Is(err, ErrConsistency) {
-			t.Fatalf("mode %v: expected an invariant violation, got: %v", mode, err)
+		if !errors.Is(err, core.ErrHistoryLost) {
+			t.Fatalf("mode %v: expected recovery to refuse with ErrHistoryLost, got: %v", mode, err)
 		}
 	}
 }

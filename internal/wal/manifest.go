@@ -26,11 +26,12 @@ type ManifestCheckpoint struct {
 	// which replay overwrites idempotently in value mode). Recovery from
 	// this generation replays only records with epoch > Epoch.
 	Epoch uint64 `json:"epoch"`
-	// Slices, when > 0, marks a partition-sliced generation: the image is
-	// split into that many per-partition objects named Name + "-p<part>",
-	// each with its own CRC and embedded epoch fence, so a corrupt slice
-	// degrades only its partition's recovery path. 0 is a whole-engine
-	// image under Name.
+	// Slices is the number of store objects the image is cut into, named
+	// Name + "-p<i>": one per partition under a partition-sharded log, one
+	// otherwise. Each has its own CRC and embedded epoch fence, so a corrupt
+	// slice degrades only its own recovery path. Always >= 1; a 0 is an
+	// entry written by a build that stored a whole image under Name, which
+	// this one does not read.
 	Slices int `json:"slices,omitempty"`
 }
 

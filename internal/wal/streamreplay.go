@@ -31,6 +31,10 @@ type Manifest struct {
 	// a stream's on-disk log is the concatenation of its sealed segments
 	// followed by its active (ToEpoch == 0) ones.
 	Segments []ManifestSegment `json:"segments,omitempty"`
+	// TruncatedThrough is the highest sealing epoch of any segment ever
+	// pruned from Segments: log history at or below it is gone, so a
+	// recovery whose base covers less cannot be complete.
+	TruncatedThrough uint64 `json:"truncated_through,omitempty"`
 }
 
 // WriteManifest serializes m as JSON.

@@ -132,7 +132,7 @@ func (y *YCSB) Setup(e *core.Engine) error {
 
 // SetupSchema creates the table, partitioner, and stored procedures
 // without loading any rows. This is the shape store-based recovery needs:
-// core.LoadCheckpoint requires empty tables, so a recovering caller runs
+// a checkpoint generation loads only into empty tables, so a recovering caller runs
 // SetupSchema first and passes LoadData as the RecoverFromStore fallback
 // (invoked only when no checkpoint generation is loadable).
 func (y *YCSB) SetupSchema(e *core.Engine) error {

@@ -1,13 +1,14 @@
 package next700_test
 
 import (
-	"bytes"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"sync"
 	"testing"
 
 	"next700"
+	"next700/internal/core"
 )
 
 func TestPublicAPIQuickstart(t *testing.T) {
@@ -217,11 +218,32 @@ func TestOpenErrors(t *testing.T) {
 	}
 }
 
+// TestPublicAPICheckpoint takes a checkpoint generation of a DB and restores
+// it into a second one. A generation is written only by a Checkpointer over
+// a checkpoint store and read only by RecoverFromStore, and the store owns
+// the log segments, so each DB logs to the segment its attachment created.
 func TestPublicAPICheckpoint(t *testing.T) {
-	db, err := next700.Open(next700.Options{Protocol: next700.MVCC, Threads: 2})
+	store, err := core.NewDirStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
+	open := func(att *core.LogAttachment) *next700.DB {
+		t.Helper()
+		db, err := next700.Open(next700.Options{
+			Protocol: next700.MVCC, Threads: 2, Logging: next700.LogValue,
+			LogPath: filepath.Join(store.Dir(), fmt.Sprintf("seg-%06d-0", att.Gen)),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+
+	att, err := core.InitCheckpointLog(store, 1, next700.LogValue)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := open(att)
 	defer db.Close()
 	schema := next700.MustSchema("kv", next700.I64("v"))
 	tbl, err := db.CreateTable(schema, next700.IndexBTree)
@@ -235,22 +257,26 @@ func TestPublicAPICheckpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var snap bytes.Buffer
-	if err := db.Checkpoint(&snap); err != nil {
-		t.Fatal(err)
-	}
-
-	db2, err := next700.Open(next700.Options{Protocol: next700.MVCC, Threads: 2})
+	ck, err := db.NewCheckpointer(store, 0, att.Devices)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := ck.CheckpointNow(); err != nil {
+		t.Fatal(err)
+	}
+
+	att2, err := core.AttachCheckpointLog(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db2 := open(att2)
 	defer db2.Close()
 	tbl2, err := db2.CreateTable(schema, next700.IndexBTree)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db2.LoadCheckpoint(bytes.NewReader(snap.Bytes())); err != nil {
-		t.Fatal(err)
+	if rs, err := db2.RecoverFromStore(store, att2, nil); err != nil || !rs.CheckpointLoaded {
+		t.Fatalf("RecoverFromStore = %+v, %v; want the generation loaded", rs, err)
 	}
 	tx := db2.NewTx(0, 1)
 	if err := tx.Run(func(tx *next700.Tx) error {
