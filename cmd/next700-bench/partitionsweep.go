@@ -1,12 +1,10 @@
 package main
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"sync"
 	"time"
 
@@ -30,7 +28,8 @@ import (
 //     whole engine from the same store state.
 //  3. Both recoveries agree: the dark partition's state after live
 //     RecoverPartition equals its state after whole-engine
-//     RecoverFromStore of a crash-surviving store copy.
+//     RecoverFromStore of a crash-surviving store copy — and a commit the
+//     readmitted partition acknowledges survives a crash right after it.
 
 // partitionRetainTarget is the acceptance bar for degradation containment:
 // surviving partitions must retain at least this fraction of their healthy
@@ -139,19 +138,8 @@ func partitionSweep(c common, P int) sweep {
 			// times answer "one partition vs everything" for identical history.
 			surv := store.Survivor(fault.StoreChaos{Seed: c.Seed + 1})
 
-			// Live single-partition recovery: newest slice + own stream tail.
-			slice, tail, err := partSweepRecoveryInputs(store, P, target)
-			if err != nil {
-				return err
-			}
-			newDev, err := store.CreateSegment(fmt.Sprintf("seg-repair-%d", target))
-			if err != nil {
-				return err
-			}
-			var load func() error
-			if slice == nil {
-				load = func() error { return partSweepLoad(e, tbl, P, target) }
-			}
+			// Live single-partition recovery: the engine resolves the newest
+			// loadable slice and the stream's tail from the store itself.
 			recovered := func(phase string, rs core.RecoveryStats, took time.Duration) {
 				s.row(map[string]interface{}{"phase": phase}, map[string]metric{
 					"recover_ms":        ms(took),
@@ -160,7 +148,7 @@ func partitionSweep(c common, P int) sweep {
 				})
 			}
 			t0 = time.Now()
-			rs, err := e.RecoverPartition(target, load, slice, tail, newDev)
+			rs, err := ck.RecoverPartition(target, func() error { return partSweepLoad(e, tbl, P, target) })
 			partTook := time.Since(t0)
 			if err != nil {
 				return fmt.Errorf("RecoverPartition: %w", err)
@@ -170,37 +158,52 @@ func partitionSweep(c common, P int) sweep {
 			if err != nil {
 				return fmt.Errorf("digest: %w", err)
 			}
-			// The readmitted partition must take commits again.
+			// The readmitted partition must take commits again, durably: a
+			// second crash image, taken now, must hold this one.
 			if err := partSweepCommitOne(e, tbl, P, target); err != nil {
 				return fmt.Errorf("post-recovery commit: %w", err)
 			}
-			e.Close()
-
-			// Whole-engine recovery of the same store state.
-			att2, err := core.AttachCheckpointLog(surv)
-			if err != nil {
-				return err
-			}
-			e2, tbl2, err := partSweepEngine(P, att2.Devices)
-			if err != nil {
-				return err
-			}
-			defer e2.Close()
-			t0 = time.Now()
-			rs2, err := e2.RecoverFromStore(surv, att2, func() error {
-				return partSweepLoad(e2, tbl2, P, -1)
-			})
-			wholeTook := time.Since(t0)
-			if err != nil {
-				return fmt.Errorf("RecoverFromStore: %w", err)
-			}
-			recovered("recover_engine", rs2, wholeTook)
-			digestWhole, err := partSweepDigest(e2, tbl2, P, target)
+			digestCommitted, err := partSweepDigest(e, tbl, P, target)
 			if err != nil {
 				return fmt.Errorf("digest: %w", err)
 			}
+			surv2 := store.Survivor(fault.StoreChaos{Seed: c.Seed + 2})
+			e.Close()
+
+			// Whole-engine recovery of the same store states.
+			whole := func(surv *fault.MemStore) (rs core.RecoveryStats, took time.Duration, digest uint32, err error) {
+				att2, err := core.AttachCheckpointLog(surv)
+				if err != nil {
+					return
+				}
+				e2, tbl2, err := partSweepEngine(P, att2.Devices)
+				if err != nil {
+					return
+				}
+				defer e2.Close()
+				t0 := time.Now()
+				rs, err = e2.RecoverFromStore(surv, att2, func() error { return partSweepLoad(e2, tbl2, P, -1) })
+				took = time.Since(t0)
+				if err != nil {
+					return rs, took, 0, fmt.Errorf("RecoverFromStore: %w", err)
+				}
+				digest, err = partSweepDigest(e2, tbl2, P, target)
+				return
+			}
+			rs2, wholeTook, digestWhole, err := whole(surv)
+			if err != nil {
+				return err
+			}
+			recovered("recover_engine", rs2, wholeTook)
 			s.check("recovered_digest_match", digestLive == digestWhole,
 				"partition %d after live recovery %08x, after whole-engine recovery %08x", target, digestLive, digestWhole)
+			_, _, digestReadmitted, err := whole(surv2)
+			if err != nil {
+				return err
+			}
+			s.check("readmitted_commit_durable", digestReadmitted == digestCommitted && digestCommitted != digestLive,
+				"partition %d after its post-readmission commit %08x, recovered from a crash right after it %08x",
+				target, digestCommitted, digestReadmitted)
 			s.target("recover_speedup_target", partTook < wholeTook,
 				"single-partition recovery %v vs whole-engine %v", partTook, wholeTook)
 			return nil
@@ -330,56 +333,6 @@ func partSweepPhase(e *core.Engine, tbl *core.Table, P, target int, dur time.Dur
 		res.partitionAborts += aborts[p]
 	}
 	return res, nil
-}
-
-// partSweepRecoveryInputs resolves the dark partition's recovery sources
-// from the store manifest: its slice of the newest P-slice checkpoint
-// generation, and its stream's segments concatenated in manifest order
-// (sealed segments trimmed to their sealing epoch, like whole-engine
-// recovery does).
-func partSweepRecoveryInputs(store core.CheckpointStore, P, target int) (slice, tail io.Reader, err error) {
-	m, _, err := store.LoadManifest()
-	if err != nil {
-		return nil, nil, err
-	}
-	var best *wal.ManifestCheckpoint
-	for i := range m.Checkpoints {
-		ck := &m.Checkpoints[i]
-		if ck.Slices == P && (best == nil || ck.Gen > best.Gen) {
-			best = ck
-		}
-	}
-	if best != nil {
-		rc, err := store.OpenCheckpoint(core.CheckpointSliceName(best.Name, target))
-		if err == nil {
-			data, rerr := io.ReadAll(rc)
-			rc.Close()
-			if rerr == nil {
-				slice = bytes.NewReader(data)
-			}
-		}
-	}
-	var image []byte
-	for _, sg := range m.Segments {
-		if sg.Stream != target {
-			continue
-		}
-		rc, err := store.OpenSegment(sg.Name)
-		if err != nil {
-			continue
-		}
-		data, rerr := io.ReadAll(rc)
-		rc.Close()
-		if rerr != nil {
-			return nil, nil, fmt.Errorf("segment %s: %w", sg.Name, rerr)
-		}
-		clean, serr := wal.SealSegment(data, sg.ToEpoch)
-		if serr != nil {
-			return nil, nil, fmt.Errorf("segment %s: %w", sg.Name, serr)
-		}
-		image = append(image, clean...)
-	}
-	return slice, bytes.NewReader(image), nil
 }
 
 // partSweepDigest folds the target partition's committed key/value pairs

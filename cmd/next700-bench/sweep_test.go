@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -231,13 +232,14 @@ func TestSweepsSmoke(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		sw    sweep
-		cells int // table rows: one per cell
+		cells int    // table rows: one per cell
+		check string // a check the report must carry, by name
 	}{
-		{walSweep(c), 3},
-		{detSweep(c, 16, 0.9), 4},
-		{overloadSweep(c, core.Config{Protocol: "SILO", Threads: c.Threads}, ycsb, 0), 7},
-		{partitionSweep(c, 2), 5},
-		{recoverSweep(c, recoverSweepOpts{Txns: 2000, Every: 100, Dir: t.TempDir()}), 4},
+		{sw: walSweep(c), cells: 3},
+		{sw: detSweep(c, 16, 0.9), cells: 4},
+		{sw: overloadSweep(c, core.Config{Protocol: "SILO", Threads: c.Threads}, ycsb, 0), cells: 7},
+		{sw: partitionSweep(c, 2), cells: 5, check: "readmitted_commit_durable"},
+		{sw: recoverSweep(c, recoverSweepOpts{Txns: 2000, Every: 100, Dir: t.TempDir()}), cells: 4},
 	} {
 		tc := tc
 		t.Run(tc.sw.name, func(t *testing.T) {
@@ -268,6 +270,9 @@ func TestSweepsSmoke(t *testing.T) {
 			}
 			if len(seen) != tc.cells {
 				t.Errorf("%d distinct cells, want %d: %v", len(seen), tc.cells, seen)
+			}
+			if tc.check != "" && !slices.ContainsFunc(rep.Checks, func(c check) bool { return c.Name == tc.check && c.OK }) {
+				t.Errorf("no passing check %q in %+v", tc.check, rep.Checks)
 			}
 		})
 	}

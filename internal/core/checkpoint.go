@@ -225,28 +225,13 @@ type ckptTableLoad struct {
 }
 
 // readSlice reads one slice object in full and validates it with parseSlice,
-// applying nothing.
-func (e *Engine) readSlice(r io.Reader, part, slices int) ([]ckptTableLoad, uint64, error) {
+// applying nothing: a bad slice never partially mutates the engine.
+func (e *Engine) readSlice(r io.Reader, part, slices int, replacing bool) ([]ckptTableLoad, uint64, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, 0, fmt.Errorf("%w: read: %v", ErrBadCheckpoint, err)
 	}
-	return e.parseSlice(data, part, slices)
-}
-
-// loadSlice restores slice part of slices from r and returns its fence. The
-// engine's tables must already exist with matching schemas (the same
-// contract as Recover), and no transaction may be touching the slice's keys.
-// The object is validated in full before anything is applied, so a bad slice
-// never partially mutates the engine: it either loads completely or leaves
-// the engine untouched.
-func (e *Engine) loadSlice(r io.Reader, part, slices int) (uint64, error) {
-	plan, fence, err := e.readSlice(r, part, slices)
-	if err != nil {
-		return 0, err
-	}
-	e.applyCheckpointPlan(plan)
-	return fence, nil
+	return e.parseSlice(data, part, slices, replacing)
 }
 
 // applyCheckpointPlan applies a fully validated slice plan.
@@ -271,12 +256,13 @@ func (e *Engine) applyCheckpointPlan(plan []ckptTableLoad) {
 
 // parseSlice verifies the CRC and fully validates a slice without touching
 // engine state: it must be slice part, its tables known with matching row
-// sizes, record ids in range, keys free of duplicates (within the slice and
-// against the engine) and — when the generation has more than one slice —
+// sizes, record ids in range, keys free of duplicates (within the slice and,
+// unless the caller is replacing the slice's partition, against the engine)
+// and — when the generation has more than one slice —
 // every key must map to part under the engine's partitioner, so a slice
 // written under a different partitioning or routed to the wrong partition is
 // rejected whole. Returned entry rows alias data.
-func (e *Engine) parseSlice(data []byte, part, slices int) ([]ckptTableLoad, uint64, error) {
+func (e *Engine) parseSlice(data []byte, part, slices int, replacing bool) ([]ckptTableLoad, uint64, error) {
 	if len(data) < checkpointHeaderLen+4 {
 		return nil, 0, fmt.Errorf("%w: too short", ErrBadCheckpoint)
 	}
@@ -374,7 +360,7 @@ func (e *Engine) parseSlice(data []byte, part, slices int) ([]ckptTableLoad, uin
 					return nil, 0, fmt.Errorf("%w: slice %d holds key %d of partition %d", ErrBadCheckpoint, part, key, p)
 				}
 			}
-			if _, exists := t.primary.Lookup(key); exists {
+			if _, exists := t.primary.Lookup(key); exists && !replacing {
 				return nil, 0, fmt.Errorf("%w: key %d already present in %q", ErrBadCheckpoint, key, t.Name())
 			}
 			tl.entries = append(tl.entries, ckptEntry{key: key, rid: rid, row: b[16:]})

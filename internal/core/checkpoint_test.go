@@ -53,6 +53,19 @@ func sliceEngine(t testing.TB, store CheckpointStore, protocol string, parts int
 	return openEngine(t, cfg), att
 }
 
+// loadSlice restores slice part of slices from r and returns its fence: the
+// parse-then-apply recovery's base stage runs per slice, over one reader. The
+// object is validated in full before anything is applied, so a bad slice
+// either loads completely or leaves the engine untouched.
+func (e *Engine) loadSlice(r io.Reader, part, slices int) (uint64, error) {
+	plan, fence, err := e.readSlice(r, part, slices, false)
+	if err != nil {
+		return 0, err
+	}
+	e.applyCheckpointPlan(plan)
+	return fence, nil
+}
+
 // checkpointNow takes one generation through a fresh Checkpointer and returns
 // the manifest it leaves.
 func checkpointNow(t testing.TB, e *Engine, store CheckpointStore, att *LogAttachment, keep int) (*Checkpointer, wal.Manifest) {

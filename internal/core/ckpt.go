@@ -241,6 +241,14 @@ func (c *Checkpointer) Manifest() wal.Manifest {
 	return cloneManifest(c.manifest)
 }
 
+// closeDevice releases a segment device the log no longer writes, when its
+// store hands out closable ones.
+func closeDevice(d wal.Device) {
+	if cl, ok := d.(io.Closer); ok {
+		cl.Close()
+	}
+}
+
 // cloneManifest copies m deeply enough to edit its lists.
 func cloneManifest(m wal.Manifest) wal.Manifest {
 	m.Checkpoints = append([]wal.ManifestCheckpoint(nil), m.Checkpoints...)
@@ -278,8 +286,7 @@ func (c *Checkpointer) cycle() error {
 	// ever set under PartitionWAL): the dead stream cannot rotate, and a
 	// slice of the quarantined partition would capture memory state ahead
 	// of its durable frontier. The loop retries after RecoverPartition lifts
-	// the quarantine — and its next success is what closes the recovered
-	// tail's durability window.
+	// the quarantine.
 	if mask := e.quarMask.Load(); mask != 0 {
 		return fmt.Errorf("%w (mask %#x)", ErrCheckpointQuarantined, mask)
 	}
@@ -328,9 +335,7 @@ func (c *Checkpointer) cycle() error {
 	// The swapped-out devices are sealed and no longer written; release
 	// their handles.
 	for _, d := range c.cur {
-		if cl, ok := d.(io.Closer); ok {
-			cl.Close()
-		}
+		closeDevice(d)
 	}
 	c.cur = newDevs
 	if !fuzzy && boundary != fence {

@@ -531,15 +531,7 @@ func TestCheckpointerSurvivesPartialRotation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	tail, err := mem.OpenSegment(segmentName(att.Gen, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	repair, err := mem.CreateSegment("seg-repair-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.RecoverPartition(1, nil, nil, tail, repair); err != nil {
+	if _, err := ck.RecoverPartition(1, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Key 0 commits after its slice was scanned: acknowledged into the
@@ -553,8 +545,8 @@ func TestCheckpointerSurvivesPartialRotation(t *testing.T) {
 	if err := ck.CheckpointNow(); err != nil {
 		t.Fatalf("cycle after the partition came back: %v", err)
 	}
-	if m := ck.Manifest(); m.Checkpoints[len(m.Checkpoints)-1].Gen != 2 {
-		t.Fatalf("generation after a failed rotation = %+v, want 2 (1 was spent)", m.Checkpoints)
+	if m := ck.Manifest(); m.Checkpoints[len(m.Checkpoints)-1].Gen != 3 {
+		t.Fatalf("generation after a failed rotation = %+v, want 3 (the rotation spent 1, the partition's fresh segment 2)", m.Checkpoints)
 	}
 	for k := uint64(1); k < keys; k++ {
 		if err := setKey(tx, tbl, k, int64(10+k)); err != nil {

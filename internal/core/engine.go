@@ -69,7 +69,7 @@ type Config struct {
 	// degrades only its partition — the engine quarantines it, sheds its
 	// transactions with ErrPartitionUnavailable, and keeps the healthy
 	// partitions committing durably. See QuarantinePartition and
-	// RecoverPartition.
+	// Checkpointer.RecoverPartition.
 	PartitionWAL bool
 	// QuarantineStall, when > 0 with PartitionWAL, is the gray-failure
 	// escalation threshold: a stream whose sync claim makes no progress

@@ -48,7 +48,7 @@ func TestInvalidUsageClass(t *testing.T) {
 	if err := e.QuarantinePartition(0); !errors.Is(err, ErrInvalidUsage) {
 		t.Fatalf("QuarantinePartition without PartitionWAL = %v, want ErrInvalidUsage", err)
 	}
-	if _, err := e.RecoverPartition(0, nil, nil, nil, nil); !errors.Is(err, ErrInvalidUsage) {
+	if _, err := (&Checkpointer{e: e}).RecoverPartition(0, nil); !errors.Is(err, ErrInvalidUsage) {
 		t.Fatalf("RecoverPartition without PartitionWAL = %v, want ErrInvalidUsage", err)
 	}
 	if got := e.PartitionFrontier(0); got != 0 {

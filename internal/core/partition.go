@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -23,10 +24,11 @@ import (
 //     Transactions touching it abort with the terminal
 //     ErrPartitionUnavailable class; healthy partitions keep committing
 //     durably against the frontier re-certified over the survivors.
-//   - Recovery: RecoverPartition rebuilds one partition from its newest
-//     valid checkpoint slice plus its own stream's certified tail while the
-//     rest of the engine serves traffic, then readmits the stream on a
-//     fresh device and lifts the quarantine.
+//   - Recovery: Checkpointer.RecoverPartition runs the recovery pipeline
+//     (recover.go) for one partition — its newest loadable checkpoint slice,
+//     its own stream's certified tail, its segments sealed and a fresh one
+//     published — while the rest of the engine serves traffic, then readmits
+//     the stream on that segment and lifts the quarantine.
 //
 // The cross-partition contract matches the per-stream replay contract of
 // wal.FrontierPerStream: an acknowledged commit is certified on every
@@ -349,86 +351,51 @@ func (e *Engine) PartitionFrontier(p int) uint64 {
 	return 0
 }
 
-// RecoverPartition rebuilds quarantined partition p while the engine serves
-// traffic on its healthy partitions, then readmits the partition's stream
-// on newDev and lifts the quarantine:
+// RecoverPartition rebuilds quarantined partition p from the checkpoint store
+// while the engine serves traffic on its healthy partitions, then readmits
+// the partition's stream and lifts the quarantine: the recovery pipeline
+// (recover.go) at the scope of slice p and stream p, run by the run-time
+// owner of the manifest.
 //
-//  1. Drain the attempt gate, so no transaction predating the quarantine
-//     can still observe p's records.
-//  2. Clear p's in-memory state; reload its initial rows via load (nil when
-//     the partition had no pre-log state or a slice covers it).
-//  3. Restore the newest state from slice (p's slice object of a checkpoint
-//     generation; nil recovers from the log alone).
-//  4. Replay tail — the failed stream's salvaged bytes — applying only p's
-//     entries with epochs in (slice fence, PartitionFrontier(p)]: the
-//     certified prefix. Records beyond the frontier were never
-//     acknowledged and stay dead, exactly like whole-engine recovery.
-//  5. Readmit the stream on newDev and clear the quarantine bit.
+//	base  slice p at its newest loadable generation; with none, load (p's
+//	      initial rows; nil when the partition had no pre-log state) and the
+//	      full tail. Base and tail are resolved before anything is touched:
+//	      an error up to there (ErrBadCheckpoint for a foreign format,
+//	      ErrHistoryLost when the log no longer reaches back to the base)
+//	      leaves the partition quarantined and its memory as it was. Then the
+//	      attempt gate drains, p's in-memory state is cleared and the base
+//	      installed.
+//	tail  stream p's segments, applying only p's entries with epochs in
+//	      (slice fence, PartitionFrontier(p)]: the certified prefix. Records
+//	      beyond the frontier were never acknowledged and stay dead, exactly
+//	      like whole-engine recovery.
+//	seal  stream p's active segments are sealed at the frontier and a fresh
+//	      one is published in the manifest, before the stream is readmitted
+//	      on it.
 //
-// The recovered tail lives on the retired device and in memory but not yet
-// in the readmitted stream: take a checkpoint generation after recovery to
-// close that durability window (the Checkpointer resumes automatically once
-// the quarantine lifts).
-func (e *Engine) RecoverPartition(p int, load func() error, slice io.Reader, tail io.Reader, newDev wal.Device) (RecoveryStats, error) {
-	var rs RecoveryStats
+// When it returns nil, everything the partition has acknowledged — before the
+// fault or from now on — is in segments the manifest names: a crash at any
+// later point recovers it, with or without a checkpoint cycle in between. An
+// error after the base stage leaves the partition quarantined and the call
+// repeatable. load runs under the checkpointer's mutex: it must not call back
+// into the Checkpointer.
+func (c *Checkpointer) RecoverPartition(p int, load func() error) (RecoveryStats, error) {
+	e := c.e
 	if !e.cfg.PartitionWAL {
-		return rs, fmt.Errorf("core: RecoverPartition requires PartitionWAL: %w", ErrInvalidUsage)
+		return RecoveryStats{}, fmt.Errorf("core: RecoverPartition requires PartitionWAL: %w", ErrInvalidUsage)
 	}
 	if p < 0 || p >= e.cfg.Partitions {
-		return rs, fmt.Errorf("core: partition %d out of range: %w", p, ErrInvalidUsage)
+		return RecoveryStats{}, fmt.Errorf("core: partition %d out of range: %w", p, ErrInvalidUsage)
 	}
 	if e.quarMask.Load()&(1<<uint(p)) == 0 {
-		return rs, fmt.Errorf("core: partition %d is not quarantined: %w", p, ErrInvalidUsage)
+		return RecoveryStats{}, fmt.Errorf("core: partition %d is not quarantined: %w", p, ErrInvalidUsage)
 	}
-
-	// Attempt-gate drain: afterwards every in-flight transaction began
-	// after the quarantine mask was set and is gated off p entirely.
-	e.quiesce.Lock()
-	e.quiesce.Unlock() //nolint:staticcheck // empty critical section is the drain
-	e.clearPartition(p)
-
-	if load != nil {
-		if err := load(); err != nil {
-			return rs, err
-		}
-	}
-	skip := []uint64{0}
-	if slice != nil {
-		ep, err := e.loadSlice(slice, p, e.cfg.Partitions)
-		if err != nil {
-			return rs, err
-		}
-		rs.CheckpointLoaded = true
-		rs.CheckpointEpoch = ep
-		skip[0] = ep
-	}
-
-	frontier := e.PartitionFrontier(p)
-	if tail != nil {
-		versions := make(recordVersion)
-		// The tail is in the per-stream segment format (framed records plus
-		// epoch markers); the one-reader replay certifies it by its own
-		// markers, and the live claim caps it at the epochs the stream
-		// actually acknowledged before it died.
-		_, err := e.replayTail([]io.Reader{tail}, wal.FrontierPerStream, skip, &rs, func(_ int, cr *wal.CommitRecord) error {
-			if cr.Epoch > frontier {
-				rs.TruncatedRecords++
-				return nil
-			}
-			return e.applyValueRecordPartition(cr, p, versions, &rs)
-		})
-		if err != nil {
-			return rs, err
-		}
-	}
-	rs.Streams, rs.FrontierEpoch = 1, frontier
-
-	// Second drain before readmitting: nothing may sit between an append
-	// to the old incarnation and its durability wait when the stream comes
-	// back healthy.
-	e.quiesce.Lock()
-	e.quiesce.Unlock() //nolint:staticcheck // empty critical section is the drain
-	if err := e.logs.Readmit(p, newDev); err != nil {
+	// No cycle runs beside the rebuild, and the manifest it reads is the one
+	// it replaces.
+	c.mu.Lock()
+	rs, err := c.rebuildPartition(p, load)
+	c.mu.Unlock()
+	if err != nil {
 		return rs, err
 	}
 	bit := uint64(1) << uint(p)
@@ -441,5 +408,86 @@ func (e *Engine) RecoverPartition(p int, load func() error, slice io.Reader, tai
 	if cb := e.cfg.OnPartitionDown; cb != nil {
 		cb(p, false)
 	}
+	return rs, nil
+}
+
+// rebuildPartition is RecoverPartition's pipeline, from base resolution to
+// the stream's readmission, with c.mu held.
+func (c *Checkpointer) rebuildPartition(p int, load func() error) (RecoveryStats, error) {
+	var rs RecoveryStats
+	e := c.e
+
+	// Base and tail are resolved against the manifest before the partition
+	// is touched. The live claim caps the tail at the epochs the stream
+	// acknowledged before it died; it froze when the stream failed.
+	frontier := e.PartitionFrontier(p)
+	base, err := e.resolveBase(c.store, &c.manifest, p, 1, true, &rs)
+	if err != nil {
+		return rs, err
+	}
+	tail, err := streamImage(c.store, &c.manifest, p)
+	if err != nil {
+		return rs, err
+	}
+	skip := []uint64{0}
+	if base != nil {
+		skip[0] = base[0].fence
+	}
+
+	// Attempt-gate drain: afterwards every in-flight transaction began
+	// after the quarantine mask was set and is gated off p entirely.
+	e.quiesce.Lock()
+	e.quiesce.Unlock() //nolint:staticcheck // empty critical section is the drain
+	e.clearPartition(p)
+	if err := e.installBase(base, load, &rs); err != nil {
+		return rs, err
+	}
+
+	versions := make(recordVersion)
+	_, err = e.replayTail([]io.Reader{bytes.NewReader(tail)}, wal.FrontierPerStream, skip, &rs, func(_ int, cr *wal.CommitRecord) error {
+		if cr.Epoch > frontier {
+			rs.TruncatedRecords++
+			return nil
+		}
+		return e.applyValueRecordPartition(cr, p, versions, &rs)
+	})
+	if err != nil {
+		return rs, err
+	}
+	rs.Streams, rs.FrontierEpoch = 1, frontier
+
+	// Seal. As in a checkpoint cycle the segment exists before a manifest
+	// names it, and the generation number is consumed once one does.
+	name := segmentName(c.nextGen, p)
+	dev, err := c.store.CreateSegment(name)
+	if err != nil {
+		return rs, fmt.Errorf("core: partition %d recovery segment: %w", p, err)
+	}
+	frontiers := make([]uint64, p+1)
+	frontiers[p] = frontier
+	sealed, dropped := sealActive(c.manifest, frontiers, p, &rs)
+	sealed.Segments = append(sealed.Segments, wal.ManifestSegment{Stream: p, Name: name})
+	saved, err := publishSeal(c.store, sealed, dropped)
+	if saved {
+		c.manifest, c.nextGen = sealed, c.nextGen+1
+	}
+	if err == nil {
+		// Second drain before readmitting: nothing may sit between an append
+		// to the old incarnation and its durability wait when the stream
+		// comes back healthy.
+		e.quiesce.Lock()
+		e.quiesce.Unlock() //nolint:staticcheck // empty critical section is the drain
+		err = e.logs.Readmit(p, dev)
+	}
+	if err != nil {
+		closeDevice(dev)
+		return rs, err
+	}
+	// The stream has left its dead incarnation's devices — one per rotation
+	// it started since the last completed cycle, S apart in c.cur.
+	for i := p; i < len(c.cur); i += e.cfg.Partitions {
+		closeDevice(c.cur[i])
+	}
+	c.cur[p] = dev
 	return rs, nil
 }

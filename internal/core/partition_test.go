@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"sync"
 	"sync/atomic"
@@ -42,6 +43,76 @@ func partEngine(t testing.TB, parts, n int, tweak func(cfg *Config, devs []wal.D
 	e := openEngine(t, cfg)
 	tbl := kvTable(t, e, "kv", IndexHash, n)
 	return e, mems, tbl
+}
+
+// partStore opens a PartitionWAL engine with parts partitions over a fresh
+// fault.MemStore, a kv table of n zero rows (the pre-log state partZeroLoad
+// reproduces) and the Checkpointer that owns the store's manifest.
+func partStore(t testing.TB, parts, n int, tweak func(cfg *Config)) (*Engine, *fault.MemStore, *Checkpointer, *Table) {
+	t.Helper()
+	store := fault.NewMemStore(fault.StoreChaos{Seed: 11})
+	att, err := InitCheckpointLog(store, parts, wal.ModeValue)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, tbl := partOpen(t, att, parts, n, tweak)
+	ck, err := e.NewCheckpointer(store, 2, att.Devices)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e, store, ck, tbl
+}
+
+// partOpen opens a PartitionWAL engine on att with a kv table of n zero rows.
+func partOpen(t testing.TB, att *LogAttachment, parts, n int, tweak func(cfg *Config)) (*Engine, *Table) {
+	t.Helper()
+	cfg := Config{
+		Protocol:      "SILO",
+		Threads:       parts,
+		Partitions:    parts,
+		LogMode:       wal.ModeValue,
+		WALStreams:    parts,
+		LogDevices:    att.Devices,
+		PartitionWAL:  true,
+		EpochInterval: time.Millisecond,
+	}
+	if tweak != nil {
+		tweak(&cfg)
+	}
+	e := openEngine(t, cfg)
+	return e, kvTable(t, e, "kv", IndexHash, n)
+}
+
+// partZeroLoad is the load callback for a kv table of n zero rows: every key
+// (only < 0) or partition only's keys alone.
+func partZeroLoad(e *Engine, tbl *Table, parts, n, only int) func() error {
+	return func() error {
+		row := tbl.Schema().NewRow()
+		for k := 0; k < n; k++ {
+			if only >= 0 && k%parts != only {
+				continue
+			}
+			if err := e.Load(tbl, uint64(k), row); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
+// partReboot recovers a crash-surviving store whole into a fresh engine.
+func partReboot(t *testing.T, s *fault.MemStore, parts, n int) (*Engine, *Table, RecoveryStats) {
+	t.Helper()
+	att, err := AttachCheckpointLog(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, tbl := partOpen(t, att, parts, 0, nil)
+	rs, err := e.RecoverFromStore(s, att, partZeroLoad(e, tbl, parts, n, -1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e, tbl, rs
 }
 
 // setKey commits value v under key k on tx, returning the commit error.
@@ -95,7 +166,7 @@ func TestPartitionQuarantineLifecycle(t *testing.T) {
 	const parts = 4
 	var downs []int
 	var mu sync.Mutex
-	e, mems, tbl := partEngine(t, parts, 64, func(cfg *Config, _ []wal.Device) {
+	e, _, ck, tbl := partStore(t, parts, 64, func(cfg *Config) {
 		cfg.OnPartitionDown = func(p int, down bool) {
 			mu.Lock()
 			if down {
@@ -174,7 +245,7 @@ func TestPartitionQuarantineLifecycle(t *testing.T) {
 			t.Fatalf("PartitionFrontier(%d) = %d for an out-of-range partition, want 0", p, got)
 		}
 	}
-	rs, err := e.RecoverPartition(dead, nil, nil, bytes.NewReader(mems[dead].Bytes()), &fault.MemDevice{})
+	rs, err := ck.RecoverPartition(dead, partZeroLoad(e, tbl, parts, 64, dead))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,14 +257,19 @@ func TestPartitionQuarantineLifecycle(t *testing.T) {
 	}
 
 	// The acknowledged pre-quarantine values are back, and the partition
-	// accepts new durable commits on its fresh device.
-	for k := uint64(dead); k < 16; k += parts {
+	// accepts new durable commits on its fresh segment; the keys the log
+	// never touched are back from the load callback.
+	for k := uint64(dead); k < 64; k += parts {
 		row, err := tx.Run2(tbl, k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := getV(tbl, row); got != int64(7+k) {
-			t.Fatalf("recovered key %d = %d, want %d", k, got, 7+k)
+		want := int64(0)
+		if k < 16 {
+			want = int64(7 + k)
+		}
+		if got := getV(tbl, row); got != want {
+			t.Fatalf("recovered key %d = %d, want %d", k, got, want)
 		}
 	}
 	if err := setKey(tx, tbl, dead, 999); err != nil {
@@ -453,31 +529,12 @@ func TestMultiPartitionCommitReplication(t *testing.T) {
 // recovery lifts the quarantine.
 func TestCheckpointDeferredWhileQuarantined(t *testing.T) {
 	const parts = 2
-	store := fault.NewMemStore(fault.StoreChaos{Seed: 11})
-	att, err := InitCheckpointLog(store, parts, wal.ModeValue)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := openEngine(t, Config{
-		Protocol:      "SILO",
-		Threads:       parts,
-		Partitions:    parts,
-		LogMode:       wal.ModeValue,
-		WALStreams:    parts,
-		LogDevices:    att.Devices,
-		PartitionWAL:  true,
-		EpochInterval: time.Millisecond,
-	})
-	tbl := kvTable(t, e, "kv", IndexHash, 8)
+	e, _, ck, tbl := partStore(t, parts, 8, nil)
 	tx := e.NewTx(0, 7)
 	for k := uint64(0); k < 8; k++ {
 		if err := setKey(tx, tbl, k, int64(k)); err != nil {
 			t.Fatal(err)
 		}
-	}
-	ck, err := e.NewCheckpointer(store, 2, att.Devices)
-	if err != nil {
-		t.Fatal(err)
 	}
 	if err := e.QuarantinePartition(1); err != nil {
 		t.Fatal(err)
@@ -485,21 +542,311 @@ func TestCheckpointDeferredWhileQuarantined(t *testing.T) {
 	if err := ck.CheckpointNow(); !errors.Is(err, ErrCheckpointQuarantined) {
 		t.Fatalf("CheckpointNow under quarantine = %v, want ErrCheckpointQuarantined", err)
 	}
-	// Recover partition 1 from its own stream tail and readmit on a fresh
-	// store segment, then the cycle goes through.
-	rc, err := store.OpenSegment(segmentName(att.Gen, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rc.Close()
-	newDev, err := store.CreateSegment("seg-repair-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.RecoverPartition(1, nil, nil, rc, newDev); err != nil {
+	// Recover partition 1 from the store, then the cycle goes through.
+	if _, err := ck.RecoverPartition(1, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := ck.CheckpointNow(); err != nil {
 		t.Fatalf("CheckpointNow after recovery: %v", err)
 	}
+}
+
+// readmitArc is the history the post-readmission tests share, on 2
+// partitions × 8 keys: every key committed to 1, optionally one checkpoint
+// cycle, then partition 1 is quarantined, recovered live from the store and
+// commits key 1 = 42 on its readmitted stream.
+func readmitArc(t *testing.T, cycleFirst bool) (*Engine, *fault.MemStore, *Checkpointer, *Table, *Tx) {
+	t.Helper()
+	e, store, ck, tbl := partStore(t, 2, 8, nil)
+	tx := e.NewTx(0, 3)
+	for k := uint64(0); k < 8; k++ {
+		if err := setKey(tx, tbl, k, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if cycleFirst {
+		if err := ck.CheckpointNow(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.QuarantinePartition(1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ck.RecoverPartition(1, partZeroLoad(e, tbl, 2, 8, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := setKey(tx, tbl, 1, 42); err != nil {
+		t.Fatalf("commit on the readmitted partition: %v", err)
+	}
+	return e, store, ck, tbl, tx
+}
+
+// TestReadmittedCommitSurvivesCrash: a commit acknowledged durable on a
+// readmitted partition is there after a crash, whether or not a checkpoint
+// cycle ran before the fault — the stream was readmitted on a segment the
+// manifest names.
+func TestReadmittedCommitSurvivesCrash(t *testing.T) {
+	for _, cycleFirst := range []bool{false, true} {
+		t.Run(fmt.Sprintf("cycleFirst=%v", cycleFirst), func(t *testing.T) {
+			e, store, _, _, _ := readmitArc(t, cycleFirst)
+			e2, tbl2, rs := partReboot(t, crash(t, e, store), 2, 8)
+			if rs.CheckpointLoaded != cycleFirst {
+				t.Fatalf("CheckpointLoaded = %v with cycleFirst = %v", rs.CheckpointLoaded, cycleFirst)
+			}
+			wantValues(t, e2, tbl2, map[uint64]int64{0: 1, 1: 42, 2: 1, 3: 1, 7: 1})
+		})
+	}
+}
+
+// TestFallbackAfterPartitionRecovery: after a partition recovery and one more
+// cycle, a corrupt newest slice of that partition falls back to a tail that
+// still holds the window between the readmission and the rotation.
+func TestFallbackAfterPartitionRecovery(t *testing.T) {
+	e, store, ck, tbl, tx := readmitArc(t, true)
+	if err := ck.CheckpointNow(); err != nil {
+		t.Fatal(err)
+	}
+	if err := setKey(tx, tbl, 0, 7); err != nil {
+		t.Fatal(err)
+	}
+	m := ck.Manifest()
+	s2 := crash(t, e, store)
+	if !s2.FlipCheckpointByte(sliceName(m.Checkpoints[len(m.Checkpoints)-1].Name, 1), 40) {
+		t.Fatal("no slice object to corrupt")
+	}
+	e2, tbl2, rs := partReboot(t, s2, 2, 8)
+	if rs.CheckpointFallbacks != 1 || !rs.CheckpointLoaded {
+		t.Fatalf("expected slice 1 to fall back one generation, got %+v", rs)
+	}
+	wantValues(t, e2, tbl2, map[uint64]int64{0: 7, 1: 42, 3: 1})
+}
+
+// TestUncertifiedRecordStaysDeadAfterPartitionRecovery plants an intact record
+// on the dead stream's segment above its claim frontier — staged by a commit
+// that was never certified — and demands it stay dead: not applied by the
+// live recovery, and not resurrected when a later recovery falls back to a
+// tail that reaches across the dead segment, because partition recovery
+// sealed that segment at the frontier, not at the next rotation's boundary.
+func TestUncertifiedRecordStaysDeadAfterPartitionRecovery(t *testing.T) {
+	e, store, ck, tbl := partStore(t, 2, 8, nil)
+	tx := e.NewTx(0, 3)
+	for k := uint64(0); k < 8; k++ {
+		if err := setKey(tx, tbl, k, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ck.CheckpointNow(); err != nil {
+		t.Fatal(err)
+	}
+	if err := setKey(tx, tbl, 3, 5); err != nil { // certified, in the tail
+		t.Fatal(err)
+	}
+	if err := e.QuarantinePartition(1); err != nil {
+		t.Fatal(err)
+	}
+	frontier := e.PartitionFrontier(1)
+	row := tbl.Schema().NewRow()
+	setV(tbl, row, 666)
+	ghost := (&wal.CommitRecord{TxnID: 1 << 40, Epoch: frontier + 1, Entries: []wal.Entry{
+		{Kind: wal.EntryUpdate, Table: int32(tbl.tbl.ID()), Key: 1, Data: row},
+	}}).Encode(nil)
+	m := ck.Manifest()
+	dead := m.Segments[len(m.Segments)-1]
+	if dead.Stream != 1 || dead.ToEpoch != 0 {
+		t.Fatalf("last manifest segment %+v is not stream 1's active one", dead)
+	}
+	if _, err := ck.cur[1].Write(ghost); err != nil { // the dead stream's flusher has stopped writing
+		t.Fatal(err)
+	}
+	if err := ck.cur[1].Sync(); err != nil {
+		t.Fatal(err)
+	}
+
+	rs, err := ck.RecoverPartition(1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.TruncatedRecords != 1 || rs.SealedSegments != 1 {
+		t.Fatalf("live recovery truncated %d records and sealed %d segments, want 1 and 1", rs.TruncatedRecords, rs.SealedSegments)
+	}
+	for _, sg := range ck.Manifest().Segments {
+		if sg.Name == dead.Name && sg.ToEpoch != frontier {
+			t.Fatalf("dead segment sealed at %d, want the frontier %d", sg.ToEpoch, frontier)
+		}
+	}
+	wantValues(t, e, tbl, map[uint64]int64{1: 1, 3: 5})
+	// Move the log well past the ghost's epoch, then rotate: a seal at the
+	// rotation boundary would cover it.
+	for i := 0; i < 4; i++ {
+		if err := setKey(tx, tbl, 0, int64(10+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ck.CheckpointNow(); err != nil {
+		t.Fatal(err)
+	}
+	m = ck.Manifest()
+	s2 := crash(t, e, store)
+	if !s2.FlipCheckpointByte(sliceName(m.Checkpoints[len(m.Checkpoints)-1].Name, 1), 40) {
+		t.Fatal("no slice object to corrupt")
+	}
+	e2, tbl2, rs2 := partReboot(t, s2, 2, 8)
+	if rs2.CheckpointFallbacks != 1 {
+		t.Fatalf("expected one fallback, got %+v", rs2)
+	}
+	wantValues(t, e2, tbl2, map[uint64]int64{0: 13, 1: 1, 3: 5})
+}
+
+// TestPartitionBaseResolution is the base-stage table for partition scope,
+// S = 2, partition 1 dark: the same resolver RecoverFromStore runs, over one
+// slice, with every outcome decided before the partition is touched.
+func TestPartitionBaseResolution(t *testing.T) {
+	const parts, keys = 2, 8
+	// history commits every key to c in round c = 1..cycles, a checkpoint
+	// cycle after each round, then key 3 = 99 into the tail, and quarantines
+	// partition 1.
+	history := func(t *testing.T, cycles int) (*Engine, *fault.MemStore, *Checkpointer, *Table, *Tx) {
+		e, store, ck, tbl := partStore(t, parts, keys, nil)
+		tx := e.NewTx(0, 3)
+		for c := 1; c <= max(cycles, 1); c++ {
+			for k := uint64(0); k < keys; k++ {
+				if err := setKey(tx, tbl, k, int64(c)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if c <= cycles {
+				if err := ck.CheckpointNow(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := setKey(tx, tbl, 3, 99); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.QuarantinePartition(1); err != nil {
+			t.Fatal(err)
+		}
+		return e, store, ck, tbl, tx
+	}
+	corrupt := func(t *testing.T, store *fault.MemStore, ck wal.ManifestCheckpoint) {
+		t.Helper()
+		if !store.FlipCheckpointByte(sliceName(ck.Name, 1), 40) {
+			t.Fatal("no slice object to corrupt")
+		}
+	}
+	// untouched demands partition 1 still quarantined and not cleared.
+	untouched := func(t *testing.T, e *Engine, tbl *Table) {
+		t.Helper()
+		if e.QuarantinedPartitions() != 1<<1 {
+			t.Fatalf("quarantine mask %#x after a failed resolution, want partition 1 still dark", e.QuarantinedPartitions())
+		}
+		for k := uint64(1); k < keys; k += parts {
+			if _, ok := tbl.primary.Lookup(k); !ok {
+				t.Fatalf("key %d was cleared by a recovery that resolved nothing", k)
+			}
+		}
+	}
+	serving := map[uint64]int64{0: 1000, 2: 1000}
+
+	t.Run("previous generation", func(t *testing.T) {
+		e, store, ck, tbl, tx := history(t, 2)
+		m := ck.Manifest()
+		corrupt(t, store, m.Checkpoints[1])
+		// Partition 0 keeps committing while partition 1 is rebuilt.
+		done := make(chan error, 1)
+		stop := make(chan struct{})
+		go func() {
+			tx0 := e.NewTx(1, 9)
+			for i := int64(0); ; i++ {
+				select {
+				case <-stop:
+					done <- nil
+					return
+				default:
+				}
+				if err := setKey(tx0, tbl, 0, i); err != nil {
+					done <- err
+					return
+				}
+			}
+		}()
+		rs, err := ck.RecoverPartition(1, func() error { t.Error("load called with a loadable slice"); return nil })
+		close(stop)
+		if derr := <-done; derr != nil {
+			t.Fatalf("healthy partition during the recovery: %v", derr)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Generation 1's slice, and the round-2 records its fence leaves in
+		// the tail on top of key 3's.
+		if rs.CheckpointFallbacks != 1 || !rs.CheckpointLoaded || rs.CheckpointGen != m.Checkpoints[0].Gen ||
+			rs.CheckpointEpoch != m.Checkpoints[0].Epoch || rs.Records < keys/parts+1 {
+			t.Fatalf("expected slice 1 of generation %d plus the longer tail, got %+v", m.Checkpoints[0].Gen, rs)
+		}
+		for k := range serving {
+			if err := setKey(tx, tbl, k, 1000); err != nil {
+				t.Fatal(err)
+			}
+		}
+		wantValues(t, e, tbl, map[uint64]int64{0: 1000, 2: 1000, 4: 2, 1: 2, 3: 99, 5: 2, 7: 2})
+	})
+
+	t.Run("history lost", func(t *testing.T) {
+		e, store, ck, tbl, tx := history(t, 3)
+		m := ck.Manifest()
+		if m.TruncatedThrough == 0 || len(m.Checkpoints) != 2 {
+			t.Fatalf("three cycles at keep=2 should have pruned the bootstrap segments: %+v", m)
+		}
+		for _, c := range m.Checkpoints {
+			corrupt(t, store, c)
+		}
+		loads := 0
+		rs, err := ck.RecoverPartition(1, func() error { loads++; return nil })
+		if !errors.Is(err, ErrHistoryLost) || loads != 0 || rs.CheckpointFallbacks != 2 {
+			t.Fatalf("RecoverPartition = %v (%d loads, %+v), want ErrHistoryLost before anything is loaded", err, loads, rs)
+		}
+		untouched(t, e, tbl)
+		for k, v := range serving {
+			if err := setKey(tx, tbl, k, v); err != nil {
+				t.Fatalf("healthy partition after the refused recovery: %v", err)
+			}
+		}
+	})
+
+	t.Run("initial load", func(t *testing.T) {
+		e, _, ck, tbl, _ := history(t, 0)
+		loads := 0
+		load := partZeroLoad(e, tbl, parts, keys, 1)
+		rs, err := ck.RecoverPartition(1, func() error { loads++; return load() })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if loads != 1 || rs.CheckpointLoaded || rs.Records != keys/parts+1 {
+			t.Fatalf("expected the initial load plus the full tail, got %d loads, %+v", loads, rs)
+		}
+		wantValues(t, e, tbl, map[uint64]int64{1: 1, 3: 99, 5: 1, 7: 1, 0: 1})
+	})
+
+	t.Run("foreign format", func(t *testing.T) {
+		e, _, ck, tbl, _ := history(t, 1)
+		ck.manifest.Checkpoints[0].Slices = 0 // an entry a whole-image build wrote
+		_, err := ck.RecoverPartition(1, nil)
+		if !errors.Is(err, ErrBadCheckpoint) || !errors.Is(err, errCheckpointVersion) {
+			t.Fatalf("manifest entry with Slices == 0: %v, want the version error", err)
+		}
+		untouched(t, e, tbl)
+	})
+
+	t.Run("misuse", func(t *testing.T) {
+		e, _, ck, _ := partStore(t, parts, keys, nil)
+		for _, p := range []int{-1, 0, parts} { // out of range, healthy, out of range
+			if _, err := ck.RecoverPartition(p, nil); !errors.Is(err, ErrInvalidUsage) {
+				t.Fatalf("RecoverPartition(%d) on a healthy engine = %v, want ErrInvalidUsage", p, err)
+			}
+		}
+		if e.QuarantinedPartitions() != 0 {
+			t.Fatalf("mask %#x", e.QuarantinedPartitions())
+		}
+	})
 }

@@ -71,23 +71,30 @@ type RecoveryStats struct {
 	StreamFrontiers []uint64
 }
 
-// Every recovery is one pipeline in three stages:
+// Every recovery is one pipeline in three stages, at one of two scopes: the
+// whole engine (every slice, every stream) or, live, one quarantined
+// partition (slice p, stream p).
 //
 //	base  the state the log tail replays over: the caller's pre-loaded
-//	      initial state, or — from a checkpoint store — each slice's newest
-//	      loadable generation, falling back to load() when some slice has
-//	      none, and to ErrHistoryLost when the log no longer reaches back to
-//	      what was resolved;
-//	tail  the per-stream log readers, replayed up to the epoch frontier
-//	      (wal.ReplayStreams), skipping per stream the epochs the base
-//	      already covers;
-//	seal  store-based recovery only: raise the live log's epoch past
-//	      everything replayed and seal the inherited segments at the replay
-//	      frontier, so the truncation decision is durable.
+//	      initial state, or — from a checkpoint store — each slice in scope
+//	      at its newest loadable generation (resolveBase), falling back to
+//	      load() when some slice has none, and to ErrHistoryLost when the
+//	      log no longer reaches back to what was resolved;
+//	tail  each stream's segments, individually sealed and spliced
+//	      (streamImage), replayed up to the epoch frontier (replayTail),
+//	      skipping per stream the epochs the base already covers;
+//	seal  store-based recovery only: the scope's active segments are sealed
+//	      at the replay frontier (sealActive) and the manifest saying so,
+//	      and naming the segments the scope logs into next, is saved
+//	      (publishSeal) before anything commits again: the truncation
+//	      decision is durable, and no commit is ever acknowledged on a
+//	      segment a later recovery would not read.
 //
-// Recover, RecoverStreams and RecoverFromStore are that pipeline over
-// different sources; RecoverPartition runs the tail stage alone, live, for
-// one partition.
+// Recover, RecoverStreams and RecoverFromStore are that pipeline at engine
+// scope over different sources; Checkpointer.RecoverPartition (partition.go)
+// is the same stages through the same helpers at partition scope. The
+// manifest has one writer at a time: bootstrap and RecoverFromStore before the
+// engine serves, the Checkpointer (cycles, partition recovery) while it does.
 
 // Recover replays a one-stream log into the engine: RecoverStreams over a
 // single reader. The engine must be in its freshly loaded initial state
@@ -159,7 +166,8 @@ func (e *Engine) recoverFrom(src recoverySource) (RecoveryStats, error) {
 	perPartition := fromStore && e.cfg.PartitionWAL
 
 	// Base: skip[i] is the epoch through which the restored state already
-	// covers stream i.
+	// covers stream i — the fence of the slice its records replay over: slice
+	// i under a partition-sharded log, slice 0 otherwise.
 	readers, rule := src.logs, wal.FrontierGlobal
 	skip := make([]uint64, len(readers))
 	if fromStore {
@@ -169,12 +177,18 @@ func (e *Engine) recoverFrom(src recoverySource) (RecoveryStats, error) {
 		if perPartition {
 			rule = wal.FrontierPerStream
 		}
-		err := e.restoreBase(src.store, m, skip, &rs)
-		if err == nil && !rs.CheckpointLoaded && src.load != nil {
-			err = src.load()
-		}
+		base, err := e.resolveBase(src.store, m, 0, e.checkpointSlices(), false, &rs)
 		if err == nil {
-			readers, err = segmentReaders(src.store, m)
+			err = e.installBase(base, src.load, &rs)
+		}
+		readers = make([]io.Reader, m.Streams)
+		for i := 0; i < m.Streams && err == nil; i++ {
+			if base != nil {
+				skip[i] = base[i%len(base)].fence
+			}
+			var image []byte
+			image, err = streamImage(src.store, m, i)
+			readers[i] = bytes.NewReader(image)
 		}
 		if err != nil {
 			return rs, err
@@ -218,7 +232,19 @@ func (e *Engine) recoverFrom(src recoverySource) (RecoveryStats, error) {
 		}
 	}
 	e.logs.RaiseEpoch(base)
-	return rs, e.sealInheritedSegments(src.store, src.att, st.StreamFrontiers, &rs)
+
+	// The inherited active segments are sealed; the attachment's own fresh
+	// segments, already published, stay active. With nothing inherited to
+	// seal the manifest stands as it is.
+	sealed, dropped := sealActive(src.att.recover, st.StreamFrontiers, -1, &rs)
+	if rs.SealedSegments == 0 {
+		return rs, nil
+	}
+	for i := range src.att.Devices {
+		sealed.Segments = append(sealed.Segments, wal.ManifestSegment{Stream: i, Name: segmentName(src.att.Gen, i)})
+	}
+	_, err = publishSeal(src.store, sealed, dropped)
+	return rs, err
 }
 
 // replayTail is the pipeline's tail stage: the readers replay to the
@@ -258,26 +284,37 @@ func newestFirst(m *wal.Manifest) []wal.ManifestCheckpoint {
 // with errors.Is.
 var ErrHistoryLost = errors.New("core: log history lost")
 
-// restoreBase is the base resolver: every generation in the manifest is a
-// set of S slices, and each slice falls back through the generations on its
-// own, newest first — a corrupt slice costs its own bounded-recovery head
-// start, nobody else's (at S = 1 that is "fall back to the previous
-// generation"). skip[i] receives the fence of the slice stream i's records
-// replay over: slice i under a partition-sharded log, slice 0 otherwise.
-func (e *Engine) restoreBase(store CheckpointStore, m *wal.Manifest, skip []uint64, rs *RecoveryStats) error {
+// sliceBase is one slice's resolved base: the validated load plan of its
+// newest loadable generation, and the fence that generation embeds.
+type sliceBase struct {
+	plan       []ckptTableLoad
+	fence, gen uint64
+	ok         bool
+}
+
+// resolveBase is the base resolver for slices [first, first+n) — every slice
+// for whole-engine recovery, one for partition recovery. Every generation in
+// the manifest is a set of S slices, and each slice falls back through the
+// generations on its own, newest first — a corrupt slice costs its own
+// bounded-recovery head start, nobody else's (at S = 1 that is "fall back to
+// the previous generation"). Nothing is applied: the result is the parsed
+// plans, or nil when some slice in scope has no usable copy (no generation
+// taken yet, or a double fault ate every one) and the base is the initial
+// load plus the full log for the whole scope — partial initial loads cannot
+// be expressed through the load callback, and mixing them with slice state
+// would be exactly the silent partial load the format forbids. replacing
+// says the scope's current keys are cleared before the plans apply (live
+// recovery), so a slice key already in the engine is expected.
+func (e *Engine) resolveBase(store CheckpointStore, m *wal.Manifest, first, n int, replacing bool, rs *RecoveryStats) ([]sliceBase, error) {
 	S := e.checkpointSlices()
-	type sliceLoad struct {
-		plan       []ckptTableLoad
-		fence, gen uint64
-	}
-	resolved := make([]*sliceLoad, S)
-	missing := S
+	resolved := make([]sliceBase, n)
+	missing := n
 	for _, ck := range newestFirst(m) {
 		if missing == 0 {
 			break
 		}
 		if ck.Slices == 0 {
-			return fmt.Errorf("%w 1: generation %d (%s) is a whole-engine image written by an older build",
+			return nil, fmt.Errorf("%w 1: generation %d (%s) is a whole-engine image written by an older build",
 				errCheckpointVersion, ck.Gen, ck.Name)
 		}
 		if ck.Slices != S {
@@ -286,97 +323,97 @@ func (e *Engine) restoreBase(store CheckpointStore, m *wal.Manifest, skip []uint
 			rs.CheckpointFallbacks++
 			continue
 		}
-		for p := 0; p < S; p++ {
-			if resolved[p] != nil {
+		for i, p := 0, first; i < n; i, p = i+1, p+1 {
+			if resolved[i].ok {
 				continue
 			}
 			var plan []ckptTableLoad
 			var fence uint64
 			rc, err := store.OpenCheckpoint(sliceName(ck.Name, p))
 			if err == nil {
-				plan, fence, err = e.readSlice(rc, p, S)
+				plan, fence, err = e.readSlice(rc, p, S, replacing)
 				rc.Close()
 			}
 			if errors.Is(err, errCheckpointVersion) {
-				return fmt.Errorf("core: recovery slice %s: %w", sliceName(ck.Name, p), err)
+				return nil, fmt.Errorf("core: recovery slice %s: %w", sliceName(ck.Name, p), err)
 			}
 			if err != nil {
 				rs.CheckpointFallbacks++
 				continue //next700:allowretry(fallback scan: an unreadable slice is counted and the next-older generation's is tried; nothing is re-run)
 			}
-			resolved[p] = &sliceLoad{plan: plan, fence: fence, gen: ck.Gen}
+			resolved[i] = sliceBase{plan: plan, fence: fence, gen: ck.Gen, ok: true}
 			missing--
 		}
 	}
 	if missing == 0 {
-		for p, sl := range resolved {
+		for i, sl := range resolved {
 			if sl.gen > rs.CheckpointGen {
 				rs.CheckpointGen = sl.gen
 			}
-			if p == 0 || sl.fence < rs.CheckpointEpoch {
+			if i == 0 || sl.fence < rs.CheckpointEpoch {
 				rs.CheckpointEpoch = sl.fence
 			}
 		}
 	}
 	if rs.CheckpointEpoch < m.TruncatedThrough {
-		return fmt.Errorf("%w: the log is truncated through epoch %d but the restorable base covers %d (%d checkpoint objects unusable)",
+		return nil, fmt.Errorf("%w: the log is truncated through epoch %d but the restorable base covers %d (%d checkpoint objects unusable)",
 			ErrHistoryLost, m.TruncatedThrough, rs.CheckpointEpoch, rs.CheckpointFallbacks)
 	}
 	if missing > 0 {
-		// No usable copy of some slice (no generation taken yet, or a double
-		// fault ate every one): the base is the initial load plus the full
-		// log for everyone. Partial initial loads cannot be expressed
-		// through the load callback, and mixing them with slice state would
-		// be exactly the silent partial load the format forbids.
-		return nil
+		return nil, nil
 	}
-	// Slices validate against the engine (unknown tables, duplicate keys) at
-	// parse time and are key-disjoint, so the plans compose.
-	for _, sl := range resolved {
+	return resolved, nil
+}
+
+// installBase puts a resolved base in place: the slices' plans — validated
+// against the engine (unknown tables, duplicate keys) at parse time and
+// key-disjoint, so they compose — or, when resolution found no complete
+// base, the load callback's initial state.
+func (e *Engine) installBase(base []sliceBase, load func() error, rs *RecoveryStats) error {
+	if base == nil {
+		if load == nil {
+			return nil
+		}
+		return load()
+	}
+	for _, sl := range base {
 		e.applyCheckpointPlan(sl.plan)
-	}
-	for i := range skip {
-		skip[i] = resolved[i%S].fence
 	}
 	rs.CheckpointLoaded = true
 	return nil
 }
 
-// segmentReaders assembles each stream's log tail: the manifest's segments
-// in generation order, concatenated. Each segment is sealed individually
-// before the splice: its torn tail is trimmed (a crash artifact that would
-// otherwise sit mid-stream, where the scanner treats it as hard corruption)
-// and, for segments a previous recovery or checkpoint sealed, frames above
-// the sealing epoch are dropped — the durable form of that pass's
-// truncation decision. Segments published but never written (a crash
-// between publication and first append, or this attachment's own siblings
-// in a chained recovery) read as empty.
-func segmentReaders(store CheckpointStore, m *wal.Manifest) ([]io.Reader, error) {
-	readers := make([]io.Reader, m.Streams)
-	for i := range readers {
-		var image []byte
-		for _, sg := range m.Segments {
-			if sg.Stream != i {
-				continue
-			}
-			rc, err := store.OpenSegment(sg.Name)
-			if err != nil {
-				continue //next700:allowretry(degraded replay: a missing segment contributes an empty stream; the scan advances)
-			}
-			data, err := io.ReadAll(rc)
-			rc.Close()
-			if err != nil {
-				return nil, fmt.Errorf("core: recovery segment %s: %w", sg.Name, err)
-			}
-			clean, err := wal.SealSegment(data, sg.ToEpoch)
-			if err != nil {
-				return nil, fmt.Errorf("core: recovery segment %s: %w", sg.Name, err)
-			}
-			image = append(image, clean...)
+// streamImage assembles one stream's log tail: the manifest's segments of
+// that stream in generation order, concatenated. Each segment is sealed
+// individually before the splice: its torn tail is trimmed (a crash artifact
+// that would otherwise sit mid-stream, where the scanner treats it as hard
+// corruption) and, for segments a previous recovery or checkpoint sealed,
+// frames above the sealing epoch are dropped — the durable form of that
+// pass's truncation decision. Segments published but never written (a crash
+// between publication and first append, or an attachment's own siblings in a
+// chained recovery) read as empty.
+func streamImage(store CheckpointStore, m *wal.Manifest, stream int) ([]byte, error) {
+	var image []byte
+	for _, sg := range m.Segments {
+		if sg.Stream != stream {
+			continue
 		}
-		readers[i] = bytes.NewReader(image)
+		rc, err := store.OpenSegment(sg.Name)
+		if err != nil {
+			continue //next700:allowretry(degraded replay: a missing segment contributes an empty stream; the scan advances)
+		}
+		data, err := io.ReadAll(rc)
+		rc.Close()
+		if err != nil {
+			return nil, fmt.Errorf("core: recovery segment %s: %w", sg.Name, err)
+		}
+		clean, err := wal.SealSegment(data, sg.ToEpoch)
+		if err != nil {
+			return nil, fmt.Errorf("core: recovery segment %s: %w", sg.Name, err)
+		}
+		image = append(image, clean...)
 	}
-	return readers, nil
+	return image, nil
 }
 
 // recordVersion tracks the newest version applied per (table, rid). The
@@ -454,47 +491,46 @@ func (e *Engine) applyValueRecord(cr *wal.CommitRecord, versions recordVersion, 
 	return nil
 }
 
-// sealInheritedSegments makes a store-based recovery's truncation decision
-// durable: the inherited active segments are sealed at their stream's replay
-// frontier so any intact record beyond that — a commit that was never
-// acknowledged — stays dead in every later recovery, even once new epochs
-// grow past it. When nothing in a stream was recoverable (frontier zero) its
-// inherited actives are dropped outright. The attachment's own fresh
-// segments stay active.
-func (e *Engine) sealInheritedSegments(store CheckpointStore, att *LogAttachment, frontiers []uint64, rs *RecoveryStats) error {
-	m := att.recover
-	sealed := m // keeps the checkpoints and TruncatedThrough; segments are re-listed below
-	sealed.Segments = nil
+// sealActive is the seal rule, making a store-based recovery's truncation
+// decision durable: every active segment in scope (stream only, or every
+// stream when only < 0) is sealed at its stream's replay frontier, so any
+// intact record beyond it — a commit that was never acknowledged — stays dead
+// in every later recovery, even once new epochs grow past it. When nothing in
+// the stream was recoverable (frontier zero) its actives are dropped outright.
+// It returns m with the segments re-listed and the dropped ones, counting
+// both kinds in rs.SealedSegments; nothing is saved.
+func sealActive(m wal.Manifest, frontiers []uint64, only int, rs *RecoveryStats) (wal.Manifest, []wal.ManifestSegment) {
+	segs := m.Segments
+	m.Segments = nil
 	var dropped []wal.ManifestSegment
-	for _, sg := range m.Segments {
-		if sg.ToEpoch == 0 {
+	for _, sg := range segs {
+		if sg.ToEpoch == 0 && (only < 0 || sg.Stream == only) {
 			rs.SealedSegments++
-			var frontier uint64
-			if uint(sg.Stream) < uint(len(frontiers)) {
-				frontier = frontiers[sg.Stream]
-			}
-			if frontier == 0 {
+			if uint(sg.Stream) >= uint(len(frontiers)) || frontiers[sg.Stream] == 0 {
 				dropped = append(dropped, sg)
 				continue
 			}
-			sg.ToEpoch = frontier
+			sg.ToEpoch = frontiers[sg.Stream]
 		}
-		sealed.Segments = append(sealed.Segments, sg)
+		m.Segments = append(m.Segments, sg)
 	}
-	if rs.SealedSegments > 0 {
-		for i := range att.Devices {
-			sealed.Segments = append(sealed.Segments, wal.ManifestSegment{Stream: i, Name: segmentName(att.Gen, i)})
-		}
-		if err := store.SaveManifest(sealed); err != nil {
-			return fmt.Errorf("core: recovery manifest seal: %w", err)
-		}
-		for _, sg := range dropped {
-			if err := store.RemoveSegment(sg.Name); err != nil {
-				return fmt.Errorf("core: recovery drop %s: %w", sg.Name, err)
-			}
+	return m, dropped
+}
+
+// publishSeal saves a sealed manifest — the scope's fresh active segments
+// already appended — then removes the dropped segments, strictly after the
+// manifest that no longer names them is durable. saved reports that the
+// manifest is the store's current one, whatever the removals then did.
+func publishSeal(store CheckpointStore, sealed wal.Manifest, dropped []wal.ManifestSegment) (saved bool, err error) {
+	if err := store.SaveManifest(sealed); err != nil {
+		return false, fmt.Errorf("core: recovery manifest seal: %w", err)
+	}
+	for _, sg := range dropped {
+		if err := store.RemoveSegment(sg.Name); err != nil {
+			return true, fmt.Errorf("core: recovery drop %s: %w", sg.Name, err)
 		}
 	}
-	return nil
+	return true, nil
 }
 
 // reloadRecord refreshes protocol-side state (version chains, committed

@@ -300,17 +300,40 @@ func (s *MemStore) Survivor(chaos StoreChaos) *MemStore {
 		out.prev = append([]byte(nil), s.prev...)
 	}
 	for n, d := range s.segments {
-		all, synced := d.Bytes(), d.SyncedLen()
-		keep := synced
-		if tail := len(all) - synced; tail > 0 {
-			keep += int(rng.Uint64n(uint64(tail + 1)))
-		}
 		nd := &MemDevice{}
-		nd.Write(all[:keep])
+		nd.Write(d.surviving(rng))
 		nd.Sync()
 		out.segments[n] = nd
 	}
 	return out
+}
+
+// surviving returns what a crash leaves of the device: the synced prefix
+// plus a cut of the unsynced tail drawn from rng.
+func (d *MemDevice) surviving(rng *xrand.RNG) []byte {
+	all, synced := d.Bytes(), d.SyncedLen()
+	keep := synced
+	if tail := len(all) - synced; tail > 0 {
+		keep += int(rng.Uint64n(uint64(tail + 1)))
+	}
+	return all[:keep]
+}
+
+// TearSegment is Survivor's crash model applied in place to one segment
+// whose device died under a running engine: its synced prefix stays, its
+// unsynced tail is cut at an offset drawn from rng. Nothing may be writing
+// the segment. Reports whether the segment exists.
+func (s *MemStore) TearSegment(name string, rng *xrand.RNG) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	d, ok := s.segments[name]
+	if ok {
+		kept := d.surviving(rng)
+		d.mu.Lock()
+		d.data = kept
+		d.mu.Unlock()
+	}
+	return ok
 }
 
 // storeSegment routes a segment device through the store's crash gate.

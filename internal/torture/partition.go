@@ -1,16 +1,16 @@
 // Partition-fault torture: the quarantine/degradation/recovery arc under a
-// seeded device failure, checked against exact oracles.
+// seeded device failure or process crash, checked against exact oracles.
 //
 // The workload is partition-local by construction — partition p owns
 // accounts {i*P + p} and counter counterPartBase + p, and every transfer
 // stays inside its partition — so each partition's recovered state is a
 // pure function of its own committed prefix, which makes the digest oracle
-// exact: after quarantining partition t and recovering it live from its own
-// stream tail, the recovered counter MUST equal the acknowledged commit
-// count (an acknowledged commit's epoch is covered by the stream's claim; an
-// unacknowledged one is beyond the frontier and must be truncated — there is
-// no slack in either direction), and every account must equal the replay of
-// exactly that plan prefix.
+// exact: whichever way a partition was recovered — live from the store while
+// the others served, or with the whole engine after a crash — its counter
+// MUST equal the acknowledged commit count (an acknowledged commit's epoch is
+// covered by the stream's claim; an unacknowledged one is beyond the frontier
+// and must be truncated — there is no slack in either direction), and every
+// account must equal the replay of exactly that plan prefix.
 //
 // While partition t is dark, the other partitions must not degrade at all:
 // their workers finish every transaction, every loss on t classifies as
@@ -20,7 +20,6 @@
 package torture
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -29,7 +28,6 @@ import (
 	"next700/internal/core"
 	"next700/internal/fault"
 	"next700/internal/storage"
-	"next700/internal/verify"
 	"next700/internal/wal"
 	"next700/internal/xrand"
 )
@@ -46,6 +44,29 @@ var (
 	ErrPartitionDigest = errors.New("torture: recovered partition digest mismatch")
 )
 
+// The faults a partition iteration can script. Every arm runs the same
+// workers on the same store-backed engine and ends at verifyPartitionDigests.
+const (
+	// faultNone is the control: every partition completes every transaction.
+	faultNone = "none"
+	// faultDevice fails one partition's log device mid-run: quarantine,
+	// degradation checks, live recovery from the store, one more commit on
+	// the readmitted stream.
+	faultDevice = "device"
+	// faultDeviceCrash goes on from there: the readmitted partition commits
+	// the rest of its plan (a checkpoint cycle in between on a seeded coin),
+	// then the process crashes and the whole engine recovers from the store —
+	// every commit acknowledged after readmission included.
+	faultDeviceCrash = "device+crash"
+	// faultCrash is a process crash after a mid-run checkpoint: each
+	// partition recovers from its own slice plus its own stream tail.
+	faultCrash = "crash"
+	// faultCrashCorrupt also flips a byte in one partition's newest slice:
+	// it must never load silently — recovery reports a fallback and still
+	// lands on the exact committed state.
+	faultCrashCorrupt = "crash+corrupt-slice"
+)
+
 // PartitionConfig scripts one partition-fault iteration.
 type PartitionConfig struct {
 	// Protocol is the concurrency-control scheme (default SILO).
@@ -59,9 +80,9 @@ type PartitionConfig struct {
 	// Seed drives the failed-partition draw, the crash offset, and every
 	// worker's transfer plan.
 	Seed uint64
-	// NoFault disables the device failure: a control iteration that must
-	// complete with zero losses anywhere.
-	NoFault bool
+	// Fault is the scripted fault, one of the fault* values (default
+	// faultDevice).
+	Fault string
 }
 
 func (c PartitionConfig) normalized() PartitionConfig {
@@ -77,14 +98,17 @@ func (c PartitionConfig) normalized() PartitionConfig {
 	if c.TxnsPerPartition <= 0 {
 		c.TxnsPerPartition = 60
 	}
+	if c.Fault == "" {
+		c.Fault = faultDevice
+	}
 	return c
 }
 
 // PartitionResult summarizes one iteration.
 type PartitionResult struct {
 	Seed   uint64
-	Target int  // the partition whose device fails (-1 when NoFault)
-	Fired  bool // the planned crash point was reached during the run
+	Target int  // the partition whose device fails (-1 without a device fault)
+	Fired  bool // the planned device failure was reached during the run
 	// Acked is the per-partition acknowledged commit count.
 	Acked []int
 	// Lost counts the failed partition's attempts that terminated with
@@ -93,8 +117,9 @@ type PartitionResult struct {
 	// ProbeTxns is the committed stamped-probe transaction count on the
 	// degraded engine.
 	ProbeTxns int
-	// Recovery is the live single-partition recovery's stats.
-	Recovery core.RecoveryStats
+	// Recovery is the live single-partition recovery's stats, Reboot the
+	// whole-engine store recovery's after a process crash.
+	Recovery, Reboot core.RecoveryStats
 }
 
 // counterPartBase keeps the per-partition commit counters far above any
@@ -159,135 +184,152 @@ func buildPartitionEngine(cfg PartitionConfig, devs []wal.Device) (*core.Engine,
 	return e, tbl, nil
 }
 
-// loadPartition zero-loads partition p's accounts and counter. It is both
-// the initial load (called for every p) and RecoverPartition's base-state
-// callback (called for the cleared partition alone).
-func loadPartition(cfg PartitionConfig, e *core.Engine, tbl *core.Table, p int) error {
+// loadPartitions zero-loads the accounts and counter of partition only, or of
+// every partition when only is -1. It is the initial load and both recovery
+// scopes' base-state callback.
+func loadPartitions(cfg PartitionConfig, e *core.Engine, tbl *core.Table, only int) error {
 	sch := tbl.Schema()
 	row := sch.NewRow()
-	load := func(key uint64) error {
-		sch.SetInt64(row, 0, 0)
-		return e.Load(tbl, key, row)
-	}
-	for i := 0; i < cfg.AccountsPerPartition; i++ {
-		if err := load(uint64(i*cfg.Partitions + p)); err != nil {
-			return err
+	for p := 0; p < cfg.Partitions; p++ {
+		if only >= 0 && p != only {
+			continue
+		}
+		for i := 0; i <= cfg.AccountsPerPartition; i++ {
+			key := uint64(i*cfg.Partitions + p)
+			if i == cfg.AccountsPerPartition {
+				key = counterPartBase + uint64(p)
+			}
+			if err := e.Load(tbl, key, row); err != nil {
+				return err
+			}
 		}
 	}
-	return load(counterPartBase + uint64(p))
+	return nil
 }
 
-// RunPartition executes one partition-fault iteration: fail exactly one
-// partition's log device mid-run, verify graceful degradation on the live
-// engine, then recover the partition in place and verify the digest oracle.
-func RunPartition(cfg PartitionConfig) (PartitionResult, error) {
-	cfg = cfg.normalized()
-	P := cfg.Partitions
-	res := PartitionResult{Seed: cfg.Seed, Target: -1, Acked: make([]int, P)}
-	rng := xrand.New(cfg.Seed)
-
-	target := -1
-	if !cfg.NoFault {
-		target = 1 + int(rng.Uint64n(uint64(P-1)))
-	}
-	res.Target = target
-
-	// Devices: the target's is wrapped in a chaos device with a crash
-	// offset drawn to land mid-run (value records here carry 2 entries,
-	// ~110 framed bytes each).
-	perStream := cfg.TxnsPerPartition * 110
-	mems := make([]*fault.MemDevice, P)
-	devs := make([]wal.Device, P)
-	for i := range mems {
-		mems[i] = &fault.MemDevice{}
-		devs[i] = mems[i]
-	}
-	if target >= 0 {
-		devs[target] = fault.NewDevice(mems[target], fault.Plan{
-			Seed:        cfg.Seed,
-			CrashAtByte: 1 + int64(rng.Uint64n(uint64(perStream)*3/4)),
-		})
-	}
-
-	e, tbl, err := buildPartitionEngine(cfg, devs)
-	if err != nil {
-		return res, err
-	}
-	defer e.Close()
-	for p := 0; p < P; p++ {
-		if err := loadPartition(cfg, e, tbl, p); err != nil {
-			return res, err
-		}
-	}
-
-	plans := partitionPlans(cfg)
-	sch := tbl.Schema()
-	lost := make([]int, P)
-	hard := make([]error, P)
+// runPartitionPlans is the lane's one worker body: partition p's worker runs
+// its plan from its acknowledged count up to index hi, counting acknowledged
+// commits into acked. Losses are legitimate only on the dark partition and
+// only with the partition class — its worker keeps attempting, degradation
+// must be shed, not wedged; the count is returned. Anything else is a
+// verdict: ErrPartitionClass on the dark partition, ErrPartitionBleed off it.
+func runPartitionPlans(cfg PartitionConfig, e *core.Engine, tbl *core.Table, plans [][]transfer, acked []int, hi, dark int) (int, error) {
+	lost := make([]int, cfg.Partitions)
+	hard := make([]error, cfg.Partitions)
 	var wg sync.WaitGroup
-	for p := 0; p < P; p++ {
+	for p := range plans {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			tx := e.NewTx(p, cfg.Seed^uint64(p)+1)
-			for _, tr := range plans[p] {
+			tx := e.NewTx(p, cfg.Seed^uint64(p)+uint64(acked[p])+1)
+			for _, tr := range plans[p][min(acked[p], hi):hi] {
 				err := tx.Run(func(tx *core.Tx) error {
-					bump := func(key uint64, d int64) error {
-						r, err := tx.Update(tbl, key)
-						if err != nil {
-							return err
-						}
-						sch.SetInt64(r, 0, sch.GetInt64(r, 0)+d)
-						return nil
-					}
-					if err := bump(counterPartBase+uint64(p), 1); err != nil {
-						return err
-					}
-					if err := bump(tr.from, -tr.delta); err != nil {
-						return err
-					}
-					return bump(tr.to, tr.delta)
+					return applyTransfer(tx, tbl, counterPartBase+uint64(p), tr)
 				})
-				if err == nil {
-					res.Acked[p]++
-					continue
-				}
-				// Losses are legitimate only on the failed partition and
-				// only with the partition class; the worker keeps
-				// attempting — degradation must be shed, not wedged.
-				if p != target || !errors.Is(err, core.ErrPartitionUnavailable) {
+				switch {
+				case err == nil:
+					acked[p]++
+				case p == dark && errors.Is(err, core.ErrPartitionUnavailable):
+					lost[p]++
+				default:
 					hard[p] = err
 					return
 				}
-				lost[p]++
 			}
 		}(p)
 	}
 	wg.Wait()
-
 	for p, err := range hard {
 		if err != nil {
-			if p == target {
-				return res, fmt.Errorf("%w: partition %d: %v (seed %d)", ErrPartitionClass, p, err, cfg.Seed)
+			class := ErrPartitionBleed
+			if p == dark {
+				class = ErrPartitionClass
 			}
-			return res, fmt.Errorf("%w: partition %d: %v (seed %d)", ErrPartitionBleed, p, err, cfg.Seed)
+			return 0, fmt.Errorf("%w: partition %d: %v (seed %d)", class, p, err, cfg.Seed)
 		}
 	}
-	res.Lost = lost2sum(lost)
-	res.Fired = res.Lost > 0
-	for p := 0; p < P; p++ {
-		if p != target && res.Acked[p] != cfg.TxnsPerPartition {
-			return res, fmt.Errorf("%w: partition %d acked %d/%d (seed %d)",
-				ErrPartitionBleed, p, res.Acked[p], cfg.TxnsPerPartition, cfg.Seed)
+	for p := range plans {
+		if p != dark && acked[p] < hi {
+			return 0, fmt.Errorf("%w: partition %d acked %d/%d (seed %d)", ErrPartitionBleed, p, acked[p], hi, cfg.Seed)
 		}
+	}
+	if dark < 0 {
+		return 0, nil
+	}
+	return lost[dark], nil
+}
+
+// RunPartition executes one partition-fault iteration on a store-backed
+// partition-affinity engine: run the plans under cfg.Fault, recover — one
+// partition live, the whole engine after a crash, or both in turn — and hold
+// every recovered state to the digest oracle.
+func RunPartition(cfg PartitionConfig) (PartitionResult, error) {
+	cfg = cfg.normalized()
+	P, N := cfg.Partitions, cfg.TxnsPerPartition
+	res := PartitionResult{Seed: cfg.Seed, Target: -1, Acked: make([]int, P)}
+	rng := xrand.New(cfg.Seed)
+
+	store := fault.NewMemStore(fault.StoreChaos{Seed: cfg.Seed})
+	att, err := core.InitCheckpointLog(store, P, wal.ModeValue)
+	if err != nil {
+		return res, err
+	}
+	target := -1
+	if cfg.Fault == faultDevice || cfg.Fault == faultDeviceCrash {
+		// The target's segment device is wrapped in a chaos device with a
+		// crash offset drawn to land mid-run (value records here carry 3
+		// entries, ~110 framed bytes each).
+		target = 1 + int(rng.Uint64n(uint64(P-1)))
+		att.Devices[target] = fault.NewDevice(att.Devices[target], fault.Plan{
+			Seed:        cfg.Seed,
+			CrashAtByte: 1 + int64(rng.Uint64n(uint64(N*110)*3/4)),
+		})
+	}
+	res.Target = target
+	e, tbl, err := buildPartitionEngine(cfg, att.Devices)
+	if err != nil {
+		return res, err
+	}
+	defer e.Close()
+	if err := loadPartitions(cfg, e, tbl, -1); err != nil {
+		return res, err
+	}
+	ck, err := e.NewCheckpointer(store, 2, att.Devices)
+	if err != nil {
+		return res, err
+	}
+	plans := partitionPlans(cfg)
+	run := func(hi, dark int) (int, error) { return runPartitionPlans(cfg, e, tbl, plans, res.Acked, hi, dark) }
+
+	if target < 0 {
+		// No device fault: the plans run to the end, around a mid-run
+		// checkpoint in the crash arms.
+		if cfg.Fault != faultNone {
+			if _, err := run(N/2, -1); err != nil {
+				return res, err
+			}
+			if err := ck.CheckpointNow(); err != nil {
+				return res, err
+			}
+		}
+		if _, err := run(N, -1); err != nil {
+			return res, err
+		}
+		if cfg.Fault == faultNone {
+			return res, verifyPartitionDigests(cfg, e, tbl, plans, res.Acked, -1)
+		}
+		return rebootPartitions(cfg, rng, e, store, ck.Manifest(), plans, res)
 	}
 
+	if res.Lost, err = run(N, target); err != nil {
+		return res, err
+	}
+	res.Fired = res.Lost > 0
 	if !res.Fired {
-		// The crash offset overshot the run (or NoFault): a clean control
-		// iteration. Verify full digests and stop.
-		if target >= 0 && res.Acked[target] != cfg.TxnsPerPartition {
+		// The crash offset overshot the run: a clean control iteration.
+		if res.Acked[target] != N {
 			return res, fmt.Errorf("%w: partition %d acked %d/%d with no observed fault (seed %d)",
-				ErrPartitionBleed, target, res.Acked[target], cfg.TxnsPerPartition, cfg.Seed)
+				ErrPartitionBleed, target, res.Acked[target], N, cfg.Seed)
 		}
 		return res, verifyPartitionDigests(cfg, e, tbl, plans, res.Acked, -1)
 	}
@@ -308,60 +350,98 @@ func RunPartition(cfg PartitionConfig) (PartitionResult, error) {
 		return res, err
 	}
 
-	// Stamped isolation probe on the degraded engine, pinned to partition
-	// 0: quarantine must not cost the survivors their isolation.
-	n, err := probePartition0(cfg, e)
-	res.ProbeTxns = n
-	if err != nil {
-		return res, err
+	// Stamped isolation probe on the degraded engine — its table is pinned to
+	// partition 0 by the partitioner, so it never touches the dark one:
+	// quarantine must not cost the survivors their isolation. (Not in the arm
+	// that reboots: the rebooted engine would have to know the probe's table.)
+	if cfg.Fault == faultDevice {
+		if res.ProbeTxns, err = runProbe(e, "degraded", P, probePartition0Txns, cfg.Seed); err != nil {
+			return res, err
+		}
 	}
 
-	// Live recovery: the failed partition's synced prefix is guaranteed;
-	// its unsynced written tail survives up to a seeded cut (the claim cap
-	// truncates whatever un-certified bytes survive).
-	data := mems[target].Bytes()
-	cut := mems[target].SyncedLen()
-	if len(data) > cut {
-		cut += int(rng.Uint64n(uint64(len(data)-cut) + 1))
+	// Live recovery from the store: the failed segment's synced prefix is
+	// guaranteed; its unsynced written tail survives up to a seeded cut (the
+	// claim cap truncates whatever un-certified bytes survive).
+	for _, sg := range ck.Manifest().Segments {
+		if sg.Stream == target && sg.ToEpoch == 0 {
+			store.TearSegment(sg.Name, rng)
+		}
 	}
-	rs, err := e.RecoverPartition(target,
-		func() error { return loadPartition(cfg, e, tbl, target) },
-		nil, bytes.NewReader(data[:cut]), &fault.MemDevice{})
+	res.Recovery, err = ck.RecoverPartition(target, func() error { return loadPartitions(cfg, e, tbl, target) })
 	if err != nil {
 		return res, fmt.Errorf("torture: partition recovery failed (seed %d): %w", cfg.Seed, err)
 	}
-	res.Recovery = rs
 
-	// Digest oracle at the recovered frontier: an acknowledged commit's
-	// epoch is covered by the stream claim, an unacknowledged one is beyond
-	// the frontier — the recovered counter must equal the acked count
-	// exactly, and the accounts must replay to that prefix.
+	// Digest oracle at the recovered frontier: the recovered counter must
+	// equal the acked count exactly, and the accounts must replay to that
+	// prefix.
 	if err := verifyPartitionDigests(cfg, e, tbl, plans, res.Acked, -1); err != nil {
 		return res, err
 	}
 
-	// The partition is back in service: it must accept new durable commits.
-	tx := e.NewTx(0, cfg.Seed+0x5eed)
-	if err := tx.Run(func(tx *core.Tx) error {
-		r, err := tx.Update(tbl, counterPartBase+uint64(target))
-		if err != nil {
-			return err
+	// The partition is back in service: it must accept new durable commits —
+	// the next entry of its plan, or under faultDeviceCrash all the rest of
+	// it, around a checkpoint cycle on a seeded coin. Any loss is a verdict
+	// now.
+	next := res.Acked[target] + 1
+	if cfg.Fault == faultDeviceCrash {
+		next = N
+		if rng.Bool(0.5) {
+			if _, err := run((res.Acked[target]+N)/2, -1); err != nil {
+				return res, err
+			}
+			if err := ck.CheckpointNow(); err != nil {
+				return res, err
+			}
 		}
-		sch.SetInt64(r, 0, sch.GetInt64(r, 0)+1)
-		return nil
-	}); err != nil {
-		return res, fmt.Errorf("torture: readmitted partition %d rejected a commit (seed %d): %w",
-			target, cfg.Seed, err)
 	}
-	return res, nil
+	if _, err := run(next, -1); err != nil {
+		return res, fmt.Errorf("torture: readmitted partition %d rejected a commit: %w", target, err)
+	}
+	if cfg.Fault == faultDevice {
+		return res, verifyPartitionDigests(cfg, e, tbl, plans, res.Acked, -1)
+	}
+	return rebootPartitions(cfg, rng, e, store, ck.Manifest(), plans, res)
 }
 
-func lost2sum(lost []int) int {
-	n := 0
-	for _, l := range lost {
-		n += l
+// rebootPartitions is the process crash and what follows: the engine goes
+// down, what the store's disk would hold is re-attached (with one partition's
+// newest slice corrupted under faultCrashCorrupt) and recovered whole into a
+// fresh engine, and every partition must hold exactly what it acknowledged.
+func rebootPartitions(cfg PartitionConfig, rng *xrand.RNG, e *core.Engine, store *fault.MemStore, m wal.Manifest,
+	plans [][]transfer, res PartitionResult) (PartitionResult, error) {
+	if err := e.Close(); err != nil {
+		return res, err
 	}
-	return n
+	survivor := store.Survivor(fault.StoreChaos{Seed: cfg.Seed + 1})
+	if cfg.Fault == faultCrashCorrupt {
+		newest := m.Checkpoints[len(m.Checkpoints)-1]
+		if newest.Slices != cfg.Partitions {
+			return res, fmt.Errorf("torture: checkpoint generation not sliced: %+v (seed %d)", m.Checkpoints, cfg.Seed)
+		}
+		part := int(rng.Uint64n(uint64(cfg.Partitions)))
+		if !survivor.FlipCheckpointByte(core.CheckpointSliceName(newest.Name, part), 16+int(rng.Uint64n(64))) {
+			return res, fmt.Errorf("torture: no slice object to corrupt (seed %d)", cfg.Seed)
+		}
+	}
+	att, err := core.AttachCheckpointLog(survivor)
+	if err != nil {
+		return res, err
+	}
+	e2, tbl2, err := buildPartitionEngine(cfg, att.Devices)
+	if err != nil {
+		return res, err
+	}
+	defer e2.Close()
+	res.Reboot, err = e2.RecoverFromStore(survivor, att, func() error { return loadPartitions(cfg, e2, tbl2, -1) })
+	if err != nil {
+		return res, fmt.Errorf("torture: store recovery failed (seed %d): %w", cfg.Seed, err)
+	}
+	if cfg.Fault == faultCrashCorrupt && res.Reboot.CheckpointFallbacks == 0 {
+		return res, fmt.Errorf("torture: corrupt slice loaded silently (seed %d)", cfg.Seed)
+	}
+	return res, verifyPartitionDigests(cfg, e2, tbl2, plans, res.Acked, -1)
 }
 
 // verifyPartitionDigests checks every partition except skip against its
@@ -418,207 +498,3 @@ func verifyPartitionDigests(cfg PartitionConfig, e *core.Engine, tbl *core.Table
 // probePartition0Txns is each probe worker's transaction count on the
 // degraded engine — small, because the probe runs inside every iteration.
 const probePartition0Txns = 30
-
-// probePartition0 runs the stamped Adya isolation probe on the degraded
-// engine. The probe table is pinned to partition 0 by the partitioner, so
-// its transactions never touch the quarantined partition.
-func probePartition0(cfg PartitionConfig, e *core.Engine) (int, error) {
-	probe := verify.NewProbe(verify.ProbeConfig{Keys: 8, MinOps: 2, MaxOps: 4})
-	hist := verify.NewHistory(cfg.Partitions)
-	probe.AttachHistory(hist)
-	if err := probe.Setup(e); err != nil {
-		return 0, err
-	}
-	errs := make([]error, cfg.Partitions)
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Partitions; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			tx := e.NewTx(w, cfg.Seed^uint64(w)*0x9e3779b9+7)
-			for i := 0; i < probePartition0Txns; i++ {
-				if err := probe.RunOne(tx); err != nil {
-					errs[w] = err
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	for w, err := range errs {
-		if err != nil {
-			return 0, fmt.Errorf("torture: degraded-engine probe worker %d (seed %d): %w", w, cfg.Seed, err)
-		}
-	}
-	final, err := probe.FinalVersions(e)
-	if err != nil {
-		return 0, err
-	}
-	rep := hist.Check(final)
-	if !rep.Ok() {
-		return rep.Txns, fmt.Errorf("%w: %s (seed %d)", ErrIsolation, rep.Anomalies[0], cfg.Seed)
-	}
-	return rep.Txns, nil
-}
-
-// PartitionStoreConfig scripts one store-backed partition-recovery
-// iteration: sliced checkpoints, a full-process crash, partitioned store
-// recovery — optionally with one slice corrupted as a negative control.
-type PartitionStoreConfig struct {
-	// Protocol, Partitions, AccountsPerPartition, TxnsPerPartition, Seed:
-	// as PartitionConfig.
-	Protocol             string
-	Partitions           int
-	AccountsPerPartition int
-	TxnsPerPartition     int
-	Seed                 uint64
-	// CorruptSlice flips one byte in one partition's newest checkpoint
-	// slice before recovery. The corrupt slice must NEVER load silently:
-	// recovery must report a checkpoint fallback and still land on the
-	// exact committed state.
-	CorruptSlice bool
-}
-
-// PartitionStoreResult summarizes one store-lane iteration.
-type PartitionStoreResult struct {
-	Seed     uint64
-	Slices   int // slice objects the checkpoint generation produced
-	Recovery core.RecoveryStats
-}
-
-// RunPartitionStore executes one store-lane iteration: run half the
-// workload, take a partition-sliced checkpoint, run the rest, crash, and
-// recover a fresh engine from the store — each partition from its own
-// newest valid slice plus its own stream tail.
-func RunPartitionStore(cfg PartitionStoreConfig) (PartitionStoreResult, error) {
-	pcfg := PartitionConfig{
-		Protocol:             cfg.Protocol,
-		Partitions:           cfg.Partitions,
-		AccountsPerPartition: cfg.AccountsPerPartition,
-		TxnsPerPartition:     cfg.TxnsPerPartition,
-		Seed:                 cfg.Seed,
-	}.normalized()
-	P := pcfg.Partitions
-	res := PartitionStoreResult{Seed: cfg.Seed}
-	rng := xrand.New(cfg.Seed ^ 0x510e5)
-
-	store := fault.NewMemStore(fault.StoreChaos{Seed: cfg.Seed})
-	att, err := core.InitCheckpointLog(store, P, wal.ModeValue)
-	if err != nil {
-		return res, err
-	}
-	e, tbl, err := buildPartitionEngine(pcfg, att.Devices)
-	if err != nil {
-		return res, err
-	}
-	defer e.Close()
-	for p := 0; p < P; p++ {
-		if err := loadPartition(pcfg, e, tbl, p); err != nil {
-			return res, err
-		}
-	}
-
-	plans := partitionPlans(pcfg)
-	sch := tbl.Schema()
-	run := func(p, lo, hi int) error {
-		tx := e.NewTx(p, cfg.Seed^uint64(p)+uint64(lo)+1)
-		for _, tr := range plans[p][lo:hi] {
-			err := tx.Run(func(tx *core.Tx) error {
-				bump := func(key uint64, d int64) error {
-					r, err := tx.Update(tbl, key)
-					if err != nil {
-						return err
-					}
-					sch.SetInt64(r, 0, sch.GetInt64(r, 0)+d)
-					return nil
-				}
-				if err := bump(counterPartBase+uint64(p), 1); err != nil {
-					return err
-				}
-				if err := bump(tr.from, -tr.delta); err != nil {
-					return err
-				}
-				return bump(tr.to, tr.delta)
-			})
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	phase := func(lo, hi int) error {
-		errs := make([]error, P)
-		var wg sync.WaitGroup
-		for p := 0; p < P; p++ {
-			wg.Add(1)
-			go func(p int) { defer wg.Done(); errs[p] = run(p, lo, hi) }(p)
-		}
-		wg.Wait()
-		return errors.Join(errs...)
-	}
-
-	half := pcfg.TxnsPerPartition / 2
-	if err := phase(0, half); err != nil {
-		return res, err
-	}
-	ck, err := e.NewCheckpointer(store, 2, att.Devices)
-	if err != nil {
-		return res, err
-	}
-	if err := ck.CheckpointNow(); err != nil {
-		return res, err
-	}
-	m := ck.Manifest()
-	if len(m.Checkpoints) == 0 || m.Checkpoints[len(m.Checkpoints)-1].Slices != P {
-		return res, fmt.Errorf("torture: checkpoint generation not sliced: %+v (seed %d)", m.Checkpoints, cfg.Seed)
-	}
-	res.Slices = P
-	if err := phase(half, pcfg.TxnsPerPartition); err != nil {
-		return res, err
-	}
-	if err := e.Close(); err != nil {
-		return res, err
-	}
-
-	survivor := store.Survivor(fault.StoreChaos{Seed: cfg.Seed + 1})
-	if cfg.CorruptSlice {
-		ckName := m.Checkpoints[len(m.Checkpoints)-1].Name
-		part := int(rng.Uint64n(uint64(P)))
-		if !survivor.FlipCheckpointByte(core.CheckpointSliceName(ckName, part), 16+int(rng.Uint64n(64))) {
-			return res, fmt.Errorf("torture: no slice object to corrupt (seed %d)", cfg.Seed)
-		}
-	}
-
-	att2, err := core.AttachCheckpointLog(survivor)
-	if err != nil {
-		return res, err
-	}
-	e2, tbl2, err := buildPartitionEngine(pcfg, att2.Devices)
-	if err != nil {
-		return res, err
-	}
-	defer e2.Close()
-	rs, err := e2.RecoverFromStore(survivor, att2, func() error {
-		for p := 0; p < P; p++ {
-			if err := loadPartition(pcfg, e2, tbl2, p); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	res.Recovery = rs
-	if err != nil {
-		return res, fmt.Errorf("torture: store recovery failed (seed %d): %w", cfg.Seed, err)
-	}
-	if cfg.CorruptSlice && rs.CheckpointFallbacks == 0 {
-		return res, fmt.Errorf("torture: corrupt slice loaded silently (seed %d)", cfg.Seed)
-	}
-
-	// Clean close: everything was acknowledged, so the digest oracle is the
-	// full plan for every partition.
-	acked := make([]int, P)
-	for p := range acked {
-		acked[p] = pcfg.TxnsPerPartition
-	}
-	return res, verifyPartitionDigests(pcfg, e2, tbl2, plans, acked, -1)
-}

@@ -215,33 +215,41 @@ func buildEngine(cfg Config, devs []wal.Device, preload bool) (*core.Engine, *co
 		to := binary.LittleEndian.Uint64(p[12:])
 		delta := int64(binary.LittleEndian.Uint64(p[20:]))
 		hot := p[28] != 0
-		bump := func(key uint64, d int64) error {
-			r, err := tx.Update(tbl, key)
-			if err != nil {
-				return err
-			}
-			sch.SetInt64(r, 0, sch.GetInt64(r, 0)+d)
-			return nil
-		}
-		if err := bump(counterBase+uint64(worker), 1); err != nil {
-			return err
-		}
-		if err := bump(from, -delta); err != nil {
-			return err
-		}
-		if err := bump(to, delta); err != nil {
-			return err
-		}
-		if hot {
-			return bump(hotKey, 1)
-		}
-		return nil
+		return applyTransfer(tx, tbl, counterBase+uint64(worker), transfer{from: from, to: to, delta: delta, hot: hot})
 	})
 	if err != nil {
 		e.Close()
 		return nil, nil, err
 	}
 	return e, tbl, nil
+}
+
+// applyTransfer is the transaction body every lane runs: bump the committer's
+// counter row, move delta from one account to the other, and touch the hot
+// row when the plan says so.
+func applyTransfer(tx *core.Tx, tbl *core.Table, counter uint64, tr transfer) error {
+	sch := tbl.Schema()
+	bump := func(key uint64, d int64) error {
+		r, err := tx.Update(tbl, key)
+		if err != nil {
+			return err
+		}
+		sch.SetInt64(r, 0, sch.GetInt64(r, 0)+d)
+		return nil
+	}
+	if err := bump(counter, 1); err != nil {
+		return err
+	}
+	if err := bump(tr.from, -tr.delta); err != nil {
+		return err
+	}
+	if err := bump(tr.to, tr.delta); err != nil {
+		return err
+	}
+	if tr.hot {
+		return bump(hotKey, 1)
+	}
+	return nil
 }
 
 // loadInitial performs the deterministic initial load: every account,
@@ -485,27 +493,34 @@ func Run(cfg Config) (Result, error) {
 const probeRecoveredTxns = 40
 
 // probeRecovered drives the stamped isolation probe against the recovered
-// engine and checks the recorded history: a recovery that hands back an
-// engine which no longer isolates is just as broken as one that loses
-// commits. Returns the number of committed probe transactions.
+// engine: a recovery that hands back an engine which no longer isolates is
+// just as broken as one that loses commits.
 func probeRecovered(cfg Config, e *core.Engine) (int, error) {
 	if cfg.LogMode == wal.ModeCommand {
 		return 0, fmt.Errorf("torture: VerifyRecovered requires value logging (seed %d)", cfg.Seed)
 	}
+	return runProbe(e, "recovered", cfg.Workers, probeRecoveredTxns, cfg.Seed)
+}
+
+// runProbe runs the stamped Adya isolation probe — workers × txns stamped
+// transactions on a table of its own — on engine e (which names it in
+// errors) and checks the recorded history. Returns the number of committed
+// probe transactions.
+func runProbe(e *core.Engine, which string, workers, txns int, seed uint64) (int, error) {
 	probe := verify.NewProbe(verify.ProbeConfig{Keys: 8, MinOps: 2, MaxOps: 4})
-	hist := verify.NewHistory(cfg.Workers)
+	hist := verify.NewHistory(workers)
 	probe.AttachHistory(hist)
 	if err := probe.Setup(e); err != nil {
 		return 0, err
 	}
-	errs := make([]error, cfg.Workers)
+	errs := make([]error, workers)
 	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			tx := e.NewTx(w, cfg.Seed^uint64(w)*2654435761+1)
-			for i := 0; i < probeRecoveredTxns; i++ {
+			tx := e.NewTx(w, seed^uint64(w)*2654435761+1)
+			for i := 0; i < txns; i++ {
 				if err := probe.RunOne(tx); err != nil {
 					errs[w] = err
 					return
@@ -516,7 +531,7 @@ func probeRecovered(cfg Config, e *core.Engine) (int, error) {
 	wg.Wait()
 	for w, err := range errs {
 		if err != nil {
-			return 0, fmt.Errorf("torture: recovered-engine probe worker %d (seed %d): %w", w, cfg.Seed, err)
+			return 0, fmt.Errorf("torture: %s-engine probe worker %d (seed %d): %w", which, w, seed, err)
 		}
 	}
 	final, err := probe.FinalVersions(e)
@@ -525,7 +540,7 @@ func probeRecovered(cfg Config, e *core.Engine) (int, error) {
 	}
 	rep := hist.Check(final)
 	if !rep.Ok() {
-		return rep.Txns, fmt.Errorf("%w: %s (seed %d)", ErrIsolation, rep.Anomalies[0], cfg.Seed)
+		return rep.Txns, fmt.Errorf("%w: %s (seed %d)", ErrIsolation, rep.Anomalies[0], seed)
 	}
 	return rep.Txns, nil
 }

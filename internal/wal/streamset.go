@@ -1054,8 +1054,11 @@ func (s *StreamSet) Quarantine(i int) error {
 // dev); Readmit kicks it and waits for the install, so on return the stream
 // is healthy: appends route to dev and the claim is re-seated at the
 // current epoch (the frontier never regresses). The caller must have
-// recovered the partition's state first — the old device's durable image is
-// the authoritative tail until a later checkpoint covers it — and must
+// recovered the partition's state first, and must have made dev part of the
+// log recovery reads before handing it over: commits are acknowledged against
+// dev from the moment Readmit returns, so a dev no recovery manifest names
+// loses them at the next crash (the engine seals the old device's segment at
+// the stream's claim and publishes dev's segment first). It must also
 // guarantee no commit from before the failure is still between its append
 // and its durability wait (the engine drains its attempt gate before
 // readmitting). A stalled (unreleased) old device blocks Readmit the same
