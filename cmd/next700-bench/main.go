@@ -425,8 +425,8 @@ func printRecovery(cfg core.Config, wl workload.Workload, logPath string) {
 	fmt.Printf("  recovery: records=%d entries=%d skipped=%d procs=%d bytes=%d torn_bytes=%d corrupt_tail=%d in %v\n",
 		st.Records, st.Entries, st.Skipped, st.Procs, st.Bytes, st.TornBytes, st.CorruptTailRecords,
 		time.Since(t0).Round(time.Millisecond))
-	fmt.Printf("  recovery: streams=%d frontier_epoch=%d truncated=%d\n",
-		st.Streams, st.FrontierEpoch, st.TruncatedRecords)
+	fmt.Printf("  recovery: streams=%d frontier_epoch=%d truncated=%d appliers=%d\n",
+		st.Streams, st.FrontierEpoch, st.TruncatedRecords, st.Appliers)
 }
 
 // discardDevice drops log writes (used by the recovery-side engine, whose

@@ -141,6 +141,7 @@ func recoverPoint(c common, o recoverSweepOpts, dir string, every int) (m map[st
 		"checkpoint_gen":    count(rs.CheckpointGen),
 		"tail_records":      count(uint64(rs.Records)),
 		"skipped_old_epoch": count(uint64(rs.SkippedOldEpoch)),
+		"appliers":          count(uint64(rs.Appliers)),
 		"recovery_ms":       ms(dur),
 	}, digest1, digest2, nil
 }

@@ -234,7 +234,12 @@ func (p *mvcc) RegisterDelete(tx *txn.Txn, tbl *storage.Table, rid storage.Recor
 		m.pending = 0
 		return txn.ErrNotFound
 	}
-	tx.AddAccess(txn.Access{Table: tbl, RID: rid, Kind: txn.KindDelete, Key: key})
+	// The engine's post-commit index retraction extracts secondary keys from
+	// the deleted image (the table arena is not it under MVCC); a copy,
+	// because pruning may recycle the version once this transaction leaves.
+	img := tx.Buf(len(v.data))
+	copy(img, v.data)
+	tx.AddAccess(txn.Access{Table: tbl, RID: rid, Kind: txn.KindDelete, Key: key, Data: img})
 	return nil
 }
 

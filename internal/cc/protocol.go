@@ -258,30 +258,40 @@ func (mt *metaTable[T]) grow(idx int) {
 }
 
 // tableMetas maps table id -> metaTable for protocols that keep per-record
-// state. Table ids are small and dense.
+// state. Table ids are small and dense. The directory is copy-on-write behind
+// one atomic pointer, so resolving a table writes no shared word: every
+// record access of every worker goes through here.
 type tableMetas[T any] struct {
-	mu   sync.RWMutex
-	byID []*metaTable[T]
+	mu   sync.Mutex // serializes directory growth
+	byID atomic.Pointer[[]*metaTable[T]]
 }
 
 func (tm *tableMetas[T]) forTable(tbl *storage.Table) *metaTable[T] {
 	id := tbl.ID()
-	tm.mu.RLock()
-	if id < len(tm.byID) && tm.byID[id] != nil {
-		mt := tm.byID[id]
-		tm.mu.RUnlock()
-		return mt
+	if dir := tm.byID.Load(); dir != nil && id < len(*dir) && (*dir)[id] != nil {
+		return (*dir)[id]
 	}
-	tm.mu.RUnlock()
+	return tm.add(id)
+}
+
+// add installs table id's metaTable (once; a racing caller gets the winner's).
+func (tm *tableMetas[T]) add(id int) *metaTable[T] {
 	tm.mu.Lock()
 	defer tm.mu.Unlock()
-	for id >= len(tm.byID) {
-		tm.byID = append(tm.byID, nil)
+	var dir []*metaTable[T]
+	if p := tm.byID.Load(); p != nil {
+		dir = *p
 	}
-	if tm.byID[id] == nil {
-		tm.byID[id] = newMetaTable[T]()
+	if id < len(dir) && dir[id] != nil {
+		return dir[id]
 	}
-	return tm.byID[id]
+	grown := append([]*metaTable[T](nil), dir...)
+	for id >= len(grown) {
+		grown = append(grown, nil)
+	}
+	grown[id] = newMetaTable[T]()
+	tm.byID.Store(&grown)
+	return grown[id]
 }
 
 // get resolves the metadata slot for (tbl, rid).

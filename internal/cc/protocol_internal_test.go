@@ -2,6 +2,7 @@ package cc
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -741,6 +742,44 @@ func TestSortWriteIndices(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("order %v, want %v", got, want)
+		}
+	}
+}
+
+// TestTableMetasConcurrentFirstTouch: the metadata directory is copy-on-write
+// behind one atomic pointer; goroutines touching many tables for the first
+// time at once must all resolve each table to the one metaTable installed
+// for it, and a slot written through one resolution is seen through another.
+func TestTableMetasConcurrentFirstTouch(t *testing.T) {
+	const tables, workers = 40, 8
+	var tm tableMetas[atomic.Uint64]
+	tbls := make([]*storage.Table, tables)
+	for i := range tbls {
+		tbls[i] = storage.NewTable(storage.MustSchema(fmt.Sprint("t", i), storage.I64("v")), i)
+	}
+	got := make([][]*metaTable[atomic.Uint64], workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			got[w] = make([]*metaTable[atomic.Uint64], tables)
+			for j := range tbls {
+				i := (j*7 + w) % tables // every worker in its own order
+				got[w][i] = tm.forTable(tbls[i])
+				tm.get(tbls[i], storage.RecordID(w)).Store(uint64(i + 1))
+			}
+		}(w)
+	}
+	wg.Wait()
+	for i := range tbls {
+		for w := 0; w < workers; w++ {
+			if got[w][i] != got[0][i] {
+				t.Fatalf("table %d resolved to two metaTables", i)
+			}
+			if v := tm.get(tbls[i], storage.RecordID(w)).Load(); v != uint64(i+1) {
+				t.Fatalf("table %d rid %d = %d, a write went to a lost metaTable", i, w, v)
+			}
 		}
 	}
 }

@@ -137,11 +137,14 @@ func (p *silo) RegisterInsert(tx *txn.Txn, tbl *storage.Table, rid storage.Recor
 // clears the data pointer.
 func (p *silo) RegisterDelete(tx *txn.Txn, tbl *storage.Table, rid storage.RecordID, key uint64) error {
 	m := p.meta.get(tbl, rid)
-	_, obs, err := p.stableRead(m)
+	img, obs, err := p.stableRead(m)
 	if err != nil {
 		return err
 	}
-	tx.AddAccess(txn.Access{Table: tbl, RID: rid, Kind: txn.KindDelete, Key: key, Obs: obs})
+	// The committed image is what the engine's post-commit index retraction
+	// extracts secondary keys from: the table arena is not it under SILO.
+	// Images are immutable once published, so the alias stays valid.
+	tx.AddAccess(txn.Access{Table: tbl, RID: rid, Kind: txn.KindDelete, Key: key, Data: img, Obs: obs})
 	return nil
 }
 

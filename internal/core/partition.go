@@ -274,68 +274,6 @@ func (e *Engine) clearPartition(p int) {
 	}
 }
 
-// applyValueRecordPartition applies the entries of one commit record that
-// belong to the given partition, with the same applied-if-newer filtering
-// as whole-engine replay. In partition-affinity logs a multi-partition
-// record is replicated on every touched stream; filtering by entry
-// partition makes each stream's replay exactly its partition's history.
-//
-// Unlike whole-engine replay, partition replay is key-addressed rather than
-// slot-addressed: the base state it replays over may have been
-// re-materialized at fresh record ids (a RecoverPartition load callback, an
-// older generation's slice), so reusing the logged record id could collide
-// with a live row of a different key. Each after-image instead applies to
-// its key's current slot, materializing one when the key is absent — a
-// value-mode entry carries the full image, so the upsert loses nothing.
-func (e *Engine) applyValueRecordPartition(cr *wal.CommitRecord, part int, versions recordVersion, rs *RecoveryStats) error {
-	applied := false
-	for i := range cr.Entries {
-		en := &cr.Entries[i]
-		th := e.tableByID(int(en.Table))
-		if th == nil {
-			return fmt.Errorf("core: recovery references unknown table %d: %w", en.Table, wal.ErrCorrupt)
-		}
-		if e.partitionOfKey(th.tbl, en.Key) != part {
-			continue
-		}
-		applied = true
-		if !versions.newer(en.Table, en.RID, cr.Epoch, cr.TxnID) {
-			rs.Skipped++
-			continue
-		}
-		rs.Entries++
-		cur, ok := th.primary.Lookup(en.Key)
-		switch en.Kind {
-		case wal.EntryDelete:
-			if !ok {
-				continue // already absent in the replayed base
-			}
-			for j := range th.secondaries {
-				s := &th.secondaries[j]
-				s.idx.Delete(s.extract(th.sch, th.tbl.Row(cur), en.Key))
-			}
-			th.primary.Delete(en.Key)
-			th.tbl.SetTombstone(cur, true)
-		default: // insert or update: upsert the after-image
-			if !ok {
-				cur = th.tbl.Alloc()
-				th.primary.Insert(en.Key, cur)
-				for j := range th.secondaries {
-					s := &th.secondaries[j]
-					s.idx.Insert(s.extract(th.sch, storage.Row(en.Data), en.Key), cur)
-				}
-			}
-			copy(th.tbl.Row(cur), en.Data)
-			th.tbl.SetTombstone(cur, false)
-			e.reloadRecord(th, cur, en.Key, en.Data)
-		}
-	}
-	if applied {
-		rs.Records++
-	}
-	return nil
-}
-
 // PartitionFrontier returns the quarantined partition's certified durable
 // epoch: every commit it acknowledged is tagged at or below it. It is the
 // epoch RecoverPartition recovers to. An engine without PartitionWAL, an
@@ -443,14 +381,15 @@ func (c *Checkpointer) rebuildPartition(p int, load func() error) (RecoveryStats
 		return rs, err
 	}
 
-	versions := make(recordVersion)
+	vr := e.newValueReplay(true)
 	_, err = e.replayTail([]io.Reader{bytes.NewReader(tail)}, wal.FrontierPerStream, skip, &rs, func(_ int, cr *wal.CommitRecord) error {
 		if cr.Epoch > frontier {
 			rs.TruncatedRecords++
 			return nil
 		}
-		return e.applyValueRecordPartition(cr, p, versions, &rs)
+		return vr.record(cr, p)
 	})
+	vr.finish(&rs)
 	if err != nil {
 		return rs, err
 	}

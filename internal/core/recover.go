@@ -69,6 +69,10 @@ type RecoveryStats struct {
 	// FrontierEpoch for every stream of a thread-affinity log, the stream's
 	// own certified frontier under partition affinity.
 	StreamFrontiers []uint64
+	// Appliers is the number of goroutines value replay spread the tail's
+	// entries over (GOMAXPROCS). Zero under command logging, whose replay
+	// re-executes procedures serially.
+	Appliers int
 }
 
 // Every recovery is one pipeline in three stages, at one of two scopes: the
@@ -82,7 +86,9 @@ type RecoveryStats struct {
 //	      log no longer reaches back to what was resolved;
 //	tail  each stream's segments, individually sealed and spliced
 //	      (streamImage), replayed up to the epoch frontier (replayTail),
-//	      skipping per stream the epochs the base already covers;
+//	      skipping per stream the epochs the base already covers; under
+//	      value logging the scan routes each entry by key to one of
+//	      GOMAXPROCS appliers (valueReplay, replay.go);
 //	seal  store-based recovery only: the scope's active segments are sealed
 //	      at the replay frontier (sealActive) and the manifest saying so,
 //	      and naming the segments the scope logs into next, is saved
@@ -103,7 +109,8 @@ type RecoveryStats struct {
 //
 // Value mode: after-images are applied directly, ordered per record by the
 // commit version stamped at log time, with tables grown to cover logged
-// record ids and indexes maintained.
+// record ids and indexes maintained — by GOMAXPROCS appliers, each owning
+// the keys routed to it (replay.go).
 //
 // Command mode: each logged (proc, params) pair is re-executed serially in
 // (epoch, commit-sequence) order through the normal transaction path. This
@@ -196,14 +203,17 @@ func (e *Engine) recoverFrom(src recoverySource) (RecoveryStats, error) {
 	}
 
 	// Tail.
-	versions := make(recordVersion)
+	var vr *valueReplay
+	if e.cfg.LogMode == wal.ModeValue {
+		vr = e.newValueReplay(perPartition)
+	}
 	var tx *Tx
 	st, err := e.replayTail(readers, rule, skip, &rs, func(stream int, cr *wal.CommitRecord) error {
 		switch {
 		case perPartition:
-			return e.applyValueRecordPartition(cr, stream, versions, &rs)
-		case e.cfg.LogMode == wal.ModeValue:
-			return e.applyValueRecord(cr, versions, &rs)
+			return vr.record(cr, stream)
+		case vr != nil:
+			return vr.record(cr, -1)
 		}
 		rs.Records++
 		if tx == nil {
@@ -218,6 +228,9 @@ func (e *Engine) recoverFrom(src recoverySource) (RecoveryStats, error) {
 		rs.Procs++
 		return nil
 	})
+	if vr != nil {
+		vr.finish(&rs)
+	}
 	if err != nil || !fromStore {
 		return rs, err
 	}
@@ -414,81 +427,6 @@ func streamImage(store CheckpointStore, m *wal.Manifest, stream int) ([]byte, er
 		image = append(image, clean...)
 	}
 	return image, nil
-}
-
-// recordVersion tracks the newest version applied per (table, rid). The
-// version is (epoch, txnID), epoch-major: transaction ids are only
-// comparable within one engine incarnation, but epochs are monotone across
-// the whole manifest history (RaiseEpoch keeps a restarted engine's tags
-// above everything already logged), so a record written after a restart
-// always supersedes a pre-restart image even though its txnID restarted
-// small. Pre-epoch logs leave Epoch zero and reduce to the txnID order.
-type recordVersion map[int32]map[uint64]recVer
-
-type recVer struct{ epoch, txn uint64 }
-
-func (rv recordVersion) newer(table int32, rid, epoch, ver uint64) bool {
-	m := rv[table]
-	if m == nil {
-		m = make(map[uint64]recVer)
-		rv[table] = m
-	}
-	if old, ok := m[rid]; ok {
-		if old.epoch > epoch || (old.epoch == epoch && old.txn >= ver) {
-			return false
-		}
-	}
-	m[rid] = recVer{epoch: epoch, txn: ver}
-	return true
-}
-
-// applyValueRecord applies one value-logged commit record with
-// applied-if-newer filtering, growing tables and maintaining indexes.
-func (e *Engine) applyValueRecord(cr *wal.CommitRecord, versions recordVersion, rs *RecoveryStats) error {
-	rs.Records++
-	for i := range cr.Entries {
-		en := &cr.Entries[i]
-		th := e.tableByID(int(en.Table))
-		if th == nil {
-			// A structurally valid record naming a table this engine
-			// does not have means the log and the schema diverged —
-			// classified as log corruption for the caller.
-			return fmt.Errorf("core: recovery references unknown table %d: %w", en.Table, wal.ErrCorrupt)
-		}
-		if !versions.newer(en.Table, en.RID, cr.Epoch, cr.TxnID) {
-			rs.Skipped++
-			continue
-		}
-		rs.Entries++
-		rid := storage.RecordID(en.RID)
-		// Grow the table to cover the logged slot.
-		for th.tbl.NumRows() <= en.RID {
-			th.tbl.Alloc()
-		}
-		switch en.Kind {
-		case wal.EntryDelete:
-			th.tbl.SetTombstone(rid, true)
-			th.primary.Delete(en.Key)
-			for j := range th.secondaries {
-				s := &th.secondaries[j]
-				s.idx.Delete(s.extract(th.sch, th.tbl.Row(rid), en.Key))
-			}
-		case wal.EntryInsert:
-			copy(th.tbl.Row(rid), en.Data)
-			th.tbl.SetTombstone(rid, false)
-			th.primary.Insert(en.Key, rid)
-			for j := range th.secondaries {
-				s := &th.secondaries[j]
-				s.idx.Insert(s.extract(th.sch, storage.Row(en.Data), en.Key), rid)
-			}
-			e.reloadRecord(th, rid, en.Key, en.Data)
-		default: // update
-			copy(th.tbl.Row(rid), en.Data)
-			th.tbl.SetTombstone(rid, false)
-			e.reloadRecord(th, rid, en.Key, en.Data)
-		}
-	}
-	return nil
 }
 
 // sealActive is the seal rule, making a store-based recovery's truncation

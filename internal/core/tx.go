@@ -623,7 +623,13 @@ func (t *Tx) retractDeletes() {
 		}
 		th.primary.Delete(a.Key)
 		if len(th.secondaries) > 0 {
-			row := a.Table.Row(a.RID)
+			// Secondary keys come from the deleted image: the access carries
+			// it where the protocol keeps committed images off the table
+			// arena (SILO, MVCC); elsewhere the arena holds it.
+			row := storage.Row(a.Data)
+			if row == nil {
+				row = a.Table.Row(a.RID)
+			}
 			for j := range th.secondaries {
 				s := &th.secondaries[j]
 				s.idx.Delete(s.extract(th.sch, row, a.Key))

@@ -244,3 +244,38 @@ func TestColTypeString(t *testing.T) {
 		t.Fatal("unknown type must still render")
 	}
 }
+
+// TestTombstonesAcrossChunkGrowth: a slot's tombstone lives in the chunk
+// that holds its row and is published with it, so an Alloc that races chunk
+// growth can set and read its tombstone at once, and tombstones set before a
+// growth survive it.
+func TestTombstonesAcrossChunkGrowth(t *testing.T) {
+	const workers, perWorker = 4, chunkSize/2 + 100 // 2+ growths
+	tbl := NewTable(MustSchema("t", I64("v")), 0)
+	var wg sync.WaitGroup
+	rids := make([][]RecordID, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				rid := tbl.Alloc()
+				dead := rid%3 == 0
+				tbl.SetTombstone(rid, dead)
+				if tbl.IsTombstoned(rid) != dead {
+					t.Errorf("rid %d: tombstone not visible to its writer", rid)
+					return
+				}
+				rids[w] = append(rids[w], rid)
+			}
+		}(w)
+	}
+	wg.Wait()
+	for _, batch := range rids {
+		for _, rid := range batch {
+			if tbl.IsTombstoned(rid) != (rid%3 == 0) {
+				t.Fatalf("rid %d: tombstone lost across chunk growth", rid)
+			}
+		}
+	}
+}

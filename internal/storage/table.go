@@ -32,17 +32,22 @@ type Table struct {
 	id     int
 
 	mu     sync.Mutex // guards chunk growth
-	chunks atomic.Pointer[[][]byte]
+	chunks atomic.Pointer[[]chunk]
 	next   atomic.Uint64 // next RecordID to hand out
+}
 
-	tombstone []atomic.Bool // parallel to rows; grown with chunks
-	tombMu    sync.RWMutex  // guards tombstone slice header during growth
+// chunk is one chunkSize-row slab: the row images and their tombstones,
+// published together, so a slot's row and its tombstone appear at once and
+// neither access shares a lock word with any other slot.
+type chunk struct {
+	rows []byte
+	dead []atomic.Bool
 }
 
 // NewTable creates an empty table over schema.
 func NewTable(schema *Schema, id int) *Table {
 	t := &Table{schema: schema, id: id}
-	empty := make([][]byte, 0, 16)
+	empty := make([]chunk, 0, 16)
 	t.chunks.Store(&empty)
 	return t
 }
@@ -79,14 +84,10 @@ func (t *Table) ensureChunk(rid RecordID) {
 	defer t.mu.Unlock()
 	chunks = *t.chunks.Load()
 	for idx >= len(chunks) {
-		// Tombstones first: a concurrent Alloc that finds the chunk published
-		// returns at once and may SetTombstone a slot of it.
-		t.tombMu.Lock()
-		t.tombstone = append(t.tombstone, make([]atomic.Bool, chunkSize)...)
-		t.tombMu.Unlock()
-
-		chunk := make([]byte, chunkSize*t.schema.rowSize)
-		grown := append(chunks, chunk)
+		grown := append(chunks, chunk{
+			rows: make([]byte, chunkSize*t.schema.rowSize),
+			dead: make([]atomic.Bool, chunkSize),
+		})
 		t.chunks.Store(&grown)
 		chunks = grown
 	}
@@ -101,26 +102,21 @@ func (t *Table) Row(rid RecordID) Row {
 		panic(fmt.Sprintf("storage: table %q row %d out of range (allocated %d)",
 			t.Name(), rid, t.next.Load()))
 	}
-	chunks := *t.chunks.Load()
-	chunk := chunks[rid>>chunkBits]
+	rows := (*t.chunks.Load())[rid>>chunkBits].rows
 	off := int(rid&(chunkSize-1)) * t.schema.rowSize
-	return chunk[off : off+t.schema.rowSize : off+t.schema.rowSize]
+	return rows[off : off+t.schema.rowSize : off+t.schema.rowSize]
+}
+
+// tombstone returns rid's tombstone; rid's chunk must exist.
+func (t *Table) tombstone(rid RecordID) *atomic.Bool {
+	return &(*t.chunks.Load())[rid>>chunkBits].dead[rid&(chunkSize-1)]
 }
 
 // SetTombstone marks rid deleted (or undeleted, for abort paths).
-func (t *Table) SetTombstone(rid RecordID, dead bool) {
-	t.tombMu.RLock()
-	t.tombstone[rid].Store(dead)
-	t.tombMu.RUnlock()
-}
+func (t *Table) SetTombstone(rid RecordID, dead bool) { t.tombstone(rid).Store(dead) }
 
 // IsTombstoned reports whether rid is deleted.
-func (t *Table) IsTombstoned(rid RecordID) bool {
-	t.tombMu.RLock()
-	dead := t.tombstone[rid].Load()
-	t.tombMu.RUnlock()
-	return dead
-}
+func (t *Table) IsTombstoned(rid RecordID) bool { return t.tombstone(rid).Load() }
 
 // Catalog maps table names to tables and assigns table ids. It is safe for
 // concurrent readers once tables are registered; registration itself is
