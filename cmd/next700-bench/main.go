@@ -350,8 +350,8 @@ func runVerifySweep(isolation string, threads int, seed uint64) {
 	fmt.Println("  verify: all protocols anomaly-free")
 }
 
-// runTorture executes the seeded crash-recovery torture suite for both log
-// modes and reports coverage. Any invariant violation is fatal and names
+// runTorture executes the seeded crash-recovery torture cell (one stream,
+// byte crashes, torn tails) for both log modes and reports coverage. Any invariant violation is fatal and names
 // the seed so the failure replays deterministically.
 func runTorture(protocol string, iters int, seed uint64) {
 	fmt.Printf("next700-bench: torture, %s, %d iterations per log mode\n", protocol, iters)
@@ -362,19 +362,20 @@ func runTorture(protocol string, iters int, seed uint64) {
 		var crashed, torn, acked int
 		for i := 0; i < iters; i++ {
 			s := seed + uint64(i)
-			res, err := torture.Run(torture.Config{
-				Protocol: protocol, LogMode: m.mode, Seed: s, TransientSyncEvery: 5,
+			res, err := torture.Run(torture.Scenario{
+				Protocol: protocol, LogMode: m.mode, Fault: torture.FaultCrash, Seed: s,
 			})
 			if err != nil {
 				fatal("torture %s seed %d: %v", m.name, s, err)
 			}
-			if res.Crashed {
+			rd := res.Rounds[0]
+			if rd.Crashed {
 				crashed++
 			}
-			if res.Recovery.TornBytes > 0 {
+			if rd.Recovery.TornBytes > 0 {
 				torn++
 			}
-			acked += res.Acked
+			acked += rd.Acked
 		}
 		fmt.Printf("  %-7s: %d iterations, %d crashed, %d torn tails, %d acked commits, 0 violations\n",
 			m.name, iters, crashed, torn, acked)

@@ -136,6 +136,12 @@ func (p *silo) RegisterInsert(tx *txn.Txn, tbl *storage.Table, rid storage.Recor
 // RegisterDelete implements Protocol: a delete is a write whose install
 // clears the data pointer.
 func (p *silo) RegisterDelete(tx *txn.Txn, tbl *storage.Table, rid storage.RecordID, key uint64) error {
+	if w := tx.FindWrite(tbl, rid); w != nil && w.Obs2 == ownInsertFlag {
+		// Inserted by this transaction: the TID word is held since
+		// RegisterInsert, and the deleted image is the inserted one.
+		tx.AddAccess(txn.Access{Table: tbl, RID: rid, Kind: txn.KindDelete, Key: key, Data: w.Data, Obs2: ownInsertFlag})
+		return nil
+	}
 	m := p.meta.get(tbl, rid)
 	img, obs, err := p.stableRead(m)
 	if err != nil {
@@ -173,12 +179,13 @@ func (p *silo) lockWord(m *siloMeta, obs uint64) bool {
 func (p *silo) Commit(tx *txn.Txn) error {
 	writes := sortWriteIndices(tx)
 
-	// Phase 1: lock the write set in canonical order.
+	// Phase 1: lock the write set in canonical order. A record written twice
+	// (an update, then a delete) sits in adjacent entries and is locked once.
 	locked := 0
-	for _, wi := range writes {
+	for k, wi := range writes {
 		a := &tx.Accesses[wi]
-		if a.Obs2 == ownInsertFlag {
-			locked++ // locked since RegisterInsert
+		if a.Obs2 == ownInsertFlag || (k > 0 && sameRecord(a, &tx.Accesses[writes[k-1]])) {
+			locked++ // locked since RegisterInsert, or by the entry before
 			continue
 		}
 		m := p.meta.get(a.Table, a.RID)
@@ -220,7 +227,7 @@ func (p *silo) Commit(tx *txn.Txn) error {
 	// store releases.
 	tid := p.commitTID(tx)
 	word := tid << 1
-	for _, wi := range writes {
+	for k, wi := range writes {
 		a := &tx.Accesses[wi]
 		m := p.meta.get(a.Table, a.RID)
 		switch a.Kind {
@@ -242,11 +249,17 @@ func (p *silo) Commit(tx *txn.Txn) error {
 				a.Table.SetTombstone(a.RID, false)
 			}
 		}
+		if k+1 < len(writes) && sameRecord(a, &tx.Accesses[writes[k+1]]) {
+			continue // the record's last entry installs and unlocks
+		}
 		m.word.Store(word) // install + unlock in one store
 	}
 	tx.ID = tid
 	return nil
 }
+
+// sameRecord reports whether two accesses name the same record.
+func sameRecord(a, b *txn.Access) bool { return a.Table == b.Table && a.RID == b.RID }
 
 // commitTID returns a TID greater than every observed TID, greater than
 // this thread's previous commit TID, and within the transaction's epoch.

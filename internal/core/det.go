@@ -103,6 +103,14 @@ func NewDetExecutor(e *Engine, exec DetExecFunc) (*DetExecutor, error) {
 		return nil, fmt.Errorf("core: deterministic execution requires value logging or none "+
 			"(fragments are not stored procedures): %w", ErrInvalidUsage)
 	}
+	if e.cfg.PartitionWAL {
+		// A batch is atomic as one epoch of the global frontier; a partition-
+		// sharded log recovers each stream to its own frontier, so a crash
+		// could bring back one partition's fragments of a batch without the
+		// others'.
+		return nil, fmt.Errorf("core: deterministic execution requires a thread-affinity log "+
+			"(PartitionWAL recovers each partition to its own frontier, splitting batches): %w", ErrInvalidUsage)
+	}
 	x := &DetExecutor{
 		e:      e,
 		parts:  parts,

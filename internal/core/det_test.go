@@ -349,4 +349,15 @@ func TestDetExecutorConfigValidation(t *testing.T) {
 	if _, err := NewDetExecutor(e3, func(*Tx, det.Op, *det.Mailbox) error { return nil }); !errors.Is(err, ErrInvalidUsage) {
 		t.Fatalf("command logging accepted: %v", err)
 	}
+	// A partition-sharded log recovers partitions to different frontiers,
+	// which splits batches across a crash.
+	e4, err := Open(Config{Protocol: "QSTORE", Threads: 2, Partitions: 2, LogMode: wal.ModeValue,
+		WALStreams: 2, LogDevices: []wal.Device{&fault.MemDevice{}, &fault.MemDevice{}}, PartitionWAL: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e4.Close()
+	if _, err := NewDetExecutor(e4, func(*Tx, det.Op, *det.Mailbox) error { return nil }); !errors.Is(err, ErrInvalidUsage) {
+		t.Fatalf("PartitionWAL accepted: %v", err)
+	}
 }

@@ -363,7 +363,7 @@ func (c *Checkpointer) rebuildPartition(p int, load func() error) (RecoveryStats
 	if err != nil {
 		return rs, err
 	}
-	tail, err := streamImage(c.store, &c.manifest, p)
+	tail, err := streamImage(c.store, &c.manifest, p, &rs)
 	if err != nil {
 		return rs, err
 	}

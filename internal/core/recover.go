@@ -194,7 +194,7 @@ func (e *Engine) recoverFrom(src recoverySource) (RecoveryStats, error) {
 				skip[i] = base[i%len(base)].fence
 			}
 			var image []byte
-			image, err = streamImage(src.store, m, i)
+			image, err = streamImage(src.store, m, i, &rs)
 			readers[i] = bytes.NewReader(image)
 		}
 		if err != nil {
@@ -274,7 +274,8 @@ func (e *Engine) replayTail(readers []io.Reader, rule wal.FrontierRule, skip []u
 		}
 		return apply(stream, cr)
 	})
-	rs.Bytes, rs.TornBytes, rs.CorruptTailRecords = st.Bytes, st.TornBytes, st.CorruptTailRecords
+	rs.Bytes, rs.CorruptTailRecords = st.Bytes, st.CorruptTailRecords
+	rs.TornBytes += st.TornBytes // on top of what the store's segment seals trimmed
 	rs.Streams, rs.FrontierEpoch, rs.MaxEpoch = st.Streams, st.Frontier, st.MaxEpoch
 	rs.TruncatedRecords += st.TruncatedRecords
 	rs.StreamFrontiers = st.StreamFrontiers
@@ -404,8 +405,9 @@ func (e *Engine) installBase(base []sliceBase, load func() error, rs *RecoverySt
 // frames above the sealing epoch are dropped — the durable form of that
 // pass's truncation decision. Segments published but never written (a crash
 // between publication and first append, or an attachment's own siblings in a
-// chained recovery) read as empty.
-func streamImage(store CheckpointStore, m *wal.Manifest, stream int) ([]byte, error) {
+// chained recovery) read as empty. The torn tails trimmed off active segments
+// count into rs.TornBytes.
+func streamImage(store CheckpointStore, m *wal.Manifest, stream int, rs *RecoveryStats) ([]byte, error) {
 	var image []byte
 	for _, sg := range m.Segments {
 		if sg.Stream != stream {
@@ -423,6 +425,9 @@ func streamImage(store CheckpointStore, m *wal.Manifest, stream int) ([]byte, er
 		clean, err := wal.SealSegment(data, sg.ToEpoch)
 		if err != nil {
 			return nil, fmt.Errorf("core: recovery segment %s: %w", sg.Name, err)
+		}
+		if sg.ToEpoch == 0 {
+			rs.TornBytes += int64(len(data) - len(clean))
 		}
 		image = append(image, clean...)
 	}

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"next700/internal/fault"
 	"next700/internal/wal"
 )
 
@@ -89,4 +90,33 @@ func TestRecoverEntryPointsAgree(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestStoreRecoveryCountsTornTail: store-based recovery trims a torn tail off
+// an active segment before the replay scanner sees it, and must still report
+// the discarded bytes in TornBytes, as reader-based recovery does.
+func TestStoreRecoveryCountsTornTail(t *testing.T) {
+	store := fault.NewMemStore(fault.StoreChaos{})
+	e, att := sliceEngine(t, store, "SILO", 0, true)
+	tbl := kvTable(t, e, "kv", IndexHash, 4)
+	if err := setKey(e.NewTx(0, 1), tbl, 1, 5); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Half a frame header: the crash cut the next record off mid-write.
+	if _, err := att.Devices[0].Write([]byte{9, 0, 0}); err != nil {
+		t.Fatal(err)
+	}
+	r, att2 := sliceEngine(t, store, "SILO", 0, false)
+	rtbl := kvTable(t, r, "kv", IndexHash, 4)
+	rs, err := r.RecoverFromStore(store, att2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.TornBytes != 3 {
+		t.Fatalf("TornBytes = %d, want the 3 trimmed bytes", rs.TornBytes)
+	}
+	wantValues(t, r, rtbl, map[uint64]int64{0: 0, 1: 5, 2: 0, 3: 0})
 }

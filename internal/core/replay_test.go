@@ -387,9 +387,12 @@ func (discardLog) Sync() error                 { return nil }
 // TestRecoverWriteThenDelete: a transaction that updates a row and then
 // deletes it logs one record with two entries for that row under one
 // version. Replay must apply both; filtering the second as "not newer" kept
-// the deleted row alive after recovery.
+// the deleted row alive after recovery. The same transaction also inserts a
+// row and deletes it again in a second transaction, which must return (SILO
+// locked such a record's TID word twice and retried forever) and leave no
+// row behind.
 func TestRecoverWriteThenDelete(t *testing.T) {
-	for _, protocol := range []string{"NO_WAIT", "MVCC", "TICTOC"} {
+	for _, protocol := range []string{"NO_WAIT", "MVCC", "TICTOC", "SILO"} {
 		t.Run(protocol, func(t *testing.T) {
 			dev := &memDevice{}
 			cfg := Config{Protocol: protocol, Threads: 1, LogMode: wal.ModeValue, LogDevice: dev}
@@ -405,13 +408,23 @@ func TestRecoverWriteThenDelete(t *testing.T) {
 			}); err != nil {
 				t.Fatal(err)
 			}
+			// Protocols that hide an own insert from Delete refuse with
+			// ErrNotFound; either way the transaction must return.
+			if err := e.NewTx(0, 2).Run(func(tx *Tx) error {
+				if err := tx.Insert(tbl, 7, tbl.Schema().NewRow()); err != nil {
+					return err
+				}
+				return tx.Delete(tbl, 7)
+			}); err != nil && !errors.Is(err, txn.ErrNotFound) {
+				t.Fatal(err)
+			}
 			cfg.LogDevice = &memDevice{}
 			r := openEngine(t, cfg)
 			rtbl := kvTable(t, r, "kv", IndexHash, 4)
 			if _, err := r.Recover(dev.reader()); err != nil {
 				t.Fatal(err)
 			}
-			wantValues(t, r, rtbl, map[uint64]int64{0: 0, 1: 0, 3: 0}, 2)
+			wantValues(t, r, rtbl, map[uint64]int64{0: 0, 1: 0, 3: 0}, 2, 7)
 		})
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"sort"
 	"sync"
 
 	"next700/internal/wal"
@@ -88,6 +89,15 @@ func (s *MemStore) op() error {
 		return fmt.Errorf("%w (store op %d)", ErrCrashed, s.ops)
 	}
 	return nil
+}
+
+// Rearm replaces the chaos script and restarts its operation counts, so the
+// script's positions count from the call: a harness arms each round after
+// bootstrap and recovery, whose own operations are never the target.
+func (s *MemStore) Rearm(chaos StoreChaos) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.chaos, s.ops, s.saves, s.ckptWrites = chaos, 0, 0, 0
 }
 
 // Crashed reports whether the scripted crash has fired.
@@ -299,9 +309,15 @@ func (s *MemStore) Survivor(chaos StoreChaos) *MemStore {
 	if s.prev != nil {
 		out.prev = append([]byte(nil), s.prev...)
 	}
-	for n, d := range s.segments {
+	// Name order keeps the seeded cuts a function of the chaos seed alone.
+	names := make([]string, 0, len(s.segments))
+	for n := range s.segments {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	for _, n := range names {
 		nd := &MemDevice{}
-		nd.Write(d.surviving(rng))
+		nd.Write(s.segments[n].surviving(rng))
 		nd.Sync()
 		out.segments[n] = nd
 	}

@@ -147,3 +147,21 @@ func TestMemStoreFlipCheckpointByte(t *testing.T) {
 		t.Fatalf("byte not flipped: %v", data)
 	}
 }
+
+// TestMemStoreRearmCountsFromTheCall: after Rearm the script's positions
+// count from the call, not from the store's first operation.
+func TestMemStoreRearmCountsFromTheCall(t *testing.T) {
+	s := NewMemStore(StoreChaos{})
+	for i := 0; i < 3; i++ {
+		if _, err := s.CreateSegment("seg-000000-0"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Rearm(StoreChaos{CrashAtOp: 2})
+	if err := s.SaveManifest(storeManifest(1)); err != nil { // op 1 since the rearm
+		t.Fatal(err)
+	}
+	if err := s.SaveManifest(storeManifest(1)); !errors.Is(err, ErrCrashed) || !s.Crashed() {
+		t.Fatalf("op 2 since the rearm must crash: %v", err)
+	}
+}

@@ -5,38 +5,21 @@ import (
 	"testing"
 
 	"next700/internal/core"
-	"next700/internal/fault"
 	"next700/internal/wal"
 )
 
-// ckptBase is the shared workload shape for the checkpoint-chaos lanes:
-// small enough to sweep, large enough for several checkpoint cycles per
-// incarnation.
-func ckptBase(protocol string, mode wal.Mode, seed uint64) CkptConfig {
-	return CkptConfig{
-		Config: Config{
-			Protocol:          protocol,
-			LogMode:           mode,
-			Workers:           3,
-			AccountsPerWorker: 8,
-			TxnsPerWorker:     48,
-			Seed:              seed,
-		},
-		Streams:         2,
-		Keep:            2,
-		CheckpointEvery: 6,
-	}
+// ckpt is a checkpoint-chaos cell on two streams.
+func ckpt(mode wal.Mode, fault Fault, seed uint64) Scenario {
+	return Scenario{Protocol: "SILO", LogMode: mode, Streams: 2, Checkpoint: true, Fault: fault, Seed: seed}
 }
 
-// TestCkptTortureCrashSweep crashes the checkpoint store at every mutating
-// operation index in turn — landing the crash mid-checkpoint-write, between
-// segment publication and rotation, between sealing and truncation, inside
-// truncation itself — and requires every recovery to be prefix-consistent.
-// Each run continues into a second clean incarnation, so the recovered
-// engine also has to checkpoint, rotate, and recover again on top of the
-// sealed history. InitCheckpointLog consumes Streams+1 ops, so the sweep
-// starts just past bootstrap. The value-silo lane runs on a one-stream log
-// and on a four-stream one: the lifecycle is the same code at every count.
+// TestCkptTortureCrashSweep crashes the store at every mutating operation of
+// a round in turn — mid checkpoint write, between segment publication and
+// rotation, between sealing and truncation, inside truncation — over two
+// rounds, so the recovered engine checkpoints, rotates, crashes and recovers
+// again on top of the sealed history. Some first recoveries must restore a
+// checkpoint and some fall back to the full log. The lifecycle is the same
+// code at every stream count; the product runs it on every protocol.
 func TestCkptTortureCrashSweep(t *testing.T) {
 	lanes := []struct {
 		name     string
@@ -49,205 +32,130 @@ func TestCkptTortureCrashSweep(t *testing.T) {
 		{"command-silo", "SILO", wal.ModeCommand, 2},
 		{"value-mvcc", "MVCC", wal.ModeValue, 2},
 	}
-	maxOp := 40
-	if testing.Short() {
-		maxOp = 16
-	}
 	for _, lane := range lanes {
-		lane := lane
 		t.Run(lane.name, func(t *testing.T) {
 			t.Parallel()
-			crashed, ckptLoaded, logFallback := 0, 0, 0
-			for op := lane.streams + 2; op <= maxOp; op++ {
-				cfg := ckptBase(lane.protocol, lane.mode, 0xC0FFEE00+uint64(op))
-				cfg.Streams = lane.streams
-				cfg.Incarnations = 2
-				cfg.Chaos = fault.StoreChaos{Seed: uint64(op) * 977, CrashAtOp: op}
-				res, err := RunCkpt(cfg)
-				if err != nil {
-					t.Fatalf("op %d: %v", op, err)
-				}
-				if len(res.Incarnations) != 2 {
-					t.Fatalf("op %d: %d incarnations, want 2", op, len(res.Incarnations))
-				}
-				first := res.Incarnations[0]
-				if first.StoreCrashed {
-					crashed++
-				}
-				if first.Recovery.CheckpointLoaded {
-					ckptLoaded++
-				} else {
-					logFallback++
-				}
-			}
-			// The sweep must actually exercise the lifecycle: crashes fire,
-			// some recoveries restore a checkpoint, some fall back to the
-			// full log because the crash preceded any installed generation.
-			if crashed == 0 {
+			res := sweep(t, seeds(40, 8), func(op int) Scenario {
+				s := ckpt(lane.mode, FaultStoreCrash, uint64(op))
+				s.Protocol, s.Streams, s.Rounds = lane.protocol, lane.streams, 2
+				return s
+			})
+			if count(res, func(r Round) bool { return r.Crashed }) == 0 {
 				t.Fatal("no sweep run reached its crash point")
 			}
-			if ckptLoaded == 0 {
+			if count(res, func(r Round) bool { return r.Recovery.CheckpointLoaded }) == 0 {
 				t.Fatal("no sweep recovery restored a checkpoint")
 			}
-			if logFallback == 0 {
+			if count(res, func(r Round) bool { return !r.Recovery.CheckpointLoaded }) == 0 {
 				t.Fatal("no sweep recovery exercised the full-log fallback")
 			}
 		})
 	}
 }
 
-// TestCkptTortureTornManifest tears a manifest save mid-write (save 2 is the
-// first cycle's segment publication, save 3 its sealing save) and requires
-// recovery to proceed from the previous manifest copy.
+// TestCkptTortureTornManifest tears the first cycle's publication and its
+// sealing save: recovery must proceed from the previous manifest copy.
 func TestCkptTortureTornManifest(t *testing.T) {
-	for _, tear := range []int{2, 3} {
-		cfg := ckptBase("SILO", wal.ModeValue, 0x7EA5+uint64(tear))
-		cfg.Chaos = fault.StoreChaos{Seed: 42, TearManifestAtSave: tear}
-		res, err := RunCkpt(cfg)
+	for seed := uint64(0); seed < 2; seed++ {
+		res, err := Run(ckpt(wal.ModeValue, FaultTornManifest, seed))
 		if err != nil {
-			t.Fatalf("tear at save %d: %v", tear, err)
+			t.Fatalf("tear at save %d: %v", seed+1, err)
 		}
-		ir := res.Incarnations[0]
-		if !ir.StoreCrashed {
-			t.Fatalf("tear at save %d: store never crashed", tear)
-		}
-		if !ir.Recovery.ManifestFallback {
-			t.Fatalf("tear at save %d: recovery did not use the manifest fallback: %+v", tear, ir.Recovery)
+		if r := res.Rounds[0]; !r.Crashed || !r.Recovery.ManifestFallback {
+			t.Fatalf("tear at save %d: crashed %v, recovery %+v", seed+1, r.Crashed, r.Recovery)
 		}
 	}
 }
 
 // TestCkptTortureTransientCheckpointFailure fails one checkpoint write
-// cleanly (no crash): the cycle must report a failure, the run must still
-// close and recover perfectly.
+// cleanly: the cycle fails, later cycles resume, and recovery is exact.
 func TestCkptTortureTransientCheckpointFailure(t *testing.T) {
-	cfg := ckptBase("SILO", wal.ModeValue, 0xFA11)
-	cfg.Chaos = fault.StoreChaos{Seed: 7, FailCheckpointAt: 2}
-	res, err := RunCkpt(cfg)
+	res, err := Run(ckpt(wal.ModeValue, FaultFailCheckpoint, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ir := res.Incarnations[0]
-	if ir.StoreCrashed {
-		t.Fatal("transient failure must not crash the store")
-	}
-	if ir.CycleFailures < 1 {
-		t.Fatalf("no cycle failure recorded: %+v", ir)
-	}
-	if ir.Cycles < 2 {
-		t.Fatalf("cycles did not resume after the transient failure: %+v", ir)
+	if r := res.Rounds[0]; r.Crashed || r.CycleFailures < 1 || r.Cycles < 2 {
+		t.Fatalf("want no crash, a failed cycle and resumed cycles: %+v", r)
 	}
 }
 
-// TestCkptTortureCheckpointCorruptionFallback corrupts the newest retained
-// checkpoint generation at rest: recovery must fall back to the previous
-// generation and replay the longer tail, still prefix-consistent.
+// TestCkptTortureCheckpointCorruptionFallback corrupts the newest generation
+// at rest: recovery falls back to the previous one, still exact.
 func TestCkptTortureCheckpointCorruptionFallback(t *testing.T) {
-	for _, mode := range []wal.Mode{wal.ModeValue, wal.ModeCommand} {
-		cfg := ckptBase("SILO", mode, 0xBADC+uint64(mode))
-		cfg.FlipNewestCheckpoint = true
-		res, err := RunCkpt(cfg)
+	for _, m := range modes {
+		res, err := Run(ckpt(m.mode, FaultCorruptSlice, 0xBADC))
 		if err != nil {
-			t.Fatalf("mode %v: %v", mode, err)
+			t.Fatalf("%s: %v", m.name, err)
 		}
-		ir := res.Incarnations[0]
-		if ir.Recovery.CheckpointFallbacks < 1 {
-			t.Fatalf("mode %v: corrupt newest generation was not skipped: %+v", mode, ir.Recovery)
-		}
-		if !ir.Recovery.CheckpointLoaded {
-			t.Fatalf("mode %v: previous generation did not load: %+v", mode, ir.Recovery)
+		if r := res.Rounds[0].Recovery; r.CheckpointFallbacks < 1 || !r.CheckpointLoaded {
+			t.Fatalf("%s: corrupt newest generation not skipped for an older one: %+v", m.name, r)
 		}
 	}
 }
 
-// TestCkptTortureWALBounded runs three clean incarnations with frequent
-// checkpoints and requires the footprint to stay bounded: retained
-// generations at the keep limit, segment count and bytes bounded, recovery
-// replaying a short tail (bounded recovery) rather than the full history.
+// TestCkptTortureWALBounded runs three clean rounds with checkpoints: the
+// footprint stays bounded — generations at the keep limit, segments and bytes
+// bounded in every round — and recovery replays a short tail, not the whole
+// history.
 func TestCkptTortureWALBounded(t *testing.T) {
-	cfg := ckptBase("SILO", wal.ModeValue, 0xB0B0)
-	cfg.Incarnations = 3
-	cfg.CheckpointEvery = 5
-	res, err := RunCkpt(cfg)
+	s := ckpt(wal.ModeValue, FaultNone, 0xB0B0)
+	s.Rounds = 3
+	res, err := Run(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	perIncarnation := cfg.Config.Workers * cfg.Config.TxnsPerWorker
-	sawSkipped := false
-	for i, ir := range res.Incarnations {
-		if ir.Checkpoints > cfg.Keep {
-			t.Fatalf("incarnation %d: %d generations retained, keep %d", i, ir.Checkpoints, cfg.Keep)
+	skipped := false
+	for i, r := range res.Rounds {
+		if r.Checkpoints > keepGenerations {
+			t.Fatalf("round %d: %d generations retained, keep %d", i, r.Checkpoints, keepGenerations)
 		}
-		if max := cfg.Streams * (cfg.Keep + 3); ir.Segments > max {
-			t.Fatalf("incarnation %d: %d segments retained, want <= %d", i, ir.Segments, max)
+		if bound := s.Streams * (keepGenerations + 3); r.Segments > bound {
+			t.Fatalf("round %d: %d segments retained, want <= %d", i, r.Segments, bound)
 		}
-		if !ir.Recovery.CheckpointLoaded {
-			t.Fatalf("incarnation %d: recovery did not load a checkpoint: %+v", i, ir.Recovery)
+		if !r.Recovery.CheckpointLoaded || r.Recovery.Records >= r.Acked*(i+1) {
+			t.Fatalf("round %d: recovery is not bounded: %+v", i, r.Recovery)
 		}
-		// Bounded recovery: the replayed tail must be a fraction of the
-		// round's commit volume, not the whole history since genesis.
-		if ir.Recovery.Records >= perIncarnation*(i+1) {
-			t.Fatalf("incarnation %d: replayed %d records, full history is not bounded recovery",
-				i, ir.Recovery.Records)
+		// Truncation keeps the log from growing across rounds: well under one
+		// round's records at 100 bytes each, whatever the rounds before wrote.
+		if bound := int64(r.Acked) * 100; r.SegmentBytes > bound {
+			t.Fatalf("round %d: %d segment bytes, want <= %d; truncation is not bounding the log", i, r.SegmentBytes, bound)
 		}
-		if ir.Recovery.SkippedOldEpoch > 0 {
-			sawSkipped = true
-		}
+		skipped = skipped || r.Recovery.SkippedOldEpoch > 0
 	}
-	if !sawSkipped {
+	if !skipped {
 		t.Fatal("no recovery skipped checkpoint-covered records; the epoch ceiling is not engaged")
 	}
-	// Truncation must keep total log bytes from growing across incarnations:
-	// the last footprint may not dwarf the first.
-	first, last := res.Incarnations[0].SegmentBytes, res.Incarnations[2].SegmentBytes
-	if last > 3*first {
-		t.Fatalf("segment bytes grew from %d to %d across incarnations; truncation is not bounding the log", first, last)
-	}
 }
 
-// TestCkptTortureRepeatedCrashes crashes the store in every incarnation —
-// including crashes landing inside recovery's own sealing writes in later
-// rounds would be a bootstrap failure, so the op index clears attach and
-// seal — and requires prefix consistency to survive the full chain.
+// TestCkptTortureRepeatedCrashes crashes the store in every round and
+// requires the oracle to hold across the whole chain.
 func TestCkptTortureRepeatedCrashes(t *testing.T) {
-	ops := []int{13, 19, 27}
+	ops := []uint64{12, 18, 26}
 	if testing.Short() {
 		ops = ops[:1]
 	}
 	for _, op := range ops {
-		cfg := ckptBase("SILO", wal.ModeValue, 0x5E0+uint64(op))
-		cfg.Incarnations = 3
-		cfg.RepeatChaos = true
-		cfg.Chaos = fault.StoreChaos{Seed: uint64(op), CrashAtOp: op}
-		res, err := RunCkpt(cfg)
+		s := ckpt(wal.ModeValue, FaultStoreCrash, op)
+		s.Rounds = 3
+		res, err := Run(s)
 		if err != nil {
-			t.Fatalf("op %d: %v", op, err)
+			t.Fatalf("op %d: %v", op+1, err)
 		}
-		for i, ir := range res.Incarnations {
-			if !ir.StoreCrashed {
-				t.Fatalf("op %d: incarnation %d never crashed", op, i)
+		for i, r := range res.Rounds {
+			if !r.Crashed {
+				t.Fatalf("op %d: round %d never crashed", op+1, i)
 			}
 		}
 	}
 }
 
 // TestCkptTortureDetectsLostHistory is the negative control: with every
-// retained checkpoint generation corrupted AND early segments already
-// truncated, the full history is unrecoverable — and recovery itself must
-// say so (core.ErrHistoryLost) rather than replay what is left and leave the
-// state checker to notice the hole.
+// retained generation corrupt and the log already truncated, recovery itself
+// must refuse with core.ErrHistoryLost.
 func TestCkptTortureDetectsLostHistory(t *testing.T) {
-	for _, mode := range []wal.Mode{wal.ModeValue, wal.ModeCommand} {
-		cfg := ckptBase("SILO", mode, 0xDEAD+uint64(mode))
-		cfg.Keep = 1
-		cfg.CheckpointEvery = 4
-		cfg.FlipAllCheckpoints = true
-		_, err := RunCkpt(cfg)
-		if err == nil {
-			t.Fatalf("mode %v: lost history went undetected", mode)
-		}
-		if !errors.Is(err, core.ErrHistoryLost) {
-			t.Fatalf("mode %v: expected recovery to refuse with ErrHistoryLost, got: %v", mode, err)
+	for _, m := range modes {
+		if _, err := Run(ckpt(m.mode, FaultCorruptAll, 0xDEAD)); !errors.Is(err, core.ErrHistoryLost) {
+			t.Fatalf("%s: want ErrHistoryLost, got %v", m.name, err)
 		}
 	}
 }

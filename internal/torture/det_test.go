@@ -2,60 +2,55 @@ package torture
 
 import (
 	"testing"
+
+	"next700/internal/wal"
 )
 
-// TestDetOracleNoCrash is the clean-path control: with no planned crash the
-// frontier must be the entire schedule and the recovered digest must equal
-// the reference run's final digest.
+// detCell is a deterministic cell: the plans as batches on QSTORE.
+func detCell(streams int, ckpt bool, fault Fault, seed uint64) Scenario {
+	return Scenario{Protocol: "QSTORE", Det: true, LogMode: wal.ModeValue, Streams: streams,
+		Checkpoint: ckpt, Fault: fault, Seed: seed}
+}
+
+// TestDetOracleNoCrash is the clean-path control: the recovered digest must
+// be the reference run's after the whole schedule.
 func TestDetOracleNoCrash(t *testing.T) {
-	res, err := RunDet(DetConfig{Seed: 42, NoCrash: true})
+	res, err := Run(detCell(2, false, FaultNone, 42))
 	if err != nil {
-		t.Fatalf("no-crash oracle: %v", err)
+		t.Fatal(err)
 	}
-	if res.Crashed {
-		t.Fatal("no-crash run reported a crash")
-	}
-	if res.AckedBatches != 8 {
-		t.Fatalf("acked %d batches, want 8", res.AckedBatches)
-	}
-	if res.FrontierBatch != 8 {
-		t.Fatalf("frontier batch %d, want the full schedule (8)", res.FrontierBatch)
+	if r := res.Rounds[0]; r.Crashed || r.Batch != txnsPerWorker/batchPerWorker {
+		t.Fatalf("clean run: crashed %v, recovered batch %d", r.Crashed, r.Batch)
 	}
 }
 
-// TestDetOracleCrashSeeds sweeps seeded crash iterations across partition
-// counts: every recovered engine must land on a batch boundary whose digest
-// matches the reference run, with no acked batch lost. The sweep must
-// actually exercise crashes and mid-schedule truncation, or the oracle is
-// vacuous.
+// TestDetOracleCrashSeeds sweeps seeded crashes: every recovered engine must
+// land on a reference batch boundary with no acked batch lost, and the sweep
+// must actually crash and truncate mid-schedule. The ckpt lane crashes the
+// store under a Checkpointer, whose cycles use up log epochs: there only the
+// digest, not the recovered frontier epoch, can name the batch.
 func TestDetOracleCrashSeeds(t *testing.T) {
-	seeds := 24
-	if testing.Short() {
-		seeds = 8
+	lanes := []struct {
+		name    string
+		streams int
+		ckpt    bool
+		fault   Fault
+	}{
+		{"parts2", 2, false, FaultCrash},
+		{"parts4", 4, false, FaultCrash},
+		{"parts2-ckpt", 2, true, FaultStoreCrash},
 	}
-	for _, parts := range []int{2, 4} {
-		parts := parts
-		t.Run(map[int]string{2: "parts2", 4: "parts4"}[parts], func(t *testing.T) {
+	for _, lane := range lanes {
+		t.Run(lane.name, func(t *testing.T) {
 			t.Parallel()
-			var crashed, truncated int
-			for s := 0; s < seeds; s++ {
-				seed := uint64(s)*0x9e3779b9 + uint64(parts)
-				res, err := RunDet(DetConfig{Partitions: parts, Seed: seed})
-				if err != nil {
-					t.Fatalf("seed %d: %v", seed, err)
-				}
-				if res.Crashed {
-					crashed++
-				}
-				if res.FrontierBatch < 8 {
-					truncated++
-				}
+			res := sweep(t, seeds(30, 8), func(i int) Scenario {
+				return detCell(lane.streams, lane.ckpt, lane.fault, uint64(i)*0x9e3779b9+uint64(lane.streams))
+			})
+			if count(res, func(r Round) bool { return r.Crashed }) == 0 {
+				t.Fatal("no seed crashed")
 			}
-			if crashed == 0 {
-				t.Fatalf("no seed crashed in %d iterations", seeds)
-			}
-			if truncated == 0 {
-				t.Fatalf("no seed truncated mid-schedule in %d iterations", seeds)
+			if count(res, func(r Round) bool { return r.Batch < txnsPerWorker/batchPerWorker }) == 0 {
+				t.Fatal("no seed truncated mid-schedule")
 			}
 		})
 	}

@@ -4,27 +4,15 @@ import (
 	"testing"
 
 	"next700/internal/testutil"
+	"next700/internal/wal"
 )
 
-// partitionProtocols are the schemes the partition lane runs over: one per
-// concurrency-control family that keeps its own per-record state (optimistic
-// versions, lock words, version chains, read/write timestamps) — the state a
-// live partition rebuild has to put back.
-var partitionProtocols = []string{"SILO", "NO_WAIT", "MVCC", "TICTOC"}
-
-// partitionSeeds samples n seeds per protocol, half of them under -short.
-func partitionSeeds(n int) int {
-	if testing.Short() {
-		return n / 2
-	}
-	return n
-}
-
-// forPartitionProtocols runs fn once per protocol, the protocols side by
-// side, and returns when the last one has.
+// forPartitionProtocols runs fn once per protocol family that keeps its own
+// per-record state (versions, lock words, version chains, timestamps) — the
+// state a live partition rebuild has to put back — side by side.
 func forPartitionProtocols(t *testing.T, fn func(t *testing.T, proto string)) {
 	t.Run("protocols", func(t *testing.T) {
-		for _, proto := range partitionProtocols {
+		for _, proto := range []string{"SILO", "NO_WAIT", "MVCC", "TICTOC"} {
 			t.Run(proto, func(t *testing.T) {
 				t.Parallel()
 				fn(t, proto)
@@ -33,115 +21,82 @@ func forPartitionProtocols(t *testing.T, fn func(t *testing.T, proto string)) {
 	})
 }
 
-// TestPartitionFaultSeeds is the partition-fault oracle sweep: across many
-// seeds, exactly one partition's device sticky-fails mid-run; healthy
-// partitions must commit durably with zero losses, every loss on the failed
-// partition must classify ErrPartitionUnavailable, the degraded engine must
-// show zero Adya anomalies, and live single-partition recovery from the
-// store must land exactly on the acknowledged prefix digest and take the next
-// commit.
+// partitionCell is a cell on a four-partition sharded log.
+func partitionCell(proto string, ckpt bool, fault Fault, seed uint64) Scenario {
+	return Scenario{Protocol: proto, LogMode: wal.ModeValue, Streams: 4, PartitionWAL: true,
+		Checkpoint: ckpt, Fault: fault, Seed: seed}
+}
+
+// partitionFaults sweeps the partition arc and requires the device fault to
+// fire — some attempt shed — in at least half the seeds.
+func partitionFaults(t *testing.T, proto string, ckpt bool) []Result {
+	res := sweep(t, seeds(8, 4), func(i int) Scenario { return partitionCell(proto, ckpt, FaultPartition, uint64(i+1)) })
+	if fired := count(res, func(r Round) bool { return r.Lost > 0 }); fired < len(res)/2 {
+		t.Fatalf("only %d/%d seeds fired the fault", fired, len(res))
+	}
+	return res
+}
+
+// TestPartitionFaultSeeds: one partition's device fails mid-run. Healthy
+// partitions commit with zero losses, every loss on the dark one classifies
+// as core.ErrPartitionUnavailable, the degraded engine shows no Adya anomaly,
+// live recovery from the store lands exactly on the acknowledged prefix and
+// seals the failed segment, and the readmitted partition finishes its plan.
 func TestPartitionFaultSeeds(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
 	forPartitionProtocols(t, func(t *testing.T, proto string) {
-		iters, fired := partitionSeeds(8), 0
-		for seed := uint64(1); seed <= uint64(iters); seed++ {
-			res, err := RunPartition(PartitionConfig{Protocol: proto, Seed: seed})
-			if err != nil {
-				t.Fatalf("%s seed %d: %v", proto, seed, err)
-			}
-			if res.Fired {
-				fired++
-				if res.Lost == 0 {
-					t.Fatalf("%s seed %d: fault fired but nothing was shed", proto, seed)
-				}
-				if res.ProbeTxns == 0 {
-					t.Fatalf("%s seed %d: degraded-engine probe committed nothing", proto, seed)
-				}
-				if res.Recovery.SealedSegments == 0 {
-					t.Fatalf("%s seed %d: live recovery sealed nothing: %+v", proto, seed, res.Recovery)
-				}
+		for _, res := range partitionFaults(t, proto, false) {
+			if r := res.Rounds[0]; r.Lost > 0 && (res.ProbeTxns == 0 || r.Live.SealedSegments == 0) {
+				t.Fatalf("fired without a degraded probe (%d txns) or a sealed live recovery: %+v", res.ProbeTxns, r.Live)
 			}
 		}
-		// The crash offsets are drawn to land mid-run; a majority of the
-		// seeds must actually exercise the fault path.
-		if fired < iters/2 {
-			t.Fatalf("%s: only %d/%d seeds fired the fault", proto, fired, iters)
-		}
-		t.Logf("%s: fired %d/%d", proto, fired, iters)
 	})
 }
 
-// TestPartitionReadmitCrashSeeds is the seeded form of core's
-// TestReadmittedCommitSurvivesCrash: after the device failure and the live
-// recovery the readmitted partition commits the rest of its plan — around a
-// checkpoint cycle in about half the seeds — and the process crashes. The
-// whole-engine recovery must find every one of those commits: counter ==
-// acked exactly, on every partition.
+// TestPartitionReadmitCrashSeeds: the same arc under checkpoint cycles, which
+// resume once the partition is readmitted; the reboot after it must find
+// every commit acknowledged on the readmitted partition.
 func TestPartitionReadmitCrashSeeds(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
 	forPartitionProtocols(t, func(t *testing.T, proto string) {
-		iters, fired, ckpt := partitionSeeds(8), 0, 0
-		for seed := uint64(1); seed <= uint64(iters); seed++ {
-			res, err := RunPartition(PartitionConfig{Protocol: proto, Seed: seed, Fault: faultDeviceCrash})
-			if err != nil {
-				t.Fatalf("%s seed %d: %v", proto, seed, err)
-			}
-			if !res.Fired {
-				continue
-			}
-			fired++
-			if res.Acked[res.Target] != 60 {
-				t.Fatalf("%s seed %d: readmitted partition %d acked %d/60", proto, seed, res.Target, res.Acked[res.Target])
-			}
-			if res.Reboot.CheckpointLoaded {
-				ckpt++
-			}
-		}
-		if fired < iters/2 {
-			t.Fatalf("%s: only %d/%d seeds fired the fault", proto, fired, iters)
-		}
-		t.Logf("%s: fired %d/%d, %d rebooted from a post-readmission checkpoint", proto, fired, iters, ckpt)
+		res := partitionFaults(t, proto, true)
+		t.Logf("%d/%d rebooted from a checkpoint", count(res, func(r Round) bool { return r.Recovery.CheckpointLoaded }), len(res))
 	})
 }
 
-// TestPartitionFaultNoFaultControl is the negative control: without a fault
-// every partition completes every transaction.
+// TestPartitionFaultNoFaultControl is the control: without a fault every
+// partition completes every transaction.
 func TestPartitionFaultNoFaultControl(t *testing.T) {
 	forPartitionProtocols(t, func(t *testing.T, proto string) {
-		res, err := RunPartition(PartitionConfig{Protocol: proto, Seed: 99, Fault: faultNone})
+		res, err := Run(partitionCell(proto, false, FaultNone, 99))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for p, a := range res.Acked {
-			if a != 60 {
-				t.Fatalf("%s: partition %d acked %d/60", proto, p, a)
-			}
+		if r := res.Rounds[0]; r.Acked != 4*txnsPerWorker {
+			t.Fatalf("acked %d/%d", r.Acked, 4*txnsPerWorker)
 		}
 	})
 }
 
-// TestPartitionCrashSeeds sweeps the process-crash arms: a sliced checkpoint
-// generation mid-run, a full-process crash, per-partition slice + own-tail
-// recovery — clean, and with one partition's newest slice corrupted, which
-// must never load silently: recovery reports a fallback and still reaches the
-// exact committed state.
+// TestPartitionCrashSeeds: a process crash after sliced checkpoints recovers
+// each partition from its own slice plus its own stream tail — cleanly, and
+// with one partition's newest slice corrupt, which must never load silently.
 func TestPartitionCrashSeeds(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
 	forPartitionProtocols(t, func(t *testing.T, proto string) {
-		for seed := uint64(1); seed <= uint64(partitionSeeds(2)); seed++ {
-			res, err := RunPartition(PartitionConfig{Protocol: proto, Seed: seed, Fault: faultCrash})
+		for seed := uint64(1); seed <= uint64(seeds(2, 1)); seed++ {
+			res, err := Run(partitionCell(proto, true, FaultNone, seed))
 			if err != nil {
-				t.Fatalf("%s seed %d: %v", proto, seed, err)
+				t.Fatal(err)
 			}
-			if res.Reboot.CheckpointFallbacks != 0 || !res.Reboot.CheckpointLoaded {
-				t.Fatalf("%s seed %d: clean recovery: %+v, want the sliced checkpoint loaded without fallbacks", proto, seed, res.Reboot)
+			if r := res.Rounds[0].Recovery; r.CheckpointFallbacks != 0 || !r.CheckpointLoaded {
+				t.Fatalf("seed %d: want the sliced checkpoint loaded without fallbacks: %+v", seed, r)
 			}
-			res, err = RunPartition(PartitionConfig{Protocol: proto, Seed: seed, Fault: faultCrashCorrupt})
-			if err != nil {
-				t.Fatalf("%s seed %d corrupt slice: %v", proto, seed, err)
+			if res, err = Run(partitionCell(proto, true, FaultCorruptSlice, seed)); err != nil {
+				t.Fatal(err)
 			}
-			if res.Reboot.CheckpointFallbacks == 0 {
-				t.Fatalf("%s seed %d: corrupt slice produced no fallback", proto, seed)
+			if res.Rounds[0].Recovery.CheckpointFallbacks == 0 {
+				t.Fatalf("seed %d: corrupt slice produced no fallback", seed)
 			}
 		}
 	})
