@@ -2,6 +2,7 @@ package index
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"next700/internal/storage"
 )
@@ -81,9 +82,8 @@ type BTree struct {
 	// crabbing protocol: holding meta prevents the root from changing.
 	meta sync.RWMutex
 	root *node
-	// count tracks Len, maintained under its own mutex.
-	countMu sync.Mutex
-	count   int
+	// count tracks Len.
+	count atomic.Int64
 }
 
 // NewBTree creates an empty tree.
@@ -95,17 +95,7 @@ func NewBTree(name string) *BTree {
 func (t *BTree) Name() string { return t.name }
 
 // Len implements Index.
-func (t *BTree) Len() int {
-	t.countMu.Lock()
-	defer t.countMu.Unlock()
-	return t.count
-}
-
-func (t *BTree) addCount(d int) {
-	t.countMu.Lock()
-	t.count += d
-	t.countMu.Unlock()
-}
+func (t *BTree) Len() int { return int(t.count.Load()) }
 
 // descendRead crabs read latches from the root to the leaf covering key and
 // returns that leaf still read-latched.
@@ -191,7 +181,7 @@ func (t *BTree) Insert(key uint64, rid storage.RecordID) (storage.RecordID, bool
 	copy(n.rids[i+1:], n.rids[i:])
 	n.keys[i] = key
 	n.rids[i] = rid
-	t.addCount(1)
+	t.count.Add(1)
 
 	if len(n.keys) <= btreeOrder {
 		n.mu.Unlock()
@@ -313,7 +303,7 @@ func (t *BTree) Delete(key uint64) bool {
 	n.keys = n.keys[:len(n.keys)-1]
 	n.rids = n.rids[:len(n.rids)-1]
 	n.mu.Unlock()
-	t.addCount(-1)
+	t.count.Add(-1)
 	return true
 }
 

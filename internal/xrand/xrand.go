@@ -161,6 +161,9 @@ type Zipf struct {
 	zetan float64
 	eta   float64
 	half  float64 // zeta(2, theta)
+	// one is the bound on u*zetan below which a draw is rank 1:
+	// 1 + 0.5^theta, computed once rather than on every draw.
+	one float64
 }
 
 // NewZipf constructs a Zipfian generator over [0, n) with skew theta.
@@ -176,6 +179,7 @@ func NewZipf(rng *RNG, n uint64, theta float64) *Zipf {
 	z.zetan = zeta(n, theta)
 	z.half = zeta(2, theta)
 	z.alpha = 1.0 / (1.0 - theta)
+	z.one = 1.0 + math.Pow(0.5, theta)
 	z.eta = (1 - math.Pow(2.0/float64(n), 1-theta)) / (1 - z.half/z.zetan)
 	return z
 }
@@ -197,7 +201,7 @@ func (z *Zipf) Next() uint64 {
 	if uz < 1.0 {
 		return 0
 	}
-	if uz < 1.0+math.Pow(0.5, z.theta) {
+	if uz < z.one {
 		return 1
 	}
 	v := uint64(float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))
