@@ -1,250 +1,16 @@
-// Benchmarks: one target per experiment in DESIGN.md's per-experiment
-// index (E1..E14). Each exercises a representative cell of its experiment
-// through the public API; the full parameter sweeps are regenerated by
-// cmd/next700-sweep. Custom metrics: txn/s (committed throughput) and
-// abort/txn (aborts per attempt).
+// Micro-benchmarks of the engine's building blocks through the public API,
+// for profiling. The evaluation suite (DESIGN.md's per-experiment index,
+// E1–E15) is not here: each experiment is a sweep of next700-bench
+// (`next700-bench -sweep e1,e2,…`), with its expected shape as named checks.
 package next700_test
 
 import (
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 
 	"next700"
-	"next700/bench"
-	"next700/simulate"
 )
 
-// benchWorkload drives b.N transactions across threads workers and reports
-// throughput and abort metrics.
-func benchWorkload(b *testing.B, cfg bench.EngineConfig, wl bench.Workload) {
-	b.Helper()
-	res, err := bench.Run(cfg, wl, bench.RunOptions{
-		Threads:       cfg.Threads,
-		TxnsPerWorker: (b.N + cfg.Threads - 1) / cfg.Threads,
-		Seed:          42,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(res.Tps, "txn/s")
-	b.ReportMetric(res.AbortRate, "abort/txn")
-}
-
-// ycsbBench builds a standard YCSB cell. Contended cells (theta > 0)
-// interleave operations so conflicts materialize on few-core hosts (see
-// YCSBConfig.InterleaveOps).
-func ycsbBench(threads int, theta, readRatio, multiP float64) (bench.EngineConfig, bench.Workload) {
-	return bench.EngineConfig{Threads: threads, Partitions: threads},
-		bench.NewYCSB(bench.YCSBConfig{
-			Records: 64 * 1024, OpsPerTxn: 16,
-			ReadRatio: readRatio, Theta: theta, MultiPartitionFraction: multiP,
-			InterleaveOps: theta > 0,
-		})
-}
-
-// E1: thread scalability, low contention.
-func BenchmarkE1_YCSBLowContention(b *testing.B) {
-	for _, proto := range next700.Protocols() {
-		b.Run(proto, func(b *testing.B) {
-			cfg, wl := ycsbBench(4, 0, 0.95, 0)
-			cfg.Protocol = proto
-			benchWorkload(b, cfg, wl)
-		})
-	}
-}
-
-// E2: high contention.
-func BenchmarkE2_YCSBContention(b *testing.B) {
-	for _, proto := range next700.Protocols() {
-		b.Run(proto, func(b *testing.B) {
-			cfg, wl := ycsbBench(8, 0.9, 0.5, 0)
-			cfg.Protocol = proto
-			benchWorkload(b, cfg, wl)
-		})
-	}
-}
-
-// E3: abort rates under extreme skew (watch the abort/txn metric).
-func BenchmarkE3_AbortRates(b *testing.B) {
-	for _, proto := range []string{next700.NoWait, next700.Silo, next700.Timestamp, next700.TicToc} {
-		b.Run(proto, func(b *testing.B) {
-			cfg, wl := ycsbBench(8, 0.99, 0.5, 0)
-			cfg.Protocol = proto
-			benchWorkload(b, cfg, wl)
-		})
-	}
-}
-
-// E4: read-mix endpoints.
-func BenchmarkE4_ReadMix(b *testing.B) {
-	for _, mix := range []struct {
-		name  string
-		reads float64
-	}{{"writeheavy", 0.1}, {"readheavy", 0.9}} {
-		b.Run(mix.name, func(b *testing.B) {
-			for _, proto := range []string{next700.NoWait, next700.MVCC, next700.Silo} {
-				b.Run(proto, func(b *testing.B) {
-					cfg, wl := ycsbBench(8, 0.8, mix.reads, 0)
-					cfg.Protocol = proto
-					benchWorkload(b, cfg, wl)
-				})
-			}
-		})
-	}
-}
-
-func tpccBench(proto string, warehouses, threads int) (bench.EngineConfig, bench.Workload) {
-	return bench.EngineConfig{Protocol: proto, Threads: threads, Partitions: warehouses},
-		bench.NewTPCC(bench.TPCCConfig{
-			Warehouses: warehouses, DistrictsPerWarehouse: 10,
-			CustomersPerDistrict: 300, Items: 1000,
-		})
-}
-
-// E5: TPC-C full mix.
-func BenchmarkE5_TPCC(b *testing.B) {
-	for _, proto := range next700.Protocols() {
-		b.Run(proto, func(b *testing.B) {
-			cfg, wl := tpccBench(proto, 4, 4)
-			benchWorkload(b, cfg, wl)
-		})
-	}
-}
-
-// E6: TPC-C with more threads than warehouses (contention regime).
-func BenchmarkE6_TPCCScale(b *testing.B) {
-	for _, proto := range []string{next700.NoWait, next700.Silo, next700.MVCC, next700.HStore} {
-		b.Run(proto, func(b *testing.B) {
-			cfg, wl := tpccBench(proto, 2, 8)
-			benchWorkload(b, cfg, wl)
-		})
-	}
-}
-
-// benchSim runs the simulator with a horizon scaled by b.N.
-func benchSim(b *testing.B, cfg simulate.Config) {
-	b.Helper()
-	cfg.Horizon = uint64(b.N) * 2000
-	if cfg.Horizon < 100_000 {
-		cfg.Horizon = 100_000
-	}
-	res, err := simulate.Run(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(res.Throughput, "txn/Mcyc")
-	b.ReportMetric(res.AbortRate, "abort/txn")
-	b.ReportMetric(float64(res.Latency.P99), "p99cyc")
-}
-
-// E7: simulated many-core scalability (representative 256-core cell).
-func BenchmarkE7_ManyCore(b *testing.B) {
-	for _, proto := range next700.Protocols() {
-		b.Run(proto, func(b *testing.B) {
-			benchSim(b, simulate.Config{
-				Protocol: proto, Cores: 256, Records: 1 << 16, Theta: 0.6,
-				OpsPerTxn: 16, WriteRatio: 0.5, Partitions: 256,
-			})
-		})
-	}
-}
-
-// E8: logging modes.
-func BenchmarkE8_Logging(b *testing.B) {
-	dir := b.TempDir()
-	for _, mode := range []struct {
-		name string
-		mode next700.LogMode
-	}{{"none", next700.LogNone}, {"value", next700.LogValue}, {"command", next700.LogCommand}} {
-		b.Run(mode.name, func(b *testing.B) {
-			cfg := bench.EngineConfig{Protocol: next700.NoWait, Threads: 4, LogMode: mode.mode}
-			if mode.mode != next700.LogNone {
-				cfg.LogPath = filepath.Join(dir, "bench-"+mode.name+".log")
-				defer os.Remove(cfg.LogPath)
-			}
-			wl := bench.NewYCSB(bench.YCSBConfig{
-				Records: 64 * 1024, OpsPerTxn: 8, ReadRatio: 0.5, Theta: 0.4,
-			})
-			benchWorkload(b, cfg, wl)
-		})
-	}
-}
-
-// E9: simulated tail latency (p99cyc metric).
-func BenchmarkE9_TailLatency(b *testing.B) {
-	for _, proto := range []string{next700.WaitDie, next700.NoWait, next700.Silo, next700.TicToc} {
-		b.Run(proto, func(b *testing.B) {
-			benchSim(b, simulate.Config{
-				Protocol: proto, Cores: 64, Records: 1 << 14, Theta: 0.9,
-				OpsPerTxn: 16, WriteRatio: 0.5, Partitions: 64,
-			})
-		})
-	}
-}
-
-// E10: multi-partition fractions on HSTORE vs SILO.
-func BenchmarkE10_MultiPartition(b *testing.B) {
-	for _, mp := range []struct {
-		name string
-		frac float64
-	}{{"mp0", 0}, {"mp20", 0.2}} {
-		b.Run(mp.name, func(b *testing.B) {
-			for _, proto := range []string{next700.HStore, next700.Silo} {
-				b.Run(proto, func(b *testing.B) {
-					cfg, wl := ycsbBench(8, 0, 0.5, mp.frac)
-					cfg.Protocol = proto
-					benchWorkload(b, cfg, wl)
-				})
-			}
-		})
-	}
-}
-
-// E11: DORA-style execution is exercised through the sweep (it uses the
-// partition executor directly); the bench target measures the
-// thread-to-transaction side it is compared against.
-func BenchmarkE11_DORA(b *testing.B) {
-	for _, proto := range []string{next700.NoWait, next700.Silo} {
-		b.Run("t2t/"+proto, func(b *testing.B) {
-			cfg, wl := ycsbBench(8, 0.95, 0, 0)
-			cfg.Protocol = proto
-			benchWorkload(b, cfg, wl)
-		})
-	}
-}
-
-// E12: index ablation.
-func BenchmarkE12_Index(b *testing.B) {
-	for _, idx := range []struct {
-		name string
-		scan float64
-	}{{"hash_points", 0}, {"btree_points", 0.000001}, {"btree_scans", 0.3}} {
-		b.Run(idx.name, func(b *testing.B) {
-			cfg := bench.EngineConfig{Protocol: next700.Silo, Threads: 4}
-			wl := bench.NewYCSB(bench.YCSBConfig{
-				Records: 64 * 1024, OpsPerTxn: 8, ReadRatio: 0.8,
-				Theta: 0.4, ScanFraction: idx.scan, ScanLength: 50,
-			})
-			benchWorkload(b, cfg, wl)
-		})
-	}
-}
-
-// E14: MVCC isolation levels.
-func BenchmarkE14_Isolation(b *testing.B) {
-	for _, iso := range []string{next700.Serializable, next700.Snapshot, next700.ReadCommitted} {
-		b.Run(iso, func(b *testing.B) {
-			cfg, wl := ycsbBench(8, 0.9, 0.5, 0)
-			cfg.Protocol = next700.MVCC
-			cfg.Isolation = iso
-			benchWorkload(b, cfg, wl)
-		})
-	}
-}
-
-// Micro-benchmarks of the engine's building blocks, for profiling.
 func BenchmarkMicroReadTxn(b *testing.B) {
 	db, err := next700.Open(next700.Options{Protocol: next700.Silo})
 	if err != nil {
@@ -336,29 +102,6 @@ func BenchmarkMicroContendedCounter(b *testing.B) {
 				}(w)
 			}
 			wg.Wait()
-		})
-	}
-}
-
-// E15 (extension): HTAP — scan-heavy transactions concurrent with updates.
-// The sweep's E15 measures a dedicated scanner thread; this target measures
-// the mixed-workload cell per protocol.
-func BenchmarkE15_HTAP(b *testing.B) {
-	for _, cfg := range []struct {
-		name, proto, iso string
-	}{
-		{"MVCC_snapshot", next700.MVCC, next700.Snapshot},
-		{"MVCC_serializable", next700.MVCC, next700.Serializable},
-		{"NO_WAIT", next700.NoWait, ""},
-		{"TICTOC", next700.TicToc, ""},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			ec := bench.EngineConfig{Protocol: cfg.proto, Threads: 4, Isolation: cfg.iso}
-			wl := bench.NewYCSB(bench.YCSBConfig{
-				Records: 32 * 1024, OpsPerTxn: 8, ReadRatio: 0.5,
-				Theta: 0.6, ScanFraction: 0.1, ScanLength: 400,
-			})
-			benchWorkload(b, ec, wl)
 		})
 	}
 }

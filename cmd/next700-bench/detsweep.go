@@ -17,7 +17,8 @@ import (
 // workload configuration interactively for -duration each. Both sides go
 // through the one closed-loop driver, so a row differs from the next in its
 // executor and nothing else.
-func detSweep(c common, batch int, theta float64) sweep {
+func detSweep(c common) sweep {
+	batch, theta := c.detBatch, c.theta
 	if c.Threads <= 0 {
 		c.Threads = 4
 	}

@@ -6,14 +6,20 @@
 //	next700-bench -workload ycsb -protocol SILO -threads 8 -theta 0.8 -duration 2s
 //	next700-bench -workload tpcc -protocol NO_WAIT -warehouses 4 -threads 4
 //	next700-bench -workload smallbank -protocol MVCC -isolation snapshot
-//	next700-bench -verify
+//	next700-bench -sweep verify -isolation snapshot
+//	next700-bench -sweep e1,e2 -quick -duration 100ms
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"runtime/pprof"
+	"runtime/trace"
+	"sync"
 	"time"
 
 	"next700/internal/admission"
@@ -56,9 +62,8 @@ func main() {
 		accounts = flag.Uint64("accounts", 100000, "smallbank: account count")
 		hotspot  = flag.Float64("hotspot", 0.25, "smallbank: hotspot access probability")
 
-		doVerify = flag.Bool("verify", false, "run a contended isolation-anomaly sweep across all protocols and exit: each protocol drives the stamped verification probe and its recorded history is checked for Adya anomalies (G0/G1/G2); honors -threads, -seed, and -isolation")
-		allocs   = flag.Bool("allocs", false, "measure heap allocs/txn and bytes/txn during the run (any mode: closed or -rate, interactive or -det) and append a row to the allocs report")
-		out      = flag.String("out", "", "output path for the JSON report of a sweep or of -allocs (default BENCH_<sweep>.json: wal, det, overload, partition, recovery, allocs)")
+		allocs = flag.Bool("allocs", false, "measure heap allocs/txn and bytes/txn during the run (any mode: closed or -rate, interactive or -det) and append a row to the allocs report")
+		out    = flag.String("out", "", "output path for the JSON report of one -sweep or of -allocs (default BENCH_<sweep>.json)")
 
 		// Retry/backoff policy (0 keeps the engine default).
 		retryAttempts = flag.Int("retry-attempts", 0, "max attempts per txn before livelock error")
@@ -85,23 +90,18 @@ func main() {
 		queueCoDelTarget   = flag.Duration("queue-codel-target", 0, "open-loop queue: CoDel head-age target; sustained excess evicts the oldest arrivals at enqueue (0 = off)")
 		queueCoDelInterval = flag.Duration("queue-codel-interval", 0, "open-loop queue: CoDel tolerance interval before dropping starts (default 100ms)")
 
-		doOverload = flag.Bool("overload", false, "run the overload sweep and exit: measure closed-loop capacity, then offer 1x/2x/3x that rate open-loop, unprotected vs deadline+admission")
-
-		doWALSweep = flag.Bool("wal-sweep", false, "run the parallel-WAL scaling sweep and exit: SILO + value logging on a bandwidth-limited simulated device at 1/2/4 streams")
-
 		// Deterministic (queue-oriented) execution.
-		doDet      = flag.Bool("det", false, "run a deterministic queue-oriented measurement: the sequencer plans seeded batches of declared access sets, per-partition executors drain priority queues abort-free, and the run prints the canonical state digest; honors -rate (batch-arrival open loop), -duration, -theta, -allocs")
-		detBatch   = flag.Int("det-batch", 64, "deterministic mode: transactions sequenced per batch (each batch commits as one WAL epoch)")
-		doDetSweep = flag.Bool("det-sweep", false, "run the deterministic-vs-interactive contention sweep and exit: DET (run twice, digests must match) vs NO_WAIT/SILO/MVCC on high-Zipfian YCSB, comparing goodput, abort rate, and tail latency")
+		doDet    = flag.Bool("det", false, "run a deterministic queue-oriented measurement: the sequencer plans seeded batches of declared access sets, per-partition executors drain priority queues abort-free, and the run prints the canonical state digest; honors -rate (batch-arrival open loop), -duration, -theta, -allocs")
+		detBatch = flag.Int("det-batch", 64, "deterministic mode: transactions sequenced per batch (each batch commits as one WAL epoch)")
 
-		// Checkpointing / bounded recovery.
-		doPartSweep = flag.Bool("partition-sweep", false, "run the partition-fault sweep and exit: on a partition-affinity WAL engine, measure healthy goodput, quarantine one partition and measure surviving-partition goodput plus terminal abort classification, then compare live single-partition recovery against whole-engine store recovery of the same history")
+		// Sweeps: named grids of runs, each with its checks and one report.
+		sweepList = flag.String("sweep", "", "run these sweeps (comma-separated) and exit, each writing BENCH_<name>.json: wal (parallel-WAL scaling), det (deterministic vs interactive), overload (open loop, unprotected vs deadline+admission), partition (partition-fault isolation), recovery (checkpoint interval vs recovery time), verify (Adya anomalies of every protocol under -isolation), and the experiments e1,e2,e4..e12,e14,e15 (EXPERIMENTS.md)")
+		quick     = flag.Bool("quick", false, "experiment sweeps: small data scale (YCSB records, TPC-C size, E7's core list); run length, warm-up and seed stay -duration, -warmup and -seed")
 
-		doRecoverSweep = flag.Bool("recover-sweep", false, "run the checkpoint-interval recovery sweep and exit: build the same transaction history with checkpoints every {never, 16N, 4N, N} commits, crash-attach each store, and measure store-based recovery time vs full-log replay")
-		recoverTxns    = flag.Int("recover-txns", 0, "recover-sweep: total committed transactions of history per point (default 125000)")
-		ckptDir        = flag.String("ckpt-dir", "", "recover-sweep: checkpoint store scratch directory (default: a temp dir, removed afterwards)")
-		ckptEvery      = flag.Int("ckpt-every", 0, "recover-sweep: finest checkpoint interval N in commits (default 2000)")
-		ckptKeep       = flag.Int("ckpt-keep", 0, "recover-sweep: checkpoint generations to retain (default 2)")
+		recoverTxns = flag.Int("recover-txns", 0, "recovery sweep: total committed transactions of history per point (default 125000)")
+		ckptDir     = flag.String("ckpt-dir", "", "recovery sweep: checkpoint store scratch directory (default: a temp dir, removed afterwards)")
+		ckptEvery   = flag.Int("ckpt-every", 0, "recovery sweep: finest checkpoint interval N in commits (default 2000)")
+		ckptKeep    = flag.Int("ckpt-keep", 0, "recovery sweep: checkpoint generations to retain (default 2)")
 
 		// Runtime profiles of whatever the other flags select.
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
@@ -110,43 +110,20 @@ func main() {
 	)
 	flag.Parse()
 
-	stop, err := harness.StartProfiles(*cpuProfile, *memProfile, *execTrace)
+	err := startProfiles(*cpuProfile, *memProfile, *execTrace)
 	if err != nil {
 		fatal("profiles: %v", err)
 	}
-	stopProfiles = stop
 	defer stopProfiles()
 
-	c := common{Threads: *threads, Duration: *duration, Warmup: *warmup, Seed: *seed}
-	runSweepOrDie := func(sw sweep) {
-		if err := runSweep(os.Stdout, *out, sw); err != nil {
+	var picked []func(common) sweep
+	if *sweepList != "" {
+		if picked, err = selectSweeps(*sweepList, *out); err != nil {
 			fatal("%v", err)
 		}
 	}
-	if *doWALSweep {
-		runSweepOrDie(walSweep(c))
-		return
-	}
-	if *doDetSweep {
-		runSweepOrDie(detSweep(c, *detBatch, *theta))
-		return
-	}
-	if *doPartSweep {
-		runSweepOrDie(partitionSweep(c, *partitions))
-		return
-	}
-	if *doRecoverSweep {
-		runSweepOrDie(recoverSweep(c, recoverSweepOpts{
-			Txns: *recoverTxns, Every: *ckptEvery, Keep: *ckptKeep, Streams: *walStreams, Dir: *ckptDir,
-		}))
-		return
-	}
 	if *tortureN > 0 {
 		runTorture(*protocol, *tortureN, *seed)
-		return
-	}
-	if *doVerify {
-		runVerifySweep(*isolation, *threads, *seed)
 		return
 	}
 
@@ -172,24 +149,11 @@ func main() {
 		if *walStreams < 1 {
 			fatal("-wal-streams must be >= 1")
 		}
-		devs := make([]wal.Device, *walStreams)
-		for i := range devs {
-			f, err := os.OpenFile(fmt.Sprintf("%s.%d", *logPath, i),
-				os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-			if err != nil {
-				fatal("open log stream %d: %v", i, err)
-			}
-			defer f.Close()
-			devs[i] = f
-		}
-		mf, err := os.Create(*logPath + ".manifest.json")
+		devs, closeLog, err := openLog(*logPath, *walStreams, *logMode)
 		if err != nil {
-			fatal("create manifest: %v", err)
+			fatal("open log: %v", err)
 		}
-		if err := wal.WriteManifest(mf, wal.Manifest{Streams: *walStreams, Mode: *logMode}); err != nil {
-			fatal("write manifest: %v", err)
-		}
-		mf.Close()
+		defer closeLog()
 		cfg.LogDevices = devs
 	}
 
@@ -220,8 +184,27 @@ func main() {
 		fatal("unknown -workload %q", *wlName)
 	}
 
-	if *doOverload {
-		runSweepOrDie(overloadSweep(c, cfg, newWorkload, *slo))
+	if picked != nil {
+		a := common{
+			Threads: *threads, Duration: *duration, Warmup: *warmup, Seed: *seed,
+			quick: *quick, partitions: *partitions, detBatch: *detBatch, theta: *theta,
+			recover: recoverSweepOpts{
+				Txns: *recoverTxns, Every: *ckptEvery, Keep: *ckptKeep, Streams: *walStreams, Dir: *ckptDir,
+			},
+			cfg: cfg, newWorkload: newWorkload, slo: *slo,
+		}
+		// Every named sweep runs and writes its report; a failed one fails
+		// the invocation at the end.
+		failed := 0
+		for _, build := range picked {
+			if err := runSweep(os.Stdout, *out, build(a)); err != nil {
+				fmt.Fprintf(os.Stderr, "next700-bench: %v\n", err)
+				failed++
+			}
+		}
+		if failed > 0 {
+			fatal("%d of %d sweeps failed", failed, len(picked))
+		}
 		return
 	}
 
@@ -279,10 +262,19 @@ func main() {
 		if cfg.LogMode == wal.ModeNone {
 			fatal("-recover requires -log value|command")
 		}
-		printRecovery(cfg, newWorkload(), *logPath)
+		st, took, err := recoverLog(cfg, newWorkload(), *logPath)
+		if err != nil {
+			fatal("recover: %v", err)
+		}
+		fmt.Printf("  recovery: records=%d entries=%d skipped=%d procs=%d bytes=%d torn_bytes=%d corrupt_tail=%d in %v\n",
+			st.Records, st.Entries, st.Skipped, st.Procs, st.Bytes, st.TornBytes, st.CorruptTailRecords, took.Round(time.Millisecond))
+		fmt.Printf("  recovery: streams=%d frontier_epoch=%d truncated=%d appliers=%d\n",
+			st.Streams, st.FrontierEpoch, st.TruncatedRecords, st.Appliers)
 	}
 	if *allocs {
-		runSweepOrDie(allocsSweep(*wlName, engine, res))
+		if err := runSweep(os.Stdout, *out, allocsSweep(*wlName, engine, res)); err != nil {
+			fatal("%v", err)
+		}
 	}
 }
 
@@ -307,47 +299,37 @@ func allocsSweep(wlName, engine string, res harness.Result) sweep {
 	}
 }
 
-// runVerifySweep drives the stamped verification probe under contention on
-// every protocol and prints per-protocol anomaly counts. Any anomaly under
-// the default (serializable) isolation is fatal; sweeping with
-// -isolation snapshot is the way to watch MVCC legitimately admit write
-// skew (G2).
-func runVerifySweep(isolation string, threads int, seed uint64) {
-	if threads <= 0 {
-		threads = 4
-	}
+// verifySweep drives the stamped verification probe under contention on
+// every protocol and checks each recorded history for Adya anomalies
+// (G0/G1/G2). Any anomaly fails the run; -isolation snapshot is the way to
+// watch MVCC legitimately admit write skew (G2).
+func verifySweep(a common) sweep {
 	const txnsPerWorker = 400
-	fmt.Printf("next700-bench: isolation-anomaly sweep, %d threads × %d txns, 16 keys\n",
-		threads, txnsPerWorker)
-	anomalous := false
-	for _, protocol := range cc.Names() {
-		probe := verify.NewProbe(verify.ProbeConfig{Keys: 16, MinOps: 2, MaxOps: 4})
-		res, err := harness.Run(
-			core.Config{Protocol: protocol, Threads: threads, Isolation: isolation},
-			probe,
-			harness.RunOptions{TxnsPerWorker: txnsPerWorker, Verify: true, Seed: seed},
-		)
-		if err != nil {
-			fatal("verify %s: %v", protocol, err)
-		}
-		rep := res.Verification
-		fmt.Printf("  %-10s txns=%-6d aborted_attempts=%-6d edges=%-8d anomalies=%d\n",
-			protocol, rep.Txns, rep.AbortedTxns, rep.Edges, len(rep.Anomalies))
-		for i, a := range rep.Anomalies {
-			if i >= 3 {
-				fmt.Printf("    ... and %d more\n", len(rep.Anomalies)-i)
-				break
+	iso, threads := a.cfg.Isolation, max(a.Threads, 1)
+	var found []string
+	return gridSweep("verify", fmt.Sprintf("isolation-anomaly sweep, %d threads × %d txns, 16 keys", threads, txnsPerWorker),
+		[2]string{"protocol", "threads"}, cc.Names(), []float64{float64(threads)},
+		map[string]interface{}{"isolation": iso, "txns_per_worker": txnsPerWorker, "keys": 16},
+		[]string{"txns", "aborted_attempts", "edges", "anomalies"},
+		func(p string, _ float64) (map[string]metric, error) {
+			res, err := harness.Run(core.Config{Protocol: p, Threads: threads, Isolation: iso},
+				verify.NewProbe(verify.ProbeConfig{Keys: 16, MinOps: 2, MaxOps: 4}),
+				harness.RunOptions{TxnsPerWorker: txnsPerWorker, Verify: true, Seed: a.Seed})
+			if err != nil {
+				return nil, err
 			}
-			fmt.Printf("    %s\n", a)
-		}
-		if !rep.Ok() {
-			anomalous = true
-		}
-	}
-	if anomalous {
-		fatal("isolation anomalies detected")
-	}
-	fmt.Println("  verify: all protocols anomaly-free")
+			rep := res.Verification
+			for _, an := range rep.Anomalies[:min(len(rep.Anomalies), 3)] {
+				found = append(found, fmt.Sprintf("%s: %s", p, an))
+			}
+			return map[string]metric{
+				"txns": count(uint64(rep.Txns)), "aborted_attempts": count(uint64(rep.AbortedTxns)),
+				"edges": count(uint64(rep.Edges)), "anomalies": count(uint64(len(rep.Anomalies))),
+			}, nil
+		},
+		func(s *sweepRun, _ cells) {
+			s.check("anomaly_free", len(found) == 0, "the first anomalies of each protocol: %v", found)
+		})
 }
 
 // runTorture executes the seeded crash-recovery torture cell (one stream,
@@ -382,52 +364,69 @@ func runTorture(protocol string, iters int, seed uint64) {
 	}
 }
 
-// printRecovery replays the just-written log into a fresh engine (same
-// deterministic workload load) and prints what recovery saw, including the
-// damage accounting for torn tails and CRC-corrupt final records: it pairs
-// the manifest with the per-stream files and merges them by epoch.
-func printRecovery(cfg core.Config, wl workload.Workload, logPath string) {
-	// The replay engine's own log is irrelevant: run it one-stream into a
-	// discard device regardless of how the recovered log was sharded.
-	cfg.LogDevice = discardDevice{}
-	cfg.WALStreams = 0
-	cfg.LogDevices = nil
+// openLog creates the log at the -logpath prefix path: stream i is the file
+// <path>.<i>, and <path>.manifest.json pairs them for recovery.
+func openLog(path string, streams int, mode string) ([]wal.Device, func(), error) {
+	var files []*os.File
+	closeLog := func() {
+		for _, f := range files {
+			f.Close()
+		}
+	}
+	mf, err := os.Create(path + ".manifest.json")
+	if err != nil {
+		return nil, nil, err
+	}
+	err = errors.Join(wal.WriteManifest(mf, wal.Manifest{Streams: streams, Mode: mode}), mf.Close())
+	devs := make([]wal.Device, streams)
+	for i := 0; i < streams && err == nil; i++ {
+		var f *os.File
+		if f, err = os.OpenFile(fmt.Sprintf("%s.%d", path, i), os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644); err == nil {
+			files, devs[i] = append(files, f), f
+		}
+	}
+	if err != nil {
+		closeLog()
+		return nil, nil, err
+	}
+	return devs, closeLog, nil
+}
+
+// recoverLog replays the log openLog made at path into a fresh engine for
+// cfg loaded with wl (the same deterministic load), merging the manifest's
+// streams by epoch. The time is the replay's alone.
+func recoverLog(cfg core.Config, wl workload.Workload, path string) (st core.RecoveryStats, took time.Duration, err error) {
+	mf, err := os.Open(path + ".manifest.json")
+	if err != nil {
+		return st, 0, err
+	}
+	defer mf.Close()
+	m, err := wal.ReadManifest(mf)
+	readers := make([]io.Reader, m.Streams)
+	for i := 0; i < m.Streams && err == nil; i++ {
+		var lf *os.File
+		if lf, err = os.Open(fmt.Sprintf("%s.%d", path, i)); err == nil {
+			defer lf.Close()
+			readers[i] = lf
+		}
+	}
+	if err != nil {
+		return st, 0, err
+	}
+	// The replay engine's own log is irrelevant: one stream into a discard
+	// device, however the recovered log was sharded.
+	cfg.LogDevice, cfg.WALStreams, cfg.LogDevices = discardDevice{}, 0, nil
 	e, err := core.Open(cfg)
 	if err != nil {
-		fatal("recover open: %v", err)
+		return st, 0, err
 	}
 	defer e.Close()
 	if err := wl.Setup(e); err != nil {
-		fatal("recover setup: %v", err)
+		return st, 0, err
 	}
 	t0 := time.Now()
-	mf, err := os.Open(logPath + ".manifest.json")
-	if err != nil {
-		fatal("recover: %v", err)
-	}
-	m, err := wal.ReadManifest(mf)
-	mf.Close()
-	if err != nil {
-		fatal("recover: %v", err)
-	}
-	readers := make([]io.Reader, m.Streams)
-	for i := range readers {
-		lf, err := os.Open(fmt.Sprintf("%s.%d", logPath, i))
-		if err != nil {
-			fatal("recover stream %d: %v", i, err)
-		}
-		defer lf.Close()
-		readers[i] = lf
-	}
-	st, err := e.RecoverStreams(readers)
-	if err != nil {
-		fatal("recover: %v", err)
-	}
-	fmt.Printf("  recovery: records=%d entries=%d skipped=%d procs=%d bytes=%d torn_bytes=%d corrupt_tail=%d in %v\n",
-		st.Records, st.Entries, st.Skipped, st.Procs, st.Bytes, st.TornBytes, st.CorruptTailRecords,
-		time.Since(t0).Round(time.Millisecond))
-	fmt.Printf("  recovery: streams=%d frontier_epoch=%d truncated=%d appliers=%d\n",
-		st.Streams, st.FrontierEpoch, st.TruncatedRecords, st.Appliers)
+	st, err = e.RecoverStreams(readers)
+	return st, time.Since(t0), err
 }
 
 // discardDevice drops log writes (used by the recovery-side engine, whose
@@ -437,8 +436,57 @@ type discardDevice struct{}
 func (discardDevice) Write(p []byte) (int, error) { return len(p), nil }
 func (discardDevice) Sync() error                 { return nil }
 
-// stopProfiles finishes the profiles main started. main defers it; fatal
-// calls it because os.Exit runs no defers.
+// startProfiles starts the runtime profiles behind -cpuprofile, -memprofile
+// and -trace (an empty path leaves that one off) and sets stopProfiles to
+// finish them: it ends the CPU profile and the execution trace, writes the
+// heap profile after a GC (live memory, not garbage) and closes every file.
+// main defers stopProfiles and fatal calls it, because os.Exit runs no
+// defers; it does its work once. On error nothing is left running or open.
+func startProfiles(cpuPath, memPath, tracePath string) error {
+	var files []*os.File
+	var once sync.Once
+	stopProfiles = func() {
+		once.Do(func() {
+			pprof.StopCPUProfile()
+			trace.Stop()
+			for _, f := range files {
+				f.Close()
+			}
+			if memPath == "" {
+				return
+			}
+			f, err := os.Create(memPath)
+			if err == nil {
+				runtime.GC()
+				err = errors.Join(pprof.WriteHeapProfile(f), f.Close())
+			}
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
+			}
+		})
+	}
+	for _, p := range []struct {
+		path  string
+		start func(io.Writer) error
+	}{{cpuPath, pprof.StartCPUProfile}, {tracePath, trace.Start}} {
+		if p.path == "" {
+			continue
+		}
+		f, err := os.Create(p.path)
+		if err == nil {
+			files = append(files, f)
+			err = p.start(f)
+		}
+		if err != nil {
+			memPath = "" // a run that never started has no heap worth writing
+			stopProfiles()
+			return err
+		}
+	}
+	return nil
+}
+
+// stopProfiles finishes the profiles startProfiles started.
 var stopProfiles = func() {}
 
 func fatal(format string, args ...interface{}) {

@@ -5,9 +5,7 @@ import (
 	"time"
 
 	"next700/internal/admission"
-	"next700/internal/core"
 	"next700/internal/harness"
-	"next700/internal/workload"
 )
 
 // overloadSweep measures closed-loop capacity, then offers 1x/2x/3x that rate
@@ -28,7 +26,8 @@ import (
 // pool twice the capacity configuration so the admission semaphore (capped
 // at the measured-capacity concurrency) is a real constraint rather than a
 // no-op behind the pool size.
-func overloadSweep(c common, cfg core.Config, newWorkload func() workload.Workload, slo time.Duration) sweep {
+func overloadSweep(c common) sweep {
+	cfg, newWorkload, slo := c.cfg, c.newWorkload, c.slo
 	if slo <= 0 {
 		slo = 50 * time.Millisecond
 	}

@@ -46,8 +46,10 @@ const partSweepOpsPerTxn = 4
 
 // partitionSweep is one engine lifecycle reported as four rows — the healthy
 // and degraded goodput phases, then the two recoveries of the same history.
-// Of the common parameters it uses Duration (per measured phase) and Seed.
-func partitionSweep(c common, P int) sweep {
+// Of the common parameters it uses partitions, Duration (per measured
+// phase) and Seed.
+func partitionSweep(c common) sweep {
+	P := c.partitions
 	if P <= 1 {
 		P = 4
 	}

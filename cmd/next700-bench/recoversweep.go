@@ -37,7 +37,8 @@ type recoverSweepOpts struct {
 	Dir     string // checkpoint store scratch dir ("" = temp, removed after)
 }
 
-func recoverSweep(c common, o recoverSweepOpts) sweep {
+func recoverSweep(c common) sweep {
+	o := c.recover
 	if c.Threads <= 0 {
 		c.Threads = 4
 	}

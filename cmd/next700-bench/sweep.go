@@ -10,7 +10,9 @@ import (
 	"strings"
 	"time"
 
+	"next700/internal/core"
 	"next700/internal/harness"
+	"next700/internal/workload"
 )
 
 // Every sweep writes the same report: what was swept, the fixed parameters,
@@ -40,12 +42,52 @@ type check struct {
 	Detail string `json:"detail"`
 }
 
-// common are the parameters every sweep takes from the command line.
+// common is the command line as the sweeps see it: run length, warm-up and
+// seed for all of them, then what single sweeps take — the overload sweep
+// measures the engine and workload that the single-run flags describe.
 type common struct {
-	Threads  int
-	Duration time.Duration
-	Warmup   int
-	Seed     uint64
+	Threads     int
+	Duration    time.Duration
+	Warmup      int
+	Seed        uint64
+	quick       bool // the experiments' small data scale
+	partitions  int
+	detBatch    int
+	theta       float64
+	recover     recoverSweepOpts
+	cfg         core.Config
+	newWorkload func() workload.Workload
+	slo         time.Duration
+}
+
+// sweeps is -sweep's name table: every sweep this binary runs, by the name
+// of its report.
+var sweeps = map[string]func(common) sweep{
+	"wal": walSweep, "det": detSweep, "overload": overloadSweep, "partition": partitionSweep, "recovery": recoverSweep,
+	"verify": verifySweep, "e1": e1Sweep, "e2": e2Sweep, "e4": e4Sweep, "e5": e5Sweep, "e6": e6Sweep, "e7": e7Sweep,
+	"e8": e8Sweep, "e9": e9Sweep, "e10": e10Sweep, "e11": e11Sweep, "e12": e12Sweep, "e14": e14Sweep, "e15": e15Sweep,
+}
+
+// selectSweeps resolves -sweep's comma-separated names. -out names one
+// report, so it takes one sweep.
+func selectSweeps(names, out string) ([]func(common) sweep, error) {
+	var picked []func(common) sweep
+	for _, name := range strings.Split(names, ",") {
+		build, ok := sweeps[strings.TrimSpace(name)]
+		if !ok {
+			var known []string
+			for n := range sweeps {
+				known = append(known, n)
+			}
+			slices.Sort(known)
+			return nil, fmt.Errorf("unknown sweep %q; known: %s", name, strings.Join(known, ","))
+		}
+		picked = append(picked, build)
+	}
+	if out != "" && len(picked) > 1 {
+		return nil, fmt.Errorf("-out names one report, and -sweep %s names %d sweeps", names, len(picked))
+	}
+	return picked, nil
 }
 
 // sweep is one named experiment grid: its cells and checks are the run

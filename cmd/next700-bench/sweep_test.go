@@ -218,48 +218,91 @@ func readReport(t *testing.T, path string) report {
 	return rep
 }
 
-// TestSweepsSmoke runs each real sweep at its smallest scale and holds its
-// report to the one schema: the sweep's name, its axis names on every
-// table row, every cell present, and no failed check. Performance targets
-// may be missed at this scale; only checks gate.
+// TestSelectSweeps: -sweep resolves names against the one table; an unknown
+// name lists the known ones, and -out takes one sweep.
+func TestSelectSweeps(t *testing.T) {
+	for _, tc := range []struct {
+		names, out string
+		n          int
+		err        string
+	}{
+		{names: "wal", n: 1},
+		{names: "e1, e9,recovery", n: 3},
+		{names: "e2", out: "r.json", n: 1},
+		{names: "e3", err: "unknown sweep \"e3\"; known: det,e1,e10,e11,e12,e14,e15,e2,e4,e5,e6,e7,e8,e9,overload,partition,recovery,verify,wal"},
+		{names: "wal,", err: "unknown sweep \"\""},
+		{names: "e1,e2", out: "r.json", err: "-out names one report"},
+	} {
+		picked, err := selectSweeps(tc.names, tc.out)
+		if tc.err != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.err) {
+				t.Errorf("-sweep %q -out %q: err = %v, want %q", tc.names, tc.out, err, tc.err)
+			}
+			continue
+		}
+		if err != nil || len(picked) != tc.n {
+			t.Errorf("-sweep %q -out %q: %d sweeps, err %v; want %d", tc.names, tc.out, len(picked), err, tc.n)
+		}
+	}
+}
+
+// TestSweepsSmoke runs every sweep of the -sweep table at its smallest scale
+// and holds its report to the one schema: the sweep's name, its axis names
+// on every table row, every cell of its grid present, and no failed check.
+// Performance targets may be missed at this scale; only checks gate.
 func TestSweepsSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep smoke runs are not -short")
 	}
-	c := common{Threads: 2, Duration: 100 * time.Millisecond, Warmup: 10, Seed: 1}
-	ycsb := func() workload.Workload {
-		return workload.NewYCSB(workload.YCSBConfig{Records: 4096, OpsPerTxn: 4})
+	a := common{
+		Threads: 2, Duration: 100 * time.Millisecond, Warmup: 10, Seed: 1,
+		quick: true, partitions: 2, detBatch: 16, theta: 0.9,
+		recover: recoverSweepOpts{Txns: 2000, Every: 100},
+		cfg:     core.Config{Protocol: "SILO", Threads: 2},
+		newWorkload: func() workload.Workload {
+			return workload.NewYCSB(workload.YCSBConfig{Records: 4096, OpsPerTxn: 4})
+		},
 	}
-	for _, tc := range []struct {
-		sw    sweep
-		cells int    // table rows: one per cell
-		check string // a check the report must carry, by name
-	}{
-		{sw: walSweep(c), cells: 3},
-		{sw: detSweep(c, 16, 0.9), cells: 4},
-		{sw: overloadSweep(c, core.Config{Protocol: "SILO", Threads: c.Threads}, ycsb, 0), cells: 7},
-		{sw: partitionSweep(c, 2), cells: 5, check: "readmitted_commit_durable"},
-		{sw: recoverSweep(c, recoverSweepOpts{Txns: 2000, Every: 100, Dir: t.TempDir()}), cells: 4},
-	} {
-		tc := tc
-		t.Run(tc.sw.name, func(t *testing.T) {
+	// Table rows per sweep: one per cell of its grid.
+	cells := map[string]int{
+		"wal": 3, "det": 4, "overload": 7, "partition": 5, "recovery": 4, "verify": 8,
+		"e1": 32, "e2": 40, "e4": 48, "e5": 24, "e6": 32, "e7": 48, "e8": 3,
+		"e9": 8, "e10": 18, "e11": 6, "e12": 3, "e14": 3, "e15": 6,
+	}
+	for name, build := range sweeps {
+		t.Run(name, func(t *testing.T) {
+			a := a
+			a.recover.Dir = t.TempDir()
+			if strings.HasPrefix(name, "e") {
+				// Some 200 cells: the smoke proves each one runs and that
+				// the simulator's exact checks hold, not a figure, so the
+				// experiments run short and side by side (no experiment
+				// check reads a clock).
+				t.Parallel()
+				a.Duration = 5 * time.Millisecond
+			}
+			sw := build(a)
+			want, ok := cells[name]
+			if !ok || sw.name != name {
+				t.Fatalf("sweep %q (report %q) has no cell count here", name, sw.name)
+			}
 			out := filepath.Join(t.TempDir(), "BENCH.json")
 			var stdout bytes.Buffer
-			if err := runSweep(&stdout, out, tc.sw); err != nil {
+			if err := runSweep(&stdout, out, sw); err != nil {
 				t.Fatalf("%v\n%s", err, stdout.String())
 			}
 			rep := readReport(t, out)
-			if rep.Sweep != tc.sw.name || len(rep.Params) == 0 {
+			if rep.Sweep != name || len(rep.Params) == 0 {
 				t.Errorf("sweep %q params %v", rep.Sweep, rep.Params)
 			}
 			seen := map[string]bool{}
 			for _, r := range rep.Rows {
-				if len(r.Cell) != len(tc.sw.axes) {
+				if len(r.Cell) != len(sw.axes) {
 					continue // a series under a cell
 				}
 				key, _ := json.Marshal(r.Cell)
 				seen[string(key)] = true
-				for _, axis := range tc.sw.axes {
+				for _, axis := range sw.axes {
 					if _, ok := r.Cell[axis]; !ok {
 						t.Errorf("row %s lacks axis %q", key, axis)
 					}
@@ -268,12 +311,48 @@ func TestSweepsSmoke(t *testing.T) {
 					t.Errorf("row %s has no metrics", key)
 				}
 			}
-			if len(seen) != tc.cells {
-				t.Errorf("%d distinct cells, want %d: %v", len(seen), tc.cells, seen)
+			if len(seen) != want {
+				t.Errorf("%d distinct cells, want %d: %v", len(seen), want, seen)
 			}
-			if tc.check != "" && !slices.ContainsFunc(rep.Checks, func(c check) bool { return c.Name == tc.check && c.OK }) {
-				t.Errorf("no passing check %q in %+v", tc.check, rep.Checks)
+			if name == "partition" && !slices.ContainsFunc(rep.Checks, func(c check) bool { return c.Name == "readmitted_commit_durable" && c.OK }) {
+				t.Errorf("no passing check readmitted_commit_durable in %+v", rep.Checks)
 			}
 		})
+	}
+}
+
+// TestExperimentCatalogue holds the experiment catalogue to the evaluation
+// suite: every -sweep entry builds a sweep reporting under its own name with
+// a title, axes, columns and a run, and the experiments are exactly E1–E15
+// less E3 (E2's abort_rate column) and the retired E13, each titled by its id.
+func TestExperimentCatalogue(t *testing.T) {
+	a := common{
+		Threads: 2, Duration: time.Millisecond, quick: true, partitions: 2, detBatch: 16,
+		cfg: core.Config{Protocol: "SILO", Threads: 2},
+		newWorkload: func() workload.Workload {
+			return workload.NewYCSB(workload.YCSBConfig{Records: 4096, OpsPerTxn: 4})
+		},
+	}
+	var ids []string
+	for name, build := range sweeps {
+		sw := build(a)
+		if sw.name != name || sw.title == "" || len(sw.axes) == 0 || len(sw.cols) == 0 || sw.run == nil {
+			t.Errorf("-sweep %s builds an incomplete sweep: name %q title %q axes %v cols %v", name, sw.name, sw.title, sw.axes, sw.cols)
+		}
+		if !strings.HasPrefix(name, "e") {
+			continue
+		}
+		id := strings.ToUpper(name)
+		ids = append(ids, id)
+		if !strings.HasPrefix(sw.title, id+":") && !strings.HasPrefix(sw.title, id+"/") {
+			t.Errorf("experiment %s is titled %q", id, sw.title)
+		}
+		if id == "E2" && !slices.Contains(sw.cols, "abort_rate") {
+			t.Errorf("E2 does not show E3's abort_rate: cols %v", sw.cols)
+		}
+	}
+	slices.Sort(ids)
+	if want := []string{"E1", "E10", "E11", "E12", "E14", "E15", "E2", "E4", "E5", "E6", "E7", "E8", "E9"}; !slices.Equal(ids, want) {
+		t.Errorf("experiments %v, want %v", ids, want)
 	}
 }

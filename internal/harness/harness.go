@@ -1,6 +1,6 @@
 // Package harness runs (engine configuration × workload) combinations and
-// aggregates throughput, abort, and latency statistics — the machinery that
-// regenerates every experiment table in EXPERIMENTS.md.
+// aggregates throughput, abort, and latency statistics — the load driver
+// under every next700-bench sweep, EXPERIMENTS.md's experiments included.
 package harness
 
 import (

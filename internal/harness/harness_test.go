@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 	"time"
@@ -107,52 +106,5 @@ func TestRunVerifyRequiresRecordable(t *testing.T) {
 		RunOptions{TxnsPerWorker: 1, Verify: true})
 	if err == nil || !strings.Contains(err.Error(), "verification") {
 		t.Fatalf("non-recordable workload accepted for Verify: err=%v", err)
-	}
-}
-
-func TestExperimentRegistry(t *testing.T) {
-	all := All()
-	if len(all) != 14 {
-		t.Fatalf("expected 14 experiments, got %d", len(all))
-	}
-	seen := map[string]bool{}
-	for _, e := range all {
-		if e.ID == "" || e.Title == "" || e.Bench == "" || e.Run == nil {
-			t.Fatalf("incomplete experiment %+v", e)
-		}
-		if seen[e.ID] {
-			t.Fatalf("duplicate id %s", e.ID)
-		}
-		seen[e.ID] = true
-	}
-	if ByID("E7") == nil || ByID("E7").ID != "E7" {
-		t.Fatal("ByID broken")
-	}
-	if ByID("E99") != nil {
-		t.Fatal("ByID invented an experiment")
-	}
-}
-
-// TestExperimentsQuick smoke-runs every experiment at quick scale and
-// checks each emits a table mentioning its id.
-func TestExperimentsQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment smoke test is not -short")
-	}
-	for _, e := range All() {
-		e := e
-		t.Run(e.ID, func(t *testing.T) {
-			var buf bytes.Buffer
-			if err := e.Run(&buf, true); err != nil {
-				t.Fatalf("%s: %v", e.ID, err)
-			}
-			out := buf.String()
-			if !strings.Contains(out, e.ID+":") {
-				t.Fatalf("%s output missing header:\n%s", e.ID, out)
-			}
-			if !strings.Contains(out, "---") {
-				t.Fatalf("%s output has no table:\n%s", e.ID, out)
-			}
-		})
 	}
 }
