@@ -52,44 +52,42 @@ func TestAddIndexBackfill(t *testing.T) {
 	}
 }
 
-// TestScanScratchTrim: a huge scan must not pin its scratch capacity on the
-// Tx forever, while small scans keep reusing theirs.
-func TestScanScratchTrim(t *testing.T) {
+// TestScanScratchBounded: a scan collects one chunk of index entries at a
+// time, so however many rows it visits, in either direction, the scratch the
+// Tx keeps stays within one chunk, and small scans keep reusing it.
+func TestScanScratchBounded(t *testing.T) {
 	e := openEngine(t, Config{Protocol: "SILO", Threads: 1})
-	const rows = maxRetainedScanCap + 1000
+	const rows = 5000 + scanChunk/2
 	tbl := kvTable(t, e, "big", IndexBTree, rows)
 	tx := e.NewTx(0, 1)
+	var scratch *uint64
 
-	scan := func(lo, hi uint64) int {
-		n := 0
+	for _, desc := range []bool{false, true} {
+		n, prev := 0, uint64(0)
 		if err := tx.Run(func(tx *Tx) error {
-			return tx.Scan(tbl, lo, hi, func(uint64, storage.Row) bool { n++; return true })
+			n = 0
+			return tx.scan(tbl, 0, rows, desc, func(key uint64, _ storage.Row) bool {
+				if n > 0 && (key > prev) != !desc {
+					t.Fatalf("desc=%v: key %d after %d", desc, key, prev)
+				}
+				n, prev = n+1, key
+				return true
+			})
 		}); err != nil {
 			t.Fatal(err)
 		}
-		return n
-	}
-
-	if got := scan(0, 99); got != 100 {
-		t.Fatalf("small scan saw %d rows", got)
-	}
-	smallCap := cap(tx.scanKeys)
-	if smallCap == 0 || smallCap > maxRetainedScanCap {
-		t.Fatalf("small scan retained cap %d, want (0, %d]", smallCap, maxRetainedScanCap)
-	}
-	if got := scan(0, 99); got != 100 {
-		t.Fatalf("second small scan saw %d rows", got)
-	}
-	if cap(tx.scanKeys) != smallCap {
-		t.Fatalf("small-scan scratch not reused: cap %d -> %d", smallCap, cap(tx.scanKeys))
-	}
-
-	if got := scan(0, rows); got != rows {
-		t.Fatalf("big scan saw %d rows, want %d", got, rows)
-	}
-	if cap(tx.scanKeys) != 0 || cap(tx.scanRIDs) != 0 {
-		t.Fatalf("huge scan scratch retained: caps %d/%d, want released",
-			cap(tx.scanKeys), cap(tx.scanRIDs))
+		if n != rows {
+			t.Fatalf("desc=%v: scan saw %d rows, want %d", desc, n, rows)
+		}
+		if cap(tx.scanKeys) > scanChunk || cap(tx.scanRIDs) > scanChunk {
+			t.Fatalf("desc=%v: scan scratch caps %d/%d, want <= %d",
+				desc, cap(tx.scanKeys), cap(tx.scanRIDs), scanChunk)
+		}
+		if scratch == nil {
+			scratch = &tx.scanKeys[:1][0]
+		} else if &tx.scanKeys[:1][0] != scratch {
+			t.Fatalf("desc=%v: scan scratch reallocated", desc)
+		}
 	}
 }
 

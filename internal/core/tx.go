@@ -22,9 +22,12 @@ import (
 type Tx struct {
 	eng   *Engine
 	inner *txn.Txn
-	// scratch for scan rid collection, reused across scans.
+	// scanKeys and scanRIDs hold one chunk of a range scan's index entries
+	// (at most scanChunk), allocated by the context's first scan; collect,
+	// built once per context, fills them.
 	scanKeys []uint64
 	scanRIDs []storage.RecordID
+	collect  func(key uint64, rid storage.RecordID) bool
 	// encode buffer for WAL records, reused across transactions.
 	logBuf []byte
 	// logRec is the reusable commit record; its Entries slice keeps its
@@ -50,9 +53,10 @@ type Tx struct {
 	noLog bool
 }
 
-// maxRetainedScanCap bounds the scan scratch capacity a Tx keeps between
-// transactions. One huge scan must not permanently bloat every worker.
-const maxRetainedScanCap = 4096
+// scanChunk is how many index entries a range scan collects before it reads
+// them. A scan that stops early pays for at most one chunk it does not use,
+// and the scratch a context keeps never grows past one chunk.
+const scanChunk = 64
 
 // NewTx creates a reusable transaction context bound to a worker slot.
 // threadID must be < Config.Threads. Each context may be used by one
@@ -62,6 +66,11 @@ func (e *Engine) NewTx(threadID int, seed uint64) *Tx {
 	t := &Tx{
 		eng:   e,
 		inner: txn.NewTxn(threadID, xrand.New(seed), e.counterSlot(threadID)),
+	}
+	t.collect = func(key uint64, rid storage.RecordID) bool {
+		t.scanKeys = append(t.scanKeys, key)
+		t.scanRIDs = append(t.scanRIDs, rid)
+		return len(t.scanKeys) < scanChunk
 	}
 	t.seqHook = func() {
 		// Draw the commit sequence number while writes are still
@@ -257,55 +266,74 @@ func (t *Tx) ScanDesc(tbl *Table, lo, hi uint64, fn func(key uint64, row storage
 	return t.scan(tbl, lo, hi, true, fn)
 }
 
-// trimScanScratch caps the retained capacity of the scan scratch slices so
-// one huge scan does not permanently bloat the worker's footprint.
-func (t *Tx) trimScanScratch() {
-	if cap(t.scanKeys) > maxRetainedScanCap {
-		t.scanKeys = nil
-		t.scanRIDs = nil
-	}
-}
-
 func (t *Tx) scan(tbl *Table, lo, hi uint64, desc bool, fn func(key uint64, row storage.Row) bool) error {
 	t.inner.Counter.Scans++
 	r, ok := tbl.ranger()
 	if !ok {
 		return fmt.Errorf("core: table %s primary index does not support scans: %w", tbl.Name(), ErrInvalidUsage)
 	}
-	defer t.trimScanScratch()
-	// Collect matches first so no index latches are held while protocol
-	// reads block or wait — mixing latch and lock ordering risks deadlock.
-	t.scanKeys = t.scanKeys[:0]
-	t.scanRIDs = t.scanRIDs[:0]
-	collect := func(key uint64, rid storage.RecordID) bool {
-		t.scanKeys = append(t.scanKeys, key)
-		t.scanRIDs = append(t.scanRIDs, rid)
-		return true
+	return t.scanRange(tbl, r, lo, hi, desc, true, fn)
+}
+
+// scanRange is the loop every range scan runs. It collects at most
+// scanChunk index entries, then reads them with no index latch held —
+// protocol reads may block or wait, and mixing latch and lock ordering risks
+// deadlock — and stops as soon as fn returns false. A full chunk resumes
+// the index scan just past its last key, in the scan's direction. gate
+// applies the partition quarantine, which is keyed by primary key.
+func (t *Tx) scanRange(tbl *Table, r index.Ranger, lo, hi uint64, desc, gate bool,
+	fn func(key uint64, row storage.Row) bool) error {
+	if t.scanKeys == nil {
+		t.scanKeys = make([]uint64, 0, scanChunk)
+		t.scanRIDs = make([]storage.RecordID, 0, scanChunk)
 	}
-	if desc {
-		r.ScanDesc(lo, hi, collect)
-	} else {
-		r.Scan(lo, hi, collect)
-	}
-	// One quarantine-mask load covers the whole scan; partitions are
-	// computed per key only while a quarantine is in force.
-	mask := t.eng.quarMask.Load()
-	for i := range t.scanKeys {
-		if mask != 0 && mask&(1<<uint(t.eng.partitionOfKey(tbl.tbl, t.scanKeys[i]))) != 0 {
-			return errPartitionGate
+	for {
+		t.scanKeys = t.scanKeys[:0]
+		t.scanRIDs = t.scanRIDs[:0]
+		if desc {
+			r.ScanDesc(lo, hi, t.collect)
+		} else {
+			r.Scan(lo, hi, t.collect)
 		}
-		row, err := t.readRID(tbl, t.scanRIDs[i])
-		if errors.Is(err, txn.ErrNotFound) {
-			continue // deleted or not yet visible
-		}
-		if err != nil {
-			return err
-		}
-		if !fn(t.scanKeys[i], row) {
+		n := len(t.scanKeys)
+		if n == 0 {
 			return nil
 		}
+		last := t.scanKeys[n-1]
+		// One quarantine-mask load covers the chunk; partitions are
+		// computed per key only while a quarantine is in force.
+		mask := t.eng.quarMask.Load()
+		for i := 0; i < n; i++ {
+			key := t.scanKeys[i]
+			if gate && mask != 0 && mask&(1<<uint(t.eng.partitionOfKey(tbl.tbl, key))) != 0 {
+				return errPartitionGate
+			}
+			row, err := t.readRID(tbl, t.scanRIDs[i])
+			if errors.Is(err, txn.ErrNotFound) {
+				continue // deleted or not yet visible
+			}
+			if err != nil {
+				return err
+			}
+			if !fn(key, row) {
+				return nil
+			}
+		}
+		switch {
+		case n < scanChunk:
+			return nil
+		case desc:
+			if last <= lo {
+				return nil
+			}
+			hi = last - 1
+		default:
+			if last >= hi {
+				return nil
+			}
+			lo = last + 1
+		}
 	}
-	return nil
 }
 
 // LookupIndex resolves a key in a named secondary index and reads the row.
@@ -333,32 +361,7 @@ func (t *Tx) ScanIndex(tbl *Table, indexName string, lo, hi uint64, desc bool,
 	if !ok {
 		return fmt.Errorf("core: index %s does not support scans: %w", indexName, ErrInvalidUsage)
 	}
-	defer t.trimScanScratch()
-	t.scanKeys = t.scanKeys[:0]
-	t.scanRIDs = t.scanRIDs[:0]
-	collect := func(key uint64, rid storage.RecordID) bool {
-		t.scanKeys = append(t.scanKeys, key)
-		t.scanRIDs = append(t.scanRIDs, rid)
-		return true
-	}
-	if desc {
-		r.ScanDesc(lo, hi, collect)
-	} else {
-		r.Scan(lo, hi, collect)
-	}
-	for i := range t.scanKeys {
-		row, err := t.readRID(tbl, t.scanRIDs[i])
-		if errors.Is(err, txn.ErrNotFound) {
-			continue
-		}
-		if err != nil {
-			return err
-		}
-		if !fn(t.scanKeys[i], row) {
-			return nil
-		}
-	}
-	return nil
+	return t.scanRange(tbl, r, lo, hi, desc, false, fn)
 }
 
 // ErrLivelock is returned by Run when a transaction exhausts the retry

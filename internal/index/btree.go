@@ -73,9 +73,12 @@ func (n *node) search(key uint64) (int, bool) {
 
 // BTree is a concurrent B+ tree with pessimistic latch crabbing: readers
 // crab read-latches root-to-leaf; writers crab write-latches, releasing all
-// held ancestors as soon as the current node cannot split. Deletes are lazy
-// (no rebalancing), the standard simplification in main-memory OLTP engines
-// where deletes are rare and space is reclaimed wholesale.
+// held ancestors as soon as the current node cannot split. There is no
+// rebalancing, but a Delete that empties a leaf unlinks it from its parent
+// and from the leaf chain (reclaim), so queue-shaped tables — insert at the
+// right, delete from the left — do not leave a trail of empty leaves for
+// scans to walk. A leaf that is its parent's first child stays, so internal
+// nodes never become empty.
 type BTree struct {
 	name string
 	// meta guards the root pointer and acts as the root's parent in the
@@ -98,24 +101,30 @@ func (t *BTree) Name() string { return t.name }
 func (t *BTree) Len() int { return int(t.count.Load()) }
 
 // descendRead crabs read latches from the root to the leaf covering key and
-// returns that leaf still read-latched.
-func (t *BTree) descendRead(key uint64) *node {
+// returns that leaf still read-latched, with its lower separator: the
+// largest separator at or below key on the path, bounded false when the
+// leaf is the leftmost (no separator below it).
+func (t *BTree) descendRead(key uint64) (n *node, low uint64, bounded bool) {
 	t.meta.RLock()
-	n := t.root
+	n = t.root
 	n.mu.RLock()
 	t.meta.RUnlock()
 	for !n.leaf {
-		child := n.children[n.childIndex(key)]
+		ci := n.childIndex(key)
+		if ci > 0 {
+			low, bounded = n.keys[ci-1], true
+		}
+		child := n.children[ci]
 		child.mu.RLock()
 		n.mu.RUnlock()
 		n = child
 	}
-	return n
+	return n, low, bounded
 }
 
 // Lookup implements Index.
 func (t *BTree) Lookup(key uint64) (storage.RecordID, bool) {
-	n := t.descendRead(key)
+	n, _, _ := t.descendRead(key)
 	defer n.mu.RUnlock()
 	if i, ok := n.search(key); ok {
 		return n.rids[i], true
@@ -260,51 +269,100 @@ func (n *node) splitInternal() (uint64, *node) {
 	return sep, right
 }
 
-// Delete implements Index (lazy: no rebalancing). The read-to-write latch
-// upgrade at the leaf opens a window where a concurrent split can move the
-// key into a right sibling; the leaf chain is chased under lock coupling to
-// close it.
+// Delete implements Index. The read-to-write latch upgrade at the leaf
+// opens a window where a concurrent split can move the key into a right
+// sibling, or a reclaim can unlink the (then empty) leaf; the leaf chain is
+// chased under lock coupling to close both, which is why an unlinked leaf
+// keeps its next pointer.
 func (t *BTree) Delete(key uint64) bool {
 	t.meta.RLock()
 	n := t.root
 	n.mu.RLock()
 	t.meta.RUnlock()
+	var parent *node
 	for !n.leaf {
 		child := n.children[n.childIndex(key)]
 		child.mu.RLock()
 		n.mu.RUnlock()
-		n = child
+		parent, n = n, child
 	}
 	n.mu.RUnlock()
 	n.mu.Lock()
+	n, ok := deleteFrom(n, key)
+	if !ok {
+		return false
+	}
+	emptied := len(n.keys) == 0
+	n.mu.Unlock()
+	t.count.Add(-1)
+	if emptied && parent != nil {
+		reclaim(parent, n)
+	}
+	return true
+}
 
+// deleteFrom removes key starting at the write-latched leaf n, chasing the
+// leaf chain right while the key can only live further right. It returns
+// the leaf it removed key from, still write-latched, or false with every
+// latch released.
+func deleteFrom(n *node, key uint64) (*node, bool) {
 	i, found := n.search(key)
 	for !found {
 		// The key is absent from this leaf. It can only live to the right
-		// if it is greater than everything here (or the leaf is empty,
-		// which a lazy delete can produce).
+		// if it is greater than everything here (or the leaf is empty:
+		// emptied by deletes, or already unlinked by a reclaim).
 		if len(n.keys) > 0 && key <= n.keys[len(n.keys)-1] {
 			n.mu.Unlock()
-			return false
+			return nil, false
 		}
 		nx := n.next
 		if nx == nil {
 			n.mu.Unlock()
-			return false
+			return nil, false
 		}
 		nx.mu.Lock()
 		n.mu.Unlock()
 		n = nx
 		i, found = n.search(key)
 	}
-
 	copy(n.keys[i:], n.keys[i+1:])
 	copy(n.rids[i:], n.rids[i+1:])
 	n.keys = n.keys[:len(n.keys)-1]
 	n.rids = n.rids[:len(n.rids)-1]
-	n.mu.Unlock()
-	t.count.Add(-1)
-	return true
+	return n, true
+}
+
+// reclaim unlinks the emptied leaf from parent and from the leaf chain.
+// Latches are taken parent → left sibling → leaf: top-down, then left to
+// right along the chain, the order Scan couples in. The reclaim is skipped
+// when the leaf is parent's first child (its chain predecessor lives under
+// another parent), when a split has since moved it under another parent,
+// or when an insert has refilled it. The unlinked leaf keeps its next
+// pointer: a Delete that read its address before the unlink chases right
+// from it (deleteFrom) and finds every key that was ever to its right.
+func reclaim(parent, leaf *node) {
+	parent.mu.Lock()
+	defer parent.mu.Unlock()
+	j := 1
+	for j < len(parent.children) && parent.children[j] != leaf {
+		j++
+	}
+	if j == len(parent.children) {
+		return
+	}
+	left := parent.children[j-1]
+	left.mu.Lock()
+	leaf.mu.Lock()
+	if len(leaf.keys) == 0 {
+		left.next = leaf.next
+		copy(parent.keys[j-1:], parent.keys[j:])
+		parent.keys = parent.keys[:len(parent.keys)-1]
+		copy(parent.children[j:], parent.children[j+1:])
+		parent.children[len(parent.children)-1] = nil
+		parent.children = parent.children[:len(parent.children)-1]
+	}
+	leaf.mu.Unlock()
+	left.mu.Unlock()
 }
 
 // Scan implements Ranger: ascending visit of [lo, hi] inclusive.
@@ -312,7 +370,7 @@ func (t *BTree) Scan(lo, hi uint64, fn func(key uint64, rid storage.RecordID) bo
 	if lo > hi {
 		return 0
 	}
-	n := t.descendRead(lo)
+	n, _, _ := t.descendRead(lo)
 	visited := 0
 	for {
 		start, _ := n.search(lo)
@@ -339,25 +397,36 @@ func (t *BTree) Scan(lo, hi uint64, fn func(key uint64, rid storage.RecordID) bo
 }
 
 // ScanDesc implements Ranger: descending visit of [lo, hi]. The leaf chain
-// is singly linked, so the range is first collected ascending into a buffer
-// and then visited in reverse; intended for the narrow descending ranges
-// OLTP workloads use (e.g. latest-order lookups).
+// is singly linked, so leaves are walked right to left by re-descending:
+// each step visits the leaf covering the current upper bound, then moves
+// the bound just below the smaller of that leaf's lower separator and the
+// last key visited. Each step holds one leaf latch and allocates nothing.
 func (t *BTree) ScanDesc(lo, hi uint64, fn func(key uint64, rid storage.RecordID) bool) int {
-	type entry struct {
-		key uint64
-		rid storage.RecordID
-	}
-	var buf []entry
-	t.Scan(lo, hi, func(key uint64, rid storage.RecordID) bool {
-		buf = append(buf, entry{key, rid})
-		return true
-	})
 	visited := 0
-	for i := len(buf) - 1; i >= 0; i-- {
-		visited++
-		if !fn(buf[i].key, buf[i].rid) {
-			break
+	for lo <= hi {
+		n, low, bounded := t.descendRead(hi)
+		i, found := n.search(hi)
+		if !found {
+			i--
 		}
+		for ; i >= 0; i-- {
+			k := n.keys[i]
+			if k < lo {
+				n.mu.RUnlock()
+				return visited
+			}
+			visited++
+			if !fn(k, n.rids[i]) {
+				n.mu.RUnlock()
+				return visited
+			}
+			low = min(low, k)
+		}
+		n.mu.RUnlock()
+		if !bounded || low <= lo {
+			return visited
+		}
+		hi = low - 1
 	}
 	return visited
 }

@@ -1,14 +1,19 @@
 package index
 
 import (
+	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"next700/internal/storage"
 	"next700/internal/xrand"
 )
 
 // TestBTreeModelFuzz runs long random op sequences against a map model and
-// checks full agreement, including scan results, after every batch.
+// checks full agreement, including scan results, after every batch; its
+// queue subtest does the same for queue-shaped histories.
 func TestBTreeModelFuzz(t *testing.T) {
 	const rounds = 40
 	const opsPerRound = 2500
@@ -70,6 +75,9 @@ func TestBTreeModelFuzz(t *testing.T) {
 		if seen != len(model) {
 			t.Fatalf("scan visited %d of %d", seen, len(model))
 		}
+		if empty, parents := emptyLeaves(bt), leafParents(bt); empty > max(parents, 1) {
+			t.Fatalf("round %d: %d empty leaves on the chain for %d leaf-parents", round, empty, parents)
+		}
 
 		// Random sub-range scans agree with a model filter.
 		lo := rng.Uint64() % 4096
@@ -103,6 +111,217 @@ func TestBTreeModelFuzz(t *testing.T) {
 			}
 		}
 	}
+	t.Run("queue", testBTreeQueueHistory)
+}
+
+// testBTreeQueueHistory runs queue-shaped histories — insert at the right,
+// delete from the left, scan from the minimum with an early stop, as TPC-C's
+// new_order table sees them — on four interleaved queues against a map
+// model. Besides agreement and an exact Len it bounds the leaf chain:
+// every leaf reachable along it holds a key, except at most one empty
+// first child per leaf-parent, which is what reclaiming emptied leaves
+// promises (so the chain is at most live keys + leaf-parents long).
+// Without the reclaim the empty leaves grow with history instead.
+func testBTreeQueueHistory(t *testing.T) {
+	const (
+		queues = 4
+		rounds = 60
+		ops    = 2000
+	)
+	rng := xrand.New(0x0E0E)
+	bt := NewBTree("queue")
+	model := make(map[uint64]storage.RecordID)
+	var head, tail [queues]uint64
+	qkey := func(q, seq uint64) uint64 { return q<<32 | seq }
+	// Each queue starts about as long as a TPC-C district's new_order
+	// range; equal enqueue and dequeue rates then random-walk around it.
+	for q := uint64(0); q < queues; q++ {
+		for ; tail[q] < 900; tail[q]++ {
+			k := qkey(q, tail[q])
+			bt.Insert(k, storage.RecordID(k))
+			model[k] = storage.RecordID(k)
+		}
+	}
+
+	for round := 0; round < rounds; round++ {
+		for op := 0; op < ops; op++ {
+			q := rng.Uint64n(queues)
+			switch r := rng.Intn(10); {
+			case r < 4: // enqueue
+				k := qkey(q, tail[q])
+				tail[q]++
+				if _, ok := bt.Insert(k, storage.RecordID(k)); !ok {
+					t.Fatalf("fresh key %#x already present", k)
+				}
+				model[k] = storage.RecordID(k)
+			case r < 8: // dequeue the minimum, found by an early-stop scan
+				var got []uint64
+				want := rng.Intn(3) + 1
+				bt.Scan(qkey(q, 0), qkey(q, 1<<32-1), func(k uint64, rid storage.RecordID) bool {
+					if rid != storage.RecordID(k) {
+						t.Fatalf("key %#x carries rid %#x", k, rid)
+					}
+					got = append(got, k)
+					return len(got) < want
+				})
+				for i := range got {
+					if w := qkey(q, head[q]+uint64(i)); got[i] != w {
+						t.Fatalf("queue %d scan[%d] = %#x, want %#x", q, i, got[i], w)
+					}
+				}
+				if len(got) < want && head[q]+uint64(len(got)) != tail[q] {
+					t.Fatalf("queue %d scan stopped at %d keys with %d live", q, len(got), tail[q]-head[q])
+				}
+				if len(got) == 0 {
+					continue
+				}
+				if !bt.Delete(got[0]) {
+					t.Fatalf("delete of queue head %#x failed", got[0])
+				}
+				delete(model, got[0])
+				head[q]++
+			default: // descending peek at the newest key
+				var got []uint64
+				bt.ScanDesc(qkey(q, 0), qkey(q, 1<<32-1), func(k uint64, _ storage.RecordID) bool {
+					got = append(got, k)
+					return false
+				})
+				if head[q] == tail[q] {
+					if len(got) != 0 {
+						t.Fatalf("empty queue %d returned %#x", q, got[0])
+					}
+				} else if len(got) != 1 || got[0] != qkey(q, tail[q]-1) {
+					t.Fatalf("queue %d newest: got %v, want %#x", q, got, qkey(q, tail[q]-1))
+				}
+			}
+		}
+		if bt.Len() != len(model) {
+			t.Fatalf("round %d: len %d vs model %d", round, bt.Len(), len(model))
+		}
+		seen := 0
+		bt.Scan(0, ^uint64(0), func(k uint64, rid storage.RecordID) bool {
+			if want, ok := model[k]; !ok || want != rid {
+				t.Fatalf("scan produced (%#x,%d), model has (%d,%v)", k, rid, want, ok)
+			}
+			seen++
+			return true
+		})
+		if seen != len(model) {
+			t.Fatalf("round %d: scan visited %d of %d", round, seen, len(model))
+		}
+		// An empty tree is one empty root leaf, which has no parent.
+		if empty, parents := emptyLeaves(bt), leafParents(bt); empty > max(parents, 1) {
+			t.Fatalf("round %d: %d empty leaves on the chain for %d leaf-parents", round, empty, parents)
+		}
+	}
+	if d := head[0] + head[1] + head[2] + head[3]; d < rounds*ops/4 {
+		t.Fatalf("only %d dequeues; the history is not queue-shaped", d)
+	}
+}
+
+// emptyLeaves counts the empty leaves reachable along the leaf chain from
+// the leftmost leaf. Not safe against concurrent writers.
+func emptyLeaves(t *BTree) int {
+	n := t.root
+	for !n.leaf {
+		n = n.children[0]
+	}
+	count := 0
+	for ; n != nil; n = n.next {
+		if len(n.keys) == 0 {
+			count++
+		}
+	}
+	return count
+}
+
+// leafParents counts the internal nodes whose children are leaves. Not
+// safe against concurrent writers.
+func leafParents(t *BTree) int {
+	var walk func(n *node) int
+	walk = func(n *node) int {
+		if n.leaf {
+			return 0
+		}
+		if n.children[0].leaf {
+			return 1
+		}
+		sum := 0
+		for _, c := range n.children {
+			sum += walk(c)
+		}
+		return sum
+	}
+	return walk(t.root)
+}
+
+// TestBTreeStaleDeleteChasesUnlinkedLeaf replays, one step at a time, the
+// window Delete's latch upgrade opens: a Delete holds the address of the
+// leaf covering its key while a split moves the key to a new right sibling
+// and deletes empty the old leaf, which a reclaim then unlinks. The stale
+// Delete must still find the key by chasing right from the unlinked leaf.
+func TestBTreeStaleDeleteChasesUnlinkedLeaf(t *testing.T) {
+	bt := NewBTree("stale")
+	for k := uint64(0); k < 20*btreeOrder; k += 4 {
+		bt.Insert(k, storage.RecordID(k))
+	}
+	// The key: the largest of a leaf that is not its parent's first child.
+	const probe = 8 * btreeOrder
+	leaf := bt.descendLeaf(probe)
+	key := leaf.keys[len(leaf.keys)-1]
+	if parent := bt.root; parent.leaf || parent.children[0] == leaf {
+		t.Fatal("setup: the probe leaf must have a left sibling under the root")
+	}
+	// The stale Delete(key) has descended to leaf and released its read
+	// latch. Fill the leaf's gaps until it splits and key moves right.
+	for k := leaf.keys[0] + 1; k < key && bt.descendLeaf(key) == leaf; k++ {
+		if k%4 != 0 {
+			bt.Insert(k, storage.RecordID(k))
+		}
+	}
+	if bt.descendLeaf(key) == leaf {
+		t.Fatal("setup: the probe leaf did not split")
+	}
+	// Empty the old leaf; the last delete unlinks it.
+	for len(leaf.keys) > 0 {
+		if !bt.Delete(leaf.keys[0]) {
+			t.Fatal("setup: delete of a present key failed")
+		}
+	}
+	if chainHas(bt, leaf) {
+		t.Fatal("setup: the emptied leaf is still on the chain")
+	}
+	// Resume the stale Delete at its upgrade.
+	leaf.mu.Lock()
+	n, ok := deleteFrom(leaf, key)
+	if !ok {
+		t.Fatalf("stale delete of %d from the unlinked leaf did not find it", key)
+	}
+	n.mu.Unlock()
+	if _, ok := bt.Lookup(key); ok {
+		t.Fatalf("key %d still present after the stale delete", key)
+	}
+}
+
+// descendLeaf returns the leaf covering key, unlatched.
+func (t *BTree) descendLeaf(key uint64) *node {
+	n, _, _ := t.descendRead(key)
+	n.mu.RUnlock()
+	return n
+}
+
+// chainHas reports whether leaf is reachable along the leaf chain.
+func chainHas(t *BTree, leaf *node) bool {
+	n := t.root
+	for !n.leaf {
+		n = n.children[0]
+	}
+	for ; n != nil; n = n.next {
+		if n == leaf {
+			return true
+		}
+	}
+	return false
 }
 
 // TestBTreeIterateMatchesScan checks Iterate agrees with a full scan.
@@ -157,5 +376,210 @@ func TestHashIterate(t *testing.T) {
 	})
 	if n != 10 {
 		t.Fatalf("early stop visited %d", n)
+	}
+}
+
+// TestBTreeConcurrentChurn runs two writers that churn interleaved queues —
+// insert at the right, delete from the left, so leaves split at one end and
+// empty and are reclaimed at the other — through a range that also holds
+// stable keys, while readers run Scan, ScanDesc and Lookup. Every scan must
+// return the stable keys of its range in order, each exactly once, and
+// every key in strict order; Lookup must always find a stable key. A latch
+// order that can deadlock shows as a stall the watchdog reports.
+func TestBTreeConcurrentChurn(t *testing.T) {
+	const (
+		writers     = 2
+		readers     = 2
+		window      = 600 // live churn keys per writer
+		stableEvery = 64  // churn sequence numbers per stable key
+	)
+	seqs := uint64(40000)
+	if testing.Short() {
+		seqs = 10000
+	}
+	// Writers' keys interleave, so both split and reclaim the same leaves.
+	churnKey := func(w, seq uint64) uint64 { return seq<<3 | w }
+	stableKey := func(i uint64) uint64 { return i*stableEvery<<3 | 7 }
+	nStable := seqs/stableEvery + 1
+
+	bt := NewBTree("churn")
+	for i := uint64(0); i < nStable; i++ {
+		bt.Insert(stableKey(i), storage.RecordID(stableKey(i)))
+	}
+	keySpan := stableKey(nStable)
+
+	// check scans [lo, hi] one way and verifies order and the stable keys.
+	check := func(lo, hi uint64, desc bool, keys []uint64) ([]uint64, error) {
+		keys = keys[:0]
+		visit := func(k uint64, rid storage.RecordID) bool {
+			keys = append(keys, k)
+			return rid == storage.RecordID(k)
+		}
+		if desc {
+			bt.ScanDesc(lo, hi, visit)
+		} else {
+			bt.Scan(lo, hi, visit)
+		}
+		// Stable keys expected in [lo, hi], in scan order.
+		var want []uint64
+		for i := uint64(0); i < nStable; i++ {
+			if k := stableKey(i); k >= lo && k <= hi {
+				want = append(want, k)
+			}
+		}
+		next := 0
+		if desc {
+			next = len(want) - 1
+		}
+		for i, k := range keys {
+			if k < lo || k > hi {
+				return keys, fmt.Errorf("key %#x outside [%#x, %#x]", k, lo, hi)
+			}
+			if i > 0 && (desc && k >= keys[i-1] || !desc && k <= keys[i-1]) {
+				return keys, fmt.Errorf("desc=%v: key %#x after %#x", desc, k, keys[i-1])
+			}
+			if k&7 != 7 {
+				continue
+			}
+			if next < 0 || next >= len(want) || want[next] != k {
+				return keys, fmt.Errorf("desc=%v: stable key %#x out of turn", desc, k)
+			}
+			if desc {
+				next--
+			} else {
+				next++
+			}
+		}
+		if desc && next != -1 || !desc && next != len(want) {
+			return keys, fmt.Errorf("desc=%v: scan of [%#x, %#x] missed stable keys", desc, lo, hi)
+		}
+		return keys, nil
+	}
+
+	var stop atomic.Bool
+	var scans atomic.Int64
+	var head atomic.Uint64 // writer 0's queue head, the deleting end
+	var rwg, wwg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		rwg.Add(1)
+		go func(seed uint64) {
+			defer rwg.Done()
+			rng := xrand.New(seed)
+			var keys []uint64
+			var err error
+			for !stop.Load() {
+				i := rng.Uint64n(nStable)
+				if rid, ok := bt.Lookup(stableKey(i)); !ok || rid != storage.RecordID(stableKey(i)) {
+					t.Errorf("stable key %#x: got (%d,%v)", stableKey(i), rid, ok)
+					return
+				}
+				// Mostly short scans across the queue heads, where leaves
+				// empty and are unlinked; some anywhere, some whole.
+				lo := rng.Uint64n(keySpan)
+				if h := head.Load(); rng.Bool(0.6) && h > 16 {
+					lo = churnKey(0, h-16)
+				}
+				hi := lo + rng.Uint64n(window<<2)
+				if rng.Bool(0.05) {
+					lo, hi = 0, keySpan
+				}
+				if keys, err = check(lo, hi, rng.Bool(0.5), keys); err != nil {
+					t.Error(err)
+					return
+				}
+				scans.Add(1)
+			}
+		}(uint64(r) + 100)
+	}
+	for w := uint64(0); w < writers; w++ {
+		wwg.Add(1)
+		go func(w uint64) {
+			defer wwg.Done()
+			for seq := uint64(0); seq < seqs; seq++ {
+				if _, ok := bt.Insert(churnKey(w, seq), storage.RecordID(churnKey(w, seq))); !ok {
+					t.Errorf("fresh churn key %#x already present", churnKey(w, seq))
+					return
+				}
+				if seq < window {
+					continue
+				}
+				if !bt.Delete(churnKey(w, seq-window)) {
+					t.Errorf("delete of live churn key %#x failed", churnKey(w, seq-window))
+					return
+				}
+				if w == 0 {
+					head.Store(seq - window)
+				}
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() { wwg.Wait(); stop.Store(true); rwg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("churn stalled for 30s (a raced run takes about 2s): latch deadlock")
+	}
+	if t.Failed() {
+		return
+	}
+
+	if want := int(nStable) + writers*window; bt.Len() != want {
+		t.Fatalf("len %d after churn, want %d", bt.Len(), want)
+	}
+	if _, err := check(0, ^uint64(0), false, nil); err != nil {
+		t.Fatal(err)
+	}
+	// Under concurrency a reclaim is skipped when a split has moved the leaf
+	// to a new parent since its Delete descended, so the bound has slack;
+	// without reclaim the churn leaves about one empty leaf per 32 deletes.
+	empty, parents := emptyLeaves(bt), leafParents(bt)
+	if empty > 2*parents {
+		t.Fatalf("%d empty leaves on the chain for %d leaf-parents", empty, parents)
+	}
+	t.Logf("%d reader scans; %d empty leaves on the chain, %d leaf-parents", scans.Load(), empty, parents)
+}
+
+// BenchmarkBTreeQueueScan times delivery's probe: a min-scan of one of ten
+// queue-shaped ranges (about 900 live keys each, TPC-C new_order's shape)
+// that stops at the first key, after 0, 10k and 100k left-end deletes.
+// Without reclaim the scan walks every leaf the history emptied, so its
+// cost grows with history; with it, the cost stays near one descent.
+func BenchmarkBTreeQueueScan(b *testing.B) {
+	const (
+		queues = 10
+		live   = 900
+	)
+	qkey := func(q, seq uint64) uint64 { return q<<32 | seq }
+	for _, history := range []uint64{0, 10000, 100000} {
+		bt := NewBTree("queue")
+		var head [queues]uint64
+		for q := uint64(0); q < queues; q++ {
+			per := history / queues
+			for seq := uint64(0); seq < per+live; seq++ {
+				bt.Insert(qkey(q, seq), storage.RecordID(seq))
+				if seq >= live {
+					bt.Delete(qkey(q, seq-live))
+				}
+			}
+			head[q] = per
+		}
+		b.Run(fmt.Sprintf("deletes=%d", history), func(b *testing.B) {
+			var next atomic.Uint64
+			b.RunParallel(func(pb *testing.PB) {
+				q := next.Add(1)
+				for pb.Next() {
+					q = (q + 1) % queues
+					var got uint64
+					bt.Scan(qkey(q, 0), qkey(q, 1<<32-1), func(k uint64, _ storage.RecordID) bool {
+						got = k
+						return false
+					})
+					if got != qkey(q, head[q]) {
+						b.Fatalf("queue %d head %#x, want %#x", q, got, qkey(q, head[q]))
+					}
+				}
+			})
+		})
 	}
 }

@@ -176,3 +176,72 @@ func TestErrorsAreDistinct(t *testing.T) {
 		}
 	}
 }
+
+// TestFindWriteSignature checks FindWrite against a brute-force scan while
+// the write signature is forced into collisions — many writes whose
+// (table, rid) pairs share a signature bit with absent pairs — and while
+// Accesses is appended to directly, truncated without Reset and reset.
+func TestFindWriteSignature(t *testing.T) {
+	s := storage.MustSchema("t", storage.I64("v"))
+	tables := []*storage.Table{storage.NewTable(s, 0), storage.NewTable(s, 1)}
+	tx := NewTxn(0, xrand.New(1), nil)
+	want := func(tbl *storage.Table, rid storage.RecordID) *Access {
+		for i := len(tx.Accesses) - 1; i >= 0; i-- {
+			if a := &tx.Accesses[i]; a.Table == tbl && a.RID == rid && a.Kind != KindRead {
+				return a
+			}
+		}
+		return nil
+	}
+	// Collisions: rids sharing one signature bit; every other one is
+	// written, the rest stay absent but find their bit set.
+	var colliding []storage.RecordID
+	b := writeSigBit(tables[0], 7)
+	for rid := storage.RecordID(0); len(colliding) < 16; rid++ {
+		if writeSigBit(tables[0], rid) == b {
+			colliding = append(colliding, rid)
+		}
+	}
+	probes := colliding
+	for rid := storage.RecordID(0); rid < 512; rid++ {
+		probes = append(probes, rid)
+	}
+	checkAll := func(step string) {
+		t.Helper()
+		for _, tbl := range tables {
+			for _, rid := range probes {
+				if got, w := tx.FindWrite(tbl, rid), want(tbl, rid); got != w {
+					t.Fatalf("%s: FindWrite(%d, %d) = %p, want %p", step, tbl.ID(), rid, got, w)
+				}
+			}
+		}
+	}
+	// Reads past writeSigMin put FindWrite on the signature path; they
+	// never enter the signature themselves.
+	for i := 0; i <= writeSigMin; i++ {
+		tx.AddAccess(Access{Table: tables[1], RID: storage.RecordID(i), Kind: KindRead})
+	}
+	for i := 0; i < len(colliding); i += 2 {
+		tx.AddAccess(Access{Table: tables[0], RID: colliding[i], Kind: KindWrite})
+	}
+	checkAll("collisions")
+	// Reads never enter the signature; writes appended directly do.
+	tx.Accesses = append(tx.Accesses,
+		Access{Table: tables[1], RID: 300, Kind: KindRead},
+		Access{Table: tables[1], RID: 301, Kind: KindInsert},
+		Access{Table: tables[0], RID: 302, Kind: KindDelete})
+	checkAll("direct append")
+	// A truncation without Reset, then more appends than were removed.
+	tx.Accesses = tx.Accesses[:writeSigMin+1]
+	checkAll("truncate")
+	for rid := storage.RecordID(100); rid < 140; rid++ {
+		tx.Accesses = append(tx.Accesses, Access{Table: tables[rid%2], RID: rid, Kind: KindWrite})
+	}
+	checkAll("regrow")
+	tx.Reset()
+	checkAll("reset")
+	for rid := storage.RecordID(0); rid <= writeSigMin; rid++ {
+		tx.Accesses = append(tx.Accesses, Access{Table: tables[1], RID: rid * 5, Kind: KindWrite})
+	}
+	checkAll("after reset")
+}
