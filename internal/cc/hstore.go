@@ -122,6 +122,7 @@ func (p *hstore) acquireOrdered(tx *txn.Txn, st *hstoreState, part int) error {
 // partition lock is mutex-based with no waiter queue to time out of, and
 // polling at ≤100µs granularity bounds both the overshoot and the wasted
 // spin.
+//
 //next700:allowalloc(contended path only: the TryLock fast path costs nothing; polling while blocked needs the clock)
 func lockWithDeadline(mu *sync.Mutex, deadline int64) error {
 	backoff := time.Microsecond

@@ -219,30 +219,45 @@ const metaChunkBits = 16
 const metaChunkSize = 1 << metaChunkBits
 
 // metaTable is a growable parallel array of per-record protocol metadata,
-// indexed by RecordID. Reads are wait-free once a chunk exists; growth is
-// serialized.
+// indexed by RecordID: stride consecutive T slots per record (1 for every
+// protocol but SILO, whose slot also holds the committed row's words). Reads
+// are wait-free once a chunk exists; growth is serialized.
 type metaTable[T any] struct {
 	mu     sync.Mutex
-	chunks atomic.Pointer[[]*[metaChunkSize]T]
+	stride int
+	chunks atomic.Pointer[[][]T]
 }
 
 //next700:allowalloc(first-touch slow path: a table's metadata directory is built once, on the first record access)
-func newMetaTable[T any]() *metaTable[T] {
-	mt := &metaTable[T]{}
-	empty := make([]*[metaChunkSize]T, 0, 16)
+func newMetaTable[T any](stride int) *metaTable[T] {
+	mt := &metaTable[T]{stride: stride}
+	empty := make([][]T, 0, 16)
 	mt.chunks.Store(&empty)
 	return mt
 }
 
-// get returns the metadata slot for rid, growing the directory as needed.
+// get returns rid's (first) metadata slot.
 func (mt *metaTable[T]) get(rid storage.RecordID) *T {
+	chunk, off := mt.at(rid)
+	return &chunk[off]
+}
+
+// slots returns rid's stride slots.
+func (mt *metaTable[T]) slots(rid storage.RecordID) []T {
+	chunk, off := mt.at(rid)
+	return chunk[off : off+mt.stride : off+mt.stride]
+}
+
+// at returns the chunk holding rid's slots and their offset in it, growing
+// the directory as needed.
+func (mt *metaTable[T]) at(rid storage.RecordID) ([]T, int) {
 	idx := int(rid >> metaChunkBits)
 	chunks := *mt.chunks.Load()
 	if idx >= len(chunks) {
 		mt.grow(idx)
 		chunks = *mt.chunks.Load()
 	}
-	return &chunks[idx][rid&(metaChunkSize-1)]
+	return chunks[idx], int(rid&(metaChunkSize-1)) * mt.stride
 }
 
 func (mt *metaTable[T]) grow(idx int) {
@@ -251,7 +266,7 @@ func (mt *metaTable[T]) grow(idx int) {
 	chunks := *mt.chunks.Load()
 	for idx >= len(chunks) {
 		//next700:locked(metaTable.mu: chunk growth is a once-per-chunk slow path; allocating outside the lock would race a concurrent grow)
-		grown := append(chunks, new([metaChunkSize]T)) //next700:allowalloc(per-record metadata chunk growth, amortized over the table lifetime)
+		grown := append(chunks, make([]T, metaChunkSize*mt.stride)) //next700:allowalloc(per-record metadata chunk growth, amortized over the table lifetime)
 		mt.chunks.Store(&grown)
 		chunks = grown
 	}
@@ -264,6 +279,8 @@ func (mt *metaTable[T]) grow(idx int) {
 type tableMetas[T any] struct {
 	mu   sync.Mutex // serializes directory growth
 	byID atomic.Pointer[[]*metaTable[T]]
+	// stride, when set, sizes a table's per-record run of slots; nil is 1.
+	stride func(tbl *storage.Table) int
 }
 
 func (tm *tableMetas[T]) forTable(tbl *storage.Table) *metaTable[T] {
@@ -271,11 +288,15 @@ func (tm *tableMetas[T]) forTable(tbl *storage.Table) *metaTable[T] {
 	if dir := tm.byID.Load(); dir != nil && id < len(*dir) && (*dir)[id] != nil {
 		return (*dir)[id]
 	}
-	return tm.add(id)
+	stride := 1
+	if tm.stride != nil {
+		stride = tm.stride(tbl)
+	}
+	return tm.add(id, stride)
 }
 
 // add installs table id's metaTable (once; a racing caller gets the winner's).
-func (tm *tableMetas[T]) add(id int) *metaTable[T] {
+func (tm *tableMetas[T]) add(id, stride int) *metaTable[T] {
 	tm.mu.Lock()
 	defer tm.mu.Unlock()
 	var dir []*metaTable[T]
@@ -289,7 +310,7 @@ func (tm *tableMetas[T]) add(id int) *metaTable[T] {
 	for id >= len(grown) {
 		grown = append(grown, nil)
 	}
-	grown[id] = newMetaTable[T]()
+	grown[id] = newMetaTable[T](stride)
 	tm.byID.Store(&grown)
 	return grown[id]
 }
@@ -297,6 +318,11 @@ func (tm *tableMetas[T]) add(id int) *metaTable[T] {
 // get resolves the metadata slot for (tbl, rid).
 func (tm *tableMetas[T]) get(tbl *storage.Table, rid storage.RecordID) *T {
 	return tm.forTable(tbl).get(rid)
+}
+
+// slots resolves the stride slots for (tbl, rid).
+func (tm *tableMetas[T]) slots(tbl *storage.Table, rid storage.RecordID) []T {
+	return tm.forTable(tbl).slots(rid)
 }
 
 // sortWriteIndices returns the indices of write-kind accesses sorted by

@@ -679,7 +679,7 @@ func TestHStoreLazyOutOfOrderAborts(t *testing.T) {
 }
 
 func TestMetaTableGrowth(t *testing.T) {
-	mt := newMetaTable[uint64]()
+	mt := newMetaTable[uint64](1)
 	big := storage.RecordID(metaChunkSize*3 + 5)
 	*mt.get(big) = 42
 	if *mt.get(big) != 42 {
@@ -701,6 +701,26 @@ func TestMetaTableGrowth(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+
+	// With a stride each record owns its own run of slots, across chunks.
+	st := newMetaTable[uint64](3)
+	rids := []storage.RecordID{0, 1, metaChunkSize - 1, metaChunkSize, big}
+	for _, rid := range rids {
+		s := st.slots(rid)
+		if len(s) != 3 || st.get(rid) != &s[0] {
+			t.Fatalf("rid %d: %d slots, get not the first", rid, len(s))
+		}
+		for i := range s {
+			s[i] = uint64(rid)*3 + uint64(i)
+		}
+	}
+	for _, rid := range rids {
+		for i, v := range st.slots(rid) {
+			if v != uint64(rid)*3+uint64(i) {
+				t.Fatalf("rid %d slot %d = %d: runs overlap", rid, i, v)
+			}
+		}
+	}
 }
 
 func TestActiveTable(t *testing.T) {

@@ -1,6 +1,7 @@
 package cc
 
 import (
+	"encoding/binary"
 	"runtime"
 	"sync/atomic"
 
@@ -8,21 +9,16 @@ import (
 	"next700/internal/txn"
 )
 
-// siloMeta is the per-record state: the TID word (bit 0 is the commit lock,
-// upper 63 bits the TID of the last writer) and a pointer to the immutable
-// committed row image. Readers load the pointer between two word loads —
-// the Go-memory-model-clean equivalent of Silo's seqlock read: because
-// writers hold the lock bit across the data-pointer store, two equal
-// unlocked word loads bracket an unchanged pointer.
-//
-// A nil data pointer means the record is absent (never inserted, or
-// deleted).
-type siloMeta struct {
-	word atomic.Uint64
-	data atomic.Pointer[[]byte]
-}
-
-const siloLockBit = uint64(1)
+// Each record's SILO state is one slot of atomic words in the table's
+// metaTable (stride 1 + ceil(rowSize/8)): word 0 is the TID word — bit 0 the
+// commit lock, bit 1 "present", the TID of the last writer above them — and
+// the words after it hold the committed row in place, little-endian. A clear
+// present bit means the record is absent (never inserted, or deleted).
+const (
+	siloLockBit    = uint64(1)
+	siloPresentBit = uint64(2)
+	siloTIDShift   = 2
+)
 
 // siloSpinLimit bounds how long a reader spins on a locked TID word before
 // aborting. Writers hold the lock only across the short install phase, so a
@@ -35,18 +31,28 @@ const siloSpinLimit = 256
 // in canonical order, read-set validation, and epoch-based commit TIDs so
 // the common case touches no shared counters at all.
 //
-// Committed row images live behind per-record atomic pointers rather than
-// in the table arena, trading one allocation per committed write for reads
-// that are free of both latches and torn-read retries.
+// Committed rows live in place, in the record's slot, behind Silo's seqlock:
+// a writer stores the after-image words while it holds the lock bit and
+// releases with the new TID word; a reader copies the words between two
+// equal unlocked loads of the TID word. Every word is an atomic.Uint64, so
+// the seqlock read is race-free under the Go memory model, and a committed
+// write allocates nothing.
 type silo struct {
 	env     *Env
-	meta    tableMetas[siloMeta]
+	slots   tableMetas[atomic.Uint64]
 	lastTID []atomic.Uint64 // per-thread last commit TID
 }
 
 func newSilo(env *Env) *silo {
-	return &silo{env: env, lastTID: make([]atomic.Uint64, env.NumThreads)}
+	return &silo{
+		env:     env,
+		slots:   tableMetas[atomic.Uint64]{stride: siloStride},
+		lastTID: make([]atomic.Uint64, env.NumThreads),
+	}
 }
+
+// siloStride is a record's slot width in words: the TID word, then the row.
+func siloStride(tbl *storage.Table) int { return 1 + (tbl.Schema().RowSize()+7)/8 }
 
 // Name implements Protocol.
 func (p *silo) Name() string { return "SILO" }
@@ -59,20 +65,68 @@ func (p *silo) Begin(tx *txn.Txn) {
 	tx.Epoch = p.env.Epoch.Now()
 }
 
-// LoadRecord implements Loader: seed the committed image.
+// LoadRecord implements Loader: store the committed image and mark the
+// record present, keeping its TID. No transaction touches the record while
+// it is loaded; the lock bit is held across the stores all the same, so a
+// stray reader retries instead of copying a half-loaded row.
 func (p *silo) LoadRecord(tbl *storage.Table, rid storage.RecordID, key uint64, data []byte) {
-	m := p.meta.get(tbl, rid)
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	m.data.Store(&cp)
+	s := p.slots.slots(tbl, rid)
+	w := s[0].Load() &^ siloLockBit
+	s[0].Store(w | siloLockBit)
+	storeWords(s[1:], data)
+	s[0].Store(w | siloPresentBit)
 }
 
-// stableRead returns the committed row image and the TID word it belongs
-// to. Aborts (ErrConflict) if the word stays locked past the spin budget;
-// returns ErrNotFound (with a valid observation) for absent records.
-func (p *silo) stableRead(m *siloMeta) ([]byte, uint64, error) {
+// storeWords stores row bytes into the slot's data words, little-endian.
+// A word that already holds its value is not stored: an atomic store is a
+// locked instruction on amd64 and a load a plain one, and an update usually
+// rewrites a few fields of the row. The caller holds the TID word's lock
+// bit, so no other writer can change a word between the load and the store.
+func storeWords(words []atomic.Uint64, data []byte) {
+	i := 0
+	for ; len(data) >= 8; i++ {
+		storeWord(&words[i], binary.LittleEndian.Uint64(data))
+		data = data[8:]
+	}
+	if len(data) > 0 {
+		var v uint64
+		for j, b := range data {
+			v |= uint64(b) << (8 * j)
+		}
+		storeWord(&words[i], v)
+	}
+}
+
+func storeWord(w *atomic.Uint64, v uint64) {
+	if w.Load() != v {
+		w.Store(v)
+	}
+}
+
+// loadWords copies the slot's data words into buf, little-endian.
+func loadWords(buf []byte, words []atomic.Uint64) {
+	i := 0
+	for ; len(buf) >= 8; i++ {
+		binary.LittleEndian.PutUint64(buf, words[i].Load())
+		buf = buf[8:]
+	}
+	if len(buf) > 0 {
+		v := words[i].Load()
+		for j := range buf {
+			buf[j] = byte(v >> (8 * j))
+		}
+	}
+}
+
+// stableRead copies the committed row into the Tx arena and returns it with
+// the TID word it belongs to: Silo's seqlock read. Aborts (ErrConflict) if
+// the word stays locked past the spin budget; returns ErrNotFound (with a
+// valid observation) for absent records.
+func (p *silo) stableRead(tx *txn.Txn, tbl *storage.Table, rid storage.RecordID) ([]byte, uint64, error) {
+	s := p.slots.slots(tbl, rid)
+	var buf []byte
 	for spin := 0; ; spin++ {
-		v1 := m.word.Load()
+		v1 := s[0].Load()
 		if v1&siloLockBit != 0 {
 			if spin >= siloSpinLimit {
 				return nil, 0, txn.ErrConflict
@@ -80,21 +134,22 @@ func (p *silo) stableRead(m *siloMeta) ([]byte, uint64, error) {
 			runtime.Gosched()
 			continue
 		}
-		ptr := m.data.Load()
-		if m.word.Load() != v1 {
-			continue
-		}
-		if ptr == nil {
+		if v1&siloPresentBit == 0 {
 			return nil, v1, txn.ErrNotFound
 		}
-		return *ptr, v1, nil
+		if buf == nil {
+			buf = tx.Buf(tbl.Schema().RowSize())
+		}
+		loadWords(buf, s[1:])
+		if s[0].Load() == v1 {
+			return buf, v1, nil
+		}
 	}
 }
 
 // Read implements Protocol.
 func (p *silo) Read(tx *txn.Txn, tbl *storage.Table, rid storage.RecordID) ([]byte, error) {
-	m := p.meta.get(tbl, rid)
-	buf, obs, err := p.stableRead(m)
+	buf, obs, err := p.stableRead(tx, tbl, rid)
 	if err != nil && err != txn.ErrNotFound {
 		return nil, err
 	}
@@ -104,16 +159,13 @@ func (p *silo) Read(tx *txn.Txn, tbl *storage.Table, rid storage.RecordID) ([]by
 	return buf, err
 }
 
-// ReadForUpdate implements Protocol: an invisible read that seeds the
+// ReadForUpdate implements Protocol: an invisible read whose copy is the
 // after-image; the record is locked only at commit.
 func (p *silo) ReadForUpdate(tx *txn.Txn, tbl *storage.Table, rid storage.RecordID) ([]byte, error) {
-	m := p.meta.get(tbl, rid)
-	cur, obs, err := p.stableRead(m)
+	buf, obs, err := p.stableRead(tx, tbl, rid)
 	if err != nil {
 		return nil, err
 	}
-	buf := tx.Buf(len(cur))
-	copy(buf, cur)
 	tx.AddAccess(txn.Access{Table: tbl, RID: rid, Kind: txn.KindWrite, Data: buf, Obs: obs})
 	return buf, nil
 }
@@ -124,8 +176,7 @@ const ownInsertFlag = 1
 // RegisterInsert implements Protocol: lock the fresh record's TID word so
 // concurrent readers spin/abort until the outcome.
 func (p *silo) RegisterInsert(tx *txn.Txn, tbl *storage.Table, rid storage.RecordID, key uint64, data []byte) error {
-	m := p.meta.get(tbl, rid)
-	if !m.word.CompareAndSwap(0, siloLockBit) {
+	if !p.slots.get(tbl, rid).CompareAndSwap(0, siloLockBit) {
 		// Only possible if record slots were reused, which they are not.
 		return txn.ErrConflict
 	}
@@ -134,7 +185,7 @@ func (p *silo) RegisterInsert(tx *txn.Txn, tbl *storage.Table, rid storage.Recor
 }
 
 // RegisterDelete implements Protocol: a delete is a write whose install
-// clears the data pointer.
+// clears the present bit.
 func (p *silo) RegisterDelete(tx *txn.Txn, tbl *storage.Table, rid storage.RecordID, key uint64) error {
 	if w := tx.FindWrite(tbl, rid); w != nil && w.Obs2 == ownInsertFlag {
 		// Inserted by this transaction: the TID word is held since
@@ -142,28 +193,26 @@ func (p *silo) RegisterDelete(tx *txn.Txn, tbl *storage.Table, rid storage.Recor
 		tx.AddAccess(txn.Access{Table: tbl, RID: rid, Kind: txn.KindDelete, Key: key, Data: w.Data, Obs2: ownInsertFlag})
 		return nil
 	}
-	m := p.meta.get(tbl, rid)
-	img, obs, err := p.stableRead(m)
+	img, obs, err := p.stableRead(tx, tbl, rid)
 	if err != nil {
 		return err
 	}
 	// The committed image is what the engine's post-commit index retraction
 	// extracts secondary keys from: the table arena is not it under SILO.
-	// Images are immutable once published, so the alias stays valid.
 	tx.AddAccess(txn.Access{Table: tbl, RID: rid, Kind: txn.KindDelete, Key: key, Data: img, Obs: obs})
 	return nil
 }
 
 // lockWord spin-locks a TID word, verifying the version did not move past
 // the observation (early validation, cuts wasted installs).
-func (p *silo) lockWord(m *siloMeta, obs uint64) bool {
+func (p *silo) lockWord(word *atomic.Uint64, obs uint64) bool {
 	for spin := 0; ; spin++ {
-		v := m.word.Load()
+		v := word.Load()
 		if v&siloLockBit == 0 {
 			if v != obs {
 				return false
 			}
-			if m.word.CompareAndSwap(v, v|siloLockBit) {
+			if word.CompareAndSwap(v, v|siloLockBit) {
 				return true
 			}
 			continue
@@ -188,8 +237,7 @@ func (p *silo) Commit(tx *txn.Txn) error {
 			locked++ // locked since RegisterInsert, or by the entry before
 			continue
 		}
-		m := p.meta.get(a.Table, a.RID)
-		if !p.lockWord(m, a.Obs) {
+		if !p.lockWord(p.slots.get(a.Table, a.RID), a.Obs) {
 			p.unlockWrites(tx, writes, locked)
 			return txn.ErrConflict
 		}
@@ -202,8 +250,7 @@ func (p *silo) Commit(tx *txn.Txn) error {
 		if a.Kind != txn.KindRead {
 			continue
 		}
-		m := p.meta.get(a.Table, a.RID)
-		cur := m.word.Load()
+		cur := p.slots.get(a.Table, a.RID).Load()
 		if cur&siloLockBit != 0 {
 			// Locked by us (also in write set) is fine; anyone else fails.
 			if tx.FindWrite(a.Table, a.RID) == nil {
@@ -222,29 +269,20 @@ func (p *silo) Commit(tx *txn.Txn) error {
 		return nil // read-only: validated, done
 	}
 
-	// Phase 3: compute the commit TID and install. The data pointer is
-	// stored while the word still carries the lock bit; the final word
-	// store releases.
+	// Phase 3: compute the commit TID and install. The after-image words are
+	// stored while the TID word still carries the lock bit; the record's
+	// last entry stores the new word, which installs and unlocks at once.
 	tid := p.commitTID(tx)
-	word := tid << 1
 	for k, wi := range writes {
 		a := &tx.Accesses[wi]
-		m := p.meta.get(a.Table, a.RID)
+		s := p.slots.slots(a.Table, a.RID)
+		present := siloPresentBit
 		switch a.Kind {
 		case txn.KindDelete:
-			m.data.Store(nil)
+			present = 0
 			a.Table.SetTombstone(a.RID, true)
 		default:
-			// Allocation budget: this copy is SILO's only steady-state heap
-			// traffic — 2 allocations per written record (the image bytes and
-			// the slice header escaping into the atomic.Pointer). It is load-
-			// bearing: readers hold the previous image lock-free, so the
-			// committed image must be freshly owned, never a view of the
-			// transaction's arena. The alloc gate (bench/alloc_test.go) pins
-			// this budget at exactly 2/write.
-			cp := make([]byte, len(a.Data)) //next700:allowalloc(the documented per-write publish copy, pinned by the alloc-gate budget)
-			copy(cp, a.Data)
-			m.data.Store(&cp)
+			storeWords(s[1:], a.Data)
 			if a.Kind == txn.KindInsert {
 				a.Table.SetTombstone(a.RID, false)
 			}
@@ -252,7 +290,7 @@ func (p *silo) Commit(tx *txn.Txn) error {
 		if k+1 < len(writes) && sameRecord(a, &tx.Accesses[writes[k+1]]) {
 			continue // the record's last entry installs and unlocks
 		}
-		m.word.Store(word) // install + unlock in one store
+		s[0].Store(tid<<siloTIDShift | present)
 	}
 	tx.ID = tid
 	return nil
@@ -266,7 +304,7 @@ func sameRecord(a, b *txn.Access) bool { return a.Table == b.Table && a.RID == b
 func (p *silo) commitTID(tx *txn.Txn) uint64 {
 	tid := uint64(0)
 	for i := range tx.Accesses {
-		if obs := tx.Accesses[i].Obs >> 1; obs > tid {
+		if obs := tx.Accesses[i].Obs >> siloTIDShift; obs > tid {
 			tid = obs
 		}
 	}
@@ -286,11 +324,11 @@ func (p *silo) commitTID(tx *txn.Txn) uint64 {
 func (p *silo) unlockWrites(tx *txn.Txn, writes []int, n int) {
 	for k := 0; k < n; k++ {
 		a := &tx.Accesses[writes[k]]
-		m := p.meta.get(a.Table, a.RID)
+		word := p.slots.get(a.Table, a.RID)
 		if a.Obs2 == ownInsertFlag {
-			m.word.Store(0)
+			word.Store(0)
 		} else {
-			m.word.Store(a.Obs)
+			word.Store(a.Obs)
 		}
 	}
 }
@@ -301,8 +339,7 @@ func (p *silo) Abort(tx *txn.Txn) {
 	for i := range tx.Accesses {
 		a := &tx.Accesses[i]
 		if a.Kind == txn.KindInsert && a.Obs2 == ownInsertFlag {
-			m := p.meta.get(a.Table, a.RID)
-			m.word.Store(0)
+			p.slots.get(a.Table, a.RID).Store(0)
 		}
 	}
 }

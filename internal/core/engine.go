@@ -9,6 +9,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -394,11 +395,21 @@ func (e *Engine) AddIndex(t *Table, name string, kind IndexKind,
 	var backfillErr error
 	if t.tbl.NumRows() > 0 {
 		// Backfill: walk the primary index so each live row's key is known.
+		// The row is the committed image read through the protocol, as a
+		// checkpoint reads it, and a deleted row reads as ErrNotFound: under
+		// SILO and MVCC the table arena is not the committed image, and
+		// MVCC does not keep its tombstones either.
+		tx := e.checkpointTx()
 		t.primary.Iterate(func(key uint64, rid storage.RecordID) bool {
-			if t.tbl.IsTombstoned(rid) {
+			row, err := e.committedRow(tx, t, rid)
+			if errors.Is(err, txn.ErrNotFound) {
 				return true
 			}
-			if _, ok := idx.Insert(extract(t.sch, t.tbl.Row(rid), key), rid); !ok {
+			if err != nil {
+				backfillErr = fmt.Errorf("core: backfilling index %s.%s (pk %d): %w", t.Name(), name, key, err)
+				return false
+			}
+			if _, ok := idx.Insert(extract(t.sch, row, key), rid); !ok {
 				backfillErr = fmt.Errorf("core: duplicate key backfilling index %s.%s (pk %d): %w",
 					t.Name(), name, key, txn.ErrDuplicate)
 				return false

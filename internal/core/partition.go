@@ -249,6 +249,9 @@ func (e *Engine) partitionGuard() {
 // while healthy-partition traffic runs, provided the quarantine mask
 // already covers p and the attempt gate has been drained since (no live
 // transaction can then be touching p's records).
+//
+// Secondary entries are retracted by record id, not by a key extracted from
+// the row: under SILO and MVCC the table arena is not the committed image.
 func (e *Engine) clearPartition(p int) {
 	for _, t := range e.snapshotTables() {
 		// Collect first: deleting under Iterate would mutate the index
@@ -262,15 +265,34 @@ func (e *Engine) clearPartition(p int) {
 			}
 			return true
 		})
-		for i, key := range keys {
-			rid := rids[i]
-			for j := range t.secondaries {
-				s := &t.secondaries[j]
-				s.idx.Delete(s.extract(t.sch, t.tbl.Row(rid), key))
+		if len(t.secondaries) > 0 {
+			owned := make(map[storage.RecordID]struct{}, len(rids))
+			for _, rid := range rids {
+				owned[rid] = struct{}{}
 			}
-			t.primary.Delete(key)
-			t.tbl.SetTombstone(rid, true)
+			for j := range t.secondaries {
+				t.secondaries[j].retractOwned(owned)
+			}
 		}
+		for i, key := range keys {
+			t.primary.Delete(key)
+			t.tbl.SetTombstone(rids[i], true)
+		}
+	}
+}
+
+// retractOwned deletes every entry of the secondary index that points at an
+// owned record.
+func (s *secondary) retractOwned(owned map[storage.RecordID]struct{}) {
+	var stale []uint64
+	s.idx.Iterate(func(key uint64, rid storage.RecordID) bool {
+		if _, ok := owned[rid]; ok {
+			stale = append(stale, key)
+		}
+		return true
+	})
+	for _, key := range stale {
+		s.idx.Delete(key)
 	}
 }
 

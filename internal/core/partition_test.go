@@ -850,3 +850,84 @@ func TestPartitionBaseResolution(t *testing.T) {
 		}
 	})
 }
+
+// TestPartitionRecoveryRetractsSecondaryByRecord: live partition recovery
+// retracts the partition's secondary-index entries by record, so afterwards
+// a secondary lookup reaches the recovered row, not the cleared one. Under
+// SILO and MVCC a committed insert never reaches the table arena, so a key
+// extracted from the arena row names no entry and the stale one survived:
+// the lookup then returned the pre-recovery image.
+func TestPartitionRecoveryRetractsSecondaryByRecord(t *testing.T) {
+	forAllProtocols(t, func(t *testing.T, protocol string) {
+		const parts, n, dead = 2, 8, 1
+		e, _, ck, tbl := partStore(t, parts, n, func(cfg *Config) { cfg.Protocol = protocol })
+		sch := storage.MustSchema("gv", storage.I64("g"), storage.I64("v"))
+		gv, err := e.CreateTable(sch, IndexHash)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// by_g indexes the never-updated g column, pk folded into the low bits.
+		if err := e.AddIndex(gv, "by_g", IndexHash, func(s *storage.Schema, row storage.Row, pk uint64) uint64 {
+			return uint64(s.GetInt64(row, 0))<<32 | pk
+		}); err != nil {
+			t.Fatal(err)
+		}
+		setGV := func(tx *Tx, k uint64, v int64) error {
+			return tx.Run(func(tx *Tx) error {
+				row, err := tx.Update(gv, k)
+				if err != nil {
+					return err
+				}
+				sch.SetInt64(row, 1, v)
+				return nil
+			})
+		}
+		lookupV := func(tx *Tx, k uint64) (int64, error) {
+			var v int64
+			err := tx.Run(func(tx *Tx) error {
+				row, err := tx.LookupIndex(gv, "by_g", (5+k)<<32|k)
+				if err != nil {
+					return err
+				}
+				v = sch.GetInt64(row, 1)
+				return nil
+			})
+			return v, err
+		}
+
+		tx := e.NewTx(0, 1)
+		keys := []uint64{1, 2, 3}
+		for _, k := range keys {
+			if err := tx.Run(func(tx *Tx) error {
+				row := sch.NewRow()
+				sch.SetInt64(row, 0, int64(5+k))
+				sch.SetInt64(row, 1, 1)
+				return tx.Insert(gv, k, row)
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if err := setGV(tx, k, 77); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		if err := e.QuarantinePartition(dead); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ck.RecoverPartition(dead, partZeroLoad(e, tbl, parts, n, dead)); err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range keys {
+			if v, err := lookupV(tx, k); err != nil || v != 77 {
+				t.Fatalf("key %d (partition %d) by_g after recovery = %d, %v; want 77", k, k%parts, v, err)
+			}
+			if err := setGV(tx, k, 99); err != nil {
+				t.Fatal(err)
+			}
+			if v, err := lookupV(tx, k); err != nil || v != 99 {
+				t.Fatalf("key %d (partition %d) by_g after an update through the primary = %d, %v; want 99 (a stale secondary entry)",
+					k, k%parts, v, err)
+			}
+		}
+	})
+}

@@ -477,7 +477,7 @@ func publishSeal(store CheckpointStore, sealed wal.Manifest, dropped []wal.Manif
 }
 
 // reloadRecord refreshes protocol-side state (version chains, committed
-// image pointers) for a recovered record.
+// images) for a recovered record.
 func (e *Engine) reloadRecord(th *Table, rid storage.RecordID, key uint64, data []byte) {
 	if loader, ok := e.proto.(interface {
 		LoadRecord(tbl *storage.Table, rid storage.RecordID, key uint64, data []byte)
