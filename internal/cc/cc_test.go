@@ -15,7 +15,7 @@ import (
 )
 
 // fixture is a tiny engine stand-in: one table of int64 counters, loaded
-// through the protocol's Loader hook when present, plus a retrying
+// through the protocol's Loader, plus a retrying
 // transaction runner with own-write visibility — the same discipline the
 // real engine uses.
 type fixture struct {
@@ -36,14 +36,8 @@ func newFixture(t testing.TB, name string, threads, nrows int) *fixture {
 	}
 	sch := storage.MustSchema("counters", storage.I64("v"))
 	tbl := storage.NewTable(sch, 0)
-	loader, _ := p.(Loader)
 	for i := 0; i < nrows; i++ {
-		rid := tbl.Alloc()
-		row := tbl.Row(rid)
-		sch.SetInt64(row, 0, 0)
-		if loader != nil {
-			loader.LoadRecord(tbl, rid, uint64(rid), row)
-		}
+		p.LoadRecord(tbl, tbl.Alloc(), uint64(i), sch.NewRow())
 	}
 	return &fixture{p: p, env: env, tbl: tbl, sch: sch, nrows: nrows}
 }

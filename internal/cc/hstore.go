@@ -35,6 +35,7 @@ func (s *hstoreState) holds(p int) bool {
 // nearly free; multi-partition transactions serialize whole partitions,
 // which is the cliff experiment E10 charts.
 type hstore struct {
+	arenaRows
 	env   *Env
 	locks []sync.Mutex
 	// partOf tags each record with its partition, set by LoadRecord and
@@ -139,10 +140,11 @@ func lockWithDeadline(mu *sync.Mutex, deadline int64) error {
 	return nil
 }
 
-// LoadRecord implements the engine's bulk-load hook: tag the record's
-// partition.
+// LoadRecord implements Loader: tag the record's partition, then install
+// the row in the arena.
 func (p *hstore) LoadRecord(tbl *storage.Table, rid storage.RecordID, key uint64, data []byte) {
 	*p.partOf.get(tbl, rid) = int32(p.partitionOfKey(tbl, key)) + 1
+	p.arenaRows.LoadRecord(tbl, rid, key, data)
 }
 
 func (p *hstore) partitionOfKey(tbl *storage.Table, key uint64) int {
@@ -222,7 +224,7 @@ func (p *hstore) RegisterDelete(tx *txn.Txn, tbl *storage.Table, rid storage.Rec
 	if tbl.IsTombstoned(rid) {
 		return txn.ErrNotFound
 	}
-	tx.AddAccess(txn.Access{Table: tbl, RID: rid, Kind: txn.KindDelete, Key: key})
+	tx.AddAccess(txn.Access{Table: tbl, RID: rid, Kind: txn.KindDelete, Key: key, Data: tbl.Row(rid)})
 	return nil
 }
 

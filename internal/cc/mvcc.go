@@ -71,8 +71,7 @@ func (v *mvVersion) setData(data []byte) {
 
 // mvcc is multi-version concurrency control with timestamp ordering,
 // version-chain storage and active-transaction-watermark garbage
-// collection. Table rows are never read directly — all data lives in
-// version chains seeded by LoadRecord.
+// collection. All data lives in version chains seeded by LoadRecord.
 type mvcc struct {
 	env   *Env
 	level string
@@ -104,18 +103,31 @@ func (p *mvcc) Begin(tx *txn.Txn) {
 	p.env.Active.Enter(tx.ThreadID, tx.ID)
 }
 
-// LoadRecord implements the engine's bulk-load hook: install the initial
-// version, visible to every transaction.
+// LoadRecord implements Loader: install the initial version, visible to
+// every transaction, or empty the chain for nil data.
 func (p *mvcc) LoadRecord(tbl *storage.Table, rid storage.RecordID, key uint64, data []byte) {
 	m := p.meta.get(tbl, rid)
 	// Build the version outside the critical section; the lock only covers
 	// the head-pointer install.
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	v := &mvVersion{begin: 0, data: cp}
+	var v *mvVersion
+	if data != nil {
+		v = &mvVersion{begin: 0, data: append([]byte(nil), data...)}
+	}
 	m.mu.Lock()
 	m.head = v
 	m.mu.Unlock()
+}
+
+// Committed implements Loader: the chain head's image unless it is a
+// deletion.
+func (p *mvcc) Committed(tbl *storage.Table, rid storage.RecordID) ([]byte, bool) {
+	m := p.meta.get(tbl, rid)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.head == nil || m.head.deleted {
+		return nil, false
+	}
+	return m.head.data, true
 }
 
 // visible returns the newest version with begin <= ts (nil if none).
@@ -234,9 +246,8 @@ func (p *mvcc) RegisterDelete(tx *txn.Txn, tbl *storage.Table, rid storage.Recor
 		m.pending = 0
 		return txn.ErrNotFound
 	}
-	// The engine's post-commit index retraction extracts secondary keys from
-	// the deleted image (the table arena is not it under MVCC); a copy,
-	// because pruning may recycle the version once this transaction leaves.
+	// The deleted image, copied: pruning may recycle the version once this
+	// transaction leaves.
 	img := tx.Buf(len(v.data))
 	copy(img, v.data)
 	tx.AddAccess(txn.Access{Table: tbl, RID: rid, Kind: txn.KindDelete, Key: key, Data: img})

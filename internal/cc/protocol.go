@@ -30,6 +30,8 @@ import (
 // Implementations must be safe for concurrent use by the configured number
 // of worker threads.
 type Protocol interface {
+	Loader
+
 	// Name returns the canonical scheme name (e.g. "SILO").
 	Name() string
 
@@ -56,7 +58,9 @@ type Protocol interface {
 	// (blocked, aborted, or shown an invisible record).
 	RegisterInsert(tx *txn.Txn, tbl *storage.Table, rid storage.RecordID, key uint64, data []byte) error
 
-	// RegisterDelete records intent to delete the record at commit.
+	// RegisterDelete records intent to delete the record at commit. The
+	// access it records carries the deleted image in Data: the engine's
+	// post-commit index retraction extracts secondary keys from it.
 	RegisterDelete(tx *txn.Txn, tbl *storage.Table, rid storage.RecordID, key uint64) error
 
 	// Commit validates and installs the transaction. On success all writes
@@ -88,12 +92,37 @@ type HookedCommitter interface {
 	CommitHooked(tx *txn.Txn, beforeRelease func()) error
 }
 
-// Loader is implemented by protocols that must observe bulk-loaded records
-// (MVCC seeds version chains; HSTORE tags partitions). The engine calls it
-// once per record during the single-threaded load phase, before any
-// transactions run.
+// Loader is the protocol's ownership of a record's committed image: where
+// a committed row lives (the table arena, SILO's slot words, MVCC's version
+// chain) is the protocol's business, and the engine installs and reads rows
+// outside transactions only through these two methods — at load, checkpoint
+// apply, log replay, partition clear, index backfill and state digest.
+// Neither runs concurrently with a transaction on the same record.
 type Loader interface {
+	// LoadRecord installs data as the record's committed image, or marks
+	// the record absent when data is nil. data is copied; key is the
+	// record's primary key.
 	LoadRecord(tbl *storage.Table, rid storage.RecordID, key uint64, data []byte)
+	// Committed returns the record's committed image and whether the
+	// record is present. For quiescent callers only: the image may alias
+	// protocol storage that the next commit overwrites.
+	Committed(tbl *storage.Table, rid storage.RecordID) ([]byte, bool)
+}
+
+// arenaRows is the Loader of the protocols that install writes in place
+// (the 2PL family, TIMESTAMP, TICTOC, HSTORE, QSTORE): the committed image
+// is the table arena's row, and absence its tombstone.
+type arenaRows struct{}
+
+// LoadRecord implements Loader.
+func (arenaRows) LoadRecord(tbl *storage.Table, rid storage.RecordID, key uint64, data []byte) {
+	copy(tbl.Row(rid), data)
+	tbl.SetTombstone(rid, data == nil)
+}
+
+// Committed implements Loader.
+func (arenaRows) Committed(tbl *storage.Table, rid storage.RecordID) ([]byte, bool) {
+	return tbl.Row(rid), !tbl.IsTombstoned(rid)
 }
 
 // Env carries the shared runtime services protocols draw on.

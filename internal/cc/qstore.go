@@ -19,6 +19,7 @@ import (
 // (nothing detects the conflicts the scheduler is supposed to have planned
 // away).
 type qstore struct {
+	arenaRows
 	env *Env
 }
 
@@ -65,7 +66,7 @@ func (q *qstore) RegisterDelete(tx *txn.Txn, tbl *storage.Table, rid storage.Rec
 	if tbl.IsTombstoned(rid) {
 		return txn.ErrNotFound
 	}
-	tx.AddAccess(txn.Access{Table: tbl, RID: rid, Kind: txn.KindDelete, Key: key})
+	tx.AddAccess(txn.Access{Table: tbl, RID: rid, Kind: txn.KindDelete, Key: key, Data: tbl.Row(rid)})
 	return nil
 }
 

@@ -66,15 +66,31 @@ func (p *silo) Begin(tx *txn.Txn) {
 }
 
 // LoadRecord implements Loader: store the committed image and mark the
-// record present, keeping its TID. No transaction touches the record while
-// it is loaded; the lock bit is held across the stores all the same, so a
-// stray reader retries instead of copying a half-loaded row.
+// record present, or clear the present bit for nil data, keeping its TID
+// either way. No transaction touches the record while it is loaded; the
+// lock bit is held across the stores all the same, so a stray reader
+// retries instead of copying a half-loaded row.
 func (p *silo) LoadRecord(tbl *storage.Table, rid storage.RecordID, key uint64, data []byte) {
 	s := p.slots.slots(tbl, rid)
-	w := s[0].Load() &^ siloLockBit
+	w := s[0].Load() &^ (siloLockBit | siloPresentBit)
+	if data == nil {
+		s[0].Store(w)
+		return
+	}
 	s[0].Store(w | siloLockBit)
 	storeWords(s[1:], data)
 	s[0].Store(w | siloPresentBit)
+}
+
+// Committed implements Loader: a copy of the slot's words.
+func (p *silo) Committed(tbl *storage.Table, rid storage.RecordID) ([]byte, bool) {
+	s := p.slots.slots(tbl, rid)
+	if s[0].Load()&siloPresentBit == 0 {
+		return nil, false
+	}
+	row := make([]byte, tbl.Schema().RowSize())
+	loadWords(row, s[1:])
+	return row, true
 }
 
 // storeWords stores row bytes into the slot's data words, little-endian.
@@ -197,8 +213,6 @@ func (p *silo) RegisterDelete(tx *txn.Txn, tbl *storage.Table, rid storage.Recor
 	if err != nil {
 		return err
 	}
-	// The committed image is what the engine's post-commit index retraction
-	// extracts secondary keys from: the table arena is not it under SILO.
 	tx.AddAccess(txn.Access{Table: tbl, RID: rid, Kind: txn.KindDelete, Key: key, Data: img, Obs: obs})
 	return nil
 }
@@ -277,15 +291,10 @@ func (p *silo) Commit(tx *txn.Txn) error {
 		a := &tx.Accesses[wi]
 		s := p.slots.slots(a.Table, a.RID)
 		present := siloPresentBit
-		switch a.Kind {
-		case txn.KindDelete:
+		if a.Kind == txn.KindDelete {
 			present = 0
-			a.Table.SetTombstone(a.RID, true)
-		default:
+		} else {
 			storeWords(s[1:], a.Data)
-			if a.Kind == txn.KindInsert {
-				a.Table.SetTombstone(a.RID, false)
-			}
 		}
 		if k+1 < len(writes) && sameRecord(a, &tx.Accesses[writes[k+1]]) {
 			continue // the record's last entry installs and unlocks

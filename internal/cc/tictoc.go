@@ -27,6 +27,7 @@ const ticTocSpinLimit = 256
 // This removes the central allocator bottleneck and commits many schedules
 // 2PL and T/O reject.
 type ticToc struct {
+	arenaRows
 	env  *Env
 	meta tableMetas[ttMeta]
 }
@@ -112,11 +113,11 @@ func (p *ticToc) RegisterInsert(tx *txn.Txn, tbl *storage.Table, rid storage.Rec
 // RegisterDelete implements Protocol.
 func (p *ticToc) RegisterDelete(tx *txn.Txn, tbl *storage.Table, rid storage.RecordID, key uint64) error {
 	m := p.meta.get(tbl, rid)
-	_, wts, rts, err := p.observe(tx, tbl, rid, m)
+	img, wts, rts, err := p.observe(tx, tbl, rid, m)
 	if err != nil {
 		return err
 	}
-	tx.AddAccess(txn.Access{Table: tbl, RID: rid, Kind: txn.KindDelete, Key: key, Obs: wts, Obs2: rts})
+	tx.AddAccess(txn.Access{Table: tbl, RID: rid, Kind: txn.KindDelete, Key: key, Data: img, Obs: wts, Obs2: rts})
 	return nil
 }
 

@@ -24,6 +24,7 @@ type toMeta struct {
 // central allocator at scale — is exactly the one the design-space
 // experiments chart.
 type timestampOrdering struct {
+	arenaRows
 	env  *Env
 	meta tableMetas[toMeta]
 }
@@ -129,7 +130,7 @@ func (p *timestampOrdering) RegisterDelete(tx *txn.Txn, tbl *storage.Table, rid 
 		m.dirty = 0
 		return txn.ErrNotFound
 	}
-	tx.AddAccess(txn.Access{Table: tbl, RID: rid, Kind: txn.KindDelete, Key: key})
+	tx.AddAccess(txn.Access{Table: tbl, RID: rid, Kind: txn.KindDelete, Key: key, Data: tbl.Row(rid)})
 	return nil
 }
 

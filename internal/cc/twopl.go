@@ -187,6 +187,7 @@ func (w *waitsFor) clear(me uint64) {
 
 // twoPL implements the three lock-based protocols over shared machinery.
 type twoPL struct {
+	arenaRows
 	env     *Env
 	variant twoPLVariant
 	meta    tableMetas[lockState]
@@ -355,7 +356,7 @@ func (p *twoPL) RegisterDelete(tx *txn.Txn, tbl *storage.Table, rid storage.Reco
 	if tbl.IsTombstoned(rid) {
 		return txn.ErrNotFound
 	}
-	tx.AddAccess(txn.Access{Table: tbl, RID: rid, Kind: txn.KindDelete, Key: key})
+	tx.AddAccess(txn.Access{Table: tbl, RID: rid, Kind: txn.KindDelete, Key: key, Data: tbl.Row(rid)})
 	return nil
 }
 

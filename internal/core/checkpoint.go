@@ -188,10 +188,11 @@ func (e *Engine) collectSlice(t *Table, part, slices int) ([]ckptEntry, error) {
 }
 
 // committedRow reads one committed row image through a throwaway
-// transaction. For version-storing protocols (MVCC, SILO) the table row can
-// be stale, so the image always comes from a protocol read; it is copied out
-// before the read transaction is released, so nothing aliases a per-context
-// buffer the next read reuses or memory a writer may recycle.
+// transaction: the fuzzy checkpoint runs beside writers, so it cannot use
+// the quiescent Loader.Committed (a lock-free arena read races a 2PL or
+// TIMESTAMP writer). The image is copied out before the read transaction is
+// released, so nothing aliases a per-context buffer the next read reuses or
+// memory a writer may recycle.
 func (e *Engine) committedRow(tx *Tx, t *Table, rid storage.RecordID) ([]byte, error) {
 	tx.inner.Reset()
 	e.proto.Begin(tx.inner)
@@ -242,14 +243,12 @@ func (e *Engine) applyCheckpointPlan(plan []ckptTableLoad) {
 			for t.tbl.NumRows() <= uint64(en.rid) {
 				t.tbl.Alloc()
 			}
-			copy(t.tbl.Row(en.rid), en.row)
-			t.tbl.SetTombstone(en.rid, false)
 			t.primary.Insert(en.key, en.rid)
 			for j := range t.secondaries {
 				s := &t.secondaries[j]
 				s.idx.Insert(s.extract(t.sch, en.row, en.key), en.rid)
 			}
-			e.reloadRecord(t, en.rid, en.key, en.row)
+			e.proto.LoadRecord(t.tbl, en.rid, en.key, en.row)
 		}
 	}
 }

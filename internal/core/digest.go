@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
+	"slices"
 	"sort"
 
 	"next700/internal/storage"
@@ -16,8 +18,8 @@ import (
 // count or allocation order. This is the oracle deterministic execution is
 // judged by: same seed, same batches ⇒ byte-identical digests.
 //
-// The engine must be quiescent; StateDigest reads rows without concurrency
-// control.
+// The engine must be quiescent; StateDigest reads the committed rows
+// through the protocol's Loader, without concurrency control.
 //
 //next700:locked(Engine.mu: verification-only digest; the engine is quiescent by contract when this runs)
 func (e *Engine) StateDigest() [sha256.Size]byte {
@@ -35,44 +37,31 @@ func (e *Engine) StateDigest() [sha256.Size]byte {
 
 	h := sha256.New()
 	var scratch [8]byte
-	var keys []uint64
-	var rids []storage.RecordID
+	type keyRow struct {
+		key uint64
+		row []byte
+	}
+	var live []keyRow
 	for i, t := range tables {
-		keys = keys[:0]
-		rids = rids[:0]
+		live = live[:0]
 		t.primary.Iterate(func(key uint64, rid storage.RecordID) bool {
-			if t.tbl.IsTombstoned(rid) {
-				return true
+			if row, ok := e.proto.Committed(t.tbl, rid); ok {
+				live = append(live, keyRow{key, row})
 			}
-			keys = append(keys, key)
-			rids = append(rids, rid)
 			return true
 		})
 		// Key-sort so hash-index iteration order cannot leak into the
 		// digest (the B+ tree already iterates in key order; the hash index
 		// does not).
-		sort.Sort(&keyRIDSort{keys: keys, rids: rids})
+		slices.SortFunc(live, func(a, b keyRow) int { return cmp.Compare(a.key, b.key) })
 		h.Write([]byte(names[i]))
-		for j, key := range keys {
-			binary.LittleEndian.PutUint64(scratch[:], key)
+		for _, kr := range live {
+			binary.LittleEndian.PutUint64(scratch[:], kr.key)
 			h.Write(scratch[:])
-			h.Write(t.tbl.Row(rids[j]))
+			h.Write(kr.row)
 		}
 	}
 	var out [sha256.Size]byte
 	h.Sum(out[:0])
 	return out
-}
-
-// keyRIDSort sorts parallel key/rid slices by key.
-type keyRIDSort struct {
-	keys []uint64
-	rids []storage.RecordID
-}
-
-func (s *keyRIDSort) Len() int           { return len(s.keys) }
-func (s *keyRIDSort) Less(i, j int) bool { return s.keys[i] < s.keys[j] }
-func (s *keyRIDSort) Swap(i, j int) {
-	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
-	s.rids[i], s.rids[j] = s.rids[j], s.rids[i]
 }

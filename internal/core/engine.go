@@ -9,7 +9,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -77,12 +76,6 @@ type Config struct {
 	// while a flush is in flight for this long is failed and quarantined as
 	// if its device had errored. Zero disables stall escalation.
 	QuarantineStall time.Duration
-	// OnPartitionDown, when set with PartitionWAL, is invoked after a
-	// partition is quarantined (down=true) and after RecoverPartition
-	// readmits it (down=false). Harness layers hook per-partition admission
-	// shedding here. Called from the quarantine guard goroutine or the
-	// recovering caller; it must not block.
-	OnPartitionDown func(part int, down bool)
 	// EpochInterval is the Silo epoch advance period (default 10ms).
 	EpochInterval time.Duration
 	// Retry bounds Tx.Run's transient-abort retry loop and its jittered
@@ -395,19 +388,10 @@ func (e *Engine) AddIndex(t *Table, name string, kind IndexKind,
 	var backfillErr error
 	if t.tbl.NumRows() > 0 {
 		// Backfill: walk the primary index so each live row's key is known.
-		// The row is the committed image read through the protocol, as a
-		// checkpoint reads it, and a deleted row reads as ErrNotFound: under
-		// SILO and MVCC the table arena is not the committed image, and
-		// MVCC does not keep its tombstones either.
-		tx := e.checkpointTx()
 		t.primary.Iterate(func(key uint64, rid storage.RecordID) bool {
-			row, err := e.committedRow(tx, t, rid)
-			if errors.Is(err, txn.ErrNotFound) {
+			row, ok := e.proto.Committed(t.tbl, rid)
+			if !ok {
 				return true
-			}
-			if err != nil {
-				backfillErr = fmt.Errorf("core: backfilling index %s.%s (pk %d): %w", t.Name(), name, key, err)
-				return false
 			}
 			if _, ok := idx.Insert(extract(t.sch, row, key), rid); !ok {
 				backfillErr = fmt.Errorf("core: duplicate key backfilling index %s.%s (pk %d): %w",
@@ -454,14 +438,13 @@ func (t *Table) findSecondary(name string) *secondary {
 }
 
 // Load inserts a row during the single-threaded load phase, bypassing
-// concurrency control (but informing protocols that track record state).
+// concurrency control: the protocol installs it as the committed image.
 // It must not run concurrently with transactions.
 func (e *Engine) Load(t *Table, key uint64, row storage.Row) error {
 	if len(row) != t.sch.RowSize() {
 		return fmt.Errorf("core: row size %d != schema %d for %q: %w", len(row), t.sch.RowSize(), t.Name(), ErrInvalidUsage)
 	}
 	rid := t.tbl.Alloc()
-	copy(t.tbl.Row(rid), row)
 	if _, ok := t.primary.Insert(key, rid); !ok {
 		return fmt.Errorf("core: duplicate key %d loading %q: %w", key, t.Name(), txn.ErrDuplicate)
 	}
@@ -469,9 +452,7 @@ func (e *Engine) Load(t *Table, key uint64, row storage.Row) error {
 		s := &t.secondaries[i]
 		s.idx.Insert(s.extract(t.sch, row, key), rid)
 	}
-	if loader, ok := e.proto.(cc.Loader); ok {
-		loader.LoadRecord(t.tbl, rid, key, row)
-	}
+	e.proto.LoadRecord(t.tbl, rid, key, row)
 	return nil
 }
 

@@ -54,9 +54,7 @@ func TestAddIndexBackfill(t *testing.T) {
 
 // TestAddIndexBackfillCommittedImage: the backfill indexes each row under
 // the key of its committed image, so a row updated and a row inserted by
-// committed transactions are both found. Under SILO and MVCC the table arena
-// is not the committed image: a backfill reading it indexed the update under
-// its load-time value and the insert under zeros.
+// committed transactions are both found.
 func TestAddIndexBackfillCommittedImage(t *testing.T) {
 	forAllProtocols(t, func(t *testing.T, protocol string) {
 		e := openEngine(t, Config{Protocol: protocol, Threads: 1, Partitions: 2})

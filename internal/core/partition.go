@@ -153,9 +153,6 @@ func (e *Engine) quarantine(p int) {
 	// The stream is failed (the guard only quarantines after the failure
 	// signal); Quarantine re-certifies the frontier over the survivors.
 	_ = e.logs.Quarantine(p)
-	if cb := e.cfg.OnPartitionDown; cb != nil {
-		cb(p, true)
-	}
 }
 
 // QuarantinePartition fails partition p's stream (if it has not already
@@ -245,13 +242,10 @@ func (e *Engine) partitionGuard() {
 }
 
 // clearPartition removes every record of partition p from memory: primary
-// and secondary index entries are retracted and the rows tombstoned. Safe
-// while healthy-partition traffic runs, provided the quarantine mask
-// already covers p and the attempt gate has been drained since (no live
-// transaction can then be touching p's records).
-//
-// Secondary entries are retracted by record id, not by a key extracted from
-// the row: under SILO and MVCC the table arena is not the committed image.
+// and secondary index entries are retracted and the protocol marks the
+// records absent. Safe while healthy-partition traffic runs, provided the
+// quarantine mask already covers p and the attempt gate has been drained
+// since (no live transaction can then be touching p's records).
 func (e *Engine) clearPartition(p int) {
 	for _, t := range e.snapshotTables() {
 		// Collect first: deleting under Iterate would mutate the index
@@ -276,7 +270,7 @@ func (e *Engine) clearPartition(p int) {
 		}
 		for i, key := range keys {
 			t.primary.Delete(key)
-			t.tbl.SetTombstone(rids[i], true)
+			e.proto.LoadRecord(t.tbl, rids[i], key, nil)
 		}
 	}
 }
@@ -364,9 +358,6 @@ func (c *Checkpointer) RecoverPartition(p int, load func() error) (RecoveryStats
 		if e.quarMask.CompareAndSwap(old, old&^bit) {
 			break
 		}
-	}
-	if cb := e.cfg.OnPartitionDown; cb != nil {
-		cb(p, false)
 	}
 	return rs, nil
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -164,19 +163,7 @@ func TestPartitionWALConfigValidation(t *testing.T) {
 func TestPartitionQuarantineLifecycle(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
 	const parts = 4
-	var downs []int
-	var mu sync.Mutex
-	e, _, ck, tbl := partStore(t, parts, 64, func(cfg *Config) {
-		cfg.OnPartitionDown = func(p int, down bool) {
-			mu.Lock()
-			if down {
-				downs = append(downs, p)
-			} else {
-				downs = append(downs, -p)
-			}
-			mu.Unlock()
-		}
-	})
+	e, _, ck, tbl := partStore(t, parts, 64, nil)
 
 	// Seed every partition with acknowledged commits: key k := 7+k.
 	tx := e.NewTx(0, 1)
@@ -279,12 +266,6 @@ func TestPartitionQuarantineLifecycle(t *testing.T) {
 	// function-level defers.
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
-	}
-
-	mu.Lock()
-	defer mu.Unlock()
-	if len(downs) != 2 || downs[0] != dead || downs[1] != -dead {
-		t.Fatalf("OnPartitionDown calls = %v, want [%d %d]", downs, dead, -dead)
 	}
 }
 

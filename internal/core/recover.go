@@ -7,7 +7,6 @@ import (
 	"io"
 	"sort"
 
-	"next700/internal/storage"
 	"next700/internal/wal"
 )
 
@@ -474,14 +473,4 @@ func publishSeal(store CheckpointStore, sealed wal.Manifest, dropped []wal.Manif
 		}
 	}
 	return true, nil
-}
-
-// reloadRecord refreshes protocol-side state (version chains, committed
-// images) for a recovered record.
-func (e *Engine) reloadRecord(th *Table, rid storage.RecordID, key uint64, data []byte) {
-	if loader, ok := e.proto.(interface {
-		LoadRecord(tbl *storage.Table, rid storage.RecordID, key uint64, data []byte)
-	}); ok {
-		loader.LoadRecord(th.tbl, rid, key, data)
-	}
 }

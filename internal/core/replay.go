@@ -80,7 +80,7 @@ type applyBatch struct {
 // applier owns the keys routed to it for one replay.
 type applier struct {
 	partition bool
-	loader    cc.Loader
+	proto     cc.Loader
 	versions  versionTable
 	entries   int
 	skipped   int
@@ -92,11 +92,10 @@ type applier struct {
 // replay returned.
 func (e *Engine) newValueReplay(partition bool) *valueReplay {
 	vr := &valueReplay{e: e, partition: partition, lastID: -1}
-	loader, _ := e.proto.(cc.Loader)
 	for i := runtime.GOMAXPROCS(0); i > 0; i-- {
 		a := &applier{
 			partition: partition,
-			loader:    loader,
+			proto:     e.proto,
 			in:        make(chan *applyBatch, applyBatchesInFlight),
 			// Room for every batch that can exist, so an applier never
 			// blocks handing one back.
@@ -224,12 +223,14 @@ func (a *applier) apply(op *applyOp, data []byte) {
 		if !present {
 			return // already absent in the replayed base
 		}
-		for j := range th.secondaries {
-			s := &th.secondaries[j]
-			s.idx.Delete(s.extract(th.sch, th.tbl.Row(rid), op.key))
+		if row, ok := a.proto.Committed(th.tbl, rid); ok {
+			for j := range th.secondaries {
+				s := &th.secondaries[j]
+				s.idx.Delete(s.extract(th.sch, row, op.key))
+			}
 		}
 		th.primary.Delete(op.key)
-		th.tbl.SetTombstone(rid, true)
+		a.proto.LoadRecord(th.tbl, rid, op.key, nil)
 		return
 	}
 	switch {
@@ -246,13 +247,7 @@ func (a *applier) apply(op *applyOp, data []byte) {
 			s.idx.Insert(s.extract(th.sch, storage.Row(data), op.key), rid)
 		}
 	}
-	copy(th.tbl.Row(rid), data)
-	if th.tbl.IsTombstoned(rid) {
-		th.tbl.SetTombstone(rid, false)
-	}
-	if a.loader != nil {
-		a.loader.LoadRecord(th.tbl, rid, op.key, data)
-	}
+	a.proto.LoadRecord(th.tbl, rid, op.key, data)
 }
 
 // versionTable is the newest version one applier applied per (table, logged

@@ -101,8 +101,8 @@ func replayHistory(t *testing.T, e *Engine, kv, ord *Table, workers, txns, n int
 	}
 }
 
-// logicalState reads every live key of tbl through the protocol (the table
-// arena is not authoritative under SILO) and, per secondary index, its keys.
+// logicalState reads every live key of tbl through the protocol and, per
+// secondary index, its keys.
 func logicalState(t *testing.T, e *Engine, tbl *Table) string {
 	t.Helper()
 	var keys []uint64

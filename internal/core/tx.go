@@ -625,18 +625,11 @@ func (t *Tx) retractDeletes() {
 			continue
 		}
 		th.primary.Delete(a.Key)
-		if len(th.secondaries) > 0 {
-			// Secondary keys come from the deleted image: the access carries
-			// it where the protocol keeps committed images off the table
-			// arena (SILO, MVCC); elsewhere the arena holds it.
-			row := storage.Row(a.Data)
-			if row == nil {
-				row = a.Table.Row(a.RID)
-			}
-			for j := range th.secondaries {
-				s := &th.secondaries[j]
-				s.idx.Delete(s.extract(th.sch, row, a.Key))
-			}
+		// Secondary keys come from the deleted image, which every
+		// protocol's RegisterDelete puts in the access.
+		for j := range th.secondaries {
+			s := &th.secondaries[j]
+			s.idx.Delete(s.extract(th.sch, storage.Row(a.Data), a.Key))
 		}
 	}
 }
