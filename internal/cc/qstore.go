@@ -20,6 +20,7 @@ import (
 // away).
 type qstore struct {
 	arenaRows
+	noPrefetch
 	env *Env
 }
 

@@ -28,6 +28,7 @@ const ticTocSpinLimit = 256
 // 2PL and T/O reject.
 type ticToc struct {
 	arenaRows
+	noPrefetch
 	env  *Env
 	meta tableMetas[ttMeta]
 }

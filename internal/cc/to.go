@@ -25,6 +25,7 @@ type toMeta struct {
 // experiments chart.
 type timestampOrdering struct {
 	arenaRows
+	noPrefetch
 	env  *Env
 	meta tableMetas[toMeta]
 }

@@ -188,6 +188,7 @@ func (w *waitsFor) clear(me uint64) {
 // twoPL implements the three lock-based protocols over shared machinery.
 type twoPL struct {
 	arenaRows
+	noPrefetch
 	env     *Env
 	variant twoPLVariant
 	meta    tableMetas[lockState]

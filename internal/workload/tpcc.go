@@ -113,10 +113,13 @@ func oCustKey(w, d, c int, o int64) uint64 {
 type tpccWorker struct {
 	nurand *xrand.NURand
 	buf    [64]byte
-	// scratch for NewOrder item plans.
-	items   []int
-	supplys []int
-	qtys    []int
+	// scratch for NewOrder item plans, and the item and stock keys they
+	// prefetch.
+	items     []int
+	supplys   []int
+	qtys      []int
+	itemKeys  []uint64
+	stockKeys []uint64
 	// scratch for by-name lookups.
 	custIDs []int
 }
@@ -302,10 +305,12 @@ func (t *TPCC) worker(tx *core.Tx) *tpccWorker {
 	w := t.workers[id]
 	if w == nil {
 		w = &tpccWorker{
-			nurand:  xrand.NewNURand(tx.RNG()),
-			items:   make([]int, 0, 15),
-			supplys: make([]int, 0, 15),
-			qtys:    make([]int, 0, 15),
+			nurand:    xrand.NewNURand(tx.RNG()),
+			items:     make([]int, 0, 15),
+			supplys:   make([]int, 0, 15),
+			qtys:      make([]int, 0, 15),
+			itemKeys:  make([]uint64, 0, 15),
+			stockKeys: make([]uint64, 0, 15),
 		}
 		t.workers[id] = w
 	}

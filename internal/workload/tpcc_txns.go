@@ -95,6 +95,8 @@ func (t *TPCC) newOrder(tx *core.Tx, w *tpccWorker) error {
 	w.items = w.items[:0]
 	w.supplys = w.supplys[:0]
 	w.qtys = w.qtys[:0]
+	w.itemKeys = w.itemKeys[:0]
+	w.stockKeys = w.stockKeys[:0]
 	allLocal := int64(1)
 	parts := []int{t.partitionOfWarehouse(wid)}
 	for i := 0; i < olCnt; i++ {
@@ -113,6 +115,8 @@ func (t *TPCC) newOrder(tx *core.Tx, w *tpccWorker) error {
 		w.items = append(w.items, item)
 		w.supplys = append(w.supplys, supply)
 		w.qtys = append(w.qtys, rng.IntRange(1, 10))
+		w.itemKeys = append(w.itemKeys, iKey(item))
+		w.stockKeys = append(w.stockKeys, sKey(supply, item))
 	}
 
 	wsch, dsch, csch := t.warehouse.Schema(), t.district.Schema(), t.customer.Schema()
@@ -125,6 +129,8 @@ func (t *TPCC) newOrder(tx *core.Tx, w *tpccWorker) error {
 				return err
 			}
 		}
+		tx.Prefetch(t.item, w.itemKeys)
+		tx.Prefetch(t.stock, w.stockKeys)
 		wrow, err := tx.Read(t.warehouse, wKey(wid))
 		if err != nil {
 			return err

@@ -221,6 +221,7 @@ func (y *YCSB) worker(tx *core.Tx) *ycsbWorker {
 					return err
 				}
 			}
+			tx.Prefetch(y.table, w.keys)
 			return y.execOps(tx, w.keys, w.ops)
 		}
 		y.workers[id] = w
