@@ -10,7 +10,10 @@
 // specification.
 package xrand
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // RNG is a splitmix64/xorshift-style pseudo random generator. It is not
 // cryptographically secure; it is fast, deterministic, and has a full 2^64
@@ -54,11 +57,11 @@ func (r *RNG) Uint64n(n uint64) uint64 {
 		panic("xrand: Uint64n with n == 0")
 	}
 	// Lemire's multiply-shift rejection method.
-	hi, lo := mul64(r.Uint64(), n)
+	hi, lo := bits.Mul64(r.Uint64(), n)
 	if lo < n {
 		thresh := -n % n
 		for lo < thresh {
-			hi, lo = mul64(r.Uint64(), n)
+			hi, lo = bits.Mul64(r.Uint64(), n)
 		}
 	}
 	return hi
@@ -137,22 +140,31 @@ func (r *RNG) NString(buf []byte, lo, hi int) []byte {
 	return buf[:n]
 }
 
-func mul64(x, y uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	x0, x1 := x&mask32, x>>32
-	y0, y1 := y&mask32, y>>32
-	w0 := x0 * y0
-	t := x1*y0 + w0>>32
-	w1 := t&mask32 + x0*y1
-	hi = x1*y1 + t>>32 + w1>>32
-	lo = x * y
-	return
-}
-
 // Zipf generates Zipfian-distributed values in [0, n) using the algorithm of
 // Gray et al. (SIGMOD'94), the same generator YCSB uses. theta in [0, 1)
 // controls skew: 0 is uniform, 0.99 is the YCSB "hotspot" default where a
 // handful of items absorb most accesses.
+//
+// A draw of rank >= 2 is the truncation of n*math.Pow(x, alpha), with
+// x = eta*u - eta + 1 and alpha = 1/(1-theta); every seeded workload and
+// state digest is pinned to those values. When 2*alpha lies within 1e-12 of
+// an integer m <= 2048 (theta = 0.5, 0.6, 0.75, 0.8, 0.9, 0.95, 0.98, 0.99,
+// ...), Next computes p = x^(m/2) without math.Pow instead: x^floor(m/2) by
+// square-and-multiply, times the correctly rounded math.Sqrt(x) when m is
+// odd. For x >= 1e-6, p is within 2e-11 of the exact x^alpha, relative:
+// the products and the square root err by at most (m/2 + 1)*2^-53 < 1.2e-13,
+// and alpha - m/2 = d with |d| < 1e-12 leaves the factor
+// x^d = exp(d*ln x), |d*ln x| < 1.4e-11. math.Pow is within the same order
+// of x^alpha (its own square-and-multiply, then Exp(f*Log x) with |f| <= 0.5),
+// and each product by n rounds once more. So when t = n*p has
+// floor(t*(1-1e-9)) == floor(t*(1+1e-9)) >= 1, that integer is math.Pow's
+// truncation; the low end >= 1 also keeps p >= 2^-65, so no step
+// underflowed. Every other draw evaluates the math.Pow expression on the
+// same x: the band straddles an integer (about 8e-5 of rank >= 2 draws at
+// theta 0.9 over 262 144 keys), x < 1e-6, or alpha does not qualify
+// (theta = 0.4).
+// The draws are therefore bit-identical to math.Pow's by construction;
+// TestZipfMatchesPow checks them against it.
 type Zipf struct {
 	rng   *RNG
 	n     uint64
@@ -164,6 +176,9 @@ type Zipf struct {
 	// one is the bound on u*zetan below which a draw is rank 1:
 	// 1 + 0.5^theta, computed once rather than on every draw.
 	one float64
+	// twoAlpha is m when 2*alpha is within 1e-12 of the integer m <= 2048,
+	// else 0: the exponent Next can raise x to without math.Pow.
+	twoAlpha uint64
 }
 
 // NewZipf constructs a Zipfian generator over [0, n) with skew theta.
@@ -181,6 +196,9 @@ func NewZipf(rng *RNG, n uint64, theta float64) *Zipf {
 	z.alpha = 1.0 / (1.0 - theta)
 	z.one = 1.0 + math.Pow(0.5, theta)
 	z.eta = (1 - math.Pow(2.0/float64(n), 1-theta)) / (1 - z.half/z.zetan)
+	if m := math.Round(2 * z.alpha); m <= 2048 && math.Abs(z.alpha-m/2) < 1e-12 {
+		z.twoAlpha = uint64(m)
+	}
 	return z
 }
 
@@ -204,11 +222,50 @@ func (z *Zipf) Next() uint64 {
 	if uz < z.one {
 		return 1
 	}
-	v := uint64(float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))
+	// One x for both paths, so a fused multiply-add cannot split them.
+	x := z.eta*u - z.eta + 1
+	// twoAlpha is tested here rather than in scaledPow so that a generator
+	// left on math.Pow (theta = 0.4) pays no call.
+	v, ok := uint64(0), false
+	if z.twoAlpha != 0 {
+		v, ok = z.scaledPow(x)
+	}
+	if !ok {
+		v = uint64(float64(z.n) * math.Pow(x, z.alpha))
+	}
 	if v >= z.n {
 		v = z.n - 1
 	}
 	return v
+}
+
+// scaledPow returns uint64(n * math.Pow(x, alpha)) and true when the guard
+// band in Zipf's comment proves the square-and-multiply value equal to it,
+// and false when the caller must evaluate math.Pow. z.twoAlpha must be
+// nonzero.
+func (z *Zipf) scaledPow(x float64) (uint64, bool) {
+	if x < 1e-6 {
+		return 0, false
+	}
+	p := 1.0
+	if z.twoAlpha&1 != 0 {
+		p = math.Sqrt(x)
+	}
+	for e := z.twoAlpha >> 1; ; {
+		if e&1 != 0 {
+			p *= x
+		}
+		if e >>= 1; e == 0 {
+			break
+		}
+		x *= x
+	}
+	t := float64(z.n) * p
+	lo, hi := t*(1-1e-9), t*(1+1e-9)
+	if lo < 1 || uint64(lo) != uint64(hi) {
+		return 0, false
+	}
+	return uint64(lo), true
 }
 
 // zeta computes the generalized harmonic number sum_{i=1..n} 1/i^theta.

@@ -1,7 +1,9 @@
 package xrand
 
 import (
+	"fmt"
 	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -277,11 +279,26 @@ func TestStrings(t *testing.T) {
 	}
 }
 
+// mul64 is the portable 128-bit product Uint64n used before math/bits.Mul64:
+// the reference TestMul64 holds the intrinsic to.
+func mul64(x, y uint64) (hi, lo uint64) {
+	const mask32 = 1<<32 - 1
+	x0, x1 := x&mask32, x>>32
+	y0, y1 := y&mask32, y>>32
+	w0 := x0 * y0
+	t := x1*y0 + w0>>32
+	w1 := t&mask32 + x0*y1
+	hi = x1*y1 + t>>32 + w1>>32
+	lo = x * y
+	return
+}
+
 func TestMul64(t *testing.T) {
-	err := quick.Check(func(x, y uint32) bool {
-		hi, lo := mul64(uint64(x), uint64(y))
-		return hi == 0 && lo == uint64(x)*uint64(y)
-	}, nil)
+	err := quick.Check(func(x, y uint64) bool {
+		hi, lo := bits.Mul64(x, y)
+		wantHi, wantLo := mul64(x, y)
+		return hi == wantHi && lo == wantLo
+	}, &quick.Config{MaxCount: 100000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,3 +307,111 @@ func TestMul64(t *testing.T) {
 		t.Fatalf("mul64 high word wrong: %d", hi)
 	}
 }
+
+// TestUint64nPinned pins an FNV-1a digest of the first 10 000 Uint64n draws
+// from seed 42 per bound, taken with the portable mul64: small bounds, one
+// past 2^40 and 2^63+1, where Lemire's rejection loop runs on about half the
+// draws.
+func TestUint64nPinned(t *testing.T) {
+	for _, c := range []struct {
+		n, digest uint64
+	}{
+		{3, 0x787b9d04d1ce3ca},
+		{10, 0xec199cdfcabb1961},
+		{1000, 0x306fa7993254deaa},
+		{1<<40 + 7, 0x10dc73c4706dfde4},
+		{1<<63 + 1, 0x8b15d3798b980040},
+	} {
+		r := New(42)
+		digest := uint64(14695981039346656037)
+		for i := 0; i < 10000; i++ {
+			digest ^= r.Uint64n(c.n)
+			digest *= 1099511628211
+		}
+		if digest != c.digest {
+			t.Errorf("n=%d: digest of 10000 draws = %#x, want %#x", c.n, digest, c.digest)
+		}
+	}
+}
+
+// powNext is Next as it was before the square-and-multiply path, every draw
+// of rank >= 2 through math.Pow: the reference TestZipfMatchesPow holds Next
+// to. It also returns x for those draws (NaN for ranks 0 and 1).
+func powNext(z *Zipf) (uint64, float64) {
+	u := z.rng.Float64()
+	uz := u * z.zetan
+	if uz < 1.0 {
+		return 0, math.NaN()
+	}
+	if uz < z.one {
+		return 1, math.NaN()
+	}
+	x := z.eta*u - z.eta + 1
+	v := uint64(float64(z.n) * math.Pow(x, z.alpha))
+	if v >= z.n {
+		v = z.n - 1
+	}
+	return v, x
+}
+
+// TestZipfMatchesPow draws from Next and from the math.Pow reference on one
+// seed over a grid of skews and domain sizes and requires every draw equal.
+// On every skew whose 2*alpha is an integer it also requires the
+// square-and-multiply path to have served at least 99.9 % of the rank >= 2
+// draws, so a path that always fell back to math.Pow would fail.
+func TestZipfMatchesPow(t *testing.T) {
+	draws := 2_000_000
+	if testing.Short() {
+		draws = 200_000
+	}
+	for _, theta := range []float64{0.4, 0.5, 0.6, 0.75, 0.8, 0.9, 0.95, 0.98, 0.99} {
+		for _, n := range []uint64{10, 1000, 262144, 1 << 20, 999983} {
+			theta, n := theta, n
+			t.Run(fmt.Sprintf("theta=%v/n=%d", theta, n), func(t *testing.T) {
+				t.Parallel()
+				seed := uint64(n) ^ math.Float64bits(theta)
+				z, ref := NewZipf(New(seed), n, theta), NewZipf(New(seed), n, theta)
+				qualifies := theta != 0.4
+				if got := z.twoAlpha != 0; got != qualifies {
+					t.Fatalf("alpha = %v: square-and-multiply path %v, want %v", z.alpha, got, qualifies)
+				}
+				rank2, fast := 0, 0
+				for i := 0; i < draws; i++ {
+					v := z.Next()
+					want, x := powNext(ref)
+					if v != want {
+						t.Fatalf("draw %d = %d, math.Pow gives %d (x = %v)", i, v, want, x)
+					}
+					if !math.IsNaN(x) {
+						rank2++
+						if _, ok := z.scaledPow(x); ok {
+							fast++
+						}
+					}
+				}
+				if qualifies && rank2 > 0 && float64(fast) < 0.999*float64(rank2) {
+					t.Fatalf("square-and-multiply served %d of %d rank >= 2 draws, want >= 99.9 %%", fast, rank2)
+				}
+				t.Logf("rank >= 2 draws %d, math.Pow fallbacks %d", rank2, rank2-fast)
+			})
+		}
+	}
+}
+
+// BenchmarkZipfNext draws over the YCSB table size. theta 0.4 does not
+// qualify for square-and-multiply and measures the math.Pow path.
+func BenchmarkZipfNext(b *testing.B) {
+	for _, theta := range []float64{0.4, 0.6, 0.9, 0.99} {
+		b.Run(fmt.Sprintf("theta=%v", theta), func(b *testing.B) {
+			z := NewZipf(New(1), 262144, theta)
+			b.ResetTimer()
+			var sum uint64
+			for i := 0; i < b.N; i++ {
+				sum += z.Next()
+			}
+			zipfSink = sum
+		})
+	}
+}
+
+var zipfSink uint64
