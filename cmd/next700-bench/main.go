@@ -365,7 +365,9 @@ func runTorture(protocol string, iters int, seed uint64) {
 }
 
 // openLog creates the log at the -logpath prefix path: stream i is the file
-// <path>.<i>, and <path>.manifest.json pairs them for recovery.
+// <path>.<i>, and <path>.manifest.json pairs them for recovery. The manifest
+// is wal.SaveManifestFile's CRC-sealed atomic install, so a previous run's
+// copy stays beside it as <path>.manifest.json.prev.
 func openLog(path string, streams int, mode string) ([]wal.Device, func(), error) {
 	var files []*os.File
 	closeLog := func() {
@@ -373,11 +375,7 @@ func openLog(path string, streams int, mode string) ([]wal.Device, func(), error
 			f.Close()
 		}
 	}
-	mf, err := os.Create(path + ".manifest.json")
-	if err != nil {
-		return nil, nil, err
-	}
-	err = errors.Join(wal.WriteManifest(mf, wal.Manifest{Streams: streams, Mode: mode}), mf.Close())
+	err := wal.SaveManifestFile(path+".manifest.json", wal.Manifest{Streams: streams, Mode: mode})
 	devs := make([]wal.Device, streams)
 	for i := 0; i < streams && err == nil; i++ {
 		var f *os.File
@@ -396,12 +394,7 @@ func openLog(path string, streams int, mode string) ([]wal.Device, func(), error
 // cfg loaded with wl (the same deterministic load), merging the manifest's
 // streams by epoch. The time is the replay's alone.
 func recoverLog(cfg core.Config, wl workload.Workload, path string) (st core.RecoveryStats, took time.Duration, err error) {
-	mf, err := os.Open(path + ".manifest.json")
-	if err != nil {
-		return st, 0, err
-	}
-	defer mf.Close()
-	m, err := wal.ReadManifest(mf)
+	m, _, err := wal.LoadManifestFile(path + ".manifest.json")
 	readers := make([]io.Reader, m.Streams)
 	for i := 0; i < m.Streams && err == nil; i++ {
 		var lf *os.File

@@ -218,14 +218,13 @@ func partitionSweep(c common) sweep {
 // keys {i*P + p}.
 func partSweepEngine(P int, devs []wal.Device) (*core.Engine, *core.Table, error) {
 	e, err := core.Open(core.Config{
-		Protocol:      "SILO",
-		Threads:       P,
-		Partitions:    P,
-		LogMode:       wal.ModeValue,
-		WALStreams:    P,
-		LogDevices:    devs,
-		PartitionWAL:  true,
-		EpochInterval: time.Millisecond,
+		Protocol:     "SILO",
+		Threads:      P,
+		Partitions:   P,
+		LogMode:      wal.ModeValue,
+		WALStreams:   P,
+		LogDevices:   devs,
+		PartitionWAL: true,
 	})
 	if err != nil {
 		return nil, nil, err

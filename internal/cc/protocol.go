@@ -7,7 +7,7 @@
 //	DL_DETECT  two-phase locking, waits-for graph deadlock detection
 //	TIMESTAMP  basic timestamp ordering (T/O)
 //	MVCC       multi-version T/O with version chains and GC
-//	SILO       OCC with epoch-based TIDs and Silo's commit validation
+//	SILO       OCC with per-record TID words and Silo's commit validation
 //	TICTOC     timestamp computation with read-timestamp extension
 //	HSTORE     partition-level locking, single-threaded partition semantics
 //
@@ -150,8 +150,6 @@ func (noPrefetch) Prefetch(*storage.Table, storage.RecordID) {}
 type Env struct {
 	// TS is the central timestamp allocator (TO, MVCC, WAIT_DIE priorities).
 	TS *txn.TimestampSource
-	// Epoch is the Silo epoch source, advanced by the engine.
-	Epoch *txn.Epoch
 	// Active tracks per-thread active begin-timestamps for MVCC garbage
 	// collection.
 	Active *ActiveTable
@@ -177,7 +175,6 @@ func NewEnv(numThreads int) *Env {
 	}
 	return &Env{
 		TS:            &txn.TimestampSource{},
-		Epoch:         txn.NewEpoch(),
 		Active:        NewActiveTable(numThreads),
 		NumThreads:    numThreads,
 		NumPartitions: 1,

@@ -415,23 +415,25 @@ func TestSiloCommitTIDMonotone(t *testing.T) {
 		if tx.ID <= prev {
 			t.Fatalf("commit TID not monotone: %d after %d", tx.ID, prev)
 		}
-		if tx.ID>>32 < tx.Epoch {
-			t.Fatalf("TID epoch bits %d below epoch %d", tx.ID>>32, tx.Epoch)
-		}
 		prev = tx.ID
 	}
-	// Epoch advance lifts the TID range.
-	env.Epoch.Advance()
+	// A record this thread never touched still gets a TID above the
+	// thread's last one.
+	rid2 := tbl.Alloc()
+	p.LoadRecord(tbl, rid2, 1, init)
 	tx := mkTxn(0, 0)
 	tx.Reset()
 	p.Begin(tx)
-	buf, _ := p.ReadForUpdate(tx, tbl, rid)
+	buf, err := p.ReadForUpdate(tx, tbl, rid2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	sch.SetInt64(buf, 0, 999)
 	if err := p.Commit(tx); err != nil {
 		t.Fatal(err)
 	}
-	if tx.ID>>32 != env.Epoch.Now() {
-		t.Fatalf("TID not in new epoch: %d", tx.ID>>32)
+	if tx.ID <= prev {
+		t.Fatalf("commit TID not monotone per thread: %d after %d", tx.ID, prev)
 	}
 }
 

@@ -28,8 +28,10 @@ const siloSpinLimit = 256
 
 // silo is Silo-style optimistic concurrency control (Tu et al., SOSP'13):
 // invisible reads via TID-word versioning, write locks taken only at commit
-// in canonical order, read-set validation, and epoch-based commit TIDs so
-// the common case touches no shared counters at all.
+// in canonical order, read-set validation, and commit TIDs drawn from the
+// observed TIDs and the thread's last one, so the common case touches no
+// shared counters at all. The log's epochs, not the TIDs, carry group
+// commit and recovery order.
 //
 // Committed rows live in place, in the record's slot, behind Silo's seqlock:
 // a writer stores the after-image words while it holds the lock bit and
@@ -57,12 +59,12 @@ func siloStride(tbl *storage.Table) int { return 1 + (tbl.Schema().RowSize()+7)/
 // Name implements Protocol.
 func (p *silo) Name() string { return "SILO" }
 
-// Begin implements Protocol: record the epoch; no shared state is touched.
+// Begin implements Protocol: stamp the priority once per logical
+// transaction; a retry touches no shared state.
 func (p *silo) Begin(tx *txn.Txn) {
 	if tx.Priority == 0 {
 		tx.Priority = p.env.TS.Next()
 	}
-	tx.Epoch = p.env.Epoch.Now()
 }
 
 // LoadRecord implements Loader: store the committed image and mark the
@@ -329,8 +331,8 @@ func (p *silo) Commit(tx *txn.Txn) error {
 // sameRecord reports whether two accesses name the same record.
 func sameRecord(a, b *txn.Access) bool { return a.Table == b.Table && a.RID == b.RID }
 
-// commitTID returns a TID greater than every observed TID, greater than
-// this thread's previous commit TID, and within the transaction's epoch.
+// commitTID returns a TID greater than every observed TID and greater than
+// this thread's previous commit TID, so TIDs rise per record and per thread.
 func (p *silo) commitTID(tx *txn.Txn) uint64 {
 	tid := uint64(0)
 	for i := range tx.Accesses {
@@ -342,9 +344,6 @@ func (p *silo) commitTID(tx *txn.Txn) uint64 {
 		tid = last
 	}
 	tid++
-	if min := tx.Epoch << 32; tid < min {
-		tid = min | 1
-	}
 	p.lastTID[tx.ThreadID].Store(tid)
 	return tid
 }

@@ -4,12 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"next700/internal/cc"
 	"next700/internal/storage"
+	"next700/internal/testutil"
 	"next700/internal/txn"
 	"next700/internal/wal"
 )
@@ -666,16 +667,29 @@ func TestEngineCloseIdempotent(t *testing.T) {
 	}
 }
 
-func TestEpochTickerAdvances(t *testing.T) {
-	e := openEngine(t, Config{EpochInterval: time.Millisecond})
-	start := time.Now()
-	for time.Since(start) < time.Second {
-		if e.env.Epoch.Now() > 2 {
-			return
+// TestOpenStartsNoGoroutine: an engine with no log and no PartitionWAL has
+// no background work, so opening it starts no goroutine. Several engines are
+// opened so that one unrelated goroutine exiting meanwhile cannot hide one
+// started per engine.
+func TestOpenStartsNoGoroutine(t *testing.T) {
+	defer testutil.CheckGoroutines(t)()
+	before := runtime.NumGoroutine()
+	var engines []*Engine
+	for _, proto := range []string{"SILO", "NO_WAIT", "MVCC", "HSTORE"} {
+		e, err := Open(Config{Protocol: proto, Threads: 2})
+		if err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(time.Millisecond)
+		engines = append(engines, e)
 	}
-	t.Fatal("epoch did not advance")
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("opening %d engines without a log raised the goroutine count from %d to %d", len(engines), before, after)
+	}
+	for _, e := range engines {
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 func TestRecoverRequiresLogging(t *testing.T) {

@@ -76,8 +76,6 @@ type Config struct {
 	// while a flush is in flight for this long is failed and quarantined as
 	// if its device had errored. Zero disables stall escalation.
 	QuarantineStall time.Duration
-	// EpochInterval is the Silo epoch advance period (default 10ms).
-	EpochInterval time.Duration
 	// Retry bounds Tx.Run's transient-abort retry loop and its jittered
 	// exponential backoff; zero fields select defaults (see RetryPolicy).
 	Retry RetryPolicy
@@ -93,9 +91,6 @@ func (c *Config) normalize() error {
 	}
 	if c.Partitions <= 0 {
 		c.Partitions = c.Threads
-	}
-	if c.EpochInterval <= 0 {
-		c.EpochInterval = 10 * time.Millisecond
 	}
 	c.Retry = c.Retry.normalized()
 	if c.LogMode == wal.ModeNone {
@@ -199,10 +194,8 @@ type Engine struct {
 
 	// logs is the engine's one log (nil when LogMode is none): a StreamSet
 	// of Config.WALStreams streams.
-	logs     *wal.StreamSet
-	stopTick chan struct{}
-	tickDone chan struct{}
-	closed   bool
+	logs   *wal.StreamSet
+	closed bool
 
 	// quarMask is the quarantined-partition bitmask (bit p set = partition
 	// p unavailable). The operation and commit gates load it once; in a
@@ -264,8 +257,6 @@ func Open(cfg Config) (*Engine, error) {
 		counters: stats.NewCounterSet(cfg.Threads),
 		tables:   make(map[string]*Table),
 		procs:    make(map[int32]Proc),
-		stopTick: make(chan struct{}),
-		tickDone: make(chan struct{}),
 	}
 	e.ckptThread = cfg.Threads
 	if cfg.LogMode != wal.ModeNone {
@@ -281,23 +272,7 @@ func Open(cfg Config) (*Engine, error) {
 		e.guardDone = make(chan struct{})
 		go e.partitionGuard()
 	}
-	go e.epochTicker()
 	return e, nil
-}
-
-// epochTicker advances the Silo epoch periodically.
-func (e *Engine) epochTicker() {
-	defer close(e.tickDone)
-	t := time.NewTicker(e.cfg.EpochInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-e.stopTick:
-			return
-		case <-t.C:
-			e.env.Epoch.Advance()
-		}
-	}
 }
 
 // Close stops background work and flushes the log.
@@ -309,8 +284,6 @@ func (e *Engine) Close() error {
 	}
 	e.closed = true
 	e.mu.Unlock()
-	close(e.stopTick)
-	<-e.tickDone //next700:allowwait(shutdown join: stopTick close guarantees the epoch ticker exits)
 	if e.guardStop != nil {
 		close(e.guardStop)
 		<-e.guardDone //next700:allowwait(shutdown join: guardStop close guarantees the partition guard exits)
@@ -502,6 +475,3 @@ func (e *Engine) DurableEpoch() uint64 {
 	}
 	return e.logs.DurableEpoch()
 }
-
-// AdvanceEpoch manually advances the Silo epoch (tests and benchmarks).
-func (e *Engine) AdvanceEpoch() { e.env.Epoch.Advance() }

@@ -27,14 +27,13 @@ func partEngine(t testing.TB, parts, n int, tweak func(cfg *Config, devs []wal.D
 		devs[i] = mems[i]
 	}
 	cfg := Config{
-		Protocol:      "SILO",
-		Threads:       parts,
-		Partitions:    parts,
-		LogMode:       wal.ModeValue,
-		WALStreams:    parts,
-		LogDevices:    devs,
-		PartitionWAL:  true,
-		EpochInterval: time.Millisecond,
+		Protocol:     "SILO",
+		Threads:      parts,
+		Partitions:   parts,
+		LogMode:      wal.ModeValue,
+		WALStreams:   parts,
+		LogDevices:   devs,
+		PartitionWAL: true,
 	}
 	if tweak != nil {
 		tweak(&cfg, devs)
@@ -66,14 +65,13 @@ func partStore(t testing.TB, parts, n int, tweak func(cfg *Config)) (*Engine, *f
 func partOpen(t testing.TB, att *LogAttachment, parts, n int, tweak func(cfg *Config)) (*Engine, *Table) {
 	t.Helper()
 	cfg := Config{
-		Protocol:      "SILO",
-		Threads:       parts,
-		Partitions:    parts,
-		LogMode:       wal.ModeValue,
-		WALStreams:    parts,
-		LogDevices:    att.Devices,
-		PartitionWAL:  true,
-		EpochInterval: time.Millisecond,
+		Protocol:     "SILO",
+		Threads:      parts,
+		Partitions:   parts,
+		LogMode:      wal.ModeValue,
+		WALStreams:   parts,
+		LogDevices:   att.Devices,
+		PartitionWAL: true,
 	}
 	if tweak != nil {
 		tweak(&cfg)

@@ -230,13 +230,14 @@ func (e *Engine) recoverFrom(src recoverySource) (RecoveryStats, error) {
 	if vr != nil {
 		vr.finish(&rs)
 	}
-	if err != nil || !fromStore {
+	if err != nil {
 		return rs, err
 	}
 
 	// Seal: post-recovery appends must tag strictly above every epoch
 	// already in the log (or covered by the restored base), or a later
-	// recovery would merge the incarnations out of order.
+	// recovery would merge the incarnations out of order — also when the
+	// readers were handed in and the engine appends to the same log.
 	base := rs.MaxEpoch
 	for _, ep := range skip {
 		if ep > base {
@@ -244,6 +245,9 @@ func (e *Engine) recoverFrom(src recoverySource) (RecoveryStats, error) {
 		}
 	}
 	e.logs.RaiseEpoch(base)
+	if !fromStore {
+		return rs, nil
+	}
 
 	// The inherited active segments are sealed; the attachment's own fresh
 	// segments, already published, stay active. With nothing inherited to

@@ -95,6 +95,76 @@ func TestRecoverEntryPointsAgree(t *testing.T) {
 // TestStoreRecoveryCountsTornTail: store-based recovery trims a torn tail off
 // an active segment before the replay scanner sees it, and must still report
 // the discarded bytes in TornBytes, as reader-based recovery does.
+// TestRecoverRaisesEpoch: an engine that recovers a log and then appends to
+// it must tag its commits above every replayed epoch. Otherwise a commit
+// after the first recovery sorts below the writes it overwrote when both
+// incarnations are recovered together, and an acknowledged commit is lost.
+func TestRecoverRaisesEpoch(t *testing.T) {
+	forAllProtocols(t, func(t *testing.T, protocol string) {
+		const keys = 5
+		dev := &memDevice{}
+		build := func(d wal.Device) (*Engine, *Table) {
+			e := openEngine(t, Config{Protocol: protocol, Threads: 1, LogMode: wal.ModeValue, LogDevice: d})
+			return e, kvTable(t, e, "kv", IndexHash, keys)
+		}
+		set := func(e *Engine, tbl *Table, k uint64, v int64) {
+			t.Helper()
+			if err := e.NewTx(0, 1).Run(func(tx *Tx) error {
+				row, err := tx.Update(tbl, k)
+				if err == nil {
+					setV(tbl, row, v)
+				}
+				return err
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := make([]int64, keys)
+		recoverInto := func(d wal.Device) (*Engine, *Table, RecoveryStats) {
+			t.Helper()
+			e, tbl := build(d)
+			rs, err := e.Recover(dev.reader())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.NewTx(0, 2).Run(func(tx *Tx) error {
+				for k, v := range want {
+					row, err := tx.Read(tbl, uint64(k))
+					if err != nil {
+						return err
+					}
+					if got := getV(tbl, row); got != v {
+						t.Fatalf("key %d = %d after recovery, want %d", k, got, v)
+					}
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			return e, tbl, rs
+		}
+
+		e, tbl := build(dev)
+		for n := 0; n < 50; n++ {
+			want[n%keys] = int64(1000 + n)
+			set(e, tbl, uint64(n%keys), want[n%keys])
+		}
+		e.Close()
+
+		// The second incarnation appends to the log it recovered.
+		e, tbl, first := recoverInto(dev)
+		want[4] = 7000
+		set(e, tbl, 4, want[4])
+		e.Close()
+
+		// Both incarnations, recovered together.
+		_, _, both := recoverInto(&memDevice{})
+		if both.Records != first.Records+1 || both.MaxEpoch <= first.MaxEpoch {
+			t.Fatalf("second recovery %+v after first %+v", both, first)
+		}
+	})
+}
+
 func TestStoreRecoveryCountsTornTail(t *testing.T) {
 	store := fault.NewMemStore(fault.StoreChaos{})
 	e, att := sliceEngine(t, store, "SILO", 0, true)

@@ -45,6 +45,8 @@ type Tx struct {
 	// PartitionWAL (ascending stream ids, deduplicated); pre-sized to the
 	// partition bound so collectStreams allocates nothing.
 	streamScratch []int
+	// declared is DeclarePartitions' copy of the caller's partition list.
+	declared []int
 	// noLog suppresses write-ahead logging for this context. Store-based
 	// recovery sets it while re-executing the command-log tail: the sealed
 	// segments remain the authoritative tail until the next checkpoint
@@ -125,12 +127,16 @@ func (t *Tx) ThreadID() int { return t.inner.ThreadID }
 func (t *Tx) Schema(tbl *Table) *storage.Schema { return tbl.sch }
 
 // DeclarePartitions pre-declares the partitions this transaction touches.
-// Required for HSTORE multi-partition transactions; a no-op elsewhere.
+// Required for HSTORE multi-partition transactions; a no-op elsewhere. The
+// list is copied into the context before the protocol sees it, so a
+// caller's variadic list stays on its stack and declaring allocates nothing.
 func (t *Tx) DeclarePartitions(parts ...int) error {
-	if pa, ok := t.eng.proto.(cc.PartitionAware); ok {
-		return pa.DeclarePartitions(t.inner, parts)
+	pa, ok := t.eng.proto.(cc.PartitionAware)
+	if !ok {
+		return nil
 	}
-	return nil
+	t.declared = append(t.declared[:0], parts...)
+	return pa.DeclarePartitions(t.inner, t.declared)
 }
 
 // lookup resolves key in tbl's primary index.

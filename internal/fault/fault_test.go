@@ -147,9 +147,9 @@ func TestLogSurvivesTransientSyncs(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	n, err := wal.Replay(bytes.NewReader(mem.SyncedBytes()), func(*wal.CommitRecord) error { return nil })
-	if err != nil || n != 20 {
-		t.Fatalf("replay n=%d err=%v", n, err)
+	st, err := wal.ScanStream(bytes.NewReader(mem.SyncedBytes()), func(*wal.CommitRecord) error { return nil }, nil)
+	if err != nil || st.Records != 20 {
+		t.Fatalf("replay n=%d err=%v", st.Records, err)
 	}
 }
 
@@ -214,9 +214,9 @@ func TestDeadlineWaiterLeavesItsRecordFlushable(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	n, err := wal.Replay(bytes.NewReader(mem.SyncedBytes()), func(*wal.CommitRecord) error { return nil })
-	if err != nil || n != 2 {
-		t.Fatalf("replay n=%d err=%v, want both records", n, err)
+	st, err := wal.ScanStream(bytes.NewReader(mem.SyncedBytes()), func(*wal.CommitRecord) error { return nil }, nil)
+	if err != nil || st.Records != 2 {
+		t.Fatalf("replay n=%d err=%v, want both records", st.Records, err)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)

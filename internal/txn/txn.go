@@ -1,7 +1,7 @@
 // Package txn defines the transaction runtime shared by every concurrency
 // control protocol: the transaction descriptor with its ordered access set,
-// a per-transaction bump allocator for row images, timestamp and epoch
-// sources, and the abort/conflict error taxonomy.
+// a per-transaction bump allocator for row images, a timestamp source, and
+// the abort/conflict error taxonomy.
 //
 // A single descriptor type serves all protocols. Protocol-specific state is
 // carried in two scratch words per access (Obs/Obs2) and a per-descriptor
@@ -101,8 +101,6 @@ type Txn struct {
 	Priority uint64
 	// ThreadID is the worker slot executing this transaction.
 	ThreadID int
-	// Epoch is the Silo epoch observed at Begin.
-	Epoch uint64
 	// Deadline is the absolute wall-clock deadline in Unix nanoseconds
 	// (0 = none). It survives Reset so every retry of the same logical
 	// transaction charges against one budget; protocols consult it before
@@ -152,7 +150,6 @@ func NewTxn(threadID int, rng *xrand.RNG, counter *stats.Counter) *Txn {
 // transactions.
 func (t *Txn) Reset() {
 	t.ID = 0
-	t.Epoch = 0
 	t.Accesses = t.Accesses[:0]
 	t.arenaOff = 0
 	if t.writeSigN != 0 {
@@ -308,24 +305,3 @@ func (s *TimestampSource) Next() uint64 { return s.ctr.Add(1) }
 
 // Last returns the most recently issued timestamp.
 func (s *TimestampSource) Last() uint64 { return s.ctr.Load() }
-
-// Epoch numbers for Silo-style protocols. The epoch advances either by an
-// external ticker (engine-managed) or manually in tests. TIDs generated
-// within an epoch are ordered only within that epoch, which is what makes
-// Silo's commit protocol cheap.
-type Epoch struct {
-	e atomic.Uint64
-}
-
-// NewEpoch starts at epoch 1.
-func NewEpoch() *Epoch {
-	ep := &Epoch{}
-	ep.e.Store(1)
-	return ep
-}
-
-// Now returns the current epoch.
-func (ep *Epoch) Now() uint64 { return ep.e.Load() }
-
-// Advance bumps the epoch and returns the new value.
-func (ep *Epoch) Advance() uint64 { return ep.e.Add(1) }

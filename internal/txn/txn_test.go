@@ -60,10 +60,10 @@ func TestResetReusesArena(t *testing.T) {
 	first := tx.Buf(64)
 	first[0] = 7
 	tx.Accesses = append(tx.Accesses, Access{Kind: KindWrite})
-	tx.ID, tx.Epoch = 5, 3
+	tx.ID = 5
 	tx.Priority = 9
 	tx.Reset()
-	if tx.ID != 0 || tx.Epoch != 0 || len(tx.Accesses) != 0 {
+	if tx.ID != 0 || len(tx.Accesses) != 0 {
 		t.Fatal("reset incomplete")
 	}
 	if tx.Priority != 9 {
@@ -153,16 +153,6 @@ func TestTimestampSourceUniqueMonotone(t *testing.T) {
 	}
 	if ts.Last() != workers*per {
 		t.Fatalf("Last() = %d", ts.Last())
-	}
-}
-
-func TestEpoch(t *testing.T) {
-	ep := NewEpoch()
-	if ep.Now() != 1 {
-		t.Fatalf("initial epoch %d", ep.Now())
-	}
-	if ep.Advance() != 2 || ep.Now() != 2 {
-		t.Fatal("advance broken")
 	}
 }
 

@@ -2,6 +2,8 @@ package wal
 
 import (
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -39,6 +41,16 @@ func TestManifestEncodeDecode(t *testing.T) {
 	}
 	if got.Checkpoints[1].Epoch != 42 || got.Segments[2].ToEpoch != 0 {
 		t.Fatalf("field mismatch: %+v", got)
+	}
+	// A manifest pairs at least one stream: neither side accepts zero, not
+	// even under an intact seal.
+	if _, err := EncodeManifest(Manifest{Streams: 0}); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("zero-stream manifest encoded: %v", err)
+	}
+	body := []byte(`{"streams":0}`)
+	sealed := fmt.Appendf(body, "N7MF%08x\n", crc32.ChecksumIEEE(body))
+	if _, err := DecodeManifest(sealed); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("sealed zero-stream manifest decoded: %v", err)
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 	"next700/internal/xrand"
 )
 
-// FuzzReplay throws arbitrarily damaged logs at ReplayWithStats: a
+// FuzzReplay throws arbitrarily damaged logs at ScanStream: a
 // deterministic valid log (derived from seed/nRecs) truncated at cut with
 // tail appended. Replay must never panic, must fail only with ErrCorrupt,
 // and must never resurrect data past the intact prefix: every applied record
@@ -42,10 +42,10 @@ func FuzzReplay(f *testing.F) {
 		}
 
 		var applied []CommitRecord
-		st, err := ReplayWithStats(bytes.NewReader(input), func(cr *CommitRecord) error {
+		st, err := ScanStream(bytes.NewReader(input), func(cr *CommitRecord) error {
 			applied = append(applied, copyRecord(cr))
 			return nil
-		})
+		}, nil)
 		if err != nil && !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("replay failed with a non-corruption error: %v", err)
 		}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"cmp"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -14,11 +13,12 @@ import (
 // Manifest describes a multi-stream log for recovery: how many streams the
 // StreamSet was sharded across, plus — when the engine checkpoints online —
 // the checkpoint generations and the per-stream log segments with their
-// sealing epochs. The bench CLI writes it next to the stream files
-// (<logpath>.manifest.json beside <logpath>.0 .. <logpath>.N-1) so a later
-// -recover run can pair the readers without guessing; the checkpoint
-// subsystem persists it through SaveManifestFile's CRC-sealed atomic
-// install (see manifest.go).
+// sealing epochs. It has one codec, EncodeManifest/DecodeManifest's JSON
+// body plus CRC trailer, and one file form, SaveManifestFile's atomic
+// install (see manifest.go): the checkpoint subsystem persists it so, and
+// the bench CLI writes it next to the stream files (<logpath>.manifest.json
+// beside <logpath>.0 .. <logpath>.N-1) so a later -recover run can pair the
+// readers without guessing.
 type Manifest struct {
 	// Streams is the stream count.
 	Streams int `json:"streams"`
@@ -35,27 +35,6 @@ type Manifest struct {
 	// pruned from Segments: log history at or below it is gone, so a
 	// recovery whose base covers less cannot be complete.
 	TruncatedThrough uint64 `json:"truncated_through,omitempty"`
-}
-
-// WriteManifest serializes m as JSON.
-func WriteManifest(w io.Writer, m Manifest) error {
-	if m.Streams <= 0 {
-		return fmt.Errorf("wal: manifest needs a positive stream count, have %d: %w", m.Streams, ErrCorrupt)
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(m)
-}
-
-// ReadManifest parses a JSON manifest.
-func ReadManifest(r io.Reader) (Manifest, error) {
-	var m Manifest
-	if err := json.NewDecoder(r).Decode(&m); err != nil {
-		return m, fmt.Errorf("wal: bad manifest: %w", err)
-	}
-	if m.Streams <= 0 {
-		return m, fmt.Errorf("wal: manifest stream count %d invalid: %w", m.Streams, ErrCorrupt)
-	}
-	return m, nil
 }
 
 // StreamReplayStats reports what a stream replay consumed, truncated, and

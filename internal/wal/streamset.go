@@ -58,10 +58,6 @@ func (e *StreamError) Unwrap() []error {
 // minimum of the per-stream claims, minus one — and commit waits block on
 // that frontier, not on a per-stream byte offset.
 //
-// The flusher wake order prioritizes streams whose WaitDurableUntil waiters
-// are nearest their deadlines (the streams sync concurrently; the order is
-// a scheduling hint that starts the most urgent syncs first).
-//
 // Recovery (ReplayStreams) merges the streams by epoch and truncates to the
 // last epoch fully present across all of them, so a torn tail in one stream
 // can never resurrect a partially durable epoch from another.
@@ -121,7 +117,6 @@ type StreamSet struct {
 
 	streams  []*stream
 	flushers sync.WaitGroup // the stream flusher goroutines; the coordinator joins them at shutdown
-	order    []int          // coordinator scratch: deadline-priority wake order
 
 	// epochGate, when set, is held around every coordinator epoch bump (see
 	// SetEpochGate). Guarded by mu.
@@ -139,12 +134,6 @@ type StreamSet struct {
 // stream is one log shard: a device, an append buffer guarded by its own
 // mutex, and a dedicated flusher goroutine.
 type stream struct {
-	// minDeadline is the earliest deadline among current WaitDurableUntil
-	// waiters appended to this stream (0 = none), maintained with raw
-	// atomics; the coordinator reads it to order flusher wakeups. First
-	// field so the raw 64-bit atomic stays aligned on 32-bit targets.
-	minDeadline int64
-
 	set *StreamSet
 	dev Device
 	id  int
@@ -229,7 +218,6 @@ func newStreamSet(devs []Device, scoped bool) *StreamSet {
 	s := &StreamSet{
 		epoch:  1,
 		scoped: scoped,
-		order:  make([]int, len(devs)),
 		wake:   make(chan struct{}, 1),
 		done:   make(chan struct{}),
 	}
@@ -254,9 +242,6 @@ func newStreamSet(devs []Device, scoped bool) *StreamSet {
 	go s.coordinator()
 	return s
 }
-
-// Scoped reports whether the set runs with per-stream failure semantics.
-func (s *StreamSet) Scoped() bool { return s.scoped }
 
 // FailureC returns the channel on which a scoped set delivers the index of
 // each stream that hits a sticky failure (nil for legacy sets). The channel
@@ -371,14 +356,14 @@ func (s *StreamSet) AppendMulti(streamIDs []int, rec []byte) (uint64, error) {
 }
 
 // WaitDurable blocks until epoch is durable on every stream. streamID names
-// the stream the caller appended to, for deadline-priority accounting.
+// the stream the caller appended to; in scoped mode the wait fails if that
+// stream dies before certifying epoch.
 func (s *StreamSet) WaitDurable(streamID int, epoch uint64) error {
 	return s.WaitDurableUntil(streamID, epoch, 0)
 }
 
 // WaitDurableUntil is WaitDurable bounded by an absolute deadline in Unix
-// nanoseconds (0 means wait forever). The deadline is registered with the
-// caller's stream so the coordinator can start the most urgent syncs first.
+// nanoseconds (0 means wait forever).
 func (s *StreamSet) WaitDurableUntil(streamID int, epoch uint64, deadline int64) error {
 	ids := [1]int{streamID}
 	return s.WaitDurableMulti(ids[:], epoch, deadline)
@@ -424,9 +409,6 @@ func (s *StreamSet) WaitDurableMulti(streamIDs []int, epoch uint64, deadline int
 	defer s.unparkLocked(epoch)
 	for atomic.LoadUint64(&s.durable) < epoch && s.err == nil && !s.closed && deadStream() == nil {
 		if deadline != 0 {
-			for _, id := range streamIDs {
-				s.streams[id].noteDeadline(deadline)
-			}
 			remaining := deadline - time.Now().UnixNano()
 			if remaining <= 0 {
 				if timer != nil {
@@ -497,21 +479,6 @@ func (s *StreamSet) unparkLocked(epoch uint64) {
 	}
 }
 
-// noteDeadline registers a waiter deadline with the stream (keep-the-
-// earliest). Flushers reset it at each cycle; parked waiters re-register at
-// every loop iteration, so staleness is bounded by one epoch.
-func (st *stream) noteDeadline(dl int64) {
-	for {
-		cur := atomic.LoadInt64(&st.minDeadline)
-		if cur != 0 && cur <= dl {
-			return
-		}
-		if atomic.CompareAndSwapInt64(&st.minDeadline, cur, dl) {
-			return
-		}
-	}
-}
-
 // kick nudges the coordinator without blocking.
 func (s *StreamSet) kick() {
 	select {
@@ -521,8 +488,8 @@ func (s *StreamSet) kick() {
 }
 
 // coordinator serves wait-pressure kicks one flush round at a time: each
-// kick that finds a committer to flush for closes the epoch and wakes the
-// stream flushers in deadline-priority order.
+// kick that finds a committer to flush for closes the epoch and wakes every
+// stream flusher.
 func (s *StreamSet) coordinator() {
 	defer close(s.done)
 	for range s.wake {
@@ -655,8 +622,8 @@ func (s *StreamSet) parkedIn(lo, hi uint64) int {
 	return n
 }
 
-// advance closes the current epoch and wakes every stream flusher, most
-// urgent deadline first.
+// advance closes the current epoch and wakes every stream flusher in index
+// order; the streams sync concurrently.
 func (s *StreamSet) advance() {
 	s.mu.Lock()
 	gate := s.epochGate
@@ -668,19 +635,7 @@ func (s *StreamSet) advance() {
 	if gate != nil {
 		gate.Unlock()
 	}
-	order := s.order
-	for i := range order {
-		order[i] = i
-	}
-	// Insertion sort by earliest registered waiter deadline (0 = no waiters
-	// = last). Stream counts are small; no allocation, no sort.Slice.
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0 && s.deadlineKey(order[j]) < s.deadlineKey(order[j-1]); j-- {
-			order[j], order[j-1] = order[j-1], order[j]
-		}
-	}
-	for _, idx := range order {
-		st := s.streams[idx]
+	for _, st := range s.streams {
 		select {
 		case st.flush <- struct{}{}:
 		default:
@@ -708,16 +663,6 @@ func (s *StreamSet) settled() bool {
 		}
 	}
 	return true
-}
-
-// deadlineKey orders streams for flusher wakeup: earliest waiter deadline
-// first, streams with no registered waiters last.
-func (s *StreamSet) deadlineKey(idx int) int64 {
-	dl := atomic.LoadInt64(&s.streams[idx].minDeadline)
-	if dl == 0 {
-		return int64(^uint64(0) >> 1) // no waiters: +inf
-	}
-	return dl
 }
 
 // flusher drains the stream on coordinator signals; closing the flush
@@ -779,7 +724,6 @@ func (s *StreamSet) failStreamLocked(st *stream, cause error) {
 // stream (scoped mode).
 func (st *stream) flushOnce() {
 	s := st.set
-	atomic.StoreInt64(&st.minDeadline, 0)
 	if s.failed.Load() {
 		// The set is dead. Writing more would leave gaps behind the failed
 		// batch, so staged bytes are dropped — loudly: waiters observe the
@@ -1103,14 +1047,6 @@ func (s *StreamSet) Readmit(i int, dev Device) error {
 // StreamFailed reports per-stream sticky failure (always false for legacy
 // sets, which fail whole — see Failed).
 func (s *StreamSet) StreamFailed(i int) bool { return s.streams[i].sfailed.Load() }
-
-// StreamErr returns the stream's sticky *StreamError, or nil.
-func (s *StreamSet) StreamErr(i int) error {
-	if !s.streams[i].sfailed.Load() {
-		return nil
-	}
-	return s.streams[i].serr
-}
 
 // StreamClaim returns the epoch the stream has synced through (lock-free;
 // the engine's stall monitor samples it for progress detection).

@@ -796,21 +796,3 @@ func TestStreamSetCloseBreaksCoordinatorWaits(t *testing.T) {
 		closeWithin(t, s, a)
 	})
 }
-
-// TestManifestRoundTrip exercises the stream-count manifest.
-func TestManifestRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteManifest(&buf, Manifest{Streams: 4, Mode: "value"}); err != nil {
-		t.Fatal(err)
-	}
-	m, err := ReadManifest(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Streams != 4 || m.Mode != "value" {
-		t.Fatalf("roundtrip mismatch: %+v", m)
-	}
-	if err := WriteManifest(&buf, Manifest{Streams: 0}); err == nil {
-		t.Fatal("zero-stream manifest accepted")
-	}
-}

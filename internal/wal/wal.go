@@ -139,7 +139,7 @@ func (cr *CommitRecord) Encode(buf []byte) []byte {
 }
 
 // ErrCorrupt reports a CRC mismatch inside the log (as opposed to a clean
-// torn tail, which Replay treats as end-of-log).
+// torn tail, which ScanStream treats as end-of-log).
 var ErrCorrupt = errors.New("wal: corrupt record")
 
 // ErrClosed is returned by operations on a log after Close: Append
@@ -312,25 +312,9 @@ type ReplayStats struct {
 	CorruptTailRecords int
 }
 
-// Replay scans a log stream, invoking apply for every intact record in
-// order. It returns the number of records applied. A truncated final
-// record (torn write at crash) ends replay without error; a CRC mismatch
-// in the middle of the stream returns ErrCorrupt.
-func Replay(r io.Reader, apply func(*CommitRecord) error) (int, error) {
-	st, err := ReplayWithStats(r, apply)
-	return st.Records, err
-}
-
-// ReplayWithStats is Replay with full skipped/torn-tail accounting. Epoch
-// markers (written by StreamSet flushers) are counted and skipped; use
-// ScanStream when the marker values matter (stream recovery).
-func ReplayWithStats(r io.Reader, apply func(*CommitRecord) error) (ReplayStats, error) {
-	return ScanStream(r, apply, nil)
-}
-
 // ScanStream scans one log stream, invoking apply for every intact record
-// and marker (when non-nil) for every intact epoch marker. Torn-tail
-// semantics match Replay: a truncated or in-place-torn final frame ends the
+// and marker (when non-nil) for every intact epoch marker, in log order. A
+// truncated or in-place-torn final frame (a torn write at crash) ends the
 // scan without error; damage before the end is ErrCorrupt.
 func ScanStream(r io.Reader, apply func(*CommitRecord) error, marker func(epoch uint64) error) (ReplayStats, error) {
 	var st ReplayStats

@@ -293,12 +293,12 @@ func TestReplayOrderAndContent(t *testing.T) {
 	w.WaitDurable(lsn)
 	w.Close()
 	var ids []uint64
-	n, err := Replay(bytes.NewReader(dev.bytes()), func(cr *CommitRecord) error {
+	st, err := ScanStream(bytes.NewReader(dev.bytes()), func(cr *CommitRecord) error {
 		ids = append(ids, cr.TxnID)
 		return nil
-	})
-	if err != nil || n != 10 {
-		t.Fatalf("replay: n=%d err=%v", n, err)
+	}, nil)
+	if err != nil || st.Records != 10 {
+		t.Fatalf("replay: n=%d err=%v", st.Records, err)
 	}
 	for i, id := range ids {
 		if id != uint64(i) {
@@ -317,12 +317,12 @@ func TestReplayTornTail(t *testing.T) {
 	// Truncate mid-record at various points: replay must return the intact
 	// prefix count and no error.
 	for cut := len(full) - 1; cut > len(full)-40 && cut > 0; cut -= 7 {
-		n, err := Replay(bytes.NewReader(full[:cut]), func(cr *CommitRecord) error { return nil })
+		st, err := ScanStream(bytes.NewReader(full[:cut]), func(cr *CommitRecord) error { return nil }, nil)
 		if err != nil {
 			t.Fatalf("torn tail at %d: %v", cut, err)
 		}
-		if n != 4 {
-			t.Fatalf("torn tail at %d: replayed %d, want 4", cut, n)
+		if st.Records != 4 {
+			t.Fatalf("torn tail at %d: replayed %d, want 4", cut, st.Records)
 		}
 	}
 }
@@ -339,7 +339,7 @@ func TestReplayMidStreamCorruption(t *testing.T) {
 	full := dev.bytes()
 	// Flip a byte inside the second record's payload.
 	full[headerSize+60] ^= 0xFF
-	_, err := Replay(bytes.NewReader(full), func(cr *CommitRecord) error { return nil })
+	_, err := ScanStream(bytes.NewReader(full), func(cr *CommitRecord) error { return nil }, nil)
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("corruption not detected: %v", err)
 	}
@@ -356,7 +356,7 @@ func TestReplayTruncatedHeader(t *testing.T) {
 	full := dev.bytes()
 	for extra := 1; extra < headerSize; extra++ {
 		cut := append(append([]byte(nil), full...), make([]byte, extra)...)
-		st, err := ReplayWithStats(bytes.NewReader(cut), func(*CommitRecord) error { return nil })
+		st, err := ScanStream(bytes.NewReader(cut), func(*CommitRecord) error { return nil }, nil)
 		if err != nil {
 			t.Fatalf("torn header len %d: %v", extra, err)
 		}
@@ -375,7 +375,7 @@ func TestReplayZeroLengthHeader(t *testing.T) {
 	w.WaitDurable(lsn)
 	w.Close()
 	log := append(dev.bytes(), make([]byte, 32)...) // 8B zero header + 24B slack
-	st, err := ReplayWithStats(bytes.NewReader(log), func(*CommitRecord) error { return nil })
+	st, err := ScanStream(bytes.NewReader(log), func(*CommitRecord) error { return nil }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,10 +397,10 @@ func TestReplayZeroEntryRecord(t *testing.T) {
 	w.WaitDurable(lsn)
 	w.Close()
 	var ids []uint64
-	st, err := ReplayWithStats(bytes.NewReader(dev.bytes()), func(cr *CommitRecord) error {
+	st, err := ScanStream(bytes.NewReader(dev.bytes()), func(cr *CommitRecord) error {
 		ids = append(ids, cr.TxnID)
 		return nil
-	})
+	}, nil)
 	if err != nil || st.Records != 2 || st.TornBytes != 0 {
 		t.Fatalf("records=%d torn=%d err=%v", st.Records, st.TornBytes, err)
 	}
@@ -427,7 +427,7 @@ func TestReplayMidStreamCorruptionDoesNotTruncate(t *testing.T) {
 	full := dev.bytes()
 	// Corrupt the middle (third) record's payload.
 	full[2*recLen+headerSize+4] ^= 0xFF
-	st, err := ReplayWithStats(bytes.NewReader(full), func(*CommitRecord) error { return nil })
+	st, err := ScanStream(bytes.NewReader(full), func(*CommitRecord) error { return nil }, nil)
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("mid-stream corruption: err=%v", err)
 	}
@@ -445,7 +445,7 @@ func TestReplayCorruptTailCounted(t *testing.T) {
 		full = append(full, valueRecord(uint64(i), 2).Encode(nil)...)
 	}
 	full[len(full)-1] ^= 0xFF // flip last payload byte
-	st, err := ReplayWithStats(bytes.NewReader(full), func(*CommitRecord) error { return nil })
+	st, err := ScanStream(bytes.NewReader(full), func(*CommitRecord) error { return nil }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,16 +461,16 @@ func TestReplayApplyError(t *testing.T) {
 	w.WaitDurable(lsn)
 	w.Close()
 	boom := errors.New("boom")
-	_, err := Replay(bytes.NewReader(dev.bytes()), func(cr *CommitRecord) error { return boom })
+	_, err := ScanStream(bytes.NewReader(dev.bytes()), func(cr *CommitRecord) error { return boom }, nil)
 	if !errors.Is(err, boom) {
 		t.Fatalf("apply error not propagated: %v", err)
 	}
 }
 
 func TestReplayEmpty(t *testing.T) {
-	n, err := Replay(bytes.NewReader(nil), func(cr *CommitRecord) error { return nil })
-	if n != 0 || err != nil {
-		t.Fatalf("empty log: n=%d err=%v", n, err)
+	st, err := ScanStream(bytes.NewReader(nil), func(cr *CommitRecord) error { return nil }, nil)
+	if st.Records != 0 || err != nil {
+		t.Fatalf("empty log: n=%d err=%v", st.Records, err)
 	}
 }
 

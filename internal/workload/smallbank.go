@@ -117,6 +117,13 @@ func (s *SmallBank) add(tx *core.Tx, tbl *core.Table, key uint64, delta float64)
 	return nil
 }
 
+// declare pre-declares the partitions of accounts a and b; a one-account
+// transaction passes its account twice.
+func (s *SmallBank) declare(tx *core.Tx, a, b uint64) error {
+	p := uint64(s.eng.Config().Partitions)
+	return tx.DeclarePartitions(int(a%p), int(b%p))
+}
+
 // RunOne implements Workload: uniform mix over the six procedures.
 func (s *SmallBank) RunOne(tx *core.Tx) error {
 	a := s.account(tx)
@@ -125,21 +132,10 @@ func (s *SmallBank) RunOne(tx *core.Tx) error {
 		b = s.account(tx)
 	}
 	amount := float64(tx.RNG().IntRange(1, 100))
-	declare := func(tx *core.Tx, keys ...uint64) error {
-		if s.eng.Protocol() != "HSTORE" {
-			return nil
-		}
-		p := s.eng.Config().Partitions
-		parts := make([]int, len(keys))
-		for i, k := range keys {
-			parts[i] = int(k % uint64(p))
-		}
-		return tx.DeclarePartitions(parts...)
-	}
 	switch tx.RNG().Intn(6) {
 	case 0: // Balance: read both balances of a.
 		return tx.Run(func(tx *core.Tx) error {
-			if err := declare(tx, a); err != nil {
+			if err := s.declare(tx, a, a); err != nil {
 				return err
 			}
 			if _, err := s.get(tx, s.savings, a); err != nil {
@@ -150,21 +146,21 @@ func (s *SmallBank) RunOne(tx *core.Tx) error {
 		})
 	case 1: // DepositChecking.
 		return tx.Run(func(tx *core.Tx) error {
-			if err := declare(tx, a); err != nil {
+			if err := s.declare(tx, a, a); err != nil {
 				return err
 			}
 			return s.add(tx, s.checking, a, amount)
 		})
 	case 2: // TransactSavings.
 		return tx.Run(func(tx *core.Tx) error {
-			if err := declare(tx, a); err != nil {
+			if err := s.declare(tx, a, a); err != nil {
 				return err
 			}
 			return s.add(tx, s.savings, a, amount)
 		})
 	case 3: // Amalgamate: move everything of a into b's checking.
 		return tx.Run(func(tx *core.Tx) error {
-			if err := declare(tx, a, b); err != nil {
+			if err := s.declare(tx, a, b); err != nil {
 				return err
 			}
 			sv, err := tx.Update(s.savings, a)
@@ -182,7 +178,7 @@ func (s *SmallBank) RunOne(tx *core.Tx) error {
 		})
 	case 4: // WriteCheck: deduct from checking after a balance check.
 		return tx.Run(func(tx *core.Tx) error {
-			if err := declare(tx, a); err != nil {
+			if err := s.declare(tx, a, a); err != nil {
 				return err
 			}
 			sBal, err := s.get(tx, s.savings, a)
@@ -203,7 +199,7 @@ func (s *SmallBank) RunOne(tx *core.Tx) error {
 		})
 	default: // SendPayment: checking a -> checking b.
 		return tx.Run(func(tx *core.Tx) error {
-			if err := declare(tx, a, b); err != nil {
+			if err := s.declare(tx, a, b); err != nil {
 				return err
 			}
 			if err := s.add(tx, s.checking, a, -amount); err != nil {

@@ -113,8 +113,9 @@ func oCustKey(w, d, c int, o int64) uint64 {
 type tpccWorker struct {
 	nurand *xrand.NURand
 	buf    [64]byte
-	// scratch for NewOrder item plans, and the item and stock keys they
-	// prefetch.
+	// scratch for NewOrder item plans, the item and stock keys they
+	// prefetch, and the partitions they touch.
+	parts     []int
 	items     []int
 	supplys   []int
 	qtys      []int

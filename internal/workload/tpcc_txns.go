@@ -98,7 +98,7 @@ func (t *TPCC) newOrder(tx *core.Tx, w *tpccWorker) error {
 	w.itemKeys = w.itemKeys[:0]
 	w.stockKeys = w.stockKeys[:0]
 	allLocal := int64(1)
-	parts := []int{t.partitionOfWarehouse(wid)}
+	w.parts = append(w.parts[:0], t.partitionOfWarehouse(wid))
 	for i := 0; i < olCnt; i++ {
 		item := w.nurand.ItemID() % t.cfg.Items
 		if item == 0 {
@@ -110,7 +110,7 @@ func (t *TPCC) newOrder(tx *core.Tx, w *tpccWorker) error {
 				supply = rng.IntRange(1, t.cfg.Warehouses)
 			}
 			allLocal = 0
-			parts = append(parts, t.partitionOfWarehouse(supply))
+			w.parts = append(w.parts, t.partitionOfWarehouse(supply))
 		}
 		w.items = append(w.items, item)
 		w.supplys = append(w.supplys, supply)
@@ -124,10 +124,8 @@ func (t *TPCC) newOrder(tx *core.Tx, w *tpccWorker) error {
 	osch, olsch, nosch := t.order.Schema(), t.orderline.Schema(), t.neworder.Schema()
 
 	return tx.Run(func(tx *core.Tx) error {
-		if t.eng.Protocol() == "HSTORE" {
-			if err := tx.DeclarePartitions(parts...); err != nil {
-				return err
-			}
+		if err := tx.DeclarePartitions(w.parts...); err != nil {
+			return err
 		}
 		tx.Prefetch(t.item, w.itemKeys)
 		tx.Prefetch(t.stock, w.stockKeys)
@@ -280,13 +278,10 @@ func (t *TPCC) payment(tx *core.Tx, w *tpccWorker) error {
 	}
 
 	wsch, dsch, csch, hsch := t.warehouse.Schema(), t.district.Schema(), t.customer.Schema(), t.history.Schema()
-	parts := []int{t.partitionOfWarehouse(wid), t.partitionOfWarehouse(cwid)}
 
 	return tx.Run(func(tx *core.Tx) error {
-		if t.eng.Protocol() == "HSTORE" {
-			if err := tx.DeclarePartitions(parts...); err != nil {
-				return err
-			}
+		if err := tx.DeclarePartitions(t.partitionOfWarehouse(wid), t.partitionOfWarehouse(cwid)); err != nil {
+			return err
 		}
 		wrow, err := tx.Update(t.warehouse, wKey(wid))
 		if err != nil {
@@ -346,10 +341,8 @@ func (t *TPCC) orderStatus(tx *core.Tx, w *tpccWorker) error {
 	csch, osch, olsch := t.customer.Schema(), t.order.Schema(), t.orderline.Schema()
 
 	return tx.Run(func(tx *core.Tx) error {
-		if t.eng.Protocol() == "HSTORE" {
-			if err := tx.DeclarePartitions(t.partitionOfWarehouse(wid)); err != nil {
-				return err
-			}
+		if err := tx.DeclarePartitions(t.partitionOfWarehouse(wid)); err != nil {
+			return err
 		}
 		useCID := cid
 		var err error
@@ -398,10 +391,8 @@ func (t *TPCC) delivery(tx *core.Tx, w *tpccWorker) error {
 	osch, olsch, csch := t.order.Schema(), t.orderline.Schema(), t.customer.Schema()
 
 	return tx.Run(func(tx *core.Tx) error {
-		if t.eng.Protocol() == "HSTORE" {
-			if err := tx.DeclarePartitions(t.partitionOfWarehouse(wid)); err != nil {
-				return err
-			}
+		if err := tx.DeclarePartitions(t.partitionOfWarehouse(wid)); err != nil {
+			return err
 		}
 		for did := 1; did <= t.cfg.DistrictsPerWarehouse; did++ {
 			// Oldest undelivered order: min key in the new_order range.
@@ -472,10 +463,8 @@ func (t *TPCC) stockLevel(tx *core.Tx, w *tpccWorker) error {
 	dsch, olsch, ssch := t.district.Schema(), t.orderline.Schema(), t.stock.Schema()
 
 	return tx.Run(func(tx *core.Tx) error {
-		if t.eng.Protocol() == "HSTORE" {
-			if err := tx.DeclarePartitions(t.partitionOfWarehouse(wid)); err != nil {
-				return err
-			}
+		if err := tx.DeclarePartitions(t.partitionOfWarehouse(wid)); err != nil {
+			return err
 		}
 		drow, err := tx.Read(t.district, dKey(wid, did))
 		if err != nil {

@@ -208,11 +208,10 @@ func (y *YCSB) worker(tx *core.Tx) *ycsbWorker {
 			keys: make([]uint64, 0, y.cfg.OpsPerTxn),
 			ops:  make([]byte, 0, y.cfg.OpsPerTxn),
 		}
-		declare := y.cfg.PartitionLocal && y.eng.Protocol() == "HSTORE"
 		w.body = func(tx *core.Tx) error {
 			// Pre-declare partitions only in partition-local mode; otherwise
 			// HSTORE falls back to lazy try-lock acquisition.
-			if declare {
+			if y.cfg.PartitionLocal {
 				if w.other >= 0 {
 					if err := tx.DeclarePartitions(w.home, w.other); err != nil {
 						return err

@@ -156,50 +156,68 @@ func TestPublicAPIDurabilityRoundTrip(t *testing.T) {
 		return db, tbl, schema
 	}
 
-	db, tbl, schema := build()
-	tx := db.NewTx(0, 1)
-	for i := 0; i < 5; i++ {
-		if err := tx.Run(func(tx *next700.Tx) error {
-			r, err := tx.Update(tbl, uint64(i))
-			if err != nil {
-				return err
+	// want is the committed value of every key; check recovers the log into
+	// a rebuilt engine that appends to the same path and compares.
+	want := make([]int64, 5)
+	check := func(records int) (*next700.DB, *next700.Table, *next700.Schema) {
+		t.Helper()
+		db, tbl, schema := build()
+		st, err := db.RecoverFromFile(logPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Records != records {
+			t.Fatalf("recovered %d records, want %d", st.Records, records)
+		}
+		if err := db.NewTx(0, 2).Run(func(tx *next700.Tx) error {
+			for k, v := range want {
+				r, err := tx.Read(tbl, uint64(k))
+				if err != nil {
+					return err
+				}
+				if got := schema.GetInt64(r, 0); got != v {
+					t.Fatalf("key %d = %d, want %d", k, got, v)
+				}
 			}
-			schema.SetInt64(r, 0, int64(1000+i))
 			return nil
 		}); err != nil {
 			t.Fatal(err)
 		}
+		return db, tbl, schema
+	}
+	update := func(db *next700.DB, tbl *next700.Table, schema *next700.Schema, k int, v int64) {
+		t.Helper()
+		if err := db.NewTx(0, 1).Run(func(tx *next700.Tx) error {
+			r, err := tx.Update(tbl, uint64(k))
+			if err != nil {
+				return err
+			}
+			schema.SetInt64(r, 0, v)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		want[k] = v
+	}
+
+	db, tbl, schema := build()
+	for n := 0; n < 50; n++ {
+		update(db, tbl, schema, n%len(want), int64(1000+n))
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// "Crash" and recover into a rebuilt engine. Use a fresh log path for
-	// the new instance so the old log is replayed, not appended.
-	old := logPath
-	logPath = filepath.Join(dir, "wal2.log")
-	db2, tbl2, schema2 := build()
-	defer db2.Close()
-	st, err := db2.RecoverFromFile(old)
-	if err != nil {
+	// "Crash", recover into a rebuilt engine that appends to the same log,
+	// and commit once more: the new commit must tag above every epoch of the
+	// first incarnation, or the next recovery orders it before them.
+	db, tbl, schema = check(50)
+	update(db, tbl, schema, 4, 7000)
+	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if st.Records != 5 {
-		t.Fatalf("recovered %d records", st.Records)
-	}
-	tx2 := db2.NewTx(0, 2)
-	if err := tx2.Run(func(tx *next700.Tx) error {
-		for i := 0; i < 5; i++ {
-			r, err := tx.Read(tbl2, uint64(i))
-			if err != nil {
-				return err
-			}
-			if schema2.GetInt64(r, 0) != int64(1000+i) {
-				t.Fatalf("key %d = %d", i, schema2.GetInt64(r, 0))
-			}
-		}
-		return nil
-	}); err != nil {
+	db, _, _ = check(51)
+	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
