@@ -422,8 +422,8 @@ func recoverLog(cfg core.Config, wl workload.Workload, path string) (st core.Rec
 	return st, time.Since(t0), err
 }
 
-// discardDevice drops log writes (used by the recovery-side engine, whose
-// own re-logging output is irrelevant).
+// discardDevice drops log writes (the recovery-side engine's log, which
+// replay never writes to).
 type discardDevice struct{}
 
 func (discardDevice) Write(p []byte) (int, error) { return len(p), nil }

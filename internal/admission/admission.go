@@ -116,14 +116,13 @@ type Stats struct {
 type Controller struct {
 	cfg Config
 
-	mu          sync.Mutex
-	cond        *sync.Cond
-	limit       int
-	inFlight    int
-	waiters     int
-	admitted    uint64
-	shed        uint64
-	unavailable bool
+	mu       sync.Mutex
+	cond     *sync.Cond
+	limit    int
+	inFlight int
+	waiters  int
+	admitted uint64
+	shed     uint64
 
 	ewma       float64 // nanoseconds
 	lastAdjust int64   // Unix nanoseconds of the last limit adjustment
@@ -150,10 +149,6 @@ func (c *Controller) Acquire(deadline int64) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.unavailable {
-		c.shed++
-		return ErrShed
-	}
 	if c.inFlight < c.limit {
 		c.inFlight++
 		c.admitted++
@@ -172,10 +167,6 @@ func (c *Controller) Acquire(deadline int64) error {
 		}
 	}()
 	for c.inFlight >= c.limit {
-		if c.unavailable {
-			c.shed++
-			return ErrShed
-		}
 		if deadline != 0 {
 			remaining := deadline - time.Now().UnixNano()
 			if remaining <= 0 {
@@ -241,22 +232,6 @@ func (c *Controller) observe(latency time.Duration) {
 			c.limit = c.cfg.MaxInFlight
 		}
 	}
-}
-
-// SetUnavailable flips the controller's availability. While unavailable
-// (a quarantined partition's gate during graceful degradation), every
-// Acquire sheds immediately with ErrShed — including waiters already
-// parked in the queue, which are woken and shed — so the backlog drains
-// in bounded time instead of timing out one queue deadline at a time.
-// Clearing the flag re-admits normally; already-admitted transactions
-// are unaffected either way and still Release as usual.
-func (c *Controller) SetUnavailable(down bool) {
-	c.mu.Lock()
-	if c.unavailable != down {
-		c.unavailable = down
-		c.cond.Broadcast()
-	}
-	c.mu.Unlock()
 }
 
 // Limit returns the current concurrency limit.

@@ -201,53 +201,3 @@ func TestConcurrentAcquireReleaseInvariants(t *testing.T) {
 		t.Fatalf("outcomes %d+%d != attempts %d", admittedN, shedN, goroutines*perG)
 	}
 }
-
-func TestSetUnavailableShedsImmediatelyAndWakesWaiters(t *testing.T) {
-	defer testutil.CheckGoroutines(t)()
-	c := New(Config{MaxInFlight: 1})
-	if err := c.Acquire(0); err != nil {
-		t.Fatal(err)
-	}
-	// Park a waiter with no deadline: only SetUnavailable can release it.
-	waiterErr := make(chan error, 1)
-	go func() { waiterErr <- c.Acquire(0) }()
-	deadlineAt := time.Now().Add(time.Second)
-	for c.Snapshot().InFlight != 1 || !waiting(c) {
-		if time.Now().After(deadlineAt) {
-			t.Fatal("waiter never parked")
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	c.SetUnavailable(true)
-	select {
-	case err := <-waiterErr:
-		if !errors.Is(err, ErrShed) {
-			t.Fatalf("parked waiter got %v, want ErrShed", err)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("parked waiter not woken by SetUnavailable")
-	}
-	// New arrivals shed immediately, even with free slots.
-	c.Release(0)
-	if err := c.Acquire(0); !errors.Is(err, ErrShed) {
-		t.Fatalf("Acquire while unavailable = %v, want ErrShed", err)
-	}
-	if s := c.Snapshot(); s.Shed != 2 {
-		t.Fatalf("shed = %d, want 2", s.Shed)
-	}
-
-	// Re-admission after repair.
-	c.SetUnavailable(false)
-	if err := c.Acquire(0); err != nil {
-		t.Fatalf("Acquire after re-admission: %v", err)
-	}
-	c.Release(0)
-}
-
-// waiting reports whether at least one Acquire is parked in the queue.
-func waiting(c *Controller) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.waiters > 0
-}

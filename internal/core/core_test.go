@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"next700/internal/cc"
 	"next700/internal/storage"
@@ -567,13 +568,19 @@ func TestCommandLoggingRecovery(t *testing.T) {
 	}
 	e.Close()
 
-	e2, tbl2 := build(&memDevice{})
+	relog := &memDevice{}
+	e2, tbl2 := build(relog)
 	rs, err := e2.Recover(dev.reader())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rs.Procs != 10 {
 		t.Fatalf("re-executed %d procs, want 10", rs.Procs)
+	}
+	// Replay never appends: recovering a log into an engine that logs to
+	// the same file would otherwise read back its own records without end.
+	if n := len(relog.bytes()); n != 0 {
+		t.Fatalf("recovery wrote %d bytes to the recovering engine's log, want 0", n)
 	}
 	tx2 := e2.NewTx(0, 2)
 	if err := tx2.Run(func(tx *Tx) error {
@@ -684,6 +691,27 @@ func TestOpenStartsNoGoroutine(t *testing.T) {
 	}
 	if after := runtime.NumGoroutine(); after > before {
 		t.Errorf("opening %d engines without a log raised the goroutine count from %d to %d", len(engines), before, after)
+	}
+	// A partitioned log with stall escalation runs its coordinator and one
+	// flusher per stream, and nothing else: the stall timers start no
+	// goroutine until one fires.
+	const parts = 4
+	devs := make([]wal.Device, parts)
+	for i := range devs {
+		devs[i] = &memDevice{}
+	}
+	before = runtime.NumGoroutine()
+	e, err := Open(Config{
+		Protocol: "SILO", Threads: 2, Partitions: parts,
+		LogMode: wal.ModeValue, WALStreams: parts, LogDevices: devs,
+		PartitionWAL: true, QuarantineStall: time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	engines = append(engines, e)
+	if after := runtime.NumGoroutine(); after-before != 1+parts {
+		t.Errorf("opening a %d-partition PartitionWAL engine raised the goroutine count by %d, want %d (coordinator + flushers)", parts, after-before, 1+parts)
 	}
 	for _, e := range engines {
 		if err := e.Close(); err != nil {

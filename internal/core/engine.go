@@ -66,15 +66,16 @@ type Config struct {
 	// thread: stream p is partition p's log (WALStreams must equal
 	// Partitions, value mode only, at most 64 partitions), commits append to
 	// every stream their write set touches, and a stream's device failure
-	// degrades only its partition — the engine quarantines it, sheds its
-	// transactions with ErrPartitionUnavailable, and keeps the healthy
-	// partitions committing durably. See QuarantinePartition and
+	// degrades only its partition — the log quarantines it, the engine
+	// sheds its transactions with ErrPartitionUnavailable, and the healthy
+	// partitions keep committing durably. See QuarantinePartition and
 	// Checkpointer.RecoverPartition.
 	PartitionWAL bool
 	// QuarantineStall, when > 0 with PartitionWAL, is the gray-failure
-	// escalation threshold: a stream whose sync claim makes no progress
-	// while a flush is in flight for this long is failed and quarantined as
-	// if its device had errored. Zero disables stall escalation.
+	// escalation threshold: a stream whose device has held a batch (write
+	// plus sync) for this long without acknowledging it is failed and
+	// quarantined as if its device had errored. Zero disables stall
+	// escalation.
 	QuarantineStall time.Duration
 	// Retry bounds Tx.Run's transient-abort retry loop and its jittered
 	// exponential backoff; zero fields select defaults (see RetryPolicy).
@@ -198,13 +199,12 @@ type Engine struct {
 	closed bool
 
 	// quarMask is the quarantined-partition bitmask (bit p set = partition
-	// p unavailable). The operation and commit gates load it once; in a
-	// healthy engine it is zero and the gate is a single branch.
+	// p unavailable). Under PartitionWAL the log owns it: it sets bit p in
+	// the step that fails stream p and clears it on readmission (see
+	// wal.NewStreamSetScoped); it stays zero otherwise. The operation and
+	// commit gates load it once; in a healthy engine it is zero and the gate
+	// is a single branch.
 	quarMask atomic.Uint64
-	// guardStop/guardDone bracket the partition guard goroutine
-	// (PartitionWAL only).
-	guardStop chan struct{}
-	guardDone chan struct{}
 
 	// ckptFence serializes every epoch bump against the commit path's
 	// publish-to-append window. Logged commits hold the read side from
@@ -261,16 +261,11 @@ func Open(cfg Config) (*Engine, error) {
 	e.ckptThread = cfg.Threads
 	if cfg.LogMode != wal.ModeNone {
 		if cfg.PartitionWAL {
-			e.logs = wal.NewStreamSetScoped(cfg.LogDevices)
+			e.logs = wal.NewStreamSetScoped(cfg.LogDevices, &e.quarMask, cfg.QuarantineStall)
 		} else {
 			e.logs = wal.NewStreamSet(cfg.LogDevices, 0)
 		}
 		e.logs.SetEpochGate(&e.ckptFence)
-	}
-	if cfg.PartitionWAL {
-		e.guardStop = make(chan struct{})
-		e.guardDone = make(chan struct{})
-		go e.partitionGuard()
 	}
 	return e, nil
 }
@@ -284,10 +279,6 @@ func (e *Engine) Close() error {
 	}
 	e.closed = true
 	e.mu.Unlock()
-	if e.guardStop != nil {
-		close(e.guardStop)
-		<-e.guardDone //next700:allowwait(shutdown join: guardStop close guarantees the partition guard exits)
-	}
 	if e.logs != nil {
 		return e.logs.Close()
 	}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"time"
 
 	"next700/internal/storage"
 	"next700/internal/txn"
@@ -20,7 +19,8 @@ import (
 //     partition it wrote (one epoch tag for all copies), so each stream is a
 //     self-contained log of its partition's effects.
 //   - Quarantine: when a stream's device sticky-fails (or stalls past
-//     Config.QuarantineStall), the guard marks the partition quarantined.
+//     Config.QuarantineStall), the log fails the stream and sets the
+//     partition's bit in the engine's quarantine mask in one step.
 //     Transactions touching it abort with the terminal
 //     ErrPartitionUnavailable class; healthy partitions keep committing
 //     durably against the frontier re-certified over the survivors.
@@ -48,11 +48,6 @@ var ErrPartitionUnavailable = errors.New("core: partition unavailable")
 // errPartitionGate is prebuilt because the quarantine gate sits on
 // operation and commit hot paths.
 var errPartitionGate = fmt.Errorf("core: transaction touches quarantined partition: %w", ErrPartitionUnavailable)
-
-// errStreamStalled is the cause recorded when the guard escalates a
-// sustained gray stall (no sync progress with a flush in flight for
-// Config.QuarantineStall) to a stream failure.
-var errStreamStalled = fmt.Errorf("core: log stream sync stalled: %w", ErrPartitionUnavailable)
 
 // ErrCheckpointQuarantined defers checkpoint cycles while any
 // partition is quarantined: a generation taken then could not rotate the
@@ -135,29 +130,9 @@ func (e *Engine) wrapPartitionErr(err error) error {
 // partition p unavailable).
 func (e *Engine) QuarantinedPartitions() uint64 { return e.quarMask.Load() }
 
-// quarantine marks partition p unavailable and excludes its stream from the
-// durable frontier. The mask is set before the frontier re-certifies so no
-// new transaction can route a commit at the dead stream while healthy
-// waiters are being released. Idempotent.
-func (e *Engine) quarantine(p int) {
-	bit := uint64(1) << uint(p)
-	for {
-		old := e.quarMask.Load()
-		if old&bit != 0 {
-			return
-		}
-		if e.quarMask.CompareAndSwap(old, old|bit) {
-			break
-		}
-	}
-	// The stream is failed (the guard only quarantines after the failure
-	// signal); Quarantine re-certifies the frontier over the survivors.
-	_ = e.logs.Quarantine(p)
-}
-
 // QuarantinePartition fails partition p's stream (if it has not already
-// failed) and quarantines it — the manual form of what the guard does on a
-// device failure, for operators, benchmarks, and tests.
+// failed), which quarantines it — the manual form of a device failure, for
+// operators, benchmarks, and tests.
 func (e *Engine) QuarantinePartition(p int) error {
 	if !e.cfg.PartitionWAL {
 		return fmt.Errorf("core: QuarantinePartition requires PartitionWAL: %w", ErrInvalidUsage)
@@ -165,80 +140,7 @@ func (e *Engine) QuarantinePartition(p int) error {
 	if p < 0 || p >= e.cfg.Partitions {
 		return fmt.Errorf("core: partition %d out of range: %w", p, ErrInvalidUsage)
 	}
-	if err := e.logs.FailStream(p, nil); err != nil {
-		return err
-	}
-	e.quarantine(p)
-	return nil
-}
-
-// partitionGuard is the quarantine monitor: it converts per-stream failure
-// signals into partition quarantines, and escalates sustained gray stalls
-// (claim stagnant with a flush in flight for Config.QuarantineStall) into
-// failures. One goroutine per engine, started only in partition mode.
-func (e *Engine) partitionGuard() {
-	defer close(e.guardDone)
-	type stallState struct {
-		claim uint64
-		since time.Time
-	}
-	n := e.logs.NumStreams()
-	states := make([]stallState, n)
-	var tickC <-chan time.Time
-	if e.cfg.QuarantineStall > 0 {
-		interval := e.cfg.QuarantineStall / 4
-		if interval <= 0 {
-			interval = e.cfg.QuarantineStall
-		}
-		tick := time.NewTicker(interval)
-		defer tick.Stop()
-		tickC = tick.C
-	}
-	for {
-		select {
-		case <-e.guardStop:
-			return
-		case i, ok := <-e.logs.FailureC():
-			if !ok {
-				return
-			}
-			// The signal can outlive the failure it reports:
-			// QuarantinePartition quarantines on its own, and RecoverPartition
-			// may have readmitted the stream before the guard gets here.
-			if e.logs.StreamFailed(i) {
-				e.quarantine(i)
-			}
-		case now := <-tickC:
-			// A stalled stream is one whose flusher has held a batch the
-			// device will not acknowledge — claim frozen, flush in flight —
-			// for the full window. Neither the distance between claim and
-			// epoch nor buffered bytes would do as the signal. The
-			// log runs one flush round at a time, so a wedged
-			// sync pins the epoch at claim+1 for as long as it hangs; and the
-			// hung batch is already swapped out of the staging buffer, while
-			// the healthy streams sit on staged records, claims frozen, until
-			// the hung stream is failed.
-			for i := range states {
-				if e.logs.StreamFailed(i) {
-					continue
-				}
-				claim := e.logs.StreamClaim(i)
-				if claim != states[i].claim || !e.logs.StreamPending(i) {
-					states[i] = stallState{claim: claim}
-					continue
-				}
-				if states[i].since.IsZero() {
-					states[i].since = now
-					continue
-				}
-				if now.Sub(states[i].since) >= e.cfg.QuarantineStall {
-					// The failure signal loops back through FailureC, which
-					// performs the quarantine.
-					_ = e.logs.FailStream(i, errStreamStalled)
-				}
-			}
-		}
-	}
+	return e.logs.FailStream(p, nil)
 }
 
 // clearPartition removes every record of partition p from memory: primary
@@ -307,7 +209,7 @@ func (e *Engine) PartitionFrontier(p int) uint64 {
 
 // RecoverPartition rebuilds quarantined partition p from the checkpoint store
 // while the engine serves traffic on its healthy partitions, then readmits
-// the partition's stream and lifts the quarantine: the recovery pipeline
+// the partition's stream, which lifts the quarantine: the recovery pipeline
 // (recover.go) at the scope of slice p and stream p, run by the run-time
 // owner of the manifest.
 //
@@ -347,19 +249,8 @@ func (c *Checkpointer) RecoverPartition(p int, load func() error) (RecoveryStats
 	// No cycle runs beside the rebuild, and the manifest it reads is the one
 	// it replaces.
 	c.mu.Lock()
-	rs, err := c.rebuildPartition(p, load)
-	c.mu.Unlock()
-	if err != nil {
-		return rs, err
-	}
-	bit := uint64(1) << uint(p)
-	for {
-		old := e.quarMask.Load()
-		if e.quarMask.CompareAndSwap(old, old&^bit) {
-			break
-		}
-	}
-	return rs, nil
+	defer c.mu.Unlock()
+	return c.rebuildPartition(p, load)
 }
 
 // rebuildPartition is RecoverPartition's pipeline, from base resolution to

@@ -282,8 +282,9 @@ func (t *Tx) Run2(tbl *Table, k uint64) ([]byte, error) {
 }
 
 // TestPartitionDeviceFailureAutoQuarantine crashes one partition's device
-// mid-run and proves the guard quarantines exactly that partition: its
-// transactions classify ErrPartitionUnavailable, the others keep going.
+// mid-run and proves the log quarantines exactly that partition, by the time
+// the failure reaches a committer: its transactions classify
+// ErrPartitionUnavailable, the others keep going.
 func TestPartitionDeviceFailureAutoQuarantine(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
 	const parts = 4
@@ -295,8 +296,7 @@ func TestPartitionDeviceFailureAutoQuarantine(t *testing.T) {
 
 	// Hammer the doomed partition until the crash surfaces. The commit that
 	// hits the dead device classifies as a partition outage either way: at
-	// the append/wait (committed in memory, not durable) or at the gate
-	// once the guard has quarantined.
+	// the append/wait (committed in memory, not durable) or at the gate.
 	var sawUnavailable bool
 	for i := 0; i < 200; i++ {
 		err := setKey(tx, tbl, dead, int64(i))
@@ -312,14 +312,8 @@ func TestPartitionDeviceFailureAutoQuarantine(t *testing.T) {
 	if !sawUnavailable {
 		t.Fatal("crash never surfaced")
 	}
-
-	// The guard quarantines asynchronously; wait for the mask.
-	deadline := time.Now().Add(5 * time.Second)
-	for e.QuarantinedPartitions() != 1<<dead {
-		if time.Now().After(deadline) {
-			t.Fatalf("guard never quarantined: mask %#x", e.QuarantinedPartitions())
-		}
-		time.Sleep(time.Millisecond)
+	if got := e.QuarantinedPartitions(); got != 1<<dead {
+		t.Fatalf("mask = %#x when the failure returned, want %#x", got, 1<<dead)
 	}
 
 	// Terminal, not retried: one attempt, one PartitionAborts.
@@ -343,22 +337,9 @@ func TestPartitionDeviceFailureAutoQuarantine(t *testing.T) {
 	e.Close()
 }
 
-// awaitQuarantineMask waits for the quarantine mask to read want. FailStream
-// releases the failed stream's waiters before the guard sets the bit, so a
-// commit can return its partition-class error a moment ahead of the mask.
-func awaitQuarantineMask(t *testing.T, e *Engine, want uint64) {
-	t.Helper()
-	for deadline := time.Now().Add(time.Second); e.QuarantinedPartitions() != want; {
-		if time.Now().After(deadline) {
-			t.Fatalf("mask = %#x, want %#x", e.QuarantinedPartitions(), want)
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-}
-
 // TestPartitionStallEscalation stalls one device's sync forever and proves
-// the guard escalates the gray failure to a quarantine after
-// QuarantineStall, unblocking the parked commit with the partition class.
+// the log escalates the gray failure to a quarantine after QuarantineStall,
+// unblocking the parked commit with the partition class.
 func TestPartitionStallEscalation(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
 	const parts = 2
@@ -377,7 +358,9 @@ func TestPartitionStallEscalation(t *testing.T) {
 	if !errors.Is(err, ErrPartitionUnavailable) {
 		t.Fatalf("stalled-partition commit = %v, want ErrPartitionUnavailable", err)
 	}
-	awaitQuarantineMask(t, e, 1<<dead)
+	if got := e.QuarantinedPartitions(); got != 1<<dead {
+		t.Fatalf("mask = %#x when the stall returned, want %#x", got, 1<<dead)
+	}
 	// The healthy partition was never frozen for long: it still commits.
 	if err := setKey(tx, tbl, 0, 1); err != nil {
 		t.Fatal(err)
@@ -388,10 +371,10 @@ func TestPartitionStallEscalation(t *testing.T) {
 
 // TestPartitionStallEscalationMidRun is the same gray failure mid-run, with a
 // healthy partition committing alongside. The log runs one flush round at a
-// time, so the hung sync holds every later epoch bump back: the guard cannot
-// tell the stall from the epoch running ahead of the claim and must see the
-// flush in flight. Once it escalates, the healthy partition's parked commit
-// completes and it keeps committing.
+// time, so the hung sync holds every later epoch bump back: stall escalation
+// cannot key on the epoch running ahead of the claim and must time the
+// device's hold on the batch. Once it escalates, the healthy partition's
+// parked commit completes and it keeps committing.
 func TestPartitionStallEscalationMidRun(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
 	const parts = 2
@@ -442,9 +425,11 @@ func TestPartitionStallEscalationMidRun(t *testing.T) {
 			t.Fatalf("stalled-partition commit = %v, want ErrPartitionUnavailable", err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatalf("guard never escalated the hung sync: mask %#x, %d healthy commits", e.QuarantinedPartitions(), healthy.Load())
+		t.Fatalf("the hung sync never escalated: mask %#x, %d healthy commits", e.QuarantinedPartitions(), healthy.Load())
 	}
-	awaitQuarantineMask(t, e, 1<<dead)
+	if got := e.QuarantinedPartitions(); got != 1<<dead {
+		t.Fatalf("mask = %#x when the stall returned, want %#x", got, 1<<dead)
+	}
 	// The healthy partition is moving again behind the hung, quarantined one.
 	resumed := healthy.Load() + 20
 	for deadline := time.Now().Add(5 * time.Second); healthy.Load() < resumed; {

@@ -116,6 +116,10 @@ type RecoveryStats struct {
 // reproduces the H-Store/VoltDB recovery model; it is exact when the
 // commit-sequence order matches the serialization order (single worker or
 // HSTORE), which is how the recovery experiment runs it.
+//
+// Neither mode appends to the engine's own log: the log being replayed stays
+// the authoritative record of what it holds, and may be the very file the
+// engine logs to.
 func (e *Engine) Recover(log io.Reader) (RecoveryStats, error) {
 	return e.recoverFrom(recoverySource{logs: []io.Reader{log}})
 }
@@ -123,9 +127,7 @@ func (e *Engine) Recover(log io.Reader) (RecoveryStats, error) {
 // RecoverStreams replays the N streams of the engine's log: the streams are
 // merged by epoch and truncated to the last epoch fully present across all
 // of them (see wal.ReplayStreams; pre-epoch marker-free logs replay in
-// full). The engine must be freshly loaded, as for Recover. Re-executed
-// procedures under command logging are re-logged, so the recovered engine's
-// own command log stays complete.
+// full). The engine must be freshly loaded, as for Recover.
 func (e *Engine) RecoverStreams(logs []io.Reader) (RecoveryStats, error) {
 	return e.recoverFrom(recoverySource{logs: logs})
 }
@@ -141,12 +143,11 @@ func (e *Engine) RecoverStreams(logs []io.Reader) (RecoveryStats, error) {
 // the start of the log, which is ErrHistoryLost. A generation written by a
 // build with another image format is an ErrBadCheckpoint, not a fallback.
 // The engine must be freshly opened with att.Devices and its schema
-// created; transactions must not be running.
-//
-// Re-executed procedures under command logging are not re-logged: the
-// sealed segments named by the manifest remain the authoritative tail
-// until a later checkpoint prunes them, so a second crash before then
-// replays the same state, never a doubled one.
+// created; transactions must not be running. As for Recover, nothing
+// replayed is appended to the log: the sealed segments named by the
+// manifest remain the authoritative tail until a later checkpoint prunes
+// them, so a second crash before then replays the same state, never a
+// doubled one.
 func (e *Engine) RecoverFromStore(store CheckpointStore, att *LogAttachment, load func() error) (RecoveryStats, error) {
 	return e.recoverFrom(recoverySource{store: store, att: att, load: load})
 }
@@ -217,7 +218,7 @@ func (e *Engine) recoverFrom(src recoverySource) (RecoveryStats, error) {
 		rs.Records++
 		if tx == nil {
 			tx = e.NewTx(0, 0x5ec0Fe5)
-			tx.noLog = fromStore
+			tx.noLog = true
 		}
 		// Params alias the replay buffer; copy before re-execution.
 		params := append([]byte(nil), cr.Params...)

@@ -47,11 +47,11 @@ type Tx struct {
 	streamScratch []int
 	// declared is DeclarePartitions' copy of the caller's partition list.
 	declared []int
-	// noLog suppresses write-ahead logging for this context. Store-based
-	// recovery sets it while re-executing the command-log tail: the sealed
-	// segments remain the authoritative tail until the next checkpoint
-	// prunes them, so re-logging the replayed procedures would make a second
-	// crash re-execute them twice.
+	// noLog suppresses write-ahead logging for this context. Recovery sets
+	// it while re-executing the command-log tail: the log being replayed
+	// stays the authoritative tail, so re-logging the replayed procedures
+	// would make a second crash re-execute them twice — and, replaying the
+	// file the engine logs to, would read its own appends back without end.
 	noLog bool
 }
 

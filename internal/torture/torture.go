@@ -32,7 +32,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"time"
 
 	"next700/internal/cc"
 	"next700/internal/core"
@@ -639,13 +638,10 @@ func (c *cell) runDark(rd *Round) error {
 	if rd.Lost, err = c.drive(txnsPerWorker, c.dark); err != nil || rd.Lost == 0 {
 		return err // no loss: the crash offset overshot the run
 	}
-	// The guard learns of the failure asynchronously; the first loss can
-	// surface slightly earlier.
-	for deadline := time.Now().Add(5 * time.Second); c.e.QuarantinedPartitions() != 1<<uint(c.dark); {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("torture: quarantine mask %#x never converged on partition %d", c.e.QuarantinedPartitions(), c.dark)
-		}
-		time.Sleep(time.Millisecond)
+	// The log quarantines in the step that fails the stream, so the mask is
+	// set before any loss reached a worker.
+	if mask := c.e.QuarantinedPartitions(); mask != 1<<uint(c.dark) {
+		return fmt.Errorf("torture: quarantine mask %#x after a loss on partition %d", mask, c.dark)
 	}
 	if err := c.check(c.dark, false); err != nil {
 		return err

@@ -17,10 +17,13 @@ import (
 // failure is a log failure), and carry the stream index via StreamError.
 var ErrStreamFailed = errors.New("wal: log stream failed")
 
-// ErrStreamQuarantined marks a stream failed by an external decision — a
-// sustained stall escalated by the engine's gray-failure monitor, or an
-// operator action — rather than by a device error surfacing in the flusher.
+// ErrStreamQuarantined marks a stream failed by an external decision — an
+// operator pulling it with FailStream — rather than by its device.
 var ErrStreamQuarantined = errors.New("wal: log stream quarantined")
+
+// errStreamStalled is the cause a scoped set records when a stream's device
+// has held a batch past the set's stall threshold without acknowledging it.
+var errStreamStalled = errors.New("wal: log stream sync stalled")
 
 // StreamError is the typed sticky error for one failed stream in a scoped
 // StreamSet. It satisfies errors.Is for both ErrStreamFailed and
@@ -29,7 +32,8 @@ type StreamError struct {
 	// Stream is the failed stream's index (the partition, under
 	// per-partition affinity).
 	Stream int
-	// Cause is the underlying device error (or stall-escalation sentinel).
+	// Cause is the underlying device error, the stall cause, or what
+	// FailStream was given.
 	Cause error
 }
 
@@ -66,17 +70,24 @@ type StreamSet struct {
 	// append time. First field so the raw 64-bit atomics stay aligned on
 	// 32-bit targets (next700-lint atomicalign).
 	epoch uint64
-	// durable is the durable epoch frontier: min over streams of the synced
-	// claim, minus one. Stored atomically so the wait fast path and the
-	// engine's health probes are lock-free.
+	// durable is the durable epoch frontier: min over live streams of the
+	// synced claim, minus one. Stored atomically so the wait fast path and
+	// the engine's health probes are lock-free.
 	durable uint64
 
 	// scoped selects per-stream failure semantics (NewStreamSetScoped): a
-	// sticky device failure poisons only its own stream, the frontier
-	// freezes until the failed stream is quarantined, and Quarantine
-	// re-certifies the frontier over the surviving streams. Immutable after
-	// construction, so hot paths read it without synchronization.
+	// sticky device failure poisons only its own stream, which leaves the
+	// frontier at once. Immutable after construction, so hot paths read it
+	// without synchronization.
 	scoped bool
+	// quarantined is the word a scoped set publishes its failed streams into
+	// (bit i set = stream i failed), handed in by the owner so its gates read
+	// it with one load of their own. Written only under mu.
+	quarantined *atomic.Uint64
+	// stall is a scoped set's stall threshold (0 = none); born is the base of
+	// the flushers' hand-off stamps (stream.sentAt).
+	stall time.Duration
+	born  time.Time
 
 	// failed mirrors err != nil and closing mirrors closed, both without the
 	// mutex, so the append hot path gates on log health with atomic loads.
@@ -122,11 +133,6 @@ type StreamSet struct {
 	// SetEpochGate). Guarded by mu.
 	epochGate sync.Locker
 
-	// failureC delivers failed stream indexes to the engine's quarantine
-	// guard in scoped mode (buffered one slot per stream; a stream fails at
-	// most once per incarnation). Closed by Close after the flushers drain.
-	failureC chan int
-
 	wake chan struct{}
 	done chan struct{}
 }
@@ -145,19 +151,13 @@ type stream struct {
 	// claim is the epoch this stream has synced through: every record with
 	// Epoch < claim is on the device. Mutated under the set mutex (it feeds
 	// the frontier aggregation); stored atomically so scoped-mode wait fast
-	// paths and the engine's stall monitor can read it lock-free.
+	// paths and PartitionFrontier read it lock-free.
 	claim atomic.Uint64
 
-	// sfailed/serr are the scoped-mode per-stream sticky failure: serr (a
-	// *StreamError) is written before sfailed is set, so any goroutine that
-	// observes sfailed true may read serr without the set mutex.
-	sfailed atomic.Bool
-	serr    error
-
-	// quarantined excludes this stream from the frontier aggregation after
-	// the engine has decided to degrade around its failure. Guarded by the
-	// set mutex.
-	quarantined bool
+	// serr is the scoped-mode sticky failure, nil while the stream is
+	// healthy: one word, so a lock-free reader that sees the stream failed
+	// holds its error. Stored under the set mutex.
+	serr atomic.Pointer[StreamError]
 
 	// readmit stages a replacement device for a failed stream; the flusher
 	// installs it (and resets the stream's failure state) at its next cycle.
@@ -168,10 +168,12 @@ type stream struct {
 	// the stream's flusher touches it.
 	lastMark uint64
 
-	// inflight is set while the flusher holds a batch the device has not
-	// acknowledged — from the swap out of the staging buffer until the claim
-	// raise (or failure marking) that follows the sync. See StreamPending.
-	inflight atomic.Bool
+	// stallTimer (nil without a stall threshold) runs stalled once the
+	// device has held a batch for the threshold; the flusher arms it when it
+	// hands a batch over and stops it when the device answers. sentAt is the
+	// hand-off's time since set.born, 0 while the device holds no batch.
+	stallTimer *time.Timer
+	sentAt     atomic.Int64
 
 	// next and rotateTarget stage a pending device rotation, guarded by the
 	// set mutex. The flusher installs next as the stream's device once its
@@ -199,30 +201,31 @@ type stream struct {
 // The second parameter is deprecated and ignored — it was the epoch ticker's
 // period; the frozen benchmark/probes.go:376 still passes one.
 func NewStreamSet(devs []Device, _ time.Duration) *StreamSet {
-	return newStreamSet(devs, false)
+	return newStreamSet(devs, nil, 0)
 }
 
-// NewStreamSetScoped starts a parallel log with per-stream failure scope,
-// for per-partition stream affinity: a sticky device failure marks only its
-// own stream failed (appends and waits on that stream return a *StreamError
-// carrying the stream index), the durable frontier freezes at the failed
-// stream's last certified claim, and Quarantine re-certifies the frontier
-// over the surviving streams so healthy partitions keep committing durably.
-// Failed stream indexes are delivered on FailureC for the engine's
-// quarantine guard.
-func NewStreamSetScoped(devs []Device) *StreamSet {
-	return newStreamSet(devs, true)
+// NewStreamSetScoped starts a parallel log of at most 64 streams with
+// per-stream failure scope, for per-partition stream affinity. A stream
+// fails on a sticky device error, on FailStream, or — when stall > 0 — once
+// its device has held a batch for stall without acknowledging it. Failing
+// is one step under the set mutex: bit i of quarantined is set, appends and
+// waits on the stream return a *StreamError carrying its index, and the
+// durable frontier is re-certified over the surviving streams so healthy
+// partitions keep committing durably. Readmit clears the bit. quarantined
+// is written only by the set.
+func NewStreamSetScoped(devs []Device, quarantined *atomic.Uint64, stall time.Duration) *StreamSet {
+	return newStreamSet(devs, quarantined, stall)
 }
 
-func newStreamSet(devs []Device, scoped bool) *StreamSet {
+func newStreamSet(devs []Device, quarantined *atomic.Uint64, stall time.Duration) *StreamSet {
 	s := &StreamSet{
-		epoch:  1,
-		scoped: scoped,
-		wake:   make(chan struct{}, 1),
-		done:   make(chan struct{}),
-	}
-	if scoped {
-		s.failureC = make(chan int, len(devs))
+		epoch:       1,
+		scoped:      quarantined != nil,
+		quarantined: quarantined,
+		stall:       stall,
+		born:        time.Now(),
+		wake:        make(chan struct{}, 1),
+		done:        make(chan struct{}),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	s.gatherTimer = time.NewTimer(time.Hour)
@@ -235,6 +238,10 @@ func newStreamSet(devs []Device, scoped bool) *StreamSet {
 			id:    i,
 			flush: make(chan struct{}, 1),
 		}
+		if s.scoped && stall > 0 {
+			st.stallTimer = time.AfterFunc(time.Hour, st.stalled)
+			st.stallTimer.Stop()
+		}
 		s.streams[i] = st
 		s.flushers.Add(1)
 		go st.flusher()
@@ -242,11 +249,6 @@ func newStreamSet(devs []Device, scoped bool) *StreamSet {
 	go s.coordinator()
 	return s
 }
-
-// FailureC returns the channel on which a scoped set delivers the index of
-// each stream that hits a sticky failure (nil for legacy sets). The channel
-// is closed by Close.
-func (s *StreamSet) FailureC() <-chan int { return s.failureC }
 
 // NumStreams returns the stream count.
 func (s *StreamSet) NumStreams() int { return len(s.streams) }
@@ -334,10 +336,8 @@ func (s *StreamSet) AppendMulti(streamIDs []int, rec []byte) (uint64, error) {
 	}
 	if s.scoped {
 		for _, id := range streamIDs {
-			// serr is written before sfailed is set; observing sfailed true
-			// makes the read safe without the set mutex.
-			if st := s.streams[id]; st.sfailed.Load() {
-				return 0, st.serr
+			if serr := s.streams[id].serr.Load(); serr != nil {
+				return 0, serr
 			}
 		}
 	}
@@ -369,14 +369,17 @@ func (s *StreamSet) WaitDurableUntil(streamID int, epoch uint64, deadline int64)
 	return s.WaitDurableMulti(ids[:], epoch, deadline)
 }
 
-// deadFor reports whether a record tagged epoch on this stream can never
-// become durable: the stream hit a sticky failure before its claim covered
-// the epoch. Claims freeze at failure (the flusher stops raising them), so
-// the comparison is stable once sfailed is observed. Records the stream
-// certified before dying (epoch < claim) stay durable — durability is never
-// retracted.
-func (st *stream) deadFor(epoch uint64) bool {
-	return st.sfailed.Load() && epoch >= st.claim.Load()
+// deadFor returns the stream's failure when a record tagged epoch on it can
+// never become durable, else nil: the stream hit a sticky failure before its
+// claim covered the epoch. Claims freeze at failure (the flusher stops
+// raising them), so the comparison is stable once the failure is observed.
+// Records the stream certified before dying (epoch < claim) stay durable —
+// durability is never retracted.
+func (st *stream) deadFor(epoch uint64) *StreamError {
+	if serr := st.serr.Load(); serr != nil && epoch >= st.claim.Load() {
+		return serr
+	}
+	return nil
 }
 
 // WaitDurableMulti blocks until epoch is durable for an append to the listed
@@ -388,13 +391,13 @@ func (st *stream) deadFor(epoch uint64) bool {
 //
 //next700:allowalloc(blocked path only: the deadline timer and clock reads happen while parked, never on a commit that finds its epoch durable)
 func (s *StreamSet) WaitDurableMulti(streamIDs []int, epoch uint64, deadline int64) error {
-	deadStream := func() *stream {
+	deadStream := func() *StreamError {
 		if !s.scoped {
 			return nil
 		}
 		for _, id := range streamIDs {
-			if st := s.streams[id]; st.deadFor(epoch) {
-				return st
+			if serr := s.streams[id].deadFor(epoch); serr != nil {
+				return serr
 			}
 		}
 		return nil
@@ -449,11 +452,11 @@ func (s *StreamSet) WaitDurableMulti(streamIDs []int, epoch uint64, deadline int
 	if timer != nil {
 		timer.Stop()
 	}
-	if st := deadStream(); st != nil {
+	if serr := deadStream(); serr != nil {
 		// A touched stream died before certifying this epoch: even if the
 		// re-certified frontier has moved past it, the record is on the dead
 		// device and is not durable.
-		return st.serr
+		return serr
 	}
 	if atomic.LoadUint64(&s.durable) >= epoch {
 		// The epoch closed on every stream; a later failure does not retract
@@ -514,13 +517,13 @@ func (s *StreamSet) coordinator() {
 // the other's sync before its own. Instead:
 //
 //  1. One round at a time: the kick is served when the round the last bump
-//     launched has completed on every live stream. Failed and quarantined
-//     streams are not waited for, and the wait is re-evaluated on every
-//     flusher, FailStream, Quarantine, poison and Close broadcast, so a
-//     stalled stream stops holding the others up the moment it is failed.
-//     Until then it does hold them: a hung sync pins the epoch one above the
-//     stalled claim, so whoever escalates stalls must key on StreamPending,
-//     not on the epoch running ahead of the claim.
+//     launched has completed on every live stream. Failed streams are not
+//     waited for, and the wait is re-evaluated on every flusher, stream
+//     failure, poison and Close broadcast, so a stalled stream stops holding
+//     the others up the moment it is failed. Until then it does hold them:
+//     a hung sync pins the epoch one above the stalled claim, which is why
+//     stall escalation times the device's hold on a batch (stallTimer), not
+//     the epoch running ahead of the claim.
 //  2. Gather: the committers that round released are about to return, so
 //     yield until as many waiters are parked on the open epoch as the last
 //     frontier rise released or left open — for at most an eighth of the
@@ -536,7 +539,7 @@ func (s *StreamSet) gather() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for s.roundInFlightLocked() && s.err == nil && !s.closed {
-		s.cond.Wait() //next700:allowwait(every claim raise, stream failure, quarantine, set poison and Close broadcasts; failed and quarantined streams are not waited for)
+		s.cond.Wait() //next700:allowwait(every claim raise, stream failure, set poison and Close broadcasts; failed streams are not waited for)
 	}
 	start := time.Now()
 	deadline := start.Add(time.Duration(s.flushNanos.Load() / 8))
@@ -599,7 +602,7 @@ func (s *StreamSet) awaitKick(spinUntil, deadline time.Time) {
 // through the coordinator's last bump. Requires s.mu.
 func (s *StreamSet) roundInFlightLocked() bool {
 	for _, st := range s.streams {
-		if !st.quarantined && !st.sfailed.Load() && st.claim.Load() < s.launched {
+		if st.serr.Load() == nil && st.claim.Load() < s.launched {
 			return true
 		}
 	}
@@ -644,15 +647,15 @@ func (s *StreamSet) advance() {
 }
 
 // settled reports whether a final advance would close an empty epoch:
-// nothing is staged and every stream in the frontier has synced through the
-// current epoch. Close must not add an epoch nobody committed in — a
+// nothing is staged and every live stream has synced through the current
+// epoch. Close must not add an epoch nobody committed in — a
 // deterministic run's epochs map 1:1 onto its batches.
 func (s *StreamSet) settled() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	epoch := atomic.LoadUint64(&s.epoch)
 	for _, st := range s.streams {
-		if st.quarantined {
+		if st.serr.Load() != nil {
 			continue
 		}
 		st.mu.Lock()
@@ -679,13 +682,13 @@ func (st *stream) flusher() {
 }
 
 // recomputeFrontierLocked re-derives the durable frontier as min over the
-// non-quarantined streams' claims, minus one. Monotone: the frontier never
+// live streams' claims, minus one. Monotone: the frontier never
 // regresses, so certified durability is never retracted. Requires s.mu.
 func (s *StreamSet) recomputeFrontierLocked() {
 	min := ^uint64(0)
 	any := false
 	for _, st := range s.streams {
-		if st.quarantined {
+		if st.serr.Load() != nil {
 			continue
 		}
 		c := st.claim.Load()
@@ -699,22 +702,33 @@ func (s *StreamSet) recomputeFrontierLocked() {
 	}
 }
 
-// failStreamLocked records a sticky per-stream failure (scoped mode): the
-// typed error is published before the failure flag so lock-free readers see
-// a complete StreamError, the failure index is delivered to the engine's
-// guard, and parked waiters are re-woken by the caller's broadcast. The
-// frontier is NOT re-certified here — it freezes at the dead stream's claim
-// until Quarantine excludes the stream, which keeps "durable" meaning
-// "synced on every non-quarantined stream" at all times. Requires s.mu.
+// failStreamLocked records a sticky per-stream failure (scoped mode) and
+// quarantines the stream in the same critical section: its bit is published
+// before the failure, so whoever sees the stream failed — an append or a
+// waiter handed its error — finds the owner's gates already closed to it;
+// then the frontier is re-certified over the survivors. The caller's
+// broadcast re-wakes parked waiters. Requires s.mu.
 func (s *StreamSet) failStreamLocked(st *stream, cause error) {
-	if st.serr != nil {
+	if st.serr.Load() != nil {
 		return
 	}
-	st.serr = &StreamError{Stream: st.id, Cause: cause}
-	st.sfailed.Store(true)
-	select {
-	case s.failureC <- st.id:
-	default:
+	s.quarantined.Store(s.quarantined.Load() | 1<<uint(st.id))
+	st.serr.Store(&StreamError{Stream: st.id, Cause: cause})
+	s.recomputeFrontierLocked()
+}
+
+// stalled is the stall timer's callback: it fails the stream when the batch
+// the flusher handed over has been with the device for the full threshold.
+// A firing that lost the race to the device's answer finds no batch, or a
+// later one that has not been there long, and does nothing.
+func (st *stream) stalled() {
+	s := st.set
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sent := st.sentAt.Load()
+	if sent != 0 && time.Since(s.born)-time.Duration(sent) >= s.stall {
+		s.failStreamLocked(st, errStreamStalled)
+		s.cond.Broadcast()
 	}
 }
 
@@ -736,8 +750,8 @@ func (st *stream) flushOnce() {
 		s.mu.Unlock()
 		return
 	}
-	if s.scoped && st.sfailed.Load() {
-		// This stream is dead (device failure or stall escalation). Staged
+	if s.scoped && st.serr.Load() != nil {
+		// This stream is dead (device failure, stall or FailStream). Staged
 		// bytes cannot be made durable here — drop them loudly — but first
 		// install a staged readmission: a repaired partition resumes on a
 		// fresh device with its claim re-seated at the current epoch.
@@ -775,11 +789,14 @@ func (st *stream) flushOnce() {
 	batch := st.buf
 	st.buf = st.spare[:0]
 	st.spare = nil
-	st.inflight.Store(true)
 	st.mu.Unlock()
 
 	if target > st.lastMark {
 		batch = appendMarker(batch, target)
+	}
+	if st.stallTimer != nil {
+		st.sentAt.Store(max(1, int64(time.Since(s.born))))
+		st.stallTimer.Reset(s.stall)
 	}
 	t0 := time.Now()
 	_, err := st.dev.Write(batch)
@@ -791,6 +808,10 @@ func (st *stream) flushOnce() {
 			err = st.dev.Sync()
 		}
 		s.flushNanos.Store(int64(time.Since(t0)))
+	}
+	if st.stallTimer != nil {
+		st.stallTimer.Stop()
+		st.sentAt.Store(0)
 	}
 	if err == nil && target > st.lastMark {
 		st.lastMark = target
@@ -809,11 +830,11 @@ func (st *stream) flushOnce() {
 			s.err = fmt.Errorf("%w: %w", ErrLogFailed, err)
 			s.failed.Store(true)
 		}
-	} else if s.scoped && st.sfailed.Load() {
-		// Externally failed (stall escalation) while this flush was in
-		// flight: the bytes are on the device, but the claim stays frozen —
-		// the engine has already decided to degrade around this stream, and
-		// recovery re-reads the device image anyway.
+	} else if s.scoped && st.serr.Load() != nil {
+		// Failed (stall or FailStream) while this flush was in flight: the
+		// bytes are on the device, but the claim stays frozen — the stream
+		// has left the frontier, and recovery re-reads the device image
+		// anyway.
 	} else {
 		if target > st.claim.Load() {
 			st.claim.Store(target)
@@ -827,7 +848,6 @@ func (st *stream) flushOnce() {
 			st.next = nil
 		}
 	}
-	st.inflight.Store(false)
 	s.cond.Broadcast()
 	s.mu.Unlock()
 }
@@ -836,13 +856,15 @@ func (st *stream) flushOnce() {
 // device and clears the failure state. Runs on the stream's own flusher
 // goroutine (the only goroutine that touches dev), with the set mutex held.
 // Ordering matters: stale staged bytes are dropped and the claim re-seated
-// at the current epoch before sfailed is cleared, so a worker that observes
-// the stream healthy again can only append records the fresh device will
-// actually certify. Seating the claim at the current epoch keeps the
-// frontier monotone — the readmitted stream rejoins the aggregation at or
-// above every healthy claim, never dragging the frontier backwards below
-// epochs already certified by Quarantine's re-certification.
+// at the current epoch before the failure is cleared, so a worker that
+// observes the stream healthy again can only append records the fresh
+// device will actually certify; the quarantine bit goes last, so the
+// owner's gates open onto a healthy stream. Seating the claim at the current
+// epoch keeps the frontier monotone — the readmitted stream rejoins the
+// aggregation at or above every healthy claim, never dragging the frontier
+// backwards below epochs certified while it was out.
 func (st *stream) installReadmitLocked() {
+	s := st.set
 	st.mu.Lock()
 	st.buf = st.buf[:0]
 	st.mu.Unlock()
@@ -851,11 +873,10 @@ func (st *stream) installReadmitLocked() {
 	st.next = nil
 	st.rotateTarget = 0
 	st.lastMark = 0
-	st.serr = nil
-	st.quarantined = false
-	st.claim.Store(atomic.LoadUint64(&st.set.epoch))
-	st.set.recomputeFrontierLocked()
-	st.sfailed.Store(false)
+	st.claim.Store(atomic.LoadUint64(&s.epoch))
+	st.serr.Store(nil)
+	s.recomputeFrontierLocked()
+	s.quarantined.Store(s.quarantined.Load() &^ (1 << uint(st.id)))
 }
 
 // Rotate seals the current log segments and swaps every stream onto a fresh
@@ -914,10 +935,10 @@ func (s *StreamSet) Rotate(newDevs []Device) (uint64, error) {
 		if s.scoped {
 			// A stream that died mid-rotation can never install its swap;
 			// surface its typed error so the checkpoint cycle fails cleanly
-			// and the engine's quarantine guard takes over.
+			// and waits for the stream's readmission.
 			for _, st := range s.streams {
-				if st.next != nil && st.sfailed.Load() {
-					return 0, st.serr
+				if serr := st.serr.Load(); st.next != nil && serr != nil {
+					return 0, serr
 				}
 			}
 		}
@@ -949,11 +970,11 @@ func (s *StreamSet) Rotate(newDevs []Device) (uint64, error) {
 // errNotScoped guards the scoped-only API against misuse on legacy sets.
 var errNotScoped = errors.New("wal: stream-scoped operation on a whole-set-failure StreamSet")
 
-// FailStream marks a stream failed by external decision — the engine's
-// gray-failure monitor escalating a sustained stall, or an operator pulling
-// a device. The stream's waiters are woken with a *StreamError wrapping
-// cause (ErrStreamQuarantined when cause is nil); the frontier freezes at
-// the stream's claim until Quarantine. Idempotent; scoped sets only.
+// FailStream fails a stream by external decision — an operator pulling a
+// device — exactly as a device error would: its quarantine bit is set, its
+// waiters are woken with a *StreamError wrapping cause (ErrStreamQuarantined
+// when cause is nil) and the frontier is re-certified over the survivors.
+// Idempotent; scoped sets only.
 func (s *StreamSet) FailStream(i int, cause error) error {
 	if !s.scoped {
 		return errNotScoped
@@ -971,33 +992,11 @@ func (s *StreamSet) FailStream(i int, cause error) error {
 	return nil
 }
 
-// Quarantine excludes a failed stream from the durable-frontier aggregation
-// and re-certifies the frontier over the survivors, waking commit waiters
-// on healthy streams that were frozen behind the dead stream's claim. The
-// stream must already be failed: quarantining is the engine's durable
-// decision to degrade, taken strictly after the failure — the frontier
-// freeze in between is what makes "durable" never ambiguous. Scoped only.
-func (s *StreamSet) Quarantine(i int) error {
-	if !s.scoped {
-		return errNotScoped
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := s.streams[i]
-	if !st.sfailed.Load() {
-		return fmt.Errorf("wal: quarantine of healthy stream %d: %w", i, ErrStreamQuarantined)
-	}
-	st.quarantined = true
-	s.recomputeFrontierLocked()
-	s.cond.Broadcast()
-	return nil
-}
-
 // Readmit stages a repaired stream's return on a fresh device. The swap is
 // installed by the stream's own flusher (the only goroutine that touches
 // dev); Readmit kicks it and waits for the install, so on return the stream
-// is healthy: appends route to dev and the claim is re-seated at the
-// current epoch (the frontier never regresses). The caller must have
+// is healthy and its quarantine bit clear: appends route to dev and the
+// claim is re-seated at the current epoch (the frontier never regresses). The caller must have
 // recovered the partition's state first, and must have made dev part of the
 // log recovery reads before handing it over: commits are acknowledged against
 // dev from the moment Readmit returns, so a dev no recovery manifest names
@@ -1017,7 +1016,7 @@ func (s *StreamSet) Readmit(i int, dev Device) error {
 		s.mu.Unlock()
 		return ErrClosed
 	}
-	if !st.sfailed.Load() {
+	if st.serr.Load() == nil {
 		s.mu.Unlock()
 		return fmt.Errorf("wal: readmit of healthy stream %d: %w", i, ErrStreamQuarantined)
 	}
@@ -1044,31 +1043,9 @@ func (s *StreamSet) Readmit(i int, dev Device) error {
 	return nil
 }
 
-// StreamFailed reports per-stream sticky failure (always false for legacy
-// sets, which fail whole — see Failed).
-func (s *StreamSet) StreamFailed(i int) bool { return s.streams[i].sfailed.Load() }
-
-// StreamClaim returns the epoch the stream has synced through (lock-free;
-// the engine's stall monitor samples it for progress detection).
+// StreamClaim returns the epoch the stream has synced through (lock-free).
+// A failed stream's claim is frozen at what it certified before it died.
 func (s *StreamSet) StreamClaim(i int) uint64 { return s.streams[i].claim.Load() }
-
-// StreamQuarantined reports whether the stream is excluded from the
-// frontier aggregation.
-func (s *StreamSet) StreamQuarantined(i int) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.streams[i].quarantined
-}
-
-// StreamPending reports whether the stream's flusher holds a batch the device
-// has not acknowledged: swapped out of the staging buffer and still inside
-// Write/Sync. Held together with a frozen claim it is the stall monitor's
-// gray-failure signal. The epoch running ahead of the claim is not one: a
-// hung sync pins the epoch at the stalled claim plus one. Staged bytes
-// deliberately do not count — a healthy stream's staged records wait, claim
-// frozen, for as long as another stream's hung round holds the next bump
-// back.
-func (s *StreamSet) StreamPending(i int) bool { return s.streams[i].inflight.Load() }
 
 // Close advances one final epoch, drains every stream, and stops the
 // background goroutines. When a device has failed, records staged after the
@@ -1087,20 +1064,20 @@ func (s *StreamSet) Close() error {
 	s.closing.Store(true)
 	close(s.wake)
 	<-s.done //next700:allowwait(shutdown join: closing wake guarantees the coordinator drains the streams and exits)
+	for _, st := range s.streams {
+		if st.stallTimer != nil {
+			st.stallTimer.Stop()
+		}
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.failureC != nil {
-		// The flushers have drained and exited and FailStream checks closed,
-		// so no further sends are possible: the guard's channel can close.
-		close(s.failureC)
-	}
 	s.cond.Broadcast()
 	if s.err != nil {
 		return s.err
 	}
 	for _, st := range s.streams {
-		if st.sfailed.Load() {
-			return st.serr
+		if serr := st.serr.Load(); serr != nil {
+			return serr
 		}
 	}
 	return nil

@@ -250,7 +250,7 @@ type Writer struct{ s *StreamSet }
 // deprecated and ignored — it was the epoch ticker's period; the frozen
 // benchmark/probes.go:345 and :356 still pass one.
 func NewWriter(dev Device, _ time.Duration) *Writer {
-	return &Writer{s: newStreamSet([]Device{dev}, false)}
+	return &Writer{s: newStreamSet([]Device{dev}, nil, 0)}
 }
 
 // Append stages a record framed by CommitRecord.Encode (its epoch tag is

@@ -217,12 +217,9 @@ func (db *DB) Close() error {
 }
 
 // RecoverFromFile replays a WAL file into a freshly loaded engine (see
-// core.Engine.Recover for the contract). Under LogValue the file may be this
-// DB's own LogPath: commits after recovery append above every replayed
-// epoch, so a later recovery of the same file sees them last. Under
-// LogCommand the replayed procedures are re-logged into the DB's log, so
-// recover from a file other than LogPath: replaying LogPath itself reads
-// back its own re-logged records and does not end.
+// core.Engine.Recover for the contract). The file may be this DB's own
+// LogPath: replay appends nothing, and commits after recovery append above
+// every replayed epoch, so a later recovery of the same file sees them last.
 func (db *DB) RecoverFromFile(path string) (RecoveryStats, error) {
 	f, err := os.Open(path)
 	if err != nil {
