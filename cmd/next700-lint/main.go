@@ -1,9 +1,7 @@
 // next700-lint statically enforces the engine's component contracts: the
 // zero-allocation hot path, the bounded-wait (deadline) contract, typed
-// abort classes, a cycle-free lock order, atomic-field alignment, bounded
-// critical sections (lockscope), deadline propagation to blocking sites
-// (deadlineflow), terminal-abort retry hygiene (terminalabort), and
-// suppression freshness (staleannotation).
+// abort classes, a cycle-free lock order, bounded critical sections
+// (lockscope), and suppression freshness (staleannotation).
 //
 // Usage:
 //

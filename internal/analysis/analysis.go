@@ -5,7 +5,10 @@
 // runtime; the hotpath analyzer proves it over the call graph), the
 // bounded-wait contract from the overload work (every blocking site
 // deadline-aware or explicitly audited), typed abort classes, a
-// cycle-free lock-acquisition order, and atomic-field alignment.
+// cycle-free lock-acquisition order, bounded critical sections, and fresh
+// suppressions. An analyzer stays in the suite only while it catches a bug
+// class no test or build gate catches (EXPERIMENTS.md, "Static analysis
+// methodology", keeps the mutation table that shows which).
 //
 // The framework deliberately mirrors the golang.org/x/tools/go/analysis
 // API shape (Analyzer / Pass / Diagnostic) but is built on the standard
@@ -201,10 +204,7 @@ func All() []*Analyzer {
 		BoundedWaitAnalyzer,
 		AbortClassAnalyzer,
 		LockOrderAnalyzer,
-		AtomicAlignAnalyzer,
 		LockScopeAnalyzer,
-		DeadlineFlowAnalyzer,
-		TerminalAbortAnalyzer,
 		StaleAnnotationAnalyzer,
 	}
 }

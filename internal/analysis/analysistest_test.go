@@ -149,14 +149,11 @@ func backquoted(s string) []string {
 	}
 }
 
-func TestHotPathCorpus(t *testing.T)       { runCorpus(t, "hotpath") }
-func TestBoundedWaitCorpus(t *testing.T)   { runCorpus(t, "boundedwait") }
-func TestAbortClassCorpus(t *testing.T)    { runCorpus(t, "abortclass") }
-func TestLockOrderCorpus(t *testing.T)     { runCorpus(t, "lockorder") }
-func TestAtomicAlignCorpus(t *testing.T)   { runCorpus(t, "atomicalign") }
-func TestLockScopeCorpus(t *testing.T)     { runCorpus(t, "lockscope") }
-func TestDeadlineFlowCorpus(t *testing.T)  { runCorpus(t, "deadlineflow") }
-func TestTerminalAbortCorpus(t *testing.T) { runCorpus(t, "terminalabort") }
+func TestHotPathCorpus(t *testing.T)     { runCorpus(t, "hotpath") }
+func TestBoundedWaitCorpus(t *testing.T) { runCorpus(t, "boundedwait") }
+func TestAbortClassCorpus(t *testing.T)  { runCorpus(t, "abortclass") }
+func TestLockOrderCorpus(t *testing.T)   { runCorpus(t, "lockorder") }
+func TestLockScopeCorpus(t *testing.T)   { runCorpus(t, "lockscope") }
 
 // Staleness verdicts require the audited verb's owner in the same run.
 func TestStaleAnnotationCorpus(t *testing.T) {

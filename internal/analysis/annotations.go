@@ -14,8 +14,8 @@ import (
 //	//next700:verb            (marker verbs)
 //	//next700:verb(args)      (verbs carrying a reason or parameter)
 //
-// attached either to a declaration (in its doc comment — applies to the whole
-// function or type) or to a statement (same line or the line immediately
+// attached either to a function declaration (in its doc comment — applies to
+// the whole function) or to a statement (same line or the line immediately
 // above — applies to that line only). Verbs:
 //
 //	hotpath             — this function must not allocate, transitively.
@@ -26,15 +26,10 @@ import (
 //	lockorder(ordered)  — acquisitions in this function are internally
 //	                      ordered (e.g. by sorted partition index); the
 //	                      lockorder analyzer skips its self-edges.
-//	cachepad(N)         — this type is cache-line padded to N bytes;
-//	                      atomicalign checks the claim instead of guessing.
 //	locked(class: why)  — audited operation under the named lock class;
 //	                      suppresses lockscope for the function or line.
-//	allowunbounded(why) — audited unbounded blocking variant on a hot path;
-//	                      suppresses deadlineflow.
-//	allowretry(why)     — audited retry decision without a transient
-//	                      classification guard; suppresses terminalabort.
 //
+// Any other verb is a grammar problem ("unknown next700 directive verb").
 // Reasons are mandatory for every suppression verb: an escape hatch without
 // an audit trail is how contracts rot. The staleannotation pass closes the
 // other half of that loop: a suppression that no longer suppresses anything
@@ -44,41 +39,24 @@ const annotationPrefix = "//next700:"
 // Directive verbs and the analyzer that owns each (annotation-grammar
 // problems are reported under the owner).
 var verbOwner = map[string]string{
-	"hotpath":        "hotpath",
-	"allowalloc":     "hotpath",
-	"allowwait":      "boundedwait",
-	"allowabort":     "abortclass",
-	"lockorder":      "lockorder",
-	"cachepad":       "atomicalign",
-	"locked":         "lockscope",
-	"allowunbounded": "deadlineflow",
-	"allowretry":     "terminalabort",
+	"hotpath":    "hotpath",
+	"allowalloc": "hotpath",
+	"allowwait":  "boundedwait",
+	"allowabort": "abortclass",
+	"lockorder":  "lockorder",
+	"locked":     "lockscope",
 }
 
-// verbsNeedingArgs lists verbs whose parenthesized argument is required.
-var verbsNeedingArgs = map[string]bool{
-	"allowalloc":     true,
-	"allowwait":      true,
-	"allowabort":     true,
-	"lockorder":      true,
-	"cachepad":       true,
-	"locked":         true,
-	"allowunbounded": true,
-	"allowretry":     true,
-}
-
-// suppressionVerbs are the verbs whose only effect is to silence findings.
-// The staleannotation pass audits exactly these: each must have silenced (or
-// scoped out) at least one would-be finding of its owning analyzer during
-// the run, or it is rot.
+// suppressionVerbs are the verbs whose only effect is to silence findings;
+// each requires a reason argument. The staleannotation pass audits exactly
+// these: each must have silenced (or scoped out) at least one would-be
+// finding of its owning analyzer during the run, or it is rot.
 var suppressionVerbs = map[string]bool{
-	"allowalloc":     true,
-	"allowwait":      true,
-	"allowabort":     true,
-	"lockorder":      true,
-	"locked":         true,
-	"allowunbounded": true,
-	"allowretry":     true,
+	"allowalloc": true,
+	"allowwait":  true,
+	"allowabort": true,
+	"lockorder":  true,
+	"locked":     true,
 }
 
 var directiveRE = regexp.MustCompile(`^//next700:([a-z]+)(?:\((.*)\))?\s*$`)
@@ -89,15 +67,15 @@ var directiveRE = regexp.MustCompile(`^//next700:([a-z]+)(?:\((.*)\))?\s*$`)
 // visible to the staleannotation pass.
 type Directive struct {
 	Verb string
-	// Arg is the parenthesized argument (reason text, padding size, ...).
+	// Arg is the parenthesized argument (the reason text).
 	Arg string
 	Pos token.Pos
 }
 
-// Annotations indexes every //next700: directive in the program three ways:
-// by annotated function, by annotated type, and by source line (for
-// statement-level escapes). It also tracks which suppression directives were
-// actually exercised, for the staleannotation pass.
+// Annotations indexes every //next700: directive in the program two ways:
+// by annotated function and by source line (for statement-level escapes).
+// It also tracks which suppression directives were actually exercised, for
+// the staleannotation pass.
 type Annotations struct {
 	// Funcs maps a function's types.Func (Origin) to its doc directives.
 	Funcs map[*types.Func][]*Directive
@@ -105,8 +83,6 @@ type Annotations struct {
 	// (used when resolving bodies back to annotations without re-deriving
 	// the object).
 	FuncDecls map[*ast.FuncDecl][]*Directive
-	// Types maps a named type's object to its doc directives.
-	Types map[types.Object][]*Directive
 	// Lines maps "file:line" to directives that apply to that source line.
 	// A directive on its own line applies to the following line as well.
 	Lines map[string][]*Directive
@@ -128,7 +104,6 @@ func (p *Program) Annotations() *Annotations {
 	ann := &Annotations{
 		Funcs:     make(map[*types.Func][]*Directive),
 		FuncDecls: make(map[*ast.FuncDecl][]*Directive),
-		Types:     make(map[types.Object][]*Directive),
 		Lines:     make(map[string][]*Directive),
 		used:      make(map[*Directive]bool),
 	}
@@ -163,50 +138,24 @@ func (a *Annotations) indexFile(fset *token.FileSet, pkg *Package, file *ast.Fil
 		}
 	}
 
-	// Declaration-level directives live in doc comments.
-	group := func(doc *ast.CommentGroup) []*Directive {
-		if doc == nil {
-			return nil
+	// Declaration-level directives live in function doc comments.
+	for _, decl := range file.Decls {
+		d, ok := decl.(*ast.FuncDecl)
+		if !ok || d.Doc == nil {
+			continue
 		}
 		var dirs []*Directive
-		for _, c := range doc.List {
-			if d := byComment[c]; d != nil {
-				dirs = append(dirs, d)
+		for _, c := range d.Doc.List {
+			if dir := byComment[c]; dir != nil {
+				dirs = append(dirs, dir)
 			}
 		}
-		return dirs
-	}
-	for _, decl := range file.Decls {
-		switch d := decl.(type) {
-		case *ast.FuncDecl:
-			dirs := group(d.Doc)
-			if len(dirs) == 0 {
-				continue
-			}
-			a.FuncDecls[d] = dirs
-			if obj, ok := pkg.Info.Defs[d.Name].(*types.Func); ok {
-				a.Funcs[obj.Origin()] = dirs
-			}
-		case *ast.GenDecl:
-			// A doc comment on the GenDecl applies to a sole spec; per-spec
-			// docs win when present.
-			for _, spec := range d.Specs {
-				ts, ok := spec.(*ast.TypeSpec)
-				if !ok {
-					continue
-				}
-				doc := ts.Doc
-				if doc == nil && len(d.Specs) == 1 {
-					doc = d.Doc
-				}
-				dirs := group(doc)
-				if len(dirs) == 0 {
-					continue
-				}
-				if obj, ok := pkg.Info.Defs[ts.Name]; ok {
-					a.Types[obj] = dirs
-				}
-			}
+		if len(dirs) == 0 {
+			continue
+		}
+		a.FuncDecls[d] = dirs
+		if obj, ok := pkg.Info.Defs[d.Name].(*types.Func); ok {
+			a.Funcs[obj.Origin()] = dirs
 		}
 	}
 }
@@ -234,7 +183,7 @@ func (a *Annotations) parseOne(c *ast.Comment) (*Directive, bool) {
 		})
 		return nil, false
 	}
-	if verbsNeedingArgs[verb] && arg == "" {
+	if suppressionVerbs[verb] && arg == "" {
 		a.Problems = append(a.Problems, Diagnostic{
 			Pos:      c.Pos(),
 			Analyzer: owner,
@@ -316,20 +265,9 @@ func (a *Annotations) SuppressDecl(decl *ast.FuncDecl, verb string) bool {
 	return hit
 }
 
-// LineHas reports whether the source line of pos carries a directive with
-// verb (same line or the line above). It does not mark usage.
-func (a *Annotations) LineHas(fset *token.FileSet, pos token.Pos, verb string) bool {
-	p := fset.Position(pos)
-	for _, d := range a.Lines[lineKey(p.Filename, p.Line)] {
-		if d.Verb == verb {
-			return true
-		}
-	}
-	return false
-}
-
-// SuppressLine is LineHas plus usage marking: a true result records that the
-// directive suppressed a finding at pos.
+// SuppressLine reports whether the source line of pos carries a directive
+// with verb (same line or the line above), and marks it used: a true result
+// records that the directive suppressed a finding at pos.
 func (a *Annotations) SuppressLine(fset *token.FileSet, pos token.Pos, verb string) bool {
 	p := fset.Position(pos)
 	hit := false
@@ -340,15 +278,4 @@ func (a *Annotations) SuppressLine(fset *token.FileSet, pos token.Pos, verb stri
 		}
 	}
 	return hit
-}
-
-// TypeDirective returns the first directive with verb on the named type's
-// object, if any.
-func (a *Annotations) TypeDirective(obj types.Object, verb string) (*Directive, bool) {
-	for _, d := range a.Types[obj] {
-		if d.Verb == verb {
-			return d, true
-		}
-	}
-	return nil, false
 }

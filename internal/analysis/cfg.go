@@ -6,12 +6,10 @@ import (
 )
 
 // This file builds intraprocedural control-flow graphs from function bodies.
-// The CFG is the substrate for the flow-sensitive analyzers (lockscope,
-// deadlineflow, terminalabort): where the PR-5 analyzers see a function as a
-// bag of AST nodes, a CFG-based analyzer sees *where in the function* a fact
-// holds — a lock held on one branch but not the other, a deadline tested
-// against zero before an unbounded wait, a continue guarded by a transient
-// classification.
+// The CFG is the substrate for the flow-sensitive lockscope analyzer: where
+// the other analyzers see a function as a bag of AST nodes, a CFG-based
+// analyzer sees *where in the function* a fact holds — a lock held on one
+// branch but not the other.
 //
 // Design:
 //
@@ -19,11 +17,6 @@ import (
 //     init and cond, a for's cond, a switch tag) in source order. Nested
 //     control statements never appear inside a block's node list — they are
 //     decomposed into blocks and edges.
-//   - Branch edges carry assumptions: the then-successor of `if c` knows
-//     c==true, the else-successor c==false. Conjunctions decompose on the
-//     true edge (a && b ⇒ both true), disjunctions on the false edge
-//     (a || b ⇒ both false), and negations invert — exactly the shapes the
-//     deadline-guard and abort-classification idioms use.
 //   - defer is a plain node: a deferred unlock runs at function exit, so a
 //     flow analysis correctly sees the lock held from the acquisition to
 //     the end of every path (the defer-unlock-in-loop case falls out: the
@@ -36,15 +29,8 @@ import (
 //
 // goto is supported for labels defined anywhere in the body (forward gotos
 // are patched after the build). Unreachable code lands in predecessor-less
-// blocks, which the solver seeds with ⊤/∅ like any other entry-disconnected
+// blocks, which the solver seeds with ∅ like any other entry-disconnected
 // block.
-
-// Assumption is one branch-condition fact attached to a block entry: Cond
-// evaluated to Value on every edge that was created carrying it.
-type Assumption struct {
-	Cond  ast.Expr
-	Value bool
-}
 
 // Block is one basic block.
 type Block struct {
@@ -54,10 +40,6 @@ type Block struct {
 	Nodes []ast.Node
 	Succs []*Block
 	Preds []*Block
-	// Assume lists branch-condition facts established on entry to this
-	// block (all inbound edges created during structured control flow carry
-	// them; a goto or labeled-branch edge into the block clears them).
-	Assume []Assumption
 	// SelectComm marks a block holding a select communication clause.
 	SelectComm bool
 }
@@ -101,12 +83,7 @@ func BuildCFG(body *ast.BlockStmt) *CFG {
 	}
 	// Patch forward gotos now that every label's block exists.
 	for _, g := range b.gotos {
-		if target, ok := b.labels[g.label]; ok {
-			b.edge(g.from, target)
-			// A goto edge bypasses the structured branch that created the
-			// target's assumptions; they no longer hold on every entry.
-			target.Assume = nil
-		}
+		b.edge(g.from, b.labels[g.label])
 	}
 	return b.cfg
 }
@@ -153,28 +130,6 @@ func (b *cfgBuilder) stmtList(list []ast.Stmt) {
 	}
 }
 
-// assume attaches the decomposed branch facts for cond==val to blk.
-func assume(blk *Block, cond ast.Expr, val bool) {
-	if blk == nil || cond == nil {
-		return
-	}
-	cond = ast.Unparen(cond)
-	switch x := cond.(type) {
-	case *ast.UnaryExpr:
-		if x.Op == token.NOT {
-			assume(blk, x.X, !val)
-			return
-		}
-	case *ast.BinaryExpr:
-		if (x.Op == token.LAND && val) || (x.Op == token.LOR && !val) {
-			assume(blk, x.X, val)
-			assume(blk, x.Y, val)
-			return
-		}
-	}
-	blk.Assume = append(blk.Assume, Assumption{Cond: cond, Value: val})
-}
-
 // stmt lowers one statement. label is the pending label when the statement
 // is the body of a LabeledStmt (so labeled break/continue resolve).
 func (b *cfgBuilder) stmt(s ast.Stmt, label string) {
@@ -198,17 +153,14 @@ func (b *cfgBuilder) stmt(s ast.Stmt, label string) {
 		b.add(x.Cond)
 		condBlk := b.cur
 		thenBlk := b.newBlock()
-		assume(thenBlk, x.Cond, true)
 		b.edge(condBlk, thenBlk)
 		var elseBlk *Block
 		if x.Else != nil {
 			elseBlk = b.newBlock()
-			assume(elseBlk, x.Cond, false)
 			b.edge(condBlk, elseBlk)
 		}
 		join := b.newBlock()
 		if x.Else == nil {
-			assume(join, x.Cond, false)
 			b.edge(condBlk, join)
 		}
 		b.cur = thenBlk
@@ -222,17 +174,6 @@ func (b *cfgBuilder) stmt(s ast.Stmt, label string) {
 		if len(join.Preds) == 0 {
 			b.cur = nil
 			return
-		}
-		// The no-else join keeps cond==false only while the then branch
-		// never reaches it (early-return guard); otherwise both polarities
-		// merge and the fact is dropped.
-		if x.Else == nil {
-			for _, p := range join.Preds {
-				if p != condBlk {
-					join.Assume = nil
-					break
-				}
-			}
 		}
 		b.cur = join
 
@@ -248,8 +189,6 @@ func (b *cfgBuilder) stmt(s ast.Stmt, label string) {
 		bodyBlk := b.newBlock()
 		exitBlk := b.newBlock()
 		if x.Cond != nil {
-			assume(bodyBlk, x.Cond, true)
-			assume(exitBlk, x.Cond, false)
 			b.edge(head, exitBlk)
 		}
 		b.edge(head, bodyBlk)
@@ -332,7 +271,6 @@ func (b *cfgBuilder) stmt(s ast.Stmt, label string) {
 			b.cur = nil
 		case token.CONTINUE:
 			if t := b.findLoop(x.Label, false); t != nil {
-				b.add(x) // terminalabort checks facts at the continue itself
 				b.edge(b.cur, t.continueTo)
 			}
 			b.cur = nil

@@ -5,12 +5,9 @@ import (
 )
 
 // A forward dataflow solver over the CFG. Facts are string-keyed set
-// elements (lock classes held, branch assumptions in force, tainted
-// variables); the lattice is the powerset with either union join (may
-// analysis: a fact holds if it holds on SOME path — lockscope's "possibly
-// held" is this) or intersection join (must analysis: a fact holds only if
-// it holds on EVERY path — the deadline-guard and classification-guard
-// analyses are this).
+// elements (the lock classes held); the lattice is the powerset with union
+// join — a may analysis: a fact holds at a point if it holds on SOME path
+// to it, which is lockscope's "possibly held".
 //
 // Transfer functions run at node granularity inside a block; analyzers get
 // the same transfer replayed by Simulate with a visit callback fired before
@@ -41,24 +38,19 @@ func (f Facts) equal(g Facts) bool {
 	return true
 }
 
-// FlowSpec configures one dataflow problem.
+// FlowSpec configures one dataflow problem. Every fact set starts empty at
+// the function entry.
 type FlowSpec struct {
-	// May selects union join (default false = must/intersection join).
-	May bool
-	// Entry is the fact set at the function entry (nil = empty).
-	Entry Facts
 	// Transfer updates facts in place for one block node. It must be
 	// deterministic and monotone in the facts it consumes.
 	Transfer func(f Facts, n ast.Node)
-	// Assume applies one branch assumption at block entry (nil = ignored).
-	Assume func(f Facts, a Assumption)
 }
 
 // FlowResult carries the converged block-entry fact sets.
 type FlowResult struct {
 	cfg  *CFG
 	spec *FlowSpec
-	// In maps each block to its entry facts (before Assume and Nodes).
+	// In maps each block to its entry facts (before its Nodes).
 	In map[*Block]Facts
 }
 
@@ -68,16 +60,9 @@ func SolveForward(cfg *CFG, spec *FlowSpec) *FlowResult {
 	res := &FlowResult{cfg: cfg, spec: spec, In: make(map[*Block]Facts)}
 	out := make(map[*Block]Facts)
 
-	entry := spec.Entry
-	if entry == nil {
-		entry = Facts{}
-	}
-	res.In[cfg.Entry] = entry.Clone()
-
 	// Worklist seeded with every block in index order (entry first). Blocks
-	// with no computed predecessors contribute nothing to a join yet: for
-	// must-analysis they are ⊤ (identity of intersection), for may ∅
-	// (identity of union) — both are "skip".
+	// with no computed predecessors contribute nothing to a join yet: ∅, the
+	// identity of union.
 	work := make([]*Block, 0, len(cfg.Blocks))
 	inWork := make(map[*Block]bool)
 	push := func(b *Block) {
@@ -98,47 +83,17 @@ func SolveForward(cfg *CFG, spec *FlowSpec) *FlowResult {
 		work = work[1:]
 		inWork[b] = false
 
-		// Join predecessors.
-		var in Facts
-		if b == cfg.Entry {
-			in = entry.Clone()
-		} else {
-			first := true
-			for _, p := range b.Preds {
-				po, ok := out[p]
-				if !ok {
-					continue // not yet computed: join identity
-				}
-				if first {
-					in = po.Clone()
-					first = false
-					continue
-				}
-				if spec.May {
-					for k := range po {
-						in[k] = true
-					}
-				} else {
-					for k := range in {
-						if !po[k] {
-							delete(in, k)
-						}
-					}
-				}
-			}
-			if in == nil {
-				in = Facts{}
+		// Join predecessors (a predecessor not yet computed adds nothing).
+		in := Facts{}
+		for _, p := range b.Preds {
+			for k := range out[p] {
+				in[k] = true
 			}
 		}
 		res.In[b] = in
 
-		// Transfer through assumptions and nodes.
+		// Transfer through the nodes.
 		o := in.Clone()
-		if spec.Assume != nil {
-			for _, a := range b.Assume {
-				spec.Assume(o, a)
-			}
-		}
 		if spec.Transfer != nil {
 			for _, n := range b.Nodes {
 				spec.Transfer(o, n)
@@ -164,11 +119,6 @@ func (r *FlowResult) Simulate(visit func(f Facts, b *Block, n ast.Node)) {
 			in = Facts{}
 		}
 		f := in.Clone()
-		if r.spec.Assume != nil {
-			for _, a := range b.Assume {
-				r.spec.Assume(f, a)
-			}
-		}
 		for _, n := range b.Nodes {
 			visit(f, b, n)
 			if r.spec.Transfer != nil {

@@ -100,7 +100,6 @@ func checkLockScope(pass *Pass, node *FuncNode, deviceIface *types.Interface) {
 	// defer-unlock inside a loop correctly carries the held class around the
 	// back edge.
 	spec := &FlowSpec{
-		May: true,
 		Transfer: func(f Facts, n ast.Node) {
 			if _, ok := n.(*ast.DeferStmt); ok {
 				return

@@ -2,8 +2,7 @@ package analysis
 
 // StaleAnnotationAnalyzer closes the escape-hatch audit loop: every
 // suppression directive (//next700:allowalloc, allowwait, allowabort,
-// lockorder, locked, allowunbounded, allowretry) must have actually
-// suppressed — or scoped out — at least one would-be finding of its owning
+// lockorder, locked) must have actually suppressed — or scoped out — at least one would-be finding of its owning
 // analyzer during this run. A directive that fires on nothing is rot: the
 // code it once excused has been fixed or deleted, and the annotation now
 // only misleads readers into thinking the contract is still being waived.
@@ -24,7 +23,7 @@ func runStaleAnnotation(pass *Pass) error {
 	ann := prog.Annotations()
 	for _, d := range ann.All {
 		if !suppressionVerbs[d.Verb] {
-			continue // markers and claims (hotpath, cachepad) are not audited
+			continue // the hotpath marker is a root, not a suppression
 		}
 		if !prog.Ran(verbOwner[d.Verb]) {
 			continue // owner didn't look; can't judge

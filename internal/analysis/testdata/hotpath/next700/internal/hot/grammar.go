@@ -14,4 +14,16 @@ package hot
 //next700:allowalloc
 // want:-1 `next700:allowalloc requires a reason argument`
 
+// Verbs of retired analyzers are unknown, not silently accepted: a leftover
+// waiver must be deleted, not kept as dead text.
+
+//next700:allowretry(a continue that is not a retry)
+// want:-1 `unknown next700 directive verb "allowretry"`
+
+//next700:allowunbounded(an audited unbounded wait)
+// want:-1 `unknown next700 directive verb "allowunbounded"`
+
+//next700:cachepad(128)
+// want:-1 `unknown next700 directive verb "cachepad"`
+
 var keepVet = 0

@@ -179,7 +179,7 @@ func (e *Engine) collectSlice(t *Table, part, slices int) ([]ckptEntry, error) {
 			time.Sleep(time.Duration(attempt+1) * 10 * time.Microsecond)
 		}
 		if err != nil {
-			continue //next700:allowretry(skip, not retry: the row is left to the log tail; the loop advances to the next entry)
+			continue // the row is left to the log tail
 		}
 		en.row = row
 		out = append(out, en)

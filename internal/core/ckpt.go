@@ -32,10 +32,10 @@ var errFenceMoved = errors.New("core: epoch moved under the quiesce gate")
 //     the generation's S slices (checkpoint.go), each embedding C. Value
 //     logging scans fuzzily while workers run, with C = CurrentEpoch()-1:
 //     any commit the scan races with tags an epoch > C, so replaying the
-//     tail past C heals the capture. Command logging and HSTORE quiesce
-//     instead (re-execution cannot heal a fuzzy base), holding the gate and
-//     the epoch still through rotation, so C = CurrentEpoch() is exactly
-//     the rotation boundary.
+//     tail past C heals the capture. Command logging quiesces instead
+//     (re-execution cannot heal a fuzzy base), holding the gate and the
+//     epoch still through rotation, so C = CurrentEpoch() is exactly the
+//     rotation boundary.
 //  2. Install each slice ckpt-G-p<i> atomically (temp + CRC + rename). A
 //     crash before the manifest names them leaves unreferenced objects;
 //     recovery uses the previous generation.
@@ -294,14 +294,15 @@ func (c *Checkpointer) cycle() error {
 
 	// Steps 1–4. The fence is drawn once, before the scan, and is both the
 	// epoch every slice embeds and the manifest entry's Epoch. Value logging
-	// scans with workers running, so it fences one below the open epoch and
-	// takes the commit fence only to rotate. Command replay re-executes
-	// procedures and HSTORE reads raw rows, so neither can heal a fuzzy
-	// capture: both hold the quiesce gate and the commit fence — which is
-	// also the log's epoch gate — from fence to rotation. Nothing can then
-	// commit or bump the epoch, so the open epoch itself is the fence, and
-	// it is the boundary Rotate seals at.
-	fuzzy := e.cfg.LogMode == wal.ModeValue && e.proto.Name() != "HSTORE"
+	// scans with workers running, under every protocol: the scan reads each
+	// row through the protocol (committedRow), so it sees only committed
+	// images, and it fences one below the open epoch and takes the commit
+	// fence only to rotate. Command replay re-executes procedures, so it
+	// cannot heal a fuzzy capture: it holds the quiesce gate and the commit
+	// fence — which is also the log's epoch gate — from fence to rotation.
+	// Nothing can then commit or bump the epoch, so the open epoch itself is
+	// the fence, and it is the boundary Rotate seals at.
+	fuzzy := e.cfg.LogMode == wal.ModeValue
 	var (
 		newDevs         []wal.Device
 		fence, boundary uint64

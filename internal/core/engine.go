@@ -218,11 +218,11 @@ type Engine struct {
 	ckptFence sync.RWMutex
 
 	// quiesce is the transaction-attempt gate: every Tx.run attempt holds
-	// the read side from Begin through commit/abort. Command-logged and
-	// HSTORE checkpoints take the write side to get a true quiescent point
-	// — their state cannot be captured fuzzily because command replay
-	// re-executes procedures, which is not idempotent against a partially
-	// captured prefix. Value-mode checkpoints never take it.
+	// the read side from Begin through commit/abort. Command-logged
+	// checkpoints take the write side to get a true quiescent point — their
+	// state cannot be captured fuzzily because command replay re-executes
+	// procedures, which is not idempotent against a partially captured
+	// prefix. Value-mode checkpoints never take it.
 	quiesce sync.RWMutex
 
 	// ckptThread is the reserved worker slot for checkpoint reads:

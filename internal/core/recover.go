@@ -357,7 +357,7 @@ func (e *Engine) resolveBase(store CheckpointStore, m *wal.Manifest, first, n in
 			}
 			if err != nil {
 				rs.CheckpointFallbacks++
-				continue //next700:allowretry(fallback scan: an unreadable slice is counted and the next-older generation's is tried; nothing is re-run)
+				continue // the next-older generation's slice is tried
 			}
 			resolved[i] = sliceBase{plan: plan, fence: fence, gen: ck.Gen, ok: true}
 			missing--
@@ -419,7 +419,7 @@ func streamImage(store CheckpointStore, m *wal.Manifest, stream int, rs *Recover
 		}
 		rc, err := store.OpenSegment(sg.Name)
 		if err != nil {
-			continue //next700:allowretry(degraded replay: a missing segment contributes an empty stream; the scan advances)
+			continue // a missing segment contributes an empty stream
 		}
 		data, err := io.ReadAll(rc)
 		rc.Close()

@@ -466,10 +466,10 @@ func (t *Tx) run(body func(tx *Tx) error, procID int32, params []byte) error {
 		}
 		inner.Reset()
 		// The quiesce gate brackets the whole attempt, Begin through
-		// commit/abort. Command-logged and HSTORE checkpoints take the
-		// write side to capture a true quiescent point; value-mode
-		// checkpoints never contend it, so steady state pays one
-		// uncontended atomic per attempt.
+		// commit/abort. Command-logged checkpoints take the write side to
+		// capture a true quiescent point; value-mode checkpoints never
+		// contend it, so steady state pays one uncontended atomic per
+		// attempt.
 		e.quiesce.RLock()
 		e.proto.Begin(inner)
 

@@ -308,12 +308,15 @@ const counterAlign = 128
 const counterPad = (counterAlign - unsafe.Sizeof(Counter{})%counterAlign) % counterAlign
 
 // paddedCounter is a Counter that owns its cache lines.
-//
-//next700:cachepad(128)
 type paddedCounter struct {
 	Counter
 	_ [counterPad]byte
 }
+
+// A compile-time check that paddedCounter is a whole number of counterAlign
+// blocks: any other remainder makes the negated length overflow uintptr, and
+// the build fails.
+var _ [-(unsafe.Sizeof(paddedCounter{}) % counterAlign)]struct{}
 
 // CounterSet is a fixed array of cache-line-padded per-worker counters.
 // Each worker increments only its own slot (no atomics, no shared lines on

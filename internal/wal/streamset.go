@@ -67,13 +67,12 @@ func (e *StreamError) Unwrap() []error {
 // can never resurrect a partially durable epoch from another.
 type StreamSet struct {
 	// epoch is the global epoch counter; records are tagged with it at
-	// append time. First field so the raw 64-bit atomics stay aligned on
-	// 32-bit targets (next700-lint atomicalign).
-	epoch uint64
+	// append time.
+	epoch atomic.Uint64
 	// durable is the durable epoch frontier: min over live streams of the
 	// synced claim, minus one. Stored atomically so the wait fast path and
 	// the engine's health probes are lock-free.
-	durable uint64
+	durable atomic.Uint64
 
 	// scoped selects per-stream failure semantics (NewStreamSetScoped): a
 	// sticky device failure poisons only its own stream, which leaves the
@@ -219,7 +218,6 @@ func NewStreamSetScoped(devs []Device, quarantined *atomic.Uint64, stall time.Du
 
 func newStreamSet(devs []Device, quarantined *atomic.Uint64, stall time.Duration) *StreamSet {
 	s := &StreamSet{
-		epoch:       1,
 		scoped:      quarantined != nil,
 		quarantined: quarantined,
 		stall:       stall,
@@ -227,6 +225,7 @@ func newStreamSet(devs []Device, quarantined *atomic.Uint64, stall time.Duration
 		wake:        make(chan struct{}, 1),
 		done:        make(chan struct{}),
 	}
+	s.epoch.Store(1)
 	s.cond = sync.NewCond(&s.mu)
 	s.gatherTimer = time.NewTimer(time.Hour)
 	s.gatherTimer.Stop()
@@ -262,11 +261,11 @@ func (s *StreamSet) NumStreams() int { return len(s.streams) }
 // current epoch is a no-op.
 func (s *StreamSet) RaiseEpoch(base uint64) {
 	for {
-		cur := atomic.LoadUint64(&s.epoch)
+		cur := s.epoch.Load()
 		if cur > base {
 			return
 		}
-		if atomic.CompareAndSwapUint64(&s.epoch, cur, base+1) {
+		if s.epoch.CompareAndSwap(cur, base+1) {
 			return
 		}
 	}
@@ -287,11 +286,11 @@ func (s *StreamSet) SetEpochGate(gate sync.Locker) {
 }
 
 // CurrentEpoch returns the epoch new appends are tagged with.
-func (s *StreamSet) CurrentEpoch() uint64 { return atomic.LoadUint64(&s.epoch) }
+func (s *StreamSet) CurrentEpoch() uint64 { return s.epoch.Load() }
 
 // DurableEpoch returns the durable frontier: the highest epoch every stream
 // has synced in full.
-func (s *StreamSet) DurableEpoch() uint64 { return atomic.LoadUint64(&s.durable) }
+func (s *StreamSet) DurableEpoch() uint64 { return s.durable.Load() }
 
 // Failed reports whether the set has hit a sticky device failure on any
 // stream. One atomic load; commit hot paths gate on it.
@@ -344,7 +343,7 @@ func (s *StreamSet) AppendMulti(streamIDs []int, rec []byte) (uint64, error) {
 	for _, id := range streamIDs {
 		s.streams[id].mu.Lock() //next700:allowwait(stream staging mutexes are held only for memcpy-scale critical sections, taken in ascending id order)
 	}
-	epoch := atomic.LoadUint64(&s.epoch)
+	epoch := s.epoch.Load()
 	binary.LittleEndian.PutUint64(rec[epochOffset:], epoch)
 	binary.LittleEndian.PutUint32(rec[4:], crc32.ChecksumIEEE(rec[headerSize:]))
 	for _, id := range streamIDs {
@@ -402,7 +401,7 @@ func (s *StreamSet) WaitDurableMulti(streamIDs []int, epoch uint64, deadline int
 		}
 		return nil
 	}
-	if atomic.LoadUint64(&s.durable) >= epoch && deadStream() == nil {
+	if s.durable.Load() >= epoch && deadStream() == nil {
 		return nil
 	}
 	var timer *time.Timer
@@ -410,14 +409,14 @@ func (s *StreamSet) WaitDurableMulti(streamIDs []int, epoch uint64, deadline int
 	defer s.mu.Unlock()
 	s.parked = append(s.parked, epoch)
 	defer s.unparkLocked(epoch)
-	for atomic.LoadUint64(&s.durable) < epoch && s.err == nil && !s.closed && deadStream() == nil {
+	for s.durable.Load() < epoch && s.err == nil && !s.closed && deadStream() == nil {
 		if deadline != 0 {
 			remaining := deadline - time.Now().UnixNano()
 			if remaining <= 0 {
 				if timer != nil {
 					timer.Stop()
 				}
-				if epoch >= atomic.LoadUint64(&s.epoch) {
+				if epoch >= s.epoch.Load() {
 					// Leaving with the record staged in an epoch nobody else may
 					// ever ask to close: a kick already taken for this waiter
 					// would find it gone, so leave one that outlives it.
@@ -435,7 +434,7 @@ func (s *StreamSet) WaitDurableMulti(streamIDs []int, epoch uint64, deadline int
 				})
 			}
 		}
-		if epoch >= atomic.LoadUint64(&s.epoch) {
+		if epoch >= s.epoch.Load() {
 			// The caller's record is staged in an epoch no bump has closed
 			// yet: ask for one. A closed epoch needs no kick — the bump that
 			// closed it signalled every flusher — and the coordinator ignores
@@ -458,7 +457,7 @@ func (s *StreamSet) WaitDurableMulti(streamIDs []int, epoch uint64, deadline int
 		// device and is not durable.
 		return serr
 	}
-	if atomic.LoadUint64(&s.durable) >= epoch {
+	if s.durable.Load() >= epoch {
 		// The epoch closed on every stream; a later failure does not retract
 		// its durability.
 		return nil
@@ -552,7 +551,7 @@ func (s *StreamSet) gather() bool {
 		s.awaitKick(start.Add(gatherSpin), deadline)
 		s.mu.Lock()
 	}
-	return s.openLocked() > 0 || s.orphanAt >= atomic.LoadUint64(&s.epoch)
+	return s.openLocked() > 0 || s.orphanAt >= s.epoch.Load()
 }
 
 // gatherSpin is how long a gather holds its processor before it parks: about
@@ -611,7 +610,7 @@ func (s *StreamSet) roundInFlightLocked() bool {
 
 // openLocked counts the waiters parked on the still-open epoch. Requires s.mu.
 func (s *StreamSet) openLocked() int {
-	return s.parkedIn(atomic.LoadUint64(&s.epoch), ^uint64(0))
+	return s.parkedIn(s.epoch.Load(), ^uint64(0))
 }
 
 // parkedIn counts the parked waiters tagged within [lo, hi]. Requires s.mu.
@@ -634,7 +633,7 @@ func (s *StreamSet) advance() {
 	if gate != nil {
 		gate.Lock()
 	}
-	s.launched = atomic.AddUint64(&s.epoch, 1)
+	s.launched = s.epoch.Add(1)
 	if gate != nil {
 		gate.Unlock()
 	}
@@ -653,7 +652,7 @@ func (s *StreamSet) advance() {
 func (s *StreamSet) settled() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	epoch := atomic.LoadUint64(&s.epoch)
+	epoch := s.epoch.Load()
 	for _, st := range s.streams {
 		if st.serr.Load() != nil {
 			continue
@@ -696,8 +695,8 @@ func (s *StreamSet) recomputeFrontierLocked() {
 			min, any = c, true
 		}
 	}
-	if any && min > 0 && min-1 > atomic.LoadUint64(&s.durable) {
-		atomic.StoreUint64(&s.durable, min-1)
+	if any && min > 0 && min-1 > s.durable.Load() {
+		s.durable.Store(min - 1)
 		s.gatherTarget = s.parkedIn(0, min-1) + s.openLocked()
 	}
 }
@@ -771,7 +770,7 @@ func (st *stream) flushOnce() {
 	// target is read under the stream mutex after the batch snapshot: every
 	// record appended later is tagged >= target, so "synced through target"
 	// is a safe claim once this batch (plus marker) hits the device.
-	target := atomic.LoadUint64(&s.epoch)
+	target := s.epoch.Load()
 	if len(st.buf) == 0 && target == st.lastMark {
 		st.mu.Unlock()
 		// A caught-up stream may still owe a pending rotation: lastMark ==
@@ -873,7 +872,7 @@ func (st *stream) installReadmitLocked() {
 	st.next = nil
 	st.rotateTarget = 0
 	st.lastMark = 0
-	st.claim.Store(atomic.LoadUint64(&s.epoch))
+	st.claim.Store(s.epoch.Load())
 	st.serr.Store(nil)
 	s.recomputeFrontierLocked()
 	s.quarantined.Store(s.quarantined.Load() &^ (1 << uint(st.id)))
@@ -908,8 +907,8 @@ func (s *StreamSet) Rotate(newDevs []Device) (uint64, error) {
 		s.mu.Unlock()
 		return 0, err
 	}
-	boundary := atomic.LoadUint64(&s.epoch)
-	atomic.AddUint64(&s.epoch, 1)
+	boundary := s.epoch.Load()
+	s.epoch.Add(1)
 	for i, st := range s.streams {
 		st.next = newDevs[i]
 		st.rotateTarget = boundary + 1
