@@ -36,7 +36,7 @@ func (s *hstoreState) holds(p int) bool {
 // which is the cliff experiment E10 charts.
 type hstore struct {
 	arenaRows
-	noPrefetch
+	arenaPrefetch
 	env   *Env
 	locks []sync.Mutex
 	// partOf tags each record with its partition, set by LoadRecord and

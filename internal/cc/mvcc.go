@@ -2,7 +2,9 @@ package cc
 
 import (
 	"sync"
+	"unsafe"
 
+	"next700/internal/prefetch"
 	"next700/internal/storage"
 	"next700/internal/txn"
 )
@@ -73,7 +75,6 @@ func (v *mvVersion) setData(data []byte) {
 // version-chain storage and active-transaction-watermark garbage
 // collection. All data lives in version chains seeded by LoadRecord.
 type mvcc struct {
-	noPrefetch
 	env   *Env
 	level string
 	meta  tableMetas[mvMeta]
@@ -85,6 +86,22 @@ func newMVCC(env *Env) *mvcc {
 		level = IsoSerializable
 	}
 	return &mvcc{env: env, level: level}
+}
+
+// Prefetch implements Protocol: it hints the record's metadata (its
+// mutex, timestamps and chain head), which every access locks and reads
+// first. The chain itself is reached through the head, a plain pointer
+// under the mutex, so it is not hinted.
+//
+//next700:hotpath
+func (p *mvcc) Prefetch(tbl *storage.Table, rid storage.RecordID) {
+	s := p.meta.peek(tbl, rid)
+	if s == nil {
+		return
+	}
+	m := unsafe.Pointer(&s[0])
+	prefetch.Line(m)
+	prefetch.Line(unsafe.Add(m, unsafe.Sizeof(s[0])-1))
 }
 
 // Name implements Protocol.

@@ -73,13 +73,15 @@ type Protocol interface {
 	// Abort returns.
 	Abort(tx *txn.Txn)
 
-	// Prefetch touches the record's protocol state so that an access that
-	// follows hits the cache; Tx.Prefetch calls it for many records in a
-	// row, and their misses overlap. It performs atomic loads only: it
-	// changes nothing, records no access, never reads the table arena
-	// (in-place writers store there without atomics) and never grows a
-	// metaTable — a record whose metadata does not exist yet is skipped, so
-	// Prefetch cannot allocate or take a lock.
+	// Prefetch hints the cache lines an access to the record reads first,
+	// so that an access that follows finds them cached; Tx.Prefetch and the
+	// deterministic executor's lookahead call it for records ahead of their
+	// use, and the misses overlap with whatever runs meanwhile. It emits
+	// hints only (prefetch.Line): it reads nothing, writes nothing, records
+	// no access and never grows a metaTable — a record whose metadata does
+	// not exist yet is skipped — so it cannot block, allocate or take a
+	// lock, and it may hint memory others write plainly, the table arena
+	// included.
 	Prefetch(tbl *storage.Table, rid storage.RecordID)
 }
 
@@ -89,6 +91,14 @@ type PartitionAware interface {
 	// DeclarePartitions acquires whatever partition-level protection the
 	// protocol uses. Must be called after Begin and before any access.
 	DeclarePartitions(tx *txn.Txn, parts []int) error
+}
+
+// PlannerDriven is implemented by a protocol that detects no conflicts
+// (QSTORE): it is sound only when a planner has ordered every access to a
+// record ahead of time, so only the deterministic executor may drive it.
+type PlannerDriven interface {
+	// DetectsNoConflicts marks the protocol; it does nothing.
+	DetectsNoConflicts()
 }
 
 // HookedCommitter is implemented by lock-based protocols whose commit has a
@@ -134,17 +144,15 @@ func (arenaRows) Committed(tbl *storage.Table, rid storage.RecordID) ([]byte, bo
 	return tbl.Row(rid), !tbl.IsTombstoned(rid)
 }
 
-// noPrefetch is the Prefetch of the protocols whose per-record state holds
-// no word Prefetch may load: the 2PL family, TIMESTAMP and TICTOC guard
-// theirs with a mutex, MVCC's chain head is a plain pointer under its
-// record mutex, HSTORE's partition tag is a plain word, QSTORE keeps none,
-// and the committed rows of all but MVCC are the table arena.
-type noPrefetch struct{}
+// arenaPrefetch is the Prefetch of the protocols whose committed image is
+// the table arena (the 2PL family, TIMESTAMP, TICTOC, HSTORE, QSTORE): it
+// hints the row's lines and its tombstone, which every access reads first.
+type arenaPrefetch struct{}
 
 // Prefetch implements Protocol.
 //
 //next700:hotpath
-func (noPrefetch) Prefetch(*storage.Table, storage.RecordID) {}
+func (arenaPrefetch) Prefetch(tbl *storage.Table, rid storage.RecordID) { tbl.Prefetch(rid) }
 
 // Env carries the shared runtime services protocols draw on.
 type Env struct {

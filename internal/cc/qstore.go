@@ -20,13 +20,16 @@ import (
 // away).
 type qstore struct {
 	arenaRows
-	noPrefetch
+	arenaPrefetch
 	env *Env
 }
 
 func newQStore(env *Env) *qstore { return &qstore{env: env} }
 
 func (q *qstore) Name() string { return "QSTORE" }
+
+// DetectsNoConflicts implements PlannerDriven.
+func (q *qstore) DetectsNoConflicts() {}
 
 func (q *qstore) Begin(tx *txn.Txn) {}
 

@@ -4,7 +4,9 @@ import (
 	"encoding/binary"
 	"runtime"
 	"sync/atomic"
+	"unsafe"
 
+	"next700/internal/prefetch"
 	"next700/internal/storage"
 	"next700/internal/txn"
 )
@@ -136,13 +138,13 @@ func loadWords(buf []byte, words []atomic.Uint64) {
 	}
 }
 
-// siloLineWords is how many slot words share a 64-byte cache line.
-const siloLineWords = 8
+// siloLineWords is how many slot words share a cache line.
+const siloLineWords = prefetch.LineSize / 8
 
-// Prefetch implements Protocol: the TID word, one word in each further
-// cache line of the slot and its last word, all atomic loads — the lines a
-// Read or ReadForUpdate copies next. A slot need not start on a line, so
-// the last word covers the line the stepped words can miss.
+// Prefetch implements Protocol: it hints the slot's lines — the TID word,
+// one word in each further cache line and the last word, the lines a Read
+// or ReadForUpdate copies next. A slot need not start on a line, so the
+// last word covers the line the stepped words can miss.
 //
 //next700:hotpath
 func (p *silo) Prefetch(tbl *storage.Table, rid storage.RecordID) {
@@ -150,11 +152,10 @@ func (p *silo) Prefetch(tbl *storage.Table, rid storage.RecordID) {
 	if s == nil {
 		return
 	}
-	s[0].Load()
-	for i := siloLineWords; i < len(s); i += siloLineWords {
-		s[i].Load()
+	for i := 0; i < len(s); i += siloLineWords {
+		prefetch.Line(unsafe.Pointer(&s[i]))
 	}
-	s[len(s)-1].Load()
+	prefetch.Line(unsafe.Pointer(&s[len(s)-1]))
 }
 
 // stableRead copies the committed row into the Tx arena and returns it with

@@ -28,7 +28,7 @@ const ticTocSpinLimit = 256
 // 2PL and T/O reject.
 type ticToc struct {
 	arenaRows
-	noPrefetch
+	arenaPrefetch
 	env  *Env
 	meta tableMetas[ttMeta]
 }

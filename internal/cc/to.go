@@ -25,7 +25,7 @@ type toMeta struct {
 // experiments chart.
 type timestampOrdering struct {
 	arenaRows
-	noPrefetch
+	arenaPrefetch
 	env  *Env
 	meta tableMetas[toMeta]
 }

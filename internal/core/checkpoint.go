@@ -373,13 +373,10 @@ func (e *Engine) parseSlice(data []byte, part, slices int, replacing bool) ([]ck
 }
 
 // snapshotTables returns the table handles in id order.
-//
-//next700:locked(Engine.mu: checkpoint-path snapshot of the table registry; small, and never on the txn path)
 func (e *Engine) snapshotTables() []*Table {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	out := make([]*Table, 0, len(e.byID))
-	for _, t := range e.byID {
+	dir := *e.byID.Load()
+	out := make([]*Table, 0, len(dir))
+	for _, t := range dir {
 		if t != nil {
 			out = append(out, t)
 		}

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -735,5 +737,61 @@ func TestLoadValidation(t *testing.T) {
 	}
 	if err := e.Load(tbl, 1, make(storage.Row, 3)); err == nil {
 		t.Fatal("bad row size accepted")
+	}
+}
+
+// TestTableByIDConcurrentCreate: tableByID takes no lock, so it runs beside
+// CreateTable's copy-on-write publication of the directory. Readers resolve
+// every id while creators add tables: an id resolves to nil or to the table
+// that owns it, never to another, and a table resolves as soon as its
+// CreateTable returns.
+func TestTableByIDConcurrentCreate(t *testing.T) {
+	const creators, perCreator, readers = 2, 64, 2
+	e := openEngine(t, Config{Threads: 1})
+	errs := make(chan error, creators+readers)
+	var wg sync.WaitGroup
+	for c := 0; c < creators; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < perCreator; i++ {
+				sch := storage.MustSchema(fmt.Sprintf("t%d_%d", c, i), storage.I64("v"))
+				tbl, err := e.CreateTable(sch, IndexHash)
+				if err != nil {
+					errs <- err
+					return
+				}
+				if got := e.tableByID(tbl.tbl.ID()); got != tbl {
+					errs <- fmt.Errorf("table %s (id %d) does not resolve after CreateTable", tbl.Name(), tbl.tbl.ID())
+					return
+				}
+			}
+		}(c)
+	}
+	var stop atomic.Bool
+	var rd sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		rd.Add(1)
+		go func() {
+			defer rd.Done()
+			for !stop.Load() {
+				for id := -1; id <= creators*perCreator; id++ {
+					if th := e.tableByID(id); th != nil && th.tbl.ID() != id {
+						errs <- fmt.Errorf("id %d resolves to table %s (id %d)", id, th.Name(), th.tbl.ID())
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	stop.Store(true)
+	rd.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if got := len(e.snapshotTables()); got != creators*perCreator {
+		t.Fatalf("%d tables after the race, want %d", got, creators*perCreator)
 	}
 }

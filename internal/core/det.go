@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 
+	"next700/internal/cc"
 	"next700/internal/det"
 	"next700/internal/wal"
 )
@@ -86,8 +87,8 @@ type DetExecutor struct {
 // 1:1 onto batches. Close stops the goroutines; the engine outlives the
 // executor.
 func NewDetExecutor(e *Engine, exec DetExecFunc) (*DetExecutor, error) {
-	if e.Protocol() != "QSTORE" {
-		return nil, fmt.Errorf("core: deterministic execution requires the QSTORE protocol, engine has %s: %w",
+	if _, ok := e.proto.(cc.PlannerDriven); !ok {
+		return nil, fmt.Errorf("core: deterministic execution requires a planner-driven protocol (QSTORE), engine has %s: %w",
 			e.Protocol(), ErrInvalidUsage)
 	}
 	parts := e.cfg.Partitions
@@ -234,6 +235,7 @@ func (x *DetExecutor) runFragment(p int, q []det.Op, i int) (int, error) {
 	var err error
 	for ; i < len(q) && q[i].Txn == txnIdx; i++ {
 		if err == nil {
+			x.prefetchAhead(q, i)
 			//next700:locked(Engine.quiesce: the gate read side deliberately brackets queued-transaction execution so command-logged checkpoints quiesce between fragments)
 			err = x.exec(t, q[i], mb)
 		}
@@ -255,6 +257,34 @@ func (x *DetExecutor) runFragment(p int, q []det.Op, i int) (int, error) {
 		inner.Counter.Commits++
 	}
 	return i, nil
+}
+
+// lookahead is how far ahead of the running op i, in queue positions, the
+// executor resolves a record and hints its lines (op i+lookahead); it hints
+// hash home slots twice as far ahead (op i+2·lookahead). The slot of the op
+// it resolves was hinted lookahead ops earlier, so resolving finds it
+// cached, and the record's lines then have lookahead ops to arrive before
+// the op runs. Picked by a sweep (EXPERIMENTS.md, "Staged non-blocking
+// prefetch").
+const lookahead = 2
+
+// prefetchAhead stages the lookahead for q[i]: it hints the home slot of
+// q[i+2·lookahead]'s key and resolves q[i+lookahead]'s, hinting its
+// record. The partition's queue is known in full before it runs, and both
+// steps are hints, so skipping them changes no result.
+//
+//next700:hotpath
+func (x *DetExecutor) prefetchAhead(q []det.Op, i int) {
+	if j := i + 2*lookahead; j < len(q) {
+		if t := x.e.tableByID(int(q[j].Table)); t != nil && t.hash != nil {
+			t.hash.Prefetch(q[j].Key)
+		}
+	}
+	if j := i + lookahead; j < len(q) {
+		if t := x.e.tableByID(int(q[j].Table)); t != nil {
+			x.e.prefetchRecord(t, q[j].Key)
+		}
+	}
 }
 
 // commitFragment is Tx.publish with the replay-ordered deterministic commit

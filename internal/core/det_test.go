@@ -361,3 +361,82 @@ func TestDetExecutorConfigValidation(t *testing.T) {
 		t.Fatalf("PartitionWAL accepted: %v", err)
 	}
 }
+
+// BenchmarkDetExecuteBatch times DetExecutor.ExecuteBatch alone, one batch
+// per op, on the ledger's det_batch shape: QSTORE, 262 144 rows × 108 B,
+// 256-transaction batches of 16 distinct Zipfian (θ = 0.9) keys, half read
+// and half read-modify-write, 2 partitions, no log. Planning runs with the
+// timer stopped, so ns/op is the executor's time per batch, the layer
+// number the ledger reports as core.det_execute_us_per_batch.
+//
+//	go test ./internal/core -run '^$' -bench DetExecuteBatch -cpu 2
+func BenchmarkDetExecuteBatch(b *testing.B) {
+	const (
+		rows      = 262144
+		batchTxns = 256
+		opsPerTxn = 16
+		parts     = 2
+		batches   = 32 // distinct batches, replayed in turn
+	)
+	e := openEngine(b, Config{Protocol: "QSTORE", Threads: parts, Partitions: parts})
+	sch := storage.MustSchema("bench", storage.I64("v"), storage.Str("field", 100))
+	tbl, err := e.CreateTable(sch, IndexHash)
+	if err != nil {
+		b.Fatal(err)
+	}
+	row := sch.NewRow()
+	for k := uint64(0); k < rows; k++ {
+		if err := e.Load(tbl, k, row); err != nil {
+			b.Fatal(err)
+		}
+	}
+	x, err := NewDetExecutor(e, func(tx *Tx, op det.Op, _ *det.Mailbox) error {
+		if op.Kind == det.OpRead {
+			_, err := tx.Read(tbl, op.Key)
+			return err
+		}
+		row, err := tx.Update(tbl, op.Key)
+		if err != nil {
+			return err
+		}
+		sch.SetInt64(row, 0, sch.GetInt64(row, 0)+int64(op.Aux))
+		return nil
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer x.Close()
+	rng := xrand.New(7)
+	zipf := xrand.NewZipf(rng, rows, 0.9)
+	plans := make([][]det.TxnPlan, batches)
+	for i := range plans {
+		plans[i] = make([]det.TxnPlan, batchTxns)
+		for t := range plans[i] {
+			tp := &plans[i][t]
+			for len(tp.Ops) < opsPerTxn {
+				key, dup := zipf.Next(), false
+				for _, op := range tp.Ops {
+					dup = dup || op.Key == key
+				}
+				switch {
+				case dup:
+				case rng.Bool(0.5):
+					tp.Add(det.OpRead, 0, key, 0)
+				default:
+					tp.Add(det.OpUpdate, 0, key, 1)
+				}
+			}
+		}
+	}
+	pl := det.NewPlanner(parts, nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		plan := pl.PlanBatch(plans[i%batches])
+		b.StartTimer()
+		if _, err := x.ExecuteBatch(plan); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

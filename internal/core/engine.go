@@ -190,8 +190,13 @@ type Engine struct {
 
 	mu     sync.RWMutex
 	tables map[string]*Table
-	byID   []*Table
 	procs  map[int32]Proc
+	// byID is the table directory by storage table id, copy-on-write
+	// behind one atomic pointer (CreateTable publishes a grown copy under
+	// mu), so tableByID takes no lock: the deterministic executor's
+	// lookahead resolves a table per op, and publish's index retraction and
+	// replay per access.
+	byID atomic.Pointer[[]*Table]
 
 	// logs is the engine's one log (nil when LogMode is none): a StreamSet
 	// of Config.WALStreams streams.
@@ -258,6 +263,7 @@ func Open(cfg Config) (*Engine, error) {
 		tables:   make(map[string]*Table),
 		procs:    make(map[int32]Proc),
 	}
+	e.byID.Store(new([]*Table))
 	e.ckptThread = cfg.Threads
 	if cfg.LogMode != wal.ModeNone {
 		if cfg.PartitionWAL {
@@ -326,10 +332,12 @@ func (e *Engine) CreateTable(sch *storage.Schema, primary IndexKind) (*Table, er
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.tables[sch.Name()] = t
-	for tbl.ID() >= len(e.byID) {
-		e.byID = append(e.byID, nil)
+	grown := append([]*Table(nil), *e.byID.Load()...)
+	for tbl.ID() >= len(grown) {
+		grown = append(grown, nil)
 	}
-	e.byID[tbl.ID()] = t
+	grown[tbl.ID()] = t
+	e.byID.Store(&grown)
 	return t, nil
 }
 
@@ -387,12 +395,11 @@ func (e *Engine) Table(name string) *Table {
 
 // tableByID resolves a storage table id to the engine handle.
 func (e *Engine) tableByID(id int) *Table {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if id < 0 || id >= len(e.byID) {
+	dir := *e.byID.Load()
+	if id < 0 || id >= len(dir) {
 		return nil
 	}
-	return e.byID[id]
+	return dir[id]
 }
 
 // findSecondary returns the named secondary index of t, or nil.

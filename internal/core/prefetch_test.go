@@ -203,9 +203,11 @@ func allocatedBytes(fn func()) uint64 {
 const metaGrowth = 64 << 10
 
 // TestPrefetchConcurrentChurn: prefetchers run against inserters, deleters,
-// committers and the hash-shard rebuilds the inserts trigger. Prefetch
-// loads protocol words with atomics only and never reads the table arena,
-// which in-place writers store to plainly — a plain arena read shows up
+// committers and the hash-shard rebuilds the inserts trigger, and each
+// committer prefetches every committer's keys inside its own body, so the
+// in-place protocols' row hints land on rows the other committer's commit
+// is copying into. Prefetch emits hints only and reads nothing — a plain
+// read of the arena, which in-place writers store to plainly, shows up
 // here under -race. It must not change any row or Len, and it must not
 // create or grow protocol metadata for a record that has none yet: the
 // ghost key's Prefetch allocates no metadata chunk, before the churn and
@@ -254,8 +256,13 @@ func TestPrefetchConcurrentChurn(t *testing.T) {
 				defer wg.Done()
 				tx := e.NewTx(c, uint64(c)+1)
 				lo := uint64(stable + c*owned)
+				hint := make([]uint64, 0, committers*owned)
+				for k := uint64(stable); k < stable+committers*owned; k++ {
+					hint = append(hint, k)
+				}
 				for r := 0; r < rounds; r++ {
 					err := tx.Run(func(tx *Tx) error {
+						tx.Prefetch(tbl, hint)
 						for k := lo; k < lo+owned; k += 4 {
 							row, err := tx.Update(tbl, k+uint64(r%4))
 							if err != nil {

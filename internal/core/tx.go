@@ -147,10 +147,12 @@ func (t *Tx) lookup(tbl *Table, key uint64) (storage.RecordID, bool) {
 // Prefetch is a hint that the transaction will access keys of tbl next. It
 // changes no state, counts no read, and skipping it changes no result: it
 // only overlaps the keys' cache misses, which Read and Update would
-// otherwise take one after another. It resolves each key in the hash index
-// and has the protocol touch the record's words; no key's loads depend on
-// another's, so the CPU keeps many misses in flight at once. On a table
-// whose primary index is a B+ tree it does nothing.
+// otherwise take one after another. It runs in two stages. First it hints
+// every key's hash home slot, which needs nothing but the key; then it
+// resolves each key, whose slot is by then on its way, and has the
+// protocol hint the record's lines. Hints never wait, so the CPU keeps the
+// misses of all keys in flight at once. On a table whose primary index is
+// a B+ tree it does nothing.
 //
 //next700:hotpath
 func (t *Tx) Prefetch(tbl *Table, keys []uint64) {
@@ -159,9 +161,23 @@ func (t *Tx) Prefetch(tbl *Table, keys []uint64) {
 		return
 	}
 	for _, key := range keys {
-		if rid, ok := h.Lookup(key); ok {
-			t.eng.proto.Prefetch(tbl.tbl, rid)
-		}
+		h.Prefetch(key)
+	}
+	for _, key := range keys {
+		t.eng.prefetchRecord(tbl, key)
+	}
+}
+
+// prefetchRecord resolves key in tbl's hash primary, if it has one, and has
+// the protocol hint the record's lines.
+//
+//next700:hotpath
+func (e *Engine) prefetchRecord(tbl *Table, key uint64) {
+	if tbl.hash == nil {
+		return
+	}
+	if rid, ok := tbl.hash.Lookup(key); ok {
+		e.proto.Prefetch(tbl.tbl, rid)
 	}
 }
 

@@ -66,7 +66,10 @@ func (k OpKind) String() string {
 // Op is one declared operation. The workload fills Kind, Table, Key, and
 // Aux when declaring a TxnPlan; the planner assigns Txn (the batch-local
 // priority), Seq (the execution order within the transaction), and Slot
-// (mailbox slot for sends).
+// (mailbox slot for sends). Table is the engine's table ID (0 is the first
+// table created): the executor resolves Key in that table's primary index
+// ahead of the op to prefetch the record, so a wrong Table costs only the
+// hint.
 type Op struct {
 	Txn   int32
 	Seq   int32

@@ -12,7 +12,9 @@ package index
 import (
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
+	"next700/internal/prefetch"
 	"next700/internal/storage"
 )
 
@@ -102,12 +104,16 @@ func newHashTable(bits uint) *hashTable {
 	}
 }
 
+// home returns the index of the first slot a key with hash x probes. The
+// top hashShardBits of x chose the shard, so it comes from the bits below
+// them.
+func (t *hashTable) home(x uint64) uint64 { return (x << hashShardBits) >> t.shift }
+
 // probe walks key's probe sequence from its home slot and returns the slot
 // holding key (live or tombstone) or the empty slot that ends the sequence,
-// with the ref it read there. x is the key's hash: its top hashShardBits
-// chose the shard, so the home slot comes from the bits below them.
+// with the ref it read there. x is the key's hash.
 func (t *hashTable) probe(x, key uint64) (*hashSlot, uint64) {
-	for i := (x << hashShardBits) >> t.shift; ; i = (i + 1) & t.mask {
+	for i := t.home(x); ; i = (i + 1) & t.mask {
 		s := &t.slots[i]
 		r := s.ref.Load()
 		if r == refEmpty || s.key.Load() == key {
@@ -214,6 +220,17 @@ func (h *Hash) Lookup(key uint64) (storage.RecordID, bool) {
 		return storage.InvalidRecordID, false
 	}
 	return storage.RecordID(r - 1), true
+}
+
+// Prefetch hints the cache line of key's home slot, the first slot Lookup
+// probes, so that a Lookup of key soon after finds it cached. The address
+// comes from the key alone; the hint reads no slot and never waits for the
+// line, so a caller can emit many before the first Lookup.
+//
+//next700:hotpath
+func (h *Hash) Prefetch(key uint64) {
+	t := h.shard(key).tab.Load()
+	prefetch.Line(unsafe.Pointer(&t.slots[t.home(key*fib)]))
 }
 
 // Delete implements Index.

@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"unsafe"
+
+	"next700/internal/prefetch"
 )
 
 // RecordID identifies a row slot within a table. IDs are dense, starting at
@@ -105,6 +108,31 @@ func (t *Table) Row(rid RecordID) Row {
 	rows := (*t.chunks.Load())[rid>>chunkBits].rows
 	off := int(rid&(chunkSize-1)) * t.schema.rowSize
 	return rows[off : off+t.schema.rowSize : off+t.schema.rowSize]
+}
+
+// Prefetch hints every cache line of rid's row image and its tombstone, so
+// that a Row or IsTombstoned soon after finds them cached. The hints read
+// neither, never wait for a line and never fault, so Prefetch may run
+// beside the row's writers with no protection; a rid whose chunk does not
+// exist yet is skipped.
+//
+//next700:hotpath
+func (t *Table) Prefetch(rid RecordID) {
+	chunks := *t.chunks.Load()
+	idx := int(rid >> chunkBits)
+	if idx >= len(chunks) {
+		return
+	}
+	c := &chunks[idx]
+	slot := int(rid & (chunkSize - 1))
+	prefetch.Line(unsafe.Pointer(&c.dead[slot]))
+	row := c.rows[slot*t.schema.rowSize : (slot+1)*t.schema.rowSize]
+	for off := 0; off < len(row); off += prefetch.LineSize {
+		prefetch.Line(unsafe.Pointer(&row[off]))
+	}
+	// A row need not start on a line: its last byte may sit on a line the
+	// stepped hints miss.
+	prefetch.Line(unsafe.Pointer(&row[len(row)-1]))
 }
 
 // tombstone returns rid's tombstone; rid's chunk must exist.
