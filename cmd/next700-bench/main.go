@@ -65,12 +65,6 @@ func main() {
 		allocs = flag.Bool("allocs", false, "measure heap allocs/txn and bytes/txn during the run (any mode: closed or -rate, interactive or -det) and append a row to the allocs report")
 		out    = flag.String("out", "", "output path for the JSON report of one -sweep or of -allocs (default BENCH_<sweep>.json)")
 
-		// Retry/backoff policy (0 keeps the engine default).
-		retryAttempts = flag.Int("retry-attempts", 0, "max attempts per txn before livelock error")
-		retrySpin     = flag.Int("retry-spin", 0, "leading retries that only yield, no sleep")
-		retryBase     = flag.Duration("retry-base", 0, "first sleeping retry's backoff jitter ceiling")
-		retryMax      = flag.Duration("retry-max", 0, "exponential backoff ceiling cap")
-
 		doRecover = flag.Bool("recover", false, "after the run, replay the log into a fresh engine and print recovery stats (requires -log)")
 		tortureN  = flag.Int("torture", 0, "run N seeded crash-recovery torture iterations per log mode and exit")
 
@@ -82,13 +76,6 @@ func main() {
 		admitMax    = flag.Int("admit-max", 0, "admission: max in-flight transactions (default 2×GOMAXPROCS)")
 		admitQueue  = flag.Duration("admit-queue", 0, "admission: max wait for a slot before shedding (0 = bounded only by -deadline)")
 		admitTarget = flag.Duration("admit-target", 0, "admission: AIMD target service latency; adapts the in-flight limit (0 = fixed limit)")
-
-		admitParts = flag.Bool("admit-partitioned", false, "admission: one controller per engine partition (home-partition gating) instead of one global limit")
-
-		// Open-loop arrival-queue discipline.
-		queueLIFOAge       = flag.Duration("queue-lifo-age", 0, "open-loop queue: serve newest-first while the oldest waiting arrival is older than this (adaptive LIFO; 0 = strict FIFO)")
-		queueCoDelTarget   = flag.Duration("queue-codel-target", 0, "open-loop queue: CoDel head-age target; sustained excess evicts the oldest arrivals at enqueue (0 = off)")
-		queueCoDelInterval = flag.Duration("queue-codel-interval", 0, "open-loop queue: CoDel tolerance interval before dropping starts (default 100ms)")
 
 		// Deterministic (queue-oriented) execution.
 		doDet    = flag.Bool("det", false, "run a deterministic queue-oriented measurement: the sequencer plans seeded batches of declared access sets, per-partition executors drain priority queues abort-free, and the run prints the canonical state digest; honors -rate (batch-arrival open loop), -duration, -theta, -allocs")
@@ -211,22 +198,14 @@ func main() {
 	opts := harness.RunOptions{
 		Threads: *threads, Duration: *duration, WarmupTxns: *warmup, Seed: *seed,
 		MeasureAllocs: *allocs,
-		Retry: core.RetryPolicy{
-			MaxAttempts: *retryAttempts, SpinAttempts: *retrySpin,
-			BaseDelay: *retryBase, MaxDelay: *retryMax,
-		},
-		OfferedRate:        *rate,
-		Deadline:           *deadlineD,
-		GoodputWindow:      *slo,
-		QueueLIFOAge:       *queueLIFOAge,
-		QueueCoDelTarget:   *queueCoDelTarget,
-		QueueCoDelInterval: *queueCoDelInterval,
+		OfferedRate:   *rate,
+		Deadline:      *deadlineD,
+		GoodputWindow: *slo,
 	}
 	if *admit {
 		opts.Admission = &admission.Config{
 			MaxInFlight: *admitMax, MaxQueueWait: *admitQueue, TargetLatency: *admitTarget,
 		}
-		opts.AdmissionPerPartition = *admitParts
 	}
 	engine := *protocol
 	var res harness.Result

@@ -1,29 +1,25 @@
-// next700-sim runs the deterministic many-core discrete-event simulator:
-// the substitute for the 1000-core hardware simulators used by the
-// published design-space studies. Results are exactly reproducible.
+// next700-sim runs one point of the deterministic many-core discrete-event
+// simulator: the substitute for the 1000-core hardware simulators used by the
+// published design-space studies. Results are exactly reproducible. The
+// all-protocols core-count sweep is E7, `next700-bench -sweep e7`.
 //
 // Usage:
 //
 //	next700-sim -protocol SILO -cores 1024 -theta 0.8
-//	next700-sim -sweep -theta 0.6               # all protocols × core counts
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
-	"next700/internal/cc"
 	"next700/internal/sim"
-	"next700/internal/stats"
 )
 
 func main() {
 	var (
-		protocol = flag.String("protocol", "SILO", "protocol (ignored with -sweep)")
-		cores    = flag.Int("cores", 64, "simulated cores (ignored with -sweep)")
+		protocol = flag.String("protocol", "SILO", "protocol")
+		cores    = flag.Int("cores", 64, "simulated cores")
 		records  = flag.Uint64("records", 1<<16, "keyspace size")
 		theta    = flag.Float64("theta", 0.6, "zipf skew")
 		ops      = flag.Int("ops", 16, "accesses per txn")
@@ -31,60 +27,24 @@ func main() {
 		horizon  = flag.Uint64("horizon", 2_000_000, "virtual measurement window in cycles")
 		deadline = flag.Uint64("deadline", 0, "per-transaction deadline in virtual cycles: blocked or retrying transactions past it are abandoned as deadline aborts (0 = unbounded waits)")
 		seed     = flag.Uint64("seed", 0x51D, "seed")
-		sweep    = flag.Bool("sweep", false, "run all protocols over a core-count sweep")
-		coreList = flag.String("corelist", "1,4,16,64,256,1024", "core counts for -sweep")
 	)
 	flag.Parse()
 
-	if !*sweep {
-		r, err := sim.Run(sim.Config{
-			Protocol: *protocol, Cores: *cores, Records: *records, Theta: *theta,
-			OpsPerTxn: *ops, WriteRatio: *writes, Horizon: *horizon, Seed: *seed,
-			Partitions: *cores, Deadline: *deadline,
-		})
-		if err != nil {
-			fatal("%v", err)
-		}
-		fmt.Println(r)
-		fmt.Printf("  commits=%d aborts=%d window=%d cycles\n", r.Commits, r.Aborts, r.Makespan)
-		if *deadline > 0 {
-			fmt.Printf("  deadline_aborts=%d\n", r.DeadlineAborts)
-		}
-		fmt.Printf("  latency cycles: p50=%d p90=%d p99=%d p99.9=%d\n",
-			r.Latency.P50, r.Latency.P90, r.Latency.P99, r.Latency.P999)
-		return
+	r, err := sim.Run(sim.Config{
+		Protocol: *protocol, Cores: *cores, Records: *records, Theta: *theta,
+		OpsPerTxn: *ops, WriteRatio: *writes, Horizon: *horizon, Seed: *seed,
+		Partitions: *cores, Deadline: *deadline,
+	})
+	if err != nil {
+		fatal("%v", err)
 	}
-
-	var counts []int
-	for _, s := range strings.Split(*coreList, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(s))
-		if err != nil || n < 1 {
-			fatal("bad -corelist entry %q", s)
-		}
-		counts = append(counts, n)
+	fmt.Println(r)
+	fmt.Printf("  commits=%d aborts=%d window=%d cycles\n", r.Commits, r.Aborts, r.Makespan)
+	if *deadline > 0 {
+		fmt.Printf("  deadline_aborts=%d\n", r.DeadlineAborts)
 	}
-	hdr := []string{"protocol"}
-	for _, n := range counts {
-		hdr = append(hdr, strconv.Itoa(n))
-	}
-	tbl := stats.NewTable(hdr...)
-	for _, p := range cc.Names() {
-		row := []interface{}{p}
-		for _, n := range counts {
-			r, err := sim.Run(sim.Config{
-				Protocol: p, Cores: n, Records: *records, Theta: *theta,
-				OpsPerTxn: *ops, WriteRatio: *writes, Horizon: *horizon, Seed: *seed,
-				Partitions: n,
-			})
-			if err != nil {
-				fatal("%v", err)
-			}
-			row = append(row, r.Throughput)
-		}
-		tbl.AddRow(row...)
-	}
-	fmt.Printf("simulated throughput (committed txns per Mcycle), theta=%v, %d ops/txn, %.0f%% writes\n%s",
-		*theta, *ops, *writes*100, tbl)
+	fmt.Printf("  latency cycles: p50=%d p90=%d p99=%d p99.9=%d\n",
+		r.Latency.P50, r.Latency.P90, r.Latency.P99, r.Latency.P999)
 }
 
 func fatal(format string, args ...interface{}) {

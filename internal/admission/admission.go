@@ -26,8 +26,8 @@ import (
 
 // ErrShed is returned by Acquire when the transaction is rejected — its
 // admission wait hit the queue deadline (or the transaction's own
-// deadline), or the waiter queue itself is full. Shed transactions never
-// touched the engine; callers account them as ShedAborts.
+// deadline). Shed transactions never touched the engine; callers account
+// them as ShedAborts.
 var ErrShed = errors.New("admission: shed by admission control")
 
 // Config parameterizes a Controller. The zero value of optional fields
@@ -41,57 +41,31 @@ type Config struct {
 	// shedding. 0 means the wait is bounded only by the transaction's own
 	// deadline (and is unbounded when that is zero too).
 	MaxQueueWait time.Duration
-	// MaxWaiters bounds the admission queue length: an Acquire arriving
-	// when this many waiters are already queued is shed immediately.
-	// 0 means unbounded.
-	MaxWaiters int
 
 	// TargetLatency enables the AIMD adaptive limit: while the EWMA of
 	// reported transaction latencies exceeds the target, the limit decays
-	// multiplicatively toward MinLimit; while it is at or under the
-	// target, the limit recovers additively toward MaxInFlight. 0 keeps
-	// the limit fixed at MaxInFlight.
+	// multiplicatively (× aimdDecrease) toward 1; while it is at or under
+	// the target, the limit recovers additively (+1) toward MaxInFlight.
+	// The limit moves at most once per max(2 × TargetLatency, 1ms), so one
+	// burst of samples cannot collapse it in a single tick. 0 keeps the
+	// limit fixed at MaxInFlight.
 	TargetLatency time.Duration
-	// MinLimit is the adaptive limit's floor. <= 0 selects 1.
-	MinLimit int
-	// DecreaseFactor is the multiplicative decrease applied when latency
-	// is over target (0 < f < 1). Out of range selects 0.7.
-	DecreaseFactor float64
-	// IncreaseStep is the additive increase applied when latency is at or
-	// under target. <= 0 selects 1.
-	IncreaseStep int
-	// AdjustEvery is the minimum interval between limit adjustments, so
-	// one burst of samples cannot collapse the limit in a single tick.
-	// <= 0 selects max(2 × TargetLatency, 1ms).
-	AdjustEvery time.Duration
 }
 
-// ewmaAlpha is the smoothing factor of the latency EWMA: ~5-sample memory,
-// quick enough to track an overload onset within a handful of commits.
-const ewmaAlpha = 0.2
+const (
+	// ewmaAlpha is the smoothing factor of the latency EWMA: ~5-sample
+	// memory, quick enough to track an overload onset within a handful of
+	// commits.
+	ewmaAlpha = 0.2
+	// aimdDecrease is the multiplicative decrease applied to the limit
+	// while latency is over target.
+	aimdDecrease = 0.7
+)
 
 // normalized fills defaults.
 func (c Config) normalized() Config {
 	if c.MaxInFlight <= 0 {
 		c.MaxInFlight = 2 * runtime.GOMAXPROCS(0)
-	}
-	if c.MinLimit <= 0 {
-		c.MinLimit = 1
-	}
-	if c.MinLimit > c.MaxInFlight {
-		c.MinLimit = c.MaxInFlight
-	}
-	if c.DecreaseFactor <= 0 || c.DecreaseFactor >= 1 {
-		c.DecreaseFactor = 0.7
-	}
-	if c.IncreaseStep <= 0 {
-		c.IncreaseStep = 1
-	}
-	if c.AdjustEvery <= 0 {
-		c.AdjustEvery = 2 * c.TargetLatency
-		if c.AdjustEvery < time.Millisecond {
-			c.AdjustEvery = time.Millisecond
-		}
 	}
 	return c
 }
@@ -120,18 +94,21 @@ type Controller struct {
 	cond     *sync.Cond
 	limit    int
 	inFlight int
-	waiters  int
 	admitted uint64
 	shed     uint64
 
-	ewma       float64 // nanoseconds
-	lastAdjust int64   // Unix nanoseconds of the last limit adjustment
+	adjustEvery int64   // minimum ns between limit adjustments
+	ewma        float64 // nanoseconds
+	lastAdjust  int64   // Unix nanoseconds of the last limit adjustment
 }
 
 // New builds a Controller from cfg.
 func New(cfg Config) *Controller {
 	cfg = cfg.normalized()
-	c := &Controller{cfg: cfg, limit: cfg.MaxInFlight}
+	c := &Controller{
+		cfg: cfg, limit: cfg.MaxInFlight,
+		adjustEvery: int64(max(2*cfg.TargetLatency, time.Millisecond)),
+	}
 	c.cond = sync.NewCond(&c.mu)
 	return c
 }
@@ -154,12 +131,6 @@ func (c *Controller) Acquire(deadline int64) error {
 		c.admitted++
 		return nil
 	}
-	if mw := c.cfg.MaxWaiters; mw > 0 && c.waiters >= mw {
-		c.shed++
-		return ErrShed
-	}
-	c.waiters++
-	defer func() { c.waiters-- }()
 	var timer *time.Timer
 	defer func() {
 		if timer != nil {
@@ -206,7 +177,7 @@ func (c *Controller) Release(latency time.Duration) {
 }
 
 // observe folds one latency sample into the EWMA and, at most once per
-// AdjustEvery, moves the limit: multiplicative decrease over target,
+// adjustEvery, moves the limit: multiplicative decrease over target,
 // additive increase at or under it. Called with c.mu held.
 func (c *Controller) observe(latency time.Duration) {
 	l := float64(latency)
@@ -216,21 +187,14 @@ func (c *Controller) observe(latency time.Duration) {
 		c.ewma = (1-ewmaAlpha)*c.ewma + ewmaAlpha*l
 	}
 	now := time.Now().UnixNano()
-	if now-c.lastAdjust < int64(c.cfg.AdjustEvery) {
+	if now-c.lastAdjust < c.adjustEvery {
 		return
 	}
 	c.lastAdjust = now
 	if c.ewma > float64(c.cfg.TargetLatency) {
-		nl := int(float64(c.limit) * c.cfg.DecreaseFactor)
-		if nl < c.cfg.MinLimit {
-			nl = c.cfg.MinLimit
-		}
-		c.limit = nl
+		c.limit = max(int(float64(c.limit)*aimdDecrease), 1)
 	} else if c.limit < c.cfg.MaxInFlight {
-		c.limit += c.cfg.IncreaseStep
-		if c.limit > c.cfg.MaxInFlight {
-			c.limit = c.cfg.MaxInFlight
-		}
+		c.limit++
 	}
 }
 

@@ -68,75 +68,43 @@ func TestTxnDeadlineBoundsAcquire(t *testing.T) {
 	c.Release(0)
 }
 
-func TestMaxWaitersShedsImmediately(t *testing.T) {
-	defer testutil.CheckGoroutines(t)()
-	c := New(Config{MaxInFlight: 1, MaxWaiters: 1, MaxQueueWait: 5 * time.Second})
-	if err := c.Acquire(0); err != nil {
-		t.Fatal(err)
-	}
-	// One waiter occupies the queue...
-	waiterErr := make(chan error, 1)
-	go func() { waiterErr <- c.Acquire(0) }()
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		c.mu.Lock()
-		queued := c.waiters
-		c.mu.Unlock()
-		if queued == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("waiter never queued")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	// ...so the next Acquire sheds at once, without waiting.
-	start := time.Now()
-	err := c.Acquire(0)
-	if !errors.Is(err, ErrShed) {
-		t.Fatalf("err = %v, want ErrShed", err)
-	}
-	if elapsed := time.Since(start); elapsed > 100*time.Millisecond {
-		t.Fatalf("full-queue shed took %v, want immediate", elapsed)
-	}
-	c.Release(0)
-	if err := <-waiterErr; err != nil {
-		t.Fatalf("queued waiter err = %v", err)
-	}
-	c.Release(0)
-}
-
 func TestAIMDDecreasesAndRecovers(t *testing.T) {
-	cfg := Config{
-		MaxInFlight:   16,
-		TargetLatency: time.Millisecond,
-		MinLimit:      2,
-		AdjustEvery:   time.Millisecond,
-	}
+	// TargetLatency 1ms adjusts at most every 2ms.
+	cfg := Config{MaxInFlight: 16, TargetLatency: time.Millisecond}
 	c := New(cfg)
 	if c.Limit() != 16 {
 		t.Fatalf("initial limit = %d", c.Limit())
 	}
-	// Sustained over-target latency decays the limit multiplicatively.
-	for i := 0; i < 40 && c.Limit() > cfg.MinLimit; i++ {
+	// Sustained over-target latency decays the limit multiplicatively, by
+	// aimdDecrease per adjustment, down to the floor of 1.
+	prev := c.Limit()
+	for i := 0; i < 40 && c.Limit() > 1; i++ {
 		if err := c.Acquire(0); err != nil {
 			t.Fatal(err)
 		}
 		c.Release(20 * time.Millisecond)
-		time.Sleep(2 * time.Millisecond)
+		if got := c.Limit(); got != prev && got != max(int(float64(prev)*aimdDecrease), 1) {
+			t.Fatalf("limit %d -> %d, want a decrease by %v", prev, got, aimdDecrease)
+		}
+		prev = c.Limit()
+		time.Sleep(3 * time.Millisecond)
 	}
-	if got := c.Limit(); got != cfg.MinLimit {
-		t.Fatalf("limit after sustained overload = %d, want floor %d", got, cfg.MinLimit)
+	if got := c.Limit(); got != 1 {
+		t.Fatalf("limit after sustained overload = %d, want floor 1", got)
 	}
-	// Healthy latency recovers it additively to the ceiling. The EWMA has
-	// ~5-sample memory, so a few fast samples drain the overload estimate
-	// first, then each adjustment tick adds IncreaseStep.
+	// Healthy latency recovers it additively, one slot per adjustment, to
+	// the ceiling. The EWMA has ~5-sample memory, so a few fast samples
+	// drain the overload estimate first.
 	for i := 0; i < 200 && c.Limit() < cfg.MaxInFlight; i++ {
 		if err := c.Acquire(0); err != nil {
 			t.Fatal(err)
 		}
 		c.Release(50 * time.Microsecond)
-		time.Sleep(2 * time.Millisecond)
+		if got := c.Limit(); got != prev && got != prev+1 {
+			t.Fatalf("limit %d -> %d, want an increase by 1", prev, got)
+		}
+		prev = c.Limit()
+		time.Sleep(3 * time.Millisecond)
 	}
 	if got := c.Limit(); got != cfg.MaxInFlight {
 		t.Fatalf("limit after recovery = %d, want %d", got, cfg.MaxInFlight)
@@ -147,17 +115,15 @@ func TestAIMDDecreasesAndRecovers(t *testing.T) {
 }
 
 func TestConfigDefaults(t *testing.T) {
-	n := Config{}.normalized()
-	if n.MaxInFlight <= 0 || n.MinLimit != 1 || n.DecreaseFactor != 0.7 || n.IncreaseStep != 1 {
+	if n := (Config{}).normalized(); n.MaxInFlight <= 0 {
 		t.Fatalf("normalized zero config = %+v", n)
 	}
-	n = Config{MaxInFlight: 2, MinLimit: 10}.normalized()
-	if n.MinLimit != 2 {
-		t.Fatalf("MinLimit not clamped to MaxInFlight: %+v", n)
+	// The limit moves at most once per max(2 × TargetLatency, 1ms).
+	if c := New(Config{TargetLatency: 5 * time.Millisecond}); c.adjustEvery != int64(10*time.Millisecond) {
+		t.Fatalf("adjustment interval at a 5ms target = %v", time.Duration(c.adjustEvery))
 	}
-	n = Config{TargetLatency: 5 * time.Millisecond}.normalized()
-	if n.AdjustEvery != 10*time.Millisecond {
-		t.Fatalf("AdjustEvery default = %v", n.AdjustEvery)
+	if c := New(Config{TargetLatency: 100 * time.Microsecond}); c.adjustEvery != int64(time.Millisecond) {
+		t.Fatalf("adjustment interval at a 100µs target = %v", time.Duration(c.adjustEvery))
 	}
 }
 

@@ -477,3 +477,32 @@ func TestReadOnly(t *testing.T) {
 		}
 	})
 }
+
+// TestLockingCommitOrdersIDs: a lock-based protocol's Commit draws tx.ID
+// while its writes are still protected, so conflicting commits leave IDs in
+// commit order — value-log replay orders a record's entries by them. The
+// transaction that began first commits second here, so an ID fixed at Begin
+// would come out inverted.
+func TestLockingCommitOrdersIDs(t *testing.T) {
+	for _, name := range []string{"NO_WAIT", "WAIT_DIE", "DL_DETECT", "HSTORE"} {
+		t.Run(name, func(t *testing.T) {
+			f := newFixture(t, name, 2, 1)
+			began, first := newTxnFor(0), newTxnFor(1)
+			for _, tx := range []*txn.Txn{began, first} {
+				tx.Reset()
+				f.p.Begin(tx)
+			}
+			for _, tx := range []*txn.Txn{first, began} {
+				if err := f.add(tx, 0, 1); err != nil {
+					t.Fatal(err)
+				}
+				if err := f.p.Commit(tx); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if first.ID == 0 || began.ID <= first.ID {
+				t.Fatalf("commit IDs %d then %d, want increasing", first.ID, began.ID)
+			}
+		})
+	}
+}

@@ -229,22 +229,16 @@ func (p *hstore) RegisterDelete(tx *txn.Txn, tbl *storage.Table, rid storage.Rec
 	return nil
 }
 
-// Commit implements Protocol: install writes, release partitions.
+// Commit implements Protocol: install writes, draw tx.ID while the
+// partitions are still held (see twoPL.Commit), release partitions.
 func (p *hstore) Commit(tx *txn.Txn) error {
-	return p.CommitHooked(tx, nil)
-}
-
-// CommitHooked implements HookedCommitter (see twoPL.CommitHooked).
-func (p *hstore) CommitHooked(tx *txn.Txn, beforeRelease func()) error {
 	for i := range tx.Accesses {
 		a := &tx.Accesses[i]
 		if a.Kind != txn.KindRead {
 			applyWrite(a)
 		}
 	}
-	if beforeRelease != nil {
-		beforeRelease()
-	}
+	tx.ID = p.env.TS.Next()
 	p.releaseAll(tx)
 	return nil
 }

@@ -101,16 +101,6 @@ type PlannerDriven interface {
 	DetectsNoConflicts()
 }
 
-// HookedCommitter is implemented by lock-based protocols whose commit has a
-// point where every write is installed but still protected. The engine uses
-// the hook to draw a commit sequence number that reflects the serialization
-// order of conflicting transactions, which value-log replay relies on.
-// Version-stamped protocols (SILO, TICTOC, TIMESTAMP, MVCC) do not need it:
-// their tx.ID after commit is already per-record monotone.
-type HookedCommitter interface {
-	CommitHooked(tx *txn.Txn, beforeRelease func()) error
-}
-
 // Loader is the protocol's ownership of a record's committed image: where
 // a committed row lives (the table arena, SILO's slot words, MVCC's version
 // chain) is the protocol's business, and the engine installs and reads rows

@@ -77,8 +77,7 @@ func (q *qstore) RegisterDelete(tx *txn.Txn, tbl *storage.Table, rid storage.Rec
 // Commit installs the write set. Nothing can fail and nothing is released:
 // the transaction ran conflict-free by plan. tx.ID is left untouched — the
 // deterministic executor assigns replay-ordered commit IDs before calling
-// Commit, so qstore must not overwrite them (it is deliberately not a
-// HookedCommitter).
+// Commit, so qstore must not overwrite them.
 //
 //next700:hotpath
 func (q *qstore) Commit(tx *txn.Txn) error {

@@ -362,29 +362,22 @@ func (p *twoPL) RegisterDelete(tx *txn.Txn, tbl *storage.Table, rid storage.Reco
 }
 
 // Commit implements Protocol. SS2PL: by this point every access is locked,
-// so installation cannot fail.
+// so installation cannot fail. tx.ID is drawn after every write is installed
+// and before any lock is released, so conflicting transactions' IDs follow
+// their serialization order, which value-log replay relies on.
 //
 // Allocation budget: zero steady-state for all three variants — images
 // install in place under the held exclusive locks, and each lockState's
 // reader/waiter slices grow to a contention high-water mark on first use,
 // then are reused. Pinned by bench/alloc_test.go.
 func (p *twoPL) Commit(tx *txn.Txn) error {
-	return p.CommitHooked(tx, nil)
-}
-
-// CommitHooked implements HookedCommitter: beforeRelease runs after all
-// writes are installed but before any lock is released, giving the engine a
-// point where a commit sequence number reflects the serialization order.
-func (p *twoPL) CommitHooked(tx *txn.Txn, beforeRelease func()) error {
 	for i := range tx.Accesses {
 		a := &tx.Accesses[i]
 		if a.Kind != txn.KindRead {
 			applyWrite(a)
 		}
 	}
-	if beforeRelease != nil {
-		beforeRelease()
-	}
+	tx.ID = p.env.TS.Next()
 	p.releaseAll(tx)
 	return nil
 }

@@ -22,9 +22,11 @@ import (
 //     never leave a partial object under the final name.
 //   - SaveManifest is atomic with history: a failed or torn save must leave
 //     the previously saved manifest loadable (LoadManifest falls back).
-//   - OpenSegment on a never-written or missing segment may fail; recovery
-//     treats a missing segment as empty (the create-then-publish crash
-//     window leaves exactly that state).
+//   - OpenCheckpoint and OpenSegment on an object the store does not have
+//     return an error satisfying errors.Is(err, fs.ErrNotExist). Recovery
+//     reads only such a segment as empty (the create-then-publish crash
+//     window leaves exactly that state); any other OpenSegment error fails
+//     it.
 type CheckpointStore interface {
 	// WriteCheckpoint atomically creates the named checkpoint object with
 	// the bytes produced by write.

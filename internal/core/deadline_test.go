@@ -42,16 +42,7 @@ func withEngine(t *testing.T, cfg Config, fn func(e *Engine)) {
 // with the deadline class close to the deadline, under every protocol.
 func TestDeadlineBoundsRetryBackoff(t *testing.T) {
 	forAllProtocols(t, func(t *testing.T, protocol string) {
-		withEngine(t, Config{
-			Protocol: protocol,
-			Threads:  1,
-			Retry: RetryPolicy{
-				MaxAttempts:  1 << 30,
-				SpinAttempts: 1,
-				BaseDelay:    2 * time.Millisecond,
-				MaxDelay:     8 * time.Millisecond,
-			},
-		}, func(e *Engine) {
+		withEngine(t, Config{Protocol: protocol, Threads: 1}, func(e *Engine) {
 			tx := e.NewTx(0, 1)
 			const deadline = 50 * time.Millisecond
 			tx.SetDeadlineAfter(deadline)

@@ -288,9 +288,8 @@ func (x *DetExecutor) prefetchAhead(q []det.Op, i int) {
 }
 
 // commitFragment is Tx.publish with the replay-ordered deterministic commit
-// ID in place of a timestamp draw (QSTORE is deliberately not a
-// HookedCommitter, so publish leaves the ID alone): the durability wait is
-// deferred to the batch seal in ExecuteBatch.
+// ID in place of a timestamp draw (QSTORE's Commit leaves the ID alone): the
+// durability wait is deferred to the batch seal in ExecuteBatch.
 //
 //next700:hotpath
 func (x *DetExecutor) commitFragment(t *Tx, p int, id uint64) error {

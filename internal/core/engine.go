@@ -77,9 +77,6 @@ type Config struct {
 	// quarantined as if its device had errored. Zero disables stall
 	// escalation.
 	QuarantineStall time.Duration
-	// Retry bounds Tx.Run's transient-abort retry loop and its jittered
-	// exponential backoff; zero fields select defaults (see RetryPolicy).
-	Retry RetryPolicy
 }
 
 // normalize fills defaults and validates.
@@ -93,7 +90,6 @@ func (c *Config) normalize() error {
 	if c.Partitions <= 0 {
 		c.Partitions = c.Threads
 	}
-	c.Retry = c.Retry.normalized()
 	if c.LogMode == wal.ModeNone {
 		if c.WALStreams > 1 {
 			return fmt.Errorf("core: WALStreams requires a logging mode: %w", ErrInvalidUsage)

@@ -114,39 +114,25 @@ func TestFatalAbortAccounting(t *testing.T) {
 	}
 }
 
-func TestRetryPolicyDefaults(t *testing.T) {
-	p := RetryPolicy{}.normalized()
-	if p.MaxAttempts != defaultMaxAttempts || p.SpinAttempts != defaultSpinAttempts ||
-		p.BaseDelay != defaultBaseDelay || p.MaxDelay != defaultMaxDelay {
-		t.Fatalf("normalized zero policy = %+v", p)
-	}
-	// Inverted bounds are repaired.
-	p = RetryPolicy{BaseDelay: time.Millisecond, MaxDelay: time.Microsecond}.normalized()
-	if p.MaxDelay != p.BaseDelay {
-		t.Fatalf("MaxDelay %v < BaseDelay %v after normalize", p.MaxDelay, p.BaseDelay)
-	}
-}
-
 func TestRetryPolicyDelay(t *testing.T) {
-	p := RetryPolicy{SpinAttempts: 2, BaseDelay: time.Microsecond, MaxDelay: 8 * time.Microsecond}.normalized()
 	rng := xrand.New(7)
 	// Spin attempts sleep zero.
-	for a := 1; a <= 2; a++ {
-		if d := p.Delay(rng, a); d != 0 {
+	for a := 1; a <= retrySpinAttempts; a++ {
+		if d := retryDelay(rng, a); d != 0 {
 			t.Fatalf("attempt %d delay %v, want 0", a, d)
 		}
 	}
-	// The jitter ceiling doubles per attempt and is capped at MaxDelay,
-	// including far past any representable shift.
-	for a := 3; a < 70; a++ {
-		ceil := p.MaxDelay
-		if shift := a - p.SpinAttempts - 1; shift < 30 {
-			if c := p.BaseDelay << uint(shift); c < ceil {
+	// The jitter ceiling doubles per attempt and is capped at
+	// retryMaxDelay, including far past any representable shift.
+	for a := retrySpinAttempts + 1; a < 70; a++ {
+		ceil := retryMaxDelay
+		if shift := a - retrySpinAttempts - 1; shift < 30 {
+			if c := retryBaseDelay << uint(shift); c < ceil {
 				ceil = c
 			}
 		}
 		for i := 0; i < 50; i++ {
-			if d := p.Delay(rng, a); d < 0 || d >= ceil {
+			if d := retryDelay(rng, a); d < 0 || d >= ceil {
 				t.Fatalf("attempt %d delay %v outside [0, %v)", a, d, ceil)
 			}
 		}
@@ -154,7 +140,7 @@ func TestRetryPolicyDelay(t *testing.T) {
 	// Deterministic given the RNG seed.
 	a, b := xrand.New(42), xrand.New(42)
 	for i := 1; i < 32; i++ {
-		if p.Delay(a, i) != p.Delay(b, i) {
+		if retryDelay(a, i) != retryDelay(b, i) {
 			t.Fatalf("delay diverged at attempt %d", i)
 		}
 	}
@@ -163,12 +149,11 @@ func TestRetryPolicyDelay(t *testing.T) {
 // TestRetryDelayAllocFree: computing a backoff must not allocate — the
 // retry loop runs on the transaction hot path.
 func TestRetryDelayAllocFree(t *testing.T) {
-	p := RetryPolicy{}.normalized()
 	rng := xrand.New(1)
 	attempt := 0
 	allocs := testing.AllocsPerRun(1000, func() {
 		attempt++
-		_ = p.Delay(rng, attempt%64+1)
+		_ = retryDelay(rng, attempt%64+1)
 	})
 	if allocs != 0 {
 		t.Fatalf("Delay allocates %.1f per call, want 0", allocs)

@@ -562,6 +562,84 @@ func TestReadmittedCommitSurvivesCrash(t *testing.T) {
 	}
 }
 
+// unreadableSegmentStore is a store whose segment name fails to open with an
+// I/O error, not fs.ErrNotExist: the segment exists and may hold
+// acknowledged commits, but it cannot be read.
+type unreadableSegmentStore struct {
+	CheckpointStore
+	name string
+}
+
+var errSegmentIO = errors.New("segment: input/output error")
+
+func (s unreadableSegmentStore) OpenSegment(name string) (io.ReadCloser, error) {
+	if name == s.name {
+		return nil, errSegmentIO
+	}
+	return s.CheckpointStore.OpenSegment(name)
+}
+
+// TestRecoveryFailsOnUnreadableSegment: only a segment the store does not
+// have reads as an empty stream. A segment that fails to open for any other
+// reason fails the recovery — whole engine and one partition alike — rather
+// than recovering without the acknowledged commits it holds.
+func TestRecoveryFailsOnUnreadableSegment(t *testing.T) {
+	// setup commits to every key of two partitions over a fresh store and
+	// returns the name of partition 1's segment.
+	setup := func(t *testing.T) (*Engine, *fault.MemStore, *LogAttachment, *Table, string) {
+		store := fault.NewMemStore(fault.StoreChaos{Seed: 11})
+		att, err := InitCheckpointLog(store, 2, wal.ModeValue)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, tbl := partOpen(t, att, 2, 8, nil)
+		tx := e.NewTx(0, 3)
+		for k := uint64(0); k < 8; k++ {
+			if err := setKey(tx, tbl, k, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m, _, err := store.LoadManifest()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sg := range m.Segments {
+			if sg.Stream == 1 {
+				return e, store, att, tbl, sg.Name
+			}
+		}
+		t.Fatal("manifest names no segment of stream 1")
+		return nil, nil, nil, nil, ""
+	}
+	t.Run("RecoverFromStore", func(t *testing.T) {
+		e, store, _, _, name := setup(t)
+		s2 := crash(t, e, store)
+		att, err := AttachCheckpointLog(s2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e2, tbl2 := partOpen(t, att, 2, 0, nil)
+		_, err = e2.RecoverFromStore(unreadableSegmentStore{s2, name}, att, partZeroLoad(e2, tbl2, 2, 8, -1))
+		if !errors.Is(err, errSegmentIO) {
+			t.Fatalf("recovery over an unreadable segment: err = %v, want %v", err, errSegmentIO)
+		}
+	})
+	t.Run("RecoverPartition", func(t *testing.T) {
+		e, store, att, tbl, name := setup(t)
+		ck, err := e.NewCheckpointer(unreadableSegmentStore{store, name}, 2, att.Devices)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.QuarantinePartition(1); err != nil {
+			t.Fatal(err)
+		}
+		_, err = ck.RecoverPartition(1, partZeroLoad(e, tbl, 2, 8, 1))
+		if !errors.Is(err, errSegmentIO) {
+			t.Fatalf("partition recovery over an unreadable segment: err = %v, want %v", err, errSegmentIO)
+		}
+	})
+}
+
 // TestFallbackAfterPartitionRecovery: after a partition recovery and one more
 // cycle, a corrupt newest slice of that partition falls back to a tail that
 // still holds the window between the readmission and the rotation.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"sort"
 
 	"next700/internal/wal"
@@ -407,10 +408,12 @@ func (e *Engine) installBase(base []sliceBase, load func() error, rs *RecoverySt
 // that would otherwise sit mid-stream, where the scanner treats it as hard
 // corruption) and, for segments a previous recovery or checkpoint sealed,
 // frames above the sealing epoch are dropped — the durable form of that
-// pass's truncation decision. Segments published but never written (a crash
-// between publication and first append, or an attachment's own siblings in a
-// chained recovery) read as empty. The torn tails trimmed off active segments
-// count into rs.TornBytes.
+// pass's truncation decision. A segment the store does not have
+// (fs.ErrNotExist: published but never written — a crash between publication
+// and first append, or an attachment's own siblings in a chained recovery)
+// reads as empty; any other error opening one fails the recovery, because
+// the segment may hold acknowledged commits. The torn tails trimmed off
+// active segments count into rs.TornBytes.
 func streamImage(store CheckpointStore, m *wal.Manifest, stream int, rs *RecoveryStats) ([]byte, error) {
 	var image []byte
 	for _, sg := range m.Segments {
@@ -418,8 +421,11 @@ func streamImage(store CheckpointStore, m *wal.Manifest, stream int, rs *Recover
 			continue
 		}
 		rc, err := store.OpenSegment(sg.Name)
+		if errors.Is(err, fs.ErrNotExist) {
+			continue
+		}
 		if err != nil {
-			continue // a missing segment contributes an empty stream
+			return nil, fmt.Errorf("core: recovery segment %s: %w", sg.Name, err)
 		}
 		data, err := io.ReadAll(rc)
 		rc.Close()

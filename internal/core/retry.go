@@ -6,70 +6,33 @@ import (
 	"next700/internal/xrand"
 )
 
-// RetryPolicy bounds the transient-abort retry loop of Tx.Run: how many
-// times a conflicted transaction is re-executed and how long it backs off
-// between attempts. Backoff is bounded exponential with full jitter — the
-// ceiling doubles per sleeping retry up to MaxDelay and the actual sleep is
-// uniform in [0, ceiling) — drawn from the worker's deterministic RNG so a
-// seeded run replays the same backoff schedule. Computing a delay performs
-// no heap allocation; with the zero (default) policy the first few retries
-// only yield the processor, keeping backoff entirely off the fast path.
-type RetryPolicy struct {
-	// MaxAttempts bounds total attempts before Run gives up with a livelock
-	// error. <= 0 selects the default (1<<20).
-	MaxAttempts int
-	// SpinAttempts is the number of leading retries that only yield the
-	// processor without sleeping: short conflicts usually clear immediately
-	// and a timer would overshoot. <= 0 selects the default (4).
-	SpinAttempts int
-	// BaseDelay is the jitter ceiling of the first sleeping retry.
-	// <= 0 selects the default (2µs).
-	BaseDelay time.Duration
-	// MaxDelay caps the exponential ceiling. <= 0 selects the default (4ms).
-	MaxDelay time.Duration
-}
-
-// Retry policy defaults; see RetryPolicy field docs.
+// Tx.Run's transient-abort retry schedule. Backoff is bounded exponential
+// with full jitter — the ceiling doubles per sleeping retry up to
+// retryMaxDelay and the actual sleep is uniform in [0, ceiling) — drawn from
+// the worker's deterministic RNG so a seeded run replays the same backoff
+// schedule. The first retrySpinAttempts retries only yield the processor:
+// short conflicts usually clear immediately and a timer would overshoot, so
+// backoff stays off the fast path. A transaction that has not committed
+// after retryMaxAttempts attempts fails with ErrLivelock.
 const (
-	defaultMaxAttempts  = 1 << 20
-	defaultSpinAttempts = 4
-	defaultBaseDelay    = 2 * time.Microsecond
-	defaultMaxDelay     = 4 * time.Millisecond
+	retryMaxAttempts  = 1 << 20
+	retrySpinAttempts = 4
+	retryBaseDelay    = 2 * time.Microsecond
+	retryMaxDelay     = 4 * time.Millisecond
 )
 
-// normalized fills zero fields with defaults and repairs inverted bounds.
-func (p RetryPolicy) normalized() RetryPolicy {
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = defaultMaxAttempts
-	}
-	if p.SpinAttempts <= 0 {
-		p.SpinAttempts = defaultSpinAttempts
-	}
-	if p.BaseDelay <= 0 {
-		p.BaseDelay = defaultBaseDelay
-	}
-	if p.MaxDelay <= 0 {
-		p.MaxDelay = defaultMaxDelay
-	}
-	if p.MaxDelay < p.BaseDelay {
-		p.MaxDelay = p.BaseDelay
-	}
-	return p
-}
-
-// Delay returns the jittered backoff before retry attempt (1-based: the
-// first retry is attempt 1). Attempts up to SpinAttempts sleep zero. The
-// policy must be normalized (engine configs are normalized in Open).
-func (p *RetryPolicy) Delay(rng *xrand.RNG, attempt int) time.Duration {
-	shift := attempt - p.SpinAttempts - 1
+// retryDelay returns the jittered backoff before retry attempt (1-based: the
+// first retry is attempt 1). Spin attempts sleep zero. It allocates nothing.
+func retryDelay(rng *xrand.RNG, attempt int) time.Duration {
+	shift := attempt - retrySpinAttempts - 1
 	if shift < 0 {
 		return 0
 	}
-	ceiling := p.MaxDelay
-	// 2^shift would overflow long before 63; past 30 doublings any sane
-	// BaseDelay has hit the cap.
+	ceiling := retryMaxDelay
+	// 2^shift would overflow long before 63; past 30 doublings the base
+	// has hit the cap.
 	if shift < 30 {
-		if c := p.BaseDelay << uint(shift); c < ceiling {
+		if c := retryBaseDelay << uint(shift); c < ceiling {
 			ceiling = c
 		}
 	}

@@ -33,10 +33,6 @@ type Tx struct {
 	// logRec is the reusable commit record; its Entries slice keeps its
 	// capacity across transactions so value logging allocates nothing.
 	logRec wal.CommitRecord
-	// seqHook is the pre-built commit-sequence-number closure handed to
-	// HookedCommitter protocols; building it once per context keeps the
-	// logging commit path allocation-free.
-	seqHook func()
 	// logStream is this worker's log stream (threadID modulo the stream
 	// count), held as the one-element stream list thread-affinity commits
 	// append to and wait on.
@@ -73,11 +69,6 @@ func (e *Engine) NewTx(threadID int, seed uint64) *Tx {
 		t.scanKeys = append(t.scanKeys, key)
 		t.scanRIDs = append(t.scanRIDs, rid)
 		return len(t.scanKeys) < scanChunk
-	}
-	t.seqHook = func() {
-		// Draw the commit sequence number while writes are still
-		// protected: log replay orders entries by it.
-		t.inner.ID = e.env.TS.Next()
 	}
 	if e.logs != nil && threadID > 0 {
 		t.logStream[0] = threadID % e.logs.NumStreams()
@@ -408,7 +399,7 @@ func (t *Tx) ScanIndex(tbl *Table, indexName string, lo, hi uint64, desc bool,
 }
 
 // ErrLivelock is returned by Run when a transaction exhausts the retry
-// policy's attempt budget without committing.
+// schedule's attempt budget without committing.
 var ErrLivelock = errors.New("core: transaction livelocked")
 
 // ErrInvalidUsage is the API-misuse class: statement- or setup-level errors
@@ -432,9 +423,9 @@ var errInsertSize = fmt.Errorf("core: insert row size mismatch: %w", ErrInvalidU
 var ErrDeadlineExceeded = txn.ErrDeadlineExceeded
 
 // Run executes body as a transaction, retrying transient (conflict) aborts
-// under the engine's RetryPolicy with bounded exponential backoff and full
-// jitter. Non-transient errors — user aborts, application errors, sticky
-// log failure — abort cleanly without retry and are returned. Abort classes
+// with a fixed bounded-exponential backoff and full jitter (retryDelay).
+// Non-transient errors — user aborts, application errors, sticky log
+// failure — abort cleanly without retry and are returned. Abort classes
 // are accounted separately: Counter.Aborts counts retried transient aborts,
 // UserAborts and FatalAborts the terminal ones.
 func (t *Tx) Run(body func(tx *Tx) error) error {
@@ -454,11 +445,10 @@ func (t *Tx) RunProc(procID int32, params []byte) error {
 func (t *Tx) run(body func(tx *Tx) error, procID int32, params []byte) error {
 	e := t.eng
 	inner := t.inner
-	pol := &e.cfg.Retry
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
 			runtime.Gosched()
-			if d := pol.Delay(inner.RNG, attempt); d > 0 {
+			if d := retryDelay(inner.RNG, attempt); d > 0 {
 				// Backoff is charged against the deadline budget: a sleep
 				// that would end at or past the deadline is not taken at
 				// all, because the retry it precedes could never finish in
@@ -470,7 +460,7 @@ func (t *Tx) run(body func(tx *Tx) error, procID int32, params []byte) error {
 				}
 				time.Sleep(d)
 			}
-			if attempt >= pol.MaxAttempts {
+			if attempt >= retryMaxAttempts {
 				return ErrLivelock
 			}
 		}
@@ -628,12 +618,7 @@ func (t *Tx) publish(procID int32, params []byte) (committed bool, epoch uint64,
 		}
 	}
 
-	if hooked, ok := e.proto.(cc.HookedCommitter); ok {
-		err = hooked.CommitHooked(inner, t.seqHook)
-	} else {
-		err = e.proto.Commit(inner)
-	}
-	if err != nil {
+	if err = e.proto.Commit(inner); err != nil {
 		t.retractInserts()
 		return false, 0, err
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"io/fs"
 	"sort"
 	"sync"
 
@@ -144,7 +145,7 @@ func (s *MemStore) OpenCheckpoint(name string) (io.ReadCloser, error) {
 	defer s.mu.Unlock()
 	data, ok := s.checkpoints[name]
 	if !ok {
-		return nil, fmt.Errorf("fault: no checkpoint %q", name)
+		return nil, fmt.Errorf("fault: no checkpoint %q: %w", name, fs.ErrNotExist)
 	}
 	return io.NopCloser(bytes.NewReader(data)), nil
 }
@@ -180,7 +181,7 @@ func (s *MemStore) OpenSegment(name string) (io.ReadCloser, error) {
 	defer s.mu.Unlock()
 	d, ok := s.segments[name]
 	if !ok {
-		return nil, fmt.Errorf("fault: no segment %q", name)
+		return nil, fmt.Errorf("fault: no segment %q: %w", name, fs.ErrNotExist)
 	}
 	return io.NopCloser(bytes.NewReader(d.Bytes())), nil
 }

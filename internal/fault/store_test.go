@@ -3,6 +3,7 @@ package fault
 import (
 	"errors"
 	"io"
+	"io/fs"
 	"testing"
 
 	"next700/internal/wal"
@@ -163,5 +164,18 @@ func TestMemStoreRearmCountsFromTheCall(t *testing.T) {
 	}
 	if err := s.SaveManifest(storeManifest(1)); !errors.Is(err, ErrCrashed) || !s.Crashed() {
 		t.Fatalf("op 2 since the rearm must crash: %v", err)
+	}
+}
+
+// TestMemStoreMissingObjectIsNotExist: opening an object the store does not
+// have fails with fs.ErrNotExist, as on a directory store — recovery reads
+// only that error as an empty segment.
+func TestMemStoreMissingObjectIsNotExist(t *testing.T) {
+	s := NewMemStore(StoreChaos{})
+	if _, err := s.OpenSegment("seg-000000-0"); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("OpenSegment of a missing segment: %v, want fs.ErrNotExist", err)
+	}
+	if _, err := s.OpenCheckpoint("ckpt-000001-p0"); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("OpenCheckpoint of a missing object: %v, want fs.ErrNotExist", err)
 	}
 }

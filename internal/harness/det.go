@@ -21,8 +21,8 @@ type DetBatchObserver interface {
 }
 
 // DetOptions is what only the deterministic executor needs; everything else
-// — Seed, Verify, MeasureAllocs, OfferedRate, Duration, GoodputWindow, the
-// queue disciplines — is the RunOptions every run takes.
+// — Seed, Verify, MeasureAllocs, OfferedRate, Duration, GoodputWindow — is
+// the RunOptions every run takes.
 type DetOptions struct {
 	// Batch is the number of transactions sequenced into each batch
 	// (default 64).
@@ -32,12 +32,13 @@ type DetOptions struct {
 	Batches int
 	// WarmupBatches are executed before measurement starts.
 	WarmupBatches int
-	// MaxBatchDelay bounds batching delay in open-loop mode: the sequencer
-	// cuts a batch when it reaches Batch transactions or when its oldest
-	// arrival has waited this long (default 5ms). A closed loop never waits
-	// for an arrival, so there every batch is cut full.
-	MaxBatchDelay time.Duration
 }
+
+// maxBatchDelay bounds batching delay in open-loop mode: the sequencer cuts a
+// batch when it reaches DetOptions.Batch transactions or when its oldest
+// arrival has waited this long. A closed loop never waits for an arrival, so
+// there every batch is cut full.
+const maxBatchDelay = int64(5 * time.Millisecond)
 
 // RunDet opens a QSTORE engine with cfg, sets up wl, and drives it through
 // the deterministic queue-oriented executor: one sequencer worker plans the
@@ -61,9 +62,6 @@ func RunDet(cfg core.Config, wl workload.DeclaredAccess, opts RunOptions, dopts 
 	if dopts.Batches <= 0 {
 		dopts.Batches = 64
 	}
-	if dopts.MaxBatchDelay <= 0 {
-		dopts.MaxBatchDelay = 5 * time.Millisecond
-	}
 	cfg.Protocol = "QSTORE"
 	if cfg.Partitions <= 0 {
 		cfg.Partitions = 1
@@ -84,7 +82,6 @@ func RunDet(cfg core.Config, wl workload.DeclaredAccess, opts RunOptions, dopts 
 			pl:          det.NewPlanner(x.Parts(), nil),
 			txns:        make([]det.TxnPlan, dopts.Batch),
 			at:          make([]int64, dopts.Batch),
-			maxDelay:    int64(dopts.MaxBatchDelay),
 			warmBatches: dopts.WarmupBatches,
 		}
 		s.obs, _ = wl.(DetBatchObserver)
@@ -115,7 +112,6 @@ type detExec struct {
 	n    int     // transactions planned into the open batch
 	busy int64   // ns spent planning the open batch
 
-	maxDelay    int64
 	warmBatches int
 }
 
@@ -151,7 +147,7 @@ func (s *detExec) exec(at, now int64, c *collector) (int64, error) {
 	if at != 0 {
 		s.plan(at, now)
 		if s.n < len(s.txns) {
-			return s.at[0] + s.maxDelay, nil
+			return s.at[0] + maxBatchDelay, nil
 		}
 	}
 	return 0, s.cut(c)

@@ -71,7 +71,7 @@ func TestRunDetDigestAcrossWorkers(t *testing.T) {
 func TestRunDetOpenLoop(t *testing.T) {
 	res, err := RunDet(core.Config{Partitions: 2}, detYCSB(),
 		RunOptions{Seed: 3, OfferedRate: 4000, Duration: 250 * time.Millisecond},
-		DetOptions{Batch: 16, MaxBatchDelay: 2 * time.Millisecond})
+		DetOptions{Batch: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -162,9 +162,9 @@ type load struct {
 	// count, when > 0, closes the loop after that many arrivals per worker
 	// instead of after opts.Duration.
 	count int
-	// ctrls are the admission controllers the executors gate through (nil
-	// without admission); the driver samples them into the timeline.
-	ctrls []*admission.Controller
+	// ctrl is the admission controller the executors gate through (nil
+	// without admission); the driver samples it into the timeline.
+	ctrl *admission.Controller
 }
 
 // drive measures ld against an already set-up engine: every worker warms
@@ -189,7 +189,7 @@ func drive(e *core.Engine, ld load, opts RunOptions) (Result, error) {
 		if qcap > maxArrivalQueue {
 			qcap = maxArrivalQueue
 		}
-		queue = newArrivalQueue(qcap, opts.QueueLIFOAge, opts.QueueCoDelTarget, opts.QueueCoDelInterval)
+		queue = newArrivalQueue(qcap)
 	}
 	timed := queue != nil || ld.count <= 0 // the window ends at opts.Duration
 	cols := make([]*collector, workers)
@@ -250,8 +250,8 @@ func drive(e *core.Engine, ld load, opts RunOptions) (Result, error) {
 	close(begin)
 
 	var timeline func() []AdmissionSample
-	if len(ld.ctrls) > 0 {
-		timeline = sampleAdmission(ld.ctrls, opts, start)
+	if ld.ctrl != nil {
+		timeline = sampleAdmission(ld.ctrl, opts.Duration, start)
 	}
 	var generated uint64
 	var gen sync.WaitGroup
@@ -309,12 +309,10 @@ func drive(e *core.Engine, ld load, opts RunOptions) (Result, error) {
 		Latency:         svc.Summarize(),
 	}
 	if queue != nil {
-		remaining, dropped, overflow, lifoServed := queue.stats()
+		remaining, overflow := queue.stats()
 		res.Offered = opts.OfferedRate
 		res.Arrivals = generated
 		res.Backlog = uint64(remaining) + overflow + backlog
-		res.QueueDropped = dropped
-		res.QueueLIFOServed = lifoServed
 		res.QueueLatency = queueH.Summarize()
 		res.E2ELatency = e2e.Summarize()
 	}
@@ -324,70 +322,23 @@ func drive(e *core.Engine, ld load, opts RunOptions) (Result, error) {
 	}
 	if timeline != nil {
 		res.AdmissionTimeline = timeline()
-		for _, c := range ld.ctrls {
-			res.AdmissionLimit += c.Limit()
-		}
-		if opts.AdmissionPerPartition {
-			res.AdmissionLimits = make([]int, len(ld.ctrls))
-			for i, c := range ld.ctrls {
-				res.AdmissionLimits[i] = c.Limit()
-			}
-		}
+		res.AdmissionLimit = ld.ctrl.Limit()
 	}
 	return res, firstErr
 }
 
-// newControllers builds the run's admission controllers: one by default; one
-// per engine partition when AdmissionPerPartition is on. A worker gates
-// through the controller of its home partition (id mod partitions —
-// matching PartitionLocal workload affinity), so a hot partition's AIMD
-// limit decays without choking admissions to the cold ones.
-func newControllers(e *core.Engine, opts RunOptions) []*admission.Controller {
-	if opts.Admission == nil {
-		return nil
-	}
-	n := 1
-	if p := e.Config().Partitions; opts.AdmissionPerPartition && p > 1 {
-		n = p
-	}
-	ctrls := make([]*admission.Controller, n)
-	for i := range ctrls {
-		ctrls[i] = admission.New(*opts.Admission)
-	}
-	return ctrls
-}
-
-// sampleAdmission turns the controllers' Snapshots into a per-interval
-// timeline: AIMD limit and latency EWMA at each instant, plus the shed rate
-// within each interval (delta-based, so a burst of early shedding does not
-// mask late-run health). With per-partition controllers the timeline
-// aggregates: limits, in-flight, and counts sum across partitions; the EWMA
-// reported is the worst (highest) partition's — the one actually steering
-// shed decisions somewhere. The returned function ends the sampling with a
-// closing sample — the operating point the controllers converged to — and
-// returns the timeline.
-func sampleAdmission(ctrls []*admission.Controller, opts RunOptions, start time.Time) func() []AdmissionSample {
-	every := opts.AdmissionSampleEvery
-	if every <= 0 {
-		every = opts.Duration / 16
-	}
-	if every < time.Millisecond {
-		every = time.Millisecond
-	}
+// sampleAdmission turns the controller's Snapshots into a timeline of one
+// sample per sixteenth of the run (at least 1ms apart): AIMD limit and
+// latency EWMA at each instant, plus the shed rate within each interval
+// (delta-based, so a burst of early shedding does not mask late-run health).
+// The returned function ends the sampling with a closing sample — the
+// operating point the controller converged to — and returns the timeline.
+func sampleAdmission(ctrl *admission.Controller, d time.Duration, start time.Time) func() []AdmissionSample {
+	every := max(d/16, time.Millisecond)
 	var timeline []AdmissionSample
 	var prev admission.Stats
 	sample := func() {
-		var s admission.Stats
-		for _, c := range ctrls {
-			cs := c.Snapshot()
-			s.Limit += cs.Limit
-			s.InFlight += cs.InFlight
-			s.Admitted += cs.Admitted
-			s.Shed += cs.Shed
-			if cs.LatencyEWMA > s.LatencyEWMA {
-				s.LatencyEWMA = cs.LatencyEWMA
-			}
-		}
+		s := ctrl.Snapshot()
 		dAdmitted, dShed := s.Admitted-prev.Admitted, s.Shed-prev.Shed
 		rate := 0.0
 		if dAdmitted+dShed > 0 {

@@ -25,7 +25,7 @@ func TestDriveProduct(t *testing.T) {
 	}
 	deterministic := func(opts RunOptions) (Result, error) {
 		return RunDet(core.Config{Partitions: 2}, ycsb(), opts,
-			DetOptions{Batch: 16, Batches: 20, WarmupBatches: 2, MaxBatchDelay: 2 * time.Millisecond})
+			DetOptions{Batch: 16, Batches: 20, WarmupBatches: 2})
 	}
 	closed := RunOptions{Seed: 11, MeasureAllocs: true}
 	open := RunOptions{Seed: 11, MeasureAllocs: true, OfferedRate: 4000, Duration: 120 * time.Millisecond}
@@ -161,13 +161,13 @@ func TestDriveWarmupError(t *testing.T) {
 // TestQueueNextByDeadline: a bounded wait on an empty queue comes back at
 // the bound with no arrival; an arrival or a close ends it sooner.
 func TestQueueNextByDeadline(t *testing.T) {
-	q := newArrivalQueue(16, 0, 0, 0)
+	q := newArrivalQueue(16)
 	start := time.Now()
 	at, now, ok := q.next(start.Add(5 * time.Millisecond).UnixNano())
 	if !ok || at != 0 || now < start.Add(5*time.Millisecond).UnixNano() {
 		t.Fatalf("bounded wait on an empty queue: at=%d ok=%v after %v", at, ok, time.Since(start))
 	}
-	q.pushAt(42, 42)
+	q.push(42)
 	if at, _, ok := q.next(time.Now().Add(time.Hour).UnixNano()); !ok || at != 42 {
 		t.Fatalf("queued arrival not returned ahead of the bound: at=%d ok=%v", at, ok)
 	}

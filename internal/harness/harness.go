@@ -35,9 +35,6 @@ type RunOptions struct {
 	// cycle is forced before the window, so enable this only for allocation
 	// profiling, not latency measurement.
 	MeasureAllocs bool
-	// Retry overrides the engine's transient-abort retry/backoff policy
-	// (zero fields keep the engine defaults; see core.RetryPolicy).
-	Retry core.RetryPolicy
 	// Verify enables isolation-anomaly recording: the workload must
 	// implement verify.Recordable (the stamped verify.Probe does). A
 	// History is attached before setup, every committed and aborted attempt
@@ -70,40 +67,10 @@ type RunOptions struct {
 	// itself as the deadline commits mostly just-late work; enforcing at a
 	// fraction of the SLO leaves the survivors headroom to land inside it.
 	GoodputWindow time.Duration
-	// Admission, when non-nil, gates every transaction through an
+	// Admission, when non-nil, gates every transaction through one
 	// admission controller built from this config; rejected transactions
 	// count as ShedAborts and never touch the engine.
 	Admission *admission.Config
-	// AdmissionPerPartition splits admission control by home partition:
-	// instead of one global in-flight limit, every engine partition gets
-	// its own controller built from Admission, and a worker gates through
-	// the controller of its home partition (worker id mod partitions — the
-	// same affinity PartitionLocal workloads and the simulator use). A hot
-	// partition then sheds its own overload without the shared limit
-	// starving the cold ones; this is the natural shape for HSTORE, where
-	// the serializing resource is the partition, not the engine. Ignored
-	// unless Admission is set.
-	AdmissionPerPartition bool
-	// AdmissionSampleEvery is the sampling interval for the admission
-	// timeline recorded during runs with a controller; zero defaults to
-	// Duration/16. Each interval contributes one Result.AdmissionTimeline
-	// sample.
-	AdmissionSampleEvery time.Duration
-	// QueueLIFOAge, when > 0, turns on adaptive LIFO for the open-loop
-	// arrival queue: while the oldest waiting arrival is older than this,
-	// workers serve newest-first, so fresh arrivals that can still meet
-	// their deadline run instead of stale ones that will only age out.
-	// The queue reverts to FIFO as it drains. Zero keeps strict FIFO.
-	QueueLIFOAge time.Duration
-	// QueueCoDelTarget, when > 0, enables CoDel-style age dropping at
-	// enqueue: once the queue head stays older than the target for a full
-	// QueueCoDelInterval, the queue evicts its oldest entries at the CoDel
-	// control-law rate until the head age recovers. Evictions count in
-	// Result.QueueDropped and never reach a worker — shedding in the queue
-	// instead of the engine is what cuts shed work per good commit.
-	// QueueCoDelInterval defaults to 100ms.
-	QueueCoDelTarget   time.Duration
-	QueueCoDelInterval time.Duration
 }
 
 // AdmissionSample is one periodic observation of the admission controller
@@ -166,12 +133,6 @@ type Result struct {
 	// finished but missed the window. Both are set in closed-loop runs too.
 	Goodput     float64
 	LateCommits uint64
-	// QueueDropped counts arrivals the CoDel discipline evicted at enqueue
-	// (RunOptions.QueueCoDelTarget); QueueLIFOServed counts arrivals served
-	// newest-first under adaptive LIFO (RunOptions.QueueLIFOAge). Both are
-	// zero under the default FIFO discipline.
-	QueueDropped    uint64
-	QueueLIFOServed uint64
 	// QueueLatency is arrival → execution start for executed transactions;
 	// E2ELatency is arrival → completion for committed ones. Service
 	// latency stays in Latency.
@@ -179,18 +140,12 @@ type Result struct {
 	E2ELatency   stats.Summary
 	// AdmissionLimit is the controller's concurrency limit at the end of
 	// the run (0 = no controller) — under AIMD this is the operating point
-	// the controller converged to. With per-partition admission it is the
-	// sum over partitions.
+	// the controller converged to.
 	AdmissionLimit int
-	// AdmissionLimits are the per-partition limits at the end of the run,
-	// indexed by partition (set only when RunOptions.AdmissionPerPartition
-	// is on). Skew shows up here directly: a hot partition's AIMD limit
-	// decays while the cold partitions stay at their ceiling.
-	AdmissionLimits []int
 	// AdmissionTimeline traces the controller over the run: one sample per
-	// RunOptions.AdmissionSampleEvery plus a closing sample, capturing how
-	// the AIMD limit, the latency EWMA, and the shed rate evolved. Set only
-	// for runs with a controller configured.
+	// sixteenth of RunOptions.Duration (at least 1ms apart) plus a closing
+	// sample, capturing how the AIMD limit, the latency EWMA, and the shed
+	// rate evolved. Set only for runs with a controller configured.
 	AdmissionTimeline []AdmissionSample
 	// AllocsPerTxn / BytesPerTxn are heap allocations and bytes per
 	// committed transaction across the whole process during the measurement
@@ -225,16 +180,10 @@ func (r Result) Detail() string {
 	if r.Offered > 0 {
 		fmt.Fprintf(&b, "  open-loop: offered=%.0f/s arrivals=%d goodput=%.0f/s late=%d backlog=%d\n",
 			r.Offered, r.Arrivals, r.Goodput, r.LateCommits, r.Backlog)
-		if r.QueueDropped > 0 || r.QueueLIFOServed > 0 {
-			fmt.Fprintf(&b, "  queue discipline: codel_dropped=%d lifo_served=%d\n", r.QueueDropped, r.QueueLIFOServed)
-		}
 		fmt.Fprintf(&b, "  queue: %s\n  e2e:   %s\n", r.QueueLatency, r.E2ELatency)
 	}
 	if r.AdmissionLimit > 0 {
 		fmt.Fprintf(&b, "  admission limit: %d\n", r.AdmissionLimit)
-	}
-	if len(r.AdmissionLimits) > 0 {
-		fmt.Fprintf(&b, "  per-partition limits: %v\n", r.AdmissionLimits)
 	}
 	if r.AllocsPerTxn > 0 {
 		fmt.Fprintf(&b, "  allocs/txn=%.2f bytes/txn=%.1f\n", r.AllocsPerTxn, r.BytesPerTxn)
@@ -257,16 +206,15 @@ func Run(cfg core.Config, wl workload.Workload, opts RunOptions) (Result, error)
 		cfg.Threads = opts.Threads
 	}
 	return run(cfg, wl, opts, cfg.Threads, func(e *core.Engine) (load, func(), error) {
-		ld := load{count: opts.TxnsPerWorker, ctrls: newControllers(e, opts)}
+		ld := load{count: opts.TxnsPerWorker}
+		if opts.Admission != nil {
+			ld.ctrl = admission.New(*opts.Admission)
+		}
 		for id := 0; id < opts.Threads; id++ {
-			x := &txExec{
-				wl: wl, tx: e.NewTx(id, opts.Seed*1_000_003+uint64(id)+1),
+			ld.execs = append(ld.execs, &txExec{
+				wl: wl, tx: e.NewTx(id, opts.Seed*1_000_003+uint64(id)+1), ctrl: ld.ctrl,
 				warmup: opts.WarmupTxns, deadline: int64(opts.Deadline),
-			}
-			if len(ld.ctrls) > 0 {
-				x.ctrl = ld.ctrls[id%len(ld.ctrls)]
-			}
-			ld.execs = append(ld.execs, x)
+			})
 		}
 		return ld, func() {}, nil
 	})
@@ -288,9 +236,6 @@ func run(cfg core.Config, wl subject, opts RunOptions, histWorkers int,
 	build func(*core.Engine) (ld load, done func(), err error)) (Result, error) {
 	if opts.Duration <= 0 {
 		opts.Duration = time.Second
-	}
-	if opts.Retry != (core.RetryPolicy{}) {
-		cfg.Retry = opts.Retry
 	}
 	var hist *verify.History
 	rec, _ := wl.(verify.Recordable)

@@ -105,14 +105,13 @@ func TestAdmissionTimeline(t *testing.T) {
 	res, err := Run(core.Config{Protocol: "SILO"},
 		workload.NewYCSB(workload.YCSBConfig{Records: 1024, OpsPerTxn: 4}),
 		RunOptions{
-			Threads:              2,
-			Duration:             300 * time.Millisecond,
-			WarmupTxns:           20,
-			Seed:                 1,
-			OfferedRate:          2000,
-			Deadline:             20 * time.Millisecond,
-			Admission:            &admission.Config{MaxQueueWait: 10 * time.Millisecond},
-			AdmissionSampleEvery: 25 * time.Millisecond,
+			Threads:     2,
+			Duration:    300 * time.Millisecond,
+			WarmupTxns:  20,
+			Seed:        1,
+			OfferedRate: 2000,
+			Deadline:    20 * time.Millisecond,
+			Admission:   &admission.Config{MaxQueueWait: 10 * time.Millisecond},
 		})
 	if err != nil {
 		t.Fatal(err)
@@ -144,53 +143,5 @@ func TestAdmissionTimeline(t *testing.T) {
 	}
 	if final.Admitted == 0 {
 		t.Fatal("controller admitted nothing")
-	}
-}
-
-// TestAdmissionPerPartition runs HSTORE with one admission controller per
-// partition: every partition reports its own limit, the aggregate equals the
-// sum, and the partition-local workload still commits through its home
-// controller.
-func TestAdmissionPerPartition(t *testing.T) {
-	const parts = 4
-	res, err := Run(core.Config{Protocol: "HSTORE", Threads: parts, Partitions: parts},
-		workload.NewYCSB(workload.YCSBConfig{
-			Records: 1024, OpsPerTxn: 4, Partitions: parts, PartitionLocal: true,
-		}),
-		RunOptions{
-			Threads:               parts,
-			Duration:              300 * time.Millisecond,
-			WarmupTxns:            20,
-			Seed:                  1,
-			OfferedRate:           2000,
-			Deadline:              20 * time.Millisecond,
-			Admission:             &admission.Config{MaxQueueWait: 10 * time.Millisecond},
-			AdmissionPerPartition: true,
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Commits == 0 {
-		t.Fatal("no commits")
-	}
-	if len(res.AdmissionLimits) != parts {
-		t.Fatalf("AdmissionLimits has %d entries, want %d", len(res.AdmissionLimits), parts)
-	}
-	sum := 0
-	for p, l := range res.AdmissionLimits {
-		if l <= 0 {
-			t.Fatalf("partition %d limit = %d", p, l)
-		}
-		sum += l
-	}
-	if sum != res.AdmissionLimit {
-		t.Fatalf("sum of per-partition limits %d != AdmissionLimit %d", sum, res.AdmissionLimit)
-	}
-	if len(res.AdmissionTimeline) == 0 {
-		t.Fatal("no admission timeline with per-partition controllers")
-	}
-	// The closing aggregate sample agrees with the summed operating point.
-	if final := res.AdmissionTimeline[len(res.AdmissionTimeline)-1]; final.Limit != res.AdmissionLimit {
-		t.Fatalf("closing sample limit %d != AdmissionLimit %d", final.Limit, res.AdmissionLimit)
 	}
 }

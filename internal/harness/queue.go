@@ -9,31 +9,8 @@ import (
 	"next700/internal/xrand"
 )
 
-// arrivalQueue is the open-loop arrival buffer with a pluggable discipline.
-// The default is the classic bounded FIFO. Two overload disciplines can be
-// layered on, both standard results from datacenter queueing practice:
-//
-//   - Adaptive LIFO (lifoAge > 0): while the queue is congested — the
-//     oldest waiting arrival is older than lifoAge — workers serve
-//     newest-first. Under sustained overload a FIFO serves every entry
-//     right at the age-out edge and goodput collapses to zero even though
-//     the engine is saturated with work; LIFO serves fresh arrivals that
-//     can still meet their deadline and lets the stale ones age out
-//     unexecuted. When the queue drains below the threshold the discipline
-//     reverts to FIFO, so an uncongested run is byte-for-byte unchanged.
-//
-//   - CoDel-style age dropping at enqueue (codelTarget > 0): the queue
-//     tracks how long the head has continuously exceeded the target age;
-//     once that persists for a full interval it enters a dropping state and
-//     evicts the head at enqueue time, at the CoDel control-law rate
-//     (interval / sqrt(drops)), until the head age dips back under the
-//     target. Dropping at enqueue means a doomed arrival is shed before a
-//     worker spends scheduling work on it — the difference between
-//     shedding in the queue and shedding in the engine is the shed work
-//     per good commit.
-//
-// All methods taking an explicit now are deterministic and unit-testable;
-// next wraps them with the real clock.
+// arrivalQueue is the open-loop arrival buffer: a bounded FIFO of arrival
+// stamps that workers drain through next.
 type arrivalQueue struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -42,48 +19,23 @@ type arrivalQueue struct {
 	cap    int
 	closed bool
 
-	lifoAge       time.Duration
-	codelTarget   time.Duration
-	codelInterval time.Duration
-
-	// CoDel state machine.
-	firstAbove int64 // when the head age first stayed above target (0 = below)
-	dropping   bool
-	dropNext   int64
-	dropCount  int
-
-	// Discipline accounting.
-	dropped  uint64 // CoDel evictions at enqueue
 	overflow uint64 // bounded-capacity rejections
-	lifoPops uint64 // pops served newest-first
 }
 
-func newArrivalQueue(capacity int, lifoAge, codelTarget, codelInterval time.Duration) *arrivalQueue {
-	if codelTarget > 0 && codelInterval <= 0 {
-		codelInterval = 100 * time.Millisecond // the CoDel paper's default RTT-scale window
-	}
-	q := &arrivalQueue{
-		cap:           capacity,
-		lifoAge:       lifoAge,
-		codelTarget:   codelTarget,
-		codelInterval: codelInterval,
-	}
+func newArrivalQueue(capacity int) *arrivalQueue {
+	q := &arrivalQueue{cap: capacity}
 	q.cond = sync.NewCond(&q.mu)
 	return q
 }
 
 func (q *arrivalQueue) size() int { return len(q.buf) - q.head }
 
-// pushAt offers one arrival at time now. CoDel evictions happen here, on
-// the oldest entries, before the capacity check.
-func (q *arrivalQueue) pushAt(ts, now int64) {
+// push offers one arrival stamped ts; a full or closed queue refuses it.
+func (q *arrivalQueue) push(ts int64) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
 		return
-	}
-	if q.codelTarget > 0 {
-		q.codelDrop(now)
 	}
 	if q.size() >= q.cap {
 		q.overflow++
@@ -91,42 +43,6 @@ func (q *arrivalQueue) pushAt(ts, now int64) {
 	}
 	q.buf = append(q.buf, ts)
 	q.cond.Signal()
-}
-
-// codelDrop runs the CoDel control law against the head age, with q.mu
-// held: persistent congestion (head older than target for a whole
-// interval) starts evicting the head at interval/sqrt(n) spacing until the
-// head age falls back under the target.
-func (q *arrivalQueue) codelDrop(now int64) {
-	for {
-		if q.size() == 0 || now-q.buf[q.head] < int64(q.codelTarget) {
-			q.firstAbove = 0
-			q.dropping = false
-			return
-		}
-		if q.firstAbove == 0 {
-			q.firstAbove = now + int64(q.codelInterval)
-			return
-		}
-		if !q.dropping {
-			if now < q.firstAbove {
-				return
-			}
-			q.dropping = true
-			q.dropCount = 0
-			q.dropNext = now
-		}
-		if now < q.dropNext {
-			return
-		}
-		q.takeHead()
-		q.dropped++
-		q.dropCount++
-		// Advance from the previous schedule, not from now: when enqueues
-		// are sparse relative to the drop spacing the law catches up with a
-		// batch of evictions, exactly as CoDel's estimator does.
-		q.dropNext += int64(float64(q.codelInterval) / math.Sqrt(float64(q.dropCount)))
-	}
 }
 
 func (q *arrivalQueue) takeHead() int64 {
@@ -139,36 +55,10 @@ func (q *arrivalQueue) takeHead() int64 {
 	return ts
 }
 
-func (q *arrivalQueue) takeTail() int64 {
-	ts := q.buf[len(q.buf)-1]
-	q.buf = q.buf[:len(q.buf)-1]
-	return ts
-}
-
-// popAt takes one arrival at time now without blocking. The second result
-// is false when nothing is queued or the queue is closed — a closed queue
-// stops serving immediately; whatever remains is backlog, exactly like the
-// undrained channel buffer the queue replaced.
-func (q *arrivalQueue) popAt(now int64) (int64, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.popLocked(now)
-}
-
-func (q *arrivalQueue) popLocked(now int64) (int64, bool) {
-	if q.closed || q.size() == 0 {
-		return 0, false
-	}
-	if q.lifoAge > 0 && q.size() > 1 && now-q.buf[q.head] >= int64(q.lifoAge) {
-		q.lifoPops++
-		return q.takeTail(), true
-	}
-	return q.takeHead(), true
-}
-
 // next is the queue as an arrival source: it blocks until an arrival is
 // available and returns its stamp with the clock reading that served it.
-// ok is false once the queue has closed. A caller that must be back by a
+// ok is false once the queue has closed — a closed queue stops serving
+// immediately; whatever remains is backlog. A caller that must be back by a
 // given time passes it as until (0 = no bound): when the clock gets there
 // first, next returns at == 0. The bounded wait polls — a sleep while the
 // bound is more than 2ms away (the OS timer oversleeps anything shorter), a
@@ -182,7 +72,7 @@ func (q *arrivalQueue) next(until int64) (at, now int64, ok bool) {
 		}
 		now = time.Now().UnixNano()
 		if q.size() > 0 {
-			at, _ = q.popLocked(now)
+			at = q.takeHead()
 			q.mu.Unlock()
 			return at, now, true
 		}
@@ -211,11 +101,11 @@ func (q *arrivalQueue) close() {
 	q.cond.Broadcast()
 }
 
-// stats returns (remaining, codel-dropped, overflow, lifo-served).
-func (q *arrivalQueue) stats() (remaining int, dropped, overflow, lifoPops uint64) {
+// stats returns the arrivals still queued and those refused as overflow.
+func (q *arrivalQueue) stats() (remaining int, overflow uint64) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.size(), q.dropped, q.overflow, q.lifoPops
+	return q.size(), q.overflow
 }
 
 // maxArrivalQueue bounds the arrival queue: past this many undrained
@@ -265,6 +155,6 @@ func generate(q *arrivalQueue, rate float64, seed uint64, stop <-chan struct{}) 
 			}
 		}
 		generated++
-		q.pushAt(next.UnixNano(), time.Now().UnixNano())
+		q.push(next.UnixNano())
 	}
 }

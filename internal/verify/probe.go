@@ -37,10 +37,6 @@ type ProbeConfig struct {
 	// Index selects the primary index family (hash default, btree for the
 	// ordered variant).
 	Index core.IndexKind
-	// NoInterleave disables the per-op runtime.Gosched that forces dense
-	// transaction interleavings (on by default; that is the point of a
-	// verification run).
-	NoInterleave bool
 	// CrossFraction is the probability a deterministic-probe transaction
 	// appends a delivery-dependency pair (OpReadSend -> OpRecvUpdate), so
 	// the conformance matrix covers cross-partition stitching too. Used by
@@ -154,9 +150,9 @@ func (p *Probe) RunOne(tx *core.Tx) error {
 	err := tx.Run(func(tx *core.Tx) error {
 		rec.Begin()
 		for i := 0; i < n; i++ {
-			if !p.cfg.NoInterleave {
-				runtime.Gosched()
-			}
+			// Yield per op to force dense transaction interleavings:
+			// that is the point of a verification run.
+			runtime.Gosched()
 			k := keys[i]
 			if writeMask&(1<<i) != 0 {
 				r, err := tx.Update(p.tbl, k)

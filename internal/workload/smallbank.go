@@ -9,13 +9,11 @@ import (
 
 // SmallBankConfig parameterizes the SmallBank benchmark (Alomari et al.,
 // ICDE'08): six short banking procedures over two balance tables, with a
-// configurable hotspot — the standard workload for isolation-anomaly and
-// short-transaction studies.
+// hotspot of the first smallBankHotspot accounts — the standard workload for
+// isolation-anomaly and short-transaction studies.
 type SmallBankConfig struct {
 	// Customers is the number of accounts (default 100_000).
 	Customers uint64
-	// HotspotSize is the number of hot accounts (default 100).
-	HotspotSize uint64
 	// HotspotProb is the probability an access targets the hotspot
 	// (default 0.25).
 	HotspotProb float64
@@ -27,23 +25,22 @@ func (c *SmallBankConfig) normalize() {
 	if c.Customers == 0 {
 		c.Customers = 100_000
 	}
-	if c.HotspotSize == 0 {
-		c.HotspotSize = 100
-	}
-	if c.HotspotSize > c.Customers {
-		c.HotspotSize = c.Customers
-	}
 	if c.HotspotProb <= 0 {
 		c.HotspotProb = 0.25
 	}
 }
 
-// smallBankInitial is the starting balance in both tables.
-const smallBankInitial = 10_000
+const (
+	// smallBankInitial is the starting balance in both tables.
+	smallBankInitial = 10_000
+	// smallBankHotspot is the number of hot accounts, clamped to Customers.
+	smallBankHotspot = 100
+)
 
 // SmallBank is the workload instance.
 type SmallBank struct {
 	cfg      SmallBankConfig
+	hot      uint64 // hot accounts: min(smallBankHotspot, Customers)
 	eng      *core.Engine
 	savings  *core.Table
 	checking *core.Table
@@ -52,14 +49,11 @@ type SmallBank struct {
 // NewSmallBank builds a SmallBank workload.
 func NewSmallBank(cfg SmallBankConfig) *SmallBank {
 	cfg.normalize()
-	return &SmallBank{cfg: cfg}
+	return &SmallBank{cfg: cfg, hot: min(smallBankHotspot, cfg.Customers)}
 }
 
 // Name implements Workload.
 func (s *SmallBank) Name() string { return "smallbank" }
-
-// Config returns the normalized configuration.
-func (s *SmallBank) Config() SmallBankConfig { return s.cfg }
 
 // Setup implements Workload.
 func (s *SmallBank) Setup(e *core.Engine) error {
@@ -95,9 +89,9 @@ func (s *SmallBank) Setup(e *core.Engine) error {
 func (s *SmallBank) account(tx *core.Tx) uint64 {
 	rng := tx.RNG()
 	if rng.Bool(s.cfg.HotspotProb) {
-		return rng.Uint64n(s.cfg.HotspotSize)
+		return rng.Uint64n(s.hot)
 	}
-	return s.cfg.HotspotSize + rng.Uint64n(s.cfg.Customers-s.cfg.HotspotSize)
+	return s.hot + rng.Uint64n(s.cfg.Customers-s.hot)
 }
 
 func (s *SmallBank) get(tx *core.Tx, tbl *core.Table, key uint64) (float64, error) {

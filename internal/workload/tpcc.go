@@ -28,10 +28,6 @@ type TPCCConfig struct {
 	// InitialOrdersPerDistrict pre-loaded orders (default
 	// CustomersPerDistrict, per spec).
 	InitialOrdersPerDistrict int
-	// Mix is the cumulative percentage thresholds for
-	// NewOrder/Payment/OrderStatus/Delivery/StockLevel. Zero value uses the
-	// standard 45/43/4/4/4.
-	Mix [5]int
 	// RemoteItemPct is the chance a NewOrder line is supplied by a remote
 	// warehouse (default 1, per spec).
 	RemoteItemPct int
@@ -60,9 +56,6 @@ func (c *TPCCConfig) normalize() {
 	}
 	if c.InitialOrdersPerDistrict <= 0 {
 		c.InitialOrdersPerDistrict = c.CustomersPerDistrict
-	}
-	if c.Mix == [5]int{} {
-		c.Mix = [5]int{45, 88, 92, 96, 100}
 	}
 	if c.RemoteItemPct < 0 {
 		c.RemoteItemPct = 1

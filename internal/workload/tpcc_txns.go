@@ -25,14 +25,16 @@ func (t *TPCC) RunOne(tx *core.Tx) error {
 	w := t.worker(tx)
 	roll := tx.RNG().IntRange(1, 100)
 	var typ int
+	// The spec's mix, as cumulative percentages: NewOrder 45, Payment 43,
+	// OrderStatus, Delivery and StockLevel 4 each.
 	switch {
-	case roll <= t.cfg.Mix[0]:
+	case roll <= 45:
 		typ = tpccNewOrder
-	case roll <= t.cfg.Mix[1]:
+	case roll <= 88:
 		typ = tpccPayment
-	case roll <= t.cfg.Mix[2]:
+	case roll <= 92:
 		typ = tpccOrderStatus
-	case roll <= t.cfg.Mix[3]:
+	case roll <= 96:
 		typ = tpccDelivery
 	default:
 		typ = tpccStockLevel

@@ -228,7 +228,7 @@ func TestSmallBankAllProtocols(t *testing.T) {
 		t.Run(protocol, func(t *testing.T) {
 			const threads = 4
 			e := openEngine(t, protocol, threads, threads)
-			w := NewSmallBank(SmallBankConfig{Customers: 1000, HotspotSize: 10})
+			w := NewSmallBank(SmallBankConfig{Customers: 1000})
 			if err := w.Setup(e); err != nil {
 				t.Fatal(err)
 			}
@@ -241,8 +241,10 @@ func TestSmallBankAllProtocols(t *testing.T) {
 }
 
 func TestSmallBankHotspotConfig(t *testing.T) {
-	w := NewSmallBank(SmallBankConfig{Customers: 50, HotspotSize: 100})
-	if w.Config().HotspotSize != 50 {
-		t.Fatal("hotspot not clamped to customer count")
+	if w := NewSmallBank(SmallBankConfig{Customers: 50}); w.hot != 50 {
+		t.Fatalf("hotspot %d not clamped to the customer count 50", w.hot)
+	}
+	if w := NewSmallBank(SmallBankConfig{}); w.hot != smallBankHotspot {
+		t.Fatalf("hotspot %d, want %d", w.hot, smallBankHotspot)
 	}
 }
