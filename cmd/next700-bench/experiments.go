@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 
 	"next700/internal/cc"
 	"next700/internal/core"
@@ -406,6 +407,40 @@ func e10Sweep(a common) sweep {
 				"HSTORE %.0f vs best shared-everything %.0f at 0%% multi-partition", c.v("HSTORE", 0, "tps"), shared(0))
 			s.targetAt("hstore_cliff_target", "HSTORE is below the best shared-everything scheme", fracs[3:],
 				func(x float64) bool { return c.v("HSTORE", x, "tps") < shared(x) })
+		})
+}
+
+// e11Batch and e11Batches are E11's DORA row: QSTORE drains 8 partition
+// queues, one owner each, batch after batch of e11Batch transactions.
+const e11Batch, e11Batches = 256, 256
+
+// e11Sweep compares data-oriented execution — partition owners draining
+// queues under the pass-through QSTORE protocol, harness.RunDet — against
+// thread-to-transaction on the same read-modify-write transactions under
+// skew.
+func e11Sweep(a common) sweep {
+	ycfg := workload.YCSBConfig{Records: ycsbRecords(a.quick), OpsPerTxn: 4, ReadRatio: 0}
+	execs, thetas := []string{"DORA", "t2t/NO_WAIT", "t2t/SILO"}, []float64{0.6, 0.95}
+	return gridSweep("e11", "E11: RMW tps, 8 partitions, data-oriented (DORA) vs thread-to-transaction", [2]string{"execution", "theta"},
+		execs, thetas, map[string]interface{}{"ycsb": ycfg, "workers": 8, "dora_batch": e11Batch, "dora_batches": e11Batches}, runCols,
+		func(ex string, theta float64) (map[string]metric, error) {
+			y := ycfg
+			y.Theta = theta
+			if ex == "DORA" {
+				r, err := harness.RunDet(core.Config{Partitions: 8}, workload.NewYCSB(y), harness.RunOptions{Seed: a.Seed},
+					harness.DetOptions{Batch: e11Batch, Batches: e11Batches, WarmupBatches: 4})
+				return runMetrics(r), err
+			}
+			return a.measure(core.Config{Protocol: strings.TrimPrefix(ex, "t2t/"), Threads: 8, Partitions: 8}, workload.NewYCSB(y), 8)
+		},
+		func(s *sweepRun, c cells) {
+			s.check("dora_aborts_zero", all(thetas, func(x float64) bool { return c.v("DORA", x, "aborts") == 0 }),
+				"DORA conflict aborts: %.0f at theta 0.6, %.0f at 0.95", c.v("DORA", 0.6, "aborts"), c.v("DORA", 0.95, "aborts"))
+			s.targetAt("dora_over_t2t_target", "DORA is above both thread-to-transaction engines", thetas,
+				func(x float64) bool { return c.top(execs, x, "tps") == "DORA" })
+			flat := c.v("DORA", 0.95, "tps") / c.v("DORA", 0.6, "tps")
+			s.target("dora_flat_in_theta_target", flat >= 0.8 && flat <= 1.25,
+				"DORA tps at theta 0.95 is %.2f of theta 0.6; target 0.8–1.25", flat)
 		})
 }
 

@@ -3,11 +3,10 @@ package main
 import (
 	"fmt"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"next700/internal/core"
+	"next700/internal/harness"
 	"next700/internal/stats"
 	"next700/internal/storage"
 )
@@ -33,7 +32,18 @@ func e15Sweep(a common) sweep {
 		[]string{"oltp_tps", "oltp_abort_rate", "scans_per_s", "scan_p99_ms", "scan_abort_rate"},
 		func(name string, _ float64) (map[string]metric, error) {
 			proto, iso, _ := strings.Cut(name, "/")
-			return runHTAPCell(core.Config{Protocol: proto, Isolation: iso, Threads: oltpWorkers + 1}, records, a.Duration, oltpWorkers)
+			wl := &htap{records: records, scanner: oltpWorkers, scanHist: stats.NewHistogram()}
+			r, err := harness.Run(core.Config{Protocol: proto, Isolation: iso, Threads: oltpWorkers + 1}, wl,
+				harness.RunOptions{Duration: a.Duration, Seed: a.Seed})
+			oltp := stats.Counter{Commits: r.Commits - wl.scans.Commits, Aborts: r.Aborts - wl.scans.Aborts}
+			elapsed := r.Elapsed.Seconds()
+			return map[string]metric{
+				"oltp_tps":        perSec(float64(oltp.Commits) / elapsed),
+				"oltp_abort_rate": ratio(oltp.AbortRate()),
+				"scans_per_s":     perSec(float64(wl.scans.Commits) / elapsed),
+				"scan_p99_ms":     ms(time.Duration(wl.scanHist.Percentile(99))),
+				"scan_abort_rate": ratio(wl.scans.AbortRate()),
+			}, err
 		},
 		func(s *sweepRun, c cells) {
 			v := func(name, metric string) float64 { return c.v(name, float64(records), metric) }
@@ -54,80 +64,59 @@ func e15Sweep(a common) sweep {
 		})
 }
 
-// runHTAPCell loads records rows and runs oltpWorkers hot-row writers beside
-// one full-table scanner for duration.
-func runHTAPCell(cfg core.Config, records uint64, duration time.Duration, oltpWorkers int) (map[string]metric, error) {
-	e, err := core.Open(cfg)
-	if err != nil {
-		return nil, err
-	}
-	defer e.Close()
+// htap is E15's cell as a workload: worker scanner (by ThreadID) runs
+// full-table aggregations and records its own outcomes; every other worker
+// runs short read-modify-writes over the hottest sixteenth of the rows.
+type htap struct {
+	records  uint64
+	scanner  int
+	tbl      *core.Table
+	sch      *storage.Schema
+	scans    stats.Counter // the scanner's commits and aborts
+	scanHist *stats.Histogram
+}
 
-	sch := storage.MustSchema("facts", storage.I64("v"))
-	tbl, err := e.CreateTable(sch, core.IndexBTree)
+func (w *htap) Name() string { return "htap" }
+
+func (w *htap) Setup(e *core.Engine) error {
+	w.sch = storage.MustSchema("facts", storage.I64("v"))
+	tbl, err := e.CreateTable(w.sch, core.IndexBTree)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	row := sch.NewRow()
-	for k := uint64(0); k < records; k++ {
-		sch.SetInt64(row, 0, 1)
+	w.tbl = tbl
+	row := w.sch.NewRow()
+	w.sch.SetInt64(row, 0, 1)
+	for k := uint64(0); k < w.records; k++ {
 		if err := e.Load(tbl, k, row); err != nil {
-			return nil, err
+			return err
 		}
 	}
+	return nil
+}
 
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	counters := make([]stats.Counter, oltpWorkers+1) // the last is the scanner's
-	scanHist := stats.NewHistogram()
-	for w := range counters {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			tx := e.NewTx(w, uint64(w+1))
-			for !stop.Load() {
-				if w < oltpWorkers {
-					// Short RMW transactions over a hot prefix.
-					k := tx.RNG().Uint64n(records / 16)
-					tx.Run(func(tx *core.Tx) error {
-						r, err := tx.Update(tbl, k)
-						if err == nil {
-							sch.SetInt64(r, 0, sch.GetInt64(r, 0)+1)
-						}
-						return err
-					})
-					continue
-				}
-				// The analytical worker: a full-table aggregation per transaction.
-				t0 := time.Now()
-				tx.Run(func(tx *core.Tx) error {
-					var sum int64
-					return tx.Scan(tbl, 0, records, func(_ uint64, r storage.Row) bool {
-						sum += sch.GetInt64(r, 0)
-						return true
-					})
-				})
-				scanHist.RecordDuration(time.Since(t0))
+func (w *htap) RunOne(tx *core.Tx) error {
+	if tx.ThreadID() != w.scanner {
+		k := tx.RNG().Uint64n(w.records / 16)
+		return tx.Run(func(tx *core.Tx) error {
+			r, err := tx.Update(w.tbl, k)
+			if err == nil {
+				w.sch.SetInt64(r, 0, w.sch.GetInt64(r, 0)+1)
 			}
-			counters[w] = *tx.Counter()
-		}()
+			return err
+		})
 	}
-	start := time.Now()
-	time.Sleep(duration)
-	stop.Store(true)
-	wg.Wait()
-	elapsed := time.Since(start).Seconds()
-
-	var oltp stats.Counter
-	for i := range counters[:oltpWorkers] {
-		oltp.Add(&counters[i])
-	}
-	scanCounter := counters[oltpWorkers]
-	return map[string]metric{
-		"oltp_tps":        perSec(float64(oltp.Commits) / elapsed),
-		"oltp_abort_rate": ratio(oltp.AbortRate()),
-		"scans_per_s":     perSec(float64(scanCounter.Commits) / elapsed),
-		"scan_p99_ms":     ms(time.Duration(scanHist.Percentile(99))),
-		"scan_abort_rate": ratio(scanCounter.AbortRate()),
-	}, nil
+	before := *tx.Counter()
+	t0 := time.Now()
+	err := tx.Run(func(tx *core.Tx) error {
+		var sum int64
+		return tx.Scan(w.tbl, 0, w.records, func(_ uint64, r storage.Row) bool {
+			sum += w.sch.GetInt64(r, 0)
+			return true
+		})
+	})
+	w.scanHist.RecordDuration(time.Since(t0))
+	w.scans.Commits += tx.Counter().Commits - before.Commits
+	w.scans.Aborts += tx.Counter().Aborts - before.Aborts
+	return err
 }

@@ -5,14 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"sync"
 	"time"
 
 	"next700/internal/core"
 	"next700/internal/fault"
+	"next700/internal/harness"
 	"next700/internal/storage"
 	"next700/internal/wal"
-	"next700/internal/xrand"
 )
 
 // The partition sweep measures the three promises of partition-fault
@@ -88,20 +87,23 @@ func partitionSweep(c common) sweep {
 			if err != nil {
 				return err
 			}
-			goodput := func(phase string, commits uint64, parts int, m map[string]metric) float64 {
-				tps := float64(commits) / c.Duration.Seconds()
-				m["goodput_tps"] = perSec(tps)
-				m["per_partition_tps"] = perSec(tps / float64(parts))
+			wl := &partRMW{tbl: tbl, parts: P}
+			phase := func(d time.Duration, seed uint64) (harness.Result, error) {
+				return harness.Drive(e, wl, harness.RunOptions{Duration: d, Seed: seed})
+			}
+			goodput := func(phase string, r harness.Result, parts int, m map[string]metric) float64 {
+				m["goodput_tps"] = perSec(r.Tps)
+				m["per_partition_tps"] = perSec(r.Tps / float64(parts))
 				s.row(map[string]interface{}{"phase": phase}, m)
-				return tps / float64(parts)
+				return r.Tps / float64(parts)
 			}
 
 			// Phase 1: healthy goodput, all partitions committing.
-			healthy, err := partSweepPhase(e, tbl, P, -1, c.Duration, c.Seed)
+			healthy, err := phase(c.Duration, c.Seed)
 			if err != nil {
 				return fmt.Errorf("healthy phase: %w", err)
 			}
-			healthyPerPart := goodput("healthy", healthy.commits, P, map[string]metric{})
+			healthyPerPart := goodput("healthy", healthy, P, map[string]metric{})
 
 			// One generation, then a tail burst so every stream has history
 			// past its slice — the single-partition recovery replays that tail.
@@ -110,23 +112,22 @@ func partitionSweep(c common) sweep {
 				return fmt.Errorf("checkpoint: %w", err)
 			}
 			s.row(map[string]interface{}{"phase": "checkpoint"}, map[string]metric{"checkpoint_ms": ms(time.Since(t0))})
-			if _, err := partSweepPhase(e, tbl, P, -1, c.Duration/2, c.Seed^0x9e37); err != nil {
+			if _, err := phase(c.Duration/2, c.Seed^0x9e37); err != nil {
 				return fmt.Errorf("tail burst: %w", err)
 			}
 
-			// Quarantine one partition and measure the survivors.
+			// Quarantine one partition and measure the survivors: the dark
+			// partition's worker keeps attempting and commits nothing, and a
+			// loss there of any class but ErrPartitionUnavailable ends its
+			// worker with an error.
 			if err := e.QuarantinePartition(target); err != nil {
 				return fmt.Errorf("quarantine: %w", err)
 			}
-			degraded, err := partSweepPhase(e, tbl, P, target, c.Duration, c.Seed^0x7f4a)
-			if err != nil {
-				return fmt.Errorf("degraded phase: %w", err)
-			}
-			survivingPerPart := goodput("degraded", degraded.commits, P-1,
-				map[string]metric{"partition_aborts": count(degraded.partitionAborts)})
-			s.check("aborts_all_partition_class", degraded.wrongClass == nil,
-				"%d partition aborts; first loss on the quarantined partition of another class: %v",
-				degraded.partitionAborts, degraded.wrongClass)
+			degraded, derr := phase(c.Duration, c.Seed^0x7f4a)
+			survivingPerPart := goodput("degraded", degraded, P-1,
+				map[string]metric{"partition_aborts": count(degraded.PartitionAborts)})
+			s.check("aborts_all_partition_class", derr == nil && degraded.PartitionAborts > 0,
+				"%d partition aborts; a loss of another class: %v", degraded.PartitionAborts, derr)
 			retained := 0.0
 			if healthyPerPart > 0 {
 				retained = survivingPerPart / healthyPerPart
@@ -257,83 +258,36 @@ func partSweepLoad(e *core.Engine, tbl *core.Table, P, only int) error {
 	return nil
 }
 
-type partPhaseResult struct {
-	commits         uint64 // commits on partitions other than the dark one
-	partitionAborts uint64
-	wrongClass      error
+// partRMW is the partition sweep's load: each worker is homed to partition
+// ThreadID mod parts, and each transaction read-modify-writes
+// partSweepOpsPerTxn of its home keys. On a quarantined home it backs off
+// the way a client would before the harness counts the partition abort.
+type partRMW struct {
+	tbl   *core.Table
+	parts int
 }
 
-// partSweepPhase runs one closed-loop measurement window: P workers, each
-// homed to its partition, each transaction a read-modify-write of
-// partSweepOpsPerTxn home keys. When target >= 0 that partition is dark:
-// its worker keeps attempting, every loss must classify as
-// ErrPartitionUnavailable, and its attempts are excluded from goodput.
-func partSweepPhase(e *core.Engine, tbl *core.Table, P, target int, dur time.Duration, seed uint64) (partPhaseResult, error) {
-	var res partPhaseResult
-	stop := make(chan struct{})
-	time.AfterFunc(dur, func() { close(stop) })
-	commits := make([]uint64, P)
-	aborts := make([]uint64, P)
-	errs := make([]error, P)
-	wrong := make([]error, P)
-	var wg sync.WaitGroup
-	for p := 0; p < P; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			tx := e.NewTx(p, seed*1_000_003+uint64(p)+1)
-			defer func() { aborts[p] = tx.Counter().PartitionAborts }()
-			rng := xrand.New(seed ^ (0x9e3779b97f4a7c15 * uint64(p+1)))
-			sch := tbl.Schema()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				err := tx.Run(func(tx *core.Tx) error {
-					for i := 0; i < partSweepOpsPerTxn; i++ {
-						key := uint64(rng.Intn(partSweepRecords)*P + p)
-						r, err := tx.Update(tbl, key)
-						if err != nil {
-							return err
-						}
-						sch.SetInt64(r, 0, sch.GetInt64(r, 0)+1)
-					}
-					return nil
-				})
-				if err != nil {
-					if p == target && errors.Is(err, core.ErrPartitionUnavailable) {
-						// Terminal shed on the dark partition: back off the
-						// way a client would and keep probing for readmission.
-						time.Sleep(100 * time.Microsecond)
-						continue
-					}
-					if p == target {
-						wrong[p] = err
-					} else {
-						errs[p] = err
-					}
-					return
-				}
-				commits[p]++
+func (w *partRMW) Name() string { return "partition-rmw" }
+
+// Setup is a no-op: the sweep loads the engine, and recovery reloads it.
+func (w *partRMW) Setup(*core.Engine) error { return nil }
+
+func (w *partRMW) RunOne(tx *core.Tx) error {
+	home, sch := tx.ThreadID()%w.parts, w.tbl.Schema()
+	err := tx.Run(func(tx *core.Tx) error {
+		for i := 0; i < partSweepOpsPerTxn; i++ {
+			r, err := tx.Update(w.tbl, uint64(tx.RNG().Intn(partSweepRecords)*w.parts+home))
+			if err != nil {
+				return err
 			}
-		}(p)
+			sch.SetInt64(r, 0, sch.GetInt64(r, 0)+1)
+		}
+		return nil
+	})
+	if errors.Is(err, core.ErrPartitionUnavailable) {
+		time.Sleep(100 * time.Microsecond)
 	}
-	wg.Wait()
-	for p := 0; p < P; p++ {
-		if errs[p] != nil {
-			return res, fmt.Errorf("worker %d: %w", p, errs[p])
-		}
-		if wrong[p] != nil && res.wrongClass == nil {
-			res.wrongClass = wrong[p]
-		}
-		if p != target {
-			res.commits += commits[p]
-		}
-		res.partitionAborts += aborts[p]
-	}
-	return res, nil
+	return err
 }
 
 // partSweepDigest folds the target partition's committed key/value pairs

@@ -566,3 +566,55 @@ func TestCheckpointerSurvivesPartialRotation(t *testing.T) {
 	}
 	wantValues(t, e2, tbl2, want)
 }
+
+// TestDirStoreSyncsDir: every create, rename and remove DirStore makes is
+// followed by a sync of its directory before the call returns — the
+// CheckpointStore contract that a mutation is durable on return. The
+// recorder lists the directory at each sync; the last listing a call
+// produced must be the directory as the call left it.
+func TestDirStoreSyncsDir(t *testing.T) {
+	s, err := NewDirStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var last string
+	syncs := 0
+	s.syncDir = func(d string) error {
+		ents, err := os.ReadDir(d)
+		if err != nil {
+			return err
+		}
+		var names []string
+		for _, e := range ents {
+			names = append(names, e.Name())
+		}
+		last, syncs = fmt.Sprint(names), syncs+1
+		return wal.SyncDir(d)
+	}
+	for _, op := range []struct {
+		name string
+		do   func() error
+		want string
+	}{
+		{"WriteCheckpoint", func() error {
+			return s.WriteCheckpoint("ckpt", func(w io.Writer) error { _, err := w.Write([]byte("image")); return err })
+		}, "[ckpt]"},
+		{"CreateSegment", func() error {
+			dev, err := s.CreateSegment("seg")
+			if err == nil {
+				err = dev.(io.Closer).Close()
+			}
+			return err
+		}, "[ckpt seg]"},
+		{"RemoveCheckpoint", func() error { return s.RemoveCheckpoint("ckpt") }, "[seg]"},
+		{"RemoveSegment", func() error { return s.RemoveSegment("seg") }, "[]"},
+	} {
+		last, syncs = "", 0
+		if err := op.do(); err != nil {
+			t.Fatalf("%s: %v", op.name, err)
+		}
+		if syncs == 0 || last != op.want {
+			t.Errorf("%s: %d directory syncs, the last saw %s; want the directory as left, %s", op.name, syncs, last, op.want)
+		}
+	}
+}

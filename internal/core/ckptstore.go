@@ -17,6 +17,10 @@ import (
 // crash, tear, and corrupt every object in the lifecycle.
 //
 // Contract highlights:
+//   - Every mutating operation — WriteCheckpoint, RemoveCheckpoint,
+//     CreateSegment, RemoveSegment, SaveManifest — is durable on return: a
+//     crash after it returns cannot undo the object's creation, removal or
+//     installation.
 //   - WriteCheckpoint is atomic: the object named name exists only if write
 //     returned nil and the installation completed. A crash mid-write must
 //     never leave a partial object under the final name.
@@ -51,9 +55,11 @@ type CheckpointStore interface {
 // DirStore is the file-backed CheckpointStore: every object is a file in
 // one directory, checkpoints and the manifest are installed via temp file +
 // fsync + rename, and the manifest keeps a .prev fallback copy (see
-// wal.SaveManifestFile).
+// wal.SaveManifestFile). Every create, rename and remove is followed by a
+// sync of the directory before the call returns.
 type DirStore struct {
-	dir string
+	dir     string
+	syncDir func(dir string) error // wal.SyncDir; tests record through it
 }
 
 // NewDirStore creates the directory if needed and returns the store.
@@ -61,7 +67,7 @@ func NewDirStore(dir string) (*DirStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	return &DirStore{dir: dir}, nil
+	return &DirStore{dir: dir, syncDir: wal.SyncDir}, nil
 }
 
 // Dir returns the backing directory.
@@ -99,7 +105,10 @@ func (s *DirStore) WriteCheckpoint(name string, write func(w io.Writer) error) e
 		os.Remove(tmp)
 		return err
 	}
-	return os.Rename(tmp, s.path(name))
+	if err := os.Rename(tmp, s.path(name)); err != nil {
+		return err
+	}
+	return s.syncDir(s.dir)
 }
 
 // OpenCheckpoint implements CheckpointStore.
@@ -109,14 +118,22 @@ func (s *DirStore) OpenCheckpoint(name string) (io.ReadCloser, error) {
 
 // RemoveCheckpoint implements CheckpointStore.
 func (s *DirStore) RemoveCheckpoint(name string) error {
-	return os.Remove(s.path(name))
+	return s.remove(name)
 }
 
 // CreateSegment implements CheckpointStore. The returned *os.File is the
 // wal.Device (File.Sync is the durability barrier) and also an io.Closer
 // the checkpointer closes once the segment is sealed and swapped out.
 func (s *DirStore) CreateSegment(name string) (wal.Device, error) {
-	return os.Create(s.path(name))
+	f, err := os.Create(s.path(name))
+	if err != nil {
+		return nil, err
+	}
+	if err := s.syncDir(s.dir); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return f, nil
 }
 
 // OpenSegment implements CheckpointStore.
@@ -126,7 +143,15 @@ func (s *DirStore) OpenSegment(name string) (io.ReadCloser, error) {
 
 // RemoveSegment implements CheckpointStore.
 func (s *DirStore) RemoveSegment(name string) error {
-	return os.Remove(s.path(name))
+	return s.remove(name)
+}
+
+// remove deletes the named object and makes the removal durable.
+func (s *DirStore) remove(name string) error {
+	if err := os.Remove(s.path(name)); err != nil {
+		return err
+	}
+	return s.syncDir(s.dir)
 }
 
 // SaveManifest implements CheckpointStore via wal.SaveManifestFile's

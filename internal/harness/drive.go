@@ -57,8 +57,8 @@ type executor interface {
 	// exec takes the arrival stamped at; now is the clock as the source last
 	// read it. wake, when non-zero, asks to be called again by that time even
 	// if nothing arrives — that call has at == 0. Outcomes that are
-	// measurements (deadline aborts, shed arrivals) are counted, not
-	// returned; an error ends the worker.
+	// measurements (deadline and partition aborts, shed arrivals) are
+	// counted, not returned; an error ends the worker.
 	exec(at, now int64, c *collector) (wake int64, err error)
 	// finish ends the window and returns the arrivals the executor accepted
 	// but never ran.
@@ -106,11 +106,18 @@ type txExec struct {
 
 func (x *txExec) warm() error {
 	for i := 0; i < x.warmup; i++ {
-		if err := x.wl.RunOne(x.tx); err != nil {
+		if err := x.wl.RunOne(x.tx); err != nil && !measured(err) {
 			return err
 		}
 	}
 	return nil
+}
+
+// measured reports whether err is a per-transaction outcome the engine has
+// already accounted — a deadline abort, or an abort on a quarantined
+// partition — rather than a run failure.
+func measured(err error) bool {
+	return errors.Is(err, core.ErrDeadlineExceeded) || errors.Is(err, core.ErrPartitionUnavailable)
 }
 
 func (x *txExec) exec(at, now int64, c *collector) (int64, error) {
@@ -139,9 +146,7 @@ func (x *txExec) exec(at, now int64, c *collector) (int64, error) {
 	if x.ctrl != nil {
 		x.ctrl.Release(time.Duration(done - now))
 	}
-	// A deadline abort is a measured per-transaction outcome (already
-	// accounted by the engine), not a run failure.
-	if err != nil && !errors.Is(err, core.ErrDeadlineExceeded) {
+	if err != nil && !measured(err) {
 		return 0, err
 	}
 	if ctr.Commits > before {
@@ -171,6 +176,9 @@ type load struct {
 // up, they rendezvous, and one window — timer, allocation bracket, counter
 // delta — spans all of them.
 func drive(e *core.Engine, ld load, opts RunOptions) (Result, error) {
+	if opts.Duration <= 0 {
+		opts.Duration = time.Second
+	}
 	workers := len(ld.execs)
 	// The goodput window classifies, the deadline enforces. When only a
 	// deadline is set it plays both roles; when both are set the deadline is

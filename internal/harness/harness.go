@@ -206,18 +206,41 @@ func Run(cfg core.Config, wl workload.Workload, opts RunOptions) (Result, error)
 		cfg.Threads = opts.Threads
 	}
 	return run(cfg, wl, opts, cfg.Threads, func(e *core.Engine) (load, func(), error) {
-		ld := load{count: opts.TxnsPerWorker}
-		if opts.Admission != nil {
-			ld.ctrl = admission.New(*opts.Admission)
-		}
-		for id := 0; id < opts.Threads; id++ {
-			ld.execs = append(ld.execs, &txExec{
-				wl: wl, tx: e.NewTx(id, opts.Seed*1_000_003+uint64(id)+1), ctrl: ld.ctrl,
-				warmup: opts.WarmupTxns, deadline: int64(opts.Deadline),
-			})
-		}
-		return ld, func() {}, nil
+		return interactive(e, wl, opts), func() {}, nil
 	})
+}
+
+// Drive measures wl on e, an engine the caller has already opened and set wl
+// up on: Run's executors over Run's window, and nothing else. It opens,
+// sets up and closes nothing, so successive calls measure successive
+// windows of one engine's life, each Result its own window's counter delta.
+// opts.Threads defaults to, and may not exceed, the engine's. Verify does
+// not apply: the history must be attached before setup.
+func Drive(e *core.Engine, wl workload.Workload, opts RunOptions) (Result, error) {
+	if opts.Threads <= 0 {
+		opts.Threads = e.Config().Threads
+	}
+	if opts.Threads > e.Config().Threads || opts.Verify {
+		return Result{}, fmt.Errorf("harness: Drive takes at most the engine's %d threads and no Verify", e.Config().Threads)
+	}
+	res, err := drive(e, interactive(e, wl, opts), opts)
+	res.Protocol, res.Workload = e.Protocol(), wl.Name()
+	return res, err
+}
+
+// interactive is Run's and Drive's load: one txExec per worker.
+func interactive(e *core.Engine, wl workload.Workload, opts RunOptions) load {
+	ld := load{count: opts.TxnsPerWorker}
+	if opts.Admission != nil {
+		ld.ctrl = admission.New(*opts.Admission)
+	}
+	for id := 0; id < opts.Threads; id++ {
+		ld.execs = append(ld.execs, &txExec{
+			wl: wl, tx: e.NewTx(id, opts.Seed*1_000_003+uint64(id)+1), ctrl: ld.ctrl,
+			warmup: opts.WarmupTxns, deadline: int64(opts.Deadline),
+		})
+	}
+	return ld
 }
 
 // subject is the part of a workload the shared prologue needs, common to
@@ -234,9 +257,6 @@ type subject interface {
 // runs before the engine closes.
 func run(cfg core.Config, wl subject, opts RunOptions, histWorkers int,
 	build func(*core.Engine) (ld load, done func(), err error)) (Result, error) {
-	if opts.Duration <= 0 {
-		opts.Duration = time.Second
-	}
 	var hist *verify.History
 	rec, _ := wl.(verify.Recordable)
 	if opts.Verify {
@@ -260,8 +280,7 @@ func run(cfg core.Config, wl subject, opts RunOptions, histWorkers int,
 	}
 	defer done()
 	res, err := drive(e, ld, opts)
-	res.Protocol = e.Protocol()
-	res.Workload = wl.Name()
+	res.Protocol, res.Workload = e.Protocol(), wl.Name()
 	if err == nil && hist != nil {
 		final, ferr := rec.FinalVersions(e)
 		if ferr != nil {

@@ -6,7 +6,9 @@ import (
 	"time"
 
 	"next700/internal/core"
+	"next700/internal/fault"
 	"next700/internal/verify"
+	"next700/internal/wal"
 	"next700/internal/workload"
 )
 
@@ -106,5 +108,68 @@ func TestRunVerifyRequiresRecordable(t *testing.T) {
 		RunOptions{TxnsPerWorker: 1, Verify: true})
 	if err == nil || !strings.Contains(err.Error(), "verification") {
 		t.Fatalf("non-recordable workload accepted for Verify: err=%v", err)
+	}
+}
+
+// TestDriveWindowsOnOneEngine: Drive measures an engine it neither opens nor
+// closes, and each call's Result is that window's counter delta alone —
+// not the engine's running total, and not the second window's warm-up.
+func TestDriveWindowsOnOneEngine(t *testing.T) {
+	e, err := core.Open(core.Config{Protocol: "SILO", Threads: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	wl := workload.NewYCSB(workload.YCSBConfig{Records: 1024, OpsPerTxn: 4})
+	if err := wl.Setup(e); err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range []RunOptions{
+		{Threads: 2, TxnsPerWorker: 100, Seed: 1},
+		{Threads: 2, TxnsPerWorker: 30, WarmupTxns: 10, Seed: 2},
+	} {
+		r, err := Drive(e, wl, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := uint64(opts.TxnsPerWorker * opts.Threads); r.Commits != want || r.Latency.Count != want {
+			t.Fatalf("window of %d×%d: %d commits, %d latency samples", opts.TxnsPerWorker, opts.Threads, r.Commits, r.Latency.Count)
+		}
+		if r.Protocol != "SILO" || r.Workload != "ycsb" {
+			t.Fatalf("result names %q/%q", r.Protocol, r.Workload)
+		}
+	}
+	if _, err := Drive(e, wl, RunOptions{Threads: 3, TxnsPerWorker: 1}); err == nil {
+		t.Fatal("Drive accepted more workers than the engine has threads")
+	}
+}
+
+// TestDrivePartitionAborts: on a PartitionWAL engine with one partition
+// quarantined, every transaction of the worker homed there aborts with
+// core.ErrPartitionUnavailable. That is a measured outcome, like a deadline
+// abort: the run completes and counts it, and the other worker commits.
+func TestDrivePartitionAborts(t *testing.T) {
+	const parts, n = 2, 100
+	e, err := core.Open(core.Config{
+		Protocol: "SILO", Threads: parts, Partitions: parts, LogMode: wal.ModeValue,
+		WALStreams: parts, LogDevices: []wal.Device{&fault.MemDevice{}, &fault.MemDevice{}}, PartitionWAL: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	wl := workload.NewYCSB(workload.YCSBConfig{Records: 1024, OpsPerTxn: 4, PartitionLocal: true})
+	if err := wl.Setup(e); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.QuarantinePartition(1); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Drive(e, wl, RunOptions{TxnsPerWorker: n, Seed: 1})
+	if err != nil {
+		t.Fatalf("a partition abort ended the run: %v", err)
+	}
+	if r.PartitionAborts != n || r.Commits != n {
+		t.Fatalf("%d partition aborts and %d commits, want %d of each", r.PartitionAborts, r.Commits, n)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
+	"path/filepath"
 )
 
 // The recovery manifest is the root of trust for bounded recovery: it names
@@ -113,9 +114,28 @@ func DecodeManifest(data []byte) (Manifest, error) {
 	return m, nil
 }
 
+// SyncDir fsyncs directory dir, which makes the creates, renames and removes
+// already made in it durable: an fsync of a file covers its contents, not
+// the directory entry that names it.
+func SyncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// syncDir is SyncDir behind a seam the tests record through.
+var syncDir = SyncDir
+
 // SaveManifestFile atomically installs m at path: the encoded bytes are
 // written to a temp file and fsynced, the current file (if any) is preserved
-// as <path>.prev, and the temp file is renamed into place. A crash at any
+// as <path>.prev, and the temp file is renamed into place, each rename made
+// durable by a sync of the directory before the next step. A crash at any
 // point leaves either the old manifest, the old manifest under .prev, or the
 // new one — never a half-written file that parses.
 func SaveManifestFile(path string, m Manifest) error {
@@ -146,8 +166,14 @@ func SaveManifestFile(path string, m Manifest) error {
 		if err := os.Rename(path, path+".prev"); err != nil {
 			return err
 		}
+		if err := syncDir(filepath.Dir(path)); err != nil {
+			return err
+		}
 	}
-	return os.Rename(tmp, path)
+	if err := os.Rename(tmp, path); err != nil {
+		return err
+	}
+	return syncDir(filepath.Dir(path))
 }
 
 // LoadManifestFile reads the manifest at path, falling back to <path>.prev

@@ -122,3 +122,46 @@ func TestManifestSaveLoadFallback(t *testing.T) {
 		t.Fatalf("want ErrCorrupt with both copies bad, got %v", err)
 	}
 }
+
+// TestSaveManifestFileSyncsDir: each rename of a manifest install is
+// followed by a sync of its directory before the next step, so neither the
+// .prev copy nor the new manifest can vanish in a crash after the save
+// returns. The recorder lists the directory at every sync.
+func TestSaveManifestFileSyncsDir(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "MANIFEST")
+	var seen [][]string
+	defer func(orig func(string) error) { syncDir = orig }(syncDir)
+	syncDir = func(d string) error {
+		if d != dir {
+			t.Errorf("synced %s, want %s", d, dir)
+		}
+		seen = append(seen, listDir(t, dir))
+		return SyncDir(d)
+	}
+	for _, want := range [][][]string{
+		{{"MANIFEST"}}, // tmp → MANIFEST
+		{{"MANIFEST.prev", "MANIFEST.tmp"}, {"MANIFEST", "MANIFEST.prev"}}, // MANIFEST → .prev, tmp → MANIFEST
+	} {
+		seen = nil
+		if err := SaveManifestFile(path, sampleManifest()); err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(seen) != fmt.Sprint(want) {
+			t.Errorf("directory at each sync %v, want %v", seen, want)
+		}
+	}
+}
+
+func listDir(t *testing.T, dir string) []string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range ents {
+		names = append(names, e.Name())
+	}
+	return names
+}

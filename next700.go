@@ -37,7 +37,9 @@
 package next700
 
 import (
+	"errors"
 	"os"
+	"path/filepath"
 
 	"next700/internal/core"
 	"next700/internal/storage"
@@ -188,9 +190,17 @@ func Open(opts Options) (*DB, error) {
 	}
 	var logFile *os.File
 	if opts.Logging != LogNone && opts.LogPath != "" {
+		_, statErr := os.Stat(opts.LogPath)
 		f, err := os.OpenFile(opts.LogPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			return nil, err
+		}
+		if errors.Is(statErr, os.ErrNotExist) {
+			// A new log's directory entry is durable before its first commit.
+			if err := wal.SyncDir(filepath.Dir(opts.LogPath)); err != nil {
+				f.Close()
+				return nil, err
+			}
 		}
 		cfg.LogDevice = f
 		logFile = f
