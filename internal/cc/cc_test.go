@@ -381,7 +381,6 @@ func TestInsertVisibility(t *testing.T) {
 		// Aborted insert: record stays invisible.
 		tx := newTxnFor(0)
 		rid := f.tbl.Alloc()
-		f.tbl.SetTombstone(rid, true)
 		tx.Reset()
 		f.p.Begin(tx)
 		data := make([]byte, f.sch.RowSize())
@@ -404,7 +403,6 @@ func TestInsertVisibility(t *testing.T) {
 
 		// Committed insert: record becomes visible with its data.
 		rid2 := f.tbl.Alloc()
-		f.tbl.SetTombstone(rid2, true)
 		tx.Reset()
 		tx.ClearPriority()
 		f.p.Begin(tx)

@@ -186,7 +186,7 @@ func (p *hstore) Read(tx *txn.Txn, tbl *storage.Table, rid storage.RecordID) ([]
 		return nil, err
 	}
 	tx.AddAccess(txn.Access{Table: tbl, RID: rid, Kind: txn.KindRead})
-	if tbl.IsTombstoned(rid) {
+	if !tbl.IsLive(rid) {
 		return nil, txn.ErrNotFound
 	}
 	return tbl.Row(rid), nil
@@ -197,7 +197,7 @@ func (p *hstore) ReadForUpdate(tx *txn.Txn, tbl *storage.Table, rid storage.Reco
 	if err := p.ensure(tx, tbl, rid); err != nil {
 		return nil, err
 	}
-	if tbl.IsTombstoned(rid) {
+	if !tbl.IsLive(rid) {
 		return nil, txn.ErrNotFound
 	}
 	row := tbl.Row(rid)
@@ -222,7 +222,7 @@ func (p *hstore) RegisterDelete(tx *txn.Txn, tbl *storage.Table, rid storage.Rec
 	if err := p.ensure(tx, tbl, rid); err != nil {
 		return err
 	}
-	if tbl.IsTombstoned(rid) {
+	if !tbl.IsLive(rid) {
 		return txn.ErrNotFound
 	}
 	tx.AddAccess(txn.Access{Table: tbl, RID: rid, Kind: txn.KindDelete, Key: key, Data: tbl.Row(rid)})

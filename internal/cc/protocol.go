@@ -50,9 +50,9 @@ type Protocol interface {
 	// the buffer become visible atomically at commit.
 	ReadForUpdate(tx *txn.Txn, tbl *storage.Table, rid storage.RecordID) ([]byte, error)
 
-	// RegisterInsert takes ownership of a freshly allocated record (still
-	// tombstoned by the engine) so that it becomes visible to others only
-	// at commit, when data is installed and the tombstone cleared. The
+	// RegisterInsert takes ownership of a freshly allocated record (absent
+	// until a writer makes it present) so that it becomes visible to others
+	// only at commit, when data is installed and the record made live. The
 	// engine publishes the index entry after RegisterInsert returns;
 	// concurrent readers that chase it must be handled per protocol
 	// (blocked, aborted, or shown an invisible record).
@@ -120,23 +120,30 @@ type Loader interface {
 
 // arenaRows is the Loader of the protocols that install writes in place
 // (the 2PL family, TIMESTAMP, TICTOC, HSTORE, QSTORE): the committed image
-// is the table arena's row, and absence its tombstone.
+// is the table arena's row, and presence its live bit. Only these protocols
+// ever touch the arena, so only their tables ever make arena chunks.
 type arenaRows struct{}
 
-// LoadRecord implements Loader.
+// LoadRecord implements Loader. An absent record's row is left as it is:
+// nothing reads the row of a record that is not live.
 func (arenaRows) LoadRecord(tbl *storage.Table, rid storage.RecordID, key uint64, data []byte) {
-	copy(tbl.Row(rid), data)
-	tbl.SetTombstone(rid, data == nil)
+	if data != nil {
+		copy(tbl.Row(rid), data)
+	}
+	tbl.SetLive(rid, data != nil)
 }
 
 // Committed implements Loader.
 func (arenaRows) Committed(tbl *storage.Table, rid storage.RecordID) ([]byte, bool) {
-	return tbl.Row(rid), !tbl.IsTombstoned(rid)
+	if !tbl.IsLive(rid) {
+		return nil, false
+	}
+	return tbl.Row(rid), true
 }
 
 // arenaPrefetch is the Prefetch of the protocols whose committed image is
 // the table arena (the 2PL family, TIMESTAMP, TICTOC, HSTORE, QSTORE): it
-// hints the row's lines and its tombstone, which every access reads first.
+// hints the row's lines and its live bit, which every access reads first.
 type arenaPrefetch struct{}
 
 // Prefetch implements Protocol.
@@ -406,17 +413,17 @@ func sortWriteIndices(tx *txn.Txn) []int {
 	return tx.SortedWriteIndices()
 }
 
-// applyWrite installs an access's after-image into the table, honoring
-// delete tombstones. Caller must hold whatever write protection the
-// protocol requires.
+// applyWrite installs an access's after-image into the table arena: an
+// insert makes the record live, a delete makes it absent. Caller must hold
+// whatever write protection the protocol requires.
 func applyWrite(a *txn.Access) {
 	switch a.Kind {
 	case txn.KindWrite, txn.KindInsert:
 		copy(a.Table.Row(a.RID), a.Data)
 		if a.Kind == txn.KindInsert {
-			a.Table.SetTombstone(a.RID, false)
+			a.Table.SetLive(a.RID, true)
 		}
 	case txn.KindDelete:
-		a.Table.SetTombstone(a.RID, true)
+		a.Table.SetLive(a.RID, false)
 	}
 }

@@ -488,8 +488,11 @@ func TestTicTocExtensionCommitsReadOnly(t *testing.T) {
 	sch := storage.MustSchema("t", storage.I64("v"))
 	tbl := storage.NewTable(sch, 0)
 	ridA, ridB := tbl.Alloc(), tbl.Alloc()
-	sch.SetInt64(tbl.Row(ridA), 0, 1)
-	sch.SetInt64(tbl.Row(ridB), 0, 2)
+	for i, rid := range []storage.RecordID{ridA, ridB} {
+		row := sch.NewRow()
+		sch.SetInt64(row, 0, int64(i+1))
+		p.LoadRecord(tbl, rid, uint64(rid), row)
+	}
 
 	reader := mkTxn(0, 0)
 	reader.Reset()
@@ -531,6 +534,7 @@ func TestTicTocWriteWriteConflictAborts(t *testing.T) {
 	sch := storage.MustSchema("t", storage.I64("v"))
 	tbl := storage.NewTable(sch, 0)
 	rid := tbl.Alloc()
+	p.LoadRecord(tbl, rid, uint64(rid), sch.NewRow())
 
 	t1, t2 := mkTxn(0, 0), mkTxn(1, 0)
 	t1.Reset()
@@ -558,6 +562,7 @@ func TestTOOrderingRules(t *testing.T) {
 	sch := storage.MustSchema("t", storage.I64("v"))
 	tbl := storage.NewTable(sch, 0)
 	rid := tbl.Alloc()
+	p.LoadRecord(tbl, rid, uint64(rid), sch.NewRow())
 
 	// Newer reader bumps rts; an older writer must then abort.
 	newer := mkTxn(0, 0)
@@ -588,6 +593,7 @@ func TestTODirtyReadAborts(t *testing.T) {
 	sch := storage.MustSchema("t", storage.I64("v"))
 	tbl := storage.NewTable(sch, 0)
 	rid := tbl.Alloc()
+	p.LoadRecord(tbl, rid, uint64(rid), sch.NewRow())
 
 	w := mkTxn(0, 0)
 	w.Reset()

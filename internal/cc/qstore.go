@@ -40,7 +40,7 @@ func (q *qstore) Begin(tx *txn.Txn) {}
 //
 //next700:hotpath
 func (q *qstore) Read(tx *txn.Txn, tbl *storage.Table, rid storage.RecordID) ([]byte, error) {
-	if tbl.IsTombstoned(rid) {
+	if !tbl.IsLive(rid) {
 		return nil, txn.ErrNotFound
 	}
 	return tbl.Row(rid), nil
@@ -51,7 +51,7 @@ func (q *qstore) Read(tx *txn.Txn, tbl *storage.Table, rid storage.RecordID) ([]
 //
 //next700:hotpath
 func (q *qstore) ReadForUpdate(tx *txn.Txn, tbl *storage.Table, rid storage.RecordID) ([]byte, error) {
-	if tbl.IsTombstoned(rid) {
+	if !tbl.IsLive(rid) {
 		return nil, txn.ErrNotFound
 	}
 	row := tbl.Row(rid)
@@ -67,7 +67,7 @@ func (q *qstore) RegisterInsert(tx *txn.Txn, tbl *storage.Table, rid storage.Rec
 }
 
 func (q *qstore) RegisterDelete(tx *txn.Txn, tbl *storage.Table, rid storage.RecordID, key uint64) error {
-	if tbl.IsTombstoned(rid) {
+	if !tbl.IsLive(rid) {
 		return txn.ErrNotFound
 	}
 	tx.AddAccess(txn.Access{Table: tbl, RID: rid, Kind: txn.KindDelete, Key: key, Data: tbl.Row(rid)})

@@ -60,7 +60,7 @@ func (p *ticToc) observe(tx *txn.Txn, tbl *storage.Table, rid storage.RecordID, 
 			runtime.Gosched()
 			continue
 		}
-		if tbl.IsTombstoned(rid) {
+		if !tbl.IsLive(rid) {
 			wts, rts := m.wts, m.rts
 			m.mu.Unlock()
 			return nil, wts, rts, txn.ErrNotFound

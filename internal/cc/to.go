@@ -61,7 +61,7 @@ func (p *timestampOrdering) Read(tx *txn.Txn, tbl *storage.Table, rid storage.Re
 	if tx.ID > m.rts {
 		m.rts = tx.ID
 	}
-	if tbl.IsTombstoned(rid) {
+	if !tbl.IsLive(rid) {
 		m.mu.Unlock()
 		return nil, txn.ErrNotFound
 	}
@@ -93,7 +93,7 @@ func (p *timestampOrdering) ReadForUpdate(tx *txn.Txn, tbl *storage.Table, rid s
 		m.mu.Unlock()
 		return nil, err
 	}
-	if tbl.IsTombstoned(rid) {
+	if !tbl.IsLive(rid) {
 		m.mu.Unlock()
 		return nil, txn.ErrNotFound
 	}
@@ -127,7 +127,7 @@ func (p *timestampOrdering) RegisterDelete(tx *txn.Txn, tbl *storage.Table, rid 
 	if err := p.preWrite(tx, m); err != nil {
 		return err
 	}
-	if tbl.IsTombstoned(rid) {
+	if !tbl.IsLive(rid) {
 		m.dirty = 0
 		return txn.ErrNotFound
 	}

@@ -314,7 +314,7 @@ func (p *twoPL) Read(tx *txn.Txn, tbl *storage.Table, rid storage.RecordID) ([]b
 		return nil, err
 	}
 	tx.AddAccess(txn.Access{Table: tbl, RID: rid, Kind: txn.KindRead})
-	if tbl.IsTombstoned(rid) {
+	if !tbl.IsLive(rid) {
 		return nil, txn.ErrNotFound
 	}
 	return tbl.Row(rid), nil
@@ -326,7 +326,7 @@ func (p *twoPL) ReadForUpdate(tx *txn.Txn, tbl *storage.Table, rid storage.Recor
 	if err := p.acquire(tx, st, true); err != nil {
 		return nil, err
 	}
-	if tbl.IsTombstoned(rid) {
+	if !tbl.IsLive(rid) {
 		tx.AddAccess(txn.Access{Table: tbl, RID: rid, Kind: txn.KindRead})
 		return nil, txn.ErrNotFound
 	}
@@ -348,13 +348,13 @@ func (p *twoPL) RegisterInsert(tx *txn.Txn, tbl *storage.Table, rid storage.Reco
 	return nil
 }
 
-// RegisterDelete implements Protocol: X-lock and tombstone at commit.
+// RegisterDelete implements Protocol: X-lock, and mark absent at commit.
 func (p *twoPL) RegisterDelete(tx *txn.Txn, tbl *storage.Table, rid storage.RecordID, key uint64) error {
 	st := p.meta.get(tbl, rid)
 	if err := p.acquire(tx, st, true); err != nil {
 		return err
 	}
-	if tbl.IsTombstoned(rid) {
+	if !tbl.IsLive(rid) {
 		return txn.ErrNotFound
 	}
 	tx.AddAccess(txn.Access{Table: tbl, RID: rid, Kind: txn.KindDelete, Key: key, Data: tbl.Row(rid)})

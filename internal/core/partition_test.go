@@ -470,7 +470,7 @@ func TestMultiPartitionCommitReplication(t *testing.T) {
 	}
 	for p := 0; p < parts; p++ {
 		var saw uint64
-		if _, err := wal.ReplayStreams([]io.Reader{bytes.NewReader(mems[p].Bytes())}, wal.FrontierPerStream, func(_ int, cr *wal.CommitRecord) error {
+		if _, err := wal.ReplayStreams([]io.Reader{bytes.NewReader(mems[p].Bytes())}, wal.FrontierPerStream, wal.CommitOrder, func(_ int, cr *wal.CommitRecord) error {
 			// Every stream carries the full record.
 			if len(cr.Entries) != parts {
 				t.Fatalf("stream %d record has %d entries, want %d", p, len(cr.Entries), parts)

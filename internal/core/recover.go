@@ -272,7 +272,13 @@ func (e *Engine) recoverFrom(src recoverySource) (RecoveryStats, error) {
 // consumed is copied out to rs.
 func (e *Engine) replayTail(readers []io.Reader, rule wal.FrontierRule, skip []uint64, rs *RecoveryStats,
 	apply func(stream int, cr *wal.CommitRecord) error) (wal.StreamReplayStats, error) {
-	st, err := wal.ReplayStreams(readers, rule, func(stream int, cr *wal.CommitRecord) error {
+	// Value replay applies each stream in append order, the only order that
+	// puts a key's delete before its re-insert (wal.AppendOrder).
+	order := wal.CommitOrder
+	if e.cfg.LogMode == wal.ModeValue {
+		order = wal.AppendOrder
+	}
+	st, err := wal.ReplayStreams(readers, rule, order, func(stream int, cr *wal.CommitRecord) error {
 		if cr.Epoch != 0 && cr.Epoch <= skip[stream] {
 			rs.SkippedOldEpoch++
 			return nil

@@ -238,11 +238,12 @@ func (t *Tx) Update(tbl *Table, key uint64) (storage.Row, error) {
 // Insert adds a new row under key. Fails with txn.ErrDuplicate if the key
 // exists (including uncommitted inserts by concurrent transactions).
 //
-// Ordering: the fresh record is tombstoned, the primary index entry is
-// published (reserving the key — the duplicate check), and only then is the
-// record registered with the protocol. A reader chasing the index entry in
-// the window sees an untouched, tombstoned record and reports not-found,
-// which protocols turn into a validation/lock dependency as appropriate.
+// Ordering: the primary index entry is published (reserving the key — the
+// duplicate check), and only then is the fresh record registered with the
+// protocol. A reader chasing the index entry in the window finds a record no
+// commit has made present — a fresh record id reads absent under every
+// protocol, with nothing written — and reports not-found, which protocols
+// turn into a validation/lock dependency as appropriate.
 func (t *Tx) Insert(tbl *Table, key uint64, row storage.Row) error {
 	t.inner.Counter.Inserts++
 	if err := t.partitionGate(tbl, key); err != nil {
@@ -252,7 +253,6 @@ func (t *Tx) Insert(tbl *Table, key uint64, row storage.Row) error {
 		return errInsertSize
 	}
 	rid := tbl.tbl.Alloc()
-	tbl.tbl.SetTombstone(rid, true)
 	data := t.inner.Buf(len(row))
 	copy(data, row)
 	if _, ok := tbl.primary.Insert(key, rid); !ok {
@@ -570,8 +570,8 @@ func (t *Tx) appendStreams() []int {
 }
 
 // publish is the commit path up to the durability wait: the pre-commit
-// gates, the protocol commit, post-commit index maintenance and, when
-// logging, encode and append. It returns the epoch the record was tagged
+// gates, the protocol commit, encode and append when logging, and then
+// post-commit index maintenance. It returns the epoch the record was tagged
 // with — 0 when nothing was appended — which the caller waits on
 // (Tx.commit) or seals a whole batch with (DetExecutor).
 //
@@ -622,18 +622,24 @@ func (t *Tx) publish(procID int32, params []byte) (committed bool, epoch uint64,
 		t.retractInserts()
 		return false, 0, err
 	}
-	t.retractDeletes()
-
 	if !inner.HasWrites() {
 		return true, 0, nil
 	}
 	// Encode and append inside the fence: the record's epoch tag is drawn
 	// under the stream mutex. Partition affinity replicates the record onto
 	// every touched partition's stream under one tag.
+	//
+	// Deleted keys leave the indexes only after the append, on every path
+	// from here. Until then a re-insert of such a key — a write to another
+	// record id, which no protocol orders against this one — fails its
+	// duplicate check, so on one stream it appends after this delete, and
+	// value replay applies a stream in append order (wal.AppendOrder).
 	if err = t.encodeLog(procID, params); err != nil {
+		t.retractDeletes()
 		return true, 0, err
 	}
 	epoch, err = e.logs.AppendMulti(t.appendStreams(), t.logBuf)
+	t.retractDeletes()
 	return true, epoch, e.wrapPartitionErr(err)
 }
 

@@ -116,7 +116,7 @@ type detExec struct {
 }
 
 func (s *detExec) warm() error {
-	scratch := newCollector(0)
+	scratch := newCollector(0, false)
 	for b := 0; b < s.warmBatches; b++ {
 		for s.n < len(s.txns) {
 			now := time.Now().UnixNano()
@@ -130,8 +130,8 @@ func (s *detExec) warm() error {
 }
 
 // plan declares the arrival into the open batch, opening a new batch first
-// if none is.
-func (s *detExec) plan(at, now int64) {
+// if none is, and returns the clock as it read it when done.
+func (s *detExec) plan(at, now int64) int64 {
 	if s.n == 0 && s.obs != nil {
 		s.obs.BeginBatch()
 	}
@@ -140,12 +140,14 @@ func (s *detExec) plan(at, now int64) {
 	s.wl.PlanTxn(s.rng, tp)
 	s.at[s.n] = at
 	s.n++
-	s.busy += time.Now().UnixNano() - now
+	done := time.Now().UnixNano()
+	s.busy += done - now
+	return done
 }
 
 func (s *detExec) exec(at, now int64, c *collector) (int64, error) {
 	if at != 0 {
-		s.plan(at, now)
+		c.last = s.plan(at, now)
 		if s.n < len(s.txns) {
 			return s.at[0] + maxBatchDelay, nil
 		}
@@ -169,10 +171,13 @@ func (s *detExec) cut(c *collector) error {
 		s.obs.EndBatch()
 	}
 	done := time.Now().UnixNano()
+	c.last = done
 	svc := s.busy + done - start
 	s.busy = 0
 	for _, at := range s.at[:n] {
-		c.queue.Record(start - at)
+		if c.queue != nil {
+			c.queue.Record(start - at)
+		}
 		c.commit(svc, done-at)
 	}
 	return nil

@@ -28,12 +28,15 @@ type arrivals interface {
 }
 
 // closedLoop is one worker's closed-loop source: the next transaction arrives
-// the moment the worker asks for it, until the worker has had left of them
-// (a negative left never runs out) or stop closes. It never makes the worker
-// wait, so it has no use for the return-by bound.
+// the moment the worker's previous one is done, until the worker has had left
+// of them (a negative left never runs out) or stop closes. It never makes the
+// worker wait, so it has no use for the return-by bound.
 type closedLoop struct {
 	left int
 	stop <-chan struct{}
+	// last is the worker's collector's last clock reading, which the next
+	// arrival reuses instead of reading the clock again.
+	last *int64
 }
 
 func (c *closedLoop) next(int64) (at, now int64, ok bool) {
@@ -46,8 +49,10 @@ func (c *closedLoop) next(int64) (at, now int64, ok bool) {
 		return 0, 0, false
 	}
 	c.left--
-	now = time.Now().UnixNano()
-	return now, now, true
+	if *c.last == 0 {
+		*c.last = time.Now().UnixNano()
+	}
+	return *c.last, *c.last, true
 }
 
 // executor turns one worker's arrivals into transactions.
@@ -68,25 +73,31 @@ type executor interface {
 // collector is one worker's measurements over the window. Each worker owns
 // one (separately allocated, so neighbours share no cache line).
 type collector struct {
-	svc, queue, e2e *stats.Histogram
-	good, late      uint64
-	budget          int64 // goodput window in ns; 0 = every commit is good
-	backlog         uint64
-	err             error
+	svc *stats.Histogram
+	// queue and e2e are nil in a closed loop, whose Result reports neither.
+	queue, e2e *stats.Histogram
+	good, late uint64
+	budget     int64 // goodput window in ns; 0 = every commit is good
+	last       int64 // the executor's last clock reading (UnixNano); 0 = none yet
+	backlog    uint64
+	err        error
 }
 
-func newCollector(budget time.Duration) *collector {
-	return &collector{
-		svc: stats.NewHistogram(), queue: stats.NewHistogram(), e2e: stats.NewHistogram(),
-		budget: int64(budget),
+func newCollector(budget time.Duration, open bool) *collector {
+	c := &collector{svc: stats.NewHistogram(), budget: int64(budget)}
+	if open {
+		c.queue, c.e2e = stats.NewHistogram(), stats.NewHistogram()
 	}
+	return c
 }
 
 // commit records one committed transaction: svc is the time the executor
 // spent on it, e2e the time since it arrived.
 func (c *collector) commit(svc, e2e int64) {
 	c.svc.Record(svc)
-	c.e2e.Record(e2e)
+	if c.e2e != nil {
+		c.e2e.Record(e2e)
+	}
 	if c.budget > 0 && e2e > c.budget {
 		c.late++
 	} else {
@@ -135,14 +146,18 @@ func (x *txExec) exec(at, now int64, c *collector) (int64, error) {
 	if x.ctrl != nil {
 		if err := x.ctrl.Acquire(dl); err != nil {
 			ctr.ShedAborts++
+			c.last = 0 // the wait went on the clock unread: the next arrival reads it
 			return 0, nil
 		}
 		now = time.Now().UnixNano()
 	}
-	c.queue.Record(now - at)
+	if c.queue != nil {
+		c.queue.Record(now - at)
+	}
 	before := ctr.Commits
 	err := x.wl.RunOne(x.tx)
 	done := time.Now().UnixNano()
+	c.last = done
 	if x.ctrl != nil {
 		x.ctrl.Release(time.Duration(done - now))
 	}
@@ -203,14 +218,14 @@ func drive(e *core.Engine, ld load, opts RunOptions) (Result, error) {
 	cols := make([]*collector, workers)
 	srcs := make([]arrivals, workers)
 	for i := range cols {
-		cols[i] = newCollector(budget)
+		cols[i] = newCollector(budget, queue != nil)
 		switch {
 		case queue != nil:
 			srcs[i] = queue
 		case timed:
-			srcs[i] = &closedLoop{left: -1, stop: stop}
+			srcs[i] = &closedLoop{left: -1, stop: stop, last: &cols[i].last}
 		default:
-			srcs[i] = &closedLoop{left: ld.count, stop: stop}
+			srcs[i] = &closedLoop{left: ld.count, stop: stop, last: &cols[i].last}
 		}
 	}
 

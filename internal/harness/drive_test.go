@@ -179,3 +179,23 @@ func TestQueueNextByDeadline(t *testing.T) {
 		t.Fatal("bounded wait outlived close")
 	}
 }
+
+// TestClosedLoopReusesLastStamp: a closed loop's arrival is the instant its
+// worker last read the clock — the previous transaction's done stamp — so a
+// transaction costs one clock read; only a worker with no reading yet (the
+// first arrival, or one after a shed) reads it afresh.
+func TestClosedLoopReusesLastStamp(t *testing.T) {
+	var last int64
+	src := &closedLoop{left: 2, stop: make(chan struct{}), last: &last}
+	at, now, ok := src.next(0)
+	if !ok || at <= 0 || now != at || last != at {
+		t.Fatalf("first arrival at=%d now=%d ok=%v last=%d: want a fresh clock reading", at, now, ok, last)
+	}
+	last = 12345
+	if at, now, ok := src.next(0); !ok || at != 12345 || now != 12345 {
+		t.Fatalf("second arrival at=%d now=%d ok=%v: want the previous done stamp", at, now, ok)
+	}
+	if _, _, ok := src.next(0); ok {
+		t.Fatal("arrival past the loop's count")
+	}
+}

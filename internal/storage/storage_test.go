@@ -196,16 +196,83 @@ func TestTombstones(t *testing.T) {
 	s := MustSchema("t", I64("v"))
 	tbl := NewTable(s, 0)
 	rid := tbl.Alloc()
-	if tbl.IsTombstoned(rid) {
-		t.Fatal("fresh row tombstoned")
+	if tbl.IsLive(rid) {
+		t.Fatal("fresh row live")
 	}
-	tbl.SetTombstone(rid, true)
-	if !tbl.IsTombstoned(rid) {
-		t.Fatal("tombstone not set")
+	tbl.SetLive(rid, true)
+	if !tbl.IsLive(rid) {
+		t.Fatal("live bit not set")
 	}
-	tbl.SetTombstone(rid, false)
-	if tbl.IsTombstoned(rid) {
-		t.Fatal("tombstone not cleared")
+	tbl.SetLive(rid, false)
+	if tbl.IsLive(rid) {
+		t.Fatal("live bit not cleared")
+	}
+}
+
+// TestFreshSlotReadsAbsent: a slot no writer has made live reads absent,
+// whether its chunk was never made or a neighbour made it — the zero live bit
+// is absence, so an inserter need write nothing before publishing its key.
+func TestFreshSlotReadsAbsent(t *testing.T) {
+	s := MustSchema("t", I64("v"))
+	tbl := NewTable(s, 0)
+	first, second := tbl.Alloc(), tbl.Alloc()
+	if tbl.IsLive(first) || tbl.ArenaChunks() != 0 {
+		t.Fatalf("fresh slot: live %v, %d chunks", tbl.IsLive(first), tbl.ArenaChunks())
+	}
+	s.SetInt64(tbl.Row(first), 0, 7)
+	tbl.SetLive(first, true)
+	if tbl.IsLive(second) {
+		t.Fatal("fresh slot in a made chunk reads live")
+	}
+	if tbl.ArenaChunks() != 1 {
+		t.Fatalf("%d chunks after one touched row", tbl.ArenaChunks())
+	}
+}
+
+// TestArenaChunksOnFirstTouch: Alloc makes no chunk; Row and SetLive make
+// only the chunk they reach, in any order, and rows in a chunk made first
+// survive the directory growth that makes a lower one.
+func TestArenaChunksOnFirstTouch(t *testing.T) {
+	s := MustSchema("t", I64("v"))
+	tbl := NewTable(s, 0)
+	for i := 0; i < 3*chunkSize; i++ {
+		tbl.Alloc()
+	}
+	if n := tbl.ArenaChunks(); n != 0 {
+		t.Fatalf("Alloc made %d chunks", n)
+	}
+	high := RecordID(2*chunkSize + 5)
+	s.SetInt64(tbl.Row(high), 0, 42)
+	tbl.SetLive(high, true)
+	if n := tbl.ArenaChunks(); n != 1 {
+		t.Fatalf("one touched row made %d chunks", n)
+	}
+	tbl.SetLive(3, true)
+	if n := tbl.ArenaChunks(); n != 2 {
+		t.Fatalf("a second touched chunk made %d chunks in all", n)
+	}
+	if !tbl.IsLive(high) || s.GetInt64(tbl.Row(high), 0) != 42 || !tbl.IsLive(3) {
+		t.Fatal("row or live bit lost when a lower chunk was made")
+	}
+}
+
+// TestMissingChunkAllocatesNothing: on a chunk never made, a liveness read,
+// a Prefetch and marking a slot absent answer from the directory alone.
+func TestMissingChunkAllocatesNothing(t *testing.T) {
+	tbl := NewTable(MustSchema("t", I64("v"), Str("s", 100)), 0)
+	for i := 0; i < 2*chunkSize; i++ {
+		tbl.Alloc()
+	}
+	rid := RecordID(chunkSize + 17)
+	allocs := testing.AllocsPerRun(100, func() {
+		if tbl.IsLive(rid) {
+			t.Fatal("slot in a missing chunk reads live")
+		}
+		tbl.Prefetch(rid)
+		tbl.SetLive(rid, false)
+	})
+	if allocs != 0 || tbl.ArenaChunks() != 0 {
+		t.Fatalf("%.0f allocs/run, %d chunks made", allocs, tbl.ArenaChunks())
 	}
 }
 
@@ -245,10 +312,10 @@ func TestColTypeString(t *testing.T) {
 	}
 }
 
-// TestTombstonesAcrossChunkGrowth: a slot's tombstone lives in the chunk
-// that holds its row and is published with it, so an Alloc that races chunk
-// growth can set and read its tombstone at once, and tombstones set before a
-// growth survive it.
+// TestTombstonesAcrossChunkGrowth: a slot's live bit lives in the chunk that
+// holds its row and is published with it, so a writer that races another
+// chunk's creation can set and read its live bit at once, and live bits set
+// before a growth survive it.
 func TestTombstonesAcrossChunkGrowth(t *testing.T) {
 	const workers, perWorker = 4, chunkSize/2 + 100 // 2+ growths
 	tbl := NewTable(MustSchema("t", I64("v")), 0)
@@ -260,10 +327,10 @@ func TestTombstonesAcrossChunkGrowth(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				rid := tbl.Alloc()
-				dead := rid%3 == 0
-				tbl.SetTombstone(rid, dead)
-				if tbl.IsTombstoned(rid) != dead {
-					t.Errorf("rid %d: tombstone not visible to its writer", rid)
+				live := rid%3 != 0
+				tbl.SetLive(rid, live)
+				if tbl.IsLive(rid) != live {
+					t.Errorf("rid %d: live bit not visible to its writer", rid)
 					return
 				}
 				rids[w] = append(rids[w], rid)
@@ -273,8 +340,8 @@ func TestTombstonesAcrossChunkGrowth(t *testing.T) {
 	wg.Wait()
 	for _, batch := range rids {
 		for _, rid := range batch {
-			if tbl.IsTombstoned(rid) != (rid%3 == 0) {
-				t.Fatalf("rid %d: tombstone lost across chunk growth", rid)
+			if tbl.IsLive(rid) != (rid%3 != 0) {
+				t.Fatalf("rid %d: live bit lost across chunk growth", rid)
 			}
 		}
 	}

@@ -23,35 +23,38 @@ const chunkBits = 16
 
 const chunkSize = 1 << chunkBits
 
-// Table is a chunked, append-only arena of fixed-width rows. Row allocation
-// is lock-free in the common case (atomic bump within the current chunk
-// directory); chunk growth takes a mutex. Row access is wait-free.
+// Table is a record-id allocator with a chunked row arena behind it. Alloc
+// hands out dense record ids with one atomic add and touches no memory; a
+// row's chunk of the arena is created the first time Row or SetLive reaches
+// it (growth takes a mutex, access after that is wait-free). So a protocol
+// that keeps its committed rows elsewhere (SILO's slot words, MVCC's version
+// chains) and never calls either has record ids and no arena at all.
 //
 // The table itself performs no concurrency control on row contents — that is
-// the cc package's job. Deleted rows are tombstoned, not reclaimed; the
-// engine-level garbage collector may reuse them via the free list.
+// the cc package's job. Every slot carries a live bit whose zero value means
+// absent: a fresh slot reads absent until a writer sets it live, and deleted
+// rows are marked absent, not reclaimed.
 type Table struct {
 	schema *Schema
 	id     int
 
-	mu     sync.Mutex // guards chunk growth
-	chunks atomic.Pointer[[]chunk]
-	next   atomic.Uint64 // next RecordID to hand out
+	mu     sync.Mutex              // guards chunk creation
+	chunks atomic.Pointer[[]chunk] // copy-on-write directory; a nil rows is a chunk not yet made
+	next   atomic.Uint64           // next RecordID to hand out
 }
 
-// chunk is one chunkSize-row slab: the row images and their tombstones,
-// published together, so a slot's row and its tombstone appear at once and
+// chunk is one chunkSize-row slab: the row images and their live bits,
+// published together, so a slot's row and its live bit appear at once and
 // neither access shares a lock word with any other slot.
 type chunk struct {
 	rows []byte
-	dead []atomic.Bool
+	live []atomic.Bool
 }
 
 // NewTable creates an empty table over schema.
 func NewTable(schema *Schema, id int) *Table {
 	t := &Table{schema: schema, id: id}
-	empty := make([]chunk, 0, 16)
-	t.chunks.Store(&empty)
+	t.chunks.Store(new([]chunk))
 	return t
 }
 
@@ -64,68 +67,92 @@ func (t *Table) ID() int { return t.id }
 // Name returns the schema name.
 func (t *Table) Name() string { return t.schema.Name() }
 
-// NumRows returns the number of allocated row slots (including tombstoned
-// ones).
+// NumRows returns the number of allocated record ids (live or not).
 func (t *Table) NumRows() uint64 { return t.next.Load() }
 
-// Alloc reserves a new row slot and returns its RecordID. The slot's row
-// image is zeroed.
+// Alloc reserves a new record id. It allocates no arena memory: the slot's
+// row, zeroed and absent, exists once Row or SetLive first reaches it.
 func (t *Table) Alloc() RecordID {
-	rid := RecordID(t.next.Add(1) - 1)
-	t.ensureChunk(rid)
-	return rid
+	return RecordID(t.next.Add(1) - 1)
 }
 
-// ensureChunk guarantees that the chunk containing rid exists.
-func (t *Table) ensureChunk(rid RecordID) {
-	idx := int(rid >> chunkBits)
-	chunks := *t.chunks.Load()
-	if idx < len(chunks) {
-		return
+// ArenaChunks returns how many arena chunks exist — memory accounting for
+// tests and diagnostics.
+func (t *Table) ArenaChunks() int {
+	n := 0
+	for _, c := range *t.chunks.Load() {
+		if c.rows != nil {
+			n++
+		}
 	}
+	return n
+}
+
+// existing returns the chunk holding rid, or nil if it was never made.
+func (t *Table) existing(rid RecordID) *chunk {
+	chunks := *t.chunks.Load()
+	if idx := int(rid >> chunkBits); idx < len(chunks) && chunks[idx].rows != nil {
+		return &chunks[idx]
+	}
+	return nil
+}
+
+// makeChunk returns the chunk holding rid on its first touch: it creates the
+// chunk under the growth mutex unless a racing caller already has.
+//
+//next700:allowalloc(first-touch slow path: one chunk per 65536 rows, made once in the table's lifetime)
+func (t *Table) makeChunk(rid RecordID) *chunk {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	chunks = *t.chunks.Load()
-	for idx >= len(chunks) {
-		grown := append(chunks, chunk{
-			rows: make([]byte, chunkSize*t.schema.rowSize),
-			dead: make([]atomic.Bool, chunkSize),
-		})
-		t.chunks.Store(&grown)
-		chunks = grown
+	if c := t.existing(rid); c != nil {
+		return c
 	}
+	// Publish a grown copy of the directory: readers holding the old one
+	// keep valid chunk headers, since a made chunk is never replaced.
+	idx := int(rid >> chunkBits)
+	old := *t.chunks.Load()
+	grown := make([]chunk, max(len(old), idx+1))
+	copy(grown, old)
+	grown[idx] = chunk{
+		rows: make([]byte, chunkSize*t.schema.rowSize),
+		live: make([]atomic.Bool, chunkSize),
+	}
+	t.chunks.Store(&grown)
+	return &grown[idx]
 }
 
-// Row returns the row image for rid. The slice aliases table memory; writers
-// must hold whatever protection the active concurrency-control protocol
-// requires. Panics if rid was never allocated.
+// Row returns the row image for rid, creating its arena chunk on first
+// touch. The slice aliases table memory; writers must hold whatever
+// protection the active concurrency-control protocol requires. Panics if rid
+// was never allocated.
 func (t *Table) Row(rid RecordID) Row {
 	if uint64(rid) >= t.next.Load() {
 		//next700:allowalloc(panic path: formatting a programming-error message happens at most once)
 		panic(fmt.Sprintf("storage: table %q row %d out of range (allocated %d)",
 			t.Name(), rid, t.next.Load()))
 	}
-	rows := (*t.chunks.Load())[rid>>chunkBits].rows
+	c := t.existing(rid)
+	if c == nil {
+		c = t.makeChunk(rid)
+	}
 	off := int(rid&(chunkSize-1)) * t.schema.rowSize
-	return rows[off : off+t.schema.rowSize : off+t.schema.rowSize]
+	return c.rows[off : off+t.schema.rowSize : off+t.schema.rowSize]
 }
 
-// Prefetch hints every cache line of rid's row image and its tombstone, so
-// that a Row or IsTombstoned soon after finds them cached. The hints read
-// neither, never wait for a line and never fault, so Prefetch may run
-// beside the row's writers with no protection; a rid whose chunk does not
-// exist yet is skipped.
+// Prefetch hints every cache line of rid's row image and its live bit, so
+// that a Row or IsLive soon after finds them cached. The hints read neither,
+// never wait for a line and never fault, so Prefetch may run beside the
+// row's writers with no protection; a rid whose chunk does not exist is
+// skipped, and nothing is created.
 //
 //next700:hotpath
 func (t *Table) Prefetch(rid RecordID) {
-	chunks := *t.chunks.Load()
-	idx := int(rid >> chunkBits)
-	if idx >= len(chunks) {
+	c := t.existing(rid)
+	if c == nil {
 		return
 	}
-	c := &chunks[idx]
 	slot := int(rid & (chunkSize - 1))
-	prefetch.Line(unsafe.Pointer(&c.dead[slot]))
+	prefetch.Line(unsafe.Pointer(&c.live[slot]))
 	row := c.rows[slot*t.schema.rowSize : (slot+1)*t.schema.rowSize]
 	for off := 0; off < len(row); off += prefetch.LineSize {
 		prefetch.Line(unsafe.Pointer(&row[off]))
@@ -135,16 +162,25 @@ func (t *Table) Prefetch(rid RecordID) {
 	prefetch.Line(unsafe.Pointer(&row[len(row)-1]))
 }
 
-// tombstone returns rid's tombstone; rid's chunk must exist.
-func (t *Table) tombstone(rid RecordID) *atomic.Bool {
-	return &(*t.chunks.Load())[rid>>chunkBits].dead[rid&(chunkSize-1)]
+// SetLive marks rid present (live) or absent. Marking a slot whose chunk was
+// never made absent is a no-op: it already reads absent.
+func (t *Table) SetLive(rid RecordID, live bool) {
+	c := t.existing(rid)
+	if c == nil {
+		if !live {
+			return
+		}
+		c = t.makeChunk(rid)
+	}
+	c.live[rid&(chunkSize-1)].Store(live)
 }
 
-// SetTombstone marks rid deleted (or undeleted, for abort paths).
-func (t *Table) SetTombstone(rid RecordID, dead bool) { t.tombstone(rid).Store(dead) }
-
-// IsTombstoned reports whether rid is deleted.
-func (t *Table) IsTombstoned(rid RecordID) bool { return t.tombstone(rid).Load() }
+// IsLive reports whether rid is present. A slot whose chunk was never made
+// is absent, and asking creates nothing.
+func (t *Table) IsLive(rid RecordID) bool {
+	c := t.existing(rid)
+	return c != nil && c.live[rid&(chunkSize-1)].Load()
+}
 
 // Catalog maps table names to tables and assigns table ids. It is safe for
 // concurrent readers once tables are registered; registration itself is

@@ -100,6 +100,25 @@ const (
 	FrontierPerStream
 )
 
+// Order is the order ReplayStreams applies the records of one epoch in.
+type Order int
+
+const (
+	// CommitOrder applies an epoch's records by (txnID, stream), append
+	// order breaking ties: command replay re-executes transactions in
+	// commit-sequence order, which no stream's append order need follow.
+	CommitOrder Order = iota
+	// AppendOrder applies an epoch's records stream by stream, each stream's
+	// in the order they were appended. Value replay needs it: its
+	// applied-if-newer filter orders the writers of one record, but two
+	// records that share a key (a delete and a re-insert, on different
+	// record ids) are ordered only by when they were appended — the engine
+	// retracts a deleted key only after its record is appended, so on one
+	// stream the re-insert always follows — while their txnIDs, drawn by a
+	// protocol that orders records, not keys, may be inverted.
+	AppendOrder
+)
+
 // heldRecord is one record awaiting certification (streamScan) or the epoch
 // merge (ReplayStreams): its payload lives at buf[off:end] of the owning
 // buffer.
@@ -113,7 +132,7 @@ type heldRecord struct {
 // stream's intact prefix, computes the stream's certified frontier — proven
 // by its epoch markers and by the monotone epoch tags themselves — and
 // applies exactly the records at or below the frontier the rule selects,
-// ordered by (epoch, txnID) within a stream. A torn tail truncates; intact
+// ordered by epoch and, within an epoch, by order. A torn tail truncates; intact
 // records beyond the frontier are dropped, never resurrected. Records
 // tagged epoch 0 (pre-epoch single-stream logs) lie below every frontier
 // and always replay.
@@ -123,11 +142,11 @@ type heldRecord struct {
 // merge: it is applied as it is scanned, holding back only the records of
 // its newest, not yet certified epoch. Only FrontierGlobal over several
 // streams must see every stream's frontier before it can apply anything;
-// it buffers the records and merges them by (epoch, txnID, stream), which
-// is total and deterministic: command replay re-executes in
-// commit-sequence order, and value replay's applied-if-newer filtering is
-// order-independent anyway.
-func ReplayStreams(readers []io.Reader, rule FrontierRule, apply func(stream int, cr *CommitRecord) error) (StreamReplayStats, error) {
+// it buffers the records and merges them by epoch and order, which is total
+// and deterministic. Under AppendOrder that merge concatenates the streams'
+// records of an epoch, so it orders two records that share a key only when
+// both are on one stream.
+func ReplayStreams(readers []io.Reader, rule FrontierRule, order Order, apply func(stream int, cr *CommitRecord) error) (StreamReplayStats, error) {
 	st := StreamReplayStats{Streams: len(readers), StreamFrontiers: make([]uint64, len(readers))}
 	if len(readers) == 0 {
 		return st, fmt.Errorf("wal: replay needs at least one stream: %w", ErrCorrupt)
@@ -148,7 +167,7 @@ func ReplayStreams(readers []io.Reader, rule FrontierRule, apply func(stream int
 	var held []heldRecord
 	frontier := ^uint64(0)
 	for i, r := range readers {
-		sc := streamScan{stream: i, buf: buf, held: held, keep: merge, emit: emit}
+		sc := streamScan{stream: i, buf: buf, held: held, keep: merge, order: order, emit: emit}
 		var fs ReplayStats
 		err := scanFrames(r, &fs, sc.frame)
 		buf, held = sc.buf, sc.held
@@ -181,7 +200,7 @@ func ReplayStreams(readers []io.Reader, rule FrontierRule, apply func(stream int
 	for i := range st.StreamFrontiers {
 		st.StreamFrontiers[i] = st.Frontier
 	}
-	sortHeld(held)
+	sortHeld(held, order)
 	for _, h := range held {
 		if h.epoch > st.Frontier {
 			st.TruncatedRecords++
@@ -210,6 +229,7 @@ type streamScan struct {
 	buf    []byte
 	held   []heldRecord
 	keep   bool
+	order  Order
 	emit   func(stream int, payload []byte) error
 }
 
@@ -242,9 +262,9 @@ func (sc *streamScan) frame(payload []byte) error {
 }
 
 // release emits the held group — one epoch's records, now certified — in
-// commit-sequence order.
+// the scan's order.
 func (sc *streamScan) release() error {
-	sortHeld(sc.held)
+	sortHeld(sc.held, sc.order)
 	for _, h := range sc.held {
 		if err := sc.emit(h.stream, sc.buf[h.off:h.end]); err != nil {
 			return err
@@ -254,15 +274,18 @@ func (sc *streamScan) release() error {
 	return nil
 }
 
-// sortHeld orders records by (epoch, txnID, stream), append order breaking
-// ties. Streams append nearly in commit-sequence order, so the common case
-// is the already-sorted check.
-func sortHeld(held []heldRecord) {
-	order := func(x, y heldRecord) int {
-		return cmp.Or(cmp.Compare(x.epoch, y.epoch), cmp.Compare(x.txnID, y.txnID), x.stream-y.stream)
+// sortHeld orders records by epoch and then by order: (txnID, stream) or
+// stream alone, append order breaking ties. Streams append nearly in
+// commit-sequence order, so the common case is the already-sorted check.
+func sortHeld(held []heldRecord, order Order) {
+	less := func(x, y heldRecord) int {
+		if c := cmp.Compare(x.epoch, y.epoch); c != 0 || order == AppendOrder {
+			return cmp.Or(c, x.stream-y.stream)
+		}
+		return cmp.Or(cmp.Compare(x.txnID, y.txnID), x.stream-y.stream)
 	}
-	if !slices.IsSortedFunc(held, order) {
-		slices.SortStableFunc(held, order)
+	if !slices.IsSortedFunc(held, less) {
+		slices.SortStableFunc(held, less)
 	}
 }
 
@@ -328,12 +351,12 @@ func SealSegment(data []byte, ceiling uint64) ([]byte, error) {
 	return out, nil
 }
 
-// ReplayStreamBytes is ReplayStreams under FrontierGlobal over in-memory
-// stream images (tests and the torture harness).
+// ReplayStreamBytes is ReplayStreams under FrontierGlobal and CommitOrder
+// over in-memory stream images (tests).
 func ReplayStreamBytes(streams [][]byte, apply func(stream int, cr *CommitRecord) error) (StreamReplayStats, error) {
 	readers := make([]io.Reader, len(streams))
 	for i := range streams {
 		readers[i] = bytes.NewReader(streams[i])
 	}
-	return ReplayStreams(readers, FrontierGlobal, apply)
+	return ReplayStreams(readers, FrontierGlobal, CommitOrder, apply)
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -350,7 +351,7 @@ func TestReplayStreamsPartitioned(t *testing.T) {
 		readers[i] = bytes.NewReader(images[i])
 	}
 	applied := make(map[uint64]bool)
-	st, err := ReplayStreams(readers, FrontierPerStream, func(_ int, cr *CommitRecord) error {
+	st, err := ReplayStreams(readers, FrontierPerStream, CommitOrder, func(_ int, cr *CommitRecord) error {
 		applied[cr.TxnID] = true
 		return nil
 	})
@@ -832,4 +833,65 @@ func TestStreamSetCloseBreaksCoordinatorWaits(t *testing.T) {
 		parked(t, s, 1)
 		closeWithin(t, s, a)
 	})
+}
+
+// TestReplayOrderWithinEpoch: one epoch's records replay by txnID under
+// CommitOrder and as appended, stream by stream, under AppendOrder — on one
+// stream (applied as scanned) and across two (the global merge).
+func TestReplayOrderWithinEpoch(t *testing.T) {
+	appends := []struct {
+		stream int
+		id     uint64
+	}{{0, 9}, {1, 3}, {0, 5}, {0, 7}}
+	for _, tc := range []struct {
+		streams    int
+		byCommit   []uint64
+		asAppended []uint64
+	}{
+		{1, []uint64{3, 5, 7, 9}, []uint64{9, 3, 5, 7}},
+		{2, []uint64{3, 5, 7, 9}, []uint64{9, 5, 7, 3}},
+	} {
+		devs := make([]Device, tc.streams)
+		mems := make([]*memDevice, tc.streams)
+		for i := range devs {
+			mems[i] = &memDevice{}
+			devs[i] = mems[i]
+		}
+		s := NewStreamSet(devs, 0)
+		var epoch uint64
+		for i, a := range appends {
+			ep, err := s.Append(a.stream%tc.streams, setRecord(a.id))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i > 0 && ep != epoch {
+				t.Fatalf("appends with no wait between them tagged epochs %d and %d", epoch, ep)
+			}
+			epoch = ep
+		}
+		for i := range devs {
+			if err := s.WaitDurable(i, epoch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for order, want := range map[Order][]uint64{CommitOrder: tc.byCommit, AppendOrder: tc.asAppended} {
+			readers := make([]io.Reader, tc.streams)
+			for i, m := range mems {
+				readers[i] = bytes.NewReader(m.bytes())
+			}
+			var got []uint64
+			if _, err := ReplayStreams(readers, FrontierGlobal, order, func(_ int, cr *CommitRecord) error {
+				got = append(got, cr.TxnID)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, want) {
+				t.Errorf("%d streams, order %d: replayed %v, want %v", tc.streams, order, got, want)
+			}
+		}
+	}
 }
