@@ -272,8 +272,10 @@ func (e *Engine) recoverFrom(src recoverySource) (RecoveryStats, error) {
 // consumed is copied out to rs.
 func (e *Engine) replayTail(readers []io.Reader, rule wal.FrontierRule, skip []uint64, rs *RecoveryStats,
 	apply func(stream int, cr *wal.CommitRecord) error) (wal.StreamReplayStats, error) {
-	// Value replay applies each stream in append order, the only order that
-	// puts a key's delete before its re-insert (wal.AppendOrder).
+	// Value replay applies a stream replayed to its own frontier in append
+	// order, the only order that puts a key's delete before its re-insert
+	// on one stream (wal.AppendOrder); the global merge over several
+	// streams orders by txnID under either order.
 	order := wal.CommitOrder
 	if e.cfg.LogMode == wal.ModeValue {
 		order = wal.AppendOrder

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"reflect"
 	"runtime"
 	"slices"
@@ -204,15 +205,23 @@ func TestParallelReplayMatchesSerial(t *testing.T) {
 // because Tx.publish retracts a deleted key from the index after the
 // delete's record is appended. Each history recovers into a fresh engine,
 // which must reach the source's logical state.
+//
+// NO_WAIT also runs on two streams, one worker each: there the delete and the
+// re-insert may land on different streams in one epoch, and only the global
+// merge's txnID order — which a locking protocol draws at commit, after the
+// delete's key left the index — puts them in order.
 func TestToggledKeysSurviveRecovery(t *testing.T) {
 	histories := 2000
 	if testing.Short() {
 		histories = 25
 	}
-	for _, protocol := range []string{"SILO", "TICTOC", "NO_WAIT", "MVCC"} {
-		t.Run(protocol, func(t *testing.T) {
+	for _, tc := range []struct {
+		protocol string
+		streams  int
+	}{{"SILO", 1}, {"TICTOC", 1}, {"NO_WAIT", 1}, {"MVCC", 1}, {"NO_WAIT", 2}} {
+		t.Run(fmt.Sprintf("%s/streams=%d", tc.protocol, tc.streams), func(t *testing.T) {
 			for h := 0; h < histories; h++ {
-				if got, want := toggleHistory(t, protocol, uint64(h)); got != want {
+				if got, want := toggleHistory(t, tc.protocol, tc.streams, uint64(h)); got != want {
 					t.Fatalf("history %d: recovered state differs from the source:\n got %s\nwant %s", h, got, want)
 				}
 			}
@@ -220,20 +229,26 @@ func TestToggledKeysSurviveRecovery(t *testing.T) {
 	}
 }
 
-// toggleHistory runs one seeded toggle history under protocol and returns the
-// logical state recovered from its log and the source's.
-func toggleHistory(t *testing.T, protocol string, seed uint64) (got, want string) {
+// toggleHistory runs one seeded toggle history under protocol over streams
+// log streams and returns the logical state recovered from its log and the
+// source's.
+func toggleHistory(t *testing.T, protocol string, streams int, seed uint64) (got, want string) {
 	t.Helper()
 	const workers, keys, txns = 2, 16, 100
-	open := func(dev *memDevice) (*Engine, *Table) {
-		e, err := Open(Config{Protocol: protocol, Threads: workers, LogMode: wal.ModeValue, LogDevice: dev})
+	open := func(devs []wal.Device) (*Engine, *Table) {
+		e, err := Open(Config{Protocol: protocol, Threads: workers, LogMode: wal.ModeValue, WALStreams: streams, LogDevices: devs})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return e, kvTable(t, e, "kv", IndexHash, keys)
 	}
-	dev := &memDevice{}
-	e, tbl := open(dev)
+	mems := make([]*memDevice, streams)
+	devs := make([]wal.Device, streams)
+	for i := range mems {
+		mems[i] = &memDevice{}
+		devs[i] = mems[i]
+	}
+	e, tbl := open(devs)
 	defer e.Close()
 	var wg sync.WaitGroup
 	errs := make([]error, workers)
@@ -275,9 +290,15 @@ func toggleHistory(t *testing.T, protocol string, seed uint64) (got, want string
 		}
 	}
 	want = logicalState(t, e, tbl)
-	r, rtbl := open(&memDevice{})
+	fresh := make([]wal.Device, streams)
+	readers := make([]io.Reader, streams)
+	for i, m := range mems {
+		fresh[i] = &memDevice{}
+		readers[i] = m.reader()
+	}
+	r, rtbl := open(fresh)
 	defer r.Close()
-	if _, err := r.Recover(dev.reader()); err != nil {
+	if _, err := r.RecoverStreams(readers); err != nil {
 		t.Fatal(err)
 	}
 	return logicalState(t, r, rtbl), want

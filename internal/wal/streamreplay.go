@@ -108,14 +108,19 @@ const (
 	// order breaking ties: command replay re-executes transactions in
 	// commit-sequence order, which no stream's append order need follow.
 	CommitOrder Order = iota
-	// AppendOrder applies an epoch's records stream by stream, each stream's
-	// in the order they were appended. Value replay needs it: its
+	// AppendOrder applies a stream replayed to its own frontier in the
+	// order its records were appended. Value replay needs it: its
 	// applied-if-newer filter orders the writers of one record, but two
 	// records that share a key (a delete and a re-insert, on different
 	// record ids) are ordered only by when they were appended — the engine
 	// retracts a deleted key only after its record is appended, so on one
 	// stream the re-insert always follows — while their txnIDs, drawn by a
 	// protocol that orders records, not keys, may be inverted.
+	//
+	// No append order spans streams, so the global merge over several
+	// streams orders by (txnID, stream) under either Order: the commit
+	// order a protocol that draws its txnIDs at commit (the locking ones,
+	// HSTORE) gives a delete before the re-insert of its key.
 	AppendOrder
 )
 
@@ -142,10 +147,8 @@ type heldRecord struct {
 // merge: it is applied as it is scanned, holding back only the records of
 // its newest, not yet certified epoch. Only FrontierGlobal over several
 // streams must see every stream's frontier before it can apply anything;
-// it buffers the records and merges them by epoch and order, which is total
-// and deterministic. Under AppendOrder that merge concatenates the streams'
-// records of an epoch, so it orders two records that share a key only when
-// both are on one stream.
+// it buffers the records and merges them by (epoch, txnID, stream), which is
+// total and deterministic, whatever the order.
 func ReplayStreams(readers []io.Reader, rule FrontierRule, order Order, apply func(stream int, cr *CommitRecord) error) (StreamReplayStats, error) {
 	st := StreamReplayStats{Streams: len(readers), StreamFrontiers: make([]uint64, len(readers))}
 	if len(readers) == 0 {
@@ -200,7 +203,7 @@ func ReplayStreams(readers []io.Reader, rule FrontierRule, order Order, apply fu
 	for i := range st.StreamFrontiers {
 		st.StreamFrontiers[i] = st.Frontier
 	}
-	sortHeld(held, order)
+	sortHeld(held)
 	for _, h := range held {
 		if h.epoch > st.Frontier {
 			st.TruncatedRecords++
@@ -264,7 +267,9 @@ func (sc *streamScan) frame(payload []byte) error {
 // release emits the held group — one epoch's records, now certified — in
 // the scan's order.
 func (sc *streamScan) release() error {
-	sortHeld(sc.held, sc.order)
+	if sc.order == CommitOrder {
+		sortHeld(sc.held)
+	}
 	for _, h := range sc.held {
 		if err := sc.emit(h.stream, sc.buf[h.off:h.end]); err != nil {
 			return err
@@ -274,18 +279,15 @@ func (sc *streamScan) release() error {
 	return nil
 }
 
-// sortHeld orders records by epoch and then by order: (txnID, stream) or
-// stream alone, append order breaking ties. Streams append nearly in
-// commit-sequence order, so the common case is the already-sorted check.
-func sortHeld(held []heldRecord, order Order) {
-	less := func(x, y heldRecord) int {
-		if c := cmp.Compare(x.epoch, y.epoch); c != 0 || order == AppendOrder {
-			return cmp.Or(c, x.stream-y.stream)
-		}
-		return cmp.Or(cmp.Compare(x.txnID, y.txnID), x.stream-y.stream)
+// sortHeld orders records by (epoch, txnID, stream), append order breaking
+// ties. Streams append nearly in commit-sequence order, so the common case
+// is the already-sorted check.
+func sortHeld(held []heldRecord) {
+	order := func(x, y heldRecord) int {
+		return cmp.Or(cmp.Compare(x.epoch, y.epoch), cmp.Compare(x.txnID, y.txnID), x.stream-y.stream)
 	}
-	if !slices.IsSortedFunc(held, less) {
-		slices.SortStableFunc(held, less)
+	if !slices.IsSortedFunc(held, order) {
+		slices.SortStableFunc(held, order)
 	}
 }
 

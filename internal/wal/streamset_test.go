@@ -835,9 +835,10 @@ func TestStreamSetCloseBreaksCoordinatorWaits(t *testing.T) {
 	})
 }
 
-// TestReplayOrderWithinEpoch: one epoch's records replay by txnID under
-// CommitOrder and as appended, stream by stream, under AppendOrder — on one
-// stream (applied as scanned) and across two (the global merge).
+// TestReplayOrderWithinEpoch: one stream's epoch replays by txnID under
+// CommitOrder and as appended under AppendOrder; the global merge across two
+// streams, where no append order spans the streams, replays by txnID under
+// both.
 func TestReplayOrderWithinEpoch(t *testing.T) {
 	appends := []struct {
 		stream int
@@ -849,7 +850,7 @@ func TestReplayOrderWithinEpoch(t *testing.T) {
 		asAppended []uint64
 	}{
 		{1, []uint64{3, 5, 7, 9}, []uint64{9, 3, 5, 7}},
-		{2, []uint64{3, 5, 7, 9}, []uint64{9, 5, 7, 3}},
+		{2, []uint64{3, 5, 7, 9}, []uint64{3, 5, 7, 9}},
 	} {
 		devs := make([]Device, tc.streams)
 		mems := make([]*memDevice, tc.streams)
