@@ -78,8 +78,8 @@ type Protocol interface {
 	// deterministic executor's lookahead call it for records ahead of their
 	// use, and the misses overlap with whatever runs meanwhile. It emits
 	// hints only (prefetch.Line): it reads nothing, writes nothing, records
-	// no access and never grows a metaTable — a record whose metadata does
-	// not exist yet is skipped — so it cannot block, allocate or take a
+	// no access and never makes a metadata chunk — a record whose metadata
+	// does not exist yet is skipped — so it cannot block, allocate or take a
 	// lock, and it may hint memory others write plainly, the table arena
 	// included.
 	Prefetch(tbl *storage.Table, rid storage.RecordID)
@@ -264,92 +264,21 @@ func (at *ActiveTable) Min() uint64 {
 	return min
 }
 
-// metaChunkBits matches the storage chunk geometry so metadata chunks grow
-// in step with table chunks.
-const metaChunkBits = 16
-
-const metaChunkSize = 1 << metaChunkBits
-
-// metaTable is a growable parallel array of per-record protocol metadata,
-// indexed by RecordID: stride consecutive T slots per record (1 for every
-// protocol but SILO, whose slot also holds the committed row's words). Reads
-// are wait-free once a chunk exists; growth is serialized.
-type metaTable[T any] struct {
-	mu     sync.Mutex
-	stride int
-	chunks atomic.Pointer[[][]T]
-}
-
-//next700:allowalloc(first-touch slow path: a table's metadata directory is built once, on the first record access)
-func newMetaTable[T any](stride int) *metaTable[T] {
-	mt := &metaTable[T]{stride: stride}
-	empty := make([][]T, 0, 16)
-	mt.chunks.Store(&empty)
-	return mt
-}
-
-// get returns rid's (first) metadata slot.
-func (mt *metaTable[T]) get(rid storage.RecordID) *T {
-	chunk, off := mt.at(rid)
-	return &chunk[off]
-}
-
-// slots returns rid's stride slots.
-func (mt *metaTable[T]) slots(rid storage.RecordID) []T {
-	chunk, off := mt.at(rid)
-	return chunk[off : off+mt.stride : off+mt.stride]
-}
-
-// peek returns rid's stride slots, or nil when rid's chunk does not exist
-// yet: unlike slots it never grows the table.
-func (mt *metaTable[T]) peek(rid storage.RecordID) []T {
-	idx := int(rid >> metaChunkBits)
-	chunks := *mt.chunks.Load()
-	if idx >= len(chunks) {
-		return nil
-	}
-	off := int(rid&(metaChunkSize-1)) * mt.stride
-	return chunks[idx][off : off+mt.stride : off+mt.stride]
-}
-
-// at returns the chunk holding rid's slots and their offset in it, growing
-// the directory as needed.
-func (mt *metaTable[T]) at(rid storage.RecordID) ([]T, int) {
-	idx := int(rid >> metaChunkBits)
-	chunks := *mt.chunks.Load()
-	if idx >= len(chunks) {
-		mt.grow(idx)
-		chunks = *mt.chunks.Load()
-	}
-	return chunks[idx], int(rid&(metaChunkSize-1)) * mt.stride
-}
-
-func (mt *metaTable[T]) grow(idx int) {
-	mt.mu.Lock()
-	defer mt.mu.Unlock()
-	chunks := *mt.chunks.Load()
-	for idx >= len(chunks) {
-		//next700:locked(metaTable.mu: chunk growth is a once-per-chunk slow path; allocating outside the lock would race a concurrent grow)
-		grown := append(chunks, make([]T, metaChunkSize*mt.stride)) //next700:allowalloc(per-record metadata chunk growth, amortized over the table lifetime)
-		mt.chunks.Store(&grown)
-		chunks = grown
-	}
-}
-
-// tableMetas maps table id -> metaTable for protocols that keep per-record
-// state. Table ids are small and dense. The directory is copy-on-write behind
+// tableMetas maps table id -> the per-record metadata of a protocol that
+// keeps any: one storage.Slots per table, made on the table's first record
+// access. Table ids are small and dense. The directory is copy-on-write behind
 // one atomic pointer, so resolving a table writes no shared word: every
 // record access of every worker goes through here.
 type tableMetas[T any] struct {
 	mu   sync.Mutex // serializes directory growth
-	byID atomic.Pointer[[]*metaTable[T]]
+	byID atomic.Pointer[[]*storage.Slots[T]]
 	// stride, when set, sizes a table's per-record run of slots; nil is 1.
 	stride func(tbl *storage.Table) int
 }
 
-func (tm *tableMetas[T]) forTable(tbl *storage.Table) *metaTable[T] {
-	if mt := tm.existing(tbl); mt != nil {
-		return mt
+func (tm *tableMetas[T]) forTable(tbl *storage.Table) *storage.Slots[T] {
+	if s := tm.existing(tbl); s != nil {
+		return s
 	}
 	stride := 1
 	if tm.stride != nil {
@@ -358,59 +287,53 @@ func (tm *tableMetas[T]) forTable(tbl *storage.Table) *metaTable[T] {
 	return tm.add(tbl.ID(), stride)
 }
 
-// existing returns tbl's metaTable, or nil if none was created yet.
-func (tm *tableMetas[T]) existing(tbl *storage.Table) *metaTable[T] {
+// existing returns tbl's metadata, or nil if none was created yet.
+func (tm *tableMetas[T]) existing(tbl *storage.Table) *storage.Slots[T] {
 	if dir, id := tm.byID.Load(), tbl.ID(); dir != nil && id < len(*dir) {
 		return (*dir)[id]
 	}
 	return nil
 }
 
-// add installs table id's metaTable (once; a racing caller gets the winner's).
-func (tm *tableMetas[T]) add(id, stride int) *metaTable[T] {
+// add installs table id's metadata (once; a racing caller gets the winner's).
+//
+//next700:allowalloc(first-touch slow path: a table's metadata array is made once, on the table's first record access)
+func (tm *tableMetas[T]) add(id, stride int) *storage.Slots[T] {
 	tm.mu.Lock()
 	defer tm.mu.Unlock()
-	var dir []*metaTable[T]
+	var dir []*storage.Slots[T]
 	if p := tm.byID.Load(); p != nil {
 		dir = *p
 	}
 	if id < len(dir) && dir[id] != nil {
 		return dir[id]
 	}
-	grown := append([]*metaTable[T](nil), dir...)
+	grown := append([]*storage.Slots[T](nil), dir...)
 	for id >= len(grown) {
 		grown = append(grown, nil)
 	}
-	grown[id] = newMetaTable[T](stride)
+	grown[id] = storage.NewSlots[T](stride)
 	tm.byID.Store(&grown)
 	return grown[id]
 }
 
-// get resolves the metadata slot for (tbl, rid).
+// get resolves the (first) metadata slot for (tbl, rid).
 func (tm *tableMetas[T]) get(tbl *storage.Table, rid storage.RecordID) *T {
-	return tm.forTable(tbl).get(rid)
+	return &tm.forTable(tbl).At(rid)[0]
 }
 
 // slots resolves the stride slots for (tbl, rid).
 func (tm *tableMetas[T]) slots(tbl *storage.Table, rid storage.RecordID) []T {
-	return tm.forTable(tbl).slots(rid)
+	return tm.forTable(tbl).At(rid)
 }
 
 // peek resolves the stride slots for (tbl, rid) without creating or growing
 // anything: nil when the table's metadata or rid's chunk does not exist yet.
 func (tm *tableMetas[T]) peek(tbl *storage.Table, rid storage.RecordID) []T {
-	if mt := tm.existing(tbl); mt != nil {
-		return mt.peek(rid)
+	if s := tm.existing(tbl); s != nil {
+		return s.Peek(rid)
 	}
 	return nil
-}
-
-// sortWriteIndices returns the indices of write-kind accesses sorted by
-// (table id, rid) — the canonical deadlock-free lock acquisition order used
-// by the commit phases of SILO and TICTOC. The slice is descriptor-owned
-// scratch: reused across transactions, no allocation on the commit path.
-func sortWriteIndices(tx *txn.Txn) []int {
-	return tx.SortedWriteIndices()
 }
 
 // applyWrite installs an access's after-image into the table arena: an

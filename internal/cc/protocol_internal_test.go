@@ -686,51 +686,6 @@ func TestHStoreLazyOutOfOrderAborts(t *testing.T) {
 	}
 }
 
-func TestMetaTableGrowth(t *testing.T) {
-	mt := newMetaTable[uint64](1)
-	big := storage.RecordID(metaChunkSize*3 + 5)
-	*mt.get(big) = 42
-	if *mt.get(big) != 42 {
-		t.Fatal("value lost after growth")
-	}
-	if *mt.get(0) != 0 {
-		t.Fatal("other slots not zero")
-	}
-	// Concurrent growth.
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				rid := storage.RecordID(w*metaChunkSize + i*17)
-				*mt.get(rid) = uint64(rid)
-			}
-		}(w)
-	}
-	wg.Wait()
-
-	// With a stride each record owns its own run of slots, across chunks.
-	st := newMetaTable[uint64](3)
-	rids := []storage.RecordID{0, 1, metaChunkSize - 1, metaChunkSize, big}
-	for _, rid := range rids {
-		s := st.slots(rid)
-		if len(s) != 3 || st.get(rid) != &s[0] {
-			t.Fatalf("rid %d: %d slots, get not the first", rid, len(s))
-		}
-		for i := range s {
-			s[i] = uint64(rid)*3 + uint64(i)
-		}
-	}
-	for _, rid := range rids {
-		for i, v := range st.slots(rid) {
-			if v != uint64(rid)*3+uint64(i) {
-				t.Fatalf("rid %d slot %d = %d: runs overlap", rid, i, v)
-			}
-		}
-	}
-}
-
 func TestActiveTable(t *testing.T) {
 	at := NewActiveTable(3)
 	if at.Min() != ^uint64(0) {
@@ -761,7 +716,7 @@ func TestSortWriteIndices(t *testing.T) {
 		txn.Access{Table: tblA, RID: 2, Kind: txn.KindRead}, // excluded
 		txn.Access{Table: tblA, RID: 1, Kind: txn.KindDelete},
 	)
-	got := sortWriteIndices(tx)
+	got := tx.SortedWriteIndices()
 	if len(got) != 3 {
 		t.Fatalf("want 3 writes, got %d", len(got))
 	}
@@ -776,7 +731,7 @@ func TestSortWriteIndices(t *testing.T) {
 
 // TestTableMetasConcurrentFirstTouch: the metadata directory is copy-on-write
 // behind one atomic pointer; goroutines touching many tables for the first
-// time at once must all resolve each table to the one metaTable installed
+// time at once must all resolve each table to the one storage.Slots installed
 // for it, and a slot written through one resolution is seen through another.
 func TestTableMetasConcurrentFirstTouch(t *testing.T) {
 	const tables, workers = 40, 8
@@ -785,13 +740,13 @@ func TestTableMetasConcurrentFirstTouch(t *testing.T) {
 	for i := range tbls {
 		tbls[i] = storage.NewTable(storage.MustSchema(fmt.Sprint("t", i), storage.I64("v")), i)
 	}
-	got := make([][]*metaTable[atomic.Uint64], workers)
+	got := make([][]*storage.Slots[atomic.Uint64], workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			got[w] = make([]*metaTable[atomic.Uint64], tables)
+			got[w] = make([]*storage.Slots[atomic.Uint64], tables)
 			for j := range tbls {
 				i := (j*7 + w) % tables // every worker in its own order
 				got[w][i] = tm.forTable(tbls[i])
@@ -803,10 +758,10 @@ func TestTableMetasConcurrentFirstTouch(t *testing.T) {
 	for i := range tbls {
 		for w := 0; w < workers; w++ {
 			if got[w][i] != got[0][i] {
-				t.Fatalf("table %d resolved to two metaTables", i)
+				t.Fatalf("table %d resolved to two metadata arrays", i)
 			}
 			if v := tm.get(tbls[i], storage.RecordID(w)).Load(); v != uint64(i+1) {
-				t.Fatalf("table %d rid %d = %d, a write went to a lost metaTable", i, w, v)
+				t.Fatalf("table %d rid %d = %d, a write went to a lost metadata array", i, w, v)
 			}
 		}
 	}

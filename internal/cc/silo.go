@@ -11,8 +11,8 @@ import (
 	"next700/internal/txn"
 )
 
-// Each record's SILO state is one slot of atomic words in the table's
-// metaTable (stride 1 + ceil(rowSize/8)): word 0 is the TID word — bit 0 the
+// Each record's SILO state is one run of atomic words in the table's
+// storage.Slots (stride 1 + ceil(rowSize/8)): word 0 is the TID word — bit 0 the
 // commit lock, bit 1 "present", the TID of the last writer above them — and
 // the words after it hold the committed row in place, little-endian. A clear
 // present bit means the record is absent (never inserted, or deleted).
@@ -264,7 +264,7 @@ func (p *silo) lockWord(word *atomic.Uint64, obs uint64) bool {
 
 // Commit implements Protocol: Silo's three-phase commit.
 func (p *silo) Commit(tx *txn.Txn) error {
-	writes := sortWriteIndices(tx)
+	writes := tx.SortedWriteIndices()
 
 	// Phase 1: lock the write set in canonical order. A record written twice
 	// (an update, then a delete) sits in adjacent entries and is locked once.

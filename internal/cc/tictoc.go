@@ -157,10 +157,10 @@ func (p *ticToc) lockForCommit(tx *txn.Txn, m *ttMeta, a *txn.Access) bool {
 //
 // Allocation budget: zero. Installation writes the after-image in place
 // under the record lock (readers revalidate by timestamp, so no committed
-// copy is needed, unlike SILO), and sortWriteIndices reuses the Txn's
+// copy is needed, unlike SILO), and tx.SortedWriteIndices reuses the Txn's
 // index scratch. The alloc gate (bench/alloc_test.go) pins this at 0.
 func (p *ticToc) Commit(tx *txn.Txn) error {
-	writes := sortWriteIndices(tx)
+	writes := tx.SortedWriteIndices()
 
 	// Phase 1: lock write set in canonical order.
 	locked := 0

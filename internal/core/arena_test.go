@@ -2,6 +2,8 @@ package core
 
 import (
 	"testing"
+
+	"next700/internal/storage"
 )
 
 // TestArenaOnlyUnderInPlaceProtocols: the table arena belongs to the
@@ -11,7 +13,7 @@ import (
 // makes an arena chunk; under every other protocol each chunk the record ids
 // span exists, and the recovered engine reaches the source's state.
 func TestArenaOnlyUnderInPlaceProtocols(t *testing.T) {
-	const parts, n, chunkRows = 2, 1 << 17, 1 << 16
+	const parts, n = 2, 1 << 17
 	forAllProtocols(t, func(t *testing.T, protocol string) {
 		inPlace := protocol != "SILO" && protocol != "MVCC"
 		tweak := func(cfg *Config) { cfg.Protocol = protocol }
@@ -19,7 +21,7 @@ func TestArenaOnlyUnderInPlaceProtocols(t *testing.T) {
 			t.Helper()
 			want := 0
 			if inPlace {
-				want = int((tbl.NumRows() + chunkRows - 1) / chunkRows)
+				want = int((tbl.NumRows() + storage.ChunkRecords - 1) / storage.ChunkRecords)
 			}
 			if got := tbl.tbl.ArenaChunks(); got != want {
 				t.Fatalf("after %s: %d arena chunks over %d record ids, want %d", stage, got, tbl.NumRows(), want)

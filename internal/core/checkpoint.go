@@ -372,14 +372,6 @@ func (e *Engine) parseSlice(data []byte, part, slices int, replacing bool) ([]ck
 	return plan, fence, nil
 }
 
-// snapshotTables returns the table handles in id order.
-func (e *Engine) snapshotTables() []*Table {
-	dir := *e.byID.Load()
-	out := make([]*Table, 0, len(dir))
-	for _, t := range dir {
-		if t != nil {
-			out = append(out, t)
-		}
-	}
-	return out
-}
+// snapshotTables returns the table handles in id order. CreateTable never
+// writes a directory it has published, so the caller may keep it as is.
+func (e *Engine) snapshotTables() []*Table { return *e.byID.Load() }

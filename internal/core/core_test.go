@@ -740,6 +740,41 @@ func TestLoadValidation(t *testing.T) {
 	}
 }
 
+// TestCreateTableCatalog: the engine is the only table catalog. CreateTable
+// hands out dense ids in creation order, a rejected create (a taken name, an
+// unknown index kind) consumes no id and leaves the first table in place, and
+// lookup by name and by id find exactly the registered tables.
+func TestCreateTableCatalog(t *testing.T) {
+	e := openEngine(t, Config{Threads: 1})
+	sa, sb := storage.MustSchema("a", storage.I64("v")), storage.MustSchema("b", storage.I64("v"))
+	ta, err := e.CreateTable(sa, IndexHash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.CreateTable(sa, IndexBTree); err == nil {
+		t.Fatal("duplicate create must fail")
+	}
+	if _, err := e.CreateTable(sb, IndexKind(99)); err == nil {
+		t.Fatal("unknown index kind accepted")
+	}
+	tb, err := e.CreateTable(sb, IndexBTree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ta.tbl.ID() != 0 || tb.tbl.ID() != 1 {
+		t.Fatalf("ids %d, %d, want 0, 1", ta.tbl.ID(), tb.tbl.ID())
+	}
+	if e.Table("a") != ta || e.Table("b") != tb || e.Table("z") != nil {
+		t.Fatal("lookup by name broken")
+	}
+	if e.tableByID(0) != ta || e.tableByID(1) != tb || e.tableByID(2) != nil || e.tableByID(-1) != nil {
+		t.Fatal("lookup by id broken")
+	}
+	if got := e.snapshotTables(); len(got) != 2 || got[0] != ta || got[1] != tb {
+		t.Fatal("snapshotTables broken")
+	}
+}
+
 // TestTableByIDConcurrentCreate: tableByID takes no lock, so it runs beside
 // CreateTable's copy-on-write publication of the directory. Readers resolve
 // every id while creators add tables: an id resolves to nil or to the table
@@ -791,7 +826,13 @@ func TestTableByIDConcurrentCreate(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if got := len(e.snapshotTables()); got != creators*perCreator {
+	tables := e.snapshotTables()
+	if got := len(tables); got != creators*perCreator {
 		t.Fatalf("%d tables after the race, want %d", got, creators*perCreator)
+	}
+	for id, th := range tables {
+		if th.tbl.ID() != id {
+			t.Fatalf("directory slot %d holds table %s with id %d: two creators got one id", id, th.Name(), th.tbl.ID())
+		}
 	}
 }

@@ -1,4 +1,4 @@
-// Package core is the engine kernel: it composes a storage catalog, index
+// Package core is the engine kernel: it composes storage tables, index
 // structures, a pluggable concurrency-control protocol, and an optional
 // write-ahead log into a runnable transaction processing engine — the
 // "composable engine" the keynote argues the next 700 designs should be
@@ -173,10 +173,9 @@ type Proc func(tx *Tx, params []byte) error
 
 // Engine is the composed transaction processing engine.
 type Engine struct {
-	cfg     Config
-	catalog *storage.Catalog
-	env     *cc.Env
-	proto   cc.Protocol
+	cfg   Config
+	env   *cc.Env
+	proto cc.Protocol
 
 	// counters holds one cache-line-padded statistics slot per worker
 	// thread; NewTx hands out slot threadID. Workers bump their own slot
@@ -184,12 +183,14 @@ type Engine struct {
 	// time, so the commit hot path never bounces a shared cache line.
 	counters *stats.CounterSet
 
+	// tables and byID are the engine's one table catalog: CreateTable
+	// assigns each table the next id and registers it in both under mu.
 	mu     sync.RWMutex
 	tables map[string]*Table
 	procs  map[int32]Proc
-	// byID is the table directory by storage table id, copy-on-write
-	// behind one atomic pointer (CreateTable publishes a grown copy under
-	// mu), so tableByID takes no lock: the deterministic executor's
+	// byID is the table directory by table id, copy-on-write behind one
+	// atomic pointer (CreateTable publishes a grown copy under mu), so
+	// tableByID takes no lock: the deterministic executor's
 	// lookahead resolves a table per op, and publish's index retraction and
 	// replay per access.
 	byID atomic.Pointer[[]*Table]
@@ -206,6 +207,12 @@ type Engine struct {
 	// commit gates load it once; in a healthy engine it is zero and the gate
 	// is a single branch.
 	quarMask atomic.Uint64
+
+	// Every transaction read-locks the two gates below, so every worker
+	// writes their reader counts. The pad keeps those words off the cache
+	// lines of the read-mostly fields above (quarMask, logs, byID), whatever
+	// offsets the fields above land at.
+	_ [64]byte
 
 	// ckptFence serializes every epoch bump against the commit path's
 	// publish-to-append window. Logged commits hold the read side from
@@ -252,7 +259,6 @@ func Open(cfg Config) (*Engine, error) {
 	}
 	e := &Engine{
 		cfg:      cfg,
-		catalog:  storage.NewCatalog(),
 		env:      env,
 		proto:    proto,
 		counters: stats.NewCounterSet(cfg.Threads),
@@ -307,15 +313,12 @@ func (e *Engine) Protocol() string { return e.proto.Name() }
 // Config returns the engine configuration.
 func (e *Engine) Config() Config { return e.cfg }
 
-// CreateTable registers a table with a primary index of the given kind.
-// Primary keys are caller-supplied uint64s (composite keys are bit-packed
-// by the workload layer).
+// CreateTable registers a table with a primary index of the given kind and
+// assigns it the next table id. Primary keys are caller-supplied uint64s
+// (composite keys are bit-packed by the workload layer). A second table
+// under a name already taken is ErrInvalidUsage.
 func (e *Engine) CreateTable(sch *storage.Schema, primary IndexKind) (*Table, error) {
-	tbl, err := e.catalog.CreateTable(sch)
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{tbl: tbl, sch: sch}
+	t := &Table{sch: sch}
 	switch primary {
 	case IndexHash:
 		t.hash = index.NewHash(sch.Name()+".pk", 0)
@@ -327,12 +330,13 @@ func (e *Engine) CreateTable(sch *storage.Schema, primary IndexKind) (*Table, er
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.tables[sch.Name()] = t
-	grown := append([]*Table(nil), *e.byID.Load()...)
-	for tbl.ID() >= len(grown) {
-		grown = append(grown, nil)
+	if _, dup := e.tables[sch.Name()]; dup {
+		return nil, fmt.Errorf("core: table %q already exists: %w", sch.Name(), ErrInvalidUsage)
 	}
-	grown[tbl.ID()] = t
+	dir := *e.byID.Load()
+	t.tbl = storage.NewTable(sch, len(dir))
+	e.tables[sch.Name()] = t
+	grown := append(append([]*Table(nil), dir...), t)
 	e.byID.Store(&grown)
 	return t, nil
 }
@@ -389,7 +393,7 @@ func (e *Engine) Table(name string) *Table {
 	return e.tables[name]
 }
 
-// tableByID resolves a storage table id to the engine handle.
+// tableByID resolves a table id to the engine handle.
 func (e *Engine) tableByID(id int) *Table {
 	dir := *e.byID.Load()
 	if id < 0 || id >= len(dir) {

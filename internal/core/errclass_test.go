@@ -54,9 +54,10 @@ func TestInvalidUsageClass(t *testing.T) {
 }
 
 // TestInvalidUsageTable checks every ErrInvalidUsage return of the setup
-// API — Config validation, the checkpointer, the partition-fault calls and
-// the deterministic executor — with errors.Is: a message that formats the
-// class with %v instead of wrapping it with %w fails here.
+// API — Config validation, table creation, the checkpointer, the
+// partition-fault calls and the deterministic executor — with errors.Is: a
+// message that formats the class with %v instead of wrapping it with %w
+// fails here.
 func TestInvalidUsageTable(t *testing.T) {
 	devs := func(n int) []wal.Device {
 		out := make([]wal.Device, n)
@@ -112,6 +113,19 @@ func TestInvalidUsageTable(t *testing.T) {
 			c := partitioned()
 			c.Partitions, c.WALStreams, c.LogDevices = 65, 65, devs(65)
 			return c.normalize()
+		}},
+		{"CreateTable/duplicate name", func(t *testing.T) error {
+			e := openEngine(t, Config{Protocol: "SILO", Threads: 1})
+			sch := storage.MustSchema("dup", storage.I64("v"))
+			if _, err := e.CreateTable(sch, IndexHash); err != nil {
+				t.Fatal(err)
+			}
+			_, err := e.CreateTable(sch, IndexBTree)
+			return err
+		}},
+		{"CreateTable/unknown index kind", func(t *testing.T) error {
+			_, err := plain.CreateTable(storage.MustSchema("badkind", storage.I64("v")), IndexKind(99))
+			return err
 		}},
 		{"NewCheckpointer/no log", func(*testing.T) error {
 			_, err := plain.NewCheckpointer(nil, 0, nil)

@@ -176,9 +176,8 @@ func TestPrefetchIsSemanticNoOp(t *testing.T) {
 func ghostTable(t *testing.T, e *Engine) (*Table, uint64) {
 	t.Helper()
 	g := kvTable(t, e, "ghost", IndexHash, 1)
-	const metaChunk = 1 << 16 // records per protocol metadata chunk (cc.metaChunkBits)
 	rid := g.tbl.Alloc()
-	for rid < metaChunk {
+	for rid < storage.ChunkRecords {
 		rid = g.tbl.Alloc()
 	}
 	const ghostKey = 1 << 40

@@ -160,6 +160,3 @@ type Plan struct {
 // Cancel aborts the batch: every parked Collect returns ErrCanceled so the
 // partition executors can unwind instead of spinning forever.
 func (p *Plan) Cancel() { p.canceled.Store(true) }
-
-// Canceled reports whether the batch was canceled.
-func (p *Plan) Canceled() bool { return p.canceled.Load() }

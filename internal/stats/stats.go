@@ -11,8 +11,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
-	"strings"
 	"time"
 	"unsafe"
 )
@@ -360,93 +358,4 @@ func (s *CounterSet) Reset() {
 	for i := range s.slots {
 		s.slots[i].Counter = Counter{}
 	}
-}
-
-// Table is a minimal fixed-column text table used by the harness to print
-// experiment results in the shape of the paper's tables.
-type Table struct {
-	header []string
-	rows   [][]string
-}
-
-// NewTable creates a table with the given column headers.
-func NewTable(header ...string) *Table {
-	return &Table{header: header}
-}
-
-// AddRow appends a row; cells are formatted with %v.
-func (t *Table) AddRow(cells ...interface{}) {
-	row := make([]string, len(cells))
-	for i, c := range cells {
-		switch v := c.(type) {
-		case float64:
-			row[i] = formatFloat(v)
-		default:
-			row[i] = fmt.Sprintf("%v", c)
-		}
-	}
-	t.rows = append(t.rows, row)
-}
-
-func formatFloat(v float64) string {
-	switch {
-	case v == 0:
-		return "0"
-	case math.Abs(v) >= 1000:
-		return fmt.Sprintf("%.0f", v)
-	case math.Abs(v) >= 10:
-		return fmt.Sprintf("%.1f", v)
-	default:
-		return fmt.Sprintf("%.3f", v)
-	}
-}
-
-// String renders the table with aligned columns.
-func (t *Table) String() string {
-	widths := make([]int, len(t.header))
-	for i, hdr := range t.header {
-		widths[i] = len(hdr)
-	}
-	for _, row := range t.rows {
-		for i, cell := range row {
-			if i < len(widths) && len(cell) > widths[i] {
-				widths[i] = len(cell)
-			}
-		}
-	}
-	var b strings.Builder
-	writeRow := func(cells []string) {
-		for i, cell := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(&b, "%-*s", widths[i], cell)
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(t.header)
-	sep := make([]string, len(t.header))
-	for i := range sep {
-		sep[i] = strings.Repeat("-", widths[i])
-	}
-	writeRow(sep)
-	for _, row := range t.rows {
-		writeRow(row)
-	}
-	return b.String()
-}
-
-// SortRowsBy sorts rows by the given column index, numerically when both
-// cells parse as numbers and lexicographically otherwise.
-func (t *Table) SortRowsBy(col int) {
-	sort.SliceStable(t.rows, func(i, j int) bool {
-		a, b := t.rows[i][col], t.rows[j][col]
-		var fa, fb float64
-		na, errA := fmt.Sscanf(a, "%g", &fa)
-		nb, errB := fmt.Sscanf(b, "%g", &fb)
-		if na == 1 && nb == 1 && errA == nil && errB == nil {
-			return fa < fb
-		}
-		return a < b
-	})
 }

@@ -185,36 +185,6 @@ func TestCounter(t *testing.T) {
 	}
 }
 
-func TestTableRendering(t *testing.T) {
-	tb := NewTable("scheme", "tps", "abort")
-	tb.AddRow("SILO", 123456.0, 0.0123)
-	tb.AddRow("2PL_NOWAIT", 98765.4, 0.5)
-	out := tb.String()
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("want 4 lines, got %d:\n%s", len(lines), out)
-	}
-	if !strings.HasPrefix(lines[0], "scheme") || !strings.Contains(lines[0], "tps") {
-		t.Fatalf("bad header: %s", lines[0])
-	}
-	if !strings.Contains(out, "123456") || !strings.Contains(out, "0.012") {
-		t.Fatalf("bad float formatting:\n%s", out)
-	}
-}
-
-func TestTableSort(t *testing.T) {
-	tb := NewTable("n", "v")
-	tb.AddRow(10, "a")
-	tb.AddRow(2, "b")
-	tb.AddRow(33, "c")
-	tb.SortRowsBy(0)
-	out := tb.String()
-	i2, i10, i33 := strings.Index(out, "2 "), strings.Index(out, "10 "), strings.Index(out, "33 ")
-	if !(i2 < i10 && i10 < i33) {
-		t.Fatalf("numeric sort failed:\n%s", out)
-	}
-}
-
 func TestHistogramLargeValues(t *testing.T) {
 	h := NewHistogram()
 	big := int64(1) << 39

@@ -1,6 +1,7 @@
 // Package storage implements the in-memory row store underneath the engine:
-// typed schemas with a fixed-width row codec, chunked append-only table
-// arenas addressed by record IDs, and a catalog.
+// typed schemas with a fixed-width row codec, and first-touch chunked arrays
+// keyed by record ID (Slots) that hold both the table arena and every
+// concurrency-control protocol's per-record metadata.
 //
 // Tuples are fixed-width byte slices. Fixed width keeps the record path
 // allocation-free and makes per-record concurrency-control metadata a simple

@@ -132,13 +132,13 @@ func TestTableAllocAndAccess(t *testing.T) {
 func TestTableChunkGrowth(t *testing.T) {
 	s := MustSchema("small", I64("v"))
 	tbl := NewTable(s, 0)
-	n := chunkSize*2 + 10
+	n := ChunkRecords*2 + 10
 	for i := 0; i < n; i++ {
 		rid := tbl.Alloc()
 		s.SetInt64(tbl.Row(rid), 0, int64(i))
 	}
 	// Verify values across chunk boundaries survived growth.
-	for _, i := range []int{0, chunkSize - 1, chunkSize, chunkSize + 1, 2*chunkSize - 1, 2 * chunkSize, n - 1} {
+	for _, i := range []int{0, ChunkRecords - 1, ChunkRecords, ChunkRecords + 1, 2*ChunkRecords - 1, 2 * ChunkRecords, n - 1} {
 		if got := s.GetInt64(tbl.Row(RecordID(i)), 0); got != int64(i) {
 			t.Fatalf("row %d content %d after growth", i, got)
 		}
@@ -235,13 +235,13 @@ func TestFreshSlotReadsAbsent(t *testing.T) {
 func TestArenaChunksOnFirstTouch(t *testing.T) {
 	s := MustSchema("t", I64("v"))
 	tbl := NewTable(s, 0)
-	for i := 0; i < 3*chunkSize; i++ {
+	for i := 0; i < 3*ChunkRecords; i++ {
 		tbl.Alloc()
 	}
 	if n := tbl.ArenaChunks(); n != 0 {
 		t.Fatalf("Alloc made %d chunks", n)
 	}
-	high := RecordID(2*chunkSize + 5)
+	high := RecordID(2*ChunkRecords + 5)
 	s.SetInt64(tbl.Row(high), 0, 42)
 	tbl.SetLive(high, true)
 	if n := tbl.ArenaChunks(); n != 1 {
@@ -260,10 +260,10 @@ func TestArenaChunksOnFirstTouch(t *testing.T) {
 // a Prefetch and marking a slot absent answer from the directory alone.
 func TestMissingChunkAllocatesNothing(t *testing.T) {
 	tbl := NewTable(MustSchema("t", I64("v"), Str("s", 100)), 0)
-	for i := 0; i < 2*chunkSize; i++ {
+	for i := 0; i < 2*ChunkRecords; i++ {
 		tbl.Alloc()
 	}
-	rid := RecordID(chunkSize + 17)
+	rid := RecordID(ChunkRecords + 17)
 	allocs := testing.AllocsPerRun(100, func() {
 		if tbl.IsLive(rid) {
 			t.Fatal("slot in a missing chunk reads live")
@@ -273,32 +273,6 @@ func TestMissingChunkAllocatesNothing(t *testing.T) {
 	})
 	if allocs != 0 || tbl.ArenaChunks() != 0 {
 		t.Fatalf("%.0f allocs/run, %d chunks made", allocs, tbl.ArenaChunks())
-	}
-}
-
-func TestCatalog(t *testing.T) {
-	c := NewCatalog()
-	s1 := MustSchema("a", I64("v"))
-	s2 := MustSchema("b", I64("v"))
-	t1, err := c.CreateTable(s1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t2, err := c.CreateTable(s2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.CreateTable(s1); err == nil {
-		t.Fatal("duplicate create must fail")
-	}
-	if c.Table("a") != t1 || c.Table("b") != t2 || c.Table("z") != nil {
-		t.Fatal("lookup by name broken")
-	}
-	if c.TableByID(t1.ID()) != t1 || c.TableByID(99) != nil || c.TableByID(-1) != nil {
-		t.Fatal("lookup by id broken")
-	}
-	if got := c.Tables(); len(got) != 2 || got[0] != t1 || got[1] != t2 {
-		t.Fatal("Tables() broken")
 	}
 }
 
@@ -312,12 +286,12 @@ func TestColTypeString(t *testing.T) {
 	}
 }
 
-// TestTombstonesAcrossChunkGrowth: a slot's live bit lives in the chunk that
-// holds its row and is published with it, so a writer that races another
-// chunk's creation can set and read its live bit at once, and live bits set
-// before a growth survive it.
+// TestTombstonesAcrossChunkGrowth: a slot's live bit is made with its row's
+// chunk, in a Slots of its own, so a writer that races another chunk's
+// creation can set and read its live bit at once, and live bits set before a
+// growth survive it.
 func TestTombstonesAcrossChunkGrowth(t *testing.T) {
-	const workers, perWorker = 4, chunkSize/2 + 100 // 2+ growths
+	const workers, perWorker = 4, ChunkRecords/2 + 100 // 2+ growths
 	tbl := NewTable(MustSchema("t", I64("v")), 0)
 	var wg sync.WaitGroup
 	rids := make([][]RecordID, workers)
@@ -342,6 +316,74 @@ func TestTombstonesAcrossChunkGrowth(t *testing.T) {
 		for _, rid := range batch {
 			if tbl.IsLive(rid) != (rid%3 != 0) {
 				t.Fatalf("rid %d: live bit lost across chunk growth", rid)
+			}
+		}
+	}
+}
+
+// TestSlotsGrowth: a record far past chunk 0 makes only its own chunk, and
+// with a stride each record owns its own run of slots, across chunk edges.
+func TestSlotsGrowth(t *testing.T) {
+	s := NewSlots[uint64](1)
+	big := RecordID(ChunkRecords*3 + 5)
+	if s.Peek(big) != nil || s.peekFirst(big) != nil || s.Chunks() != 0 {
+		t.Fatal("Peek made a chunk")
+	}
+	s.At(big)[0] = 42
+	if s.Peek(big)[0] != 42 || s.Chunks() != 1 {
+		t.Fatalf("value lost after growth, or %d chunks made", s.Chunks())
+	}
+	if s.Peek(0) != nil || s.At(0)[0] != 0 || s.Peek(big)[0] != 42 {
+		t.Fatal("a lower chunk was not fresh, or its growth lost a value")
+	}
+
+	st := NewSlots[uint64](3)
+	rids := []RecordID{0, 1, ChunkRecords - 1, ChunkRecords, big}
+	for _, rid := range rids {
+		run := st.At(rid)
+		if len(run) != 3 || cap(run) != 3 || st.peekFirst(rid) != &run[0] {
+			t.Fatalf("rid %d: run of %d slots, cap %d, peekFirst not its first", rid, len(run), cap(run))
+		}
+		for i := range run {
+			run[i] = uint64(rid)*3 + uint64(i)
+		}
+	}
+	for _, rid := range rids {
+		for i, v := range st.Peek(rid) {
+			if v != uint64(rid)*3+uint64(i) {
+				t.Fatalf("rid %d slot %d = %d: runs overlap", rid, i, v)
+			}
+		}
+	}
+}
+
+// TestSlotsConcurrentFirstTouch: goroutines reaching the same fresh chunks
+// at once, each in its own order, must all land in the one chunk made for
+// each; a write to a chunk a racing creator replaced would be lost.
+func TestSlotsConcurrentFirstTouch(t *testing.T) {
+	const workers, chunks, perWorker = 4, 4, 1000
+	s := NewSlots[uint64](1)
+	rid := func(w, i int) RecordID {
+		return RecordID(((i+w)%chunks)*ChunkRecords + w*perWorker + i)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				s.At(rid(w, i))[0] = uint64(rid(w, i)) + 1
+			}
+		}(w)
+	}
+	wg.Wait()
+	if n := s.Chunks(); n != chunks {
+		t.Fatalf("%d chunks made, want %d", n, chunks)
+	}
+	for w := 0; w < workers; w++ {
+		for i := 0; i < perWorker; i++ {
+			if got := s.Peek(rid(w, i))[0]; got != uint64(rid(w, i))+1 {
+				t.Fatalf("rid %d = %d: a write went to a lost chunk", rid(w, i), got)
 			}
 		}
 	}

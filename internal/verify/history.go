@@ -76,9 +76,6 @@ func NewHistory(workers int) *History {
 	return h
 }
 
-// Workers returns the number of worker slots.
-func (h *History) Workers() int { return len(h.workers) }
-
 // Recorder returns the per-worker recorder for the given slot. Each
 // recorder may be used by one goroutine at a time.
 func (h *History) Recorder(worker int) *Recorder { return h.workers[worker] }
@@ -98,21 +95,6 @@ type Recorder struct {
 	spans    []span
 	aborted  []abortedWrite
 	curStart int // -1 when no attempt is open
-}
-
-// Reserve pre-sizes the recorder for about txns transactions of opsPerTxn
-// operations each, so steady-state recording does not reallocate.
-func (r *Recorder) Reserve(txns, opsPerTxn int) {
-	if n := txns * opsPerTxn; cap(r.ops) < n {
-		ops := make([]Op, len(r.ops), n)
-		copy(ops, r.ops)
-		r.ops = ops
-	}
-	if cap(r.spans) < txns {
-		spans := make([]span, len(r.spans), txns)
-		copy(spans, r.spans)
-		r.spans = spans
-	}
 }
 
 // Begin opens a new transaction attempt. An attempt left open (a retried
