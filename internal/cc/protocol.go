@@ -317,6 +317,36 @@ func (tm *tableMetas[T]) add(id, stride int) *storage.Slots[T] {
 	return grown[id]
 }
 
+// chunks returns how many chunks tbl's metadata holds; 0 before the table's
+// first record access.
+func (tm *tableMetas[T]) chunks(tbl *storage.Table) int {
+	if s := tm.existing(tbl); s != nil {
+		return s.Chunks()
+	}
+	return 0
+}
+
+// MetaChunks returns how many chunks of per-record metadata p keeps for tbl
+// — memory accounting for tests and diagnostics, like Table.ArenaChunks; 0
+// for a protocol that keeps none (QSTORE).
+func MetaChunks(p Protocol, tbl *storage.Table) int {
+	switch p := p.(type) {
+	case *silo:
+		return p.slots.chunks(tbl)
+	case *mvcc:
+		return p.meta.chunks(tbl)
+	case *twoPL:
+		return p.meta.chunks(tbl)
+	case *timestampOrdering:
+		return p.meta.chunks(tbl)
+	case *ticToc:
+		return p.meta.chunks(tbl)
+	case *hstore:
+		return p.partOf.chunks(tbl)
+	}
+	return 0
+}
+
 // get resolves the (first) metadata slot for (tbl, rid).
 func (tm *tableMetas[T]) get(tbl *storage.Table, rid storage.RecordID) *T {
 	return &tm.forTable(tbl).At(rid)[0]

@@ -227,10 +227,12 @@ func (x *DetExecutor) runFragment(p int, q []det.Op, i int) (int, error) {
 	txnIdx := q[i].Txn
 	mb := &x.plan.Mailboxes[txnIdx]
 	inner.Reset()
-	// The quiesce gate brackets the fragment like an interactive attempt:
-	// command-logged checkpoints still get a true quiescent point between
-	// fragments.
-	e.quiesce.RLock()
+	// On a gated engine the quiesce gate brackets the fragment like an
+	// interactive attempt: command-logged checkpoints still get a true
+	// quiescent point between fragments.
+	if e.gated {
+		e.quiesce.RLock()
+	}
 	e.proto.Begin(inner)
 	var err error
 	for ; i < len(q) && q[i].Txn == txnIdx; i++ {
@@ -243,12 +245,16 @@ func (x *DetExecutor) runFragment(p int, q []det.Op, i int) (int, error) {
 	if err != nil {
 		e.proto.Abort(inner)
 		t.retractInserts()
-		e.quiesce.RUnlock()
+		if e.gated {
+			e.quiesce.RUnlock()
+		}
 		inner.Counter.FatalAborts++
 		return i, err
 	}
 	err = x.commitFragment(t, p, detID(x.batchNo, txnIdx, p))
-	e.quiesce.RUnlock()
+	if e.gated {
+		e.quiesce.RUnlock()
+	}
 	if err != nil {
 		inner.Counter.FatalAborts++
 		return i, err

@@ -199,6 +199,12 @@ type Engine struct {
 	// of Config.WALStreams streams.
 	logs   *wal.StreamSet
 	closed bool
+	// gated is whether a writer of the quiesce gate can exist (command
+	// logging or PartitionWAL), fixed at Open; only then do attempts take
+	// it. Ungated, a read lock nobody contends would still be a shared line
+	// every worker writes twice per transaction. It sits here, with the
+	// read-mostly fields, not beside the gates' reader counts.
+	gated bool
 
 	// quarMask is the quarantined-partition bitmask (bit p set = partition
 	// p unavailable). Under PartitionWAL the log owns it: it sets bit p in
@@ -208,10 +214,11 @@ type Engine struct {
 	// is a single branch.
 	quarMask atomic.Uint64
 
-	// Every transaction read-locks the two gates below, so every worker
-	// writes their reader counts. The pad keeps those words off the cache
-	// lines of the read-mostly fields above (quarMask, logs, byID), whatever
-	// offsets the fields above land at.
+	// Every logged transaction read-locks ckptFence, and every transaction
+	// on a gated engine quiesce, so workers write their reader counts. The
+	// pad keeps those words off the cache lines of the read-mostly fields
+	// above (quarMask, gated, logs, byID), whatever offsets the fields above
+	// land at.
 	_ [64]byte
 
 	// ckptFence serializes every epoch bump against the commit path's
@@ -225,12 +232,14 @@ type Engine struct {
 	// path.
 	ckptFence sync.RWMutex
 
-	// quiesce is the transaction-attempt gate: every Tx.run attempt holds
-	// the read side from Begin through commit/abort. Command-logged
-	// checkpoints take the write side to get a true quiescent point — their
+	// quiesce is the transaction-attempt gate: on a gated engine every
+	// Tx.run attempt and every DetExecutor fragment holds the read side
+	// from Begin through commit/abort. Two things take the write side:
+	// command-logged checkpoints, to get a true quiescent point — their
 	// state cannot be captured fuzzily because command replay re-executes
 	// procedures, which is not idempotent against a partially captured
-	// prefix. Value-mode checkpoints never take it.
+	// prefix — and RecoverPartition's two drains, which exist only under
+	// PartitionWAL. Value-mode checkpoints never take it.
 	quiesce sync.RWMutex
 
 	// ckptThread is the reserved worker slot for checkpoint reads:
@@ -267,6 +276,7 @@ func Open(cfg Config) (*Engine, error) {
 	}
 	e.byID.Store(new([]*Table))
 	e.ckptThread = cfg.Threads
+	e.gated = cfg.LogMode == wal.ModeCommand || cfg.PartitionWAL
 	if cfg.LogMode != wal.ModeNone {
 		if cfg.PartitionWAL {
 			e.logs = wal.NewStreamSetScoped(cfg.LogDevices, &e.quarMask, cfg.QuarantineStall)

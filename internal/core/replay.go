@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"unsafe"
 
 	"next700/internal/cc"
+	"next700/internal/prefetch"
 	"next700/internal/storage"
 	"next700/internal/wal"
 )
@@ -19,7 +21,7 @@ import (
 //
 //   - a key's entries all reach one applier, in the order the scan emitted
 //     them, and under slot addressing every record id belongs to one key for
-//     its whole life (ids are never reused), so the row, tombstone, protocol
+//     its whole life (ids are never reused), so the row, live bit, protocol
 //     metadata and version slot an entry touches are its applier's alone;
 //   - index entries are per key too — secondary keys are unique per primary
 //     key by AddIndex's contract — and the indexes are concurrent;
@@ -29,10 +31,20 @@ import (
 //
 // Entries of one record land on different appliers, so a record is not
 // applied atomically — nothing reads the engine's state in scope until the
-// replay has joined its appliers. The hand-off pays for itself even at
-// GOMAXPROCS = 1: an applier draining a batch overlaps the cache misses of
-// consecutive entries, which the scan's decode work between two entries
-// otherwise keeps apart.
+// replay has joined its appliers.
+//
+// An entry's apply is latency-bound: its version slot and the record's
+// protocol lines are cold, and a plain loop over a batch takes those misses
+// one entry at a time although the entries are independent. Profiled on
+// BenchmarkReplayValue's ledger-sized case, it spent about 160 ns per entry
+// on the version compare's first load and as much again on SILO's first
+// touch of the record's slot. So an applier stages a lookahead over its
+// batch, as the deterministic executor does over a queue: before it applies
+// op i it hints op i+replayLookahead's version slot and protocol lines, and
+// under key addressing, where the record id is known only after the index
+// lookup, it hints op i+2·replayLookahead's hash home slot first. The hints
+// change no state and the apply order is the log order, so the result is
+// the plain loop's.
 //
 // Applied-if-newer filtering is per applier over a dense version table
 // indexed by record id: no hashing, no map growth, no shared cache line.
@@ -80,7 +92,7 @@ type applyBatch struct {
 // applier owns the keys routed to it for one replay.
 type applier struct {
 	partition bool
-	proto     cc.Loader
+	proto     cc.Protocol
 	versions  versionTable
 	entries   int
 	skipped   int
@@ -199,11 +211,62 @@ func (a *applier) run(wg *sync.WaitGroup) {
 	defer wg.Done()
 	for b := range a.in {
 		for i := range b.ops {
+			a.hintAhead(b.ops, i)
 			op := &b.ops[i]
 			a.apply(op, b.data[op.off:op.end])
 		}
 		a.free <- b
 	}
+}
+
+// replayLookahead is how far ahead of the op it applies, in batch positions,
+// an applier hints an op's lines (op i+replayLookahead); under key addressing
+// it hints hash home slots twice as far ahead (op i+2·replayLookahead), so the
+// lookup that resolves an op's record id finds its slot cached. Picked by a
+// sweep (EXPERIMENTS.md, "Staged replay prefetch").
+const replayLookahead = 8
+
+// hintAhead stages the lookahead for ops[i]. Every step is a hint, so
+// skipping it changes no result.
+//
+//next700:hotpath
+func (a *applier) hintAhead(ops []applyOp, i int) {
+	if a.partition {
+		if j := i + 2*replayLookahead; j < len(ops) {
+			if h := ops[j].th.hash; h != nil {
+				h.Prefetch(ops[j].key)
+			}
+		}
+	}
+	if j := i + replayLookahead; j < len(ops) {
+		a.hint(&ops[j])
+	}
+}
+
+// hint hints the lines apply reads first for op: its version slot, the
+// record's protocol lines and, for an entry that changes the index, its
+// key's hash home slot. Under key addressing the record id comes from the
+// primary index, whose home slot hintAhead hinted earlier. A hint reads and
+// writes no replay or engine state beyond that lookup, and it grows and
+// allocates nothing: an op past the version column or past every made
+// chunk goes unhinted.
+//
+//next700:hotpath
+func (a *applier) hint(op *applyOp) {
+	a.versions.hint(op.table, op.rid)
+	th := op.th
+	if a.partition {
+		if th.hash != nil {
+			if rid, ok := th.hash.Lookup(op.key); ok {
+				a.proto.Prefetch(th.tbl, rid)
+			}
+		}
+		return
+	}
+	if op.kind != wal.EntryUpdate && th.hash != nil {
+		th.hash.Prefetch(op.key)
+	}
+	a.proto.Prefetch(th.tbl, storage.RecordID(op.rid))
 }
 
 // apply applies one entry with applied-if-newer filtering, maintaining the
@@ -282,4 +345,16 @@ func (vt *versionTable) newer(table int32, rid, epoch, txnID uint64) bool {
 	}
 	*v = recVer{epoch: epoch, seq: seq}
 	return true
+}
+
+// hint hints the line of (table, rid)'s slot when the column already covers
+// rid; it never grows the table.
+//
+//next700:hotpath
+func (vt versionTable) hint(table int32, rid uint64) {
+	if int(table) < len(vt) {
+		if col := vt[table]; rid < uint64(len(col)) {
+			prefetch.Line(unsafe.Pointer(&col[rid]))
+		}
+	}
 }

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"next700/internal/cc"
 	"next700/internal/fault"
 	"next700/internal/storage"
 	"next700/internal/txn"
@@ -148,51 +149,64 @@ func logicalState(t *testing.T, e *Engine, tbl *Table) string {
 // log written by concurrent committers (every entry kind, hash and B+ tree
 // primaries, a secondary index) recovers to the source's logical state, and
 // to the identical state digest and RecoveryStats, whether one applier
-// applies it inline or four appliers split it by key.
+// applies it inline or four appliers split it by key. The short history has
+// fewer entries than twice the lookahead, so every applier's only batch is
+// the partial one finish hands over, and its lookahead runs off the end.
 func TestParallelReplayMatchesSerial(t *testing.T) {
-	const n = 256
 	for _, protocol := range []string{"SILO", "NO_WAIT", "MVCC", "TICTOC"} {
 		t.Run(protocol, func(t *testing.T) {
-			dev := &memDevice{}
-			cfg := Config{Protocol: protocol, Threads: 2, LogMode: wal.ModeValue, LogDevice: dev}
-			e, kv, ord := replayPair(t, cfg, n)
-			replayHistory(t, e, kv, ord, 2, 150, n)
-			want := logicalState(t, e, kv) + " || " + logicalState(t, e, ord)
-			image := dev.bytes()
-
-			var ref RecoveryStats
-			var refDigest [32]byte
-			for _, procs := range []int{1, 2, 4} {
-				cfg.LogDevice = &memDevice{}
-				r, rkv, rord := replayPair(t, cfg, n)
-				var rs RecoveryStats
-				var err error
-				withProcs(procs, func() { rs, err = r.Recover(bytes.NewReader(image)) })
-				if err != nil {
-					t.Fatal(err)
-				}
-				if rs.Appliers != procs {
-					t.Fatalf("GOMAXPROCS %d: %d appliers", procs, rs.Appliers)
-				}
-				if got := logicalState(t, r, rkv) + " || " + logicalState(t, r, rord); got != want {
-					t.Fatalf("GOMAXPROCS %d: recovered state differs from the source:\n got %s\nwant %s", procs, got, want)
-				}
-				rs.Appliers = 0
-				if procs == 1 {
-					ref, refDigest = rs, r.StateDigest()
-					continue
-				}
-				if !reflect.DeepEqual(rs, ref) {
-					t.Fatalf("GOMAXPROCS %d stats differ:\n got %+v\nwant %+v", procs, rs, ref)
-				}
-				if r.StateDigest() != refDigest {
-					t.Fatalf("GOMAXPROCS %d: digest differs from the one-applier replay", procs)
-				}
-			}
-			if ref.Entries == 0 || ref.Records == 0 {
-				t.Fatalf("nothing replayed: %+v", ref)
+			for _, txns := range []int{150, 1} {
+				t.Run(fmt.Sprintf("txns=%d", txns), func(t *testing.T) { replayMatchesSerial(t, protocol, txns) })
 			}
 		})
+	}
+}
+
+// replayMatchesSerial is one TestParallelReplayMatchesSerial history: two
+// committers running txns transactions each.
+func replayMatchesSerial(t *testing.T, protocol string, txns int) {
+	const n = 256
+	dev := &memDevice{}
+	cfg := Config{Protocol: protocol, Threads: 2, LogMode: wal.ModeValue, LogDevice: dev}
+	e, kv, ord := replayPair(t, cfg, n)
+	replayHistory(t, e, kv, ord, 2, txns, n)
+	want := logicalState(t, e, kv) + " || " + logicalState(t, e, ord)
+	image := dev.bytes()
+
+	var ref RecoveryStats
+	var refDigest [32]byte
+	for _, procs := range []int{1, 2, 4} {
+		cfg.LogDevice = &memDevice{}
+		r, rkv, rord := replayPair(t, cfg, n)
+		var rs RecoveryStats
+		var err error
+		withProcs(procs, func() { rs, err = r.Recover(bytes.NewReader(image)) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rs.Appliers != procs {
+			t.Fatalf("GOMAXPROCS %d: %d appliers", procs, rs.Appliers)
+		}
+		if got := logicalState(t, r, rkv) + " || " + logicalState(t, r, rord); got != want {
+			t.Fatalf("GOMAXPROCS %d: recovered state differs from the source:\n got %s\nwant %s", procs, got, want)
+		}
+		rs.Appliers = 0
+		if procs == 1 {
+			ref, refDigest = rs, r.StateDigest()
+			continue
+		}
+		if !reflect.DeepEqual(rs, ref) {
+			t.Fatalf("GOMAXPROCS %d stats differ:\n got %+v\nwant %+v", procs, rs, ref)
+		}
+		if r.StateDigest() != refDigest {
+			t.Fatalf("GOMAXPROCS %d: digest differs from the one-applier replay", procs)
+		}
+	}
+	if ref.Entries == 0 || ref.Records == 0 {
+		t.Fatalf("nothing replayed: %+v", ref)
+	}
+	if txns == 1 && ref.Entries+ref.Skipped >= 2*replayLookahead {
+		t.Fatalf("the short history has %d entries, not fewer than 2·lookahead = %d", ref.Entries+ref.Skipped, 2*replayLookahead)
 	}
 }
 
@@ -435,36 +449,132 @@ func TestParallelReplayKeyAddressed(t *testing.T) {
 	}
 }
 
-// BenchmarkReplayValue replays a fixed value-log image — 8 updates per
-// record over 65 536 rows, ycsb_durable's shape at a quarter of the rows —
-// into a freshly loaded engine per iteration and reports records/s. Run with
-// -cpu 1,2,4 to see the applier scaling (one applier per P).
-func BenchmarkReplayValue(b *testing.B) {
-	const rows, records = 1 << 16, 20_000
-	dev := &memDevice{}
-	cfg := Config{Protocol: "SILO", Threads: 1, LogMode: wal.ModeValue, LogDevice: dev}
-	src := openEngine(b, cfg)
-	tbl := kvTable(b, src, "kv", IndexHash, rows)
-	rng := xrand.New(1)
-	tx := src.NewTx(0, 1)
-	for i := 0; i < records; i++ {
-		if err := tx.Run(func(tx *Tx) error {
-			for j := 0; j < 8; j++ {
-				row, err := tx.Update(tbl, rng.Uint64n(rows))
-				if err != nil {
-					return err
-				}
-				setV(tbl, row, int64(i))
+// TestParallelReplayHintIsPure: the lookahead's hints read and write no
+// replay or engine state and make nothing. Both stages run, under slot and
+// key addressing, over every entry kind on ops inside the version column and
+// a made chunk, past the column, past every made chunk and past the table's
+// last record id: they allocate nothing and leave the version column, the
+// protocol's metadata chunks, the arena's chunks, the table's record ids and
+// the primary index as they were.
+func TestParallelReplayHintIsPure(t *testing.T) {
+	for _, protocol := range cc.Names() {
+		t.Run(protocol, func(t *testing.T) {
+			e := openEngine(t, Config{Protocol: protocol})
+			tbl := kvTable(t, e, "kv", IndexHash, 4)
+			for tbl.NumRows() < 3*storage.ChunkRecords {
+				tbl.tbl.Alloc()
 			}
-			return nil
-		}); err != nil {
+			id := int32(tbl.tbl.ID())
+			var ops []applyOp
+			for len(ops) < 3*replayLookahead {
+				for _, kind := range []wal.EntryKind{wal.EntryUpdate, wal.EntryInsert, wal.EntryDelete} {
+					for _, rid := range []uint64{1, 2000, 2*storage.ChunkRecords + 5, 1 << 40} {
+						ops = append(ops, applyOp{th: tbl, table: id, kind: kind, rid: rid, key: rid})
+					}
+				}
+			}
+			for _, partition := range []bool{false, true} {
+				a := &applier{partition: partition, proto: e.proto}
+				a.versions.newer(id, 0, 1, 1) // a column covering rid 1, not 2000
+				col := len(a.versions[id])
+				meta, arena := cc.MetaChunks(e.proto, tbl.tbl), tbl.tbl.ArenaChunks()
+				rows, keys := tbl.NumRows(), tbl.PrimaryLen()
+				allocs := testing.AllocsPerRun(50, func() {
+					for i := range ops {
+						a.hintAhead(ops, i)
+						a.hint(&ops[i])
+					}
+				})
+				if allocs != 0 {
+					t.Errorf("partition %v: %.1f allocs per hint pass", partition, allocs)
+				}
+				if got := len(a.versions[id]); got != col || len(a.versions) != int(id)+1 {
+					t.Errorf("partition %v: version column %d → %d", partition, col, got)
+				}
+				if got := cc.MetaChunks(e.proto, tbl.tbl); got != meta {
+					t.Errorf("partition %v: metadata chunks %d → %d", partition, meta, got)
+				}
+				if got := tbl.tbl.ArenaChunks(); got != arena {
+					t.Errorf("partition %v: arena chunks %d → %d", partition, arena, got)
+				}
+				if tbl.NumRows() != rows || tbl.PrimaryLen() != keys || a.entries+a.skipped != 0 {
+					t.Errorf("partition %v: rows %d → %d, keys %d → %d, %d entries applied",
+						partition, rows, tbl.NumRows(), keys, tbl.PrimaryLen(), a.entries+a.skipped)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkReplayValue replays a fixed value-log image of 8 updates per
+// record into a freshly loaded SILO engine per iteration and reports
+// records/s. rows=65536 is ycsb_durable's shape at a quarter of the rows and
+// 8-byte rows; rows=262144 is the ledger's recover_replay: 262 144 ycsb rows
+// of 8 + 100 bytes, 100 000 records (≈ 111 MB of log). Run with -cpu 1,2,4 to
+// see the applier scaling (one applier per P).
+func BenchmarkReplayValue(b *testing.B) {
+	for _, c := range []*replayBench{
+		{name: "rows=65536", rows: 1 << 16, records: 20_000},
+		{name: "rows=262144", rows: 1 << 18, records: 100_000, pad: 100},
+	} {
+		b.Run(c.name, c.run)
+	}
+}
+
+// replayBench is one BenchmarkReplayValue case: a table of rows rows, each an
+// int64 v and pad filler bytes, and a log of records transactions.
+type replayBench struct {
+	name               string
+	rows, records, pad int
+	image              []byte // built on the case's first run
+}
+
+func (c *replayBench) table(b *testing.B, e *Engine) *Table {
+	cols := []storage.Column{storage.I64("v")}
+	if c.pad > 0 {
+		cols = append(cols, storage.Str("pad", c.pad))
+	}
+	sch := storage.MustSchema("kv", cols...)
+	tbl, err := e.CreateTable(sch, IndexHash)
+	if err != nil {
+		b.Fatal(err)
+	}
+	row := sch.NewRow()
+	for i := 0; i < c.rows; i++ {
+		if err := e.Load(tbl, uint64(i), row); err != nil {
 			b.Fatal(err)
 		}
 	}
-	src.Close()
-	image := dev.bytes()
+	return tbl
+}
+
+func (c *replayBench) run(b *testing.B) {
+	cfg := Config{Protocol: "SILO", Threads: 1, LogMode: wal.ModeValue, LogDevice: &memDevice{}}
+	if c.image == nil {
+		dev := cfg.LogDevice.(*memDevice)
+		src := openEngine(b, cfg)
+		tbl := c.table(b, src)
+		rng := xrand.New(1)
+		tx := src.NewTx(0, 1)
+		for i := 0; i < c.records; i++ {
+			if err := tx.Run(func(tx *Tx) error {
+				for j := 0; j < 8; j++ {
+					row, err := tx.Update(tbl, rng.Uint64n(uint64(c.rows)))
+					if err != nil {
+						return err
+					}
+					setV(tbl, row, int64(i))
+				}
+				return nil
+			}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		src.Close()
+		c.image = dev.bytes()
+	}
 	cfg.LogDevice = discardLog{}
-	b.SetBytes(int64(len(image)))
+	b.SetBytes(int64(len(c.image)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -472,21 +582,21 @@ func BenchmarkReplayValue(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		kvTable(b, e, "kv", IndexHash, rows)
+		c.table(b, e)
 		runtime.GC()
 		b.StartTimer()
-		rs, err := e.Recover(bytes.NewReader(image))
+		rs, err := e.Recover(bytes.NewReader(c.image))
 		if err != nil {
 			b.Fatal(err)
 		}
-		if rs.Records != records {
-			b.Fatalf("replayed %d of %d records", rs.Records, records)
+		if rs.Records != c.records {
+			b.Fatalf("replayed %d of %d records", rs.Records, c.records)
 		}
 		b.StopTimer()
 		e.Close()
 		b.StartTimer()
 	}
-	b.ReportMetric(float64(records*b.N)/b.Elapsed().Seconds(), "records/s")
+	b.ReportMetric(float64(c.records*b.N)/b.Elapsed().Seconds(), "records/s")
 }
 
 // discardLog swallows the replaying engine's own log.

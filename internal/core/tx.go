@@ -443,7 +443,6 @@ func (t *Tx) RunProc(procID int32, params []byte) error {
 }
 
 func (t *Tx) run(body func(tx *Tx) error, procID int32, params []byte) error {
-	e := t.eng
 	inner := t.inner
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
@@ -471,44 +470,15 @@ func (t *Tx) run(body func(tx *Tx) error, procID int32, params []byte) error {
 			return t.deadlineAbort()
 		}
 		inner.Reset()
-		// The quiesce gate brackets the whole attempt, Begin through
-		// commit/abort. Command-logged checkpoints take the write side to
-		// capture a true quiescent point; value-mode checkpoints never
-		// contend it, so steady state pays one uncontended atomic per
-		// attempt.
-		e.quiesce.RLock()
-		e.proto.Begin(inner)
-
-		//next700:locked(Engine.quiesce: the gate read side deliberately brackets the user transaction body; writers only contend during checkpoint quiesce)
-		err := body(t)
-		fromCommit := false
-		if err == nil {
-			committed, cerr := t.commit(procID, params)
-			if cerr == nil {
-				e.quiesce.RUnlock()
-				inner.ClearPriority()
-				inner.Counter.Commits++
-				return nil
-			}
-			if committed {
-				// The transaction is durably committed in memory but
-				// logging failed: surface the error without rolling back.
-				e.quiesce.RUnlock()
-				inner.ClearPriority()
-				inner.Counter.Commits++
-				return cerr
-			}
-			// Protocol commit failed (validation conflict, dead log, ...):
-			// state was already rolled back inside commit. Classify the
-			// error below without aborting twice.
-			err = cerr
-			fromCommit = true
+		committed, err := t.attempt(body, procID, params)
+		if committed {
+			// A committed attempt's error is a logging failure: the
+			// transaction is durably committed in memory, so it is
+			// surfaced without rolling back.
+			inner.ClearPriority()
+			inner.Counter.Commits++
+			return err
 		}
-		if !fromCommit {
-			e.proto.Abort(inner)
-			t.retractInserts()
-		}
-		e.quiesce.RUnlock()
 		if fault.IsTransient(err) {
 			inner.Counter.Aborts++
 			continue
@@ -526,6 +496,33 @@ func (t *Tx) run(body func(tx *Tx) error, procID int32, params []byte) error {
 		}
 		return err
 	}
+}
+
+// attempt runs body once, Begin through commit or abort, and reports
+// whether it committed. A failed protocol commit has already rolled the
+// attempt back; a body error is aborted here. On a gated engine the quiesce
+// gate brackets the attempt: command-logged checkpoints take the write side
+// to capture a true quiescent point, and RecoverPartition to drain attempts
+// under PartitionWAL. Other engines have no writer and skip it.
+func (t *Tx) attempt(body func(tx *Tx) error, procID int32, params []byte) (committed bool, err error) {
+	e := t.eng
+	if e.gated {
+		e.quiesce.RLock()
+	}
+	e.proto.Begin(t.inner)
+
+	//next700:locked(Engine.quiesce: the gate read side deliberately brackets the user transaction body; only command-logged checkpoints and RecoverPartition's drains take the write side)
+	if err = body(t); err == nil {
+		committed, err = t.commit(procID, params)
+		committed = committed || err == nil
+	} else {
+		e.proto.Abort(t.inner)
+		t.retractInserts()
+	}
+	if e.gated {
+		e.quiesce.RUnlock()
+	}
+	return committed, err
 }
 
 // deadlineAbort accounts a terminal deadline abort. Any prior attempt was
