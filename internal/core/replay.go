@@ -286,10 +286,14 @@ func (a *applier) apply(op *applyOp, data []byte) {
 		if !present {
 			return // already absent in the replayed base
 		}
-		if row, ok := a.proto.Committed(th.tbl, rid); ok {
-			for j := range th.secondaries {
-				s := &th.secondaries[j]
-				s.idx.Delete(s.extract(th.sch, row, op.key))
+		// The committed row is read only to retract its secondary keys:
+		// under SILO it is a fresh copy.
+		if len(th.secondaries) > 0 {
+			if row, ok := a.proto.Committed(th.tbl, rid); ok {
+				for j := range th.secondaries {
+					s := &th.secondaries[j]
+					s.idx.Delete(s.extract(th.sch, row, op.key))
+				}
 			}
 		}
 		th.primary.Delete(op.key)

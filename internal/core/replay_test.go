@@ -506,6 +506,37 @@ func TestParallelReplayHintIsPure(t *testing.T) {
 	}
 }
 
+// TestReplayDeleteAllocs: a replayed delete on a table without secondary
+// indexes reads no committed row (under SILO a fresh copy), so it allocates
+// nothing: it only drops the key and clears the record.
+func TestReplayDeleteAllocs(t *testing.T) {
+	for _, protocol := range []string{"SILO", "NO_WAIT", "MVCC"} {
+		t.Run(protocol, func(t *testing.T) {
+			const runs = 100
+			e := openEngine(t, Config{Protocol: protocol})
+			tbl := kvTable(t, e, "kv", IndexHash, runs+1)
+			a := &applier{proto: e.proto}
+			op := applyOp{th: tbl, table: int32(tbl.tbl.ID()), kind: wal.EntryDelete, epoch: 1, txn: 1}
+			a.versions.newer(op.table, runs, 0, 0) // a column covering every rid
+			allocs := testing.AllocsPerRun(runs, func() {
+				rid, ok := tbl.primary.Lookup(op.key)
+				if !ok {
+					t.Fatalf("key %d not loaded", op.key)
+				}
+				op.rid = uint64(rid)
+				a.apply(&op, nil)
+				op.key++
+			})
+			if allocs != 0 {
+				t.Errorf("%.1f allocs per replayed delete", allocs)
+			}
+			if tbl.PrimaryLen() != 0 || a.entries != runs+1 {
+				t.Errorf("%d keys left, %d deletes applied; want 0 and %d", tbl.PrimaryLen(), a.entries, runs+1)
+			}
+		})
+	}
+}
+
 // BenchmarkReplayValue replays a fixed value-log image of 8 updates per
 // record into a freshly loaded SILO engine per iteration and reports
 // records/s. rows=65536 is ycsb_durable's shape at a quarter of the rows and

@@ -71,8 +71,17 @@ func (n *node) search(key uint64) (int, bool) {
 	return lo, lo < len(n.keys) && n.keys[lo] == key
 }
 
-// BTree is a concurrent B+ tree with pessimistic latch crabbing: readers
-// crab read-latches root-to-leaf; writers crab write-latches, releasing all
+// btreeMaxHeight bounds the latch path insertSplit keeps on the stack. A
+// split leaves both halves about half full, so a node takes some 31 splits
+// of the level below to fill again: a tree of height h has seen on the
+// order of 31^(h-1) inserts, which no history reaches at 16 levels. A
+// deeper path would only make the append allocate.
+const btreeMaxHeight = 16
+
+// BTree is a concurrent B+ tree. Readers crab read latches root to leaf. An
+// insert crabs read latches down to the leaf's parent and write-latches the
+// leaf alone (Bayer & Schkolnick's optimistic descent); only an insert into
+// a full leaf starts over with write latches from the root, releasing the
 // held ancestors as soon as the current node cannot split. There is no
 // rebalancing, but a Delete that empties a leaf unlinks it from its parent
 // and from the leaf chain (reclaim), so queue-shaped tables — insert at the
@@ -81,17 +90,18 @@ func (n *node) search(key uint64) (int, bool) {
 // nodes never become empty.
 type BTree struct {
 	name string
-	// meta guards the root pointer and acts as the root's parent in the
-	// crabbing protocol: holding meta prevents the root from changing.
-	meta sync.RWMutex
-	root *node
+	// root changes only in a root split, which stores the new root while
+	// it still holds the old root's write latch (see latchRoot).
+	root atomic.Pointer[node]
 	// count tracks Len.
 	count atomic.Int64
 }
 
 // NewBTree creates an empty tree.
 func NewBTree(name string) *BTree {
-	return &BTree{name: name, root: newLeaf()}
+	t := &BTree{name: name}
+	t.root.Store(newLeaf())
+	return t
 }
 
 // Name implements Index.
@@ -100,15 +110,52 @@ func (t *BTree) Name() string { return t.name }
 // Len implements Index.
 func (t *BTree) Len() int { return int(t.count.Load()) }
 
+// latchMode says which nodes a descent write-latches; it read-latches the
+// rest.
+type latchMode uint8
+
+const (
+	readAll   latchMode = iota // Lookup, Scan, ScanDesc and Delete's descent
+	writeLeaf                  // Insert's first try
+	writeAll                   // insertSplit
+)
+
+func (m latchMode) writes(n *node) bool { return m == writeAll || m == writeLeaf && n.leaf }
+
+func (m latchMode) latch(n *node) {
+	if m.writes(n) {
+		n.mu.Lock()
+	} else {
+		n.mu.RLock()
+	}
+}
+
+// latchRoot returns the root, latched as m says, for a descent to start
+// from. A root split stores the new root while it holds the old root's
+// write latch, so a node that is still the root once latched stays the root
+// until that latch goes; a root replaced between the load and the latch is
+// released and the load retried.
+func (t *BTree) latchRoot(m latchMode) *node {
+	for {
+		n := t.root.Load()
+		m.latch(n)
+		if t.root.Load() == n {
+			return n
+		}
+		if m.writes(n) {
+			n.mu.Unlock()
+		} else {
+			n.mu.RUnlock()
+		}
+	}
+}
+
 // descendRead crabs read latches from the root to the leaf covering key and
 // returns that leaf still read-latched, with its lower separator: the
 // largest separator at or below key on the path, bounded false when the
 // leaf is the leftmost (no separator below it).
 func (t *BTree) descendRead(key uint64) (n *node, low uint64, bounded bool) {
-	t.meta.RLock()
-	n = t.root
-	n.mu.RLock()
-	t.meta.RUnlock()
+	n = t.latchRoot(readAll)
 	for !n.leaf {
 		ci := n.childIndex(key)
 		if ci > 0 {
@@ -132,39 +179,52 @@ func (t *BTree) Lookup(key uint64) (storage.RecordID, bool) {
 	return storage.InvalidRecordID, false
 }
 
-// Insert implements Index.
+// Insert implements Index. It crabs read latches down to the leaf's parent
+// and takes the leaf's write latch while the parent's read latch is still
+// held: a split of the leaf and a reclaim that unlinks it both write-latch
+// the parent first, so the leaf is still the one covering key, and still on
+// the tree, once latched. No split can start in a leaf that is not full, so
+// only an absent key meeting a full leaf needs more than that latch; it
+// releases the leaf and starts over in insertSplit.
+func (t *BTree) Insert(key uint64, rid storage.RecordID) (storage.RecordID, bool) {
+	n := t.latchRoot(writeLeaf)
+	for !n.leaf {
+		child := n.children[n.childIndex(key)]
+		writeLeaf.latch(child)
+		n.mu.RUnlock()
+		n = child
+	}
+	i, found := n.search(key)
+	if found {
+		old := n.rids[i]
+		n.mu.Unlock()
+		return old, false
+	}
+	if n.full() {
+		n.mu.Unlock()
+		return t.insertSplit(key, rid)
+	}
+	n.insertAt(i, key, rid)
+	t.count.Add(1)
+	n.mu.Unlock()
+	return rid, true
+}
+
+// insertSplit inserts with write latches from the root down.
 //
 // Latching invariants during descent:
-//   - metaHeld is true iff t.meta is write-locked, which is the case exactly
-//     while the root may still be replaced by this insert (root split).
-//   - held contains the write-latched ancestors, highest first, each of
-//     which was full when its child was latched and may therefore need to
-//     absorb a separator from a propagating split.
-//   - whenever a non-full node is reached, every held ancestor (and meta)
-//     is released: the split cannot propagate past a non-full node.
-func (t *BTree) Insert(key uint64, rid storage.RecordID) (storage.RecordID, bool) {
-	t.meta.Lock()
-	metaHeld := true
-	n := t.root
-	n.mu.Lock()
-	var held []*node
-
-	release := func() {
-		for _, a := range held {
-			a.mu.Unlock()
-		}
-		held = held[:0]
-		if metaHeld {
-			t.meta.Unlock()
-			metaHeld = false
-		}
-	}
-
-	if !n.full() {
-		t.meta.Unlock()
-		metaHeld = false
-	}
-
+//   - held holds the write-latched ancestors of n, highest first; each was
+//     kept because its child on the path was full when latched, so it may
+//     have to absorb a separator from a split below it.
+//   - whenever a non-full node is reached, every held ancestor is released:
+//     a split cannot propagate past a non-full node.
+//   - so a split that propagates past held[0], or past a leaf with nothing
+//     held, is a split of the root, and that node's write latch, held until
+//     the new root is stored, is what keeps the root from changing.
+func (t *BTree) insertSplit(key uint64, rid storage.RecordID) (storage.RecordID, bool) {
+	var path [btreeMaxHeight]*node
+	held := path[:0]
+	n := t.latchRoot(writeAll)
 	for !n.leaf {
 		child := n.children[n.childIndex(key)]
 		child.mu.Lock()
@@ -172,7 +232,7 @@ func (t *BTree) Insert(key uint64, rid storage.RecordID) (storage.RecordID, bool
 			held = append(held, n)
 		} else {
 			n.mu.Unlock()
-			release()
+			held = unlatchAll(held)
 		}
 		n = child
 	}
@@ -181,64 +241,87 @@ func (t *BTree) Insert(key uint64, rid storage.RecordID) (storage.RecordID, bool
 	if found {
 		old := n.rids[i]
 		n.mu.Unlock()
-		release()
+		unlatchAll(held)
 		return old, false
 	}
+	t.count.Add(1)
+	if !n.full() {
+		n.insertAt(i, key, rid)
+		n.mu.Unlock()
+		unlatchAll(held)
+		return rid, true
+	}
+
+	// A full leaf: split it and insert into the half that covers key, then
+	// push separators up through the held ancestors, bottom-up, splitting a
+	// full one the same way. Splitting before inserting keeps every node
+	// within the capacity it was made with. A split node stays latched
+	// until its parent holds the separator, or until a new root does.
+	sepKey, right := n.splitLeaf()
+	if key < sepKey {
+		n.insertAt(i, key, rid)
+	} else {
+		right.insertAt(i-len(n.keys), key, rid)
+	}
+	for len(held) > 0 {
+		parent := held[len(held)-1]
+		held = held[:len(held)-1]
+		n.mu.Unlock()
+		if !parent.full() {
+			// Only held[0] can be not full, so nothing is held above it.
+			parent.insertChild(sepKey, right)
+			parent.mu.Unlock()
+			return rid, true
+		}
+		up, r := parent.splitInternal()
+		if sepKey < up {
+			parent.insertChild(sepKey, right)
+		} else {
+			r.insertChild(sepKey, right)
+		}
+		n, sepKey, right = parent, up, r
+	}
+
+	// The split propagated past every held ancestor: n is the root.
+	if t.root.Load() != n {
+		panic("index: split propagated past a node whose parent is not held")
+	}
+	newRoot := newInternal()
+	newRoot.keys = append(newRoot.keys, sepKey)
+	newRoot.children = append(newRoot.children, n, right)
+	t.root.Store(newRoot)
+	n.mu.Unlock()
+	return rid, true
+}
+
+// unlatchAll releases the write latches of held and returns it emptied.
+func unlatchAll(held []*node) []*node {
+	for _, a := range held {
+		a.mu.Unlock()
+	}
+	return held[:0]
+}
+
+// insertAt inserts key and rid at position i of the write-latched leaf n.
+func (n *node) insertAt(i int, key uint64, rid storage.RecordID) {
 	n.keys = append(n.keys, 0)
 	n.rids = append(n.rids, 0)
 	copy(n.keys[i+1:], n.keys[i:])
 	copy(n.rids[i+1:], n.rids[i:])
 	n.keys[i] = key
 	n.rids[i] = rid
-	t.count.Add(1)
+}
 
-	if len(n.keys) <= btreeOrder {
-		n.mu.Unlock()
-		release()
-		return rid, true
-	}
-
-	// Overflow: split the leaf, then push separators up through the held
-	// ancestors, bottom-up.
-	sepKey, right := n.splitLeaf()
-	n.mu.Unlock()
-
-	for idx := len(held) - 1; idx >= 0; idx-- {
-		parent := held[idx]
-		ci := parent.childIndex(sepKey)
-		parent.keys = append(parent.keys, 0)
-		copy(parent.keys[ci+1:], parent.keys[ci:])
-		parent.keys[ci] = sepKey
-		parent.children = append(parent.children, nil)
-		copy(parent.children[ci+2:], parent.children[ci+1:])
-		parent.children[ci+1] = right
-
-		if len(parent.keys) <= btreeOrder {
-			// Absorbed. A non-full held ancestor can only be held[0] (its
-			// own parent was released during descent because it was not
-			// full at that time — but it became over-full only transiently
-			// here if it was full; absorption means it was exactly at the
-			// boundary). Release everything still held.
-			held = held[:idx+1]
-			release()
-			return rid, true
-		}
-		sepKey, right = parent.splitInternal()
-		parent.mu.Unlock()
-	}
-	held = held[:0]
-
-	// The split propagated past every held ancestor, i.e. the root itself
-	// split (or the root was the leaf). meta must still be held.
-	if !metaHeld {
-		panic("index: root split without meta latch")
-	}
-	newRoot := newInternal()
-	newRoot.keys = append(newRoot.keys, sepKey)
-	newRoot.children = append(newRoot.children, t.root, right)
-	t.root = newRoot
-	t.meta.Unlock()
-	return rid, true
+// insertChild inserts separator sepKey and its right child into the
+// write-latched internal node n.
+func (n *node) insertChild(sepKey uint64, right *node) {
+	ci := n.childIndex(sepKey)
+	n.keys = append(n.keys, 0)
+	copy(n.keys[ci+1:], n.keys[ci:])
+	n.keys[ci] = sepKey
+	n.children = append(n.children, nil)
+	copy(n.children[ci+2:], n.children[ci+1:])
+	n.children[ci+1] = right
 }
 
 // splitLeaf moves the upper half of n into a new right sibling, links the
@@ -275,10 +358,7 @@ func (n *node) splitInternal() (uint64, *node) {
 // chased under lock coupling to close both, which is why an unlinked leaf
 // keeps its next pointer.
 func (t *BTree) Delete(key uint64) bool {
-	t.meta.RLock()
-	n := t.root
-	n.mu.RLock()
-	t.meta.RUnlock()
+	n := t.latchRoot(readAll)
 	var parent *node
 	for !n.leaf {
 		child := n.children[n.childIndex(key)]

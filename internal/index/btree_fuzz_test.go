@@ -222,7 +222,7 @@ func testBTreeQueueHistory(t *testing.T) {
 // emptyLeaves counts the empty leaves reachable along the leaf chain from
 // the leftmost leaf. Not safe against concurrent writers.
 func emptyLeaves(t *BTree) int {
-	n := t.root
+	n := t.root.Load()
 	for !n.leaf {
 		n = n.children[0]
 	}
@@ -252,7 +252,7 @@ func leafParents(t *BTree) int {
 		}
 		return sum
 	}
-	return walk(t.root)
+	return walk(t.root.Load())
 }
 
 // TestBTreeStaleDeleteChasesUnlinkedLeaf replays, one step at a time, the
@@ -269,7 +269,7 @@ func TestBTreeStaleDeleteChasesUnlinkedLeaf(t *testing.T) {
 	const probe = 8 * btreeOrder
 	leaf := bt.descendLeaf(probe)
 	key := leaf.keys[len(leaf.keys)-1]
-	if parent := bt.root; parent.leaf || parent.children[0] == leaf {
+	if parent := bt.root.Load(); parent.leaf || parent.children[0] == leaf {
 		t.Fatal("setup: the probe leaf must have a left sibling under the root")
 	}
 	// The stale Delete(key) has descended to leaf and released its read
@@ -312,7 +312,7 @@ func (t *BTree) descendLeaf(key uint64) *node {
 
 // chainHas reports whether leaf is reachable along the leaf chain.
 func chainHas(t *BTree, leaf *node) bool {
-	n := t.root
+	n := t.root.Load()
 	for !n.leaf {
 		n = n.children[0]
 	}
@@ -538,6 +538,88 @@ func TestBTreeConcurrentChurn(t *testing.T) {
 		t.Fatalf("%d empty leaves on the chain for %d leaf-parents", empty, parents)
 	}
 	t.Logf("%d reader scans; %d empty leaves on the chain, %d leaf-parents", scans.Load(), empty, parents)
+	t.Run("insert-reclaim race", testBTreeInsertReclaimRace)
+}
+
+// testBTreeInsertReclaimRace races Insert's leaf latch against the reclaim
+// of that very leaf. One writer churns a queue; probers insert keys just
+// below its head, into the leaf the writer's deletes are emptying (or the
+// one they just emptied), then look each key up and delete it. An insert
+// must latch the leaf while its parent is still latched: a leaf unlinked in
+// between takes the key off the tree, and the Lookup misses it.
+func testBTreeInsertReclaimRace(t *testing.T) {
+	const (
+		probers = 2
+		window  = 200 // live queue keys
+	)
+	seqs := uint64(40000)
+	if testing.Short() {
+		seqs = 10000
+	}
+	bt := NewBTree("reclaim")
+	var head atomic.Uint64 // the queue's deleting end
+	var stop atomic.Bool
+	var pwg, wwg sync.WaitGroup
+	var probes atomic.Int64
+	for p := uint64(0); p < probers; p++ {
+		pwg.Add(1)
+		go func(p uint64) {
+			defer pwg.Done()
+			rng := xrand.New(p + 1)
+			for !stop.Load() {
+				h := head.Load()
+				k := (h-rng.Uint64n(min(h, 64)+1))<<3 | (2 + p)
+				if _, ok := bt.Insert(k, storage.RecordID(k)); !ok {
+					t.Errorf("fresh probe key %#x already present", k)
+					return
+				}
+				if rid, ok := bt.Lookup(k); !ok || rid != storage.RecordID(k) {
+					t.Errorf("probe key %#x lost after its insert: got (%d,%v)", k, rid, ok)
+					return
+				}
+				if !bt.Delete(k) {
+					t.Errorf("delete of probe key %#x failed", k)
+					return
+				}
+				probes.Add(1)
+			}
+		}(p)
+	}
+	wwg.Add(1)
+	go func() {
+		defer wwg.Done()
+		for seq := uint64(0); seq < seqs; seq++ {
+			bt.Insert(seq<<3, storage.RecordID(seq<<3))
+			if seq >= window {
+				if !bt.Delete((seq - window) << 3) {
+					t.Errorf("delete of live queue key %#x failed", (seq-window)<<3)
+					return
+				}
+				head.Store(seq - window + 1)
+			}
+		}
+	}()
+	done := make(chan struct{})
+	go func() { wwg.Wait(); stop.Store(true); pwg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("insert-reclaim race stalled for 30s: latch deadlock")
+	}
+	if t.Failed() {
+		return
+	}
+	if bt.Len() != window {
+		t.Fatalf("len %d after churn, want %d", bt.Len(), window)
+	}
+	var keys []uint64
+	bt.Scan(0, ^uint64(0), func(k uint64, _ storage.RecordID) bool { keys = append(keys, k); return true })
+	for i, k := range keys {
+		if want := (seqs - window + uint64(i)) << 3; k != want {
+			t.Fatalf("scan[%d] = %#x, want %#x", i, k, want)
+		}
+	}
+	t.Logf("%d probes", probes.Load())
 }
 
 // BenchmarkBTreeQueueScan times delivery's probe: a min-scan of one of ten
@@ -582,4 +664,262 @@ func BenchmarkBTreeQueueScan(b *testing.B) {
 			})
 		})
 	}
+}
+
+var nodeSink *node
+
+// TestBTreeInsertAllocs: an insert that splits nothing allocates nothing,
+// on Insert's leaf-latch path and on insertSplit's write-latch path through
+// a full internal node (which it must hold on its latch path), and an insert
+// that splits a leaf allocates the new leaf and nothing else.
+func TestBTreeInsertAllocs(t *testing.T) {
+	perNode := testing.AllocsPerRun(10, func() { nodeSink = newLeaf() })
+
+	// Ascending keys until the root's rightmost child is a full internal
+	// node; its rightmost leaf was just split off, so it has room left.
+	bt := NewBTree("allocs")
+	next := uint64(0)
+	fullInner := func() bool {
+		r := bt.root.Load()
+		if r.leaf || r.children[0].leaf {
+			return false
+		}
+		inner := r.children[len(r.children)-1]
+		return inner.full() && !inner.children[len(inner.children)-1].full()
+	}
+	for ; !fullInner(); next++ {
+		if next > 1<<20 {
+			t.Fatal("setup: a million ascending keys made no full internal node")
+		}
+		bt.Insert(next, storage.RecordID(next))
+	}
+	for name, insert := range map[string]func(uint64, storage.RecordID) (storage.RecordID, bool){
+		"leaf latch":  bt.Insert,
+		"write latch": bt.insertSplit,
+	} {
+		if allocs := testing.AllocsPerRun(10, func() {
+			if _, ok := insert(next, storage.RecordID(next)); !ok {
+				t.Fatalf("%s: fresh key %d not inserted", name, next)
+			}
+			next++
+		}); allocs != 0 {
+			t.Errorf("%s: %.1f allocs per non-splitting insert", name, allocs)
+		}
+	}
+	if !fullInner() {
+		t.Fatal("setup: the internal node on the path split; the runs are too long")
+	}
+
+	// After a root split, ascending inserts split the rightmost leaf once
+	// every 32 keys (33 keys after a split, full at 64), and the root has
+	// room for every new separator of the runs.
+	bt = NewBTree("allocs")
+	for next = 0; bt.root.Load().leaf; next++ {
+		if next > btreeOrder {
+			t.Fatalf("setup: the root leaf did not split at %d keys", next)
+		}
+		bt.Insert(next, storage.RecordID(next))
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		for end := next + btreeOrder/2; next < end; next++ {
+			bt.Insert(next, storage.RecordID(next))
+		}
+	}); allocs != perNode {
+		t.Errorf("%.1f allocs per leaf split, want %.0f (one new leaf)", allocs, perNode)
+	}
+	if r := bt.root.Load(); len(r.children) != 2+21 {
+		t.Errorf("setup: the root has %d children, want 23 (one leaf split per run)", len(r.children))
+	}
+}
+
+// TestBTreeRootSplitUnderReaders grows empty trees through at least two
+// root splits each, from two writers inserting a scattered permutation of
+// keys, while readers Lookup, Scan and ScanDesc the keys already inserted.
+// Every key a writer finished inserting before a read began must be found,
+// and every scan must return keys in strict order. A descent that starts
+// from a root replaced before its latch was taken sees only the half of the
+// tree the old root still covers, so a key of the other half goes missing.
+func TestBTreeRootSplitUnderReaders(t *testing.T) {
+	const (
+		writers = 2
+		readers = 2
+		nKeys   = 4096
+	)
+	rounds := 20
+	if testing.Short() {
+		rounds = 5
+	}
+	// perm is the insert order of the key indexes; writer w inserts
+	// perm[w], perm[w+writers], ..., and pos inverts perm.
+	perm := make([]uint64, nKeys)
+	pos := make([]int, nKeys)
+	for i := range perm {
+		perm[i] = uint64(i) * 2999 % nKeys // 2999 is prime, so a bijection
+		pos[perm[i]] = i
+	}
+
+	for round := 0; round < rounds && !t.Failed(); round++ {
+		bt := NewBTree("rootsplit")
+		var done [writers]atomic.Int64 // inserts each writer has finished
+		// published reports whether key index j was inserted before the
+		// counts were read.
+		published := func(counts *[writers]int64, j uint64) bool {
+			p := pos[j]
+			return int64(p/writers) < counts[p%writers]
+		}
+		snapshot := func() (c [writers]int64) {
+			for w := range c {
+				c[w] = done[w].Load()
+			}
+			return c
+		}
+
+		var stop atomic.Bool
+		var rwg, wwg sync.WaitGroup
+		for r := 0; r < readers; r++ {
+			rwg.Add(1)
+			go func(seed uint64) {
+				defer rwg.Done()
+				rng := xrand.New(seed)
+				var keys []uint64
+				for !stop.Load() {
+					counts := snapshot()
+					j := rng.Uint64n(nKeys)
+					if rid, ok := bt.Lookup(j * stride); published(&counts, j) && (!ok || rid != storage.RecordID(j)) {
+						t.Errorf("round %d: inserted key %d: got (%d,%v)", round, j*stride, rid, ok)
+						return
+					}
+					lo := rng.Uint64n(nKeys)
+					hi := min(lo+rng.Uint64n(512), nKeys-1)
+					desc := rng.Bool(0.5)
+					keys = keys[:0]
+					visit := func(k uint64, rid storage.RecordID) bool {
+						keys = append(keys, k)
+						return rid == storage.RecordID(k/stride)
+					}
+					if desc {
+						bt.ScanDesc(lo*stride, hi*stride, visit)
+					} else {
+						bt.Scan(lo*stride, hi*stride, visit)
+					}
+					if err := checkScan(keys, lo, hi, desc, func(j uint64) bool { return published(&counts, j) }); err != nil {
+						t.Errorf("round %d: %v", round, err)
+						return
+					}
+				}
+			}(uint64(round*readers + r + 1))
+		}
+		for w := 0; w < writers; w++ {
+			wwg.Add(1)
+			go func(w int) {
+				defer wwg.Done()
+				for i := w; i < nKeys; i += writers {
+					if _, ok := bt.Insert(perm[i]*stride, storage.RecordID(perm[i])); !ok {
+						t.Errorf("round %d: fresh key %d already present", round, perm[i]*stride)
+						return
+					}
+					done[w].Add(1)
+				}
+			}(w)
+		}
+		finished := make(chan struct{})
+		go func() { wwg.Wait(); stop.Store(true); rwg.Wait(); close(finished) }()
+		select {
+		case <-finished:
+		case <-time.After(30 * time.Second):
+			t.Fatal("root-split round stalled for 30s: latch deadlock")
+		}
+		if t.Failed() {
+			return
+		}
+		if bt.Len() != nKeys {
+			t.Fatalf("round %d: len %d, want %d", round, bt.Len(), nKeys)
+		}
+		if h := height(bt); h < 3 {
+			t.Fatalf("round %d: height %d; the round saw fewer than two root splits", round, h)
+		}
+		all := func(uint64) bool { return true }
+		var keys []uint64
+		bt.Scan(0, ^uint64(0), func(k uint64, _ storage.RecordID) bool { keys = append(keys, k); return true })
+		if err := checkScan(keys, 0, nKeys-1, false, all); err != nil {
+			t.Fatalf("round %d: final scan: %v", round, err)
+		}
+	}
+}
+
+// stride spaces TestBTreeRootSplitUnderReaders's keys: key index i is key
+// i*stride, and the gaps are never inserted.
+const stride = 3
+
+// checkScan checks a scan of key indexes [lo, hi] returned keys in strict
+// order, only keys of that range on the stride, and every key index must
+// reports.
+func checkScan(keys []uint64, lo, hi uint64, desc bool, must func(uint64) bool) error {
+	seen := 0
+	for i, k := range keys {
+		if k%stride != 0 || k/stride < lo || k/stride > hi {
+			return fmt.Errorf("scan of [%d, %d] returned key %d", lo*stride, hi*stride, k)
+		}
+		if i > 0 && (desc && k >= keys[i-1] || !desc && k <= keys[i-1]) {
+			return fmt.Errorf("desc=%v: key %d after %d", desc, k, keys[i-1])
+		}
+		if must(k / stride) {
+			seen++
+		}
+	}
+	want := 0
+	for j := lo; j <= hi; j++ {
+		if must(j) {
+			want++
+		}
+	}
+	if seen != want {
+		return fmt.Errorf("desc=%v: scan of [%d, %d] returned %d of the %d keys inserted before it began",
+			desc, lo*stride, hi*stride, seen, want)
+	}
+	return nil
+}
+
+// height is the number of levels of t. Not safe against concurrent writers.
+func height(t *BTree) int {
+	h := 1
+	for n := t.root.Load(); !n.leaf; n = n.children[0] {
+		h++
+	}
+	return h
+}
+
+// BenchmarkBTreeInsertLookup runs inserters and readers on one shared tree,
+// the way TPC-C's workers share orders and order_line: each goroutine
+// alternates an insert of the next ascending key (the rightmost leaf, as
+// NewOrder's are) with a Lookup of a random key among the last 4096
+// inserted and a 16-key Scan there (Order-Status, Delivery and Stock-Level
+// read recent orders). Run with -cpu 1,2: at 2 Ps the inserts contend with
+// the reads on the root and the right edge. ns/op is per operation.
+func BenchmarkBTreeInsertLookup(b *testing.B) {
+	const preload = 1 << 17
+	bt := NewBTree("insertlookup")
+	for k := uint64(0); k < preload; k++ {
+		bt.Insert(k, storage.RecordID(k))
+	}
+	var next atomic.Uint64
+	next.Store(preload)
+	var seeds atomic.Uint64
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		rng := xrand.New(seeds.Add(1))
+		for op := 0; pb.Next(); op++ {
+			switch op % 3 {
+			case 0:
+				k := next.Add(1) - 1
+				bt.Insert(k, storage.RecordID(k))
+			case 1:
+				// A key claimed but not yet inserted may miss.
+				bt.Lookup(next.Load() - 1 - rng.Uint64n(4096))
+			default:
+				lo := next.Load() - 1 - rng.Uint64n(4096)
+				bt.Scan(lo, lo+15, func(uint64, storage.RecordID) bool { return true })
+			}
+		}
+	})
 }
