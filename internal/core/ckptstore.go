@@ -136,9 +136,17 @@ func (s *DirStore) CreateSegment(name string) (wal.Device, error) {
 	return f, nil
 }
 
-// OpenSegment implements CheckpointStore.
+// OpenSegment implements CheckpointStore. Recovery scans a segment in place,
+// two reads a frame, so the reader is buffered; its Close closes the file.
 func (s *DirStore) OpenSegment(name string) (io.ReadCloser, error) {
-	return os.Open(s.path(name))
+	f, err := os.Open(s.path(name))
+	if err != nil {
+		return nil, err
+	}
+	return struct {
+		io.Reader
+		io.Closer
+	}{bufio.NewReaderSize(f, 64<<10), f}, nil
 }
 
 // RemoveSegment implements CheckpointStore.

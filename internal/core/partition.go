@@ -1,10 +1,8 @@
 package core
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
-	"io"
 
 	"next700/internal/storage"
 	"next700/internal/txn"
@@ -215,16 +213,21 @@ func (e *Engine) PartitionFrontier(p int) uint64 {
 //
 //	base  slice p at its newest loadable generation; with none, load (p's
 //	      initial rows; nil when the partition had no pre-log state) and the
-//	      full tail. Base and tail are resolved before anything is touched:
-//	      an error up to there (ErrBadCheckpoint for a foreign format,
-//	      ErrHistoryLost when the log no longer reaches back to the base)
+//	      full tail. The base is resolved and every segment of the tail
+//	      opened before anything is touched: an error up to there
+//	      (ErrBadCheckpoint for a foreign format, ErrHistoryLost when the log
+//	      no longer reaches back to the base, a segment that fails to open)
 //	      leaves the partition quarantined and its memory as it was. Then the
 //	      attempt gate drains, p's in-memory state is cleared and the base
 //	      installed.
-//	tail  stream p's segments, applying only p's entries with epochs in
-//	      (slice fence, PartitionFrontier(p)]: the certified prefix. Records
-//	      beyond the frontier were never acknowledged and stay dead, exactly
-//	      like whole-engine recovery.
+//	tail  stream p's segments, scanned in place, applying only p's entries
+//	      with epochs in (slice fence, PartitionFrontier(p)]: the certified
+//	      prefix. Records beyond the frontier were never acknowledged and
+//	      stay dead, exactly like whole-engine recovery. The scan is what
+//	      reads the segments, so damage it finds inside one (ErrCorrupt; a
+//	      torn tail is no damage) fails the call after p was cleared: p
+//	      stays quarantined with its memory partly rebuilt, and the manifest
+//	      is not saved.
 //	seal  stream p's active segments are sealed at the frontier and a fresh
 //	      one is published in the manifest, before the stream is readmitted
 //	      on it.
@@ -259,18 +262,20 @@ func (c *Checkpointer) rebuildPartition(p int, load func() error) (RecoveryStats
 	var rs RecoveryStats
 	e := c.e
 
-	// Base and tail are resolved against the manifest before the partition
-	// is touched. The live claim caps the tail at the epochs the stream
-	// acknowledged before it died; it froze when the stream failed.
+	// The base is resolved and the tail's segments opened against the
+	// manifest before the partition is touched. The live claim caps the tail
+	// at the epochs the stream acknowledged before it died; it froze when the
+	// stream failed.
 	frontier := e.PartitionFrontier(p)
 	base, err := e.resolveBase(c.store, &c.manifest, p, 1, true, &rs)
 	if err != nil {
 		return rs, err
 	}
-	tail, err := streamImage(c.store, &c.manifest, p, &rs)
+	tail, err := openStream(c.store, &c.manifest, p)
 	if err != nil {
 		return rs, err
 	}
+	defer closeSegments(tail)
 	skip := []uint64{0}
 	if base != nil {
 		skip[0] = base[0].fence
@@ -286,7 +291,7 @@ func (c *Checkpointer) rebuildPartition(p int, load func() error) (RecoveryStats
 	}
 
 	vr := e.newValueReplay(true)
-	_, err = e.replayTail([]io.Reader{bytes.NewReader(tail)}, wal.FrontierPerStream, skip, &rs, func(_ int, cr *wal.CommitRecord) error {
+	_, err = e.replayTail([][]wal.Segment{tail}, wal.FrontierPerStream, skip, &rs, func(_ int, cr *wal.CommitRecord) error {
 		if cr.Epoch > frontier {
 			rs.TruncatedRecords++
 			return nil

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -470,7 +471,7 @@ func TestMultiPartitionCommitReplication(t *testing.T) {
 	}
 	for p := 0; p < parts; p++ {
 		var saw uint64
-		if _, err := wal.ReplayStreams([]io.Reader{bytes.NewReader(mems[p].Bytes())}, wal.FrontierPerStream, wal.CommitOrder, func(_ int, cr *wal.CommitRecord) error {
+		if _, err := wal.ReplayStreams([][]wal.Segment{{{Reader: bytes.NewReader(mems[p].Bytes())}}}, wal.FrontierPerStream, wal.CommitOrder, func(_ int, cr *wal.CommitRecord) error {
 			// Every stream carries the full record.
 			if len(cr.Entries) != parts {
 				t.Fatalf("stream %d record has %d entries, want %d", p, len(cr.Entries), parts)
@@ -638,6 +639,77 @@ func TestRecoveryFailsOnUnreadableSegment(t *testing.T) {
 			t.Fatalf("partition recovery over an unreadable segment: err = %v, want %v", err, errSegmentIO)
 		}
 	})
+}
+
+// corruptSegmentStore is a store whose segment name reads back with one
+// byte flipped inside its first frame's payload: damage before the segment's
+// last frame, which no torn write explains.
+type corruptSegmentStore struct {
+	CheckpointStore
+	name string
+}
+
+func (s corruptSegmentStore) OpenSegment(name string) (io.ReadCloser, error) {
+	rc, err := s.CheckpointStore.OpenSegment(name)
+	if err != nil || name != s.name {
+		return rc, err
+	}
+	b, err := io.ReadAll(rc)
+	rc.Close()
+	if err != nil {
+		return nil, err
+	}
+	b[10] ^= 0xFF // past the 8-byte frame header
+	return io.NopCloser(bytes.NewReader(b)), nil
+}
+
+// TestPartitionRecoveryFailsOnCorruptSegment: the tail scan is what reads a
+// segment, so damage inside one surfaces only after the partition was
+// cleared. RecoverPartition fails with ErrCorrupt, the partition stays
+// quarantined and its stream unreadmitted, and no manifest is saved.
+func TestPartitionRecoveryFailsOnCorruptSegment(t *testing.T) {
+	store := fault.NewMemStore(fault.StoreChaos{Seed: 11})
+	att, err := InitCheckpointLog(store, 2, wal.ModeValue)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, tbl := partOpen(t, att, 2, 8, nil)
+	tx := e.NewTx(0, 3)
+	for k := uint64(0); k < 8; k++ {
+		if err := setKey(tx, tbl, k, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before, _, err := store.LoadManifest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var name string
+	for _, sg := range before.Segments {
+		if sg.Stream == 1 {
+			name = sg.Name
+		}
+	}
+	ck, err := e.NewCheckpointer(corruptSegmentStore{store, name}, 2, att.Devices)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.QuarantinePartition(1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ck.RecoverPartition(1, partZeroLoad(e, tbl, 2, 8, 1)); !errors.Is(err, wal.ErrCorrupt) {
+		t.Fatalf("partition recovery over a corrupt segment: err = %v, want %v", err, wal.ErrCorrupt)
+	}
+	if got := e.QuarantinedPartitions(); got != 1<<1 {
+		t.Fatalf("quarantine mask %#x after the failed recovery, want partition 1 still quarantined", got)
+	}
+	after, _, err := store.LoadManifest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(after, before) || !reflect.DeepEqual(ck.Manifest(), before) {
+		t.Fatalf("a failed partition recovery saved a manifest:\n got %+v\nwant %+v", after, before)
+	}
 }
 
 // TestFallbackAfterPartitionRecovery: after a partition recovery and one more

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -84,9 +83,10 @@ type RecoveryStats struct {
 //	      at its newest loadable generation (resolveBase), falling back to
 //	      load() when some slice has none, and to ErrHistoryLost when the
 //	      log no longer reaches back to what was resolved;
-//	tail  each stream's segments, individually sealed and spliced
-//	      (streamImage), replayed up to the epoch frontier (replayTail),
-//	      skipping per stream the epochs the base already covers; under
+//	tail  each stream's segments, opened through the store (openStream) and
+//	      scanned in place, each to its torn tail and sealing epoch,
+//	      replayed up to the epoch frontier (replayTail), skipping per
+//	      stream the epochs the base already covers; under
 //	      value logging the scan routes each entry by key to one of
 //	      GOMAXPROCS appliers (valueReplay, replay.go);
 //	seal  store-based recovery only: the scope's active segments are sealed
@@ -175,9 +175,13 @@ func (e *Engine) recoverFrom(src recoverySource) (RecoveryStats, error) {
 
 	// Base: skip[i] is the epoch through which the restored state already
 	// covers stream i — the fence of the slice its records replay over: slice
-	// i under a partition-sharded log, slice 0 otherwise.
-	readers, rule := src.logs, wal.FrontierGlobal
-	skip := make([]uint64, len(readers))
+	// i under a partition-sharded log, slice 0 otherwise. A handed-in reader
+	// is one active segment.
+	streams, rule := make([][]wal.Segment, len(src.logs)), wal.FrontierGlobal
+	for i, r := range src.logs {
+		streams[i] = []wal.Segment{{Reader: r}}
+	}
+	skip := make([]uint64, len(streams))
 	if fromStore {
 		m := &src.att.recover
 		rs.ManifestFallback = src.att.fellBack
@@ -189,14 +193,17 @@ func (e *Engine) recoverFrom(src recoverySource) (RecoveryStats, error) {
 		if err == nil {
 			err = e.installBase(base, src.load, &rs)
 		}
-		readers = make([]io.Reader, m.Streams)
+		streams = make([][]wal.Segment, m.Streams)
+		defer func() {
+			for _, segs := range streams {
+				closeSegments(segs)
+			}
+		}()
 		for i := 0; i < m.Streams && err == nil; i++ {
 			if base != nil {
 				skip[i] = base[i%len(base)].fence
 			}
-			var image []byte
-			image, err = streamImage(src.store, m, i, &rs)
-			readers[i] = bytes.NewReader(image)
+			streams[i], err = openStream(src.store, m, i)
 		}
 		if err != nil {
 			return rs, err
@@ -209,7 +216,7 @@ func (e *Engine) recoverFrom(src recoverySource) (RecoveryStats, error) {
 		vr = e.newValueReplay(perPartition)
 	}
 	var tx *Tx
-	st, err := e.replayTail(readers, rule, skip, &rs, func(stream int, cr *wal.CommitRecord) error {
+	st, err := e.replayTail(streams, rule, skip, &rs, func(stream int, cr *wal.CommitRecord) error {
 		switch {
 		case perPartition:
 			return vr.record(cr, stream)
@@ -265,12 +272,12 @@ func (e *Engine) recoverFrom(src recoverySource) (RecoveryStats, error) {
 	return rs, err
 }
 
-// replayTail is the pipeline's tail stage: the readers replay to the
+// replayTail is the pipeline's tail stage: the streams replay to the
 // frontier the rule selects, records tagged at or below their stream's skip
 // epoch are dropped as already covered by the restored base (untagged
 // pre-epoch records predate every base and never are), and what the replay
 // consumed is copied out to rs.
-func (e *Engine) replayTail(readers []io.Reader, rule wal.FrontierRule, skip []uint64, rs *RecoveryStats,
+func (e *Engine) replayTail(streams [][]wal.Segment, rule wal.FrontierRule, skip []uint64, rs *RecoveryStats,
 	apply func(stream int, cr *wal.CommitRecord) error) (wal.StreamReplayStats, error) {
 	// Value replay applies a stream replayed to its own frontier in append
 	// order, the only order that puts a key's delete before its re-insert
@@ -280,15 +287,14 @@ func (e *Engine) replayTail(readers []io.Reader, rule wal.FrontierRule, skip []u
 	if e.cfg.LogMode == wal.ModeValue {
 		order = wal.AppendOrder
 	}
-	st, err := wal.ReplayStreams(readers, rule, order, func(stream int, cr *wal.CommitRecord) error {
+	st, err := wal.ReplayStreams(streams, rule, order, func(stream int, cr *wal.CommitRecord) error {
 		if cr.Epoch != 0 && cr.Epoch <= skip[stream] {
 			rs.SkippedOldEpoch++
 			return nil
 		}
 		return apply(stream, cr)
 	})
-	rs.Bytes, rs.CorruptTailRecords = st.Bytes, st.CorruptTailRecords
-	rs.TornBytes += st.TornBytes // on top of what the store's segment seals trimmed
+	rs.Bytes, rs.TornBytes, rs.CorruptTailRecords = st.Bytes, st.TornBytes, st.CorruptTailRecords
 	rs.Streams, rs.FrontierEpoch, rs.MaxEpoch = st.Streams, st.Frontier, st.MaxEpoch
 	rs.TruncatedRecords += st.TruncatedRecords
 	rs.StreamFrontiers = st.StreamFrontiers
@@ -410,20 +416,15 @@ func (e *Engine) installBase(base []sliceBase, load func() error, rs *RecoverySt
 	return nil
 }
 
-// streamImage assembles one stream's log tail: the manifest's segments of
-// that stream in generation order, concatenated. Each segment is sealed
-// individually before the splice: its torn tail is trimmed (a crash artifact
-// that would otherwise sit mid-stream, where the scanner treats it as hard
-// corruption) and, for segments a previous recovery or checkpoint sealed,
-// frames above the sealing epoch are dropped — the durable form of that
-// pass's truncation decision. A segment the store does not have
-// (fs.ErrNotExist: published but never written — a crash between publication
-// and first append, or an attachment's own siblings in a chained recovery)
-// reads as empty; any other error opening one fails the recovery, because
-// the segment may hold acknowledged commits. The torn tails trimmed off
-// active segments count into rs.TornBytes.
-func streamImage(store CheckpointStore, m *wal.Manifest, stream int, rs *RecoveryStats) ([]byte, error) {
-	var image []byte
+// openStream opens one stream's log tail for the scan: the manifest's
+// segments of that stream in generation order, each with its sealing epoch,
+// read in place. A segment the store does not have (fs.ErrNotExist: published
+// but never written — a crash between publication and first append, or an
+// attachment's own siblings in a chained recovery) reads as empty; any other
+// error opening one fails the recovery, because the segment may hold
+// acknowledged commits. The caller closes what it returns (closeSegments).
+func openStream(store CheckpointStore, m *wal.Manifest, stream int) ([]wal.Segment, error) {
+	var segs []wal.Segment
 	for _, sg := range m.Segments {
 		if sg.Stream != stream {
 			continue
@@ -433,23 +434,19 @@ func streamImage(store CheckpointStore, m *wal.Manifest, stream int, rs *Recover
 			continue
 		}
 		if err != nil {
+			closeSegments(segs)
 			return nil, fmt.Errorf("core: recovery segment %s: %w", sg.Name, err)
 		}
-		data, err := io.ReadAll(rc)
-		rc.Close()
-		if err != nil {
-			return nil, fmt.Errorf("core: recovery segment %s: %w", sg.Name, err)
-		}
-		clean, err := wal.SealSegment(data, sg.ToEpoch)
-		if err != nil {
-			return nil, fmt.Errorf("core: recovery segment %s: %w", sg.Name, err)
-		}
-		if sg.ToEpoch == 0 {
-			rs.TornBytes += int64(len(data) - len(clean))
-		}
-		image = append(image, clean...)
+		segs = append(segs, wal.Segment{Reader: rc, ToEpoch: sg.ToEpoch})
 	}
-	return image, nil
+	return segs, nil
+}
+
+// closeSegments closes the store readers openStream opened.
+func closeSegments(segs []wal.Segment) {
+	for _, sg := range segs {
+		sg.Reader.(io.Closer).Close()
+	}
 }
 
 // sealActive is the seal rule, making a store-based recovery's truncation

@@ -92,9 +92,6 @@ func TestRecoverEntryPointsAgree(t *testing.T) {
 	}
 }
 
-// TestStoreRecoveryCountsTornTail: store-based recovery trims a torn tail off
-// an active segment before the replay scanner sees it, and must still report
-// the discarded bytes in TornBytes, as reader-based recovery does.
 // TestRecoverRaisesEpoch: an engine that recovers a log and then appends to
 // it must tag its commits above every replayed epoch. Otherwise a commit
 // after the first recovery sorts below the writes it overwrote when both
@@ -165,6 +162,9 @@ func TestRecoverRaisesEpoch(t *testing.T) {
 	})
 }
 
+// TestStoreRecoveryCountsTornTail: store-based recovery ends an active
+// segment at its torn tail and reports the discarded bytes in TornBytes, as
+// reader-based recovery does.
 func TestStoreRecoveryCountsTornTail(t *testing.T) {
 	store := fault.NewMemStore(fault.StoreChaos{})
 	e, att := sliceEngine(t, store, "SILO", 0, true)

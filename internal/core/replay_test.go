@@ -234,6 +234,7 @@ func TestToggledKeysSurviveRecovery(t *testing.T) {
 		streams  int
 	}{{"SILO", 1}, {"TICTOC", 1}, {"NO_WAIT", 1}, {"MVCC", 1}, {"NO_WAIT", 2}} {
 		t.Run(fmt.Sprintf("%s/streams=%d", tc.protocol, tc.streams), func(t *testing.T) {
+			t.Parallel()
 			for h := 0; h < histories; h++ {
 				if got, want := toggleHistory(t, tc.protocol, tc.streams, uint64(h)); got != want {
 					t.Fatalf("history %d: recovered state differs from the source:\n got %s\nwant %s", h, got, want)

@@ -10,7 +10,7 @@ import (
 func replayIDs(t *testing.T, images [][]byte) map[uint64]bool {
 	t.Helper()
 	got := make(map[uint64]bool)
-	if _, err := ReplayStreamBytes(images, func(_ int, cr *CommitRecord) error {
+	if _, err := replayStreamBytes(images, func(_ int, cr *CommitRecord) error {
 		got[cr.TxnID] = true
 		return nil
 	}); err != nil {

@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 )
 
@@ -31,87 +32,122 @@ func sealEpochs(t *testing.T, img []byte) []uint64 {
 	return out
 }
 
-func TestSealSegmentTrimsTornTail(t *testing.T) {
-	var img []byte
-	img = append(img, sealFrame(1, 1)...)
-	img = append(img, sealFrame(2, 2)...)
-	whole := len(img)
-	last := sealFrame(3, 3)
-	img = append(img, last[:len(last)/2]...) // torn final frame
-
-	clean, err := SealSegment(img, 0)
-	if err != nil {
-		t.Fatal(err)
+// replayStreamBytes is ReplayStreams under FrontierGlobal and CommitOrder
+// over in-memory stream images, each one active segment.
+func replayStreamBytes(images [][]byte, apply func(stream int, cr *CommitRecord) error) (StreamReplayStats, error) {
+	streams := make([][]Segment, len(images))
+	for i := range images {
+		streams[i] = []Segment{{Reader: bytes.NewReader(images[i])}}
 	}
-	if len(clean) != whole {
-		t.Fatalf("sealed %d bytes, want %d", len(clean), whole)
-	}
-	if got := sealEpochs(t, clean); len(got) != 2 {
-		t.Fatalf("sealed image has %d records, want 2: %v", len(got), got)
-	}
+	return ReplayStreams(streams, FrontierGlobal, CommitOrder, apply)
 }
 
-func TestSealSegmentTornFinalPayload(t *testing.T) {
-	// A full-length final record with a bad CRC is a torn write too.
-	var img []byte
-	img = append(img, sealFrame(1, 1)...)
-	whole := len(img)
-	img = append(img, sealFrame(2, 2)...)
-	img[len(img)-1] ^= 0xFF
-
-	clean, err := SealSegment(img, 0)
-	if err != nil {
-		t.Fatal(err)
+// TestReplaySegments pins the segment rules of the one scan: a torn tail ends
+// its segment wherever the segment sits in the stream, damage before it is
+// ErrCorrupt, and a sealed segment replays only frames at or below its
+// sealing epoch while its end certifies the stream through that epoch.
+func TestReplaySegments(t *testing.T) {
+	cat := func(frames ...[]byte) []byte { return bytes.Join(frames, nil) }
+	torn := sealFrame(3, 3)
+	badCRC := sealFrame(2, 2)
+	badCRC[len(badCRC)-1] ^= 0xFF
+	midCorrupt := cat(sealFrame(1, 1), sealFrame(2, 2))
+	midCorrupt[headerSize+2] ^= 0xFF // the first payload, not the last
+	late := cat(sealFrame(1, 4), sealFrame(2, 5), appendMarker(nil, 6), sealFrame(3, 6))
+	type seg struct {
+		img     []byte
+		toEpoch uint64
 	}
-	if len(clean) != whole {
-		t.Fatalf("sealed %d bytes, want %d", len(clean), whole)
-	}
-}
-
-func TestSealSegmentMidCorruptionFails(t *testing.T) {
-	first := sealFrame(1, 1)
-	var img []byte
-	img = append(img, first...)
-	img = append(img, sealFrame(2, 2)...)
-	img[headerSize+2] ^= 0xFF // corrupt the first payload, not the last
-	if _, err := SealSegment(img, 0); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("mid-stream corruption must fail, got %v", err)
-	}
-}
-
-func TestSealSegmentCeilingDropsLateFrames(t *testing.T) {
-	var img []byte
-	img = append(img, sealFrame(1, 4)...)
-	img = append(img, sealFrame(2, 5)...)
-	img = append(img, appendMarker(nil, 6)...)
-	img = append(img, sealFrame(3, 6)...)
-
-	clean, err := SealSegment(img, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := sealEpochs(t, clean); len(got) != 2 || got[0] != 4 || got[1] != 5 {
-		t.Fatalf("ceiling 5 kept %v, want [4 5]", got)
-	}
-	// Frames above the ceiling are replaced by exactly one marker for
-	// ceiling+1: the sealing epoch is a completeness certificate, so the
-	// sealed image must keep claiming "complete through 5" — but nothing
-	// beyond it, or a record the ceiling killed could be resurrected.
-	var markers []uint64
-	if _, err := ScanStream(bytes.NewReader(clean), func(*CommitRecord) error { return nil },
-		func(epoch uint64) error { markers = append(markers, epoch); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if len(markers) != 1 || markers[0] != 6 {
-		t.Fatalf("sealed image markers %v, want exactly [6]", markers)
-	}
-	// Ceiling zero keeps everything and adds nothing.
-	all, err := SealSegment(img, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(all) != len(img) {
-		t.Fatalf("ceiling 0 changed an intact image: %d != %d", len(all), len(img))
+	for _, tc := range []struct {
+		name      string
+		segs      []seg
+		wantErr   error
+		want      []uint64 // applied epochs, in order
+		frontier  uint64
+		markers   int
+		bytes     int64
+		tornBytes int64
+		tornRecs  int
+		truncated int
+	}{{
+		name: "torn tail before another segment",
+		segs: []seg{
+			{img: cat(sealFrame(1, 1), sealFrame(2, 2), torn[:len(torn)/2])},
+			{img: cat(sealFrame(4, 3), appendMarker(nil, 4))},
+		},
+		want: []uint64{1, 2, 3}, frontier: 3, markers: 1,
+		bytes:     int64(2*len(sealFrame(1, 1)) + len(sealFrame(4, 3)) + len(appendMarker(nil, 4))),
+		tornBytes: int64(len(torn) / 2),
+	}, {
+		name: "torn tail of a sealed segment counts nowhere",
+		segs: []seg{{img: cat(sealFrame(1, 1), torn[:len(torn)/2]), toEpoch: 1}, {}},
+		want: []uint64{1}, frontier: 1,
+		bytes: int64(len(sealFrame(1, 1))),
+	}, {
+		name: "full-length final payload with a bad CRC",
+		segs: []seg{
+			{img: cat(sealFrame(1, 1), badCRC)},
+			{img: cat(sealFrame(3, 3), appendMarker(nil, 4))},
+		},
+		want: []uint64{1, 3}, frontier: 3, markers: 1,
+		bytes:     int64(2*len(sealFrame(1, 1)) + len(appendMarker(nil, 4))),
+		tornBytes: int64(len(badCRC)), tornRecs: 1,
+	}, {
+		name:    "mid-segment corruption",
+		segs:    []seg{{img: midCorrupt}, {img: appendMarker(nil, 3)}},
+		wantErr: ErrCorrupt,
+	}, {
+		// Frames above the ceiling — record 6 and marker 6 — are dropped and
+		// count nowhere, yet the segment's end still certifies epoch 5: the
+		// tags alone prove only epoch 4.
+		name: "ceiling drops late records and markers",
+		segs: []seg{{img: late, toEpoch: 5}, {}},
+		want: []uint64{4, 5}, frontier: 5,
+		bytes: int64(2 * len(sealFrame(1, 4))),
+	}, {
+		name: "ceiling binds only its own segment",
+		segs: []seg{{img: late, toEpoch: 5}, {img: cat(sealFrame(4, 7), appendMarker(nil, 8))}},
+		want: []uint64{4, 5, 7}, frontier: 7, markers: 1,
+		bytes: int64(3*len(sealFrame(1, 4)) + len(appendMarker(nil, 8))),
+	}, {
+		name: "ceiling 0 keeps everything",
+		segs: []seg{{img: late}, {}},
+		want: []uint64{4, 5}, frontier: 5, markers: 1, truncated: 1,
+		bytes: int64(len(late)),
+	}, {
+		name: "ceiling 0 before another segment",
+		segs: []seg{{img: late}, {img: appendMarker(nil, 7)}},
+		want: []uint64{4, 5, 6}, frontier: 6, markers: 2,
+		bytes: int64(len(late) + len(appendMarker(nil, 7))),
+	}} {
+		t.Run(tc.name, func(t *testing.T) {
+			segs := make([]Segment, len(tc.segs))
+			for i, sg := range tc.segs {
+				segs[i] = Segment{Reader: bytes.NewReader(sg.img), ToEpoch: sg.toEpoch}
+			}
+			var got []uint64
+			st, err := ReplayStreams([][]Segment{segs}, FrontierPerStream, AppendOrder, func(_ int, cr *CommitRecord) error {
+				got = append(got, cr.Epoch)
+				return nil
+			})
+			if tc.wantErr != nil {
+				if !errors.Is(err, tc.wantErr) {
+					t.Fatalf("err = %v, want %v", err, tc.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, tc.want) {
+				t.Fatalf("applied epochs %v, want %v", got, tc.want)
+			}
+			if st.Frontier != tc.frontier || st.Markers != tc.markers || st.Bytes != tc.bytes ||
+				st.TornBytes != tc.tornBytes || st.CorruptTailRecords != tc.tornRecs || st.TruncatedRecords != tc.truncated {
+				t.Fatalf("stats %+v, want frontier %d markers %d bytes %d torn %d/%d truncated %d",
+					st, tc.frontier, tc.markers, tc.bytes, tc.tornBytes, tc.tornRecs, tc.truncated)
+			}
+		})
 	}
 }
 

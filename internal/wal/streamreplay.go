@@ -1,11 +1,9 @@
 package wal
 
 import (
-	"bytes"
 	"cmp"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"slices"
 )
@@ -133,6 +131,14 @@ type heldRecord struct {
 	off, end     int
 }
 
+// Segment is one piece of a stream's log, as the manifest lists it: a reader
+// over its frames and the epoch it was sealed at (ManifestSegment.ToEpoch; 0
+// for an active segment).
+type Segment struct {
+	Reader  io.Reader
+	ToEpoch uint64
+}
+
 // ReplayStreams replays the N streams written by a StreamSet: it scans each
 // stream's intact prefix, computes the stream's certified frontier — proven
 // by its epoch markers and by the monotone epoch tags themselves — and
@@ -142,6 +148,18 @@ type heldRecord struct {
 // tagged epoch 0 (pre-epoch single-stream logs) lie below every frontier
 // and always replay.
 //
+// A stream is its segments in append order, each scanned once, in place. A
+// torn tail ends its segment — a crashed incarnation's tail sits mid-stream
+// once a later segment follows it — and counts into TornBytes only for an
+// active segment; damage before it is ErrCorrupt. A sealed segment replays
+// only its frames at or below its sealing epoch, the durable form of an
+// earlier recovery's truncation decision; the frames dropped count nowhere.
+// Its end certifies the stream complete through the sealing epoch — rotation
+// certifies its boundary on every stream before the manifest seals at it,
+// and recovery seals at a frontier no higher than any stream's complete
+// prefix — because the markers that carried that claim may lie above the
+// ceiling (rotation's is boundary+1) and be dropped with it.
+//
 // A stream replayed to its own frontier — every stream under
 // FrontierPerStream, and the only stream of a one-stream log — needs no
 // merge: it is applied as it is scanned, holding back only the records of
@@ -149,12 +167,12 @@ type heldRecord struct {
 // streams must see every stream's frontier before it can apply anything;
 // it buffers the records and merges them by (epoch, txnID, stream), which is
 // total and deterministic, whatever the order.
-func ReplayStreams(readers []io.Reader, rule FrontierRule, order Order, apply func(stream int, cr *CommitRecord) error) (StreamReplayStats, error) {
-	st := StreamReplayStats{Streams: len(readers), StreamFrontiers: make([]uint64, len(readers))}
-	if len(readers) == 0 {
+func ReplayStreams(streams [][]Segment, rule FrontierRule, order Order, apply func(stream int, cr *CommitRecord) error) (StreamReplayStats, error) {
+	st := StreamReplayStats{Streams: len(streams), StreamFrontiers: make([]uint64, len(streams))}
+	if len(streams) == 0 {
 		return st, fmt.Errorf("wal: replay needs at least one stream: %w", ErrCorrupt)
 	}
-	merge := rule == FrontierGlobal && len(readers) > 1
+	merge := rule == FrontierGlobal && len(streams) > 1
 	var cr CommitRecord
 	emit := func(stream int, payload []byte) error {
 		if err := decode(payload, &cr); err != nil {
@@ -169,17 +187,12 @@ func ReplayStreams(readers []io.Reader, rule FrontierRule, order Order, apply fu
 	var buf []byte
 	var held []heldRecord
 	frontier := ^uint64(0)
-	for i, r := range readers {
-		sc := streamScan{stream: i, buf: buf, held: held, keep: merge, order: order, emit: emit}
-		var fs ReplayStats
-		err := scanFrames(r, &fs, sc.frame)
+	for i, segs := range streams {
+		sc := streamScan{stream: i, st: &st, buf: buf, held: held, keep: merge, order: order, emit: emit}
+		err := sc.scan(segs)
 		buf, held = sc.buf, sc.held
-		st.Markers += fs.Markers
-		st.Bytes += fs.Bytes
-		st.TornBytes += fs.TornBytes
-		st.CorruptTailRecords += fs.CorruptTailRecords
 		if err != nil {
-			return st, fmt.Errorf("wal: stream %d: %w", i, err)
+			return st, err
 		}
 		if sc.high > st.MaxEpoch {
 			st.MaxEpoch = sc.high
@@ -225,15 +238,36 @@ func ReplayStreams(readers []io.Reader, rule FrontierRule, order Order, apply fu
 // raises high past its tag, and the records held in between all carry the
 // stream's newest epoch — bounded by one epoch's commits, not by the log.
 // With keep set nothing is emitted during the scan: every record stays held
-// for the caller's cross-stream merge.
+// for the caller's cross-stream merge. ceiling is the sealing epoch of the
+// segment being scanned (0: active).
 type streamScan struct {
-	stream int
-	high   uint64
-	buf    []byte
-	held   []heldRecord
-	keep   bool
-	order  Order
-	emit   func(stream int, payload []byte) error
+	stream  int
+	st      *StreamReplayStats
+	high    uint64
+	ceiling uint64
+	buf     []byte
+	held    []heldRecord
+	keep    bool
+	order   Order
+	emit    func(stream int, payload []byte) error
+}
+
+// scan reads the stream's segments in order, each in place.
+func (sc *streamScan) scan(segs []Segment) error {
+	for j, sg := range segs {
+		sc.ceiling = sg.ToEpoch
+		var tail ReplayStats
+		if err := scanFrames(sg.Reader, &tail, sc.frame); err != nil {
+			return fmt.Errorf("wal: stream %d segment %d: %w", sc.stream, j, err)
+		}
+		if sg.ToEpoch == 0 {
+			sc.st.TornBytes += tail.TornBytes
+			sc.st.CorruptTailRecords += tail.CorruptTailRecords
+		} else if err := sc.certify(sg.ToEpoch + 1); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func (sc *streamScan) frame(payload []byte) error {
@@ -241,15 +275,15 @@ func (sc *streamScan) frame(payload []byte) error {
 	if err != nil {
 		return err
 	}
-	if epoch > sc.high {
-		sc.high = epoch
-		if !sc.keep {
-			if err := sc.release(); err != nil {
-				return err
-			}
-		}
+	if sc.ceiling != 0 && epoch > sc.ceiling {
+		return nil // past its segment's seal
 	}
+	if err := sc.certify(epoch); err != nil {
+		return err
+	}
+	sc.st.Bytes += headerSize + int64(len(payload))
 	if isMarker {
+		sc.st.Markers++
 		return nil
 	}
 	if !sc.keep && (epoch == 0 || epoch < sc.high) {
@@ -262,6 +296,19 @@ func (sc *streamScan) frame(payload []byte) error {
 		stream: sc.stream, off: off, end: len(sc.buf),
 	})
 	return nil
+}
+
+// certify raises the completeness bound to epoch when that is higher,
+// releasing the group the raise certifies.
+func (sc *streamScan) certify(epoch uint64) error {
+	if epoch <= sc.high {
+		return nil
+	}
+	sc.high = epoch
+	if sc.keep {
+		return nil
+	}
+	return sc.release()
 }
 
 // release emits the held group — one epoch's records, now certified — in
@@ -289,76 +336,4 @@ func sortHeld(held []heldRecord) {
 	if !slices.IsSortedFunc(held, order) {
 		slices.SortStableFunc(held, order)
 	}
-}
-
-// SealSegment prepares one segment file's image for concatenated replay: it
-// trims the torn tail (the partial or in-place-torn final frame a crash left
-// behind — the same cases ScanStream tolerates at end of stream) and, when
-// ceiling > 0, drops every frame tagged with an epoch above the ceiling.
-//
-// Both matter because a stream's log is the concatenation of its segment
-// files: a crashed incarnation's torn tail sits mid-stream once a later
-// segment follows it, where the replay scanner would reject it as hard
-// corruption; and records beyond the replay frontier that one recovery
-// truncated must stay dead in every later recovery, even after new epochs
-// grow past them — the manifest's sealing epoch is that replay ceiling.
-//
-// A sealed image with ceiling > 0 ends with a marker for ceiling+1: the
-// sealing epoch is itself a completeness certificate (rotation certifies
-// its boundary durable on every stream before the manifest seals at it,
-// and recovery seals at the merged frontier, which never exceeds any one
-// stream's own complete prefix), and the marker frames that originally
-// carried the claim may sit above the ceiling — the rotation boundary's
-// marker is boundary+1 — so dropping them without this replacement would
-// shrink the stream's provable frontier below epochs the engine already
-// acknowledged.
-//
-// Damage before the final frame is real corruption and returns ErrCorrupt.
-// The returned image is a fresh slice; data is not modified.
-func SealSegment(data []byte, ceiling uint64) ([]byte, error) {
-	out := make([]byte, 0, len(data))
-	off := 0
-	for off < len(data) {
-		if off+headerSize > len(data) {
-			break // torn header
-		}
-		size := int(binary.LittleEndian.Uint32(data[off:]))
-		crc := binary.LittleEndian.Uint32(data[off+4:])
-		if size <= 0 || size > 1<<30 {
-			break // zeroed/torn tail: nothing after this header is usable
-		}
-		end := off + headerSize + size
-		if end > len(data) {
-			break // torn payload
-		}
-		payload := data[off+headerSize : end]
-		if crc32.ChecksumIEEE(payload) != crc {
-			if end == len(data) {
-				break // in-place-torn final record
-			}
-			return nil, ErrCorrupt
-		}
-		epoch, _, err := frameEpoch(payload)
-		if err != nil {
-			return nil, err
-		}
-		if ceiling == 0 || epoch <= ceiling {
-			out = append(out, data[off:end]...)
-		}
-		off = end
-	}
-	if ceiling > 0 {
-		out = appendMarker(out, ceiling+1)
-	}
-	return out, nil
-}
-
-// ReplayStreamBytes is ReplayStreams under FrontierGlobal and CommitOrder
-// over in-memory stream images (tests).
-func ReplayStreamBytes(streams [][]byte, apply func(stream int, cr *CommitRecord) error) (StreamReplayStats, error) {
-	readers := make([]io.Reader, len(streams))
-	for i := range streams {
-		readers[i] = bytes.NewReader(streams[i])
-	}
-	return ReplayStreams(readers, FrontierGlobal, CommitOrder, apply)
 }

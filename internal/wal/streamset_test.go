@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -67,7 +66,7 @@ func TestStreamSetDurability(t *testing.T) {
 		images[i] = m.bytes()
 	}
 	got := make(map[uint64]bool)
-	st, err := ReplayStreamBytes(images, func(_ int, cr *CommitRecord) error {
+	st, err := replayStreamBytes(images, func(_ int, cr *CommitRecord) error {
 		got[cr.TxnID] = true
 		return nil
 	})
@@ -129,7 +128,7 @@ func TestStreamSetTornStreamTruncates(t *testing.T) {
 	images[1] = images[1][:len(images[1])/2]
 
 	applied := make(map[uint64]bool)
-	st, err := ReplayStreamBytes(images, func(_ int, cr *CommitRecord) error {
+	st, err := replayStreamBytes(images, func(_ int, cr *CommitRecord) error {
 		applied[cr.TxnID] = true
 		return nil
 	})
@@ -292,7 +291,7 @@ func TestStreamSetAppendMulti(t *testing.T) {
 	images := [][]byte{mems[0].bytes(), mems[1].bytes(), mems[2].bytes()}
 	var seen []int
 	var epochs []uint64
-	if _, err := ReplayStreamBytes(images, func(stream int, cr *CommitRecord) error {
+	if _, err := replayStreamBytes(images, func(stream int, cr *CommitRecord) error {
 		if cr.TxnID == 7 {
 			seen = append(seen, stream)
 			epochs = append(epochs, cr.Epoch)
@@ -346,9 +345,9 @@ func TestReplayStreamsPartitioned(t *testing.T) {
 	// Tear stream 1 in half: only stream 1's tail may truncate.
 	images[1] = images[1][:len(images[1])/2]
 
-	readers := make([]io.Reader, streams)
+	readers := make([][]Segment, streams)
 	for i := range images {
-		readers[i] = bytes.NewReader(images[i])
+		readers[i] = []Segment{{Reader: bytes.NewReader(images[i])}}
 	}
 	applied := make(map[uint64]bool)
 	st, err := ReplayStreams(readers, FrontierPerStream, CommitOrder, func(_ int, cr *CommitRecord) error {
@@ -557,7 +556,7 @@ func syncedEpochs(t *testing.T, s *StreamSet, devs []*slowDevice) (syncs int, ep
 		t.Fatal(err)
 	}
 	epochOf = make(map[uint64]uint64)
-	if _, err := ReplayStreamBytes(images, func(_ int, cr *CommitRecord) error {
+	if _, err := replayStreamBytes(images, func(_ int, cr *CommitRecord) error {
 		epochOf[cr.TxnID] = cr.Epoch
 		return nil
 	}); err != nil {
@@ -879,9 +878,9 @@ func TestReplayOrderWithinEpoch(t *testing.T) {
 			t.Fatal(err)
 		}
 		for order, want := range map[Order][]uint64{CommitOrder: tc.byCommit, AppendOrder: tc.asAppended} {
-			readers := make([]io.Reader, tc.streams)
+			readers := make([][]Segment, tc.streams)
 			for i, m := range mems {
-				readers[i] = bytes.NewReader(m.bytes())
+				readers[i] = []Segment{{Reader: bytes.NewReader(m.bytes())}}
 			}
 			var got []uint64
 			if _, err := ReplayStreams(readers, FrontierGlobal, order, func(_ int, cr *CommitRecord) error {

@@ -324,15 +324,24 @@ func ScanStream(r io.Reader, apply func(*CommitRecord) error, marker func(epoch 
 		switch {
 		case err != nil:
 			return err
-		case isMarker && marker != nil:
-			return marker(epoch)
 		case isMarker:
-			return nil
+			if marker != nil {
+				if err := marker(epoch); err != nil {
+					return err
+				}
+			}
+			st.Markers++
+		default:
+			if err := decode(payload, &cr); err != nil {
+				return err
+			}
+			if err := apply(&cr); err != nil {
+				return err
+			}
+			st.Records++
 		}
-		if err := decode(payload, &cr); err != nil {
-			return err
-		}
-		return apply(&cr)
+		st.Bytes += headerSize + int64(len(payload))
+		return nil
 	})
 	return st, err
 }
@@ -351,11 +360,12 @@ func frameEpoch(payload []byte) (epoch uint64, marker bool, err error) {
 	return 0, false, ErrCorrupt
 }
 
-// scanFrames walks one stream's CRC-valid frames in order, handing each
-// payload (valid until the next frame) to frame and accounting it in st as
-// a marker or a record once frame accepts it. It owns the torn-tail rules:
-// a truncated, zeroed, or in-place-torn final frame ends the scan cleanly
-// with the skipped bytes counted; damage before the end is ErrCorrupt.
+// scanFrames is the one walk over the log's frame format: it hands each
+// CRC-valid frame's payload (valid until the next frame) to frame, in order.
+// It owns the torn-tail rules: a truncated, zeroed, or in-place-torn final
+// frame ends the scan cleanly, counted in st's TornBytes and
+// CorruptTailRecords; damage before the end is ErrCorrupt. What the frames
+// themselves hold, frame accounts.
 func scanFrames(r io.Reader, st *ReplayStats, frame func(payload []byte) error) error {
 	var hdr [headerSize]byte
 	var payload []byte
@@ -403,12 +413,6 @@ func scanFrames(r io.Reader, st *ReplayStats, frame func(payload []byte) error) 
 		if err := frame(payload); err != nil {
 			return err
 		}
-		if payload[0] == payloadEpoch {
-			st.Markers++
-		} else {
-			st.Records++
-		}
-		st.Bytes += headerSize + int64(size)
 	}
 }
 
