@@ -115,6 +115,66 @@ func updateTxnAllocs(t *testing.T, protocol string, logMode wal.Mode, streams in
 	})
 }
 
+// deleteReinsertTxnAllocs measures steady-state heap allocations per
+// transaction that deletes one key and re-inserts the key the transaction
+// before it deleted: a key cannot come back in the transaction that deletes
+// it, because it leaves the indexes only after the commit. The table has a
+// secondary index, so a committed delete's index retraction and an insert's
+// index entries run every transaction.
+func deleteReinsertTxnAllocs(t *testing.T, protocol string) float64 {
+	t.Helper()
+	e, err := core.Open(core.Config{Protocol: protocol, Threads: 1, Partitions: 1})
+	if err != nil {
+		t.Fatalf("open %s: %v", protocol, err)
+	}
+	defer e.Close()
+	sch, err := storage.NewSchema("gate", storage.I64("v"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := e.CreateTable(sch, core.IndexHash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.AddIndex(tbl, "by_v", core.IndexHash, func(s *storage.Schema, row storage.Row, pk uint64) uint64 {
+		return uint64(s.GetInt64(row, 0))<<32 | pk
+	}); err != nil {
+		t.Fatal(err)
+	}
+	// Wide keys, as real ones are: formatting or boxing one allocates, so a
+	// per-key allocation on these paths shows in every transaction's count.
+	const base, keys = 1 << 32, 64
+	row := sch.NewRow()
+	for k := uint64(base); k < base+keys; k++ {
+		sch.SetInt64(row, 0, int64(k))
+		if err := e.Load(tbl, k, row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tx := e.NewTx(0, 1)
+	gone := uint64(0) // offset of the key the last transaction deleted
+	if err := tx.Run(func(tx *core.Tx) error { return tx.Delete(tbl, base+gone) }); err != nil {
+		t.Fatal(err)
+	}
+	body := func(tx *core.Tx) error {
+		if err := tx.Delete(tbl, base+(gone+1)%keys); err != nil {
+			return err
+		}
+		sch.SetInt64(row, 0, int64(base+gone))
+		return tx.Insert(tbl, base+gone, row)
+	}
+	step := func() {
+		if err := tx.Run(body); err != nil {
+			t.Fatalf("delete/re-insert txn: %v", err)
+		}
+		gone = (gone + 1) % keys
+	}
+	for i := 0; i < allocGateWarmup; i++ {
+		step()
+	}
+	return testing.AllocsPerRun(200, step)
+}
+
 // updateTxnAllocsPartitionWAL measures the 8-update transaction on a
 // partition-affinity engine: the keys span all four partitions, so every
 // commit takes the multi-stream path — quarantine gate on each op, stream
@@ -357,6 +417,20 @@ func TestTxnAllocBudgets(t *testing.T) {
 			got := updateTxnAllocs(t, proto, wal.ModeNone, 1)
 			if got > slack {
 				t.Errorf("%s: %.2f allocs per 8-update txn, want 0", proto, got)
+			}
+		}
+	})
+
+	// Deletes and inserts: the committed delete's index retraction and the
+	// insert's index entries, with a secondary index. The budgets are what
+	// each protocol measured when the row was added. MVCC's 3 are its
+	// version nodes and payload: its freelist is per record, and every
+	// re-insert is a fresh record. The index maintenance adds none.
+	t.Run("DeleteReinsert", func(t *testing.T) {
+		budget := map[string]float64{"MVCC": 3}
+		for _, proto := range cc.Names() {
+			if got := deleteReinsertTxnAllocs(t, proto); got > budget[proto]+slack {
+				t.Errorf("%s: %.2f allocs per delete/re-insert txn, want at most %.2f", proto, got, budget[proto])
 			}
 		}
 	})

@@ -240,15 +240,8 @@ func (e *Engine) applyCheckpointPlan(plan []ckptTableLoad) {
 	for _, tl := range plan {
 		t := tl.t
 		for _, en := range tl.entries {
-			for t.tbl.NumRows() <= uint64(en.rid) {
-				t.tbl.Alloc()
-			}
 			t.primary.Insert(en.key, en.rid)
-			for j := range t.secondaries {
-				s := &t.secondaries[j]
-				s.idx.Insert(s.extract(t.sch, en.row, en.key), en.rid)
-			}
-			e.proto.LoadRecord(t.tbl, en.rid, en.key, en.row)
+			t.install(e.proto, en.rid, en.key, en.row)
 		}
 	}
 }

@@ -279,6 +279,7 @@ func TestCheckpointSecondaryIndexes(t *testing.T) {
 			if _, err := e2.RecoverFromStore(s2, att2, nil); err != nil {
 				t.Fatal(err)
 			}
+			checkIndexes(t, e2)
 			tx := e2.NewTx(0, 1)
 			if err := tx.Run(func(tx *Tx) error {
 				n := 0

@@ -7,6 +7,7 @@ import (
 
 	"next700/internal/cc"
 	"next700/internal/det"
+	"next700/internal/txn"
 	"next700/internal/wal"
 )
 
@@ -244,7 +245,7 @@ func (x *DetExecutor) runFragment(p int, q []det.Op, i int) (int, error) {
 	}
 	if err != nil {
 		e.proto.Abort(inner)
-		t.retractInserts()
+		t.retract(txn.KindInsert)
 		if e.gated {
 			e.quiesce.RUnlock()
 		}

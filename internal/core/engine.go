@@ -354,8 +354,10 @@ func (e *Engine) CreateTable(sch *storage.Schema, primary IndexKind) (*Table, er
 // AddIndex attaches a secondary index. extract derives the (unique) index
 // key from a row image and its primary key; non-unique indexes are modeled
 // by folding a uniquifier (e.g. the primary key) into the low bits.
-// Secondary indexes are maintained on insert and delete; updates must not
-// change indexed columns (the standard research-engine restriction).
+// Secondary indexes are maintained on insert and delete, by the table's
+// install and remove on every path that adds or drops a record; updates
+// must not change indexed columns (the standard research-engine
+// restriction).
 //
 // If the table already holds rows (AddIndex after Load), the existing rows
 // are backfilled from the primary index so the new index is complete.
@@ -422,6 +424,49 @@ func (t *Table) findSecondary(name string) *secondary {
 	return nil
 }
 
+// install gives the record at rid, under key, every index entry but its
+// primary one: the table grows to cover rid and each secondary maps
+// extract(row, key) to rid. The caller inserts the primary entry, because
+// each treats a duplicate differently. ld then installs the image as
+// committed; it is nil when the protocol already holds it (Tx.Insert, after
+// RegisterInsert). install and remove are the only code that derives a
+// secondary key, apart from AddIndex's backfill of a new index.
+func (t *Table) install(ld cc.Loader, rid storage.RecordID, key uint64, row storage.Row) {
+	for t.tbl.NumRows() <= uint64(rid) {
+		t.tbl.Alloc()
+	}
+	for j := range t.secondaries {
+		s := &t.secondaries[j]
+		s.idx.Insert(s.extract(t.sch, row, key), rid)
+	}
+	if ld != nil {
+		ld.LoadRecord(t.tbl, rid, key, row)
+	}
+}
+
+// remove takes the record at rid, under key, out of the primary and every
+// secondary index. With ld nil the protocol has already settled the record —
+// a committed delete or an aborted insert — and row is the image its access
+// carries. Otherwise remove reads the image from ld.Committed, only when a
+// secondary needs it, and then marks the record absent.
+func (t *Table) remove(ld cc.Loader, rid storage.RecordID, key uint64, row storage.Row) {
+	if ld != nil && len(t.secondaries) > 0 {
+		//next700:allowalloc(ld is nil on the commit path: only replay and partition clear read the image back)
+		row, _ = ld.Committed(t.tbl, rid)
+	}
+	t.primary.Delete(key)
+	if row != nil {
+		for j := range t.secondaries {
+			s := &t.secondaries[j]
+			s.idx.Delete(s.extract(t.sch, row, key))
+		}
+	}
+	if ld != nil {
+		//next700:allowalloc(ld is nil on the commit path: only replay and partition clear mark a record absent here)
+		ld.LoadRecord(t.tbl, rid, key, nil)
+	}
+}
+
 // Load inserts a row during the single-threaded load phase, bypassing
 // concurrency control: the protocol installs it as the committed image.
 // It must not run concurrently with transactions.
@@ -433,11 +478,7 @@ func (e *Engine) Load(t *Table, key uint64, row storage.Row) error {
 	if _, ok := t.primary.Insert(key, rid); !ok {
 		return fmt.Errorf("core: duplicate key %d loading %q: %w", key, t.Name(), txn.ErrDuplicate)
 	}
-	for i := range t.secondaries {
-		s := &t.secondaries[i]
-		s.idx.Insert(s.extract(t.sch, row, key), rid)
-	}
-	e.proto.LoadRecord(t.tbl, rid, key, row)
+	t.install(e.proto, rid, key, row)
 	return nil
 }
 

@@ -141,11 +141,12 @@ func (e *Engine) QuarantinePartition(p int) error {
 	return e.logs.FailStream(p, nil)
 }
 
-// clearPartition removes every record of partition p from memory: primary
-// and secondary index entries are retracted and the protocol marks the
-// records absent. Safe while healthy-partition traffic runs, provided the
-// quarantine mask already covers p and the attempt gate has been drained
-// since (no live transaction can then be touching p's records).
+// clearPartition removes every record of partition p from memory the way
+// value replay removes a deleted one: its primary and secondary index entries
+// are retracted and the protocol marks it absent. Safe while healthy-partition
+// traffic runs, provided the quarantine mask already covers p and the attempt
+// gate has been drained since (no live transaction can then be touching p's
+// records).
 func (e *Engine) clearPartition(p int) {
 	for _, t := range e.snapshotTables() {
 		// Collect first: deleting under Iterate would mutate the index
@@ -159,34 +160,9 @@ func (e *Engine) clearPartition(p int) {
 			}
 			return true
 		})
-		if len(t.secondaries) > 0 {
-			owned := make(map[storage.RecordID]struct{}, len(rids))
-			for _, rid := range rids {
-				owned[rid] = struct{}{}
-			}
-			for j := range t.secondaries {
-				t.secondaries[j].retractOwned(owned)
-			}
-		}
 		for i, key := range keys {
-			t.primary.Delete(key)
-			e.proto.LoadRecord(t.tbl, rids[i], key, nil)
+			t.remove(e.proto, rids[i], key, nil)
 		}
-	}
-}
-
-// retractOwned deletes every entry of the secondary index that points at an
-// owned record.
-func (s *secondary) retractOwned(owned map[storage.RecordID]struct{}) {
-	var stale []uint64
-	s.idx.Iterate(func(key uint64, rid storage.RecordID) bool {
-		if _, ok := owned[rid]; ok {
-			stale = append(stale, key)
-		}
-		return true
-	})
-	for _, key := range stale {
-		s.idx.Delete(key)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"next700/internal/fault"
 	"next700/internal/storage"
 	"next700/internal/testutil"
+	"next700/internal/txn"
 	"next700/internal/wal"
 )
 
@@ -1031,6 +1033,7 @@ func TestPartitionRecoveryRetractsSecondaryByRecord(t *testing.T) {
 		if _, err := ck.RecoverPartition(dead, partZeroLoad(e, tbl, parts, n, dead)); err != nil {
 			t.Fatal(err)
 		}
+		checkIndexes(t, e)
 		for _, k := range keys {
 			if v, err := lookupV(tx, k); err != nil || v != 77 {
 				t.Fatalf("key %d (partition %d) by_g after recovery = %d, %v; want 77", k, k%parts, v, err)
@@ -1041,6 +1044,128 @@ func TestPartitionRecoveryRetractsSecondaryByRecord(t *testing.T) {
 			if v, err := lookupV(tx, k); err != nil || v != 99 {
 				t.Fatalf("key %d (partition %d) by_g after an update through the primary = %d, %v; want 99 (a stale secondary entry)",
 					k, k%parts, v, err)
+			}
+		}
+		checkIndexes(t, e)
+	})
+}
+
+// TestPartitionRecoveryUnderIndexedTraffic: the healthy partitions insert and
+// delete rows of a table with a secondary index while RecoverPartition clears
+// and rebuilds the dead one. Afterwards every index agrees with the committed
+// records, the dead partition's rows are back, and each healthy row is where
+// its last transaction left it.
+func TestPartitionRecoveryUnderIndexedTraffic(t *testing.T) {
+	forAllProtocols(t, func(t *testing.T, protocol string) {
+		const parts, n, dead = 4, 16, 1
+		e, _, ck, tbl := partStore(t, parts, n, func(cfg *Config) { cfg.Protocol = protocol })
+		sch := storage.MustSchema("gv", storage.I64("g"))
+		gv, err := e.CreateTable(sch, IndexHash)
+		if err != nil {
+			t.Fatal(err)
+		}
+		byG := func(k uint64) uint64 { return k%7<<32 | k }
+		if err := e.AddIndex(gv, "by_g", IndexHash, func(s *storage.Schema, row storage.Row, pk uint64) uint64 {
+			return uint64(s.GetInt64(row, 0))<<32 | pk
+		}); err != nil {
+			t.Fatal(err)
+		}
+		insert := func(tx *Tx, k uint64) error {
+			return tx.Run(func(tx *Tx) error {
+				row := sch.NewRow()
+				sch.SetInt64(row, 0, int64(k%7))
+				return tx.Insert(gv, k, row)
+			})
+		}
+		indexed := func(tx *Tx, k uint64) bool {
+			err := tx.Run(func(tx *Tx) error {
+				_, err := tx.LookupIndex(gv, "by_g", byG(k))
+				return err
+			})
+			if err != nil && !errors.Is(err, txn.ErrNotFound) {
+				t.Fatalf("by_g lookup of key %d: %v", k, err)
+			}
+			return err == nil
+		}
+
+		tx := e.NewTx(0, 1)
+		for k := uint64(0); k < 4*parts; k++ {
+			if err := insert(tx, k); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := e.QuarantinePartition(dead); err != nil {
+			t.Fatal(err)
+		}
+
+		// Each healthy worker inserts keys of its own partition and deletes
+		// every second one again, from before the rebuild starts until after
+		// it ends.
+		const warm = 8
+		var stop atomic.Bool
+		var warmed, done sync.WaitGroup
+		kept := make([][]uint64, parts)
+		gone := make([][]uint64, parts)
+		errs := make([]error, parts)
+		for w := 0; w < parts; w++ {
+			if w == dead {
+				continue
+			}
+			warmed.Add(1)
+			done.Add(1)
+			go func(w int) {
+				defer done.Done()
+				signal := sync.OnceFunc(warmed.Done)
+				defer signal()
+				tx := e.NewTx(w, uint64(w+10))
+				for i := 0; i < warm || !stop.Load(); i++ {
+					if i == warm {
+						signal()
+					}
+					k := uint64(1000 + i*parts + w)
+					if errs[w] = insert(tx, k); errs[w] != nil {
+						return
+					}
+					if i%2 == 0 {
+						kept[w] = append(kept[w], k)
+						continue
+					}
+					if errs[w] = tx.Run(func(tx *Tx) error { return tx.Delete(gv, k) }); errs[w] != nil {
+						return
+					}
+					gone[w] = append(gone[w], k)
+				}
+			}(w)
+		}
+		warmed.Wait()
+		_, rerr := ck.RecoverPartition(dead, partZeroLoad(e, tbl, parts, n, dead))
+		stop.Store(true)
+		done.Wait()
+		if rerr != nil {
+			t.Fatal(rerr)
+		}
+		for w, err := range errs {
+			if err != nil {
+				t.Fatalf("worker %d: %v", w, err)
+			}
+		}
+
+		checkIndexes(t, e)
+		for k := uint64(0); k < 4*parts; k++ {
+			if !indexed(tx, k) {
+				t.Errorf("key %d (partition %d) is missing from by_g after the rebuild", k, k%parts)
+			}
+		}
+		for w := range kept {
+			for _, k := range kept[w] {
+				if !indexed(tx, k) {
+					t.Errorf("worker %d's kept key %d is missing from by_g", w, k)
+				}
+			}
+			for _, k := range gone[w] {
+				if indexed(tx, k) {
+					t.Errorf("worker %d's deleted key %d is still in by_g", w, k)
+				}
 			}
 		}
 	})

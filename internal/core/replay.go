@@ -138,6 +138,9 @@ func (vr *valueReplay) record(cr *wal.CommitRecord, part int) error {
 			continue
 		}
 		kept = true
+		// The table covers every logged record id, a deleted or updated one
+		// too, so no later insert reuses one, and it grows on this one
+		// goroutine; an applier's install then finds it covered.
 		if !vr.partition {
 			for th.tbl.NumRows() <= en.RID {
 				th.tbl.Alloc()
@@ -283,21 +286,9 @@ func (a *applier) apply(op *applyOp, data []byte) {
 		rid, present = th.primary.Lookup(op.key)
 	}
 	if op.kind == wal.EntryDelete {
-		if !present {
-			return // already absent in the replayed base
+		if present { // else already absent in the replayed base
+			th.remove(a.proto, rid, op.key, nil)
 		}
-		// The committed row is read only to retract its secondary keys:
-		// under SILO it is a fresh copy.
-		if len(th.secondaries) > 0 {
-			if row, ok := a.proto.Committed(th.tbl, rid); ok {
-				for j := range th.secondaries {
-					s := &th.secondaries[j]
-					s.idx.Delete(s.extract(th.sch, row, op.key))
-				}
-			}
-		}
-		th.primary.Delete(op.key)
-		a.proto.LoadRecord(th.tbl, rid, op.key, nil)
 		return
 	}
 	switch {
@@ -309,12 +300,10 @@ func (a *applier) apply(op *applyOp, data []byte) {
 		fallthrough
 	case op.kind == wal.EntryInsert && !a.partition:
 		th.primary.Insert(op.key, rid)
-		for j := range th.secondaries {
-			s := &th.secondaries[j]
-			s.idx.Insert(s.extract(th.sch, storage.Row(data), op.key), rid)
-		}
+		th.install(a.proto, rid, op.key, data)
+	default:
+		a.proto.LoadRecord(th.tbl, rid, op.key, data)
 	}
-	a.proto.LoadRecord(th.tbl, rid, op.key, data)
 }
 
 // versionTable is the newest version one applier applied per (table, logged

@@ -145,6 +145,46 @@ func logicalState(t *testing.T, e *Engine, tbl *Table) string {
 	return b.String()
 }
 
+// checkIndexes is the index ↔ record oracle, run quiescent: in every table
+// each primary entry names a record the protocol reports present, and each
+// secondary index holds exactly extract(row, pk) → rid of those records and
+// nothing else.
+func checkIndexes(t *testing.T, e *Engine) {
+	t.Helper()
+	for _, tb := range e.snapshotTables() {
+		want := make([]map[uint64]storage.RecordID, len(tb.secondaries))
+		for j := range want {
+			want[j] = map[uint64]storage.RecordID{}
+		}
+		tb.primary.Iterate(func(key uint64, rid storage.RecordID) bool {
+			row, ok := e.proto.Committed(tb.tbl, rid)
+			if !ok {
+				t.Errorf("%s: primary key %d names record %d, which is absent", tb.Name(), key, rid)
+				return true
+			}
+			for j := range tb.secondaries {
+				s := &tb.secondaries[j]
+				want[j][s.extract(tb.sch, row, key)] = rid
+			}
+			return true
+		})
+		for j := range tb.secondaries {
+			s := &tb.secondaries[j]
+			held := 0
+			s.idx.Iterate(func(ik uint64, rid storage.RecordID) bool {
+				held++
+				if w, ok := want[j][ik]; !ok || w != rid {
+					t.Errorf("%s.%s: entry %#x → record %d belongs to no present record (want %d, %v)", tb.Name(), s.name, ik, rid, w, ok)
+				}
+				return true
+			})
+			if held != len(want[j]) {
+				t.Errorf("%s.%s: %d entries for %d present records", tb.Name(), s.name, held, len(want[j]))
+			}
+		}
+	}
+}
+
 // TestParallelReplayMatchesSerial is value replay's equivalence oracle: a
 // log written by concurrent committers (every entry kind, hash and B+ tree
 // primaries, a secondary index) recovers to the source's logical state, and
@@ -170,6 +210,7 @@ func replayMatchesSerial(t *testing.T, protocol string, txns int) {
 	cfg := Config{Protocol: protocol, Threads: 2, LogMode: wal.ModeValue, LogDevice: dev}
 	e, kv, ord := replayPair(t, cfg, n)
 	replayHistory(t, e, kv, ord, 2, txns, n)
+	checkIndexes(t, e)
 	want := logicalState(t, e, kv) + " || " + logicalState(t, e, ord)
 	image := dev.bytes()
 
@@ -190,6 +231,7 @@ func replayMatchesSerial(t *testing.T, protocol string, txns int) {
 		if got := logicalState(t, r, rkv) + " || " + logicalState(t, r, rord); got != want {
 			t.Fatalf("GOMAXPROCS %d: recovered state differs from the source:\n got %s\nwant %s", procs, got, want)
 		}
+		checkIndexes(t, r)
 		rs.Appliers = 0
 		if procs == 1 {
 			ref, refDigest = rs, r.StateDigest()

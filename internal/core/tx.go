@@ -265,10 +265,7 @@ func (t *Tx) Insert(tbl *Table, key uint64, row storage.Row) error {
 		tbl.primary.Delete(key)
 		return err
 	}
-	for i := range tbl.secondaries {
-		s := &tbl.secondaries[i]
-		s.idx.Insert(s.extract(tbl.sch, row, key), rid)
-	}
+	tbl.install(nil, rid, key, row)
 	return nil
 }
 
@@ -517,7 +514,7 @@ func (t *Tx) attempt(body func(tx *Tx) error, procID int32, params []byte) (comm
 		committed = committed || err == nil
 	} else {
 		e.proto.Abort(t.inner)
-		t.retractInserts()
+		t.retract(txn.KindInsert)
 	}
 	if e.gated {
 		e.quiesce.RUnlock()
@@ -579,10 +576,10 @@ func (t *Tx) publish(procID int32, params []byte) (committed bool, epoch uint64,
 
 	if e.logs == nil || t.noLog {
 		if err = e.proto.Commit(inner); err != nil {
-			t.retractInserts()
+			t.retract(txn.KindInsert)
 			return false, 0, err
 		}
-		t.retractDeletes()
+		t.retract(txn.KindDelete)
 		return true, 0, nil
 	}
 	// The checkpoint fence spans memory publication through log append: the
@@ -599,7 +596,7 @@ func (t *Tx) publish(procID int32, params []byte) (committed bool, epoch uint64,
 	// vanish on recovery. One atomic load; free when the log is healthy.
 	if e.logs.Failed() {
 		e.proto.Abort(inner)
-		t.retractInserts()
+		t.retract(txn.KindInsert)
 		return false, 0, e.logs.Err()
 	}
 
@@ -610,13 +607,13 @@ func (t *Tx) publish(procID int32, params []byte) (committed bool, epoch uint64,
 	if e.cfg.PartitionWAL {
 		if wmask := t.collectStreams(); wmask != 0 && e.quarMask.Load()&wmask != 0 {
 			e.proto.Abort(inner)
-			t.retractInserts()
+			t.retract(txn.KindInsert)
 			return false, 0, errPartitionGate
 		}
 	}
 
 	if err = e.proto.Commit(inner); err != nil {
-		t.retractInserts()
+		t.retract(txn.KindInsert)
 		return false, 0, err
 	}
 	if !inner.HasWrites() {
@@ -632,35 +629,30 @@ func (t *Tx) publish(procID int32, params []byte) (committed bool, epoch uint64,
 	// duplicate check, so on one stream it appends after this delete, and
 	// value replay applies a stream in append order (wal.AppendOrder).
 	if err = t.encodeLog(procID, params); err != nil {
-		t.retractDeletes()
+		t.retract(txn.KindDelete)
 		return true, 0, err
 	}
 	epoch, err = e.logs.AppendMulti(t.appendStreams(), t.logBuf)
-	t.retractDeletes()
+	t.retract(txn.KindDelete)
 	return true, epoch, e.wrapPartitionErr(err)
 }
 
-// retractDeletes is the post-commit index maintenance: the committed
-// transaction's deleted keys leave the primary and secondary indexes.
+// retract is the transaction's index maintenance after the protocol has
+// settled it: the keys of its txn.KindDelete accesses leave the indexes
+// after a commit, and those of its txn.KindInsert accesses — published
+// before RegisterInsert — after an abort. Every protocol's RegisterInsert
+// and RegisterDelete put the record's image in the access.
 //
 //next700:hotpath
-func (t *Tx) retractDeletes() {
+func (t *Tx) retract(kind txn.Kind) {
 	inner := t.inner
 	for i := range inner.Accesses {
 		a := &inner.Accesses[i]
-		if a.Kind != txn.KindDelete {
+		if a.Kind != kind {
 			continue
 		}
-		th := t.eng.tableByID(a.Table.ID())
-		if th == nil {
-			continue
-		}
-		th.primary.Delete(a.Key)
-		// Secondary keys come from the deleted image, which every
-		// protocol's RegisterDelete puts in the access.
-		for j := range th.secondaries {
-			s := &th.secondaries[j]
-			s.idx.Delete(s.extract(th.sch, storage.Row(a.Data), a.Key))
+		if th := t.eng.tableByID(a.Table.ID()); th != nil {
+			th.remove(nil, a.RID, a.Key, storage.Row(a.Data))
 		}
 	}
 }
@@ -719,25 +711,3 @@ func (t *Tx) encodeLog(procID int32, params []byte) error {
 // outcome is indeterminate — it may yet become durable — which is why Run
 // still counts the commit while surfacing the deadline class to the caller.
 var errDurabilityDeadline = fmt.Errorf("core: commit durability wait: %w", txn.ErrDeadlineExceeded)
-
-// retractInserts undoes index publication for the aborted transaction's
-// inserts. Protocol state was already released by Abort (or by the failed
-// Commit itself).
-func (t *Tx) retractInserts() {
-	inner := t.inner
-	for i := range inner.Accesses {
-		a := &inner.Accesses[i]
-		if a.Kind != txn.KindInsert {
-			continue
-		}
-		th := t.eng.tableByID(a.Table.ID())
-		if th == nil {
-			continue
-		}
-		th.primary.Delete(a.Key)
-		for j := range th.secondaries {
-			s := &th.secondaries[j]
-			s.idx.Delete(s.extract(th.sch, storage.Row(a.Data), a.Key))
-		}
-	}
-}

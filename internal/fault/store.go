@@ -175,7 +175,10 @@ func (s *MemStore) CreateSegment(name string) (wal.Device, error) {
 	return &storeSegment{s: s, d: d}, nil
 }
 
-// OpenSegment implements the CheckpointStore contract.
+// OpenSegment implements the CheckpointStore contract. The reader reads the
+// device's bytes in place, as they were at the open: Write only appends
+// beyond the view's capacity and TearSegment installs a fresh slice, so
+// nothing written later shows through it.
 func (s *MemStore) OpenSegment(name string) (io.ReadCloser, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -183,7 +186,10 @@ func (s *MemStore) OpenSegment(name string) (io.ReadCloser, error) {
 	if !ok {
 		return nil, fmt.Errorf("fault: no segment %q: %w", name, fs.ErrNotExist)
 	}
-	return io.NopCloser(bytes.NewReader(d.Bytes())), nil
+	d.mu.Lock()
+	view := d.data[:len(d.data):len(d.data)]
+	d.mu.Unlock()
+	return io.NopCloser(bytes.NewReader(view)), nil
 }
 
 // RemoveSegment implements the CheckpointStore contract.

@@ -1,12 +1,15 @@
 package fault
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"io/fs"
+	"runtime"
 	"testing"
 
 	"next700/internal/wal"
+	"next700/internal/xrand"
 )
 
 func storeManifest(streams int) wal.Manifest {
@@ -177,5 +180,62 @@ func TestMemStoreMissingObjectIsNotExist(t *testing.T) {
 	}
 	if _, err := s.OpenCheckpoint("ckpt-000001-p0"); !errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("OpenCheckpoint of a missing object: %v, want fs.ErrNotExist", err)
+	}
+}
+
+// TestMemStoreOpenSegmentIsASnapshot: a segment reader shows the bytes
+// written before the open, and neither an append nor a tear after it.
+func TestMemStoreOpenSegmentIsASnapshot(t *testing.T) {
+	s := NewMemStore(StoreChaos{})
+	dev, err := s.CreateSegment("seg-000000-0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev.Write([]byte("before"))
+	before, err := s.OpenSegment("seg-000000-0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev.Write([]byte("-after"))
+	torn, err := s.OpenSegment("seg-000000-0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !s.TearSegment("seg-000000-0", xrand.New(1)) {
+		t.Fatal("tear of an existing segment must report true")
+	}
+	dev.Write([]byte("-later"))
+	for _, c := range []struct {
+		rc   io.ReadCloser
+		want string
+	}{{before, "before"}, {torn, "before-after"}} {
+		got, err := io.ReadAll(c.rc)
+		c.rc.Close()
+		if err != nil || string(got) != c.want {
+			t.Fatalf("reader = %q, %v; want %q (the bytes at its open)", got, err, c.want)
+		}
+	}
+}
+
+// TestMemStoreOpenSegmentReadsInPlace: opening a segment copies none of it,
+// so recovery scans each segment once, where it lies.
+func TestMemStoreOpenSegmentReadsInPlace(t *testing.T) {
+	const size = 8 << 20
+	s := NewMemStore(StoreChaos{})
+	dev, err := s.CreateSegment("seg-000000-0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev.Write(bytes.Repeat([]byte{0xA5}, size))
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	rc, err := s.OpenSegment("seg-000000-0")
+	runtime.ReadMemStats(&m1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	if got := m1.TotalAlloc - m0.TotalAlloc; got > size/64 {
+		t.Fatalf("opening a %d-byte segment allocated %d bytes; want far less than its size", size, got)
 	}
 }

@@ -11,6 +11,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"time"
 	"unsafe"
 )
@@ -48,7 +49,7 @@ func bucketOf(v int64) int {
 	}
 	// Position of the highest set bit determines the power-of-two bucket;
 	// the next log2(subBuckets) bits pick the sub-bucket.
-	hi := 63 - leadingZeros64(uint64(v))
+	hi := 63 - bits.LeadingZeros64(uint64(v))
 	shift := hi - 4 // log2(subBuckets)
 	idx := (hi-3)*subBuckets + int((uint64(v)>>uint(shift))&(subBuckets-1))
 	if idx >= len([maxBuckets * subBuckets]uint64{}) {
@@ -67,18 +68,6 @@ func bucketLow(idx int) int64 {
 	sub := idx % subBuckets
 	shift := hi - 4
 	return (1 << uint(hi)) | int64(sub)<<uint(shift)
-}
-
-func leadingZeros64(x uint64) int {
-	n := 0
-	if x == 0 {
-		return 64
-	}
-	for x&(1<<63) == 0 {
-		x <<= 1
-		n++
-	}
-	return n
 }
 
 // Record adds a single observation.

@@ -56,15 +56,24 @@ func TestBucketMonotonic(t *testing.T) {
 }
 
 func TestBucketLowInverse(t *testing.T) {
-	err := quick.Check(func(raw uint32) bool {
-		v := int64(raw)
+	inverse := func(v int64) bool {
 		idx := bucketOf(v)
 		lo := bucketLow(idx)
 		// lo must be <= v and map to the same bucket.
 		return lo <= v && bucketOf(lo) == idx
-	}, &quick.Config{MaxCount: 2000})
+	}
+	err := quick.Check(func(raw uint32) bool { return inverse(int64(raw)) }, &quick.Config{MaxCount: 2000})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Each power of two and its neighbours: where the highest set bit, and
+	// with it the bucket, changes.
+	for k := 0; k < 63; k++ {
+		for _, v := range []int64{1<<k - 1, 1 << k, 1<<k + 1} {
+			if !inverse(v) {
+				t.Fatalf("bucketLow(bucketOf(%d)) = %d is not the low end of its bucket", v, bucketLow(bucketOf(v)))
+			}
+		}
 	}
 }
 
