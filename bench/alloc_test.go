@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -19,6 +20,34 @@ type discardDev struct{}
 
 func (discardDev) Write(p []byte) (int, error) { return len(p), nil }
 func (discardDev) Sync() error                 { return nil }
+
+// discardSegments is a checkpoint store whose log segments keep no bytes,
+// for the same reason: an in-memory segment growing under the flushers is
+// the fixture's disk, not the engine's commit path.
+type discardSegments struct{ *fault.MemStore }
+
+func (s discardSegments) CreateSegment(name string) (wal.Device, error) {
+	if _, err := s.MemStore.CreateSegment(name); err != nil {
+		return nil, err
+	}
+	return discardDev{}, nil
+}
+
+// mallocsPerRun is testing.AllocsPerRun without its floor: with GOMAXPROCS
+// at 1 it calls f once to warm up, then runs times, and returns the heap
+// objects allocated per run as a fraction, so one allocation every few
+// transactions shows instead of rounding to 0.
+func mallocsPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs)
+}
 
 // allocGateWarmup transactions run before measurement so every record's
 // lazily created per-record state (lock-reader slices, MVCC freelists,
@@ -49,7 +78,7 @@ func ycsbAllocs(t *testing.T, protocol string, ops int, readRatio float64) float
 			t.Fatalf("warmup txn: %v", err)
 		}
 	}
-	return testing.AllocsPerRun(200, func() {
+	return mallocsPerRun(200, func() {
 		if err := wl.RunOne(tx); err != nil {
 			t.Fatalf("measured txn: %v", err)
 		}
@@ -108,7 +137,7 @@ func updateTxnAllocs(t *testing.T, protocol string, logMode wal.Mode, streams in
 			t.Fatalf("warmup txn: %v", err)
 		}
 	}
-	return testing.AllocsPerRun(200, func() {
+	return mallocsPerRun(200, func() {
 		if err := tx.Run(body); err != nil {
 			t.Fatalf("measured txn: %v", err)
 		}
@@ -172,7 +201,7 @@ func deleteReinsertTxnAllocs(t *testing.T, protocol string) float64 {
 	for i := 0; i < allocGateWarmup; i++ {
 		step()
 	}
-	return testing.AllocsPerRun(200, step)
+	return mallocsPerRun(200, step)
 }
 
 // updateTxnAllocsPartitionWAL measures the 8-update transaction on a
@@ -226,7 +255,7 @@ func updateTxnAllocsPartitionWAL(t *testing.T) float64 {
 			t.Fatalf("warmup txn: %v", err)
 		}
 	}
-	return testing.AllocsPerRun(200, func() {
+	return mallocsPerRun(200, func() {
 		if err := tx.Run(body); err != nil {
 			t.Fatalf("measured txn: %v", err)
 		}
@@ -236,13 +265,13 @@ func updateTxnAllocsPartitionWAL(t *testing.T) float64 {
 // updateTxnAllocsCheckpointed measures the 8-update transaction with the
 // engine logging into a checkpoint store and a checkpointer attached: the
 // background loop is alive and checkpoint generations (scan, segment
-// rotation, truncation) are taken between batches. AllocsPerRun counts
+// rotation, truncation) are taken between batches. mallocsPerRun counts
 // process-global mallocs, so cycles run outside the measured window — what
 // the measurement sees is the fenced commit path they leave behind, which
 // must cost exactly what the plain parallel-WAL path costs.
 func updateTxnAllocsCheckpointed(t *testing.T) float64 {
 	t.Helper()
-	store := fault.NewMemStore(fault.StoreChaos{})
+	store := discardSegments{fault.NewMemStore(fault.StoreChaos{})}
 	att, err := core.InitCheckpointLog(store, 2, wal.ModeValue)
 	if err != nil {
 		t.Fatal(err)
@@ -300,7 +329,7 @@ func updateTxnAllocsCheckpointed(t *testing.T) float64 {
 	if cy := ck.Stats().Cycles; cy != 3 {
 		t.Fatalf("expected 3 checkpoint cycles before measurement, got %d", cy)
 	}
-	return testing.AllocsPerRun(200, func() {
+	return mallocsPerRun(200, func() {
 		if err := tx.Run(body); err != nil {
 			t.Fatalf("measured txn: %v", err)
 		}
@@ -373,7 +402,7 @@ func detBatchAllocs(t *testing.T, streams int) float64 {
 	for i := 0; i < 50; i++ {
 		runBatch()
 	}
-	return testing.AllocsPerRun(100, runBatch) / batchTxns
+	return mallocsPerRun(100, runBatch) / batchTxns
 }
 
 // TestTxnAllocBudgets is the allocation-regression gate: the steady-state

@@ -279,16 +279,15 @@ func (c *Checkpointer) CheckpointNow() error {
 // cycle is CheckpointNow's body, with c.mu held.
 func (c *Checkpointer) cycle() error {
 	e := c.e
-	if e.logs.Failed() {
+	// A dead stream cannot rotate, and under PartitionWAL a slice of a
+	// quarantined partition would capture memory ahead of its durable
+	// frontier: the loop retries after RecoverPartition lifts the quarantine.
+	if e.cfg.PartitionWAL {
+		if mask := e.quarMask.Load(); mask != 0 {
+			return fmt.Errorf("%w (mask %#x)", ErrCheckpointQuarantined, mask)
+		}
+	} else if e.logs.Failed() {
 		return e.logs.Err()
-	}
-	// A cycle defers while any partition is quarantined (the mask is only
-	// ever set under PartitionWAL): the dead stream cannot rotate, and a
-	// slice of the quarantined partition would capture memory state ahead
-	// of its durable frontier. The loop retries after RecoverPartition lifts
-	// the quarantine.
-	if mask := e.quarMask.Load(); mask != 0 {
-		return fmt.Errorf("%w (mask %#x)", ErrCheckpointQuarantined, mask)
 	}
 	gen := c.nextGen
 

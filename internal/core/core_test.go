@@ -89,6 +89,10 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := Open(Config{LogMode: wal.ModeValue}); err == nil {
 		t.Fatal("logging without device accepted")
 	}
+	// A stall threshold does nothing without a partition-scope log.
+	if _, err := Open(Config{LogMode: wal.ModeValue, LogDevice: &memDevice{}, QuarantineStall: time.Second}); !errors.Is(err, ErrInvalidUsage) {
+		t.Fatalf("QuarantineStall without PartitionWAL: err=%v, want ErrInvalidUsage", err)
+	}
 	e := openEngine(t, Config{})
 	if e.Protocol() != "SILO" {
 		t.Fatalf("default protocol %q", e.Protocol())

@@ -71,11 +71,11 @@ type Config struct {
 	// partitions keep committing durably. See QuarantinePartition and
 	// Checkpointer.RecoverPartition.
 	PartitionWAL bool
-	// QuarantineStall, when > 0 with PartitionWAL, is the gray-failure
-	// escalation threshold: a stream whose device has held a batch (write
-	// plus sync) for this long without acknowledging it is failed and
-	// quarantined as if its device had errored. Zero disables stall
-	// escalation.
+	// QuarantineStall, when > 0, is the gray-failure escalation threshold
+	// of a PartitionWAL log (Open rejects it without one): a stream whose
+	// device has held a batch (write plus sync) for this long without
+	// acknowledging it is failed and quarantined as if its device had
+	// errored. Zero disables stall escalation.
 	QuarantineStall time.Duration
 }
 
@@ -108,6 +108,9 @@ func (c *Config) normalize() error {
 			return fmt.Errorf("core: WALStreams=%d requires exactly that many LogDevices, have %d: %w",
 				c.WALStreams, len(c.LogDevices), ErrInvalidUsage)
 		}
+	}
+	if c.QuarantineStall > 0 && !c.PartitionWAL {
+		return fmt.Errorf("core: QuarantineStall requires PartitionWAL: %w", ErrInvalidUsage)
 	}
 	if c.PartitionWAL {
 		if c.WALStreams <= 1 {

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"io"
 	"reflect"
+	"sync"
 	"testing"
+	"time"
 
 	"next700/internal/fault"
 	"next700/internal/wal"
@@ -189,4 +191,76 @@ func TestStoreRecoveryCountsTornTail(t *testing.T) {
 		t.Fatalf("TornBytes = %d, want the 3 trimmed bytes", rs.TornBytes)
 	}
 	wantValues(t, r, rtbl, map[uint64]int64{0: 0, 1: 5, 2: 0, 3: 0})
+}
+
+// TestEpochGateOrdersDependentCommits pins why the commit fence is the log's
+// epoch gate (SetEpochGate in Open). Two workers on two thread-affinity
+// streams increment one SILO counter, so each commit reads the value the
+// other's last commit published, and their commit waits drive the epoch
+// bumps. Value replay orders a record's after-images by (epoch, txnID),
+// epoch-major. If a bump could land between a commit's publication and its
+// append, a later increment could tag below the one it read, replay would
+// apply the older image last, and the recovered count would fall short.
+func TestEpochGateOrdersDependentCommits(t *testing.T) {
+	const workers = 2
+	open := func(devs []wal.Device) (*Engine, *Table) {
+		e := openEngine(t, Config{Protocol: "SILO", Threads: workers, LogMode: wal.ModeValue, WALStreams: workers, LogDevices: devs})
+		return e, kvTable(t, e, "ctr", IndexHash, 1)
+	}
+	mems := []*memDevice{{}, {}}
+	e, tbl := open([]wal.Device{mems[0], mems[1]})
+	incr := func(tx *Tx) error {
+		row, err := tx.Update(tbl, 0)
+		if err != nil {
+			return err
+		}
+		setV(tbl, row, getV(tbl, row)+1)
+		return nil
+	}
+	var committed [workers]int64
+	var errs [workers]error
+	var wg sync.WaitGroup
+	deadline := time.Now().Add(500 * time.Millisecond)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			tx := e.NewTx(w, uint64(w)+1)
+			for time.Now().Before(deadline) {
+				if errs[w] = tx.Run(incr); errs[w] != nil {
+					return
+				}
+				committed[w]++
+			}
+		}(w)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	epochs := e.DurableEpoch()
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := committed[0] + committed[1]
+
+	r, rtbl := open([]wal.Device{&memDevice{}, &memDevice{}})
+	if _, err := r.RecoverStreams([]io.Reader{mems[0].reader(), mems[1].reader()}); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.NewTx(0, 1).Run(func(tx *Tx) error {
+		row, err := tx.Read(rtbl, 0)
+		if err != nil {
+			return err
+		}
+		if got := getV(rtbl, row); got != want {
+			t.Errorf("recovered count %d, want the %d committed increments", got, want)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d committed increments over %d epochs", want, epochs)
 }

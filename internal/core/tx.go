@@ -591,25 +591,22 @@ func (t *Tx) publish(procID int32, params []byte) (committed bool, epoch uint64,
 	e.ckptFence.RLock()
 	defer e.ckptFence.RUnlock()
 
-	// A dead log device cannot make any new commit durable: degrade to a
-	// clean abort instead of committing memory state that would silently
-	// vanish on recovery. One atomic load; free when the log is healthy.
-	if e.logs.Failed() {
-		e.proto.Abort(inner)
-		t.retract(txn.KindInsert)
-		return false, 0, e.logs.Err()
-	}
-
-	// Partition-affinity pre-commit gate: a write set that touches a
-	// quarantined partition can never be made durable, so it aborts here —
-	// before the protocol commit, while rollback is still possible. The ops
-	// gates make this race-narrow; this check makes it sound.
+	// A commit onto a dead log stream can never be made durable: it aborts
+	// cleanly here, before the protocol commit, instead of committing memory
+	// state recovery would lose. Under thread affinity one failure takes
+	// every stream; under PartitionWAL only the write set's partitions count,
+	// and the log sets their quarantine bits before it publishes a failure.
 	if e.cfg.PartitionWAL {
 		if wmask := t.collectStreams(); wmask != 0 && e.quarMask.Load()&wmask != 0 {
-			e.proto.Abort(inner)
-			t.retract(txn.KindInsert)
-			return false, 0, errPartitionGate
+			err = errPartitionGate
 		}
+	} else if e.logs.Failed() {
+		err = e.logs.Err()
+	}
+	if err != nil {
+		e.proto.Abort(inner)
+		t.retract(txn.KindInsert)
+		return false, 0, err
 	}
 
 	if err = e.proto.Commit(inner); err != nil {

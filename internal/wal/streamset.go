@@ -11,23 +11,23 @@ import (
 	"time"
 )
 
-// ErrStreamFailed is the per-stream sticky failure class used by scoped
-// stream sets: exactly one log stream is dead, the rest of the set keeps
-// certifying epochs. Errors of this class also wrap ErrLogFailed (a stream
-// failure is a log failure), and carry the stream index via StreamError.
+// ErrStreamFailed is the sticky failure class of a log stream: its device
+// errored, stalled, or was pulled with FailStream. Errors of this class also
+// wrap ErrLogFailed (a stream failure is a log failure), and carry the index
+// of the stream that failed via StreamError.
 var ErrStreamFailed = errors.New("wal: log stream failed")
 
 // ErrStreamQuarantined marks a stream failed by an external decision — an
 // operator pulling it with FailStream — rather than by its device.
 var ErrStreamQuarantined = errors.New("wal: log stream quarantined")
 
-// errStreamStalled is the cause a scoped set records when a stream's device
-// has held a batch past the set's stall threshold without acknowledging it.
+// errStreamStalled is the cause a set records when a stream's device has held
+// a batch past the set's stall threshold without acknowledging it.
 var errStreamStalled = errors.New("wal: log stream sync stalled")
 
-// StreamError is the typed sticky error for one failed stream in a scoped
-// StreamSet. It satisfies errors.Is for both ErrStreamFailed and
-// ErrLogFailed, and unwraps to the device cause.
+// StreamError is the typed sticky error of a failed stream. It satisfies
+// errors.Is for both ErrStreamFailed and ErrLogFailed, and unwraps to the
+// device cause.
 type StreamError struct {
 	// Stream is the failed stream's index (the partition, under
 	// per-partition affinity).
@@ -65,6 +65,14 @@ func (e *StreamError) Unwrap() []error {
 // Recovery (ReplayStreams) merges the streams by epoch and truncates to the
 // last epoch fully present across all of them, so a torn tail in one stream
 // can never resurrect a partially durable epoch from another.
+//
+// A stream failure — a device error, a stall, or FailStream — is the only
+// kind of failure, and failStreamLocked its only path. The set's scope, fixed
+// at construction, says only how many streams one failure takes down: under
+// per-partition affinity (NewStreamSetScoped) the one stream, whose partition
+// recovery can cut alone; otherwise (NewStreamSet) every stream, because
+// recovery cuts the whole log at one epoch. A dead stream leaves the frontier
+// with its claim frozen; with every stream dead the frontier freezes.
 type StreamSet struct {
 	// epoch is the global epoch counter; records are tagged with it at
 	// append time.
@@ -74,28 +82,23 @@ type StreamSet struct {
 	// the engine's health probes are lock-free.
 	durable atomic.Uint64
 
-	// scoped selects per-stream failure semantics (NewStreamSetScoped): a
-	// sticky device failure poisons only its own stream, which leaves the
-	// frontier at once. Immutable after construction, so hot paths read it
-	// without synchronization.
-	scoped bool
-	// quarantined is the word a scoped set publishes its failed streams into
-	// (bit i set = stream i failed), handed in by the owner so its gates read
-	// it with one load of their own. Written only under mu.
+	// quarantined is the word a partition-scope set publishes its failed
+	// streams into (bit i set = stream i failed), handed in by the owner so
+	// its gates read it with one load of their own; nil under whole-log
+	// scope. Only failStreamLocked and Readmit ask which scope it is.
+	// Written only under mu.
 	quarantined *atomic.Uint64
-	// stall is a scoped set's stall threshold (0 = none); born is the base of
-	// the flushers' hand-off stamps (stream.sentAt).
+	// stall is the stall threshold (0 = none); born is the base of the
+	// flushers' hand-off stamps (stream.sentAt).
 	stall time.Duration
 	born  time.Time
 
-	// failed mirrors err != nil and closing mirrors closed, both without the
-	// mutex, so the append hot path gates on log health with atomic loads.
-	failed  atomic.Bool
+	// closing mirrors closed without the mutex, so the append hot path gates
+	// on it with an atomic load.
 	closing atomic.Bool
 
 	mu     sync.Mutex
 	cond   *sync.Cond
-	err    error
 	closed bool
 
 	// parked holds the epoch tag of every waiter parked in WaitDurableMulti.
@@ -149,13 +152,13 @@ type stream struct {
 
 	// claim is the epoch this stream has synced through: every record with
 	// Epoch < claim is on the device. Mutated under the set mutex (it feeds
-	// the frontier aggregation); stored atomically so scoped-mode wait fast
-	// paths and PartitionFrontier read it lock-free.
+	// the frontier aggregation); stored atomically so wait fast paths and
+	// StreamClaim read it lock-free.
 	claim atomic.Uint64
 
-	// serr is the scoped-mode sticky failure, nil while the stream is
-	// healthy: one word, so a lock-free reader that sees the stream failed
-	// holds its error. Stored under the set mutex.
+	// serr is the stream's sticky failure, nil while it is healthy: one
+	// word, so a lock-free reader that sees the stream failed holds its
+	// error. Stored under the set mutex.
 	serr atomic.Pointer[StreamError]
 
 	// readmit stages a replacement device for a failed stream; the flusher
@@ -193,9 +196,9 @@ type stream struct {
 // stream syncs once, in parallel — and, before closing an epoch, briefly
 // gathers the committers the last round released (see gather); a lone
 // committer or an unthrottled device never waits.
-// Failure semantics are whole-set (legacy thread affinity): one sticky
-// device failure poisons every stream. See NewStreamSetScoped for the
-// per-partition alternative.
+// A failure takes the whole log down: the first stream failure fails every
+// stream with the same *StreamError, and the frontier freezes. See
+// NewStreamSetScoped for the per-partition scope.
 //
 // The second parameter is deprecated and ignored — it was the epoch ticker's
 // period; the frozen benchmark/probes.go:376 still passes one.
@@ -203,22 +206,21 @@ func NewStreamSet(devs []Device, _ time.Duration) *StreamSet {
 	return newStreamSet(devs, nil, 0)
 }
 
-// NewStreamSetScoped starts a parallel log of at most 64 streams with
-// per-stream failure scope, for per-partition stream affinity. A stream
-// fails on a sticky device error, on FailStream, or — when stall > 0 — once
-// its device has held a batch for stall without acknowledging it. Failing
-// is one step under the set mutex: bit i of quarantined is set, appends and
-// waits on the stream return a *StreamError carrying its index, and the
-// durable frontier is re-certified over the surviving streams so healthy
-// partitions keep committing durably. Readmit clears the bit. quarantined
-// is written only by the set.
+// NewStreamSetScoped starts a parallel log of at most 64 streams for
+// per-partition stream affinity, where a failure takes down only its own
+// stream. A stream fails on a sticky device error, on FailStream, or — when
+// stall > 0 — once its device has held a batch for stall without
+// acknowledging it. Failing is one step under the set mutex: bit i of
+// quarantined is set, appends and waits on the stream return a *StreamError
+// carrying its index, and the durable frontier is re-certified over the
+// surviving streams so healthy partitions keep committing durably. Readmit
+// clears the bit. quarantined is written only by the set.
 func NewStreamSetScoped(devs []Device, quarantined *atomic.Uint64, stall time.Duration) *StreamSet {
 	return newStreamSet(devs, quarantined, stall)
 }
 
 func newStreamSet(devs []Device, quarantined *atomic.Uint64, stall time.Duration) *StreamSet {
 	s := &StreamSet{
-		scoped:      quarantined != nil,
 		quarantined: quarantined,
 		stall:       stall,
 		born:        time.Now(),
@@ -237,7 +239,7 @@ func newStreamSet(devs []Device, quarantined *atomic.Uint64, stall time.Duration
 			id:    i,
 			flush: make(chan struct{}, 1),
 		}
-		if s.scoped && stall > 0 {
+		if stall > 0 {
 			st.stallTimer = time.AfterFunc(time.Hour, st.stalled)
 			st.stallTimer.Stop()
 		}
@@ -292,15 +294,25 @@ func (s *StreamSet) CurrentEpoch() uint64 { return s.epoch.Load() }
 // has synced in full.
 func (s *StreamSet) DurableEpoch() uint64 { return s.durable.Load() }
 
-// Failed reports whether the set has hit a sticky device failure on any
-// stream. One atomic load; commit hot paths gate on it.
-func (s *StreamSet) Failed() bool { return s.failed.Load() }
+// Failed reports whether no live stream remains: under whole-log scope,
+// whether the log has failed. One atomic load while stream 0 is healthy;
+// commit hot paths gate on it.
+func (s *StreamSet) Failed() bool { return s.Err() != nil }
 
-// Err returns the sticky set error (wrapping ErrLogFailed), or nil.
+// Err returns the first stream's *StreamError (wrapping ErrLogFailed) once
+// no live stream remains, or nil.
 func (s *StreamSet) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err
+	var err error
+	for _, st := range s.streams {
+		serr := st.serr.Load()
+		if serr == nil {
+			return nil
+		}
+		if err == nil {
+			err = serr
+		}
+	}
+	return err
 }
 
 // Append stages an encoded record (produced by CommitRecord.Encode) on the
@@ -327,18 +339,13 @@ func (s *StreamSet) Append(streamID int, rec []byte) (uint64, error) {
 //
 //next700:hotpath
 func (s *StreamSet) AppendMulti(streamIDs []int, rec []byte) (uint64, error) {
-	if s.failed.Load() {
-		return 0, s.Err()
+	for _, id := range streamIDs {
+		if serr := s.streams[id].serr.Load(); serr != nil {
+			return 0, serr
+		}
 	}
 	if s.closing.Load() {
 		return 0, ErrClosed
-	}
-	if s.scoped {
-		for _, id := range streamIDs {
-			if serr := s.streams[id].serr.Load(); serr != nil {
-				return 0, serr
-			}
-		}
 	}
 	for _, id := range streamIDs {
 		s.streams[id].mu.Lock() //next700:allowwait(stream staging mutexes are held only for memcpy-scale critical sections, taken in ascending id order)
@@ -355,8 +362,8 @@ func (s *StreamSet) AppendMulti(streamIDs []int, rec []byte) (uint64, error) {
 }
 
 // WaitDurable blocks until epoch is durable on every stream. streamID names
-// the stream the caller appended to; in scoped mode the wait fails if that
-// stream dies before certifying epoch.
+// the stream the caller appended to; the wait fails if that stream dies
+// before certifying epoch, or if no live stream remains.
 func (s *StreamSet) WaitDurable(streamID int, epoch uint64) error {
 	return s.WaitDurableUntil(streamID, epoch, 0)
 }
@@ -383,17 +390,16 @@ func (st *stream) deadFor(epoch uint64) *StreamError {
 
 // WaitDurableMulti blocks until epoch is durable for an append to the listed
 // streams (the AppendMulti target list, or the one stream of an Append): the
-// frontier must cover epoch and, in scoped mode, none of the touched streams
-// may have died before certifying it. A parked waiter kicks the coordinator
-// while its epoch is still open; once a bump has closed the epoch a flush
-// round is already on its way and the waiter only waits.
+// frontier must cover epoch and none of the touched streams may have died
+// before certifying it. A waiter also leaves once no live stream remains: the
+// frozen frontier will never reach its epoch, even where its own stream
+// certified it. A parked waiter kicks the coordinator while its epoch is
+// still open; once a bump has closed the epoch a flush round is already on
+// its way and the waiter only waits.
 //
 //next700:allowalloc(blocked path only: the deadline timer and clock reads happen while parked, never on a commit that finds its epoch durable)
 func (s *StreamSet) WaitDurableMulti(streamIDs []int, epoch uint64, deadline int64) error {
 	deadStream := func() *StreamError {
-		if !s.scoped {
-			return nil
-		}
 		for _, id := range streamIDs {
 			if serr := s.streams[id].deadFor(epoch); serr != nil {
 				return serr
@@ -409,7 +415,7 @@ func (s *StreamSet) WaitDurableMulti(streamIDs []int, epoch uint64, deadline int
 	defer s.mu.Unlock()
 	s.parked = append(s.parked, epoch)
 	defer s.unparkLocked(epoch)
-	for s.durable.Load() < epoch && s.err == nil && !s.closed && deadStream() == nil {
+	for s.durable.Load() < epoch && !s.closed && deadStream() == nil && !s.Failed() {
 		if deadline != 0 {
 			remaining := deadline - time.Now().UnixNano()
 			if remaining <= 0 {
@@ -462,8 +468,8 @@ func (s *StreamSet) WaitDurableMulti(streamIDs []int, epoch uint64, deadline int
 		// its durability.
 		return nil
 	}
-	if s.err != nil {
-		return s.err
+	if err := s.Err(); err != nil {
+		return err
 	}
 	return errClosedBeforeDurable
 }
@@ -518,7 +524,7 @@ func (s *StreamSet) coordinator() {
 //  1. One round at a time: the kick is served when the round the last bump
 //     launched has completed on every live stream. Failed streams are not
 //     waited for, and the wait is re-evaluated on every flusher, stream
-//     failure, poison and Close broadcast, so a stalled stream stops holding
+//     failure and Close broadcast, so a stalled stream stops holding
 //     the others up the moment it is failed. Until then it does hold them:
 //     a hung sync pins the epoch one above the stalled claim, which is why
 //     stall escalation times the device's hold on a batch (stallTimer), not
@@ -537,12 +543,12 @@ func (s *StreamSet) coordinator() {
 func (s *StreamSet) gather() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for s.roundInFlightLocked() && s.err == nil && !s.closed {
-		s.cond.Wait() //next700:allowwait(every claim raise, stream failure, set poison and Close broadcasts; failed streams are not waited for)
+	for s.roundInFlightLocked() && !s.closed {
+		s.cond.Wait() //next700:allowwait(every claim raise, stream failure and Close broadcasts; failed streams are not waited for)
 	}
 	start := time.Now()
 	deadline := start.Add(time.Duration(s.flushNanos.Load() / 8))
-	for s.openLocked() < s.gatherTarget && s.err == nil && !s.closed && time.Now().Before(deadline) {
+	for s.openLocked() < s.gatherTarget && !s.closed && time.Now().Before(deadline) {
 		// Only a newly parked waiter or Close can change the answer, and both
 		// send on wake: wait for one off the mutex, so the returning
 		// committers never contend with the gather for the lock they need to
@@ -701,18 +707,29 @@ func (s *StreamSet) recomputeFrontierLocked() {
 	}
 }
 
-// failStreamLocked records a sticky per-stream failure (scoped mode) and
-// quarantines the stream in the same critical section: its bit is published
-// before the failure, so whoever sees the stream failed — an append or a
-// waiter handed its error — finds the owner's gates already closed to it;
-// then the frontier is re-certified over the survivors. The caller's
-// broadcast re-wakes parked waiters. Requires s.mu.
+// failStreamLocked is the one failure path: a device error, a stall and
+// FailStream all end here. The first failure of st sticks. Under partition
+// scope it takes st alone, and quarantines it in the same critical section:
+// its bit is published before the failure, so whoever sees the stream
+// failed — an append or a waiter handed its error — finds the owner's gates
+// already closed to it. Under whole-log scope it takes every live stream,
+// each holding the same error. Then the frontier is re-certified over the
+// survivors, if any. The caller's broadcast re-wakes parked waiters.
+// Requires s.mu.
 func (s *StreamSet) failStreamLocked(st *stream, cause error) {
 	if st.serr.Load() != nil {
 		return
 	}
-	s.quarantined.Store(s.quarantined.Load() | 1<<uint(st.id))
-	st.serr.Store(&StreamError{Stream: st.id, Cause: cause})
+	serr := &StreamError{Stream: st.id, Cause: cause}
+	if s.quarantined != nil {
+		s.quarantined.Store(s.quarantined.Load() | 1<<uint(st.id))
+		st.serr.Store(serr)
+	} else {
+		// All or none: no stream of a whole-log set fails alone or returns.
+		for _, o := range s.streams {
+			o.serr.Store(serr)
+		}
+	}
 	s.recomputeFrontierLocked()
 }
 
@@ -733,26 +750,14 @@ func (st *stream) stalled() {
 
 // flushOnce writes the staged batch plus an epoch marker and syncs. On
 // success it raises the stream's claim and recomputes the global frontier;
-// on persistent failure it poisons the whole set (legacy mode) or just this
-// stream (scoped mode).
+// on persistent failure it fails the stream (failStreamLocked).
 func (st *stream) flushOnce() {
 	s := st.set
-	if s.failed.Load() {
-		// The set is dead. Writing more would leave gaps behind the failed
-		// batch, so staged bytes are dropped — loudly: waiters observe the
-		// sticky error.
-		st.mu.Lock()
-		st.buf = st.buf[:0]
-		st.mu.Unlock()
-		s.mu.Lock()
-		s.cond.Broadcast()
-		s.mu.Unlock()
-		return
-	}
-	if s.scoped && st.serr.Load() != nil {
-		// This stream is dead (device failure, stall or FailStream). Staged
-		// bytes cannot be made durable here — drop them loudly — but first
-		// install a staged readmission: a repaired partition resumes on a
+	if st.serr.Load() != nil {
+		// This stream is dead (device failure, stall or FailStream). Writing
+		// more would leave gaps behind the failed batch, so staged bytes are
+		// dropped — loudly: waiters observe the sticky error — but first a
+		// staged readmission is installed: a repaired partition resumes on a
 		// fresh device with its claim re-seated at the current epoch.
 		s.mu.Lock()
 		if st.readmit != nil {
@@ -802,7 +807,7 @@ func (st *stream) flushOnce() {
 	if err == nil {
 		err = st.dev.Sync()
 		// A transient sync failure is retried in place; only persistent
-		// failure poisons the set.
+		// failure fails the stream.
 		for retries := 0; err != nil && isTransient(err) && retries < maxSyncRetries; retries++ {
 			err = st.dev.Sync()
 		}
@@ -823,13 +828,8 @@ func (st *stream) flushOnce() {
 
 	s.mu.Lock()
 	if err != nil {
-		if s.scoped {
-			s.failStreamLocked(st, err)
-		} else if s.err == nil {
-			s.err = fmt.Errorf("%w: %w", ErrLogFailed, err)
-			s.failed.Store(true)
-		}
-	} else if s.scoped && st.serr.Load() != nil {
+		s.failStreamLocked(st, err)
+	} else if st.serr.Load() != nil {
 		// Failed (stall or FailStream) while this flush was in flight: the
 		// bytes are on the device, but the claim stays frozen — the stream
 		// has left the frontier, and recovery re-reads the device image
@@ -902,11 +902,6 @@ func (s *StreamSet) Rotate(newDevs []Device) (uint64, error) {
 		s.mu.Unlock()
 		return 0, ErrClosed
 	}
-	if s.err != nil {
-		err := s.err
-		s.mu.Unlock()
-		return 0, err
-	}
 	boundary := s.epoch.Load()
 	s.epoch.Add(1)
 	for i, st := range s.streams {
@@ -925,20 +920,15 @@ func (s *StreamSet) Rotate(newDevs []Device) (uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
-		if s.err != nil {
-			return 0, s.err
-		}
 		if s.closed {
 			return 0, ErrClosed
 		}
-		if s.scoped {
-			// A stream that died mid-rotation can never install its swap;
-			// surface its typed error so the checkpoint cycle fails cleanly
-			// and waits for the stream's readmission.
-			for _, st := range s.streams {
-				if serr := st.serr.Load(); st.next != nil && serr != nil {
-					return 0, serr
-				}
+		// A dead stream can never install its swap; surface its typed error
+		// so the checkpoint cycle fails cleanly (and, under partition scope,
+		// waits for the stream's readmission).
+		for _, st := range s.streams {
+			if serr := st.serr.Load(); st.next != nil && serr != nil {
+				return 0, serr
 			}
 		}
 		pending := false
@@ -962,22 +952,21 @@ func (s *StreamSet) Rotate(newDevs []Device) (uint64, error) {
 				}
 			}
 		}
-		s.cond.Wait() //next700:allowwait(flusher broadcast after every flush cycle re-wakes; sticky failure and close both break the loop)
+		s.cond.Wait() //next700:allowwait(flusher broadcast after every flush cycle re-wakes; a stream failure and close both break the loop)
 	}
 }
 
-// errNotScoped guards the scoped-only API against misuse on legacy sets.
-var errNotScoped = errors.New("wal: stream-scoped operation on a whole-set-failure StreamSet")
+// errNotScoped refuses readmission on a whole-log-scope set, where one
+// failure took every stream.
+var errNotScoped = errors.New("wal: readmit on a whole-log-scope StreamSet")
 
 // FailStream fails a stream by external decision — an operator pulling a
-// device — exactly as a device error would: its quarantine bit is set, its
-// waiters are woken with a *StreamError wrapping cause (ErrStreamQuarantined
-// when cause is nil) and the frontier is re-certified over the survivors.
-// Idempotent; scoped sets only.
+// device — exactly as a device error would (failStreamLocked): waiters are
+// woken with a *StreamError wrapping cause (ErrStreamQuarantined when cause
+// is nil). Under partition scope the stream's quarantine bit is set and the
+// frontier re-certified over the survivors; otherwise the log fails as a
+// whole. Idempotent.
 func (s *StreamSet) FailStream(i int, cause error) error {
-	if !s.scoped {
-		return errNotScoped
-	}
 	if cause == nil {
 		cause = ErrStreamQuarantined
 	}
@@ -1006,7 +995,7 @@ func (s *StreamSet) FailStream(i int, cause error) error {
 // readmitting). A stalled (unreleased) old device blocks Readmit the same
 // way it blocks Close: the flusher must return from the stalled sync first.
 func (s *StreamSet) Readmit(i int, dev Device) error {
-	if !s.scoped {
+	if s.quarantined == nil {
 		return errNotScoped
 	}
 	st := s.streams[i]
@@ -1049,8 +1038,8 @@ func (s *StreamSet) StreamClaim(i int) uint64 { return s.streams[i].claim.Load()
 // Close advances one final epoch, drains every stream, and stops the
 // background goroutines. When a device has failed, records staged after the
 // failure cannot be made durable; Close reports the sticky error rather
-// than dropping them silently. In scoped mode that is the first failed,
-// un-readmitted stream's typed error.
+// than dropping them silently: the first failed, un-readmitted stream's
+// typed error.
 func (s *StreamSet) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -1071,9 +1060,6 @@ func (s *StreamSet) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.cond.Broadcast()
-	if s.err != nil {
-		return s.err
-	}
 	for _, st := range s.streams {
 		if serr := st.serr.Load(); serr != nil {
 			return serr

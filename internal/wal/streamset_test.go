@@ -149,79 +149,155 @@ func TestStreamSetTornStreamTruncates(t *testing.T) {
 	}
 }
 
-// TestStreamSetFailurePoisons pins the legacy (thread-affinity) failure
-// contract: a persistently failing device poisons the whole set — appends
-// and waits on every stream report ErrLogFailed.
-func TestStreamSetFailurePoisons(t *testing.T) {
-	defer testutil.CheckGoroutines(t)()
-	bad := &syncFailDevice{err: errors.New("disk gone")}
-	devs := []Device{&memDevice{}, bad}
-	s := NewStreamSet(devs, 0)
-	defer s.Close()
-
-	ep, err := s.Append(1, setRecord(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.WaitDurable(1, ep); !errors.Is(err, ErrLogFailed) {
-		t.Fatalf("wait on failed stream: err=%v, want ErrLogFailed", err)
-	}
-	// The healthy stream is poisoned too: its epochs can no longer close.
-	if _, err := s.Append(0, setRecord(2)); !errors.Is(err, ErrLogFailed) {
-		t.Fatalf("append after poison: err=%v, want ErrLogFailed", err)
-	}
-	if !s.Failed() {
-		t.Fatal("Failed() false after device failure")
-	}
+// failGateDevice holds its first Sync until release is closed, then fails
+// it and every later Sync with err.
+type failGateDevice struct {
+	syncGateDevice
+	err error
 }
 
-// TestStreamSetScopedFailure pins the per-stream (partition-affinity)
-// contract: a sticky failure on one stream surfaces as a *StreamError
-// carrying the stream index and wrapping both ErrStreamFailed and
-// ErrLogFailed, its quarantine bit is already set when the error returns,
-// the set as a whole stays healthy, and the frontier re-certifies over the
-// survivor so its commits keep acking.
-func TestStreamSetScopedFailure(t *testing.T) {
-	defer testutil.CheckGoroutines(t)()
-	bad := &syncFailDevice{err: errors.New("disk gone")}
-	devs := []Device{&memDevice{}, bad}
-	var mask atomic.Uint64
-	s := NewStreamSetScoped(devs, &mask, 0)
+func (d *failGateDevice) Sync() error {
+	d.syncGateDevice.Sync()
+	return d.err
+}
 
-	ep, err := s.Append(1, setRecord(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	werr := s.WaitDurable(1, ep)
-	if !errors.Is(werr, ErrStreamFailed) || !errors.Is(werr, ErrLogFailed) {
-		t.Fatalf("wait on failed stream: err=%v, want ErrStreamFailed+ErrLogFailed", werr)
-	}
-	var serr *StreamError
-	if !errors.As(werr, &serr) || serr.Stream != 1 {
-		t.Fatalf("err=%v, want *StreamError for stream 1", werr)
-	}
-	if got := mask.Load(); got != 1<<1 {
-		t.Fatalf("quarantine mask = %#x when the failure returned, want %#x", got, 1<<1)
-	}
-	// Scoped: the set is NOT whole-set failed, and the healthy stream still
-	// accepts appends, certified over the survivor alone.
-	if s.Failed() {
-		t.Fatal("scoped failure set whole-set Failed()")
-	}
-	ep0, err := s.Append(0, setRecord(2))
-	if err != nil {
-		t.Fatalf("append on healthy stream after scoped failure: %v", err)
-	}
-	if err := s.WaitDurable(0, ep0); err != nil {
-		t.Fatalf("healthy-stream wait after the failure: %v", err)
-	}
-	// Appends on the dead stream keep failing with the typed error.
-	if _, err := s.Append(1, setRecord(3)); !errors.Is(err, ErrStreamFailed) {
-		t.Fatalf("append on dead stream: err=%v, want ErrStreamFailed", err)
-	}
-	// Close reports the stream's sticky error: staged bytes died with it.
-	if err := s.Close(); !errors.Is(err, ErrStreamFailed) {
-		t.Fatalf("close: err=%v, want ErrStreamFailed", err)
+// TestStreamSetFailureScope pins what one stream failure takes down at each
+// scope. Every row fails stream 1 of a 2-stream set through its device.
+//
+// Whole-log scope (NewStreamSet, thread affinity): the failure takes every
+// stream — appends and waits on every stream report ErrLogFailed, and a
+// waiter on the healthy stream leaves even when its own stream certified its
+// epoch, because the frozen frontier never will.
+//
+// Partition scope (NewStreamSetScoped): the failure surfaces as a
+// *StreamError carrying the stream index and wrapping both ErrStreamFailed
+// and ErrLogFailed, its quarantine bit is already set when the error
+// returns, the set as a whole stays healthy, and the frontier re-certifies
+// over the survivor so its commits keep acking.
+func TestStreamSetFailureScope(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		scoped bool
+		bad    func() Device
+		check  func(t *testing.T, s *StreamSet, mask *atomic.Uint64, bad Device)
+	}{{
+		name: "whole/failed stream",
+		bad:  func() Device { return &syncFailDevice{err: errors.New("disk gone")} },
+		check: func(t *testing.T, s *StreamSet, _ *atomic.Uint64, _ Device) {
+			ep, err := s.Append(1, setRecord(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.WaitDurable(1, ep); !errors.Is(err, ErrLogFailed) {
+				t.Fatalf("wait on failed stream: err=%v, want ErrLogFailed", err)
+			}
+			// The healthy stream failed too: its epochs can no longer close.
+			if _, err := s.Append(0, setRecord(2)); !errors.Is(err, ErrLogFailed) {
+				t.Fatalf("append after the failure: err=%v, want ErrLogFailed", err)
+			}
+			if !s.Failed() {
+				t.Fatal("Failed() false after device failure")
+			}
+		},
+	}, {
+		name: "whole/waiter on healthy stream",
+		bad: func() Device {
+			return &failGateDevice{
+				syncGateDevice: syncGateDevice{entered: make(chan struct{}), release: make(chan struct{})},
+				err:            errors.New("disk gone"),
+			}
+		},
+		check: func(t *testing.T, s *StreamSet, _ *atomic.Uint64, bad Device) {
+			gate := bad.(*failGateDevice)
+			ep, err := s.Append(0, setRecord(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan error, 1)
+			go func() { done <- s.WaitDurable(0, ep) }()
+			// The round for ep: stream 0 certifies it, stream 1 hangs in
+			// its sync, so the frontier stays below ep.
+			select {
+			case <-gate.entered:
+			case <-time.After(5 * time.Second):
+				t.Fatal("stream 1's flusher never reached its sync")
+			}
+			for s.StreamClaim(0) <= ep {
+				time.Sleep(100 * time.Microsecond)
+			}
+			parked(t, s, 1)
+			close(gate.release) // stream 1's sync fails
+			select {
+			case err := <-done:
+				if !errors.Is(err, ErrLogFailed) {
+					t.Fatalf("wait on the healthy stream: err=%v, want ErrLogFailed", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("waiter on the healthy stream hung after stream 1 failed")
+			}
+			if got := s.DurableEpoch(); got >= ep {
+				t.Fatalf("frontier %d covers epoch %d, which stream 1 never certified", got, ep)
+			}
+			if err := s.Close(); !errors.Is(err, ErrLogFailed) {
+				t.Fatalf("close: err=%v, want ErrLogFailed", err)
+			}
+		},
+	}, {
+		name:   "partition/failed stream",
+		scoped: true,
+		bad:    func() Device { return &syncFailDevice{err: errors.New("disk gone")} },
+		check: func(t *testing.T, s *StreamSet, mask *atomic.Uint64, _ Device) {
+			ep, err := s.Append(1, setRecord(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			werr := s.WaitDurable(1, ep)
+			if !errors.Is(werr, ErrStreamFailed) || !errors.Is(werr, ErrLogFailed) {
+				t.Fatalf("wait on failed stream: err=%v, want ErrStreamFailed+ErrLogFailed", werr)
+			}
+			var serr *StreamError
+			if !errors.As(werr, &serr) || serr.Stream != 1 {
+				t.Fatalf("err=%v, want *StreamError for stream 1", werr)
+			}
+			if got := mask.Load(); got != 1<<1 {
+				t.Fatalf("quarantine mask = %#x when the failure returned, want %#x", got, 1<<1)
+			}
+			// The set as a whole is NOT failed, and the healthy stream still
+			// accepts appends, certified over the survivor alone.
+			if s.Failed() {
+				t.Fatal("partition-scope failure set whole-set Failed()")
+			}
+			ep0, err := s.Append(0, setRecord(2))
+			if err != nil {
+				t.Fatalf("append on healthy stream after the failure: %v", err)
+			}
+			if err := s.WaitDurable(0, ep0); err != nil {
+				t.Fatalf("healthy-stream wait after the failure: %v", err)
+			}
+			// Appends on the dead stream keep failing with the typed error.
+			if _, err := s.Append(1, setRecord(3)); !errors.Is(err, ErrStreamFailed) {
+				t.Fatalf("append on dead stream: err=%v, want ErrStreamFailed", err)
+			}
+			// Close reports the stream's sticky error: staged bytes died with it.
+			if err := s.Close(); !errors.Is(err, ErrStreamFailed) {
+				t.Fatalf("close: err=%v, want ErrStreamFailed", err)
+			}
+		},
+	}} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer testutil.CheckGoroutines(t)()
+			bad := tc.bad()
+			devs := []Device{&memDevice{}, bad}
+			var mask atomic.Uint64
+			var s *StreamSet
+			if tc.scoped {
+				s = NewStreamSetScoped(devs, &mask, 0)
+			} else {
+				s = NewStreamSet(devs, 0)
+			}
+			defer s.Close()
+			tc.check(t, s, &mask, bad)
+		})
 	}
 }
 

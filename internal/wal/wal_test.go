@@ -247,7 +247,7 @@ func TestWriterNoWritesAfterFailure(t *testing.T) {
 
 // TestWaitDurableAfterLaterFailure: a record that reached the device before
 // the failure stays durable; WaitDurable on it must return nil even though
-// the writer is now poisoned.
+// the writer has failed since.
 func TestWaitDurableAfterLaterFailure(t *testing.T) {
 	dev := &memDevice{}
 	w := NewWriter(dev, 0)
@@ -255,11 +255,10 @@ func TestWaitDurableAfterLaterFailure(t *testing.T) {
 	if err := w.WaitDurable(lsn); err != nil {
 		t.Fatal(err)
 	}
-	// Poison the writer by hand (simplest deterministic injection).
-	w.s.mu.Lock()
-	w.s.err = ErrLogFailed
-	w.s.failed.Store(true)
-	w.s.mu.Unlock()
+	// Fail the log after the record was certified.
+	if err := w.s.FailStream(0, nil); err != nil {
+		t.Fatal(err)
+	}
 	if err := w.WaitDurable(lsn); err != nil {
 		t.Fatalf("already-durable LSN reported failed: %v", err)
 	}
